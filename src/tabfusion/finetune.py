@@ -15,6 +15,11 @@ from .tensor import Tensor, log_softmax, matmul, softmax
 
 __all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfig"]
 
+# Rows per product with the cached variance factor. A fixed block shape gives
+# every row the same BLAS kernel and summation order whatever the batch size,
+# so variances are bitwise batch-independent (plain gemm reblocks by M).
+VARIANCE_BLOCK_ROWS = 8
+
 
 @dataclass
 class TaskSpec:
@@ -59,7 +64,7 @@ class SngpHead:
         self.phase = rng.uniform(0.0, 2.0 * math.pi, size=d_rf).astype(np.float32)
         self.beta = Linear(d_rf, classes, rng, bias=False)
         self.precision: np.ndarray | None = None  # Lambda, set by fit_covariance
-        self._chol: np.ndarray | None = None
+        self._factor: np.ndarray | None = None  # (L^-1)^T, L = chol(Lambda); derived lazily
 
     def parameters(self) -> dict:
         return {f"beta.{k}": v for k, v in self.beta.parameters().items()}
@@ -75,7 +80,7 @@ class SngpHead:
         self.phase = buffers["phase"]
         if "precision" in buffers:
             self.precision = buffers["precision"].astype(np.float64)
-            self._chol = np.linalg.cholesky(self.precision)
+            self._factor = None
 
     def features(self, pooled: Tensor) -> Tensor:
         """Phi = sqrt(2/d_rf) cos(pooled Omega^T + b); differentiable in pooled."""
@@ -87,7 +92,7 @@ class SngpHead:
 
     def reset_covariance(self) -> None:
         self.precision = self.ridge * np.eye(self.d_rf)
-        self._chol = None
+        self._factor = None
 
     def fit_covariance(self, phi: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """Laplace precision Lambda = ridge*I + sum_i p_i(1-p_i) phi_i phi_i^T.
@@ -104,18 +109,30 @@ class SngpHead:
         w = p * (1.0 - p)
         lam = self.ridge * np.eye(self.d_rf) + (phi * w[:, None]).T @ phi
         self.precision = lam
-        self._chol = np.linalg.cholesky(lam)
+        self._factor = None
         return lam
 
     def variance(self, phi: np.ndarray) -> np.ndarray:
-        """Predictive variance Phi Lambda^-1 Phi^T diagonal, via the cached
-        Cholesky factor (Lambda is never inverted explicitly)."""
+        """Predictive variance, the diagonal of Phi Lambda^-1 Phi^T.
+
+        With L = chol(Lambda) and F = (L^-1)^T, Lambda^-1 = F F^T, so each
+        row's variance is |phi F|^2: O(d_rf^2) per row. F is computed from
+        `precision` on first use (an O(d_rf^3) Cholesky factorisation and
+        inverse) and cached until the precision changes. Rows are
+        multiplied in zero-padded blocks of VARIANCE_BLOCK_ROWS, so a row's
+        variance is bitwise the same alone or in any batch.
+        """
         if self.precision is None:
             raise RuntimeError("covariance not fitted")
-        if self._chol is None:
-            self._chol = np.linalg.cholesky(self.precision)
-        y = np.linalg.solve(self._chol, np.asarray(phi, dtype=np.float64).T)
-        return np.einsum("ij,ij->j", y, y)
+        if self._factor is None:
+            self._factor = np.linalg.inv(np.linalg.cholesky(self.precision)).T
+        phi = np.asarray(phi, dtype=np.float64)
+        n = phi.shape[0]
+        blocks = np.zeros((-(-n // VARIANCE_BLOCK_ROWS) * VARIANCE_BLOCK_ROWS, self.d_rf))
+        blocks[:n] = phi
+        y = np.matmul(blocks.reshape(-1, VARIANCE_BLOCK_ROWS, self.d_rf), self._factor)
+        y = y.reshape(-1, self.d_rf)[:n]
+        return np.einsum("ij,ij->i", y, y)
 
     def predict(self, pooled: Tensor) -> dict:
         """Calibrated class probabilities plus predictive variance.
@@ -206,12 +223,14 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         params.update(model.backbone_parameters())
     opt = AdamW(params, weight_decay=cfg.weight_decay)
 
-    val_set = [snapshots[i] for i in val_indices] if val_indices is not None else None
-    train_set = (
-        [s for i, s in enumerate(snapshots) if i not in set(np.asarray(val_indices).tolist())]
-        if val_indices is not None
-        else list(snapshots)
-    )
+    if val_indices is None:
+        val_set, train_set = None, list(snapshots)
+    else:
+        val_ids = set(np.asarray(val_indices).tolist())
+        train_set = [s for i, s in enumerate(snapshots) if i not in val_ids]
+        # early stopping scores tasks[0]; rows without its label cannot be scored
+        val_set = [snapshots[i] for i in val_indices]
+        val_set = [s for s in val_set if s.labels.get(tasks[0].name) is not None]
 
     curve = []
     best_metric = -np.inf

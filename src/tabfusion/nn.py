@@ -11,7 +11,6 @@ __all__ = [
     "SpectralLinear",
     "Mlp",
     "power_iteration",
-    "collect_parameters",
     "training_mode",
 ]
 
@@ -150,15 +149,6 @@ class Mlp:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
-
-
-def collect_parameters(obj, prefix: str = "") -> dict:
-    """Flatten a module tree (anything exposing .parameters()) into name -> Tensor."""
-    params = {}
-    for name, value in obj.parameters().items():
-        key = f"{prefix}{name}" if prefix else name
-        params[key] = value
-    return params
 
 
 def _spectral_of(mod, prefix: str) -> dict:

@@ -50,6 +50,36 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path, {})
 
+    @pytest.mark.parametrize("keep", [2, 40, 77, 80, 86, 100])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        # 2, 40: inside the fixed 76-byte header; then inside the array's
+        # name length (77), dtype/ndim (80), shape (86) and data (100)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"a": np.arange(6, dtype=np.float64).reshape(2, 3)}, {})
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path, {})
+
+    @pytest.mark.parametrize("offset,match", [(78, "utf-8"), (79, "dtype code")])
+    def test_corrupt_array_header_rejected(self, tmp_path, offset, match):
+        # byte 78 is the array's one-byte name, 79 its dtype code
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"a": np.zeros(2, dtype=np.float32)}, {})
+        data = bytearray(path.read_bytes())
+        data[offset] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path, {})
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"a": np.ones(3, dtype=np.float32)}, {})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):  # "b" cannot be written as floats
+            save_checkpoint(path, {"a": np.ones(3, dtype=np.float32), "b": np.array(["x"])}, {})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_digest_is_key_order_independent(self):
         assert config_digest({"a": 1, "b": 2}) == config_digest({"b": 2, "a": 1})
         assert config_digest({"a": 1}) != config_digest({"a": 2})

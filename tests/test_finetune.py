@@ -90,6 +90,43 @@ class TestLaplaceCovariance:
         v2 = head.variance(phi)[0]
         assert v2 < v1
 
+    def test_variance_is_bitwise_batch_independent_at_default_size(self, rng):
+        # criterion 5 at the default d_rf: a row's variance must not depend
+        # on which rows share its batch or where it sits in it
+        head = SngpHead(8, 2, rng, d_rf=1024)
+        head.fit_covariance(
+            head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
+        )
+        pooled = Tensor(rng.standard_normal((50, 8)))
+        phi = head.features(pooled).data
+        batch = head.variance(phi)
+        alone = np.concatenate([head.variance(phi[i : i + 1]) for i in range(50)])
+        order = rng.permutation(50)
+        shuffled = np.empty(50)
+        shuffled[order] = head.variance(phi[order])
+        in_13s = np.concatenate([head.variance(phi[lo : lo + 13]) for lo in range(0, 50, 13)])
+        for other in (alone, shuffled, in_13s):
+            np.testing.assert_array_equal(other, batch)
+        probs = head.predict(pooled)["probs"]
+        for i in range(50):
+            np.testing.assert_array_equal(head.predict(pooled[i : i + 1])["probs"][0], probs[i])
+
+    def test_refit_reset_and_load_invalidate_cached_factor(self, rng):
+        head = SngpHead(2, 2, rng, d_rf=8, ridge=0.5)
+        phi = rng.standard_normal((20, 8))
+        head.fit_covariance(phi[:10], rng.uniform(0.1, 0.9, 10))
+        head.variance(phi)  # caches the factor of the first fit
+        probs = rng.uniform(0.1, 0.9, 20)
+        head.fit_covariance(phi, probs)
+        w = probs * (1 - probs)
+        lam = 0.5 * np.eye(8) + (phi * w[:, None]).T @ phi
+        want = np.einsum("ij,jk,ik->i", phi, np.linalg.inv(lam), phi)
+        np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
+        head.reset_covariance()
+        np.testing.assert_allclose(head.variance(phi), (phi * phi).sum(axis=1) / 0.5, rtol=1e-12)
+        head.load_buffers({**head.buffers(), "precision": lam})
+        np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
+
     def test_variance_requires_fit(self, rng):
         head = SngpHead(2, 2, rng, d_rf=4)
         with pytest.raises(RuntimeError):
@@ -238,6 +275,25 @@ class TestFinetuneLoop:
         # fitted covariance and a usable model
         assert model.heads["risk"].precision is not None
         assert len(curve) <= 40
+
+    def test_validation_split_holds_out_exactly_val_indices(self, monkeypatch):
+        import tabfusion.finetune as ft
+
+        _, snaps, model = separable_setup(n=30)
+        seen = []
+        monkeypatch.setattr(ft, "fit_heads_covariance", lambda m, rows, tasks: seen.extend(rows))
+        val = np.array([7, 0, 29])
+        finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=1), val_indices=val)
+        assert [id(s) for s in seen] == [id(s) for i, s in enumerate(snaps) if i not in (0, 7, 29)]
+
+    def test_validation_skips_rows_without_label(self):
+        _, snaps, model = separable_setup(n=40)
+        val = list(range(12))
+        for i in val[:4]:
+            snaps[i].labels["risk"] = None
+        assert any(snaps[i].labels["risk"] == 1 for i in val[4:])
+        curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=4, eval_every=2), val)
+        assert all(np.isfinite(rec["val_auprc.risk"]) for rec in curve[1::2])
 
 
 class TestTaskSpec:
