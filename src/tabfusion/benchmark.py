@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import time
 from pathlib import Path
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import benchmark as bench
 from .config import ConfigError, RunConfig
-from .data import DataError, FeatureSchema, load_dataset
+from .data import DataError, load_dataset
 from .feature_select import StopRule, backward_eliminate
 from .finetune import TaskSpec, finetune_loop, predict_scores
 from .metrics import auprc, auroc, ece

@@ -11,7 +11,7 @@ import numpy as np
 
 from .nn import Linear, training_mode
 from .optim import AdamW, CosineWarmupSchedule
-from .tensor import Tensor, log_softmax, matmul, softmax
+from .tensor import Tensor, matmul, softmax
 
 __all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfig"]
 
@@ -200,6 +200,14 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
 
     ISA is bypassed throughout (mode='finetune'). Ends with a covariance
     pass over the training set for every head. Returns the loss curve.
+
+    Rows named by `val_indices` are held out of training. Every
+    `cfg.eval_every` steps those labeled for `tasks[0]` are scored by AUPRC,
+    recorded as `val_auprc.<task>`, and drive early stopping with
+    `cfg.patience`; the best parameters are restored at the end. When no
+    held-out row is a positive of `tasks[0]` there is nothing to score: the
+    rows stay held out, but early stopping is skipped and no `val_auprc`
+    enters the records.
     """
     from .metrics import auprc
 
@@ -231,6 +239,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         # early stopping scores tasks[0]; rows without its label cannot be scored
         val_set = [snapshots[i] for i in val_indices]
         val_set = [s for s in val_set if s.labels.get(tasks[0].name) is not None]
+        val_labels = np.array([s.labels[tasks[0].name] for s in val_set])
+        if not np.any(val_labels == 1):
+            val_set = None  # AUPRC needs a positive
 
     curve = []
     best_metric = -np.inf
@@ -263,8 +274,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
 
         if val_set and (step + 1) % cfg.eval_every == 0:
             scores = predict_scores(model, val_set, tasks[0].name, calibrated=False)
-            labels = np.array([s.labels[tasks[0].name] for s in val_set])
-            metric = auprc(scores, labels)
+            metric = auprc(scores, val_labels)
             record[f"val_auprc.{tasks[0].name}"] = metric
             if metric > best_metric + 1e-12:
                 best_metric = metric

@@ -12,7 +12,7 @@ import numpy as np
 from .data import FeatureKind, FeatureSchema, Snapshot, select_top_k_assets
 from .nn import Linear, training_mode
 from .optim import AdamW, CosineWarmupSchedule
-from .tensor import Tensor, log_softmax, matmul, reduce_mean, reduce_sum, softmax
+from .tensor import Tensor, log_softmax, matmul, reduce_sum
 
 __all__ = [
     "AugmentConfig",

@@ -112,15 +112,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = g.astype(self.data.dtype, copy=True)
@@ -260,9 +251,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), bwd, "cos")
 
-    def sqrt(self):
-        return self ** 0.5
-
     def clip_min(self, floor: float):
         """Lower clamp; gradient passes only where the input is above the floor."""
         data = np.maximum(self.data, floor)
@@ -343,8 +331,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            if b.ndim == 2:
+                # a shared 2-D weight: one gemm over all rows of every batch
+                k, n = b.shape
+                b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            else:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                b._accumulate(_unbroadcast(gb, b.shape))
 
     return Tensor._make(data, (a, b), bwd, "matmul")
 
@@ -409,7 +402,7 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return reduce_sum(x, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-# ---- composite neural-net ops -------------------------------------------
+# ---- neural-net ops; all but cosine_similarity are single graph nodes -----
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -438,21 +431,65 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis. A constant vector maps to zeros (eps guard)."""
-    d = x.shape[-1]
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = reduce_mean(centered * centered, axis=-1, keepdims=True)
-    return centered * ((var + eps) ** -0.5)
+    """Normalize over the last axis. A constant vector maps to zeros (eps guard).
+
+    One graph node: it keeps the output y and inv = (var + eps)^-1/2, and its
+    backward is inv * (g - mean(g) - y * mean(g * y)) over the last axis.
+    """
+    y = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = np.mean(y * y, axis=-1, keepdims=True)
+    inv += eps
+    inv **= -0.5
+    y *= inv
+
+    def bwd(g):
+        gy = g * y
+        gx = g - g.mean(axis=-1, keepdims=True)
+        np.multiply(y, gy.mean(axis=-1, keepdims=True), out=gy)
+        gx -= gy
+        gx *= inv
+        x._accumulate(gx)
+
+    return Tensor._make(y, (x,), bwd, "layer_norm")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation gelu (the form recorded in model configs)."""
-    inner = (x + (x * x * x) * 0.044715) * _GELU_C
-    return x * (inner.tanh() + 1.0) * 0.5
+    """tanh-approximation gelu (the form recorded in model configs).
+
+    One graph node: 0.5 x (1 + th) with th = tanh(c (x + k x^3)), computed in
+    place in the input dtype. The backward reuses th and x^2.
+    """
+    xd = x.data
+    x2 = xd * xd
+    th = x2 * _GELU_K
+    th += 1.0
+    th *= xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    data = th + 1.0
+    data *= xd
+    data *= 0.5
+
+    def bwd(g):
+        # d/dx = 0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3k x^2)
+        gx = th * th
+        np.subtract(1.0, gx, out=gx)
+        gx *= xd
+        gx *= _GELU_C
+        slope = x2 * (3.0 * _GELU_K)
+        slope += 1.0
+        gx *= slope
+        np.add(th, 1.0, out=slope)
+        gx += slope
+        gx *= g
+        gx *= 0.5
+        x._accumulate(gx)
+
+    return Tensor._make(data, (x,), bwd, "gelu")
 
 
 def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:

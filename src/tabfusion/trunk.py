@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import Linear, Mlp, SpectralLinear
-from .tensor import Tensor, ShapeError, concat, layer_norm, matmul, softmax
+from .tensor import Tensor, ShapeError, layer_norm, matmul, softmax
 
 __all__ = ["TrunkConfig", "attention", "IsaBlock", "TrunkLayer", "Trunk"]
 

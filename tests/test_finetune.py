@@ -295,6 +295,16 @@ class TestFinetuneLoop:
         curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=4, eval_every=2), val)
         assert all(np.isfinite(rec["val_auprc.risk"]) for rec in curve[1::2])
 
+    def test_validation_without_positive_skips_early_stopping(self):
+        _, snaps, model = separable_setup(n=40)
+        val = list(range(10))
+        for i in val:
+            snaps[i].labels["risk"] = 0
+        curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=6, eval_every=1, patience=1), val)
+        assert len(curve) == 6
+        assert not any("val_auprc.risk" in rec for rec in curve)
+        assert model.heads["risk"].precision is not None
+
 
 class TestTaskSpec:
     def test_validation(self):
