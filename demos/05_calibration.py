@@ -35,15 +35,12 @@ cfg.schedule.warmup_target_multiplier = 1.0
 cfg.schedule.decay_steps = 300
 finetune_loop(model, train, [TaskSpec("y", 2, gamma=0.0)], cfg)
 
-head = model.heads["y"]
 for name, probe in (
     ("in-distribution (class 0)", cluster(200, -1, -1, 0)),
     ("in-distribution (class 1)", cluster(200, 1, 1, 1)),
     ("shifted cluster (unseen) ", cluster(200, 6, -6, 0)),
 ):
-    x, mask = model.encoder.assemble_tokens(probe)
-    _, pooled = model.trunk(x, mask, mode="inference")
-    out = head.predict(pooled)
+    out = model.predict(probe, "y")
     conf = np.abs(out["probs"][:, 1] - 0.5).mean() + 0.5
     print(
         f"{name}: mean variance {out['variance'].mean():6.3f}, "

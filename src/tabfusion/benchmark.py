@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,7 @@ def run_benchmark(
         train_idx, test_idx = split.fold_split(fold)
         train = [snapshots[i] for i in train_idx]
         test = [snapshots[i] for i in test_idx]
-        model = build_model(schema, config, seed=config.seed + fold)
+        model = build_model(schema, replace(config, seed=config.seed + fold))
         if config.pretrain_steps > 0:
             pretrain_loop(model, train, pretrain_config(config))
         task = TaskSpec(task_name, classes=2, gamma=config.focal_gamma)
@@ -192,18 +193,8 @@ def run_benchmark(
     return report
 
 
-def build_model(schema: FeatureSchema, config: RunConfig, seed: int | None = None) -> Model:
-    return Model(
-        schema,
-        d=config.d,
-        n_layers=config.n_layers,
-        heads=config.heads,
-        ffn_dim=config.ffn_dim,
-        d_prime=config.d_prime,
-        spectral_norm=config.spectral_norm,
-        asset_criterion=config.asset_criterion,
-        seed=config.seed if seed is None else seed,
-    )
+def build_model(schema: FeatureSchema, config: RunConfig) -> Model:
+    return Model(schema, **config.model_record())
 
 
 def pretrain_config(config: RunConfig) -> PretrainConfig:

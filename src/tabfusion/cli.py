@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="JSON run-config file (defaults used when omitted)")
     p.add_argument("--seed", type=int, help="override the run seed")
-    p.add_argument("--threads", type=int, default=1, help="parallelism limit")
     p.add_argument("--dry-run", action="store_true", help="validate config and data, touch no model state")
     sub = p.add_subparsers(dest="command")
 
@@ -133,7 +132,6 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.threads = args.threads
     cfg.validate()
     return cfg
 
@@ -174,7 +172,7 @@ def cmd_pretrain(args) -> int:
         cfg.pretrain_steps = 200
     model = bench.build_model(schema, cfg)
     pretrain_loop(model, snapshots, bench.pretrain_config(cfg), log_path=args.loss_log)
-    model.save(args.out_checkpoint, cfg.to_dict())
+    model.save(args.out_checkpoint, cfg.model_record())
     _write_manifest(args.out_checkpoint, cfg, {"schema": args.schema, "data": args.data}, started)
     return EXIT_OK
 
@@ -187,9 +185,7 @@ def cmd_finetune(args) -> int:
         print(f"dry-run ok: {len(snapshots)} snapshots, {len(schema)} features")
         return EXIT_OK
     if args.init_checkpoint:
-        model = Model.load(
-            args.init_checkpoint, schema, cfg.to_dict(), **_model_kwargs(cfg)
-        )
+        model = _load_model(args.init_checkpoint, schema, cfg)
     else:
         model = bench.build_model(schema, cfg)
     tasks = []
@@ -198,22 +194,19 @@ def cmd_finetune(args) -> int:
         classes = spec.classes if spec else 2
         tasks.append(TaskSpec(name, classes=classes, gamma=cfg.focal_gamma))
     finetune_loop(model, snapshots, tasks, bench.finetune_config(cfg))
-    model.save(args.out_checkpoint, cfg.to_dict())
+    model.save(args.out_checkpoint, cfg.model_record())
     _write_manifest(args.out_checkpoint, cfg, {"schema": args.schema, "data": args.data}, started)
     return EXIT_OK
 
 
-def _model_kwargs(cfg: RunConfig) -> dict:
-    return dict(
-        d=cfg.d,
-        n_layers=cfg.n_layers,
-        heads=cfg.heads,
-        ffn_dim=cfg.ffn_dim,
-        d_prime=cfg.d_prime,
-        spectral_norm=cfg.spectral_norm,
-        asset_criterion=cfg.asset_criterion,
-        seed=cfg.seed,
-    )
+def _load_model(path, schema, cfg: RunConfig, task: str | None = None) -> Model:
+    """Load a checkpoint saved under the same model record; with `task`,
+    require a head for it."""
+    record = cfg.model_record()
+    model = Model.load(path, schema, record, **record)
+    if task is not None and task not in model.heads:
+        raise ConfigError(f"checkpoint has no head for task '{task}'")
+    return model
 
 
 def cmd_predict(args) -> int:
@@ -225,26 +218,18 @@ def cmd_predict(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(snapshots)} snapshots")
         return EXIT_OK
-    model = Model.load(args.checkpoint, schema, cfg.to_dict(), **_model_kwargs(cfg))
-    if args.task not in model.heads:
-        raise ConfigError(f"checkpoint has no head for task '{args.task}'")
-    head = model.heads[args.task]
+    model = _load_model(args.checkpoint, schema, cfg, task=args.task)
+    result = model.predict(snapshots, args.task, batch_size=cfg.batch_size)
+    calibrated = result["calibrated"]
     with Path(args.out).open("w") as fh:
-        for lo in range(0, len(snapshots), cfg.batch_size):
-            batch = snapshots[lo : lo + cfg.batch_size]
-            x, mask = model.encoder.assemble_tokens(batch)
-            _, pooled = model.trunk(x, mask, mode="inference")
-            result = head.predict(pooled)
-            for i in range(len(batch)):
-                rec = {
-                    "task": args.task,
-                    "probs": [round(float(v), 8) for v in result["probs"][i]],
-                    "variance": None
-                    if not result["calibrated"]
-                    else round(float(result["variance"][i]), 8),
-                    "calibrated": bool(result["calibrated"]),
-                }
-                fh.write(json.dumps(rec) + "\n")
+        for probs, var in zip(result["probs"], result["variance"]):
+            rec = {
+                "task": args.task,
+                "probs": [round(float(v), 8) for v in probs],
+                "variance": round(float(var), 8) if calibrated else None,
+                "calibrated": calibrated,
+            }
+            fh.write(json.dumps(rec) + "\n")
     _write_manifest(args.out, cfg, {"schema": args.schema, "data": args.data}, started)
     return EXIT_OK
 
@@ -255,8 +240,10 @@ def cmd_eval(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(snapshots)} snapshots")
         return EXIT_OK
-    model = Model.load(args.checkpoint, schema, cfg.to_dict(), **_model_kwargs(cfg))
+    model = _load_model(args.checkpoint, schema, cfg, task=args.task)
     labeled = [s for s in snapshots if s.labels.get(args.task) is not None]
+    if not labeled:
+        raise DataError(f"no row is labeled for task '{args.task}'")
     scores = predict_scores(model, labeled, args.task)
     y = np.array([s.labels[args.task] for s in labeled])
     result = {
@@ -316,7 +303,7 @@ def cmd_export(args) -> int:
     if args.dry_run:
         print(f"dry-run ok: {len(snapshots)} snapshots")
         return EXIT_OK
-    model = Model.load(args.checkpoint, schema, cfg.to_dict(), **_model_kwargs(cfg))
+    model = _load_model(args.checkpoint, schema, cfg)
     bench.export_embeddings(snapshots, model, args.out_prefix, task=args.task, pca2d=args.pca2d)
     print(f"exported {len(snapshots)} embeddings")
     return EXIT_OK

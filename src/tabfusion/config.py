@@ -1,12 +1,10 @@
-"""Run configuration: the full hyperparameter record, validation, seeds."""
+"""Run configuration: the full hyperparameter record and its validation."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 __all__ = ["RunConfig", "ConfigError"]
 
@@ -24,7 +22,6 @@ class RunConfig:
     ffn_dim: int = 512
     d_prime: int = 128
     spectral_norm: bool = True
-    activation: str = "gelu_tanh"
     # optimization (production batch 32768 scaled down for desk CPUs)
     batch_size: int = 256
     initial_lr: float = 5e-5
@@ -50,7 +47,6 @@ class RunConfig:
     asset_criterion: str = "recency"
     folds: int = 5
     seed: int = 0
-    threads: int = 1
 
     def validate(self) -> None:
         checks = [
@@ -68,7 +64,6 @@ class RunConfig:
             (self.d_rf >= 1, "d_rf must be >= 1"),
             (self.gp_ridge > 0, "gp_ridge must be positive"),
             (self.focal_gamma >= 0, "focal_gamma must be >= 0"),
-            (self.activation in ("gelu_tanh",), "unsupported activation"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -76,6 +71,18 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def model_record(self) -> dict:
+        """The fields `Model` is built from, as its keyword arguments.
+
+        CLI checkpoints digest this record and nothing else, so training-only
+        fields (step counts, schedule, batch size) never block a load.
+        `seed` is part of it: it seeds the `random` asset criterion.
+        """
+        return dict(
+            d=self.d, n_layers=self.n_layers, heads=self.heads, ffn_dim=self.ffn_dim, d_prime=self.d_prime,
+            spectral_norm=self.spectral_norm, asset_criterion=self.asset_criterion, seed=self.seed,
+        )
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -96,8 +103,3 @@ class RunConfig:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    def substream(self, name: str) -> np.random.Generator:
-        """Named RNG substream derived from the single run seed."""
-        digest = int.from_bytes(name.encode(), "big") % (2**31)
-        return np.random.default_rng(np.random.SeedSequence([self.seed, digest]))

@@ -134,15 +134,15 @@ class SngpHead:
         y = y.reshape(-1, self.d_rf)[:n]
         return np.einsum("ij,ij->i", y, y)
 
-    def predict(self, pooled: Tensor) -> dict:
-        """Calibrated class probabilities plus predictive variance.
+    def predict(self, pooled: Tensor, calibrated: bool = True) -> dict:
+        """Class probabilities plus predictive variance.
 
-        Falls back to uncalibrated softmax (calibrated=False) when the
-        covariance has not been fitted.
+        Calibrated when asked for and the covariance is fitted; otherwise a
+        plain softmax of the logits with NaN variance (calibrated=False).
         """
         phi_t = self.features(pooled)
         logits = self.beta(phi_t).data.astype(np.float64)
-        if self.precision is None:
+        if not calibrated or self.precision is None:
             return {
                 "probs": _softmax_np(logits),
                 "variance": np.full(logits.shape[0], np.nan),
@@ -293,32 +293,20 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     return curve
 
 
-def fit_heads_covariance(model, snapshots, tasks, batch_size: int = 256) -> None:
-    """Final pass accumulating the Laplace precision for every task head."""
+def fit_heads_covariance(model, snapshots, tasks) -> None:
+    """Final pass accumulating the Laplace precision for every task head.
+
+    The rows are embedded once; each head is fitted on the rows labeled
+    for its task.
+    """
+    pooled = model.embed(snapshots)
     for t in tasks:
-        labeled = [s for s in snapshots if s.labels.get(t.name) is not None]
-        phis = []
-        probs = []
-        for lo in range(0, len(labeled), batch_size):
-            batch = labeled[lo : lo + batch_size]
-            x, mask = model.encoder.assemble_tokens(batch)
-            _, pooled = model.trunk(x, mask, mode="finetune")
-            phi = model.heads[t.name].features(pooled)
-            phis.append(phi.data)
-            probs.append(_softmax_np(model.heads[t.name].beta(phi).data))
-        model.heads[t.name].fit_covariance(np.concatenate(phis), np.concatenate(probs))
+        head = model.heads[t.name]
+        labeled = [i for i, s in enumerate(snapshots) if s.labels.get(t.name) is not None]
+        phi = head.features(Tensor(pooled[labeled]))
+        head.fit_covariance(phi.data, _softmax_np(head.beta(phi).data))
 
 
-def predict_scores(model, snapshots, task: str, calibrated: bool = True, batch_size: int = 256):
+def predict_scores(model, snapshots, task: str, calibrated: bool = True):
     """Positive-class (class 1) probabilities for a binary task."""
-    out = []
-    for lo in range(0, len(snapshots), batch_size):
-        batch = snapshots[lo : lo + batch_size]
-        x, mask = model.encoder.assemble_tokens(batch)
-        _, pooled = model.trunk(x, mask, mode="inference")
-        head = model.heads[task]
-        if calibrated and head.precision is not None:
-            out.append(head.predict(pooled)["probs"][:, 1])
-        else:
-            out.append(_softmax_np(head.logits(pooled).data)[:, 1])
-    return np.concatenate(out)
+    return model.predict(snapshots, task, calibrated)["probs"][:, 1]

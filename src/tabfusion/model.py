@@ -7,6 +7,7 @@ import numpy as np
 from .data import FeatureSchema
 from .encoder import FeatureEncoder
 from .pretrain import ReconstructionHeads
+from .tensor import Tensor
 from .trunk import Trunk, TrunkConfig
 
 __all__ = ["Model"]
@@ -120,11 +121,28 @@ class Model:
                 layer.v = arrays[f"buf.sn.{name}.v"].astype(np.float32)
         return model
 
+    # ---- inference -------------------------------------------------------
+
     def embed(self, snapshots, batch_size: int = 256) -> np.ndarray:
-        """Pooled inference-mode embeddings, [n, d]."""
+        """Pooled inference-mode embeddings, [n, d].
+
+        The one inference pass through encoder and trunk. ISA is bypassed, so
+        a row's embedding is bitwise the same alone or in any batch.
+        """
         chunks = []
         for lo in range(0, len(snapshots), batch_size):
             x, mask = self.encoder.assemble_tokens(snapshots[lo : lo + batch_size])
             _, pooled = self.trunk(x, mask, mode="inference")
             chunks.append(pooled.data.copy())
         return np.concatenate(chunks) if chunks else np.zeros((0, self.d), dtype=np.float32)
+
+    def predict(self, snapshots, task: str, calibrated: bool = True, batch_size: int = 256) -> dict:
+        """`SngpHead.predict` of the task's head on `embed`'s rows, batch_size
+        at a time: probs [n, classes], variance [n] and calibrated."""
+        pooled = self.embed(snapshots, batch_size)
+        parts = [  # an empty input still gets one (empty) call
+            self.heads[task].predict(Tensor(pooled[lo : lo + batch_size]), calibrated)
+            for lo in range(0, max(len(pooled), 1), batch_size)
+        ]
+        out = {key: np.concatenate([p[key] for p in parts]) for key in ("probs", "variance")}
+        return {**out, "calibrated": parts[0]["calibrated"]}

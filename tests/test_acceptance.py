@@ -354,21 +354,12 @@ def test_criterion_08_sngp_calibration():
     test = in_dist + shifted
     y = np.array([s.labels["y"] for s in test])
 
-    head = model.heads["y"]
-    cal_probs, raw_probs, variances = [], [], []
-    for lo in range(0, len(test), 512):
-        batch = test[lo : lo + 512]
-        x, mask = model.encoder.assemble_tokens(batch)
-        _, pooled = model.trunk(x, mask, mode="inference")
-        out = head.predict(pooled)
-        cal_probs.append(out["probs"][:, 1])
-        variances.append(out["variance"])
-        logits = head.logits(pooled).data.astype(np.float64)
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        raw_probs.append((e / e.sum(axis=-1, keepdims=True))[:, 1])
-    cal_probs = np.concatenate(cal_probs)
-    raw_probs = np.concatenate(raw_probs)
-    variances = np.concatenate(variances)
+    calibrated = model.predict(test, "y", batch_size=512)
+    cal_probs, variances = calibrated["probs"][:, 1], calibrated["variance"]
+    # the uncalibrated baseline: a plain softmax of the same head's logits
+    logits = model.heads["y"].logits(Tensor(model.embed(test, 512))).data.astype(np.float64)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    raw_probs = (e / e.sum(axis=-1, keepdims=True))[:, 1]
 
     var_in = variances[: len(in_dist)].mean()
     var_out = variances[len(in_dist) :].mean()

@@ -137,7 +137,6 @@ class TestRunConfig:
             ("folds", 1),
             ("gp_ridge", 0.0),
             ("focal_gamma", -1.0),
-            ("activation", "relu"),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -152,18 +151,23 @@ class TestRunConfig:
         assert loaded == cfg
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            RunConfig.from_dict({"d": 8, "bogus": 1})
+        # threads and activation were fields once; nothing read them
+        for key in ("bogus", "threads", "activation"):
+            with pytest.raises(ConfigError, match="unknown"):
+                RunConfig.from_dict({"d": 8, key: 1})
 
     def test_invalid_json_rejected(self, tmp_path):
         (tmp_path / "c.json").write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             RunConfig.load(tmp_path / "c.json")
 
-    def test_substreams_are_independent_and_stable(self):
-        cfg = RunConfig(seed=4)
-        a1 = cfg.substream("encoder").standard_normal(4)
-        a2 = cfg.substream("encoder").standard_normal(4)
-        b = cfg.substream("trunk").standard_normal(4)
-        np.testing.assert_array_equal(a1, a2)
-        assert not np.array_equal(a1, b)
+    def test_model_record_is_the_model_kwargs(self):
+        cfg = RunConfig(d=8, heads=2, n_layers=1, ffn_dim=16, d_prime=8, seed=3)
+        record = cfg.model_record()
+        assert set(record) == {
+            "d", "n_layers", "heads", "ffn_dim", "d_prime", "spectral_norm", "asset_criterion", "seed"
+        }
+        assert Model(small_schema(), **record).trunk_config.ffn_dim == 16
+        trained = RunConfig(**{**cfg.to_dict(), "pretrain_steps": 200, "finetune_steps": 3, "batch_size": 8})
+        assert config_digest(trained.model_record()) == config_digest(record)
+        assert config_digest(RunConfig(**{**cfg.to_dict(), "seed": 4}).model_record()) != config_digest(record)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
-from tabfusion.cli import EXIT_CONFIG, EXIT_MISSING_FILE, EXIT_OK, main
+from tabfusion.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, main
 from tabfusion.config import RunConfig
-from tabfusion.data import save_dataset
+from tabfusion.data import load_dataset, save_dataset
+from tabfusion.model import Model
 
 
 @pytest.fixture
@@ -128,6 +129,12 @@ class TestTrainingCommands:
             assert rec["calibrated"] is True
             assert abs(sum(rec["probs"]) - 1.0) < 1e-6
             assert rec["variance"] >= 0
+        # the file is Model.predict's answer, rounded as written
+        schema, snaps = load_dataset(workspace / "data.csv", workspace / "schema.json", workspace / "emb.bin")
+        record = RunConfig.load(workspace / "config.json").model_record()
+        want = Model.load(ckpt, schema, record, **record).predict(snaps, "risk")
+        assert [rec["probs"] for rec in lines] == [[round(float(v), 8) for v in p] for p in want["probs"]]
+        assert [rec["variance"] for rec in lines] == [round(float(v), 8) for v in want["variance"]]
 
     def test_predict_unknown_task(self, workspace, capsys):
         ckpt = run_finetune(workspace)
@@ -138,6 +145,32 @@ class TestTrainingCommands:
         )
         assert rc == EXIT_CONFIG
         assert "no head" in capsys.readouterr().err
+
+    def test_eval_unknown_task(self, workspace, capsys):
+        ckpt = run_finetune(workspace)
+        rc = main(
+            ["--config", str(workspace / "config.json"), "eval"]
+            + base_args(workspace)[2:]
+            + ["--checkpoint", str(ckpt), "--task", "ghost"]
+        )
+        assert rc == EXIT_CONFIG
+        assert "no head for task 'ghost'" in capsys.readouterr().err
+
+    def test_eval_without_labeled_rows(self, workspace, capsys):
+        ckpt = run_finetune(workspace)
+        schema = small_schema(with_assets=True)
+        snaps = random_snapshots(schema, 5, seed=2)
+        for s in snaps:
+            s.labels["risk"] = None
+        save_dataset(snaps, schema, workspace / "unlabeled.csv", workspace / "unlabeled.bin")
+        rc = main(
+            ["--config", str(workspace / "config.json"), "eval",
+             "--schema", str(workspace / "schema.json"), "--data", str(workspace / "unlabeled.csv"),
+             "--embeddings", str(workspace / "unlabeled.bin"),
+             "--checkpoint", str(ckpt), "--task", "risk"]
+        )
+        assert rc == EXIT_DATA
+        assert "labeled for task 'risk'" in capsys.readouterr().err
 
     def test_eval_reports_metrics(self, workspace, capsys):
         ckpt = run_finetune(workspace)
@@ -181,6 +214,31 @@ class TestTrainingCommands:
         reduced = FeatureSchema.load(workspace / "reduced.json")
         assert 1 <= len(reduced) <= 6
         assert "baseline" in (workspace / "trace.txt").read_text()
+
+
+class TestReadmeChain:
+    def test_pretrain_finetune_predict_eval(self, workspace, capsys):
+        # pretrain_steps at its default, so --steps changes the config before the save
+        base = RunConfig.load(workspace / "config.json").to_dict()
+        RunConfig.from_dict({**base, "pretrain_steps": 0}).save(workspace / "chain.json")
+        config = ["--config", str(workspace / "chain.json")]
+        data = base_args(workspace)[2:]
+        pre, model, preds = (str(workspace / name) for name in ("pre.ckpt", "model.ckpt", "p.jsonl"))
+        steps = [
+            ["pretrain", *data, "--steps", "2", "--out-checkpoint", pre],
+            ["finetune", *data, "--task", "risk", "--init-checkpoint", pre, "--out-checkpoint", model],
+            ["predict", *data, "--checkpoint", model, "--task", "risk", "--out", preds],
+            ["eval", *data, "--checkpoint", model, "--task", "risk"],
+        ]
+        for argv in steps:
+            assert main(config + argv) == EXIT_OK, capsys.readouterr().err
+
+        # the digest covers the model record: another d or seed is refused
+        RunConfig.from_dict({**base, "d": 16}).save(workspace / "wide.json")
+        for override in (["--config", str(workspace / "wide.json")], config + ["--seed", "2"]):
+            capsys.readouterr()
+            assert main(override + steps[3]) == 1
+            assert "config digest mismatch" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:

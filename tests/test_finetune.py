@@ -15,7 +15,7 @@ from tabfusion.finetune import (
 )
 from tabfusion.metrics import auroc
 from tabfusion.model import Model
-from tabfusion.tensor import Tensor
+from tabfusion.tensor import Tensor, softmax
 
 
 class TestRandomFeatures:
@@ -193,8 +193,6 @@ class TestFocalLoss:
 
     def test_gradient_flows(self):
         logits = Tensor(np.array([[0.2, -0.1]]), requires_grad=True)
-        from tabfusion.tensor import softmax
-
         focal_loss(softmax(logits, axis=-1), [0], gamma=2.0).backward()
         assert logits.grad is not None and np.any(logits.grad != 0)
 
@@ -304,6 +302,55 @@ class TestFinetuneLoop:
         assert len(curve) == 6
         assert not any("val_auprc.risk" in rec for rec in curve)
         assert model.heads["risk"].precision is not None
+
+
+def two_task_setup():
+    """Task `a` fully labeled, task `b` labeled on every third row."""
+    schema = FeatureSchema(
+        [FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")],
+        [TaskSpecLite("a", 2), TaskSpecLite("b", 2)],
+    )
+    snaps = random_snapshots(schema, 40, seed=4, label_rule=lambda v, rng: int(v["x"] > 0))
+    for i, s in enumerate(snaps):
+        s.labels["b"] = None if i % 3 else 1 - s.labels["a"]
+    model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=4)
+    finetune_loop(model, snaps, [TaskSpec("a", 2), TaskSpec("b", 2)], quick_cfg(steps=3))
+    return snaps, model
+
+
+class TestInferencePath:
+    def test_covariance_pass_fits_each_head_on_its_labeled_rows(self):
+        snaps, model = two_task_setup()
+        for task in ("a", "b"):
+            head = model.heads[task]
+            fitted = head.precision
+            rows = [s for s in snaps if s.labels[task] is not None]
+            phi = head.features(Tensor(model.embed(rows)))
+            probs = softmax(head.beta(phi), axis=-1).data  # float32, as the pass computes it
+            assert len(rows) == (40 if task == "a" else 14)
+            np.testing.assert_array_equal(head.fit_covariance(phi.data, probs), fitted)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    def test_model_predict_is_the_head_on_embeddings(self, batch_size):
+        snaps, model = two_task_setup()
+        pooled = Tensor(model.embed(snaps))
+        for task in ("a", "b"):
+            want = model.heads[task].predict(pooled)
+            got = model.predict(snaps, task, batch_size=batch_size)
+            assert got["calibrated"] is True
+            np.testing.assert_array_equal(got["probs"], want["probs"])
+            np.testing.assert_array_equal(got["variance"], want["variance"])
+            np.testing.assert_array_equal(predict_scores(model, snaps, task), want["probs"][:, 1])
+            raw = model.predict(snaps, task, calibrated=False, batch_size=batch_size)
+            logits = model.heads[task].logits(pooled).data.astype(np.float64)
+            np.testing.assert_allclose(raw["probs"].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(np.argmax(raw["probs"], axis=1), np.argmax(logits, axis=1))
+            assert raw["calibrated"] is False and np.all(np.isnan(raw["variance"]))
+
+    def test_model_predict_on_no_rows(self):
+        _, model = two_task_setup()
+        out = model.predict([], "b")
+        assert out["probs"].shape == (0, 2) and out["variance"].shape == (0,)
 
 
 class TestTaskSpec:

@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: unused module-level imports."""
+"""Source hygiene checks that need no linter: unused module-level imports and
+RunConfig fields that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,61 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names_config(annotation) -> bool:
+    return annotation is not None and "RunConfig" in ast.unparse(annotation)
+
+
+def unread_config_fields(sources: list[str]) -> list[str]:
+    """RunConfig fields that no function in `sources` reads, RunConfig.validate aside.
+
+    A read is an attribute load on a name holding a RunConfig: a parameter
+    annotated RunConfig, a name assigned from an expression that calls
+    RunConfig or a function annotated to return one, or `self` in a
+    RunConfig method.
+    """
+    nodes = [n for source in sources for n in ast.walk(ast.parse(source))]
+    config = next(n for n in nodes if isinstance(n, ast.ClassDef) and n.name == "RunConfig")
+    fields = [s.target.id for s in config.body if isinstance(s, ast.AnnAssign)]
+    methods = [f for f in config.body if isinstance(f, ast.FunctionDef)]
+    functions = [n for n in nodes if isinstance(n, ast.FunctionDef)]
+    makers = {"RunConfig"} | {f.name for f in functions if _names_config(f.returns)}
+    read = set()
+    for fn in functions:
+        if fn in methods and fn.name == "validate":
+            continue
+        holders = {a.arg for a in fn.args.args + fn.args.kwonlyargs if _names_config(a.annotation)}
+        if fn in methods:
+            holders.add("self")
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Assign) and any(
+                isinstance(c, ast.Call) and ast.unparse(c.func).split(".")[0] in makers
+                for c in ast.walk(n.value)
+            ):
+                holders |= {t.id for t in n.targets if isinstance(t, ast.Name)}
+        read |= {
+            n.attr
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load)
+            and isinstance(n.value, ast.Name)
+            and n.value.id in holders
+        }
+    return [f for f in fields if f not in read]
+
+
+def test_config_scanner_flags_fields_read_only_by_validate_or_never():
+    source = (
+        "class RunConfig:\n    a: int = 1\n    b: int = 2\n    c: int = 3\n    e: int = 4\n"
+        "    def validate(self):\n        assert self.c > 0\n"
+        "    def record(self):\n        return self.e\n"
+        "def load(args) -> RunConfig:\n    cfg = RunConfig.load(args.path) if args.path else RunConfig()\n"
+        "    cfg.b = args.b\n    return cfg\n"
+        "def use(config: RunConfig, other):\n    return config.a + other.b\n"
+    )
+    assert unread_config_fields([source]) == ["b", "c"]
+
+
+def test_every_config_field_is_read():
+    assert unread_config_fields([path.read_text() for path in MODULES]) == []
