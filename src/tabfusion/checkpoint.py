@@ -1,9 +1,11 @@
-"""Versioned binary checkpoints: header + named parameter table + raw floats.
+"""Versioned binary checkpoints: header + JSON record + named parameter table + raw floats.
 
-Layout (little-endian): magic b"TBF1", format version u32, config digest
-(64 ascii hex bytes), array count u32; then per array: name length u16,
-name utf8, dtype code u8 (0 = float32, 1 = float64), ndim u8, extents u32
-each, raw data. Loading rejects a digest mismatch and a truncated file.
+Layout (little-endian): magic b"TBF1", format version u32 (2), `config_digest`
+of the record (64 ascii hex bytes), record length u32, the record as utf-8
+JSON, array count u32; then per array: name length u16, name utf8, dtype
+code u8 (0 = float32, 1 = float64), ndim u8, extents u32 each, raw data.
+Loading rejects another version, a record that fails its digest and a
+truncated file.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 __all__ = ["config_digest", "save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 MAGIC = b"TBF1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _DTYPES = {0: "<f4", 1: "<f8"}
 _CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
@@ -33,23 +35,25 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
-def save_checkpoint(path, arrays: dict, config: dict) -> None:
-    """arrays: name -> numpy array (float32/float64).
+def save_checkpoint(path, arrays: dict, record: dict) -> None:
+    """arrays: name -> numpy array (float32/float64); record: any JSON-able dict.
 
     Writes a sibling temporary file and renames it over `path`, so a crash
     mid-write leaves any earlier checkpoint intact rather than a partial one.
     """
     path = Path(path)
-    digest = config_digest(config)
+    text = json.dumps(record, sort_keys=True).encode()
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(digest.encode("ascii"))
+            fh.write(config_digest(record).encode("ascii"))
+            fh.write(struct.pack("<I", len(text)))
+            fh.write(text)
             fh.write(struct.pack("<I", len(arrays)))
             for name, arr in arrays.items():
-                arr = np.ascontiguousarray(arr)
+                arr = np.asarray(arr)  # keeps 0-d arrays 0-d (ascontiguousarray makes them 1-d)
                 if arr.dtype not in _CODES:
                     arr = arr.astype(np.float32)
                 nb = name.encode("utf-8")
@@ -65,9 +69,9 @@ def save_checkpoint(path, arrays: dict, config: dict) -> None:
         raise
 
 
-def load_checkpoint(path, config: dict) -> dict:
-    """Read arrays back; raises CheckpointError on bad magic, version, a
-    config digest that does not match `config`, or a truncated file."""
+def load_checkpoint(path) -> tuple[dict, dict]:
+    """Read (record, arrays) back; raises CheckpointError on bad magic or
+    version, a record that does not match its digest, or a truncated file."""
     data = memoryview(Path(path).read_bytes())  # slices are views, not copies
     off = 0
 
@@ -84,11 +88,14 @@ def load_checkpoint(path, config: dict) -> dict:
     if take(4, "magic") != MAGIC:
         raise CheckpointError("bad magic; not a checkpoint file")
     (version,) = struct.unpack("<I", take(4, "version"))
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    digest = bytes(take(64, "config digest")).decode("ascii", errors="replace")
-    if digest != config_digest(config):
-        raise CheckpointError("config digest mismatch; checkpoint belongs to a different config")
+    if version != FORMAT_VERSION:  # version 1 had no record
+        raise CheckpointError(f"unsupported checkpoint version {version}; re-create the checkpoint")
+    digest = bytes(take(64, "record digest")).decode("ascii", errors="replace")
+    (size,) = struct.unpack("<I", take(4, "record length"))
+    text = bytes(take(size, "record"))
+    if hashlib.sha256(text).hexdigest() != digest:  # config_digest of the record saved as `text`
+        raise CheckpointError("record digest mismatch; the checkpoint is corrupt")
+    record = json.loads(text)
     (count,) = struct.unpack("<I", take(4, "array count"))
     arrays = {}
     for _ in range(count):
@@ -105,4 +112,4 @@ def load_checkpoint(path, config: dict) -> dict:
         size = math.prod(shape)
         raw = take(size * dtype.itemsize, f"data of '{name}'")
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    return arrays
+    return record, arrays

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import benchmark as bench
 from .config import ConfigError, RunConfig
-from .data import DataError, load_dataset
+from .data import DataError, FeatureSchema, load_dataset
 from .feature_select import StopRule, backward_eliminate
 from .finetune import TaskSpec, finetune_loop, predict_scores
 from .metrics import auprc, auroc, ece
@@ -40,6 +40,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
+        if args.dry_run and args.command != "benchmark":
+            return _dry_run(args)
         return args.func(args)
     except ConfigError as e:
         print(f"error:config: {e}", file=sys.stderr)
@@ -66,11 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dry-run", action="store_true", help="validate config and data, touch no model state")
     sub = p.add_subparsers(dest="command")
 
-    def data_args(sp, embeddings=True):
+    def data_args(sp):
         sp.add_argument("--schema", required=True)
         sp.add_argument("--data", required=True)
-        if embeddings:
-            sp.add_argument("--embeddings", help="binary f32 sidecar for embedding features")
+        sp.add_argument("--embeddings", help="binary f32 sidecar for embedding features")
 
     sp = sub.add_parser("pretrain", help="self-supervised pre-training")
     data_args(sp)
@@ -136,15 +137,35 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _check_inputs(args) -> None:
+    for attr in ("schema", "data", "embeddings", "checkpoint", "init_checkpoint"):
+        path = getattr(args, attr, None)
+        if path and not Path(path).exists():
+            raise FileNotFoundError(f"--{attr.replace('_', '-')} file {path} does not exist")
+
+
 def _load_data(args):
-    for attr in ("schema", "data"):
-        path = getattr(args, attr)
-        if not Path(path).exists():
-            raise FileNotFoundError(f"--{attr} file {path} does not exist")
-    emb = getattr(args, "embeddings", None)
-    if emb and not Path(emb).exists():
-        raise FileNotFoundError(f"--embeddings file {emb} does not exist")
-    return load_dataset(args.data, args.schema, emb)
+    _check_inputs(args)
+    return load_dataset(args.data, args.schema, args.embeddings)
+
+
+def _load_model_and_data(path, args, cfg: RunConfig, task: str | None = None):
+    """(model, snapshots): the checkpoint, which --schema and the model record
+    must match and which needs a head for `task` when given, and --data read
+    under the checkpoint's schema, so numerics use the training statistics."""
+    _check_inputs(args)
+    model = Model.load(path, FeatureSchema.load(args.schema), **cfg.model_record())
+    if task is not None and task not in model.heads:
+        raise ConfigError(f"checkpoint has no head for task '{task}'")
+    return model, load_dataset(args.data, model.schema, args.embeddings)[1]
+
+
+def _dry_run(args) -> int:
+    """Validate the config, the inputs and the data under --schema; touch no model state."""
+    _load_config(args)
+    schema, snapshots = _load_data(args)
+    print(f"dry-run ok: {len(snapshots)} snapshots, {len(schema)} features")
+    return EXIT_OK
 
 
 def _write_manifest(out_path, cfg: RunConfig, inputs: dict, started: float) -> None:
@@ -163,16 +184,13 @@ def cmd_pretrain(args) -> int:
     started = time.time()
     cfg = _load_config(args)
     schema, snapshots = _load_data(args)
-    if args.dry_run:
-        print(f"dry-run ok: {len(snapshots)} snapshots, {len(schema)} features")
-        return EXIT_OK
     if args.steps is not None:
         cfg.pretrain_steps = args.steps
     if cfg.pretrain_steps <= 0:
         cfg.pretrain_steps = 200
     model = bench.build_model(schema, cfg)
     pretrain_loop(model, snapshots, bench.pretrain_config(cfg), log_path=args.loss_log)
-    model.save(args.out_checkpoint, cfg.model_record())
+    model.save(args.out_checkpoint, cfg.to_dict())
     _write_manifest(args.out_checkpoint, cfg, {"schema": args.schema, "data": args.data}, started)
     return EXIT_OK
 
@@ -180,45 +198,23 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    schema, snapshots = _load_data(args)
-    if args.dry_run:
-        print(f"dry-run ok: {len(snapshots)} snapshots, {len(schema)} features")
-        return EXIT_OK
     if args.init_checkpoint:
-        model = _load_model(args.init_checkpoint, schema, cfg)
+        model, snapshots = _load_model_and_data(args.init_checkpoint, args, cfg)
     else:
+        schema, snapshots = _load_data(args)
         model = bench.build_model(schema, cfg)
-    tasks = []
-    for name in args.task:
-        spec = next((t for t in schema.tasks if t.name == name), None)
-        classes = spec.classes if spec else 2
-        tasks.append(TaskSpec(name, classes=classes, gamma=cfg.focal_gamma))
+    classes = {t.name: t.classes for t in FeatureSchema.load(args.schema).tasks}
+    tasks = [TaskSpec(name, classes=classes.get(name, 2), gamma=cfg.focal_gamma) for name in args.task]
     finetune_loop(model, snapshots, tasks, bench.finetune_config(cfg))
-    model.save(args.out_checkpoint, cfg.model_record())
+    model.save(args.out_checkpoint, cfg.to_dict())
     _write_manifest(args.out_checkpoint, cfg, {"schema": args.schema, "data": args.data}, started)
     return EXIT_OK
-
-
-def _load_model(path, schema, cfg: RunConfig, task: str | None = None) -> Model:
-    """Load a checkpoint saved under the same model record; with `task`,
-    require a head for it."""
-    record = cfg.model_record()
-    model = Model.load(path, schema, record, **record)
-    if task is not None and task not in model.heads:
-        raise ConfigError(f"checkpoint has no head for task '{task}'")
-    return model
 
 
 def cmd_predict(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    schema, snapshots = _load_data(args)
-    if not Path(args.checkpoint).exists():
-        raise FileNotFoundError(f"--checkpoint file {args.checkpoint} does not exist")
-    if args.dry_run:
-        print(f"dry-run ok: {len(snapshots)} snapshots")
-        return EXIT_OK
-    model = _load_model(args.checkpoint, schema, cfg, task=args.task)
+    model, snapshots = _load_model_and_data(args.checkpoint, args, cfg, task=args.task)
     result = model.predict(snapshots, args.task, batch_size=cfg.batch_size)
     calibrated = result["calibrated"]
     with Path(args.out).open("w") as fh:
@@ -236,11 +232,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    schema, snapshots = _load_data(args)
-    if args.dry_run:
-        print(f"dry-run ok: {len(snapshots)} snapshots")
-        return EXIT_OK
-    model = _load_model(args.checkpoint, schema, cfg, task=args.task)
+    model, snapshots = _load_model_and_data(args.checkpoint, args, cfg, task=args.task)
     labeled = [s for s in snapshots if s.labels.get(args.task) is not None]
     if not labeled:
         raise DataError(f"no row is labeled for task '{args.task}'")
@@ -282,9 +274,6 @@ def cmd_benchmark(args) -> int:
 def cmd_select(args) -> int:
     cfg = _load_config(args)
     schema, snapshots = _load_data(args)
-    if args.dry_run:
-        print(f"dry-run ok: {len(snapshots)} snapshots")
-        return EXIT_OK
     rule = StopRule(tolerance=args.tolerance, min_features=args.min_features)
     reduced, trace = backward_eliminate(snapshots, schema, args.task, rule, seed=cfg.seed)
     reduced.save(args.out_schema)
@@ -299,11 +288,7 @@ def cmd_select(args) -> int:
 
 def cmd_export(args) -> int:
     cfg = _load_config(args)
-    schema, snapshots = _load_data(args)
-    if args.dry_run:
-        print(f"dry-run ok: {len(snapshots)} snapshots")
-        return EXIT_OK
-    model = _load_model(args.checkpoint, schema, cfg)
+    model, snapshots = _load_model_and_data(args.checkpoint, args, cfg)
     bench.export_embeddings(snapshots, model, args.out_prefix, task=args.task, pca2d=args.pca2d)
     print(f"exported {len(snapshots)} embeddings")
     return EXIT_OK

@@ -73,12 +73,9 @@ class RunConfig:
         return asdict(self)
 
     def model_record(self) -> dict:
-        """The fields `Model` is built from, as its keyword arguments.
-
-        CLI checkpoints digest this record and nothing else, so training-only
-        fields (step counts, schedule, batch size) never block a load.
-        `seed` is part of it: it seeds the `random` asset criterion.
-        """
+        """The fields `Model` is built from, as its keyword arguments; the CLI
+        checks them against a checkpoint's record (`seed` seeds the `random`
+        asset criterion), so training-only fields never block a load."""
         return dict(
             d=self.d, n_layers=self.n_layers, heads=self.heads, ffn_dim=self.ffn_dim, d_prime=self.d_prime,
             spectral_norm=self.spectral_norm, asset_criterion=self.asset_criterion, seed=self.seed,

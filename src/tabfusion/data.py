@@ -238,14 +238,17 @@ def _check_sidecar(sidecar, off, f, row):
         raise DataError(f"sidecar offset {off} out of range", row=row, feature=f.name)
 
 
-def load_dataset(data_path, schema_path, embeddings_path=None):
+def load_dataset(data_path, schema, embeddings_path=None):
     """Load (schema, snapshots) and z-score-normalize numerics in place.
 
-    Missing values are kept as explicit None/empty markers, never imputed.
-    Normalization parameters come from the schema when present, otherwise
-    they are computed from the data and written back into the schema.
+    `schema` is a schema file or a FeatureSchema, such as a loaded model's;
+    a copy of it is returned. Missing values are kept as explicit None/empty
+    markers, never imputed. Normalization parameters come from the schema
+    when present, otherwise they are computed from the data and written
+    into the returned schema.
     """
-    schema = FeatureSchema.load(schema_path)
+    schema = schema if isinstance(schema, FeatureSchema) else FeatureSchema.load(schema)
+    schema = FeatureSchema.from_dict(schema.to_dict())  # a copy: normalization is filled in below
     sidecar = None
     if embeddings_path is not None:
         sidecar = np.fromfile(embeddings_path, dtype="<f4")

@@ -198,8 +198,10 @@ class FinetuneConfig:
 def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, val_indices=None):
     """Joint supervised training of trunk + SNGP heads on the focal-loss sum.
 
-    ISA is bypassed throughout (mode='finetune'). Ends with a covariance
-    pass over the training set for every head. Returns the loss curve.
+    ISA is bypassed throughout (mode='finetune'). A task without a head in
+    `model.heads` gets a new one; heads are drawn in task order from one rng
+    seeded `cfg.seed + 1`. Ends with a covariance pass over the training set
+    for every task's head. Returns the loss curve.
 
     Rows named by `val_indices` are held out of training. Every
     `cfg.eval_every` steps those labeled for `tasks[0]` are scored by AUPRC,
@@ -216,9 +218,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         labeled = [s for s in snapshots if s.labels.get(t.name) is not None]
         if not labeled:
             raise ValueError(f"no labeled examples for task '{t.name}'")
-    if not model.heads:
-        head_rng = np.random.default_rng(cfg.seed + 1)
-        for t in tasks:
+    head_rng = np.random.default_rng(cfg.seed + 1)
+    for t in tasks:
+        if t.name not in model.heads:
             model.heads[t.name] = SngpHead(
                 model.d, t.classes, head_rng, d_rf=cfg.d_rf,
                 length_scale=cfg.length_scale, ridge=cfg.ridge,

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import numpy as np
 
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import FeatureSchema
 from .encoder import FeatureEncoder
+from .finetune import SngpHead
+from .nn import spectral_layers
 from .pretrain import ReconstructionHeads
 from .tensor import Tensor
 from .trunk import Trunk, TrunkConfig
 
 __all__ = ["Model"]
+
+# the SngpHead arguments a checkpoint stores per head: all but in_dim and rng
+HEAD_FIELDS = ("classes", "d_rf", "length_scale", "ridge", "kappa")
 
 
 class Model:
@@ -22,7 +30,6 @@ class Model:
         heads: int = 8,
         ffn_dim: int = 512,
         d_prime: int | None = None,
-        isa_enabled: bool = True,
         spectral_norm: bool = True,
         asset_criterion: str = "recency",
         seed: int = 0,
@@ -30,15 +37,15 @@ class Model:
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         self.schema = schema
         self.d = d
+        d_prime = d_prime if d_prime is not None else 4 * d
+        # the constructor fields, as the checkpoint record stores them
+        self.fields = dict(
+            d=d, n_layers=n_layers, heads=heads, ffn_dim=ffn_dim, d_prime=d_prime,
+            spectral_norm=spectral_norm, asset_criterion=asset_criterion, seed=seed,
+        )
         self.encoder = FeatureEncoder(schema, d, rng, asset_criterion=asset_criterion, asset_seed=seed)
         self.trunk_config = TrunkConfig(
-            d=d,
-            n_tokens=schema.token_count(),
-            n_layers=n_layers,
-            heads=heads,
-            ffn_dim=ffn_dim,
-            d_prime=d_prime if d_prime is not None else 4 * d,
-            isa_enabled=isa_enabled,
+            d=d, n_tokens=schema.token_count(), n_layers=n_layers, heads=heads, ffn_dim=ffn_dim, d_prime=d_prime,
             spectral_norm=spectral_norm,
         )
         self.trunk = Trunk(self.trunk_config, rng)
@@ -61,8 +68,6 @@ class Model:
     def buffers(self) -> dict:
         """Non-learned arrays that must survive save/load: SNGP state and
         the power-iteration vectors of every spectrally normalized layer."""
-        from .nn import spectral_layers
-
         out = {}
         for name, head in self.heads.items():
             for k, v in head.buffers().items():
@@ -75,50 +80,45 @@ class Model:
     # ---- persistence -----------------------------------------------------
 
     def save(self, path, config_dict: dict) -> None:
-        from .checkpoint import save_checkpoint
-
+        """Write the arrays plus the record `load` rebuilds the model from:
+        the training schema (with its normalization), the constructor
+        fields, each head's fields and `config_dict`."""
         arrays = {k: p.data for k, p in self.parameters().items()}
         arrays.update({f"buf.{k}": v for k, v in self.buffers().items()})
-        save_checkpoint(path, arrays, config_dict)
+        record = {
+            "schema": self.schema.to_dict(),
+            "model": self.fields,
+            "heads": {task: {k: getattr(head, k) for k in HEAD_FIELDS} for task, head in self.heads.items()},
+            "config": config_dict,
+        }
+        save_checkpoint(path, arrays, record)
 
     @staticmethod
-    def load(path, schema: FeatureSchema, config_dict: dict, **model_kwargs) -> "Model":
-        """Rebuild a model from a checkpoint; rejects config digest mismatch.
-
-        Task heads are reconstructed from the stored beta/omega shapes.
-        """
-        from .checkpoint import load_checkpoint
-        from .finetune import SngpHead
-
-        arrays = load_checkpoint(path, config_dict)
-        model = Model(schema, **model_kwargs)
-        rng = np.random.default_rng(0)
-        for name in list(arrays):
-            if name.startswith("buf.head.") and name.endswith(".omega"):
-                task = name[len("buf.head.") : -len(".omega")]
-                omega = arrays[name]
-                beta = arrays[f"head.{task}.beta.weight"]
-                head = SngpHead(omega.shape[1], beta.shape[0], rng, d_rf=omega.shape[0])
-                buffers = {
-                    k[len(f"buf.head.{task}.") :]: v
-                    for k, v in arrays.items()
-                    if k.startswith(f"buf.head.{task}.")
-                }
-                head.load_buffers(buffers)
-                model.heads[task] = head
-        params = model.parameters()
-        for name, p in params.items():
+    def load(path, schema: FeatureSchema | None = None, config_dict: dict | None = None, **model_kwargs) -> "Model":
+        """Rebuild a model, its heads and its training schema from the checkpoint
+        record alone. `schema` (normalization aside), `config_dict` and
+        `model_kwargs` are only checked against the record: a mismatch raises
+        CheckpointError naming the feature or field."""
+        record, arrays = load_checkpoint(path)
+        saved = FeatureSchema.from_dict(record["schema"])
+        if schema is not None:
+            _check_schema(schema, saved)
+        if config_dict is not None:
+            _check_fields("config", config_dict, record["config"], config_dict.keys() | record["config"].keys())
+        _check_fields("model", model_kwargs, record["model"], model_kwargs.keys())
+        model = Model(saved, **record["model"])
+        for task, fields in record["heads"].items():
+            head = model.heads[task] = SngpHead(model.d, rng=np.random.default_rng(0), **fields)
+            prefix = f"buf.head.{task}."
+            head.load_buffers({k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)})
+        for name, p in model.parameters().items():
             if name not in arrays:
-                raise KeyError(f"checkpoint missing parameter '{name}'")
+                raise CheckpointError(f"checkpoint missing parameter '{name}'")
             if arrays[name].shape != p.data.shape:
-                raise ValueError(f"shape mismatch for '{name}'")
+                raise CheckpointError(f"shape mismatch for '{name}'")
             p.data[...] = arrays[name].astype(p.data.dtype)
-        from .nn import spectral_layers
-
         for name, layer in spectral_layers(model.trunk.named_modules()).items():
-            if f"buf.sn.{name}.u" in arrays:
-                layer.u = arrays[f"buf.sn.{name}.u"].astype(np.float32)
-                layer.v = arrays[f"buf.sn.{name}.v"].astype(np.float32)
+            layer.u, layer.v = (arrays[f"buf.sn.{name}.{k}"].astype(np.float32) for k in "uv")
         return model
 
     # ---- inference -------------------------------------------------------
@@ -146,3 +146,18 @@ class Model:
         ]
         out = {key: np.concatenate([p[key] for p in parts]) for key in ("probs", "variance")}
         return {**out, "calibrated": parts[0]["calibrated"]}
+
+
+def _check_fields(what: str, given: dict, saved: dict, keys) -> None:
+    for key in sorted(keys):
+        if given.get(key) != saved.get(key):
+            raise CheckpointError(
+                f"{what} field '{key}' is {given.get(key)!r} here but {saved.get(key)!r} in the checkpoint"
+            )
+
+
+def _check_schema(given: FeatureSchema, saved: FeatureSchema) -> None:
+    """Same features in the same order with the same specs; normalization may differ."""
+    for mine, theirs in zip_longest(given.to_dict()["features"], saved.to_dict()["features"], fillvalue={}):
+        name = (theirs or mine)["name"]
+        _check_fields(f"schema feature {name!r}", mine, theirs, (mine.keys() | theirs.keys()) - {"normalization"})

@@ -28,7 +28,6 @@ __all__ = [
     "log_softmax",
     "layer_norm",
     "gelu",
-    "cosine_similarity",
     "reset_mac_count",
     "mac_count",
 ]
@@ -402,7 +401,7 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return reduce_sum(x, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-# ---- neural-net ops; all but cosine_similarity are single graph nodes -----
+# ---- neural-net ops; each is a single graph node ---------------------------
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -491,9 +490,3 @@ def gelu(x: Tensor) -> Tensor:
 
     return Tensor._make(data, (x,), bwd, "gelu")
 
-
-def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
-    num = reduce_sum(a * b, axis=axis)
-    na = (reduce_sum(a * a, axis=axis) + eps) ** 0.5
-    nb = (reduce_sum(b * b, axis=axis) + eps) ** 0.5
-    return num * (na * nb) ** -1.0

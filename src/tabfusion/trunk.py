@@ -31,7 +31,6 @@ class TrunkConfig:
     heads: int = 8
     ffn_dim: int = 512
     d_prime: int = 128  # ISA projected dim, default 4*d
-    isa_enabled: bool = True
     spectral_norm: bool = True
 
     def __post_init__(self):
@@ -127,7 +126,7 @@ class TrunkLayer:
         self.w_k = cls(cfg.d, cfg.d, rng, bias=False)
         self.w_v = cls(cfg.d, cfg.d, rng, bias=False)
         self.ffn = Mlp(cfg.d, cfg.ffn_dim, cfg.d, rng, spectral=cfg.spectral_norm)
-        self.isa = IsaBlock(cfg, rng) if cfg.isa_enabled else None
+        self.isa = IsaBlock(cfg, rng)
         self.cfg = cfg
 
     def parameters(self) -> dict:
@@ -135,22 +134,20 @@ class TrunkLayer:
         for name, mod in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v), ("ffn", self.ffn)):
             for k, v in mod.parameters().items():
                 out[f"{name}.{k}"] = v
-        if self.isa is not None:
-            for k, v in self.isa.parameters().items():
-                out[f"isa.{k}"] = v
+        for k, v in self.isa.parameters().items():
+            out[f"isa.{k}"] = v
         return out
 
     def named_modules(self) -> dict:
         out = {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "ffn": self.ffn}
-        if self.isa is not None:
-            for k, v in self.isa.named_modules().items():
-                out[f"isa.{k}"] = v
+        for k, v in self.isa.named_modules().items():
+            out[f"isa.{k}"] = v
         return out
 
     def __call__(self, x: Tensor, mask, use_isa: bool) -> Tensor:
         x = x + attention(layer_norm(x), self.w_q, self.w_k, self.w_v, self.cfg.heads, key_mask=mask)
         x = x + self.ffn(layer_norm(x))
-        if use_isa and self.isa is not None:
+        if use_isa:
             x = x + self.isa(x)
         return x
 

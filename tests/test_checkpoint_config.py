@@ -1,8 +1,13 @@
+import json
+import math
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
 from tabfusion.checkpoint import (
+    MAGIC,
     CheckpointError,
     config_digest,
     load_checkpoint,
@@ -10,7 +15,30 @@ from tabfusion.checkpoint import (
 )
 from tabfusion.config import ConfigError, RunConfig
 from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop, predict_scores
-from tabfusion.model import Model
+from tabfusion.model import HEAD_FIELDS, Model
+
+
+def layout(record: dict, arrays: dict) -> dict:
+    """Byte range of each region of the file save_checkpoint writes, from the
+    documented layout; an array's regions are keyed '<name>.<region>'."""
+    sizes = [
+        ("magic", 4), ("version", 4), ("digest", 64), ("record_length", 4),
+        ("record", len(json.dumps(record, sort_keys=True).encode())), ("array_count", 4),
+    ]
+    for name, arr in arrays.items():
+        sizes += [
+            (f"{name}.name_length", 2), (f"{name}.name", len(name.encode())),
+            (f"{name}.dtype_ndim", 2), (f"{name}.shape", 4 * arr.ndim), (f"{name}.data", arr.nbytes),
+        ]
+    out, start = {}, 0
+    for region, size in sizes:
+        out[region] = (start, start + size)
+        start += size
+    return out
+
+
+ONE_ARRAY = {"a": np.arange(6, dtype=np.float64).reshape(2, 3)}
+REGIONS = list(layout({"d": 8}, ONE_ARRAY))
 
 
 class TestCheckpointFormat:
@@ -20,26 +48,38 @@ class TestCheckpointFormat:
             "b.weight": rng.standard_normal(7).astype(np.float64),
             "scalar": np.float32(2.5).reshape(()),
         }
-        cfg = {"d": 8, "seed": 1}
+        cfg = {"d": 8, "seed": 1, "nested": {"names": ["x", "y"]}}
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, arrays, cfg)
-        loaded = load_checkpoint(path, cfg)
+        record, loaded = load_checkpoint(path)
+        assert record == cfg
         assert set(loaded) == set(arrays)
         for k in arrays:
             np.testing.assert_array_equal(loaded[k], arrays[k])
             assert loaded[k].dtype == arrays[k].dtype
+            assert loaded[k].shape == arrays[k].shape
+        regions = layout(cfg, arrays)
+        assert max(end for _, end in regions.values()) == path.stat().st_size
 
     def test_digest_mismatch_rejected(self, tmp_path):
+        # a flipped byte inside the record, and one inside the stored digest
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, {"a": np.zeros(2, dtype=np.float32)}, {"d": 8})
-        with pytest.raises(CheckpointError, match="digest"):
-            load_checkpoint(path, {"d": 16})
+        save_checkpoint(path, ONE_ARRAY, {"d": 8})
+        good = path.read_bytes()
+        regions = layout({"d": 8}, ONE_ARRAY)
+        for region in ("record", "digest"):
+            start, end = regions[region]
+            data = bytearray(good)
+            data[(start + end) // 2] ^= 0x01
+            path.write_bytes(bytes(data))
+            with pytest.raises(CheckpointError, match="record digest mismatch"):
+                load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"JUNKXXXX" + b"\x00" * 100)
         with pytest.raises(CheckpointError, match="magic"):
-            load_checkpoint(path, {})
+            load_checkpoint(path)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -48,28 +88,35 @@ class TestCheckpointFormat:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path, {})
+            load_checkpoint(path)
 
-    @pytest.mark.parametrize("keep", [2, 40, 77, 80, 86, 100])
-    def test_truncated_file_rejected(self, tmp_path, keep):
-        # 2, 40: inside the fixed 76-byte header; then inside the array's
-        # name length (77), dtype/ndim (80), shape (86) and data (100)
+    def test_version_1_file_must_be_recreated(self, tmp_path):
+        # version 1: magic, version, a digest of the caller's config, no record
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, {"a": np.arange(6, dtype=np.float64).reshape(2, 3)}, {})
-        path.write_bytes(path.read_bytes()[:keep])
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + config_digest({}).encode() + struct.pack("<I", 0))
+        with pytest.raises(CheckpointError, match="version 1; re-create the checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_truncated_file_rejected(self, tmp_path, region):
+        # cut in the middle of the region (at its start when it is one byte)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ONE_ARRAY, {"d": 8})
+        start, end = layout({"d": 8}, ONE_ARRAY)[region]
+        path.write_bytes(path.read_bytes()[: (start + end) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path, {})
+            load_checkpoint(path)
 
-    @pytest.mark.parametrize("offset,match", [(78, "utf-8"), (79, "dtype code")])
-    def test_corrupt_array_header_rejected(self, tmp_path, offset, match):
-        # byte 78 is the array's one-byte name, 79 its dtype code
+    @pytest.mark.parametrize("region,match", [("a.name", "utf-8"), ("a.dtype_ndim", "dtype code")])
+    def test_corrupt_array_header_rejected(self, tmp_path, region, match):
+        # the first byte of the region: the one-byte name, or the dtype code
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, {"a": np.zeros(2, dtype=np.float32)}, {})
+        save_checkpoint(path, ONE_ARRAY, {"d": 8})
         data = bytearray(path.read_bytes())
-        data[offset] = 0xFF
+        data[layout({"d": 8}, ONE_ARRAY)[region][0]] = 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match=match):
-            load_checkpoint(path, {})
+            load_checkpoint(path)
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -114,6 +161,48 @@ class TestModelPersistence:
         np.testing.assert_allclose(
             clone.heads["risk"].precision, model.heads["risk"].precision, rtol=1e-6
         )
+
+    def test_file_alone_rebuilds_a_two_head_model(self, tmp_path):
+        schema, snaps, model = self.build_trained(tmp_path)
+        # a second head with another d_rf and GP prior, added to the fitted model
+        for snap in snaps:
+            snap.labels["churn"] = 1 - snap.labels["risk"]
+        cfg = FinetuneConfig(steps=2, batch_size=8, d_rf=16, length_scale=1.5, ridge=0.25, seed=1, eval_every=1000)
+        finetune_loop(model, snaps, [TaskSpec("churn", 2)], cfg)
+        model.heads["churn"].kappa = 0.3
+        model.save(tmp_path / "m.ckpt", {"arch": "tiny"})
+        clone = Model.load(tmp_path / "m.ckpt")
+        assert clone.fields == model.fields == {**self.kwargs(), "spectral_norm": True, "asset_criterion": "recency"}
+        assert clone.schema.to_dict() == model.schema.to_dict()
+        np.testing.assert_array_equal(clone.embed(snaps), model.embed(snaps))
+        assert set(clone.heads) == {"risk", "churn"}
+        for task, head in model.heads.items():
+            restored = clone.heads[task]
+            assert [getattr(restored, k) for k in HEAD_FIELDS] == [getattr(head, k) for k in HEAD_FIELDS]
+            want, got = model.predict(snaps, task), clone.predict(snaps, task)
+            np.testing.assert_array_equal(got["probs"], want["probs"])
+            np.testing.assert_array_equal(got["variance"], want["variance"])
+        churn = clone.heads["churn"]
+        assert (churn.d_rf, churn.length_scale, churn.ridge, churn.kappa) == (16, 1.5, 0.25, 0.3)
+        assert clone.heads["risk"].kappa == math.pi / 8
+
+    def test_arguments_are_checked_not_used(self, tmp_path):
+        schema, snaps, model = self.build_trained(tmp_path)
+        model.save(tmp_path / "m.ckpt", {"arch": "tiny"})
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match="config field 'arch' is 'wide' here but 'tiny'"):
+            Model.load(path, schema, {"arch": "wide"})
+        with pytest.raises(CheckpointError, match="config field 'extra'"):
+            Model.load(path, schema, {"arch": "tiny", "extra": 1})
+        with pytest.raises(CheckpointError, match="model field 'd' is 16 here but 8"):
+            Model.load(path, schema, d=16)
+        # a renamed feature and another vocabulary size: tests/test_cli.py
+        with pytest.raises(CheckpointError, match="schema feature 'creatives' field .* is None here"):
+            Model.load(path, small_schema(with_assets=False))
+        # normalization is not part of the check: the record's is used
+        other = small_schema()
+        other.get("age").normalization = {"mean": 5.0, "std": 2.0}
+        assert Model.load(path, other, {"arch": "tiny"}, **self.kwargs()).schema.get("age").normalization is None
 
     def test_embed_shape(self, tmp_path):
         schema, snaps, model = self.build_trained(tmp_path)

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from conftest import random_snapshots, small_schema
 from tabfusion.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, main
 from tabfusion.config import RunConfig
-from tabfusion.data import load_dataset, save_dataset
+from tabfusion.data import TaskSpecLite, load_dataset, save_dataset
 from tabfusion.model import Model
 
 
@@ -130,9 +132,9 @@ class TestTrainingCommands:
             assert abs(sum(rec["probs"]) - 1.0) < 1e-6
             assert rec["variance"] >= 0
         # the file is Model.predict's answer, rounded as written
-        schema, snaps = load_dataset(workspace / "data.csv", workspace / "schema.json", workspace / "emb.bin")
-        record = RunConfig.load(workspace / "config.json").model_record()
-        want = Model.load(ckpt, schema, record, **record).predict(snaps, "risk")
+        model = Model.load(ckpt)
+        _, snaps = load_dataset(workspace / "data.csv", model.schema, workspace / "emb.bin")
+        want = model.predict(snaps, "risk")
         assert [rec["probs"] for rec in lines] == [[round(float(v), 8) for v in p] for p in want["probs"]]
         assert [rec["variance"] for rec in lines] == [round(float(v), 8) for v in want["variance"]]
 
@@ -216,6 +218,70 @@ class TestTrainingCommands:
         assert "baseline" in (workspace / "trace.txt").read_text()
 
 
+class TestSelfDescribingCheckpoint:
+    def predict_lines(self, ws, ckpt, data, schema="schema.json"):
+        out = ws / f"{Path(data).stem}.jsonl"
+        rc = main(
+            ["--config", str(ws / "config.json"), "predict", "--schema", str(ws / schema), "--data", str(data),
+             "--embeddings", str(ws / "emb.bin"), "--checkpoint", str(ckpt), "--task", "risk", "--out", str(out)]
+        )
+        assert rc == EXIT_OK
+        return out.read_text().splitlines()
+
+    def test_predict_normalizes_with_training_statistics(self, workspace):
+        # a schema file without normalization: training computes it from data.csv,
+        # and a one-row file must be scaled by those statistics, not its own
+        raw = json.loads((workspace / "schema.json").read_text())
+        for f in raw["features"]:
+            f.pop("normalization", None)
+        (workspace / "schema.json").write_text(json.dumps(raw))
+        ckpt = run_finetune(workspace)
+        full = self.predict_lines(workspace, ckpt, workspace / "data.csv")
+        rows = (workspace / "data.csv").read_text().splitlines()
+        (workspace / "one.csv").write_text("\n".join([rows[0], rows[6]]) + "\n")
+        assert self.predict_lines(workspace, ckpt, workspace / "one.csv") == [full[5]]
+        assert Model.load(ckpt).schema.get("age").normalization["std"] != 1.0
+
+    @pytest.mark.parametrize("feature,key,value", [("age", "name", "years"), ("region", "vocab_size", 5)])
+    def test_predict_refuses_another_schema(self, workspace, capsys, feature, key, value):
+        ckpt = run_finetune(workspace)
+        raw = json.loads((workspace / "schema.json").read_text())
+        next(f for f in raw["features"] if f["name"] == feature)[key] = value
+        (workspace / "other.json").write_text(json.dumps(raw))
+        rc = main(
+            ["--config", str(workspace / "config.json"), "predict", "--schema", str(workspace / "other.json")]
+            + base_args(workspace)[4:]
+            + ["--checkpoint", str(ckpt), "--task", "risk", "--out", str(workspace / "p.jsonl")]
+        )
+        assert rc == 1
+        assert f"schema feature '{feature}' field '{key}' is {value!r} here" in capsys.readouterr().err
+
+    def test_gp_prior_survives_reload(self, workspace):
+        base = RunConfig.load(workspace / "config.json").to_dict()
+        RunConfig.from_dict({**base, "gp_ridge": 0.25, "gp_length_scale": 1.5}).save(workspace / "config.json")
+        head = Model.load(run_finetune(workspace)).heads["risk"]
+        assert (head.ridge, head.length_scale, head.d_rf, head.kappa) == (0.25, 1.5, 32, math.pi / 8)
+
+    def test_finetune_adds_a_task_to_a_checkpoint(self, tmp_path, capsys):
+        # a checkpoint with a risk head, fine-tuned on churn: risk stays as it was
+        schema = small_schema(with_assets=True)
+        schema.tasks.append(TaskSpecLite("churn", 2))
+        snaps = random_snapshots(schema, 24, seed=0)
+        save_dataset(snaps, schema, tmp_path / "data.csv", tmp_path / "emb.bin").save(tmp_path / "schema.json")
+        RunConfig(d=8, heads=2, n_layers=1, ffn_dim=16, d_prime=8, batch_size=8, finetune_steps=3, d_rf=32,
+                  warmup_steps=2, decay_steps=10, seed=1).save(tmp_path / "config.json")
+        first, second = tmp_path / "risk.ckpt", tmp_path / "both.ckpt"
+        for task, extra in (("risk", []), ("churn", ["--init-checkpoint", str(first)])):
+            out = first if task == "risk" else second
+            rc = main(["--config", str(tmp_path / "config.json"), "finetune"] + base_args(tmp_path)[2:]
+                      + ["--task", task, *extra, "--out-checkpoint", str(out)])
+            assert rc == EXIT_OK, capsys.readouterr().err
+        before, after = Model.load(first), Model.load(second)
+        assert set(after.heads) == {"risk", "churn"}
+        np.testing.assert_array_equal(after.heads["risk"].beta.weight.data, before.heads["risk"].beta.weight.data)
+        np.testing.assert_array_equal(after.heads["risk"].precision, before.heads["risk"].precision)
+
+
 class TestReadmeChain:
     def test_pretrain_finetune_predict_eval(self, workspace, capsys):
         # pretrain_steps at its default, so --steps changes the config before the save
@@ -233,12 +299,12 @@ class TestReadmeChain:
         for argv in steps:
             assert main(config + argv) == EXIT_OK, capsys.readouterr().err
 
-        # the digest covers the model record: another d or seed is refused
+        # the model record is checked: another d or seed is refused, naming the field
         RunConfig.from_dict({**base, "d": 16}).save(workspace / "wide.json")
-        for override in (["--config", str(workspace / "wide.json")], config + ["--seed", "2"]):
+        for field, override in (("d", ["--config", str(workspace / "wide.json")]), ("seed", config + ["--seed", "2"])):
             capsys.readouterr()
             assert main(override + steps[3]) == 1
-            assert "config digest mismatch" in capsys.readouterr().err
+            assert f"model field '{field}'" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:

@@ -1,10 +1,16 @@
-"""Source hygiene checks that need no linter: unused module-level imports and
-RunConfig fields that nothing reads."""
+"""Source hygiene checks that need no linter: unused module-level imports,
+RunConfig fields that nothing reads, and one list of model fields."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from conftest import small_schema
+from tabfusion.checkpoint import load_checkpoint
+from tabfusion.config import RunConfig
+from tabfusion.model import Model
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tabfusion"
 MODULES = sorted(SRC.glob("*.py"))
@@ -103,3 +109,13 @@ def test_config_scanner_flags_fields_read_only_by_validate_or_never():
 
 def test_every_config_field_is_read():
     assert unread_config_fields([path.read_text() for path in MODULES]) == []
+
+
+def test_model_fields_are_one_set(tmp_path):
+    """Model.__init__'s keywords, RunConfig.model_record() and the model record
+    a checkpoint stores name the same fields."""
+    keywords = set(inspect.signature(Model.__init__).parameters) - {"self", "schema"}
+    assert keywords == set(RunConfig().model_record())
+    Model(small_schema(), d=8, n_layers=1, heads=2, ffn_dim=16).save(tmp_path / "m.ckpt", {})
+    record, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert set(record["model"]) == keywords

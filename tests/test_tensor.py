@@ -8,7 +8,6 @@ from tabfusion.tensor import (
     ShapeError,
     Tensor,
     concat,
-    cosine_similarity,
     gelu,
     layer_norm,
     log_softmax,
@@ -55,12 +54,6 @@ class TestForwardOps:
         assert out.data[0] == 0.0
         # tanh-approximation reference at x=1
         assert abs(gelu(Tensor([1.0])).data[0] - 0.841192) < 1e-5
-
-    def test_cosine_similarity(self):
-        a = Tensor([[1.0, 0.0]])
-        b = Tensor([[0.0, 1.0]])
-        assert abs(cosine_similarity(a, b).data[0]) < 1e-6
-        assert abs(cosine_similarity(a, a).data[0] - 1.0) < 1e-6
 
     def test_concat_and_reshape(self):
         a = Tensor(np.ones((2, 2)))
@@ -129,11 +122,6 @@ class TestBackward:
     def test_primitive_gradients(self, op, rng):
         x = t64(rng.standard_normal((4, 3)))
         assert fd_gradient_check(lambda: op(x), [x]) < 1e-4
-
-    def test_cosine_similarity_gradient(self, rng):
-        a = t64(rng.standard_normal((2, 5)))
-        b = t64(rng.standard_normal((2, 5)))
-        assert fd_gradient_check(lambda: cosine_similarity(a, b).sum(), [a, b]) < 1e-4
 
     def test_broadcast_gradients(self, rng):
         a = t64(rng.standard_normal((3, 4)))
