@@ -1,12 +1,13 @@
 """A tour of the reverse-mode autodiff core.
 
 Builds a small computation graph on numpy arrays, runs backward(), and
-cross-checks one gradient entry against a central finite difference.
+cross-checks one gradient entry against a central finite difference. Then
+repeats the forward under no_grad, which builds no graph.
 """
 
 import numpy as np
 
-from tabfusion.tensor import Tensor, layer_norm, matmul, softmax
+from tabfusion.tensor import Tensor, layer_norm, matmul, no_grad, softmax
 
 rng = np.random.default_rng(0)
 
@@ -35,3 +36,16 @@ w.data[1, 2] = old
 numeric = (up - down) / (2 * h)
 print(f"analytic dL/dw[1,2] = {w.grad[1, 2]:.8f}")
 print(f"numeric  dL/dw[1,2] = {numeric:.8f}")
+
+# the interior nodes were freed as backward walked them: only leaf .grad survives
+print(f"after backward: loss keeps parents = {bool(loss._parents)}, w.grad kept = {w.grad is not None}")
+
+# inference: under no_grad the same forward records no parents and no closures
+with no_grad():
+    frozen = loss_fn()
+print(f"under no_grad: loss = {frozen.item():.6f}, requires_grad = {frozen.requires_grad}, "
+      f"parents = {len(frozen._parents)}")
+try:
+    frozen.backward()
+except RuntimeError as e:
+    print(f"backward on it raises RuntimeError: {e}")

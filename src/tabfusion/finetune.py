@@ -11,7 +11,7 @@ import numpy as np
 
 from .nn import Linear, training_mode
 from .optim import AdamW, CosineWarmupSchedule
-from .tensor import Tensor, matmul, softmax
+from .tensor import Tensor, matmul, no_grad, softmax
 
 __all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfig"]
 
@@ -139,9 +139,11 @@ class SngpHead:
 
         Calibrated when asked for and the covariance is fitted; otherwise a
         plain softmax of the logits with NaN variance (calibrated=False).
+        Runs under no_grad.
         """
-        phi_t = self.features(pooled)
-        logits = self.beta(phi_t).data.astype(np.float64)
+        with no_grad():
+            phi_t = self.features(pooled)
+            logits = self.beta(phi_t).data.astype(np.float64)
         if not calibrated or self.precision is None:
             return {
                 "probs": _softmax_np(logits),
@@ -204,10 +206,12 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     for every task's head. Returns the loss curve.
 
     Rows named by `val_indices` are held out of training. Every
-    `cfg.eval_every` steps those labeled for `tasks[0]` are scored by AUPRC,
-    recorded as `val_auprc.<task>`, and drive early stopping with
-    `cfg.patience`; the best parameters are restored at the end. When no
-    held-out row is a positive of `tasks[0]` there is nothing to score: the
+    `cfg.eval_every` steps they are embedded once and each task's head is
+    scored by AUPRC on the held-out rows labeled for its task, recorded as
+    `val_auprc.<task>`. Only tasks whose labeled held-out rows include a
+    positive are scored; the mean of their AUPRCs drives early stopping with
+    `cfg.patience`, and the parameters with the best mean are restored at the
+    end. When no task has a held-out positive there is nothing to score: the
     rows stay held out, but early stopping is skipped and no `val_auprc`
     enters the records.
     """
@@ -233,17 +237,18 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         params.update(model.backbone_parameters())
     opt = AdamW(params, weight_decay=cfg.weight_decay)
 
+    val_set, val_tasks = [], {}  # task name -> (held-out rows labeled for it, their labels)
     if val_indices is None:
-        val_set, train_set = None, list(snapshots)
+        train_set = list(snapshots)
     else:
         val_ids = set(np.asarray(val_indices).tolist())
         train_set = [s for i, s in enumerate(snapshots) if i not in val_ids]
-        # early stopping scores tasks[0]; rows without its label cannot be scored
         val_set = [snapshots[i] for i in val_indices]
-        val_set = [s for s in val_set if s.labels.get(tasks[0].name) is not None]
-        val_labels = np.array([s.labels[tasks[0].name] for s in val_set])
-        if not np.any(val_labels == 1):
-            val_set = None  # AUPRC needs a positive
+        for t in tasks:
+            rows = [i for i, s in enumerate(val_set) if s.labels.get(t.name) is not None]
+            labels = np.array([val_set[i].labels[t.name] for i in rows])
+            if np.any(labels == 1):  # AUPRC needs a positive
+                val_tasks[t.name] = (rows, labels)
 
     curve = []
     best_metric = -np.inf
@@ -274,10 +279,12 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         opt.step(lr=cfg.schedule.lr_at(step))
         curve.append(record)
 
-        if val_set and (step + 1) % cfg.eval_every == 0:
-            scores = predict_scores(model, val_set, tasks[0].name, calibrated=False)
-            metric = auprc(scores, val_labels)
-            record[f"val_auprc.{tasks[0].name}"] = metric
+        if val_tasks and (step + 1) % cfg.eval_every == 0:
+            pooled = model.embed(val_set)
+            for name, (rows, labels) in val_tasks.items():
+                scores = model.heads[name].predict(Tensor(pooled[rows]), calibrated=False)["probs"][:, 1]
+                record[f"val_auprc.{name}"] = auprc(scores, labels)
+            metric = sum(record[f"val_auprc.{name}"] for name in val_tasks) / len(val_tasks)
             if metric > best_metric + 1e-12:
                 best_metric = metric
                 best_state = {k: p.data.copy() for k, p in params.items()}
@@ -299,14 +306,16 @@ def fit_heads_covariance(model, snapshots, tasks) -> None:
     """Final pass accumulating the Laplace precision for every task head.
 
     The rows are embedded once; each head is fitted on the rows labeled
-    for its task.
+    for its task. No graph is recorded.
     """
     pooled = model.embed(snapshots)
     for t in tasks:
         head = model.heads[t.name]
         labeled = [i for i, s in enumerate(snapshots) if s.labels.get(t.name) is not None]
-        phi = head.features(Tensor(pooled[labeled]))
-        head.fit_covariance(phi.data, _softmax_np(head.beta(phi).data))
+        with no_grad():
+            phi = head.features(Tensor(pooled[labeled]))
+            logits = head.beta(phi)
+        head.fit_covariance(phi.data, _softmax_np(logits.data))
 
 
 def predict_scores(model, snapshots, task: str, calibrated: bool = True):

@@ -12,7 +12,7 @@ from .encoder import FeatureEncoder
 from .finetune import SngpHead
 from .nn import spectral_layers
 from .pretrain import ReconstructionHeads
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .trunk import Trunk, TrunkConfig
 
 __all__ = ["Model"]
@@ -126,14 +126,16 @@ class Model:
     def embed(self, snapshots, batch_size: int = 256) -> np.ndarray:
         """Pooled inference-mode embeddings, [n, d].
 
-        The one inference pass through encoder and trunk. ISA is bypassed, so
-        a row's embedding is bitwise the same alone or in any batch.
+        The one inference pass through encoder and trunk, run under no_grad.
+        ISA is bypassed, so a row's embedding is bitwise the same alone or in
+        any batch.
         """
         chunks = []
         for lo in range(0, len(snapshots), batch_size):
-            x, mask = self.encoder.assemble_tokens(snapshots[lo : lo + batch_size])
-            _, pooled = self.trunk(x, mask, mode="inference")
-            chunks.append(pooled.data.copy())
+            with no_grad():
+                x, mask = self.encoder.assemble_tokens(snapshots[lo : lo + batch_size])
+                _, pooled = self.trunk(x, mask, mode="inference")
+            chunks.append(pooled.data)
         return np.concatenate(chunks) if chunks else np.zeros((0, self.d), dtype=np.float32)
 
     def predict(self, snapshots, task: str, calibrated: bool = True, batch_size: int = 256) -> dict:

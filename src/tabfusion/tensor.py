@@ -2,6 +2,9 @@
 
 A small numpy-backed autodiff engine: every op builds a node in a DAG and
 records a closure that scatters the upstream gradient to its parents.
+Under ``no_grad`` ops record nothing, so an inference forward holds no graph.
+``backward`` frees each interior node's gradient and closure as soon as it
+has run, so a graph can be walked back once and only leaf ``.grad`` survives.
 Training paths run in float32; oracles and gradient checks can request
 float64 by constructing tensors with ``dtype=np.float64``.
 """
@@ -16,6 +19,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ShapeError",
+    "no_grad",
     "add",
     "mul",
     "matmul",
@@ -55,6 +59,28 @@ def mac_count() -> int:
     return _MAC_COUNT
 
 
+# graph recording is off inside no_grad(); inference forwards then keep no
+# parents or closures, so their activations are freed as soon as unused
+_GRAD_ENABLED = True
+
+
+class no_grad:
+    """Context in which ops record no graph: outputs have no parents, no
+    backward closure and requires_grad False. Nests; the previous state is
+    restored on exit, also when the block raises."""
+
+    def __enter__(self):
+        global _GRAD_ENABLED
+        self._prev = _GRAD_ENABLED
+        _GRAD_ENABLED = False
+        return self
+
+    def __exit__(self, *exc):
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._prev
+        return False
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -89,7 +115,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out._parents = parents if out.requires_grad else ()
         out._backward = backward if out.requires_grad else None
         out._op = op
@@ -113,16 +139,29 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            # own an array the backward just allocated; copy a view, since
+            # add, reshape, transpose and concat pass on aliases of the
+            # upstream node's gradient
+            owned = type(g) is np.ndarray and g.base is None and g.dtype == self.data.dtype
+            self.grad = g if owned else g.astype(self.data.dtype, copy=True)
         else:
             self.grad += g
 
     # ---- autodiff --------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar; visits each node exactly once."""
+        """Reverse-mode sweep from a scalar; visits each node exactly once.
+
+        Each interior node's gradient, closure and parents are dropped once
+        its closure has run, so activations and gradients are freed during
+        the sweep and only leaf `.grad` survives. A graph is walked back
+        once: a root built under no_grad, or a graph that an earlier
+        backward consumed, raises RuntimeError.
+        """
         if self.data.size != 1:
             raise ShapeError("backward", self.shape)
+        if not self.requires_grad:
+            raise RuntimeError("backward: the root records no graph (built under no_grad or from constants)")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -133,14 +172,19 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._backward is None and node._op != "leaf":
+                raise RuntimeError("backward: the graph was already consumed by an earlier backward")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = node._backward = None
+                node._parents = ()
 
     # ---- arithmetic ------------------------------------------------------
 

@@ -11,12 +11,13 @@ prediction depends only on its own example.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nn import Linear, Mlp, SpectralLinear
-from .tensor import Tensor, ShapeError, layer_norm, matmul, softmax
+from .tensor import Tensor, ShapeError, layer_norm, matmul, no_grad, softmax
 
 __all__ = ["TrunkConfig", "attention", "IsaBlock", "TrunkLayer", "Trunk"]
 
@@ -176,7 +177,8 @@ class Trunk:
 
         ISA blocks execute only in pretrain mode; in finetune/inference they
         are identity (residual contribution removed), so outputs for one
-        example never depend on the rest of the batch.
+        example never depend on the rest of the batch. Inference mode runs
+        under no_grad: its outputs record no graph.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode '{mode}'")
@@ -184,9 +186,10 @@ class Trunk:
         if mask is None:
             mask = np.ones((b, n), dtype=np.float32)
         use_isa = mode == "pretrain"
-        for layer in self.layers:
-            x = layer(x, mask, use_isa)
-        pooled = masked_mean(x, mask)
+        with no_grad() if mode == "inference" else nullcontext():
+            for layer in self.layers:
+                x = layer(x, mask, use_isa)
+            pooled = masked_mean(x, mask)
         return x, pooled
 
 

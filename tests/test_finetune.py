@@ -10,10 +10,11 @@ from tabfusion.finetune import (
     SngpHead,
     TaskSpec,
     finetune_loop,
+    fit_heads_covariance,
     focal_loss,
     predict_scores,
 )
-from tabfusion.metrics import auroc
+from tabfusion.metrics import auprc, auroc
 from tabfusion.model import Model
 from tabfusion.tensor import Tensor, softmax
 
@@ -303,6 +304,28 @@ class TestFinetuneLoop:
         assert not any("val_auprc.risk" in rec for rec in curve)
         assert model.heads["risk"].precision is not None
 
+    def test_early_stopping_restores_best_mean_over_tasks(self):
+        # task a's best step is not the best step of the mean over a and b
+        schema = FeatureSchema(
+            [FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")],
+            [TaskSpecLite("a", 2), TaskSpecLite("b", 2)],
+        )
+        snaps = random_snapshots(schema, 60, seed=0, label_rule=lambda v, rng: int(v["x"] > 0))
+        for s in snaps:
+            s.labels["b"] = int(s.values["noise"] > 0)
+        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        val = list(range(20))
+        cfg = quick_cfg(steps=12, eval_every=1, patience=100)
+        curve = finetune_loop(model, snaps, [TaskSpec("a", 2), TaskSpec("b", 2)], cfg, val)
+        per_task = {t: np.array([rec[f"val_auprc.{t}"] for rec in curve]) for t in ("a", "b")}
+        best = int(np.argmax((per_task["a"] + per_task["b"]) / 2))
+        assert per_task["a"][best] < per_task["a"].max()
+        pooled = model.embed([snaps[i] for i in val])
+        for t in ("a", "b"):
+            scores = model.heads[t].predict(Tensor(pooled), calibrated=False)["probs"][:, 1]
+            labels = np.array([snaps[i].labels[t] for i in val])
+            assert auprc(scores, labels) == curve[best][f"val_auprc.{t}"]
+
 
 def two_task_setup():
     """Task `a` fully labeled, task `b` labeled on every third row."""
@@ -346,6 +369,28 @@ class TestInferencePath:
             np.testing.assert_allclose(raw["probs"].sum(axis=1), 1.0, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.argmax(raw["probs"], axis=1), np.argmax(logits, axis=1))
             assert raw["calibrated"] is False and np.all(np.isnan(raw["variance"]))
+
+    def test_inference_passes_record_no_graph(self, monkeypatch):
+        snaps, model = two_task_setup()
+        seen = []
+        trunk, head = model.trunk, model.heads["a"]
+        features = head.features
+
+        def spy_trunk(x, mask=None, mode="inference"):
+            out = trunk(x, mask, mode)
+            seen.extend([x, *out])
+            return out
+
+        def spy_features(pooled):
+            seen.append(features(pooled))
+            return seen[-1]
+
+        monkeypatch.setattr(model, "trunk", spy_trunk)
+        monkeypatch.setattr(head, "features", spy_features)
+        model.predict(snaps, "a")
+        fit_heads_covariance(model, snaps, [TaskSpec("a", 2)])
+        assert len(seen) == 8  # tokens in, tokens and pooled out, features; twice
+        assert all(not t.requires_grad and t._parents == () and t._backward is None for t in seen)
 
     def test_model_predict_on_no_rows(self):
         _, model = two_task_setup()

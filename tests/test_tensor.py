@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient_check
+from conftest import fd_gradient_check, small_schema
+from tabfusion.model import Model
 from tabfusion.tensor import (
     ShapeError,
     Tensor,
@@ -12,6 +15,7 @@ from tabfusion.tensor import (
     layer_norm,
     log_softmax,
     matmul,
+    no_grad,
     reduce_mean,
     reduce_sum,
     softmax,
@@ -131,6 +135,152 @@ class TestBackward:
             return ((a + b) * b).sum()
 
         assert fd_gradient_check(build, [a, b]) < 1e-4
+
+
+def _every_op(x, w):
+    """One output of each op on leaves x [4, 3] and w [3, 3]."""
+    h = matmul(x, w)
+    return [
+        x + w[0], x - 1.0, x * w[1], x / 2.0, -x, x ** 2.0, h, x[1:3], x.exp(), (x + 5.0).log(),
+        x.tanh(), x.sin(), x.cos(), x.clip_min(0.0), x.reshape(12), x.transpose(1, 0),
+        concat([x, h], axis=1), x.sum(), x.mean(axis=0), softmax(x), log_softmax(x), layer_norm(x), gelu(x),
+    ]
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self, rng):
+        x, w = t64(rng.standard_normal((4, 3))), t64(rng.standard_normal((3, 3)))
+        with no_grad():
+            outs = _every_op(x, w)
+        assert all(not o.requires_grad and o._parents == () and o._backward is None for o in outs)
+        assert all(o.requires_grad and o._parents and o._backward is not None for o in _every_op(x, w))
+
+    def test_same_values_as_with_graph(self, rng):
+        x, w = t64(rng.standard_normal((4, 3))), t64(rng.standard_normal((3, 3)))
+        with no_grad():
+            frozen = _every_op(x, w)
+        for a, b in zip(frozen, _every_op(x, w)):
+            assert np.array_equal(a.data, b.data)
+
+    def test_nests_and_restores_on_raise(self):
+        x = t64([1.0])
+        with pytest.raises(KeyError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not (x * x).requires_grad  # the inner exit restored "off"
+                raise KeyError("boom")
+        assert (x * x).requires_grad
+
+
+class TestBackwardRelease:
+    def test_interior_nodes_freed_leaf_grads_kept(self, rng):
+        x = t64(rng.standard_normal((4, 3)))
+        h = layer_norm(x).tanh()
+        s = h * h
+        loss = s.sum()
+        loss.backward()
+        for node in (h, s, loss):
+            assert node.grad is None and node._parents == () and node._backward is None
+        assert x.grad is not None and x.grad.shape == x.shape
+
+    def test_leaf_grads_match_copying_sweep_that_frees_nothing(self, rng, monkeypatch):
+        """A model's graph (trunk with ISA, residual adds, shared weights)
+        walked by backward gives bitwise the gradients of a sweep that copies
+        every first gradient and keeps every node."""
+        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=3)
+        params = model.trunk.parameters()
+        x0 = rng.standard_normal((5, model.trunk_config.n_tokens, 8)).astype(np.float32)
+
+        def loss_fn():
+            for p in params.values():
+                p.grad = None
+            tokens, pooled = model.trunk(Tensor(x0), mode="pretrain")
+            return (pooled * pooled).sum() + tokens.mean()
+
+        loss_fn().backward()
+        got = {k: p.grad for k, p in params.items()}
+
+        def copying(self, g):
+            if self.grad is None:
+                self.grad = g.astype(self.data.dtype, copy=True)
+            else:
+                self.grad += g
+
+        monkeypatch.setattr(Tensor, "_accumulate", copying)
+        root = loss_fn()
+        topo, seen, stack = [], set(), [(root, False)]
+        while stack:  # the same post-order as backward, so the same summation order
+            node, processed = stack.pop()
+            if processed:
+                topo.append(node)
+            elif id(node) not in seen and node.requires_grad:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents)
+        root.grad = np.ones_like(root.data)
+        for node in reversed(topo):
+            if node._backward is not None:
+                node._backward(node.grad)
+        assert all(p.grad is not None for p in params.values())
+        for k, p in params.items():
+            assert np.array_equal(got[k], p.grad), k
+
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_add_operands_do_not_share_a_gradient(self, a_first):
+        # add hands both operands the same upstream array; a later
+        # accumulation into one must not reach the other
+        a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
+        terms = [(a + b).sum(), (a * 3.0).sum()]
+        (terms[0] + terms[1] if a_first else terms[1] + terms[0]).backward()
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+    def test_root_without_graph_raises(self):
+        x = t64([1.0, 2.0])
+        with no_grad():
+            loss = (x * x).sum()
+        with pytest.raises(RuntimeError, match="no graph"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="no graph"):
+            Tensor([1.0]).backward()
+        assert x.grad is None
+
+    def test_second_backward_raises(self):
+        x = t64([1.0, 2.0])
+        h = x * x
+        loss = h.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            (h * 2.0).sum().backward()  # a new root over the consumed graph
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_non_scalar_root_raises_shape_error_first(self):
+        with no_grad():
+            out = t64([1.0, 2.0]) * 2.0
+        with pytest.raises(ShapeError):
+            out.backward()
+
+    def test_backward_peak_memory_stays_a_few_arrays(self):
+        """tracemalloc sees numpy buffers: freeing each node as the sweep
+        passes it keeps the peak near the live gradient, not the chain."""
+        n = 1 << 17  # 1 MiB of float64 per array
+        x = t64(np.linspace(-1.0, 1.0, n))
+        tracemalloc.start()
+        try:
+            y = x
+            for _ in range(10):
+                y = y.sin()
+            loss = y.sum()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / x.data.nbytes < 4.0
 
 
 class TestFusedOps:

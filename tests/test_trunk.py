@@ -147,6 +147,14 @@ class TestTrunk:
         np.testing.assert_array_equal(full.data[2], one.data[0])
         np.testing.assert_array_equal(pooled_full.data[2], pooled_one.data[0])
 
+    @pytest.mark.parametrize("mode", ["pretrain", "finetune", "inference"])
+    def test_only_inference_is_graph_free(self, mode, rng):
+        trunk = Trunk(self.cfg(), rng)
+        x = Tensor(rng.standard_normal((3, 4, 8)).astype(np.float32), requires_grad=True)
+        for out in trunk(x, mode=mode):
+            recorded = out.requires_grad, bool(out._parents), out._backward is not None
+            assert recorded == ((False,) * 3 if mode == "inference" else (True,) * 3)
+
     def test_pretrain_not_batch_independent(self, rng):
         trunk = Trunk(self.cfg(), rng)
         x = rng.standard_normal((6, 4, 8)).astype(np.float32)
