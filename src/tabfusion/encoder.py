@@ -13,13 +13,13 @@ import math
 import numpy as np
 
 from .data import FeatureKind, FeatureSchema, Snapshot, select_top_k_assets
-from .nn import Mlp
+from .nn import Mlp, Module
 from .tensor import Tensor, concat, matmul
 
 __all__ = ["FeatureEncoder"]
 
 
-class FeatureEncoder:
+class FeatureEncoder(Module):
     def __init__(
         self,
         schema: FeatureSchema,
@@ -67,21 +67,6 @@ class FeatureEncoder:
 
     def _missing_param(self, rng, scale) -> Tensor:
         return Tensor((rng.standard_normal(self.d) * scale).astype(np.float32), requires_grad=True)
-
-    def parameters(self) -> dict:
-        params = {}
-        for name, t in self.freqs.items():
-            params[f"enc.num.{name}.freq"] = t
-        for name, t in self.tables.items():
-            params[f"enc.cat.{name}.table"] = t
-        for name, t in self.missing.items():
-            params[f"enc.missing.{name}"] = t
-        for name, t in self.pads.items():
-            params[f"enc.pad.{name}"] = t
-        for dim, mlp in self.projectors.items():
-            for k, v in mlp.parameters().items():
-                params[f"enc.proj{dim}.{k}"] = v
-        return params
 
     # ---- per-kind encoders (batched) ------------------------------------
 

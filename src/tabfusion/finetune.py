@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import Linear, training_mode
+from .nn import Linear, Module, training_mode
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, matmul, no_grad, softmax
 
@@ -35,7 +35,7 @@ class TaskSpec:
             raise ValueError("gamma must be >= 0")
 
 
-class SngpHead:
+class SngpHead(Module):
     """Random-Fourier-feature GP head with Laplace precision accumulation.
 
     Features Phi = sqrt(2/d_rf) * cos(x Omega^T + b) with Omega ~ N(0, 1/l^2)
@@ -64,23 +64,8 @@ class SngpHead:
         self.phase = rng.uniform(0.0, 2.0 * math.pi, size=d_rf).astype(np.float32)
         self.beta = Linear(d_rf, classes, rng, bias=False)
         self.precision: np.ndarray | None = None  # Lambda, set by fit_covariance
-        self._factor: np.ndarray | None = None  # (L^-1)^T, L = chol(Lambda); derived lazily
-
-    def parameters(self) -> dict:
-        return {f"beta.{k}": v for k, v in self.beta.parameters().items()}
-
-    def buffers(self) -> dict:
-        out = {"omega": self.omega, "phase": self.phase}
-        if self.precision is not None:
-            out["precision"] = self.precision
-        return out
-
-    def load_buffers(self, buffers: dict) -> None:
-        self.omega = buffers["omega"]
-        self.phase = buffers["phase"]
-        if "precision" in buffers:
-            self.precision = buffers["precision"].astype(np.float64)
-            self._factor = None
+        # (the precision it is derived from, (L^-1)^T with L = chol(precision)); lazy
+        self._factor: tuple = (None, None)
 
     def features(self, pooled: Tensor) -> Tensor:
         """Phi = sqrt(2/d_rf) cos(pooled Omega^T + b); differentiable in pooled."""
@@ -92,7 +77,7 @@ class SngpHead:
 
     def reset_covariance(self) -> None:
         self.precision = self.ridge * np.eye(self.d_rf)
-        self._factor = None
+        self._factor = (None, None)  # free the old factor and precision now, not at the next variance
 
     def fit_covariance(self, phi: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """Laplace precision Lambda = ridge*I + sum_i p_i(1-p_i) phi_i phi_i^T.
@@ -109,7 +94,7 @@ class SngpHead:
         w = p * (1.0 - p)
         lam = self.ridge * np.eye(self.d_rf) + (phi * w[:, None]).T @ phi
         self.precision = lam
-        self._factor = None
+        self._factor = (None, None)  # free the old factor and precision now, not at the next variance
         return lam
 
     def variance(self, phi: np.ndarray) -> np.ndarray:
@@ -118,19 +103,19 @@ class SngpHead:
         With L = chol(Lambda) and F = (L^-1)^T, Lambda^-1 = F F^T, so each
         row's variance is |phi F|^2: O(d_rf^2) per row. F is computed from
         `precision` on first use (an O(d_rf^3) Cholesky factorisation and
-        inverse) and cached until the precision changes. Rows are
+        inverse) and cached until another array is set as `precision`. Rows are
         multiplied in zero-padded blocks of VARIANCE_BLOCK_ROWS, so a row's
         variance is bitwise the same alone or in any batch.
         """
         if self.precision is None:
             raise RuntimeError("covariance not fitted")
-        if self._factor is None:
-            self._factor = np.linalg.inv(np.linalg.cholesky(self.precision)).T
+        if self._factor[0] is not self.precision:
+            self._factor = (self.precision, np.linalg.inv(np.linalg.cholesky(self.precision)).T)
         phi = np.asarray(phi, dtype=np.float64)
         n = phi.shape[0]
         blocks = np.zeros((-(-n // VARIANCE_BLOCK_ROWS) * VARIANCE_BLOCK_ROWS, self.d_rf))
         blocks[:n] = phi
-        y = np.matmul(blocks.reshape(-1, VARIANCE_BLOCK_ROWS, self.d_rf), self._factor)
+        y = np.matmul(blocks.reshape(-1, VARIANCE_BLOCK_ROWS, self.d_rf), self._factor[1])
         y = y.reshape(-1, self.d_rf)[:n]
         return np.einsum("ij,ij->i", y, y)
 
@@ -230,11 +215,8 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
                 length_scale=cfg.length_scale, ridge=cfg.ridge,
             )
 
-    params = {}
-    for t in tasks:
-        params.update({f"head.{t.name}.{k}": v for k, v in model.heads[t.name].parameters().items()})
-    if not cfg.linear_probe:
-        params.update(model.backbone_parameters())
+    trained = tuple(f"heads.{t.name}." for t in tasks) + (() if cfg.linear_probe else ("encoder.", "trunk."))
+    params = {k: p for k, p in model.parameters().items() if k.startswith(trained)}
     opt = AdamW(params, weight_decay=cfg.weight_decay)
 
     val_set, val_tasks = [], {}  # task name -> (held-out rows labeled for it, their labels)

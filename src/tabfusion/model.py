@@ -10,7 +10,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import FeatureSchema
 from .encoder import FeatureEncoder
 from .finetune import SngpHead
-from .nn import spectral_layers
+from .nn import Module
 from .pretrain import ReconstructionHeads
 from .tensor import Tensor, no_grad
 from .trunk import Trunk, TrunkConfig
@@ -21,7 +21,7 @@ __all__ = ["Model"]
 HEAD_FIELDS = ("classes", "d_rf", "length_scale", "ridge", "kappa")
 
 
-class Model:
+class Model(Module):
     def __init__(
         self,
         schema: FeatureSchema,
@@ -52,39 +52,14 @@ class Model:
         self.recon = ReconstructionHeads(schema, d, rng)
         self.heads: dict = {}  # task name -> SngpHead, created at fine-tune
 
-    def backbone_parameters(self) -> dict:
-        params = {}
-        params.update(self.encoder.parameters())
-        params.update(self.trunk.parameters())
-        return params
-
-    def parameters(self) -> dict:
-        params = self.backbone_parameters()
-        params.update(self.recon.parameters())
-        for name, head in self.heads.items():
-            params.update({f"head.{name}.{k}": v for k, v in head.parameters().items()})
-        return params
-
-    def buffers(self) -> dict:
-        """Non-learned arrays that must survive save/load: SNGP state and
-        the power-iteration vectors of every spectrally normalized layer."""
-        out = {}
-        for name, head in self.heads.items():
-            for k, v in head.buffers().items():
-                out[f"head.{name}.{k}"] = v
-        for name, layer in spectral_layers(self.trunk.named_modules()).items():
-            out[f"sn.{name}.u"] = layer.u
-            out[f"sn.{name}.v"] = layer.v
-        return out
-
     # ---- persistence -----------------------------------------------------
 
     def save(self, path, config_dict: dict) -> None:
-        """Write the arrays plus the record `load` rebuilds the model from:
-        the training schema (with its normalization), the constructor
-        fields, each head's fields and `config_dict`."""
-        arrays = {k: p.data for k, p in self.parameters().items()}
-        arrays.update({f"buf.{k}": v for k, v in self.buffers().items()})
+        """Write every parameter and buffer under its attribute path, plus the
+        record `load` rebuilds the model from: the training schema (with its
+        normalization), the constructor fields, each head's fields and
+        `config_dict`."""
+        arrays = {**{k: p.data for k, p in self.parameters().items()}, **self.buffers()}
         record = {
             "schema": self.schema.to_dict(),
             "model": self.fields,
@@ -96,7 +71,10 @@ class Model:
     @staticmethod
     def load(path, schema: FeatureSchema | None = None, config_dict: dict | None = None, **model_kwargs) -> "Model":
         """Rebuild a model, its heads and its training schema from the checkpoint
-        record alone. `schema` (normalization aside), `config_dict` and
+        record alone, then copy each file array into the parameter or buffer
+        its name points to, or set it there if that slot is None. A missing
+        array, a shape mismatch or an array that names no attribute raises
+        CheckpointError. `schema` (normalization aside), `config_dict` and
         `model_kwargs` are only checked against the record: a mismatch raises
         CheckpointError naming the feature or field."""
         record, arrays = load_checkpoint(path)
@@ -108,17 +86,21 @@ class Model:
         _check_fields("model", model_kwargs, record["model"], model_kwargs.keys())
         model = Model(saved, **record["model"])
         for task, fields in record["heads"].items():
-            head = model.heads[task] = SngpHead(model.d, rng=np.random.default_rng(0), **fields)
-            prefix = f"buf.head.{task}."
-            head.load_buffers({k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)})
-        for name, p in model.parameters().items():
-            if name not in arrays:
-                raise CheckpointError(f"checkpoint missing parameter '{name}'")
-            if arrays[name].shape != p.data.shape:
+            model.heads[task] = SngpHead(model.d, rng=np.random.default_rng(0), **fields)
+        slots = {name: (owner, key, value) for name, owner, key, value in model.named_state()}
+        for name, (_, _, value) in slots.items():
+            if value is not None and name not in arrays:
+                raise CheckpointError(f"checkpoint missing array '{name}'")
+        for name, array in arrays.items():
+            if name not in slots:
+                raise CheckpointError(f"checkpoint array '{name}' names no attribute of the model")
+            owner, key, value = slots[name]
+            if value is None:  # a head's precision, unset until a fit
+                setattr(owner, key, array)
+            elif value.shape != array.shape:
                 raise CheckpointError(f"shape mismatch for '{name}'")
-            p.data[...] = arrays[name].astype(p.data.dtype)
-        for name, layer in spectral_layers(model.trunk.named_modules()).items():
-            layer.u, layer.v = (arrays[f"buf.sn.{name}.{k}"].astype(np.float32) for k in "uv")
+            else:
+                (value.data if isinstance(value, Tensor) else value)[...] = array
         return model
 
     # ---- inference -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Linear layers, spectral normalization, and small parameter containers."""
+"""The Module base, linear layers, spectral normalization and the MLP block."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import numpy as np
 from .tensor import Tensor, gelu, matmul
 
 __all__ = [
+    "Module",
     "Linear",
     "SpectralLinear",
     "Mlp",
@@ -57,7 +58,44 @@ def power_iteration(w: np.ndarray, u: np.ndarray, iters: int = 1):
     return sigma, u, v
 
 
-class Linear:
+class Module:
+    """Base of every layer and model: its state is found by one walk.
+
+    The walk goes over the instance's attributes and enters Modules, dicts
+    and lists. A Tensor it reaches is a parameter, a numpy array a buffer,
+    and each is named by its dotted attribute path, such as
+    `trunk.layers.0.w_q.weight` or `heads.risk.precision`. Attributes whose
+    names start with "_", and values of any other type, are not walked.
+    """
+
+    def named_state(self):
+        """Yield (path, owner, key, value) for every slot the walk reaches
+        that holds a Tensor, a numpy array or None; `owner` is the Module,
+        dict or list that holds `value` under `key`."""
+        return _walk(self, "")
+
+    def parameters(self) -> dict:
+        return {path: v for path, _, _, v in self.named_state() if isinstance(v, Tensor)}
+
+    def buffers(self) -> dict:
+        """Non-learned arrays that must survive save and load."""
+        return {path: v for path, _, _, v in self.named_state() if isinstance(v, np.ndarray)}
+
+
+def _walk(node, prefix: str):
+    if isinstance(node, Module):
+        items = ((k, v) for k, v in vars(node).items() if not k.startswith("_"))
+    else:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        path = f"{prefix}{key}"
+        if value is None or isinstance(value, (Tensor, np.ndarray)):
+            yield path, node, key, value
+        elif isinstance(value, (Module, dict, list)):
+            yield from _walk(value, path + ".")
+
+
+class Linear(Module):
     """Dense layer y = x W^T + b with Kaiming-uniform init."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
@@ -69,12 +107,6 @@ class Linear:
         self.bias = (
             Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True) if bias else None
         )
-
-    def parameters(self) -> dict:
-        out = {"weight": self.weight}
-        if self.bias is not None:
-            out["bias"] = self.bias
-        return out
 
     def effective_weight(self) -> Tensor:
         return self.weight
@@ -126,7 +158,7 @@ class SpectralLinear(Linear):
         return w * sigma ** -1.0
 
 
-class Mlp:
+class Mlp(Module):
     """Two-layer feed-forward block with gelu, optionally spectrally normalized."""
 
     def __init__(
@@ -141,27 +173,6 @@ class Mlp:
         self.fc1 = cls(in_dim, hidden_dim, rng)
         self.fc2 = cls(hidden_dim, out_dim, rng)
 
-    def parameters(self) -> dict:
-        return {
-            **{f"fc1.{k}": v for k, v in self.fc1.parameters().items()},
-            **{f"fc2.{k}": v for k, v in self.fc2.parameters().items()},
-        }
-
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
 
-
-def _spectral_of(mod, prefix: str) -> dict:
-    if isinstance(mod, SpectralLinear):
-        return {prefix: mod}
-    if isinstance(mod, Mlp):
-        return {**_spectral_of(mod.fc1, f"{prefix}.fc1"), **_spectral_of(mod.fc2, f"{prefix}.fc2")}
-    return {}
-
-
-def spectral_layers(named_modules: dict) -> dict:
-    """name -> SpectralLinear over a dict of (name, Linear|Mlp) pairs."""
-    out = {}
-    for name, mod in named_modules.items():
-        out.update(_spectral_of(mod, name))
-    return out

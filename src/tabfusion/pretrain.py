@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FeatureKind, FeatureSchema, Snapshot, select_top_k_assets
-from .nn import Linear, training_mode
+from .nn import Linear, Module, training_mode
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, log_softmax, matmul, reduce_sum
 
@@ -77,24 +77,25 @@ def mixup(h_i: Tensor, h_j: Tensor, alpha: float) -> Tensor:
     return h_i * float(alpha) + h_j * (1.0 - float(alpha))
 
 
-class ReconstructionHeads:
+class ReconstructionHeads(Module):
     """Per-feature-type decoders from token outputs back to feature space.
 
     Decoders are shared across features of the same type and output size:
     numerics share one d->1 head, categoricals share a d->vocab head per
-    vocabulary size, embedding features a d->dim head per input dim.
+    vocabulary size, embedding features a d->dim head per input dim. A
+    decoder is keyed by its type and size, e.g. "num1" or "ce12".
     """
 
     def __init__(self, schema: FeatureSchema, d: int, rng: np.random.Generator):
         self.schema = schema
-        self.decoders: dict[tuple, Linear] = {}
+        self.decoders: dict[str, Linear] = {}
         for f in schema:
-            key = self._key(f)
-            if key not in self.decoders:
-                self.decoders[key] = Linear(d, key[1], rng)
+            kind, size = self._kind_and_size(f)
+            if f"{kind}{size}" not in self.decoders:
+                self.decoders[f"{kind}{size}"] = Linear(d, size, rng)
 
     @staticmethod
-    def _key(f) -> tuple:
+    def _kind_and_size(f) -> tuple:
         if f.kind == FeatureKind.NUMERIC:
             return ("num", 1)
         if f.kind == FeatureKind.CATEGORICAL:
@@ -106,14 +107,8 @@ class ReconstructionHeads:
         return ("memb", f.dim)
 
     def decoder_for(self, f) -> Linear:
-        return self.decoders[self._key(f)]
-
-    def parameters(self) -> dict:
-        out = {}
-        for (kind, size), lin in self.decoders.items():
-            for k, v in lin.parameters().items():
-                out[f"recon.{kind}{size}.{k}"] = v
-        return out
+        kind, size = self._kind_and_size(f)
+        return self.decoders[f"{kind}{size}"]
 
 
 def reconstruction_loss(

@@ -82,13 +82,14 @@ class no_grad:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    """Sum `grad` down to `shape`, undoing numpy broadcasting; `grad` itself
+    when nothing was summed, so a fresh array stays one the caller can own."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+    return grad if grad.shape == shape else grad.reshape(shape)
 
 
 class Tensor:
@@ -139,9 +140,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # own an array the backward just allocated; copy a view, since
-            # add, reshape, transpose and concat pass on aliases of the
-            # upstream node's gradient
+            # own an array the backward allocated or the upstream node hands
+            # on (add passes its own gradient); copy a view, since reshape,
+            # transpose and concat pass on aliases of the upstream gradient
             owned = type(g) is np.ndarray and g.base is None and g.dtype == self.data.dtype
             self.grad = g if owned else g.astype(self.data.dtype, copy=True)
         else:
@@ -333,7 +334,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            # a may now own g: b gets its own array, or a later accumulation
+            # into one operand's gradient would reach the other's
+            b._accumulate(gb.copy() if gb is g and a.grad is g else gb)
 
     return Tensor._make(data, (a, b), bwd, "add")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Linear, Mlp, SpectralLinear
+from .nn import Linear, Mlp, Module, SpectralLinear
 from .tensor import Tensor, ShapeError, layer_norm, matmul, no_grad, softmax
 
 __all__ = ["TrunkConfig", "attention", "IsaBlock", "TrunkLayer", "Trunk"]
@@ -68,7 +68,7 @@ def attention(x: Tensor, w_q: Linear, w_k: Linear, w_v: Linear, heads: int = 1, 
     return out
 
 
-class IsaBlock:
+class IsaBlock(Module):
     """Projection-based inter-sample attention at reduced dimension d'."""
 
     def __init__(self, cfg: TrunkConfig, rng: np.random.Generator):
@@ -83,31 +83,6 @@ class IsaBlock:
         self.ffn = Mlp(dp, dp, dp, rng, spectral=cfg.spectral_norm)
         self.cfg = cfg
 
-    def parameters(self) -> dict:
-        out = {}
-        for name, mod in (
-            ("project", self.project),
-            ("restore", self.restore),
-            ("w_q", self.w_q),
-            ("w_k", self.w_k),
-            ("w_v", self.w_v),
-        ):
-            for k, v in mod.parameters().items():
-                out[f"{name}.{k}"] = v
-        for k, v in self.ffn.parameters().items():
-            out[f"ffn.{k}"] = v
-        return out
-
-    def named_modules(self) -> dict:
-        return {
-            "project": self.project,
-            "restore": self.restore,
-            "w_q": self.w_q,
-            "w_k": self.w_k,
-            "w_v": self.w_v,
-            "ffn": self.ffn,
-        }
-
     def __call__(self, x: Tensor) -> Tensor:
         b, n, d = x.shape
         flat = x.reshape(1, b, n * d)  # batch axis becomes the attention axis
@@ -118,7 +93,7 @@ class IsaBlock:
         return restored.reshape(b, n, d)
 
 
-class TrunkLayer:
+class TrunkLayer(Module):
     """Pre-norm transformer layer: row attention + FFN, then residual ISA."""
 
     def __init__(self, cfg: TrunkConfig, rng: np.random.Generator):
@@ -130,21 +105,6 @@ class TrunkLayer:
         self.isa = IsaBlock(cfg, rng)
         self.cfg = cfg
 
-    def parameters(self) -> dict:
-        out = {}
-        for name, mod in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v), ("ffn", self.ffn)):
-            for k, v in mod.parameters().items():
-                out[f"{name}.{k}"] = v
-        for k, v in self.isa.parameters().items():
-            out[f"isa.{k}"] = v
-        return out
-
-    def named_modules(self) -> dict:
-        out = {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "ffn": self.ffn}
-        for k, v in self.isa.named_modules().items():
-            out[f"isa.{k}"] = v
-        return out
-
     def __call__(self, x: Tensor, mask, use_isa: bool) -> Tensor:
         x = x + attention(layer_norm(x), self.w_q, self.w_k, self.w_v, self.cfg.heads, key_mask=mask)
         x = x + self.ffn(layer_norm(x))
@@ -153,24 +113,10 @@ class TrunkLayer:
         return x
 
 
-class Trunk:
+class Trunk(Module):
     def __init__(self, cfg: TrunkConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.layers = [TrunkLayer(cfg, rng) for _ in range(cfg.n_layers)]
-
-    def parameters(self) -> dict:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, v in layer.parameters().items():
-                out[f"trunk.layer{i}.{k}"] = v
-        return out
-
-    def named_modules(self) -> dict:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, v in layer.named_modules().items():
-                out[f"trunk.layer{i}.{k}"] = v
-        return out
 
     def __call__(self, x: Tensor, mask=None, mode: str = "inference"):
         """Run the stack; returns (tokens [B, N, d], pooled [B, d]).

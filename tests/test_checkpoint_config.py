@@ -30,6 +30,7 @@ def layout(record: dict, arrays: dict) -> dict:
             (f"{name}.name_length", 2), (f"{name}.name", len(name.encode())),
             (f"{name}.dtype_ndim", 2), (f"{name}.shape", 4 * arr.ndim), (f"{name}.data", arr.nbytes),
         ]
+    sizes.append(("array_checksum", 4))  # CRC-32 of array_count through the last array's data
     out, start = {}, 0
     for region, size in sizes:
         out[region] = (start, start + size)
@@ -91,11 +92,13 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
     def test_version_1_file_must_be_recreated(self, tmp_path):
-        # version 1: magic, version, a digest of the caller's config, no record
+        # version 1: magic, version, a digest of the caller's config, no record;
+        # version 2 began the same way and named arrays by hand-written prefixes
         path = tmp_path / "m.ckpt"
-        path.write_bytes(MAGIC + struct.pack("<I", 1) + config_digest({}).encode() + struct.pack("<I", 0))
-        with pytest.raises(CheckpointError, match="version 1; re-create the checkpoint"):
-            load_checkpoint(path)
+        for version in (1, 2):
+            path.write_bytes(MAGIC + struct.pack("<I", version) + config_digest({}).encode() + struct.pack("<I", 0))
+            with pytest.raises(CheckpointError, match=f"version {version}; re-create the checkpoint"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("region", REGIONS)
     def test_truncated_file_rejected(self, tmp_path, region):
@@ -185,6 +188,38 @@ class TestModelPersistence:
         churn = clone.heads["churn"]
         assert (churn.d_rf, churn.length_scale, churn.ridge, churn.kappa) == (16, 1.5, 0.25, 0.3)
         assert clone.heads["risk"].kappa == math.pi / 8
+
+    def test_flipped_byte_in_parameter_data_rejected(self, tmp_path):
+        schema, snaps, model = self.build_trained(tmp_path)
+        path = tmp_path / "m.ckpt"
+        model.save(path, {"arch": "tiny"})
+        record, arrays = load_checkpoint(path)
+        start, end = layout(record, arrays)["heads.risk.beta.weight.data"]
+        data = bytearray(path.read_bytes())
+        data[(start + end) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="array checksum mismatch"):
+            Model.load(path)
+
+    def test_arrays_are_named_by_attribute_path(self, tmp_path):
+        schema, snaps, model = self.build_trained(tmp_path)
+        path = tmp_path / "m.ckpt"
+        model.save(path, {"arch": "tiny"})
+        record, arrays = load_checkpoint(path)
+        assert set(arrays) == model.parameters().keys() | model.buffers().keys()
+        for name in ("encoder.freqs.age", "trunk.layers.0.w_q.weight", "trunk.layers.0.isa.ffn.fc1.u",
+                     "recon.decoders.num1.bias", "heads.risk.beta.weight", "heads.risk.precision"):
+            assert name in arrays, name
+        for stray in ("trunk.layers.0.w_q.scale", "trunk.layers.1.w_q.u", "heads.churn.omega", "fields.d"):
+            save_checkpoint(path, {**arrays, stray: np.zeros(2, dtype=np.float32)}, record)
+            with pytest.raises(CheckpointError, match=f"array '{stray}' names no attribute"):
+                Model.load(path)
+        save_checkpoint(path, {k: v for k, v in arrays.items() if k != "trunk.layers.0.w_q.u"}, record)
+        with pytest.raises(CheckpointError, match="missing array 'trunk.layers.0.w_q.u'"):
+            Model.load(path)
+        save_checkpoint(path, {**arrays, "heads.risk.omega": arrays["heads.risk.omega"][1:]}, record)
+        with pytest.raises(CheckpointError, match="shape mismatch for 'heads.risk.omega'"):
+            Model.load(path)
 
     def test_arguments_are_checked_not_used(self, tmp_path):
         schema, snaps, model = self.build_trained(tmp_path)

@@ -195,6 +195,6 @@ class TestAssembly:
         build().backward()
         touched = [k for k, p in params.items() if p.grad is not None and np.any(p.grad != 0)]
         # every parameter family participates for this batch
-        assert any(k.startswith("enc.num.") for k in touched)
-        assert any(k.startswith("enc.cat.") for k in touched)
-        assert any(k.startswith("enc.proj") for k in touched)
+        assert any(k.startswith("freqs.") for k in touched)
+        assert any(k.startswith("tables.") for k in touched)
+        assert any(k.startswith("projectors.") for k in touched)

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: unused module-level imports,
-RunConfig fields that nothing reads, and one list of model fields."""
+RunConfig fields that nothing reads, one list of model fields, and no
+hand-written parameter or buffer plumbing outside nn.Module."""
 
 import ast
 import inspect
@@ -119,3 +120,35 @@ def test_model_fields_are_one_set(tmp_path):
     Model(small_schema(), d=8, n_layers=1, heads=2, ffn_dim=16).save(tmp_path / "m.ckpt", {})
     record, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert set(record["model"]) == keywords
+
+
+# state plumbing that the one walk in nn.Module replaces
+PLUMBING = {"parameters", "buffers", "named_modules", "load_buffers", "backbone_parameters", "spectral_layers"}
+
+
+def state_plumbing(source: str, module: str) -> list[str]:
+    """Definitions of a PLUMBING name in `source`, as 'module.Class.name' or
+    'module.name', apart from nn.Module's own."""
+    tree = ast.parse(source)
+    scopes = [(f"{module}.{n.name}.", n.body) for n in tree.body if isinstance(n, ast.ClassDef)]
+    scopes.append((f"{module}.", tree.body))
+    return [
+        prefix + f.name
+        for prefix, body in scopes
+        for f in body
+        if isinstance(f, ast.FunctionDef) and f.name in PLUMBING and prefix != "nn.Module."
+    ]
+
+
+def test_plumbing_scanner_spares_only_nn_module():
+    source = (
+        "class Module:\n    def parameters(self):\n        pass\n"
+        "class Head(Module):\n    def buffers(self):\n        pass\n    def predict(self):\n        pass\n"
+        "def spectral_layers(mods):\n    pass\n"
+    )
+    assert state_plumbing(source, "nn") == ["nn.Head.buffers", "nn.spectral_layers"]
+    assert state_plumbing(source, "model") == ["model.Module.parameters", "model.Head.buffers", "model.spectral_layers"]
+
+
+def test_no_hand_written_state_plumbing():
+    assert [name for path in MODULES for name in state_plumbing(path.read_text(), path.stem)] == []

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradient_check
-from tabfusion.nn import Linear, Mlp, SpectralLinear, power_iteration, training_mode
+from conftest import fd_gradient_check, random_snapshots, small_schema
+from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop
+from tabfusion.model import Model
+from tabfusion.nn import Linear, Mlp, Module, SpectralLinear, power_iteration, training_mode
 from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError
+from tabfusion.pretrain import PretrainConfig, pretrain_loop
 from tabfusion.tensor import Tensor
 
 
@@ -93,6 +96,62 @@ class TestSpectralLinear:
         u_before = layer.u.copy()
         layer(Tensor(rng.standard_normal((2, 4)).astype(np.float32)))
         np.testing.assert_array_equal(layer.u, u_before)
+
+
+class TestModule:
+    def test_walk_names_state_by_attribute_path(self, rng):
+        class Block(Module):
+            def __init__(self):
+                self.lin = SpectralLinear(3, 2, rng, bias=False)
+                self.tables = {"a": Tensor(np.zeros(2), requires_grad=True)}
+                self.stack = [Linear(2, 2, rng)]
+                self.scale = np.ones(2)
+                self.pair = (Tensor(np.zeros(1)), np.zeros(1))  # a tuple is not walked
+                self._cache = np.ones(2)  # nor is an attribute named with "_"
+                self.unset = None
+
+        block = Block()
+        assert block.parameters() == {
+            "lin.weight": block.lin.weight, "tables.a": block.tables["a"],
+            "stack.0.weight": block.stack[0].weight, "stack.0.bias": block.stack[0].bias,
+        }
+        assert block.buffers() == {"lin.u": block.lin.u, "lin.v": block.lin.v, "scale": block.scale}
+        slots = {path: (owner, key) for path, owner, key, _ in block.named_state()}
+        assert slots["lin.bias"] == (block.lin, "bias") and slots["unset"] == (block, "unset")
+        assert slots["stack.0.weight"] == (block.stack[0], "weight") and slots["tables.a"] == (block.tables, "a")
+
+    def test_every_graph_leaf_is_a_model_parameter(self, monkeypatch):
+        """A trainable tensor kept where the walk does not look would never
+        be optimised or saved: every requires_grad leaf of a pretrain loss
+        and of a two-task fine-tune loss must be in model.parameters()."""
+        schema = small_schema()
+        snaps = random_snapshots(schema, 16, seed=0)
+        for snap in snaps:
+            snap.labels["churn"] = 1 - snap.labels["risk"]
+        model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=3)
+        leaves = []
+        backward = Tensor.backward
+
+        def recording(root):
+            seen, stack = set(), [root]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+                    if node.requires_grad and node._op == "leaf":
+                        leaves.append(node)
+            backward(root)
+
+        monkeypatch.setattr(Tensor, "backward", recording)
+        pretrain_loop(model, snaps, PretrainConfig(steps=1, batch_size=8))
+        pretrain_leaves, leaves = leaves, []
+        finetune_loop(model, snaps, [TaskSpec("risk"), TaskSpec("churn")],
+                      FinetuneConfig(steps=1, batch_size=8, d_rf=16, eval_every=1000))
+        params = {id(p) for p in model.parameters().values()}
+        for found in (pretrain_leaves, leaves):
+            assert found and all(id(leaf) in params for leaf in found)
+        assert any(leaf is model.heads["churn"].beta.weight for leaf in leaves)
 
 
 class TestAdamW:

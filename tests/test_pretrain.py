@@ -223,7 +223,7 @@ class TestPretrainLoop:
         before = {k: p.data.copy() for k, p in model.parameters().items()}
         pretrain_loop(model, snaps, self.cfg(steps=2))
         moved = {k for k, p in model.parameters().items() if not np.array_equal(p.data, before[k])}
-        for family in ("enc.", "trunk.", "recon."):
+        for family in ("encoder.", "trunk.", "recon."):
             assert any(k.startswith(family) for k in moved), family
 
     def test_loss_trends_down(self):

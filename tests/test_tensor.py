@@ -228,13 +228,26 @@ class TestBackwardRelease:
 
     @pytest.mark.parametrize("a_first", [True, False])
     def test_add_operands_do_not_share_a_gradient(self, a_first):
-        # add hands both operands the same upstream array; a later
-        # accumulation into one must not reach the other
+        # add hands its own gradient to its first operand; a later
+        # accumulation into one operand's gradient must not reach the other
         a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
         terms = [(a + b).sum(), (a * 3.0).sum()]
         (terms[0] + terms[1] if a_first else terms[1] + terms[0]).backward()
         np.testing.assert_array_equal(a.grad, [4.0, 4.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        # the same operand twice
+        x = t64([1.0, 2.0])
+        terms = [(x + x).sum(), (x * 3.0).sum()]
+        (terms[0] + terms[1] if a_first else terms[1] + terms[0]).backward()
+        np.testing.assert_array_equal(x.grad, [5.0, 5.0])
+        # two products, whose fresh gradients add hands on without a copy
+        a, b, c = t64([1.0, 2.0]), t64([3.0, 4.0]), t64([5.0, 6.0])
+        h = a * c
+        terms = [(h + b * c).sum(), (h * 2.0).sum()]
+        (terms[0] + terms[1] if a_first else terms[1] + terms[0]).backward()
+        np.testing.assert_array_equal(a.grad, [15.0, 18.0])
+        np.testing.assert_array_equal(b.grad, [5.0, 6.0])
+        np.testing.assert_array_equal(c.grad, [6.0, 10.0])
 
     def test_root_without_graph_raises(self):
         x = t64([1.0, 2.0])
