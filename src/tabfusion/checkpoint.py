@@ -82,7 +82,10 @@ def _array_section(arrays: dict):
 def load_checkpoint(path) -> tuple[dict, dict]:
     """Read (record, arrays) back; raises CheckpointError on bad magic or
     version, a record that does not match its digest, an array section that
-    does not match its checksum, or a truncated file."""
+    does not match its checksum, or a truncated file.
+
+    The arrays are read-only views into the file's bytes: a caller that keeps
+    or writes one copies it."""
     data = memoryview(Path(path).read_bytes())  # slices are views, not copies
     off = 0
 
@@ -123,7 +126,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         dtype = np.dtype(_DTYPES[code])
         size = math.prod(shape)
         raw = take(size * dtype.itemsize, f"data of '{name}'")
-        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
     (crc,) = struct.unpack("<I", take(4, "array checksum"))
     if zlib.crc32(data[section : off - 4]) != crc:
         raise CheckpointError("array checksum mismatch; the checkpoint is corrupt")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .nn import Linear, Module, training_mode
 from .optim import AdamW, CosineWarmupSchedule
-from .tensor import Tensor, matmul, no_grad, softmax
+from .tensor import Tensor, linear, no_grad, softmax
 
 __all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfig"]
 
@@ -69,8 +69,8 @@ class SngpHead(Module):
 
     def features(self, pooled: Tensor) -> Tensor:
         """Phi = sqrt(2/d_rf) cos(pooled Omega^T + b); differentiable in pooled."""
-        proj = matmul(pooled, Tensor(self.omega.astype(pooled.dtype)).transpose(1, 0))
-        return (proj + Tensor(self.phase.astype(pooled.dtype))).cos() * math.sqrt(2.0 / self.d_rf)
+        omega, phase = (Tensor(a.astype(pooled.dtype, copy=False)) for a in (self.omega, self.phase))
+        return linear(pooled, omega, phase).cos() * math.sqrt(2.0 / self.d_rf)
 
     def logits(self, pooled: Tensor) -> Tensor:
         return self.beta(self.features(pooled))
@@ -131,18 +131,13 @@ class SngpHead(Module):
             logits = self.beta(phi_t).data.astype(np.float64)
         if not calibrated or self.precision is None:
             return {
-                "probs": _softmax_np(logits),
+                "probs": softmax(Tensor(logits)).data,
                 "variance": np.full(logits.shape[0], np.nan),
                 "calibrated": False,
             }
         var = self.variance(phi_t.data)
         adjusted = logits / np.sqrt(1.0 + self.kappa * var)[:, None]
-        return {"probs": _softmax_np(adjusted), "variance": var, "calibrated": True}
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        return {"probs": softmax(Tensor(adjusted)).data, "variance": var, "calibrated": True}
 
 
 def focal_loss(probs: Tensor, labels, gamma: float, class_weights=None) -> Tensor:
@@ -297,7 +292,7 @@ def fit_heads_covariance(model, snapshots, tasks) -> None:
         with no_grad():
             phi = head.features(Tensor(pooled[labeled]))
             logits = head.beta(phi)
-        head.fit_covariance(phi.data, _softmax_np(logits.data))
+        head.fit_covariance(phi.data, softmax(logits).data)
 
 
 def predict_scores(model, snapshots, task: str, calibrated: bool = True):

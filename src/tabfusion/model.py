@@ -72,7 +72,7 @@ class Model(Module):
     def load(path, schema: FeatureSchema | None = None, config_dict: dict | None = None, **model_kwargs) -> "Model":
         """Rebuild a model, its heads and its training schema from the checkpoint
         record alone, then copy each file array into the parameter or buffer
-        its name points to, or set it there if that slot is None. A missing
+        its name points to, or set a copy there if that slot is None. A missing
         array, a shape mismatch or an array that names no attribute raises
         CheckpointError. `schema` (normalization aside), `config_dict` and
         `model_kwargs` are only checked against the record: a mismatch raises
@@ -96,7 +96,7 @@ class Model(Module):
                 raise CheckpointError(f"checkpoint array '{name}' names no attribute of the model")
             owner, key, value = slots[name]
             if value is None:  # a head's precision, unset until a fit
-                setattr(owner, key, array)
+                setattr(owner, key, array.copy())
             elif value.shape != array.shape:
                 raise CheckpointError(f"shape mismatch for '{name}'")
             else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, gelu, matmul
+from .tensor import Tensor, gelu, linear, spectral_normalize
 
 __all__ = [
     "Module",
@@ -112,10 +112,7 @@ class Linear(Module):
         return self.weight
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.effective_weight().transpose(1, 0))
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return linear(x, self.effective_weight(), self.bias)
 
 
 class SpectralLinear(Linear):
@@ -152,10 +149,7 @@ class SpectralLinear(Linear):
             sigma_est = float(self.u @ w.data @ self.v)
         if sigma_est < self.eps:
             return w
-        u = Tensor(self.u.reshape(1, -1).astype(w.dtype))
-        v = Tensor(self.v.reshape(-1, 1).astype(w.dtype))
-        sigma = matmul(matmul(u, w), v).reshape(1, 1)
-        return w * sigma ** -1.0
+        return spectral_normalize(w, self.u, self.v)
 
 
 class Mlp(Module):

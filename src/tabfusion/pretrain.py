@@ -4,12 +4,11 @@ reconstruction decoders and losses, InfoNCE contrastive loss, and the loop.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureKind, FeatureSchema, Snapshot, select_top_k_assets
+from .data import Asset, FeatureKind, FeatureSchema, Snapshot, select_top_k_assets
 from .nn import Linear, Module, training_mode
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, log_softmax, matmul, reduce_sum
@@ -68,8 +67,20 @@ def cutmix(x_i: Snapshot, x_j: Snapshot, swap_prob: float, rng: np.random.Genera
     values = {}
     for name in x_i.values:
         take_partner = rng.random() < swap_prob
-        values[name] = copy.deepcopy(x_j.values[name] if take_partner else x_i.values[name])
+        values[name] = _copy_value(x_j.values[name] if take_partner else x_i.values[name])
     return Snapshot(values, dict(x_i.labels))
+
+
+def _copy_value(value):
+    """A copy of a feature value that shares no mutable state with it: arrays,
+    assets and lists are copied; numbers, None and tuples are immutable."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, Asset):
+        return Asset(value.vector.copy(), value.timestamp, value.engagement)
+    if isinstance(value, list):
+        return [_copy_value(v) for v in value]
+    return value
 
 
 def mixup(h_i: Tensor, h_j: Tensor, alpha: float) -> Tensor:

@@ -10,14 +10,13 @@ prediction depends only on its own example.
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nn import Linear, Mlp, Module, SpectralLinear
-from .tensor import Tensor, ShapeError, layer_norm, matmul, no_grad, softmax
+from .tensor import Tensor, ShapeError, layer_norm, multi_head_attention, no_grad
 
 __all__ = ["TrunkConfig", "attention", "IsaBlock", "TrunkLayer", "Trunk"]
 
@@ -42,30 +41,14 @@ class TrunkConfig:
 
 
 def attention(x: Tensor, w_q: Linear, w_k: Linear, w_v: Linear, heads: int = 1, key_mask=None) -> Tensor:
-    """Scaled dot-product attention over the second-to-last axis of [.., T, d].
+    """Scaled dot-product attention over the token axis of x [B, T, d].
 
-    Multi-head split/merge when heads > 1; masked keys get -inf pre-softmax.
+    Three projection nodes, then one `multi_head_attention` node: multi-head
+    split/merge when heads > 1; masked keys get -1e9 pre-softmax.
     """
     if x.ndim != 3:
         raise ShapeError("attention", x.shape)
-    b, t, d = x.shape
-    dh = d // heads
-    q, k, v = w_q(x), w_k(x), w_v(x)
-    if heads > 1:
-        # [B, T, d] -> [B, H, T, dh]
-        q = q.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-        k = k.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-        v = v.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
-    logits = matmul(q, k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)) * (1.0 / math.sqrt(dh))
-    if key_mask is not None:
-        bias = (np.asarray(key_mask, dtype=np.float32) - 1.0) * 1e9  # [B, T]
-        bias = bias[:, None, None, :] if heads > 1 else bias[:, None, :]
-        logits = logits + Tensor(bias)
-    attn = softmax(logits, axis=-1)
-    out = matmul(attn, v)
-    if heads > 1:
-        out = out.transpose(0, 2, 1, 3).reshape(b, t, d)
-    return out
+    return multi_head_attention(w_q(x), w_k(x), w_v(x), heads, key_mask)
 
 
 class IsaBlock(Module):

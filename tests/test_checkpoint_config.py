@@ -156,6 +156,23 @@ class TestModelPersistence:
         after = predict_scores(clone, snaps, "risk", calibrated=True)
         np.testing.assert_array_equal(before, after)
 
+    def test_loaded_state_is_writable_and_owns_its_memory(self, tmp_path):
+        # load_checkpoint hands out read-only views of the file's bytes;
+        # Model.load copies each one into the model exactly once
+        schema, snaps, model = self.build_trained(tmp_path)
+        model.save(tmp_path / "m.ckpt", {"arch": "tiny"})
+        _, arrays = load_checkpoint(tmp_path / "m.ckpt")
+        assert not any(a.flags.writeable for a in arrays.values())
+        clone = Model.load(tmp_path / "m.ckpt")
+        state = {**{k: p.data for k, p in clone.parameters().items()}, **clone.buffers()}
+        assert state.keys() == arrays.keys() and "heads.risk.precision" in state
+        for name, value in state.items():
+            root = value
+            while isinstance(root, np.ndarray) and root.base is not None:
+                root = root.base
+            assert isinstance(root, np.ndarray) and value.flags.writeable, name
+            assert not any(np.shares_memory(value, a) for a in arrays.values()), name
+
     def test_reload_restores_head_covariance(self, tmp_path):
         schema, snaps, model = self.build_trained(tmp_path)
         cfg = {"arch": "tiny"}

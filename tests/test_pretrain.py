@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
-from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot
+from tabfusion.data import Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
 from tabfusion.model import Model
 from tabfusion.pretrain import (
     AugmentConfig,
@@ -47,6 +47,21 @@ class TestCutmix:
         mixed = cutmix(a, b, 1.0, rng)
         mixed.values["v"][0] = 99.0
         assert b.values["v"][0] == 1.0
+
+    def test_assets_are_copies_and_immutable_values_shared(self):
+        rng = np.random.default_rng(4)
+        tags = (1, 3)
+        a = Snapshot({"assets": [Asset(np.zeros(2), 1.0, 0.5)], "tags": tags, "x": 1.0})
+        b = Snapshot({"assets": [Asset(np.ones(2), 2.0, 0.25)], "tags": (), "x": 2.0})
+        mixed = cutmix(a, b, 0.0, rng)
+        assert mixed.values["tags"] is tags and mixed.values["x"] == 1.0
+        (asset,) = mixed.values["assets"]
+        assert mixed.values["assets"] is not a.values["assets"] and asset is not a.values["assets"][0]
+        assert (asset.timestamp, asset.engagement) == (1.0, 0.5) and np.array_equal(asset.vector, np.zeros(2))
+        asset.vector[0] = 99.0
+        asset.timestamp = 7.0
+        original = a.values["assets"][0]
+        assert original.timestamp == 1.0 and np.array_equal(original.vector, np.zeros(2))
 
     def test_keeps_anchor_labels(self):
         rng = np.random.default_rng(3)
@@ -248,3 +263,49 @@ class TestPretrainLoop:
         pretrain_loop(model, snaps, self.cfg(steps=2), log_path=log)
         lines = log.read_text().strip().splitlines()
         assert lines and "total=" in lines[0]
+
+
+def graph_nodes_per_step(model, snaps, batch_size, monkeypatch) -> int:
+    """Interior (non-leaf) nodes of one pretrain step's loss graph."""
+    counts = []
+    backward = Tensor.backward
+
+    def counting(root):
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node.requires_grad:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        counts.append(len(seen) - len(model.parameters()))
+        backward(root)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    pretrain_loop(model, snaps, PretrainConfig(steps=1, batch_size=batch_size))
+    return counts[0]
+
+
+class TestGraphSize:
+    """Fused ops keep the pretrain graph small: a spectral linear layer is
+    two nodes and an attention core one (before fusion: 1869 and 353)."""
+
+    def test_default_size_step(self, monkeypatch):
+        # every feature kind, 16 tokens per row
+        feats = [FeatureSpec(f"num{i}", "numeric") for i in range(6)] + [
+            FeatureSpec("plan", "categorical", vocab_size=4),
+            FeatureSpec("region", "categorical", vocab_size=12),
+            FeatureSpec("industry", "categorical", vocab_size=50),
+            FeatureSpec("tags", "multi_categorical", vocab_size=20),
+            FeatureSpec("profile", "embedding", dim=16),
+            FeatureSpec("assets", "multi_embedding", dim=16, max_count=5),
+        ]
+        schema = FeatureSchema(feats, [TaskSpecLite("risk", 2)])
+        assert schema.token_count() == 16
+        snaps = random_snapshots(schema, 64, seed=0, missing_rate=0.1)
+        assert graph_nodes_per_step(Model(schema), snaps, 64, monkeypatch) <= 900
+
+    def test_criterion_9_model_step(self, monkeypatch):
+        schema = FeatureSchema([FeatureSpec("x1", "numeric"), FeatureSpec("x2", "numeric")], [TaskSpecLite("y", 2)])
+        snaps = random_snapshots(schema, 32, seed=0)
+        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        assert graph_nodes_per_step(model, snaps, 16, monkeypatch) <= 200

@@ -10,15 +10,19 @@ from tabfusion.model import Model
 from tabfusion.tensor import (
     ShapeError,
     Tensor,
+    _row_max,
     concat,
     gelu,
     layer_norm,
+    linear,
     log_softmax,
     matmul,
+    multi_head_attention,
     no_grad,
     reduce_mean,
     reduce_sum,
     softmax,
+    spectral_normalize,
 )
 
 
@@ -140,10 +144,14 @@ class TestBackward:
 def _every_op(x, w):
     """One output of each op on leaves x [4, 3] and w [3, 3]."""
     h = matmul(x, w)
+    x3 = x.reshape(2, 2, 3)
+    unit = np.full(3, 3.0 ** -0.5)
     return [
         x + w[0], x - 1.0, x * w[1], x / 2.0, -x, x ** 2.0, h, x[1:3], x.exp(), (x + 5.0).log(),
         x.tanh(), x.sin(), x.cos(), x.clip_min(0.0), x.reshape(12), x.transpose(1, 0),
         concat([x, h], axis=1), x.sum(), x.mean(axis=0), softmax(x), log_softmax(x), layer_norm(x), gelu(x),
+        linear(x, w), linear(x3, w, w[2]), spectral_normalize(w, unit, unit),
+        multi_head_attention(x3, x3 * 2.0, x3, heads=3, key_mask=np.array([[1.0, 0.0], [1.0, 1.0]])),
     ]
 
 
@@ -326,6 +334,82 @@ class TestFusedOps:
             assert out.dtype == np.float32
             np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
         assert np.all(layer_norm(x32).data[0, 0] == 0.0)
+
+
+class TestOneNodeOps:
+    """linear, spectral_normalize and multi_head_attention are single graph
+    nodes with analytic backward passes, checked in float64 against finite
+    differences through a random output weight."""
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_linear_gradient(self, shape, bias, rng):
+        x = t64(rng.standard_normal(shape))
+        w = t64(rng.standard_normal((3, 4)))
+        b = t64(rng.standard_normal(3)) if bias else None
+        c = t64(rng.standard_normal(shape[:-1] + (3,)), grad=False)
+        out = linear(x, w, b)
+        assert out._parents == ((x, w, b) if bias else (x, w))
+        np.testing.assert_allclose(out.data, x.data @ w.data.T + (b.data if bias else 0.0), rtol=1e-12)
+        assert fd_gradient_check(lambda: (linear(x, w, b) * c).sum(), [x, w] + ([b] if bias else [])) < 1e-4
+
+    def test_linear_forward_is_matmul_plus_bias_bitwise(self, rng):
+        w = Tensor(rng.standard_normal((6, 5)).astype(np.float32))
+        b = Tensor(rng.standard_normal(6).astype(np.float32))
+        for shape in ((7, 5), (3, 4, 5)):
+            x = Tensor(rng.standard_normal(shape).astype(np.float32))
+            want = (matmul(x, w.transpose(1, 0)) + b).data
+            assert np.array_equal(linear(x, w, b).data, want)
+
+    def test_linear_shape_errors(self):
+        with pytest.raises(ShapeError, match="linear"):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        with pytest.raises(ShapeError, match="linear"):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))), Tensor(np.ones(3)))
+
+    def test_spectral_normalize_gradient_with_u_v_frozen(self, rng):
+        w = t64(rng.standard_normal((4, 3)))
+        u, v = rng.standard_normal(4), rng.standard_normal(3)
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        c = t64(rng.standard_normal((4, 3)), grad=False)
+        out = spectral_normalize(w, u, v)
+        assert out._parents == (w,)
+        np.testing.assert_allclose(out.data, w.data / (u @ w.data @ v), rtol=1e-12)
+        assert fd_gradient_check(lambda: (spectral_normalize(w, u, v) * c).sum(), [w]) < 1e-4
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_attention_gradient(self, heads, masked, rng):
+        q, k, v = (t64(rng.standard_normal((2, 3, 4))) for _ in range(3))
+        mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]) if masked else None
+        c = t64(rng.standard_normal((2, 3, 4)), grad=False)
+        assert multi_head_attention(q, k, v, heads, mask)._parents == (q, k, v)
+
+        def build():
+            return (multi_head_attention(q, k, v, heads, mask) * c).sum()
+
+        assert fd_gradient_check(build, [q, k, v]) < 1e-4
+
+    def test_attention_shape_errors(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            multi_head_attention(x, x, Tensor(np.ones((2, 3, 2))))
+        with pytest.raises(ShapeError):
+            multi_head_attention(x, x, x, heads=3)
+
+    @pytest.mark.parametrize("n", range(1, 34))
+    def test_row_max_equals_numpy_max_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((40, 3, n)).astype(np.float32)
+        pick = rng.random(x.shape)
+        x[pick < 0.05] = np.inf
+        x[(pick >= 0.05) & (pick < 0.15)] = -np.inf
+        x[(pick >= 0.15) & (pick < 0.18)] = np.nan
+        x[:2] = -np.inf  # rows with no finite value
+        got, want = _row_max(x), x.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(_row_max(x.astype(np.float64)), want.astype(np.float64), equal_nan=True)
 
 
 class TestBatchStability:
