@@ -21,7 +21,7 @@ for iters in (1, 2, 5, 20):
 print(f"numpy SVD reference:           sigma = {np.linalg.svd(w, compute_uv=False)[0]:.6f}")
 
 layer = SpectralLinear(6, 6, rng)
-layer.weight.data[...] = w.astype(np.float32) * 10.0  # deliberately huge
+layer.weight.data = w.astype(np.float32) * 10.0  # deliberately huge; a new array, not a write
 with training_mode():
     for _ in range(50):
         layer.effective_weight()

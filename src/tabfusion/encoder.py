@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import FeatureKind, FeatureSchema, Snapshot, select_top_k_assets
 from .nn import Mlp, Module
-from .tensor import Tensor, concat, matmul
+from .tensor import Tensor, concat, matmul, numeric_encoding
 
 __all__ = ["FeatureEncoder"]
 
@@ -70,16 +70,15 @@ class FeatureEncoder(Module):
 
     # ---- per-kind encoders (batched) ------------------------------------
 
-    def encode_numeric(self, feature_name: str, values, missing_mask) -> Tensor:
-        """values: [B] floats (missing slots zero-filled), missing_mask: [B] 0/1."""
-        freq = self.freqs[feature_name]
-        b = len(values)
-        x = Tensor(np.asarray(values, dtype=np.float32).reshape(b, 1))
-        arg = x * freq.reshape(1, -1) * math.pi
-        s = arg.sin().reshape(b, self.d // 2, 1)
-        c = arg.cos().reshape(b, self.d // 2, 1)
-        se = concat([s, c], axis=2).reshape(b, self.d)
-        return self._blend_missing(se, feature_name, missing_mask)
+    def encode_numeric(self, names, values, missing_mask) -> Tensor:
+        """Tokens [B, n, d] of the numeric features `names`, in one node.
+
+        values: [B, n] floats (missing slots zero-filled), missing_mask: [B, n] 0/1.
+        """
+        b, n = len(values), len(names)
+        x = Tensor(np.asarray(values, dtype=np.float32).reshape(b, n))
+        freqs, missing = [self.freqs[k] for k in names], [self.missing[k] for k in names]
+        return numeric_encoding(x, missing_mask, freqs, missing)
 
     def encode_categorical(self, feature_name: str, index_sets, missing_mask=None) -> Tensor:
         """index_sets: per-example iterable of indices (singleton for univalent).
@@ -118,14 +117,22 @@ class FeatureEncoder(Module):
         mask is 1 for real tokens, 0 for multi-embedding pad slots.
         """
         b = len(snapshots)
-        blocks = []
+        numeric = [f.name for f in self.schema if f.kind == FeatureKind.NUMERIC]
+        if numeric:
+            raw = [[s.values.get(name) for name in numeric] for s in snapshots]
+            miss = [[1.0 if v is None else 0.0 for v in row] for row in raw]
+            vals = [[0.0 if v is None else v for v in row] for row in raw]
+            num = self.encode_numeric(numeric, vals, miss)
+        blocks = []  # a slice stands for a run of consecutive numeric tokens of `num`
         mask_cols = []
+        k = 0
         for f in self.schema:
             if f.kind == FeatureKind.NUMERIC:
-                vals = [s.values.get(f.name) for s in snapshots]
-                miss = [1.0 if v is None else 0.0 for v in vals]
-                vals = [0.0 if v is None else v for v in vals]
-                blocks.append(self.encode_numeric(f.name, vals, miss).reshape(b, 1, self.d))
+                if blocks and isinstance(blocks[-1], slice):
+                    blocks[-1] = slice(blocks[-1].start, k + 1)
+                else:
+                    blocks.append(slice(k, k + 1))
+                k += 1
                 mask_cols.append(np.ones((b, 1), dtype=np.float32))
             elif f.kind == FeatureKind.CATEGORICAL:
                 vals = [s.values.get(f.name) for s in snapshots]
@@ -167,6 +174,8 @@ class FeatureEncoder(Module):
                 pad = self.pads[f.name].reshape(1, 1, self.d)
                 blocks.append(proj * p + pad * (1.0 - p))
                 mask_cols.append(present)
+        whole = slice(0, len(numeric))
+        blocks = [(num if blk == whole else num[:, blk]) if isinstance(blk, slice) else blk for blk in blocks]
         x = concat(blocks, axis=1)
         mask = np.concatenate(mask_cols, axis=1)
         return x, mask

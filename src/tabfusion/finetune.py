@@ -19,6 +19,8 @@ __all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfi
 # every row the same BLAS kernel and summation order whatever the batch size,
 # so variances are bitwise batch-independent (plain gemm reblocks by M).
 VARIANCE_BLOCK_ROWS = 8
+# Columns per cached panel of the upper-triangular variance factor.
+VARIANCE_PANEL_COLS = 128
 
 
 @dataclass
@@ -64,7 +66,8 @@ class SngpHead(Module):
         self.phase = rng.uniform(0.0, 2.0 * math.pi, size=d_rf).astype(np.float32)
         self.beta = Linear(d_rf, classes, rng, bias=False)
         self.precision: np.ndarray | None = None  # Lambda, set by fit_covariance
-        # (the precision it is derived from, (L^-1)^T with L = chol(precision)); lazy
+        # (the precision it is derived from, the column panels of
+        # (L^-1)^T with L = chol(precision)); built lazily by `variance`
         self._factor: tuple = (None, None)
 
     def features(self, pooled: Tensor) -> Tensor:
@@ -101,21 +104,32 @@ class SngpHead(Module):
         """Predictive variance, the diagonal of Phi Lambda^-1 Phi^T.
 
         With L = chol(Lambda) and F = (L^-1)^T, Lambda^-1 = F F^T, so each
-        row's variance is |phi F|^2: O(d_rf^2) per row. F is computed from
+        row's variance is |phi F|^2: O(d_rf^2) per row. F is upper
+        triangular, so only its column panels of VARIANCE_PANEL_COLS are
+        kept, panel [c0, c1) holding rows [0, c1). They are computed from
         `precision` on first use (an O(d_rf^3) Cholesky factorisation and
-        inverse) and cached until another array is set as `precision`. Rows are
-        multiplied in zero-padded blocks of VARIANCE_BLOCK_ROWS, so a row's
-        variance is bitwise the same alone or in any batch.
+        inverse) and cached until another array is set as `precision`. Rows
+        are multiplied in zero-padded blocks of VARIANCE_BLOCK_ROWS, so every
+        kernel call has a shape fixed by the panel alone and a row's variance
+        is bitwise the same alone or in any batch.
         """
         if self.precision is None:
             raise RuntimeError("covariance not fitted")
         if self._factor[0] is not self.precision:
-            self._factor = (self.precision, np.linalg.inv(np.linalg.cholesky(self.precision)).T)
+            f = np.linalg.inv(np.linalg.cholesky(self.precision)).T
+            panels = [
+                np.ascontiguousarray(f[: c0 + VARIANCE_PANEL_COLS, c0 : c0 + VARIANCE_PANEL_COLS])
+                for c0 in range(0, self.d_rf, VARIANCE_PANEL_COLS)
+            ]
+            self._factor = (self.precision, panels)
         phi = np.asarray(phi, dtype=np.float64)
         n = phi.shape[0]
-        blocks = np.zeros((-(-n // VARIANCE_BLOCK_ROWS) * VARIANCE_BLOCK_ROWS, self.d_rf))
-        blocks[:n] = phi
-        y = np.matmul(blocks.reshape(-1, VARIANCE_BLOCK_ROWS, self.d_rf), self._factor[1])
+        blocks = np.zeros((-(-n // VARIANCE_BLOCK_ROWS), VARIANCE_BLOCK_ROWS, self.d_rf))
+        blocks.reshape(-1, self.d_rf)[:n] = phi
+        y = np.empty_like(blocks)
+        for panel in self._factor[1]:
+            c1 = panel.shape[0]
+            y[:, :, c1 - panel.shape[1] : c1] = np.matmul(blocks[:, :, :c1], panel)
         y = y.reshape(-1, self.d_rf)[:n]
         return np.einsum("ij,ij->i", y, y)
 
@@ -273,7 +287,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
 
     if best_state is not None:
         for k, p in params.items():
-            p.data[...] = best_state[k]
+            p.data = best_state[k]
 
     fit_heads_covariance(model, train_set, tasks)
     return curve

@@ -71,8 +71,8 @@ class Model(Module):
     @staticmethod
     def load(path, schema: FeatureSchema | None = None, config_dict: dict | None = None, **model_kwargs) -> "Model":
         """Rebuild a model, its heads and its training schema from the checkpoint
-        record alone, then copy each file array into the parameter or buffer
-        its name points to, or set a copy there if that slot is None. A missing
+        record alone, then set a copy of each file array, cast to the slot's
+        dtype, as the parameter's data or the buffer its name points to. A missing
         array, a shape mismatch or an array that names no attribute raises
         CheckpointError. `schema` (normalization aside), `config_dict` and
         `model_kwargs` are only checked against the record: a mismatch raises
@@ -95,12 +95,17 @@ class Model(Module):
             if name not in slots:
                 raise CheckpointError(f"checkpoint array '{name}' names no attribute of the model")
             owner, key, value = slots[name]
-            if value is None:  # a head's precision, unset until a fit
-                setattr(owner, key, array.copy())
-            elif value.shape != array.shape:
+            if value is not None and value.shape != array.shape:
                 raise CheckpointError(f"shape mismatch for '{name}'")
+            # a new array in every slot (a head's precision is None until a
+            # fit), so no cache keyed on the old one survives
+            fresh = array.astype(array.dtype if value is None else value.dtype)
+            if isinstance(value, Tensor):
+                value.data = fresh
+            elif isinstance(owner, Module):
+                setattr(owner, key, fresh)
             else:
-                (value.data if isinstance(value, Tensor) else value)[...] = array
+                owner[key] = fresh
         return model
 
     # ---- inference -------------------------------------------------------

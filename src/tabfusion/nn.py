@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, gelu, linear, spectral_normalize
+from .tensor import Tensor, gelu, grad_enabled, linear, spectral_normalize
 
 __all__ = [
     "Module",
@@ -140,16 +140,29 @@ class SpectralLinear(Linear):
         self.eps = eps
         self.update_power_iter = True  # frozen during finite-difference checks
         _, self.u, self.v = power_iteration(self.weight.data, u / np.linalg.norm(u), 5)
+        # (weight.data, u, v, W / sigma) of the last inference call; not saved
+        self._cached_weight: tuple | None = None
 
     def effective_weight(self) -> Tensor:
+        """W / sigma, or W itself when sigma < eps.
+
+        A call under no_grad and outside training_mode reuses the last such
+        result while `weight.data`, `u` and `v` are the same array objects as
+        when it was made, so serving does not renormalize every layer per
+        request. Library code therefore assigns new arrays and never writes
+        into these: writing into `weight.data` after a no_grad call leaves
+        a stale W / sigma. Graph-building calls never use the cache.
+        """
         w = self.weight
         if _TRAINING and self.update_power_iter:
-            sigma_est, self.u, self.v = power_iteration(w.data, self.u, self.n_power_iters)
-        else:
-            sigma_est = float(self.u @ w.data @ self.v)
-        if sigma_est < self.eps:
-            return w
-        return spectral_normalize(w, self.u, self.v)
+            _, self.u, self.v = power_iteration(w.data, self.u, self.n_power_iters)
+        if _TRAINING or grad_enabled():
+            return spectral_normalize(w, self.u, self.v, self.eps)
+        c = self._cached_weight
+        if c is None or c[0] is not w.data or c[1] is not self.u or c[2] is not self.v:
+            c = (w.data, self.u, self.v, spectral_normalize(w, self.u, self.v, self.eps))
+            self._cached_weight = c
+        return c[3]
 
 
 class Mlp(Module):

@@ -89,5 +89,6 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            # decoupled decay: applied to the parameter directly, not the moments
-            p.data -= lr * (update + self.weight_decay * p.data)
+            # decoupled decay: applied to the parameter directly, not the moments;
+            # a new array, so caches keyed on the old one (SpectralLinear's) miss
+            p.data = p.data - lr * (update + self.weight_decay * p.data)

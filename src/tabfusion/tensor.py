@@ -20,12 +20,14 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "no_grad",
+    "grad_enabled",
     "add",
     "mul",
     "matmul",
     "linear",
     "spectral_normalize",
     "multi_head_attention",
+    "numeric_encoding",
     "reshape",
     "transpose",
     "concat",
@@ -82,6 +84,11 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
+
+
+def grad_enabled() -> bool:
+    """Whether ops record a graph: False inside no_grad."""
+    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -427,22 +434,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor._make(data, (x, w) if b is None else (x, w, b), bwd, "linear")
 
 
-def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray) -> Tensor:
+def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float | None = None) -> Tensor:
     """W / sigma with sigma = u^T W v, as one graph node.
 
     u and v are the singular-vector estimates of power iteration and are
     constants of the node, so the backward is the spectral-norm gradient
     dW = G / sigma - (<G, W> / sigma^2) u v^T (Miyato et al. 2018). sigma is
-    computed with matmul's per-row kernels and counts its products.
+    computed with matmul's per-row kernels and counts its products. With
+    `eps` given, a sigma below it leaves W unnormalized: w itself is returned.
     """
     global _MAC_COUNT
-    u = u.astype(w.dtype).reshape(1, -1)
-    v = v.astype(w.dtype).reshape(-1, 1)
+    u = u.astype(w.dtype, copy=False).reshape(1, -1)
+    v = v.astype(w.dtype, copy=False).reshape(-1, 1)
     uw = np.matmul(u[:, None, :], w.data)[:, 0, :]
     sigma = np.matmul(uw[:, None, :], v)[:, 0, :]  # [1, 1]
+    _MAC_COUNT += w.data.size + w.shape[1]
+    if eps is not None and sigma[0, 0] < eps:
+        return w
     inv = sigma ** -1.0
     data = w.data * inv
-    _MAC_COUNT += w.data.size + w.shape[1]
 
     def bwd(g):
         gw = g * inv
@@ -504,6 +514,61 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
                 k._accumulate(merge(np.matmul(np.swapaxes(ga, -1, -2), qh)))
 
     return Tensor._make(data, (q, k, v), bwd, "multi_head_attention")
+
+
+def numeric_encoding(
+    values: Tensor, missing_mask, freqs: Sequence[Tensor], missing: Sequence[Tensor]
+) -> Tensor:
+    """Sinusoid tokens of n numeric features, missing-value blend included,
+    as one graph node.
+
+    values [B, n] hold the features (missing slots zero-filled) and
+    missing_mask [B, n] is 1 where a value is missing. Feature k has
+    frequencies freqs[k] [d/2] and missing embedding missing[k] [d]; each of
+    these tensors is a parent. With a = (x f) pi, feature k's token is
+    (sin a_0, cos a_0, sin a_1, cos a_1, ...) (1 - m) + missing[k] m, so the
+    output is [B, n, d]. The elementwise operations and their order are
+    those of composing the ops one feature at a time.
+    """
+    b, n = values.shape
+    if not n or len(freqs) != n or len(missing) != n:
+        raise ShapeError("numeric_encoding", values.shape, *(t.shape for t in (*freqs, *missing)))
+    f = np.stack([t.data for t in freqs])  # [n, d/2]
+    e = np.stack([t.data for t in missing])  # [n, d]
+    if e.shape != (n, 2 * f.shape[1]):
+        raise ShapeError("numeric_encoding", values.shape, f.shape, e.shape)
+    arg = values.data[:, :, None] * f  # [B, n, d/2]
+    pi = arg.dtype.type(math.pi)
+    arg *= pi
+    sin, cos = np.sin(arg), np.cos(arg)
+    m = np.asarray(missing_mask, dtype=np.float32).reshape(b, n, 1)
+    keep = 1.0 - m
+    tok = np.empty(arg.shape + (2,), dtype=arg.dtype)
+    tok[..., 0] = sin
+    tok[..., 1] = cos
+    data = tok.reshape(b, n, e.shape[1]) * keep
+    data += e * m
+
+    def bwd(g):
+        if any(t.requires_grad for t in missing):
+            ge = (g * m).sum(axis=0)
+            for k, t in enumerate(missing):
+                if t.requires_grad:
+                    t._accumulate(ge[k])
+        if values.requires_grad or any(t.requires_grad for t in freqs):
+            gp = g.reshape(b, n, -1, 2)
+            ga = gp[..., 0] * cos
+            ga -= gp[..., 1] * sin
+            ga *= keep
+            ga *= pi
+            if values.requires_grad:
+                values._accumulate((ga * f).sum(axis=2))
+            gf = (ga * values.data[:, :, None]).sum(axis=0)
+            for k, t in enumerate(freqs):
+                if t.requires_grad:
+                    t._accumulate(gf[k])
+
+    return Tensor._make(data, (values, *freqs, *missing), bwd, "numeric_encoding")
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -16,14 +16,14 @@ class TestNumericEncoding:
     def test_zero_input_alternates_sin_cos(self):
         # sin(0)=0 and cos(0)=1 regardless of frequency, interleaved
         enc = numeric_encoder(d=8)
-        tok = enc.encode_numeric("x", [0.0], [0.0]).data[0]
+        tok = enc.encode_numeric(["x"], [[0.0]], [[0.0]]).data[0, 0]
         np.testing.assert_allclose(tok, [0.0, 1.0] * 4, atol=1e-7)
 
     def test_half_at_unit_frequency(self):
         # x=0.5, f=1: sin(pi/2)=1, cos(pi/2)=0
         enc = numeric_encoder(d=4)
         enc.freqs["x"].data[...] = [1.0, 2.0]
-        tok = enc.encode_numeric("x", [0.5], [0.0]).data[0]
+        tok = enc.encode_numeric(["x"], [[0.5]], [[0.0]]).data[0, 0]
         np.testing.assert_allclose(tok[:2], [1.0, 0.0], atol=1e-6)
         # f=2: sin(pi)=0, cos(pi)=-1
         np.testing.assert_allclose(tok[2:], [0.0, -1.0], atol=1e-6)
@@ -31,12 +31,12 @@ class TestNumericEncoding:
     def test_bounded_in_unit_interval(self, rng):
         enc = numeric_encoder(d=16, rng=rng)
         vals = rng.normal(scale=100.0, size=50)
-        toks = enc.encode_numeric("x", vals, np.zeros(50)).data
+        toks = enc.encode_numeric(["x"], vals[:, None], np.zeros((50, 1))).data
         assert np.all(np.abs(toks) <= 1.0 + 1e-6)
 
     def test_missing_uses_learned_embedding(self):
         enc = numeric_encoder(d=6)
-        tok = enc.encode_numeric("x", [0.0], [1.0]).data[0]
+        tok = enc.encode_numeric(["x"], [[0.0]], [[1.0]]).data[0, 0]
         np.testing.assert_allclose(tok, enc.missing["x"].data, atol=1e-7)
 
     def test_default_frequency_ladder(self):
@@ -52,7 +52,7 @@ class TestNumericEncoding:
         enc.missing["x"] = Tensor(rng.standard_normal(4), requires_grad=True)
 
         def build():
-            return (enc.encode_numeric("x", [0.3, -1.2], [0.0, 1.0]) ** 2.0).sum()
+            return (enc.encode_numeric(["x"], [[0.3], [-1.2]], [[0.0], [1.0]]) ** 2.0).sum()
 
         assert fd_gradient_check(build, [enc.freqs["x"], enc.missing["x"]]) < 1e-4
 
@@ -149,6 +149,20 @@ class TestAssembly:
         x1, _ = enc1.assemble_tokens(snaps)
         x2, _ = enc2.assemble_tokens(snaps)
         np.testing.assert_allclose(x2.data[0], x1.data[0][[2, 0, 1]], atol=1e-7)
+
+    def test_interleaved_numerics_gradient(self, rng):
+        # numerics split by another feature are slices of the one numeric node
+        schema = FeatureSchema(
+            [FeatureSpec("a", "numeric"), FeatureSpec("b", "categorical", vocab_size=3),
+             FeatureSpec("c", "numeric"), FeatureSpec("e", "numeric")], []
+        )
+        enc = FeatureEncoder(schema, 4, np.random.default_rng(12))
+        for p in enc.parameters().values():
+            p.data = p.data.astype(np.float64)
+        snaps = [Snapshot({"a": 0.4, "b": 1, "c": None, "e": 2.5}), Snapshot({"a": None, "b": 2, "c": -0.7})]
+        weight = Tensor(rng.standard_normal((2, 4, 4)))
+        leaves = [enc.freqs[k] for k in "ace"] + [enc.missing[k] for k in "ace"]
+        assert fd_gradient_check(lambda: (enc.assemble_tokens(snaps)[0] * weight).sum(), leaves) < 1e-4
 
     def test_asset_overflow_uses_selection(self):
         schema = FeatureSchema(

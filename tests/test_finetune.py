@@ -6,6 +6,7 @@ import pytest
 from conftest import random_snapshots, small_schema
 from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpecLite
 from tabfusion.finetune import (
+    VARIANCE_PANEL_COLS,
     FinetuneConfig,
     SngpHead,
     TaskSpec,
@@ -111,6 +112,33 @@ class TestLaplaceCovariance:
         probs = head.predict(pooled)["probs"]
         for i in range(50):
             np.testing.assert_array_equal(head.predict(pooled[i : i + 1])["probs"][0], probs[i])
+
+    @pytest.mark.parametrize("d_rf", [16, 32, 200, 1024])
+    def test_panels_give_the_dense_factor_variance(self, d_rf, rng):
+        head = SngpHead(8, 2, rng, d_rf=d_rf)
+        head.fit_covariance(
+            head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
+        )
+        phi = head.features(Tensor(rng.standard_normal((20, 8)))).data
+        y = phi @ np.linalg.inv(np.linalg.cholesky(head.precision)).T
+        np.testing.assert_allclose(head.variance(phi), np.einsum("ij,ij->i", y, y), rtol=1e-12, atol=0.0)
+        # only the upper-triangular column panels are kept
+        starts = range(0, d_rf, VARIANCE_PANEL_COLS)
+        assert [p.shape for p in head._factor[1]] == [
+            (min(c0 + VARIANCE_PANEL_COLS, d_rf), min(VARIANCE_PANEL_COLS, d_rf - c0)) for c0 in starts
+        ]
+
+    @pytest.mark.parametrize("d_rf", [200, 1024])
+    def test_variance_bitwise_alone_and_in_batches_of_1_to_17(self, d_rf, rng):
+        head = SngpHead(8, 2, rng, d_rf=d_rf)
+        head.fit_covariance(
+            head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
+        )
+        phi = head.features(Tensor(rng.standard_normal((17, 8)))).data
+        alone = head.variance(phi[:1])[0]
+        for size in range(1, 18):
+            rows = np.roll(phi[:size], size // 2, axis=0)  # row 0 sits at index size // 2
+            assert head.variance(rows)[size // 2] == alone
 
     def test_refit_reset_and_load_invalidate_cached_factor(self, rng):
         head = SngpHead(2, 2, rng, d_rf=8, ridge=0.5)

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: unused module-level imports,
-RunConfig fields that nothing reads, one list of model fields, and no
-hand-written parameter or buffer plumbing outside nn.Module."""
+RunConfig fields that nothing reads, one list of model fields, no
+hand-written parameter or buffer plumbing outside nn.Module, and no writes
+into a `.data` array."""
 
 import ast
 import inspect
@@ -152,3 +153,47 @@ def test_plumbing_scanner_spares_only_nn_module():
 
 def test_no_hand_written_state_plumbing():
     assert [name for path in MODULES for name in state_plumbing(path.read_text(), path.stem)] == []
+
+
+def data_writes(source: str) -> list[str]:
+    """Statements that write into a `.data` array rather than assign a new
+    one: `x.data[...] = y`, `x.data[i] += y` or `x.data -= y`, as 'line: target'.
+
+    SpectralLinear's inference cache holds while a weight's `.data` is the
+    same array, so a write into that array would leave it stale.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = [t for target in node.targets for t in ast.walk(target)]
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        else:
+            continue
+        for t in targets:
+            into_data = isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute) and t.value.attr == "data"
+            onto_data = isinstance(node, ast.AugAssign) and isinstance(t, ast.Attribute) and t.attr == "data"
+            if into_data or onto_data:
+                found.append(f"{node.lineno}: {ast.unparse(t)}")
+    return found
+
+
+def test_data_write_scanner_flags_only_writes_into_data():
+    source = (
+        "p.data[...] = best\n"
+        "p.data -= lr * g\n"
+        "w.data[1, 2] += h\n"
+        "a, self.weight.data[0] = 1, 2\n"
+        "p.data = p.data - lr * g\n"
+        "data[...] = 0\n"
+        "x.grad[...] = 0\n"
+        "y = x.data[0]\n"
+        "x.data.sum()\n"
+    )
+    assert data_writes(source) == [
+        "1: p.data[...]", "2: p.data", "3: w.data[1, 2]", "4: self.weight.data[0]",
+    ]
+
+
+def test_no_writes_into_data_arrays():
+    assert [f"{path.name}:{w}" for path in MODULES for w in data_writes(path.read_text())] == []

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient_check, random_snapshots, small_schema
+from tabfusion.checkpoint import load_checkpoint
+from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpecLite
 from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop
 from tabfusion.model import Model
 from tabfusion.nn import Linear, Mlp, Module, SpectralLinear, power_iteration, training_mode
 from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError
 from tabfusion.pretrain import PretrainConfig, pretrain_loop
-from tabfusion.tensor import Tensor
+from tabfusion.tensor import Tensor, no_grad
 
 
 class TestPowerIteration:
@@ -96,6 +98,124 @@ class TestSpectralLinear:
         u_before = layer.u.copy()
         layer(Tensor(rng.standard_normal((2, 4)).astype(np.float32)))
         np.testing.assert_array_equal(layer.u, u_before)
+
+
+def served(layer, x) -> np.ndarray:
+    """An inference forward: it fills and uses the layer's W / sigma cache."""
+    with no_grad():
+        return layer(x).data
+
+
+def fresh_twin(layer: SpectralLinear) -> SpectralLinear:
+    """A layer with copies of `layer`'s arrays and nothing cached."""
+    out_dim, in_dim = layer.weight.shape
+    twin = SpectralLinear(in_dim, out_dim, np.random.default_rng(0))
+    twin.weight = Tensor(layer.weight.data.copy(), requires_grad=True)
+    twin.bias = Tensor(layer.bias.data.copy(), requires_grad=True)
+    twin.u, twin.v = layer.u.copy(), layer.v.copy()
+    return twin
+
+
+def graph_embed(model, rows) -> np.ndarray:
+    """Pooled embeddings from a graph-building forward, which never uses the cache."""
+    x, mask = model.encoder.assemble_tokens(rows)
+    return model.trunk(x, mask, mode="finetune")[1].data
+
+
+class TestInferenceWeightCache:
+    """Outside training_mode a no_grad call reuses W / sigma until another
+    array is set as the weight's data, u or v. Each case fills the cache,
+    changes the layer the way the library does, and checks that the next
+    inference forward is that of a layer with nothing cached."""
+
+    def make(self, rng):
+        layer = SpectralLinear(6, 5, rng)
+        x = Tensor(rng.standard_normal((3, 6)).astype(np.float32))
+        served(layer, x)
+        return layer, x
+
+    def assert_fresh(self, layer, x):
+        assert np.array_equal(served(layer, x), served(fresh_twin(layer), x))
+
+    def test_reused_only_by_inference_calls(self, rng):
+        layer, _ = self.make(rng)
+        with no_grad():
+            cached = layer.effective_weight()
+            assert layer.effective_weight() is cached
+            with training_mode():
+                assert layer.effective_weight() is not cached
+        assert layer.effective_weight() is not cached
+        assert layer.effective_weight().requires_grad
+
+    def test_after_adamw_step(self, rng):
+        layer, x = self.make(rng)
+        opt = AdamW({"weight": layer.weight, "bias": layer.bias}, lr=0.1)
+        (layer(x) ** 2.0).sum().backward()
+        opt.step()
+        self.assert_fresh(layer, x)
+
+    def test_after_training_mode_forward(self, rng):
+        layer, x = self.make(rng)
+        u = layer.u
+        with training_mode():
+            layer(x)  # power iteration sets new u and v
+        assert layer.u is not u
+        self.assert_fresh(layer, x)
+
+    def test_after_assigning_a_new_weight_tensor(self, rng):
+        layer, x = self.make(rng)
+        layer.weight = Tensor(rng.standard_normal((5, 6)).astype(np.float32), requires_grad=True)
+        self.assert_fresh(layer, x)
+
+    def test_no_grad_and_graph_forward_bitwise_equal(self, rng):
+        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=4)
+        rows = random_snapshots(small_schema(), 7, seed=1, missing_rate=0.2)
+        x, mask = model.encoder.assemble_tokens(rows)
+        for _ in range(2):  # fills the caches, then uses them
+            served_tokens, served_pooled = model.trunk(x, mask, mode="inference")
+        tokens, pooled = model.trunk(x, mask, mode="finetune")
+        assert np.array_equal(served_tokens.data, tokens.data)
+        assert np.array_equal(served_pooled.data, pooled.data)
+        assert not served_pooled.requires_grad
+        assert pooled.requires_grad and pooled._parents and pooled._backward is not None
+
+    def test_after_finetune_best_state_restore(self):
+        schema = FeatureSchema(
+            [FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], [TaskSpecLite("risk", 2)]
+        )
+        snaps = random_snapshots(schema, 40, seed=0, label_rule=lambda v, rng: int(v["x"] > 0))
+        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        cfg = FinetuneConfig(steps=20, batch_size=16, d_rf=32, eval_every=1, patience=1)
+        curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg, val_indices=list(range(10)))
+        # stopped early: the last evaluation served the last step's weights,
+        # and the restore replaced them with the best ones
+        assert len(curve) < cfg.steps
+        assert np.array_equal(model.embed(snaps), graph_embed(model, snaps))
+
+    def test_after_model_load(self, tmp_path, monkeypatch, rng):
+        schema = small_schema()
+        rows = random_snapshots(schema, 6, seed=2)
+        model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=1)
+        for p in model.parameters().values():  # away from the initial weights load starts from
+            p.data = p.data + rng.normal(scale=0.1, size=p.shape).astype(p.dtype)
+        want = model.embed(rows)
+        model.save(tmp_path / "m.ckpt", {})
+        init = Model.__init__
+
+        def init_and_serve(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.embed(rows)  # caches W / sigma of the random initial weights
+
+        monkeypatch.setattr(Model, "__init__", init_and_serve)
+        loaded = Model.load(tmp_path / "m.ckpt")
+        assert np.array_equal(loaded.embed(rows), want)
+
+    def test_cache_is_not_saved(self, tmp_path):
+        model = Model(small_schema(), d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=1)
+        model.embed(random_snapshots(small_schema(), 3, seed=2))
+        model.save(tmp_path / "m.ckpt", {})
+        _, arrays = load_checkpoint(tmp_path / "m.ckpt")
+        assert arrays and not [name for name in arrays if "_cached" in name]
 
 
 class TestModule:

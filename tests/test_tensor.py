@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from tabfusion.tensor import (
     matmul,
     multi_head_attention,
     no_grad,
+    numeric_encoding,
     reduce_mean,
     reduce_sum,
     softmax,
@@ -152,6 +154,7 @@ def _every_op(x, w):
         concat([x, h], axis=1), x.sum(), x.mean(axis=0), softmax(x), log_softmax(x), layer_norm(x), gelu(x),
         linear(x, w), linear(x3, w, w[2]), spectral_normalize(w, unit, unit),
         multi_head_attention(x3, x3 * 2.0, x3, heads=3, key_mask=np.array([[1.0, 0.0], [1.0, 1.0]])),
+        numeric_encoding(x, np.eye(4, 3), [w[0], w[1], w[2]], [x[:2].reshape(6)] * 3),
     ]
 
 
@@ -336,10 +339,26 @@ class TestFusedOps:
         assert np.all(layer_norm(x32).data[0, 0] == 0.0)
 
 
+def per_feature_numeric_encoding(values, miss, freqs, missing) -> Tensor:
+    """The composition numeric_encoding replaces: each feature's sinusoid
+    from elementwise ops, then its missing-value blend, stacked on axis 1."""
+    b, n = values.shape
+    tokens = []
+    for k in range(n):
+        d = missing[k].shape[0]
+        arg = Tensor(values[:, k : k + 1]) * freqs[k].reshape(1, -1) * math.pi
+        s = arg.sin().reshape(b, d // 2, 1)
+        c = arg.cos().reshape(b, d // 2, 1)
+        se = concat([s, c], axis=2).reshape(b, d)
+        m = Tensor(miss[:, k : k + 1])
+        tokens.append((se * (1.0 - m) + missing[k].reshape(1, d) * m).reshape(b, 1, d))
+    return concat(tokens, axis=1)
+
+
 class TestOneNodeOps:
-    """linear, spectral_normalize and multi_head_attention are single graph
-    nodes with analytic backward passes, checked in float64 against finite
-    differences through a random output weight."""
+    """linear, spectral_normalize, multi_head_attention and numeric_encoding
+    are single graph nodes with analytic backward passes, checked in float64
+    against finite differences through a random output weight."""
 
     @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
@@ -396,6 +415,33 @@ class TestOneNodeOps:
             multi_head_attention(x, x, Tensor(np.ones((2, 3, 2))))
         with pytest.raises(ShapeError):
             multi_head_attention(x, x, x, heads=3)
+
+    def test_numeric_encoding_gradient(self, rng):
+        b, n, h = 5, 3, 4
+        x = t64(rng.standard_normal((b, n)))
+        miss = (rng.random((b, n)) < 0.3).astype(np.float64)
+        miss[0] = [1.0, 0.0, 1.0]
+        x.data[miss == 1.0] = 0.0  # missing slots are zero-filled
+        freqs = [t64(rng.uniform(0.1, 2.0, h)) for _ in range(n)]
+        missing = [t64(rng.standard_normal(2 * h)) for _ in range(n)]
+        c = t64(rng.standard_normal((b, n, 2 * h)), grad=False)
+        out = numeric_encoding(x, miss, freqs, missing)
+        assert out.shape == (b, n, 2 * h) and out._parents == (x, *freqs, *missing)
+
+        def build():
+            return (numeric_encoding(x, miss, freqs, missing) * c).sum()
+
+        assert fd_gradient_check(build, [x] + freqs + missing) < 1e-4
+
+    @pytest.mark.parametrize("b, n, d", [(1, 6, 32), (7, 1, 8), (64, 6, 32), (33, 4, 16)])
+    def test_numeric_encoding_is_per_feature_composition_bitwise(self, b, n, d, rng):
+        values = (rng.standard_normal((b, n)) * 10.0 ** rng.integers(-2, 3, (b, n))).astype(np.float32)
+        miss = (rng.random((b, n)) < 0.2).astype(np.float32)
+        values[miss == 1.0] = 0.0
+        freqs = [Tensor(np.geomspace(0.1, 10.0, d // 2).astype(np.float32) * (k + 1)) for k in range(n)]
+        missing = [Tensor(rng.standard_normal(d).astype(np.float32)) for _ in range(n)]
+        got = numeric_encoding(Tensor(values), miss, freqs, missing).data
+        assert np.array_equal(got, per_feature_numeric_encoding(values, miss, freqs, missing).data)
 
     @pytest.mark.parametrize("n", range(1, 34))
     def test_row_max_equals_numpy_max_bitwise(self, n):
