@@ -9,6 +9,7 @@ positional encoding is added (the token set is unordered).
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -123,16 +124,11 @@ class FeatureEncoder(Module):
             miss = [[1.0 if v is None else 0.0 for v in row] for row in raw]
             vals = [[0.0 if v is None else v for v in row] for row in raw]
             num = self.encode_numeric(numeric, vals, miss)
-        blocks = []  # a slice stands for a run of consecutive numeric tokens of `num`
+        blocks = []  # None marks a numeric token; `num` holds them in schema order
         mask_cols = []
-        k = 0
         for f in self.schema:
             if f.kind == FeatureKind.NUMERIC:
-                if blocks and isinstance(blocks[-1], slice):
-                    blocks[-1] = slice(blocks[-1].start, k + 1)
-                else:
-                    blocks.append(slice(k, k + 1))
-                k += 1
+                blocks.append(None)
                 mask_cols.append(np.ones((b, 1), dtype=np.float32))
             elif f.kind == FeatureKind.CATEGORICAL:
                 vals = [s.values.get(f.name) for s in snapshots]
@@ -156,26 +152,33 @@ class FeatureEncoder(Module):
                 tok = self.encode_embedding_feature(f.dim, vecs)
                 blocks.append(self._blend_missing(tok, f.name, miss).reshape(b, 1, self.d))
                 mask_cols.append(np.ones((b, 1), dtype=np.float32))
-            else:  # multi-embedding: k slots, padded and masked
-                k = f.max_count
-                vecs = np.zeros((b, k, f.dim), dtype=np.float32)
-                present = np.zeros((b, k), dtype=np.float32)
+            else:  # multi-embedding: max_count slots, padded and masked
+                slots = f.max_count
+                vecs = np.zeros((b, slots, f.dim), dtype=np.float32)
+                present = np.zeros((b, slots), dtype=np.float32)
                 for i, s in enumerate(snapshots):
                     assets = s.values.get(f.name) or []
                     assets = select_top_k_assets(
-                        assets, k, criterion=self.asset_criterion, seed=self.asset_seed
+                        assets, slots, criterion=self.asset_criterion, seed=self.asset_seed
                     )
                     for j, a in enumerate(assets):
                         vecs[i, j] = a.vector
                         present[i, j] = 1.0
-                proj = self.encode_embedding_feature(f.dim, vecs.reshape(b * k, f.dim))
-                proj = proj.reshape(b, k, self.d)
-                p = Tensor(present.reshape(b, k, 1))
+                proj = self.encode_embedding_feature(f.dim, vecs.reshape(b * slots, f.dim))
+                proj = proj.reshape(b, slots, self.d)
+                p = Tensor(present.reshape(b, slots, 1))
                 pad = self.pads[f.name].reshape(1, 1, self.d)
                 blocks.append(proj * p + pad * (1.0 - p))
                 mask_cols.append(present)
-        whole = slice(0, len(numeric))
-        blocks = [(num if blk == whole else num[:, blk]) if isinstance(blk, slice) else blk for blk in blocks]
-        x = concat(blocks, axis=1)
+        parts, start = [], 0
+        for is_numeric, run in groupby(blocks, key=lambda blk: blk is None):
+            run = list(run)
+            if is_numeric:  # one slice of `num` per run of consecutive numeric tokens
+                stop = start + len(run)
+                parts.append(num if len(run) == len(numeric) else num[:, start:stop])
+                start = stop
+            else:
+                parts.extend(run)
+        x = concat(parts, axis=1)
         mask = np.concatenate(mask_cols, axis=1)
         return x, mask

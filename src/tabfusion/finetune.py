@@ -278,7 +278,8 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
             metric = sum(record[f"val_auprc.{name}"] for name in val_tasks) / len(val_tasks)
             if metric > best_metric + 1e-12:
                 best_metric = metric
-                best_state = {k: p.data.copy() for k, p in params.items()}
+                # references suffice: optimizer steps assign new arrays, never write in place
+                best_state = {k: p.data for k, p in params.items()}
                 stale = 0
             else:
                 stale += 1

@@ -434,14 +434,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor._make(data, (x, w) if b is None else (x, w, b), bwd, "linear")
 
 
-def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float | None = None) -> Tensor:
+def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> Tensor:
     """W / sigma with sigma = u^T W v, as one graph node.
 
     u and v are the singular-vector estimates of power iteration and are
     constants of the node, so the backward is the spectral-norm gradient
     dW = G / sigma - (<G, W> / sigma^2) u v^T (Miyato et al. 2018). sigma is
-    computed with matmul's per-row kernels and counts its products. With
-    `eps` given, a sigma below it leaves W unnormalized: w itself is returned.
+    computed with matmul's per-row kernels and counts its products. A sigma
+    below `eps` leaves W unnormalized: w itself is returned.
     """
     global _MAC_COUNT
     u = u.astype(w.dtype, copy=False).reshape(1, -1)
@@ -449,7 +449,7 @@ def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float | Non
     uw = np.matmul(u[:, None, :], w.data)[:, 0, :]
     sigma = np.matmul(uw[:, None, :], v)[:, 0, :]  # [1, 1]
     _MAC_COUNT += w.data.size + w.shape[1]
-    if eps is not None and sigma[0, 0] < eps:
+    if sigma[0, 0] < eps:
         return w
     inv = sigma ** -1.0
     data = w.data * inv

@@ -164,6 +164,42 @@ class TestAssembly:
         leaves = [enc.freqs[k] for k in "ace"] + [enc.missing[k] for k in "ace"]
         assert fd_gradient_check(lambda: (enc.assemble_tokens(snaps)[0] * weight).sum(), leaves) < 1e-4
 
+    def test_numerics_around_multi_embeddings_match_per_feature_encoding(self, rng):
+        # each numeric token, wherever it sits among multi-slot features, is
+        # its own feature's encoding and sends its gradient to its own leaves
+        schema = FeatureSchema(
+            [FeatureSpec("a", "numeric"), FeatureSpec("m", "multi_embedding", dim=3, max_count=2),
+             FeatureSpec("b", "numeric"), FeatureSpec("c", "categorical", vocab_size=3),
+             FeatureSpec("e", "numeric"), FeatureSpec("n", "multi_embedding", dim=3, max_count=1),
+             FeatureSpec("g", "numeric")], []
+        )
+        enc = FeatureEncoder(schema, 4, np.random.default_rng(14))
+        for p in enc.parameters().values():
+            p.data = p.data.astype(np.float64)
+        asset = Asset(np.ones(3, dtype=np.float32), timestamp=0.0)
+        snaps = [Snapshot({"a": 0.4, "m": [asset], "b": -1.1, "c": 1, "e": None, "n": [], "g": 2.5}),
+                 Snapshot({"a": None, "m": [], "b": 0.3, "c": 2, "e": 0.9, "n": [asset], "g": -0.2})]
+        x, mask = enc.assemble_tokens(snaps)
+        assert x.shape == (2, schema.token_count(), 4) and mask.shape == (2, schema.token_count())
+
+        positions = {"a": 0, "b": 3, "e": 5, "g": 7}
+        weight = Tensor(rng.standard_normal((2, schema.token_count(), 4)))
+        leaves = [enc.freqs[k] for k in positions] + [enc.missing[k] for k in positions]
+        (x * weight).sum().backward()
+        got = [leaf.grad for leaf in leaves]
+        for leaf in leaves:
+            leaf.grad = None
+        ref_loss = 0.0
+        for name, pos in positions.items():
+            vals = [[s.values[name] or 0.0] for s in snaps]
+            miss = [[float(s.values[name] is None)] for s in snaps]
+            tok = enc.encode_numeric([name], vals, miss)
+            np.testing.assert_array_equal(x.data[:, pos:pos + 1], tok.data)
+            ref_loss = (tok * weight[:, pos:pos + 1]).sum() + ref_loss
+        ref_loss.backward()
+        for g, leaf in zip(got, leaves):
+            np.testing.assert_allclose(g, leaf.grad, rtol=1e-12, atol=1e-12)
+
     def test_asset_overflow_uses_selection(self):
         schema = FeatureSchema(
             [FeatureSpec("m", "multi_embedding", dim=3, max_count=2)], []
