@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import Linear, Module, training_mode
+from .nn import Linear, Module, SpectralLinear, training_mode
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, linear, no_grad, softmax
 
@@ -204,10 +204,11 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     scored by AUPRC on the held-out rows labeled for its task, recorded as
     `val_auprc.<task>`. Only tasks whose labeled held-out rows include a
     positive are scored; the mean of their AUPRCs drives early stopping with
-    `cfg.patience`, and the parameters with the best mean are restored at the
-    end. When no task has a held-out positive there is nothing to score: the
-    rows stay held out, but early stopping is skipped and no `val_auprc`
-    enters the records.
+    `cfg.patience`. At the end the parameters with the best mean are
+    restored, with the power-iteration vectors u and v of the trained
+    spectral layers, so the model is the one that was scored. When no task
+    has a held-out positive there is nothing to score: the rows stay held
+    out, but early stopping is skipped and no `val_auprc` enters the records.
     """
     from .metrics import auprc
 
@@ -227,6 +228,12 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     trained = tuple(f"heads.{t.name}." for t in tasks) + (() if cfg.linear_probe else ("encoder.", "trunk."))
     params = {k: p for k, p in model.parameters().items() if k.startswith(trained)}
     opt = AdamW(params, weight_decay=cfg.weight_decay)
+    # power iteration moves the trained spectral layers' u and v every step:
+    # the scored W / sigma comes back only if they are restored with W
+    iterates = [
+        (owner, key) for path, owner, key, _ in model.named_state()
+        if path.startswith(trained) and isinstance(owner, SpectralLinear) and key in ("u", "v")
+    ]
 
     val_set, val_tasks = [], {}  # task name -> (held-out rows labeled for it, their labels)
     if val_indices is None:
@@ -278,8 +285,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
             metric = sum(record[f"val_auprc.{name}"] for name in val_tasks) / len(val_tasks)
             if metric > best_metric + 1e-12:
                 best_metric = metric
-                # references suffice: optimizer steps assign new arrays, never write in place
-                best_state = {k: p.data for k, p in params.items()}
+                # references suffice: optimizer steps and power iteration
+                # assign new arrays, never write in place
+                best_state = {k: p.data for k, p in params.items()}, [getattr(o, k) for o, k in iterates]
                 stale = 0
             else:
                 stale += 1
@@ -287,8 +295,11 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
                     break
 
     if best_state is not None:
+        data, vectors = best_state
         for k, p in params.items():
-            p.data = best_state[k]
+            p.data = data[k]
+        for (owner, key), vec in zip(iterates, vectors):
+            setattr(owner, key, vec)
 
     fit_heads_covariance(model, train_set, tasks)
     return curve

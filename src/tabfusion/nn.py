@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, gelu, grad_enabled, linear, spectral_normalize
+from .tensor import Tensor, ffn, grad_enabled, linear, spectral_normalize
 
 __all__ = [
     "Module",
@@ -166,7 +166,12 @@ class SpectralLinear(Linear):
 
 
 class Mlp(Module):
-    """Two-layer feed-forward block with gelu, optionally spectrally normalized."""
+    """Two-layer feed-forward block with gelu, optionally spectrally normalized.
+
+    One `ffn` graph node over the effective weights and biases of `fc1` and
+    `fc2`: it runs in blocks of examples and keeps only fc1's output for the
+    backward. The layers stay modules, so parameter names do not change.
+    """
 
     def __init__(
         self,
@@ -181,5 +186,6 @@ class Mlp(Module):
         self.fc2 = cls(hidden_dim, out_dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(gelu(self.fc1(x)))
+        fc1, fc2 = self.fc1, self.fc2
+        return ffn(x, fc1.effective_weight(), fc1.bias, fc2.effective_weight(), fc2.bias)
 

@@ -37,6 +37,7 @@ __all__ = [
     "log_softmax",
     "layer_norm",
     "gelu",
+    "ffn",
     "reset_mac_count",
     "mac_count",
 ]
@@ -691,17 +692,21 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
 
     One graph node: it keeps the output y and inv = (var + eps)^-1/2, and its
     backward is inv * (g - mean(g) - y * mean(g * y)) over the last axis.
+    Each mean is a sum divided by n, which is bitwise np.mean without its
+    per-call overhead.
     """
-    y = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = np.mean(y * y, axis=-1, keepdims=True)
+    n = x.shape[-1]
+    y = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    inv = (y * y).sum(axis=-1, keepdims=True)
+    inv /= n
     inv += eps
     inv **= -0.5
     y *= inv
 
     def bwd(g):
         gy = g * y
-        gx = g - g.mean(axis=-1, keepdims=True)
-        np.multiply(y, gy.mean(axis=-1, keepdims=True), out=gy)
+        gx = g - g.sum(axis=-1, keepdims=True) / n
+        np.multiply(y, gy.sum(axis=-1, keepdims=True) / n, out=gy)
         gx -= gy
         gx *= inv
         x._accumulate(gx)
@@ -713,37 +718,135 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
+def _gelu(x: np.ndarray, th: np.ndarray, out: np.ndarray) -> None:
+    """tanh-approximation gelu of x into out, in x's dtype: th receives
+    tanh(c (x + k x^3)) and out 0.5 x (1 + th). Both are written in place."""
+    np.multiply(x, x, out=th)
+    th *= _GELU_K
+    th += 1.0
+    th *= x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    np.add(th, 1.0, out=out)
+    out *= x
+    out *= 0.5
+
+
+def _gelu_grad(x: np.ndarray, th: np.ndarray, g: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = g * gelu'(x) given th from _gelu; tmp is a work array of out's shape.
+
+    d/dx = 0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3k x^2).
+    """
+    np.multiply(th, th, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= x
+    out *= _GELU_C
+    np.multiply(x, x, out=tmp)
+    tmp *= 3.0 * _GELU_K
+    tmp += 1.0
+    out *= tmp
+    np.add(th, 1.0, out=tmp)
+    out += tmp
+    out *= g
+    out *= 0.5
+
+
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation gelu (the form recorded in model configs).
 
     One graph node: 0.5 x (1 + th) with th = tanh(c (x + k x^3)), computed in
-    place in the input dtype. The backward reuses th and x^2.
+    the input dtype. The backward reuses th.
     """
     xd = x.data
-    x2 = xd * xd
-    th = x2 * _GELU_K
-    th += 1.0
-    th *= xd
-    th *= _GELU_C
-    np.tanh(th, out=th)
-    data = th + 1.0
-    data *= xd
-    data *= 0.5
+    th, data = np.empty_like(xd), np.empty_like(xd)
+    _gelu(xd, th, data)
 
     def bwd(g):
-        # d/dx = 0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3k x^2)
-        gx = th * th
-        np.subtract(1.0, gx, out=gx)
-        gx *= xd
-        gx *= _GELU_C
-        slope = x2 * (3.0 * _GELU_K)
-        slope += 1.0
-        gx *= slope
-        np.add(th, 1.0, out=slope)
-        gx += slope
-        gx *= g
-        gx *= 0.5
+        gx = np.empty_like(xd)
+        _gelu_grad(xd, th, g, gx, np.empty_like(xd))
         x._accumulate(gx)
 
     return Tensor._make(data, (x,), bwd, "gelu")
 
+
+# bytes of hidden activation per ffn block: 256 rows of 512 float32, sized
+# so a block's few hidden-sized temporaries stay in cache
+_FFN_BLOCK_BYTES = 256 * 512 * 4
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) as one graph node.
+
+    w1 is [hidden, in] and w2 [out, hidden]. Axis 0 of x is walked in blocks
+    of whole examples whose hidden activation fits _FFN_BLOCK_BYTES; each
+    block uses linear's kernels (per-row for 2-D x, one stacked matmul
+    otherwise), so the output is bitwise that of the three ops and does not
+    depend on the batch. The node keeps only the pre-activation x w1^T + b1;
+    its backward recomputes gelu from it one block at a time.
+    """
+    global _MAC_COUNT
+    if (
+        x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[1] or w2.shape[1] != w1.shape[0]
+        or b1.shape != w1.shape[:1] or b2.shape != w2.shape[:1]
+    ):
+        raise ShapeError("ffn", x.shape, w1.shape, b1.shape, w2.shape, b2.shape)
+    (hidden, d_in), d_out = w1.shape, w2.shape[0]
+    lead = x.shape[:-1]
+    dtype = np.result_type(x.data, w1.data)
+    per_example = math.prod(lead[1:]) * hidden * dtype.itemsize
+    step = max(1, _FFN_BLOCK_BYTES // max(per_example, 1))
+    blocks = [slice(lo, min(lo + step, lead[0])) for lo in range(0, lead[0], step)]
+    w1t, w2t = w1.data.T, w2.data.T
+
+    def fc(a: np.ndarray, wt: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        if a.ndim == 2:  # linear's per-row kernel
+            np.matmul(a[:, None, :], wt, out=out[:, None, :])
+        else:
+            np.matmul(a, wt, out=out)
+        out += b
+
+    keep = _GRAD_ENABLED and any(t.requires_grad for t in (x, w1, b1, w2, b2))
+    pre = np.empty(lead + (hidden,), dtype=dtype) if keep else None
+    block = (min(step, lead[0]),) + lead[1:] + (hidden,)
+    work = np.empty((3,) + block, dtype=dtype)
+    data = np.empty(lead + (d_out,), dtype=np.result_type(dtype, w2.data))
+    for s in blocks:
+        n = s.stop - s.start
+        p, th, h = (pre[s] if keep else work[0, :n]), work[1, :n], work[2, :n]
+        fc(x.data[s], w1t, b1.data, p)
+        _gelu(p, th, h)
+        fc(h, w2t, b2.data, data[s])
+    _MAC_COUNT += math.prod(lead) * (hidden * d_in + d_out * hidden)
+
+    def bwd(g):
+        want_pre = x.requires_grad or w1.requires_grad or b1.requires_grad
+        grads = [np.zeros(t.shape, dtype=t.dtype) if t.requires_grad else None for t in (w1, b1, w2, b2)]
+        gw1, gb1, gw2, gb2 = grads
+        gx = np.empty(x.shape, dtype=np.result_type(g, w1.data)) if x.requires_grad else None
+        buf = np.empty((4,) + block, dtype=np.result_type(dtype, g))
+        for s in blocks:
+            n = s.stop - s.start
+            p, g2 = pre[s], g[s].reshape(-1, d_out)
+            th, h, dh, dp = buf[0, :n], buf[1, :n], buf[2, :n], buf[3, :n]
+            _gelu(p, th, h)
+            if gw2 is not None:
+                gw2 += g2.T @ h.reshape(-1, hidden)
+            if gb2 is not None:
+                gb2 += g2.sum(axis=0)
+            if not want_pre:
+                continue
+            # one gemm over the block: only the forward must keep linear's kernels
+            np.matmul(g2, w2.data, out=dh.reshape(-1, hidden))
+            _gelu_grad(p, th, dh, dp, h)
+            p2 = dp.reshape(-1, hidden)
+            if gw1 is not None:
+                gw1 += p2.T @ x.data[s].reshape(-1, d_in)
+            if gb1 is not None:
+                gb1 += p2.sum(axis=0)
+            if gx is not None:
+                np.matmul(dp, w1.data, out=gx[s])
+        for t, gt in zip((x, w1, b1, w2, b2), (gx, *grads)):
+            if gt is not None:
+                t._accumulate(gt)
+
+    return Tensor._make(data, (x, w1, b1, w2, b2), bwd, "ffn")

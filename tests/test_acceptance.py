@@ -219,6 +219,9 @@ def test_criterion_04_spectral_normalization():
         w = rng.standard_normal((rows, cols)) * rng.uniform(0.1, 5.0)
         u0 = rng.standard_normal(rows)
         sigma, _, _ = power_iteration(w, u0 / np.linalg.norm(u0), iters=100)
+        # a matmul here has been seen to warn "invalid value" on finite
+        # inputs; a result that really is non-finite fails the test
+        assert np.isfinite(sigma)
         svd_sigma = np.linalg.svd(w, compute_uv=False)[0]
         worst_sigma_err = max(worst_sigma_err, abs(sigma - svd_sigma))
 
@@ -228,6 +231,7 @@ def test_criterion_04_spectral_normalization():
         with training_mode():
             layer.n_power_iters = 100
             w_eff = layer.effective_weight().data
+        assert np.all(np.isfinite(w_eff))
         sigmas.append(np.linalg.svd(w_eff, compute_uv=False)[0])
     sig_lo, sig_hi = min(sigmas), max(sigmas)
     ok = worst_sigma_err < 1e-4 and 0.999 <= sig_lo and sig_hi <= 1.001

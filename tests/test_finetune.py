@@ -355,6 +355,28 @@ class TestFinetuneLoop:
             labels = np.array([snaps[i].labels[t] for i in val])
             assert auprc(scores, labels) == curve[best][f"val_auprc.{t}"]
 
+    def test_early_stopping_restores_the_scored_model_bitwise(self, monkeypatch):
+        """Power iteration moves every spectral layer's u and v after the
+        best evaluation; the restored model must embed as the scored one."""
+        _, snaps, model = separable_setup(n=60)
+        val = list(range(20))
+        scored = []
+        embed = model.embed
+
+        def recording(rows, *args, **kw):
+            out = embed(rows, *args, **kw)
+            if len(rows) == len(val):
+                scored.append(out)
+            return out
+
+        monkeypatch.setattr(model, "embed", recording)
+        curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=30, eval_every=3, patience=100), val)
+        metrics = [rec["val_auprc.risk"] for rec in curve if "val_auprc.risk" in rec]
+        assert len(scored) == len(metrics) == 10
+        best = int(np.argmax(metrics))
+        assert best < len(metrics) - 1  # the loop went on past the best evaluation
+        assert np.array_equal(embed([snaps[i] for i in val]), scored[best])
+
 
 def two_task_setup():
     """Task `a` fully labeled, task `b` labeled on every third row."""

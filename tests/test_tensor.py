@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradient_check, small_schema
 from tabfusion.model import Model
+import tabfusion.tensor as tensor_mod
 from tabfusion.tensor import (
     ShapeError,
     Tensor,
     _row_max,
     concat,
+    ffn,
     gelu,
     layer_norm,
     linear,
@@ -155,6 +157,7 @@ def _every_op(x, w):
         linear(x, w), linear(x3, w, w[2]), spectral_normalize(w, su[:, 0], svt[0], 1e-8),
         multi_head_attention(x3, x3 * 2.0, x3, heads=3, key_mask=np.array([[1.0, 0.0], [1.0, 1.0]])),
         numeric_encoding(x, np.eye(4, 3), [w[0], w[1], w[2]], [x[:2].reshape(6)] * 3),
+        ffn(x, w, w[0], w, w[1]), ffn(x3, w * 2.0, w[2], w, w[0]),
     ]
 
 
@@ -319,6 +322,23 @@ class TestFusedOps:
         assert op(x)._parents == (x,)
         assert fd_gradient_check(lambda: (op(x) * w).sum(), [x]) < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 16, 32), (256, 16, 32), (1, 256, 128), (7, 5), (3, 1, 16, 33)])
+    def test_layer_norm_is_the_np_mean_form_bitwise(self, shape, dtype, rng):
+        x = Tensor((rng.standard_normal(shape) * 3.0 + 1.0).astype(dtype), requires_grad=True)
+        g = rng.standard_normal(shape).astype(dtype)
+        out = layer_norm(x)
+        (out * Tensor(g)).sum().backward()  # out's gradient is g exactly
+        y = x.data - np.mean(x.data, axis=-1, keepdims=True)
+        inv = (np.mean(y * y, axis=-1, keepdims=True) + 1e-5) ** -0.5
+        y *= inv
+        gx = g - np.mean(g, axis=-1, keepdims=True)
+        gx -= y * np.mean(g * y, axis=-1, keepdims=True)
+        gx *= inv
+        assert out.dtype == dtype and x.grad.dtype == dtype
+        assert np.array_equal(out.data, y)
+        assert np.array_equal(x.grad, gx)
+
     def test_batched_activation_times_weight_gradients(self, rng):
         a = t64(rng.standard_normal((3, 4, 5)))
         w = t64(rng.standard_normal((5, 2)))
@@ -457,6 +477,89 @@ class TestOneNodeOps:
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
         assert np.array_equal(_row_max(x.astype(np.float64)), want.astype(np.float64), equal_nan=True)
+
+
+class TestFfn:
+    """ffn is linear -> gelu -> linear as one node that walks axis 0 in
+    blocks of examples and keeps only the pre-activation."""
+
+    @staticmethod
+    def leaves(rng, d_in, hidden, d_out, dtype=np.float64, grad=True):
+        def t(*shape, scale=1.0):
+            return Tensor((rng.standard_normal(shape) * scale).astype(dtype), requires_grad=grad)
+
+        return t(hidden, d_in, scale=0.5), t(hidden), t(d_out, hidden, scale=0.5), t(d_out)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 3, 4), (1, 5, 4)], ids=["2d", "3d", "isa"])
+    def test_gradient_over_blocks_with_a_tail(self, shape, rng, monkeypatch):
+        hidden = 6
+        # two examples per block, so a batch of 5 ends in a block of one
+        per_example = math.prod(shape[1:-1]) * hidden * 8
+        monkeypatch.setattr(tensor_mod, "_FFN_BLOCK_BYTES", 2 * per_example)
+        x = t64(rng.standard_normal(shape))
+        w1, b1, w2, b2 = self.leaves(rng, 4, hidden, 3)
+        c = t64(rng.standard_normal(shape[:-1] + (3,)), grad=False)
+        out = ffn(x, w1, b1, w2, b2)
+        assert out._parents == (x, w1, b1, w2, b2)
+        with no_grad():
+            want = linear(gelu(linear(x, w1, b1)), w2, b2).data
+        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+        assert fd_gradient_check(lambda: (ffn(x, w1, b1, w2, b2) * c).sum(), [x, w1, b1, w2, b2]) < 1e-4
+
+    @pytest.mark.parametrize("shape", [(40, 16, 32), (600, 8), (1, 300, 32)], ids=["3d", "2d", "isa"])
+    def test_forward_is_the_three_ops_bitwise_in_any_batch(self, shape, rng):
+        hidden = 512 if len(shape) == 3 else 256
+        # a [40, 16] or [600] batch spans three blocks of _FFN_BLOCK_BYTES
+        x = Tensor(rng.standard_normal(shape).astype(np.float32))
+        params = self.leaves(rng, shape[-1], hidden, 16, np.float32, grad=False)
+        with no_grad():
+            got = ffn(x, *params).data
+            want = linear(gelu(linear(x, *params[:2])), *params[2:]).data
+            assert np.array_equal(got, want)
+            if shape[0] > 1:
+                for i in (0, 17, shape[0] - 1):
+                    assert np.array_equal(ffn(Tensor(x.data[i : i + 1]), *params).data, got[i : i + 1])
+
+    def test_counts_the_macs_of_two_linears(self, rng):
+        x = Tensor(rng.standard_normal((7, 3, 4)).astype(np.float32))
+        params = self.leaves(rng, 4, 10, 5, np.float32)
+        tensor_mod.reset_mac_count()
+        linear(linear(x, *params[:2]), *params[2:])
+        want = tensor_mod.mac_count()
+        tensor_mod.reset_mac_count()
+        ffn(x, *params)
+        assert tensor_mod.mac_count() == want
+
+    def test_shape_errors(self, rng):
+        x = Tensor(np.ones((2, 4)))
+        w1, b1, w2, b2 = self.leaves(rng, 4, 6, 3)
+        for args in ((Tensor(np.ones((2, 5))), w1, b1, w2, b2), (x, w1, b2, w2, b2), (x, w1, b1, w1, b2),
+                     (Tensor(np.ones(4)), w1, b1, w2, b2)):
+            with pytest.raises(ShapeError, match="ffn"):
+                ffn(*args)
+
+    def test_node_keeps_one_hidden_sized_array(self, rng):
+        """tracemalloc sees numpy buffers: after the forward the graph holds
+        the output and the pre-activation; linear -> gelu -> linear held
+        four hidden-sized arrays (fc1's output, gelu's output, th and x^2)."""
+        x = t64(rng.standard_normal((128, 8, 16)))
+        w1, b1, w2, b2 = self.leaves(rng, 16, 256, 16)
+        hidden_bytes = 128 * 8 * 256 * 8  # 2 MiB, four blocks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ffn(x, w1, b1, w2, b2)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            (out * out).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert hidden_bytes <= kept - out.data.nbytes < 1.1 * hidden_bytes
+        # the backward adds four block-sized buffers and small arrays, no
+        # further hidden-sized one
+        assert peak - kept < 4 * tensor_mod._FFN_BLOCK_BYTES + 8 * out.data.nbytes
+        assert w1.grad is not None and x.grad is not None
 
 
 class TestBatchStability:
