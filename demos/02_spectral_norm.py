@@ -7,7 +7,7 @@ about the output scale.
 
 import numpy as np
 
-from tabfusion.nn import SpectralLinear, power_iteration, training_mode
+from tabfusion.nn import SpectralLinear, advance_power_iteration, power_iteration
 from tabfusion.tensor import Tensor
 
 rng = np.random.default_rng(1)
@@ -22,9 +22,8 @@ print(f"numpy SVD reference:           sigma = {np.linalg.svd(w, compute_uv=Fals
 
 layer = SpectralLinear(6, 6, rng)
 layer.weight.data = w.astype(np.float32) * 10.0  # deliberately huge; a new array, not a write
-with training_mode():
-    for _ in range(50):
-        layer.effective_weight()
+for _ in range(50):  # what a training loop does, one step per forward
+    advance_power_iteration([layer])
 
 x = rng.standard_normal((1, 6)).astype(np.float32)
 y = rng.standard_normal((1, 6)).astype(np.float32)

@@ -2,8 +2,8 @@
 
 Numerics use learned-frequency sinusoidal encoding, categoricals use summed
 embedding-table rows, and precomputed modality embeddings pass through a
-small projector MLP. Every feature has a learned missing embedding; no
-positional encoding is added (the token set is unordered).
+small projector MLP of hidden width d. Every feature has a learned missing
+embedding; no positional encoding is added (the token set is unordered).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class FeatureEncoder(Module):
         schema: FeatureSchema,
         d: int,
         rng: np.random.Generator,
-        projector_hidden: int | None = None,
         asset_criterion: str = "recency",
         asset_seed: int = 0,
     ):
@@ -36,7 +35,6 @@ class FeatureEncoder(Module):
         self.d = d
         self.asset_criterion = asset_criterion
         self.asset_seed = asset_seed
-        hidden = projector_hidden or d
 
         self.freqs: dict[str, Tensor] = {}
         self.tables: dict[str, Tensor] = {}
@@ -60,7 +58,7 @@ class FeatureEncoder(Module):
                 self.missing[f.name] = self._missing_param(rng, scale)
             else:
                 if f.dim not in self.projectors:
-                    self.projectors[f.dim] = Mlp(f.dim, hidden, d, rng)
+                    self.projectors[f.dim] = Mlp(f.dim, d, d, rng)
                 if f.kind == FeatureKind.EMBEDDING:
                     self.missing[f.name] = self._missing_param(rng, scale)
                 else:

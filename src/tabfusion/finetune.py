@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import Linear, Module, SpectralLinear, training_mode
+from .config import ConfigError
+from .nn import Linear, Module, SpectralLinear, advance_power_iteration
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, linear, no_grad, softmax
 
@@ -194,24 +195,32 @@ class FinetuneConfig:
 def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, val_indices=None):
     """Joint supervised training of trunk + SNGP heads on the focal-loss sum.
 
-    ISA is bypassed throughout (mode='finetune'). A task without a head in
-    `model.heads` gets a new one; heads are drawn in task order from one rng
-    seeded `cfg.seed + 1`. Ends with a covariance pass over the training set
-    for every task's head. Returns the loss curve.
+    ISA is bypassed throughout (mode='finetune'), so it is neither trained
+    nor power-iterated. A task without a head in `model.heads` gets a new
+    one; heads are drawn in task order from one rng seeded `cfg.seed + 1`.
+    Training the backbone under a head not in `tasks` would leave that head
+    stale and raises ConfigError; `cfg.linear_probe` embeds the training
+    rows once and trains only the task heads on those fixed features. Ends
+    with a covariance pass over the training set for every task's head.
+    Returns the loss curve.
 
     Rows named by `val_indices` are held out of training. Every
     `cfg.eval_every` steps they are embedded once and each task's head is
     scored by AUPRC on the held-out rows labeled for its task, recorded as
     `val_auprc.<task>`. Only tasks whose labeled held-out rows include a
     positive are scored; the mean of their AUPRCs drives early stopping with
-    `cfg.patience`. At the end the parameters with the best mean are
-    restored, with the power-iteration vectors u and v of the trained
-    spectral layers, so the model is the one that was scored. When no task
-    has a held-out positive there is nothing to score: the rows stay held
-    out, but early stopping is skipped and no `val_auprc` enters the records.
+    `cfg.patience`. At the end the trained parameters with the best mean are
+    restored, with the power-iteration vectors u and v of their spectral
+    layers, so the model is the one that was scored. When no task has a
+    held-out positive there is nothing to score: the rows stay held out,
+    but early stopping is skipped and no `val_auprc` enters the records.
     """
     from .metrics import auprc
 
+    others = [name for name in model.heads if name not in {t.name for t in tasks}]
+    if others and not cfg.linear_probe:
+        raise ConfigError(f"training the backbone would leave head '{others[0]}' stale: "
+                          f"pass task '{others[0]}' too, or set linear_probe")
     rng = np.random.default_rng(cfg.seed)
     for t in tasks:
         labeled = [s for s in snapshots if s.labels.get(t.name) is not None]
@@ -225,15 +234,13 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
                 length_scale=cfg.length_scale, ridge=cfg.ridge,
             )
 
-    trained = tuple(f"heads.{t.name}." for t in tasks) + (() if cfg.linear_probe else ("encoder.", "trunk."))
-    params = {k: p for k, p in model.parameters().items() if k.startswith(trained)}
+    # the slots a step runs and trains, behind the optimizer, power iteration and
+    # the best state: the task heads, plus encoder and trunk without ISA unless probing
+    runs = tuple(f"heads.{t.name}." for t in tasks) + (() if cfg.linear_probe else ("encoder.", "trunk."))
+    trained = [slot for slot in model.named_state() if slot[0].startswith(runs) and ".isa." not in slot[0]]
+    params = {path: value for path, _, _, value in trained if isinstance(value, Tensor)}
+    spectral = [owner for _, owner, key, _ in trained if isinstance(owner, SpectralLinear) and key == "u"]
     opt = AdamW(params, weight_decay=cfg.weight_decay)
-    # power iteration moves the trained spectral layers' u and v every step:
-    # the scored W / sigma comes back only if they are restored with W
-    iterates = [
-        (owner, key) for path, owner, key, _ in model.named_state()
-        if path.startswith(trained) and isinstance(owner, SpectralLinear) and key in ("u", "v")
-    ]
 
     val_set, val_tasks = [], {}  # task name -> (held-out rows labeled for it, their labels)
     if val_indices is None:
@@ -247,6 +254,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
             labels = np.array([val_set[i].labels[t.name] for i in rows])
             if np.any(labels == 1):  # AUPRC needs a positive
                 val_tasks[t.name] = (rows, labels)
+    features = model.embed(train_set) if cfg.linear_probe else None
 
     curve = []
     best_metric = -np.inf
@@ -256,24 +264,27 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         idx = rng.choice(len(train_set), size=min(cfg.batch_size, len(train_set)), replace=False)
         batch = [train_set[i] for i in idx]
         record = {"step": step}
-        with training_mode():
+        if cfg.linear_probe:
+            pooled = Tensor(features[idx])
+        else:
+            advance_power_iteration(spectral)
             x, mask = model.encoder.assemble_tokens(batch)
             _, pooled = model.trunk(x, mask, mode="finetune")
-            total = None
-            for t in tasks:
-                labeled = [i for i, s in enumerate(batch) if s.labels.get(t.name) is not None]
-                if not labeled:
-                    continue
-                probs = softmax(model.heads[t.name].logits(pooled[labeled]), axis=-1)
-                labels = [batch[i].labels[t.name] for i in labeled]
-                loss = focal_loss(probs, labels, t.gamma, t.class_weights)
-                record[f"loss.{t.name}"] = loss.item()
-                total = loss if total is None else total + loss
-            if total is None:
+        total = None
+        for t in tasks:
+            labeled = [i for i, s in enumerate(batch) if s.labels.get(t.name) is not None]
+            if not labeled:
                 continue
-            record["total"] = total.item()
-            opt.zero_grad()
-            total.backward()
+            probs = softmax(model.heads[t.name].logits(pooled[labeled]), axis=-1)
+            labels = [batch[i].labels[t.name] for i in labeled]
+            loss = focal_loss(probs, labels, t.gamma, t.class_weights)
+            record[f"loss.{t.name}"] = loss.item()
+            total = loss if total is None else total + loss
+        if total is None:
+            continue
+        record["total"] = total.item()
+        opt.zero_grad()
+        total.backward()
         opt.step(lr=cfg.schedule.lr_at(step))
         curve.append(record)
 
@@ -287,7 +298,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
                 best_metric = metric
                 # references suffice: optimizer steps and power iteration
                 # assign new arrays, never write in place
-                best_state = {k: p.data for k, p in params.items()}, [getattr(o, k) for o, k in iterates]
+                best_state = [p.data for p in params.values()], [(o.u, o.v) for o in spectral]
                 stale = 0
             else:
                 stale += 1
@@ -295,11 +306,10 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
                     break
 
     if best_state is not None:
-        data, vectors = best_state
-        for k, p in params.items():
-            p.data = data[k]
-        for (owner, key), vec in zip(iterates, vectors):
-            setattr(owner, key, vec)
+        for p, data in zip(params.values(), best_state[0]):
+            p.data = data
+        for layer, (u, v) in zip(spectral, best_state[1]):
+            layer.u, layer.v = u, v
 
     fit_heads_covariance(model, train_set, tasks)
     return curve

@@ -12,25 +12,11 @@ __all__ = [
     "SpectralLinear",
     "Mlp",
     "power_iteration",
-    "training_mode",
+    "advance_power_iteration",
 ]
 
-# power-iteration state advances only inside training_mode(); inference
-# forwards are pure so predictions never depend on call history
-_TRAINING = False
-
-
-class training_mode:
-    def __enter__(self):
-        global _TRAINING
-        self._prev = _TRAINING
-        _TRAINING = True
-        return self
-
-    def __exit__(self, *exc):
-        global _TRAINING
-        _TRAINING = self._prev
-        return False
+# a spectral layer whose estimated sigma is below this uses W unnormalized
+SPECTRAL_EPS = 1e-8
 
 
 def power_iteration(w: np.ndarray, u: np.ndarray, iters: int = 1):
@@ -56,6 +42,14 @@ def power_iteration(w: np.ndarray, u: np.ndarray, iters: int = 1):
         u = wv / nv
         sigma = float(u @ w @ v)
     return sigma, u, v
+
+
+def advance_power_iteration(layers) -> None:
+    """One power-iteration step for each SpectralLinear in `layers`: new u and v
+    arrays. Forwards never move them; the training loops call this right
+    before each forward of the spectral layers they train."""
+    for layer in layers:
+        _, layer.u, layer.v = power_iteration(layer.weight.data, layer.u)
 
 
 class Module:
@@ -118,49 +112,37 @@ class Linear(Module):
 class SpectralLinear(Linear):
     """Linear layer whose effective weight is W / max(sigma(W), eps).
 
-    sigma is estimated by warm-started power iteration (one step per forward
-    during training). The backward pass treats the singular vectors u, v as
-    constants and differentiates through sigma = u^T W v, the standard
-    spectral-norm estimator trick. The raw W stays in the optimizer; only the
-    forward pass sees the normalized weight.
+    sigma is estimated by warm-started power iteration, advanced by the
+    training loops (`advance_power_iteration`) one step per training forward.
+    The backward pass treats the singular vectors u, v as constants and
+    differentiates through sigma = u^T W v, the standard spectral-norm
+    estimator trick. The raw W stays in the optimizer; only the forward
+    pass sees the normalized weight.
     """
 
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        rng: np.random.Generator,
-        bias: bool = True,
-        n_power_iters: int = 1,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
         super().__init__(in_dim, out_dim, rng, bias=bias)
         u = rng.standard_normal(out_dim).astype(np.float32)
-        self.n_power_iters = n_power_iters
-        self.eps = eps
-        self.update_power_iter = True  # frozen during finite-difference checks
         _, self.u, self.v = power_iteration(self.weight.data, u / np.linalg.norm(u), 5)
         # (weight.data, u, v, W / sigma) of the last inference call; not saved
         self._cached_weight: tuple | None = None
 
     def effective_weight(self) -> Tensor:
-        """W / sigma, or W itself when sigma < eps.
+        """W / sigma, or W itself when sigma < eps, with the current u and v.
 
-        A call under no_grad and outside training_mode reuses the last such
-        result while `weight.data`, `u` and `v` are the same array objects as
-        when it was made, so serving does not renormalize every layer per
-        request. Library code therefore assigns new arrays and never writes
-        into these: writing into `weight.data` after a no_grad call leaves
-        a stale W / sigma. Graph-building calls never use the cache.
+        A call under no_grad reuses the last such result while `weight.data`,
+        `u` and `v` are the same array objects as when it was made, so
+        serving does not renormalize every layer per request. Library code
+        therefore assigns new arrays and never writes into these: writing
+        into `weight.data` after a no_grad call leaves a stale W / sigma.
+        Graph-building calls never use the cache.
         """
         w = self.weight
-        if _TRAINING and self.update_power_iter:
-            _, self.u, self.v = power_iteration(w.data, self.u, self.n_power_iters)
-        if _TRAINING or grad_enabled():
-            return spectral_normalize(w, self.u, self.v, self.eps)
+        if grad_enabled():
+            return spectral_normalize(w, self.u, self.v, SPECTRAL_EPS)
         c = self._cached_weight
         if c is None or c[0] is not w.data or c[1] is not self.u or c[2] is not self.v:
-            c = (w.data, self.u, self.v, spectral_normalize(w, self.u, self.v, self.eps))
+            c = (w.data, self.u, self.v, spectral_normalize(w, self.u, self.v, SPECTRAL_EPS))
             self._cached_weight = c
         return c[3]
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Asset, FeatureKind, FeatureSchema, Snapshot, select_top_k_assets
-from .nn import Linear, Module, training_mode
+from .nn import Linear, Module, SpectralLinear, advance_power_iteration
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, log_softmax, matmul, reduce_sum
 
@@ -282,6 +282,8 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
     aug_rng = np.random.default_rng(cfg.augment.seed)
     params = model.parameters()
     opt = AdamW(params, weight_decay=cfg.weight_decay)
+    # the trunk's spectral layers, ISA included: one power-iteration step per trunk call
+    spectral = [o for _, o, key, _ in model.trunk.named_state() if isinstance(o, SpectralLinear) and key == "u"]
     curve = []
     fh = open(log_path, "a") if log_path else None
     try:
@@ -294,30 +296,31 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
                 for i in range(len(batch))
             ]
 
-            with training_mode():
-                x_orig, mask = model.encoder.assemble_tokens(batch)
-                x_aug, mask_aug = model.encoder.assemble_tokens(augmented)
-                # MixUp in latent space, pairing each anchor with the same partner
-                x_aug = mixup(x_aug, x_aug[partner.tolist()], cfg.augment.mixup_alpha)
+            x_orig, mask = model.encoder.assemble_tokens(batch)
+            x_aug, mask_aug = model.encoder.assemble_tokens(augmented)
+            # MixUp in latent space, pairing each anchor with the same partner
+            x_aug = mixup(x_aug, x_aug[partner.tolist()], cfg.augment.mixup_alpha)
 
-                tokens_aug, pooled_aug = model.trunk(x_aug, mask_aug, mode="pretrain")
-                _, pooled_orig = model.trunk(x_orig, mask, mode="pretrain")
+            advance_power_iteration(spectral)
+            tokens_aug, pooled_aug = model.trunk(x_aug, mask_aug, mode="pretrain")
+            advance_power_iteration(spectral)
+            _, pooled_orig = model.trunk(x_orig, mask, mode="pretrain")
 
-                parts = reconstruction_loss(
-                    tokens_aug,
-                    batch,
-                    model.encoder.schema,
-                    model.recon,
-                    asset_criterion=model.encoder.asset_criterion,
-                    asset_seed=model.encoder.asset_seed,
-                )
-                parts["con"] = info_nce(pooled_orig, pooled_aug, cfg.weights.tau)
-                total = pretrain_total_loss(parts, cfg.weights)
-                if not np.isfinite(total.item()):
-                    raise RuntimeError(f"non-finite pretrain loss at step {step}")
+            parts = reconstruction_loss(
+                tokens_aug,
+                batch,
+                model.encoder.schema,
+                model.recon,
+                asset_criterion=model.encoder.asset_criterion,
+                asset_seed=model.encoder.asset_seed,
+            )
+            parts["con"] = info_nce(pooled_orig, pooled_aug, cfg.weights.tau)
+            total = pretrain_total_loss(parts, cfg.weights)
+            if not np.isfinite(total.item()):
+                raise RuntimeError(f"non-finite pretrain loss at step {step}")
 
-                opt.zero_grad()
-                total.backward()
+            opt.zero_grad()
+            total.backward()
             lr = cfg.schedule.lr_at(step)
             opt.step(lr=lr)
 

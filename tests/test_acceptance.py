@@ -29,7 +29,7 @@ from tabfusion.finetune import (
 )
 from tabfusion.metrics import auprc, auroc, ece
 from tabfusion.model import Model
-from tabfusion.nn import Linear, SpectralLinear, power_iteration, training_mode
+from tabfusion.nn import Linear, SpectralLinear, power_iteration
 from tabfusion.pretrain import (
     AugmentConfig,
     LossWeights,
@@ -140,18 +140,13 @@ def test_criterion_03_gradient_integrity():
         [ax, wq.weight, wk.weight, wv.weight],
     )
 
-    # ISA block (spectrally normalized, power iteration frozen)
+    # ISA block (spectrally normalized; u and v warmed up, and no forward moves them)
     cfg = TrunkConfig(d=4, n_tokens=2, n_layers=1, heads=2, ffn_dim=8, d_prime=4)
     isa = IsaBlock(cfg, rng)
     leaves = []
     for mod in (isa.project, isa.restore, isa.w_q, isa.w_k, isa.w_v, isa.ffn.fc1, isa.ffn.fc2):
         f64(mod)
-        mod.update_power_iter = False
-        with training_mode():
-            mod.update_power_iter = True
-            for _ in range(30):
-                mod.effective_weight()
-            mod.update_power_iter = False
+        _, mod.u, mod.v = power_iteration(mod.weight.data, mod.u, iters=30)
         leaves.append(mod.weight)
     ix = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
     check(lambda: (isa(ix) ** 2.0).sum(), [ix] + leaves)
@@ -227,10 +222,9 @@ def test_criterion_04_spectral_normalization():
 
         layer = SpectralLinear(cols, rows, rng, bias=False)
         layer.weight.data = w.astype(np.float32)
-        layer.u = (u0 / np.linalg.norm(u0)).astype(np.float32)
-        with training_mode():
-            layer.n_power_iters = 100
-            w_eff = layer.effective_weight().data
+        u0 = (u0 / np.linalg.norm(u0)).astype(np.float32)
+        _, layer.u, layer.v = power_iteration(layer.weight.data, u0, iters=100)
+        w_eff = layer.effective_weight().data
         assert np.all(np.isfinite(w_eff))
         sigmas.append(np.linalg.svd(w_eff, compute_uv=False)[0])
     sig_lo, sig_hi = min(sigmas), max(sigmas)

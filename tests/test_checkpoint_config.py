@@ -187,7 +187,8 @@ class TestModelPersistence:
         # a second head with another d_rf and GP prior, added to the fitted model
         for snap in snaps:
             snap.labels["churn"] = 1 - snap.labels["risk"]
-        cfg = FinetuneConfig(steps=2, batch_size=8, d_rf=16, length_scale=1.5, ridge=0.25, seed=1, eval_every=1000)
+        cfg = FinetuneConfig(steps=2, batch_size=8, d_rf=16, length_scale=1.5, ridge=0.25, seed=1, eval_every=1000,
+                             linear_probe=True)  # training the backbone too would leave risk stale
         finetune_loop(model, snaps, [TaskSpec("churn", 2)], cfg)
         model.heads["churn"].kappa = 0.3
         model.save(tmp_path / "m.ckpt", {"arch": "tiny"})

@@ -262,24 +262,35 @@ class TestSelfDescribingCheckpoint:
         head = Model.load(run_finetune(workspace)).heads["risk"]
         assert (head.ridge, head.length_scale, head.d_rf, head.kappa) == (0.25, 1.5, 32, math.pi / 8)
 
-    def test_finetune_adds_a_task_to_a_checkpoint(self, tmp_path, capsys):
-        # a checkpoint with a risk head, fine-tuned on churn: risk stays as it was
+    def add_churn(self, tmp_path, linear_probe):
+        """Fine-tune risk, then churn on that checkpoint; (rc, risk.ckpt, both.ckpt)."""
         schema = small_schema(with_assets=True)
         schema.tasks.append(TaskSpecLite("churn", 2))
         snaps = random_snapshots(schema, 24, seed=0)
         save_dataset(snaps, schema, tmp_path / "data.csv", tmp_path / "emb.bin").save(tmp_path / "schema.json")
         RunConfig(d=8, heads=2, n_layers=1, ffn_dim=16, d_prime=8, batch_size=8, finetune_steps=3, d_rf=32,
-                  warmup_steps=2, decay_steps=10, seed=1).save(tmp_path / "config.json")
+                  warmup_steps=2, decay_steps=10, seed=1, linear_probe=linear_probe).save(tmp_path / "config.json")
         first, second = tmp_path / "risk.ckpt", tmp_path / "both.ckpt"
-        for task, extra in (("risk", []), ("churn", ["--init-checkpoint", str(first)])):
-            out = first if task == "risk" else second
+        for task, extra, out in (("risk", [], first), ("churn", ["--init-checkpoint", str(first)], second)):
             rc = main(["--config", str(tmp_path / "config.json"), "finetune"] + base_args(tmp_path)[2:]
                       + ["--task", task, *extra, "--out-checkpoint", str(out)])
-            assert rc == EXIT_OK, capsys.readouterr().err
+        return rc, first, second
+
+    def test_finetune_adds_a_task_to_a_checkpoint(self, tmp_path, capsys):
+        # a checkpoint with a risk head, probed on churn: risk answers as it did
+        rc, first, second = self.add_churn(tmp_path, linear_probe=True)
+        assert rc == EXIT_OK, capsys.readouterr().err
         before, after = Model.load(first), Model.load(second)
         assert set(after.heads) == {"risk", "churn"}
-        np.testing.assert_array_equal(after.heads["risk"].beta.weight.data, before.heads["risk"].beta.weight.data)
-        np.testing.assert_array_equal(after.heads["risk"].precision, before.heads["risk"].precision)
+        rows = load_dataset(tmp_path / "data.csv", after.schema, tmp_path / "emb.bin")[1]
+        want, got = before.predict(rows, "risk"), after.predict(rows, "risk")
+        np.testing.assert_array_equal(got["probs"], want["probs"])
+        np.testing.assert_array_equal(got["variance"], want["variance"])
+
+    def test_finetune_refuses_to_train_the_backbone_under_another_head(self, tmp_path, capsys):
+        rc, _, second = self.add_churn(tmp_path, linear_probe=False)
+        assert rc == EXIT_CONFIG
+        assert "head 'risk'" in capsys.readouterr().err and not second.exists()
 
 
 class TestReadmeChain:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
+from tabfusion.config import ConfigError
 from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpecLite
 from tabfusion.finetune import (
     VARIANCE_PANEL_COLS,
@@ -263,13 +264,54 @@ class TestFinetuneLoop:
         assert model.heads["risk"].precision is not None
 
     def test_linear_probe_freezes_backbone(self):
+        # frozen weights are not enough: moving u or v alone changes W / sigma
+        # and so the embeddings
         _, snaps, model = separable_setup()
         before = {k: p.data.copy() for k, p in model.parameters().items() if not k.startswith("heads.")}
-        finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=5, linear_probe=True))
+        vectors = {k: v for k, v in model.buffers().items() if k.endswith((".u", ".v"))}
+        embedded = model.embed(snaps)
+        finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=20, linear_probe=True))
         after = model.parameters()
         for k, b in before.items():
             np.testing.assert_array_equal(after[k].data, b)
+        assert vectors and all(model.buffers()[k] is v for k, v in vectors.items())
+        np.testing.assert_array_equal(model.embed(snaps), embedded)
         assert np.any(model.heads["risk"].beta.weight.data != 0)
+
+    def test_isa_is_neither_trained_nor_power_iterated(self, monkeypatch):
+        import tabfusion.finetune as ft
+
+        made = []
+
+        class Recording(ft.AdamW):
+            def __init__(self, params, **kwargs):
+                super().__init__(params, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(ft, "AdamW", Recording)
+        _, snaps, model = separable_setup()
+
+        def arrays(where):
+            return {path: value.data if isinstance(value, Tensor) else value
+                    for path, _, _, value in model.named_state() if where(path)}
+
+        isa = arrays(lambda path: ".isa." in path)
+        row_u = model.trunk.layers[0].w_q.u
+        finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=3))
+        assert isa and all(arrays(lambda path: path in isa)[k] is v for k, v in isa.items())
+        assert model.trunk.layers[0].w_q.u is not row_u  # the layers a step runs do advance
+        (opt,) = made
+        assert opt.m.keys() == opt.v.keys() and any(k.startswith("trunk.") for k in opt.m)
+        assert not [k for k in opt.m if ".isa." in k]
+
+    def test_backbone_training_under_another_head_is_refused(self):
+        _, snaps, model = separable_setup(n=20)
+        finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=1))
+        for s in snaps:
+            s.labels["churn"] = 1 - s.labels["risk"]
+        with pytest.raises(ConfigError, match="head 'risk'.*linear_probe"):
+            finetune_loop(model, snaps, [TaskSpec("churn", 2)], quick_cfg(steps=1))
+        assert list(model.heads) == ["risk"]
 
     def test_two_identical_tasks_have_equal_losses(self):
         schema = FeatureSchema(

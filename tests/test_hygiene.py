@@ -1,7 +1,7 @@
 """Source hygiene checks that need no linter: unused module-level imports,
 RunConfig fields that nothing reads, one list of model fields, no
-hand-written parameter or buffer plumbing outside nn.Module, and no writes
-into a `.data` array."""
+hand-written parameter or buffer plumbing outside nn.Module, no writes
+into a `.data` array, and no global mode besides `no_grad`."""
 
 import ast
 import inspect
@@ -197,3 +197,26 @@ def test_data_write_scanner_flags_only_writes_into_data():
 
 def test_no_writes_into_data_arrays():
     assert [f"{path.name}:{w}" for path in MODULES for w in data_writes(path.read_text())] == []
+
+
+def global_rebinds(source: str, module: str) -> list[str]:
+    """Names that `global` statements in `source` rebind, as 'module.name'."""
+    return sorted({f"{module}.{name}" for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Global)
+                   for name in n.names})
+
+
+def test_global_scanner_lists_each_rebound_name_once():
+    source = (
+        "_A = 0\n_B = 1\n"
+        "def f():\n    global _A\n    _A = 1\n"
+        "class C:\n    def g(self):\n        global _A, _B\n        _B = _A\n"
+    )
+    assert global_rebinds(source, "m") == ["m._A", "m._B"]
+
+
+def test_no_grad_is_the_only_global_mode():
+    """Only tensor's grad switch and its multiply-accumulate counter are
+    rebound at run time: training behaviour is passed explicitly, never
+    switched by a hidden module global."""
+    rebound = sorted(name for path in MODULES for name in global_rebinds(path.read_text(), path.stem))
+    assert rebound == ["tensor._GRAD_ENABLED", "tensor._MAC_COUNT"]

@@ -6,7 +6,7 @@ from tabfusion.checkpoint import load_checkpoint
 from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpecLite
 from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop
 from tabfusion.model import Model
-from tabfusion.nn import Linear, Mlp, Module, SpectralLinear, power_iteration, training_mode
+from tabfusion.nn import Linear, Mlp, Module, SpectralLinear, advance_power_iteration, power_iteration
 from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError
 from tabfusion.pretrain import PretrainConfig, pretrain_loop
 from tabfusion.tensor import Tensor, no_grad
@@ -47,34 +47,33 @@ class TestSpectralLinear:
     def test_diagonal_normalization(self, rng):
         layer = SpectralLinear(2, 2, rng, bias=False)
         layer.weight.data[...] = np.diag([3.0, 1.0]).astype(np.float32)
-        with training_mode():
-            for _ in range(50):
-                w_eff = layer.effective_weight().data
+        for _ in range(50):
+            advance_power_iteration([layer])
+        w_eff = layer.effective_weight().data
         np.testing.assert_allclose(w_eff, np.diag([1.0, 1 / 3]), atol=1e-4)
 
     def test_degenerate_guard(self, rng):
         layer = SpectralLinear(3, 3, rng, bias=False)
         layer.weight.data[...] = 0.0
-        with training_mode():
-            w_eff = layer.effective_weight().data
+        advance_power_iteration([layer])
+        w_eff = layer.effective_weight().data
         np.testing.assert_array_equal(w_eff, np.zeros((3, 3)))
 
     def test_sigma_in_unit_band(self, rng):
         for _ in range(20):
             layer = SpectralLinear(6, 4, rng, bias=False)
             layer.weight.data[...] = rng.standard_normal((4, 6)).astype(np.float32) * 2
-            with training_mode():
-                for _ in range(100):
-                    w_eff = layer.effective_weight().data
+            for _ in range(100):
+                advance_power_iteration([layer])
+            w_eff = layer.effective_weight().data
             sigma = np.linalg.svd(w_eff, compute_uv=False)[0]
             assert 0.999 <= sigma <= 1.001
 
     def test_forward_is_lipschitz(self, rng):
         layer = SpectralLinear(8, 8, rng)
         layer.weight.data[...] = rng.standard_normal((8, 8)).astype(np.float32) * 3
-        with training_mode():
-            for _ in range(100):
-                layer.effective_weight()
+        for _ in range(100):
+            advance_power_iteration([layer])
         for _ in range(50):
             x = rng.standard_normal((1, 8)).astype(np.float32)
             y = rng.standard_normal((1, 8)).astype(np.float32)
@@ -86,10 +85,8 @@ class TestSpectralLinear:
         layer = SpectralLinear(4, 3, rng)
         layer.weight = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         layer.bias = Tensor(rng.standard_normal(3), requires_grad=True)
-        with training_mode():
-            for _ in range(60):
-                layer.effective_weight()
-        layer.update_power_iter = False
+        for _ in range(60):
+            advance_power_iteration([layer])
         x = Tensor(rng.standard_normal((2, 4)))
         assert fd_gradient_check(lambda: (layer(x) ** 2.0).sum(), [layer.weight, layer.bias]) < 1e-4
 
@@ -123,7 +120,7 @@ def graph_embed(model, rows) -> np.ndarray:
 
 
 class TestInferenceWeightCache:
-    """Outside training_mode a no_grad call reuses W / sigma until another
+    """A no_grad call reuses W / sigma until another
     array is set as the weight's data, u or v. Each case fills the cache,
     changes the layer the way the library does, and checks that the next
     inference forward is that of a layer with nothing cached."""
@@ -142,8 +139,6 @@ class TestInferenceWeightCache:
         with no_grad():
             cached = layer.effective_weight()
             assert layer.effective_weight() is cached
-            with training_mode():
-                assert layer.effective_weight() is not cached
         assert layer.effective_weight() is not cached
         assert layer.effective_weight().requires_grad
 
@@ -154,12 +149,13 @@ class TestInferenceWeightCache:
         opt.step()
         self.assert_fresh(layer, x)
 
-    def test_after_training_mode_forward(self, rng):
+    def test_after_an_explicit_power_iteration_advance(self, rng):
         layer, x = self.make(rng)
-        u = layer.u
-        with training_mode():
-            layer(x)  # power iteration sets new u and v
-        assert layer.u is not u
+        u, v = layer.u, layer.v
+        (layer(x) ** 2.0).sum().backward()  # a graph-building forward leaves u and v alone
+        assert layer.u is u and layer.v is v
+        advance_power_iteration([layer])  # sets new u and v
+        assert layer.u is not u and layer.v is not v
         self.assert_fresh(layer, x)
 
     def test_after_assigning_a_new_weight_tensor(self, rng):
