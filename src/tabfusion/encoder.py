@@ -1,9 +1,12 @@
 """Per-feature encoders mapping heterogeneous inputs to d-dimensional tokens.
 
+A batch is featurized once into per-feature arrays (`FeatureEncoder.inputs`)
+that are both the encoder's input and pre-training's reconstruction target.
 Numerics use learned-frequency sinusoidal encoding, categoricals use summed
 embedding-table rows, and precomputed modality embeddings pass through a
-small projector MLP of hidden width d. Every feature has a learned missing
-embedding; no positional encoding is added (the token set is unordered).
+small projector MLP of hidden width d. Missing values take a learned
+embedding and empty asset slots a learned pad; no positional encoding is
+added (the token set is unordered).
 """
 
 from __future__ import annotations
@@ -67,107 +70,93 @@ class FeatureEncoder(Module):
     def _missing_param(self, rng, scale) -> Tensor:
         return Tensor((rng.standard_normal(self.d) * scale).astype(np.float32), requires_grad=True)
 
-    # ---- per-kind encoders (batched) ------------------------------------
+    # ---- featurization and assembly --------------------------------------
 
-    def encode_numeric(self, names, values, missing_mask) -> Tensor:
-        """Tokens [B, n, d] of the numeric features `names`, in one node.
+    def inputs(self, snapshots: list[Snapshot]) -> dict:
+        """Each feature's float32 input arrays for a batch, name -> (values, present).
 
-        values: [B, n] floats (missing slots zero-filled), missing_mask: [B, n] 0/1.
-        """
-        b, n = len(values), len(names)
-        x = Tensor(np.asarray(values, dtype=np.float32).reshape(b, n))
-        freqs, missing = [self.freqs[k] for k in names], [self.missing[k] for k in names]
-        return numeric_encoding(x, missing_mask, freqs, missing)
+        - numeric: values [B] (missing zero-filled), present [B];
+        - categorical and multi-categorical: index counts [B, vocab] and
+          present [B]; a tag set is never missing, only empty;
+        - embedding: vectors [B, dim] (missing zero-filled), present [B];
+        - multi-embedding: the top max_count assets by the encoder's
+          criterion and seed, vectors [B, max_count, dim] and present
+          [B, max_count].
 
-    def encode_categorical(self, feature_name: str, index_sets, missing_mask=None) -> Tensor:
-        """index_sets: per-example iterable of indices (singleton for univalent).
-
-        Summation over the set; an empty set yields the zero vector.
-        """
-        table = self.tables[feature_name]
-        vocab = table.shape[0]
-        hot = np.zeros((len(index_sets), vocab), dtype=np.float32)
-        for i, idxs in enumerate(index_sets):
-            for j in idxs:
-                if not 0 <= j < vocab:
-                    raise IndexError(f"category index {j} out of range for '{feature_name}'")
-                hot[i, j] += 1.0
-        tok = matmul(Tensor(hot), table)
-        if missing_mask is not None:
-            tok = self._blend_missing(tok, feature_name, missing_mask)
-        return tok
-
-    def encode_embedding_feature(self, dim: int, vectors: np.ndarray) -> Tensor:
-        """Project [B, dim] input vectors to [B, d] tokens."""
-        if vectors.shape[-1] != dim:
-            raise ValueError(f"expected dim {dim}, got {vectors.shape[-1]}")
-        return self.projectors[dim](Tensor(vectors.astype(np.float32)))
-
-    def _blend_missing(self, tok: Tensor, feature_name: str, missing_mask) -> Tensor:
-        m = Tensor(np.asarray(missing_mask, dtype=np.float32).reshape(-1, 1))
-        miss = self.missing[feature_name].reshape(1, self.d)
-        return tok * (1.0 - m) + miss * m
-
-    # ---- full assembly ---------------------------------------------------
-
-    def assemble_tokens(self, snapshots: list[Snapshot]):
-        """Encode a batch into (X: [B, N, d], mask: [B, N]).
-
-        mask is 1 for real tokens, 0 for multi-embedding pad slots.
+        `tokens` encodes these arrays and pre-training reconstructs them.
         """
         b = len(snapshots)
+        out = {}
+        for f in self.schema:
+            raw = [s.values.get(f.name) for s in snapshots]
+            if f.kind == FeatureKind.MULTI_CATEGORICAL:  # a tag set is never missing, only empty
+                out[f.name] = (_counts(f, [v or () for v in raw]), np.ones(b, dtype=np.float32))
+                continue
+            if f.kind == FeatureKind.MULTI_EMBEDDING:
+                values = np.zeros((b, f.max_count, f.dim), dtype=np.float32)
+                present = np.zeros((b, f.max_count), dtype=np.float32)
+                for i, assets in enumerate(raw):
+                    top = select_top_k_assets(
+                        assets or [], f.max_count, criterion=self.asset_criterion, seed=self.asset_seed
+                    )
+                    for j, a in enumerate(top):
+                        values[i, j] = a.vector
+                        present[i, j] = 1.0
+                out[f.name] = (values, present)
+                continue
+            present = np.array([v is not None for v in raw], dtype=np.float32)
+            if f.kind == FeatureKind.NUMERIC:
+                values = np.array([0.0 if v is None else v for v in raw], dtype=np.float32)
+            elif f.kind == FeatureKind.CATEGORICAL:
+                values = _counts(f, [() if v is None else (v,) for v in raw])
+            else:
+                values = np.zeros((b, f.dim), dtype=np.float32)
+                for i, v in enumerate(raw):
+                    if v is not None:
+                        values[i] = v
+            out[f.name] = (values, present)
+        return out
+
+    def assemble_tokens(self, snapshots: list[Snapshot]):
+        """Encode a batch into (X: [B, N, d], mask: [B, N]): `tokens` of `inputs`."""
+        return self.tokens(self.inputs(snapshots))
+
+    def tokens(self, inputs: dict):
+        """Encode `inputs(snapshots)` into (X: [B, N, d], mask: [B, N]).
+
+        The numerics are one sinusoid node; a categorical or tag-set token
+        sums table rows by index count; embedding vectors and asset slots
+        pass through the projector of their dim. A missing value takes the
+        feature's missing embedding, an empty asset slot its pad embedding.
+        mask is 1 for real tokens, 0 for empty asset slots.
+        """
+        b = len(next(iter(inputs.values()))[0])
+        mask = np.ones((b, self.schema.token_count()), dtype=np.float32)
         numeric = [f.name for f in self.schema if f.kind == FeatureKind.NUMERIC]
         if numeric:
-            raw = [[s.values.get(name) for name in numeric] for s in snapshots]
-            miss = [[1.0 if v is None else 0.0 for v in row] for row in raw]
-            vals = [[0.0 if v is None else v for v in row] for row in raw]
-            num = self.encode_numeric(numeric, vals, miss)
+            values = np.empty((b, len(numeric)), dtype=np.float32)
+            present = np.empty_like(values)
+            for j, k in enumerate(numeric):
+                values[:, j], present[:, j] = inputs[k]
+            freqs, missing = [self.freqs[k] for k in numeric], [self.missing[k] for k in numeric]
+            num = numeric_encoding(Tensor(values), 1.0 - present, freqs, missing)
         blocks = []  # None marks a numeric token; `num` holds them in schema order
-        mask_cols = []
-        for f in self.schema:
+        for f, start, count in self.schema.token_slots():
+            values, present = inputs[f.name]
             if f.kind == FeatureKind.NUMERIC:
                 blocks.append(None)
-                mask_cols.append(np.ones((b, 1), dtype=np.float32))
-            elif f.kind == FeatureKind.CATEGORICAL:
-                vals = [s.values.get(f.name) for s in snapshots]
-                miss = [1.0 if v is None else 0.0 for v in vals]
-                sets = [[] if v is None else [v] for v in vals]
-                blocks.append(self.encode_categorical(f.name, sets, miss).reshape(b, 1, self.d))
-                mask_cols.append(np.ones((b, 1), dtype=np.float32))
-            elif f.kind == FeatureKind.MULTI_CATEGORICAL:
-                sets = [s.values.get(f.name) or () for s in snapshots]
-                blocks.append(self.encode_categorical(f.name, sets).reshape(b, 1, self.d))
-                mask_cols.append(np.ones((b, 1), dtype=np.float32))
-            elif f.kind == FeatureKind.EMBEDDING:
-                vecs = np.zeros((b, f.dim), dtype=np.float32)
-                miss = np.zeros(b, dtype=np.float32)
-                for i, s in enumerate(snapshots):
-                    v = s.values.get(f.name)
-                    if v is None:
-                        miss[i] = 1.0
-                    else:
-                        vecs[i] = v
-                tok = self.encode_embedding_feature(f.dim, vecs)
-                blocks.append(self._blend_missing(tok, f.name, miss).reshape(b, 1, self.d))
-                mask_cols.append(np.ones((b, 1), dtype=np.float32))
-            else:  # multi-embedding: max_count slots, padded and masked
-                slots = f.max_count
-                vecs = np.zeros((b, slots, f.dim), dtype=np.float32)
-                present = np.zeros((b, slots), dtype=np.float32)
-                for i, s in enumerate(snapshots):
-                    assets = s.values.get(f.name) or []
-                    assets = select_top_k_assets(
-                        assets, slots, criterion=self.asset_criterion, seed=self.asset_seed
-                    )
-                    for j, a in enumerate(assets):
-                        vecs[i, j] = a.vector
-                        present[i, j] = 1.0
-                proj = self.encode_embedding_feature(f.dim, vecs.reshape(b * slots, f.dim))
-                proj = proj.reshape(b, slots, self.d)
-                p = Tensor(present.reshape(b, slots, 1))
-                pad = self.pads[f.name].reshape(1, 1, self.d)
-                blocks.append(proj * p + pad * (1.0 - p))
-                mask_cols.append(present)
+                continue
+            if f.kind in (FeatureKind.CATEGORICAL, FeatureKind.MULTI_CATEGORICAL):
+                tok = matmul(Tensor(values), self.tables[f.name])
+            else:
+                tok = self.projectors[f.dim](Tensor(values.reshape(-1, f.dim)))
+            if f.kind == FeatureKind.MULTI_EMBEDDING:
+                mask[:, start : start + count] = present
+                blocks.append(self._fill(tok.reshape(b, count, self.d), present, self.pads[f.name]))
+                continue
+            if f.kind != FeatureKind.MULTI_CATEGORICAL:
+                tok = self._fill(tok, present, self.missing[f.name])
+            blocks.append(tok.reshape(b, 1, self.d))
         parts, start = [], 0
         for is_numeric, run in groupby(blocks, key=lambda blk: blk is None):
             run = list(run)
@@ -177,6 +166,20 @@ class FeatureEncoder(Module):
                 start = stop
             else:
                 parts.extend(run)
-        x = concat(parts, axis=1)
-        mask = np.concatenate(mask_cols, axis=1)
-        return x, mask
+        return concat(parts, axis=1), mask
+
+    def _fill(self, tok: Tensor, present: np.ndarray, fill: Tensor) -> Tensor:
+        """tok where present is 1, the [d] embedding `fill` where it is 0."""
+        p = Tensor(present.reshape(present.shape + (1,)))
+        return tok * p + fill.reshape((1,) * present.ndim + (self.d,)) * (1.0 - p)
+
+
+def _counts(f, index_sets) -> np.ndarray:
+    """[B, vocab] counts of the indices in each row's set."""
+    counts = np.zeros((len(index_sets), f.vocab_size), dtype=np.float32)
+    for i, idxs in enumerate(index_sets):
+        for j in idxs:
+            if not 0 <= j < f.vocab_size:
+                raise IndexError(f"category index {j} out of range for '{f.name}'")
+            counts[i, j] += 1.0
+    return counts

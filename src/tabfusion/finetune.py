@@ -79,10 +79,6 @@ class SngpHead(Module):
     def logits(self, pooled: Tensor) -> Tensor:
         return self.beta(self.features(pooled))
 
-    def reset_covariance(self) -> None:
-        self.precision = self.ridge * np.eye(self.d_rf)
-        self._factor = (None, None)  # free the old factor and precision now, not at the next variance
-
     def fit_covariance(self, phi: np.ndarray, probs: np.ndarray) -> np.ndarray:
         """Laplace precision Lambda = ridge*I + sum_i p_i(1-p_i) phi_i phi_i^T.
 
@@ -200,13 +196,13 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     one; heads are drawn in task order from one rng seeded `cfg.seed + 1`.
     Training the backbone under a head not in `tasks` would leave that head
     stale and raises ConfigError; `cfg.linear_probe` embeds the training
-    rows once and trains only the task heads on those fixed features. Ends
-    with a covariance pass over the training set for every task's head.
-    Returns the loss curve.
+    and held-out rows once and trains only the task heads on those fixed
+    features. Ends with a covariance pass over the training set for every
+    task's head. Returns the loss curve.
 
     Rows named by `val_indices` are held out of training. Every
-    `cfg.eval_every` steps they are embedded once and each task's head is
-    scored by AUPRC on the held-out rows labeled for its task, recorded as
+    `cfg.eval_every` steps each task's head is scored by AUPRC on the
+    embedded held-out rows labeled for its task, recorded as
     `val_auprc.<task>`. Only tasks whose labeled held-out rows include a
     positive are scored; the mean of their AUPRCs drives early stopping with
     `cfg.patience`. At the end the trained parameters with the best mean are
@@ -255,6 +251,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
             if np.any(labels == 1):  # AUPRC needs a positive
                 val_tasks[t.name] = (rows, labels)
     features = model.embed(train_set) if cfg.linear_probe else None
+    val_features = model.embed(val_set) if cfg.linear_probe and val_tasks else None
 
     curve = []
     best_metric = -np.inf
@@ -289,7 +286,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         curve.append(record)
 
         if val_tasks and (step + 1) % cfg.eval_every == 0:
-            pooled = model.embed(val_set)
+            pooled = model.embed(val_set) if val_features is None else val_features
             for name, (rows, labels) in val_tasks.items():
                 scores = model.heads[name].predict(Tensor(pooled[rows]), calibrated=False)["probs"][:, 1]
                 record[f"val_auprc.{name}"] = auprc(scores, labels)

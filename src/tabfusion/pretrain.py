@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Asset, FeatureKind, FeatureSchema, Snapshot, select_top_k_assets
+from .data import Asset, FeatureKind, FeatureSchema, Snapshot
 from .nn import Linear, Module, SpectralLinear, advance_power_iteration
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, log_softmax, matmul, reduce_sum
@@ -122,88 +122,38 @@ class ReconstructionHeads(Module):
         return self.decoders[f"{kind}{size}"]
 
 
-def reconstruction_loss(
-    tokens: Tensor,
-    originals: list[Snapshot],
-    schema: FeatureSchema,
-    heads: ReconstructionHeads,
-    asset_criterion: str = "recency",
-    asset_seed: int = 0,
-) -> dict:
+def reconstruction_loss(tokens: Tensor, inputs: dict, heads: ReconstructionHeads) -> dict:
     """Per-type losses decoding the (augmented-view) tokens back to the
-    original inputs. Missing features are excluded from their loss terms.
+    original inputs: `inputs` is `FeatureEncoder.inputs` of the original
+    rows, so the targets are exactly the arrays the encoder encoded.
+    Missing features and empty asset slots are excluded from their terms.
 
     Returns {"num", "ce", "mcat", "emb", "memb"} -> scalar Tensor.
     """
-    b = len(originals)
     acc: dict[str, list] = {"num": [], "ce": [], "mcat": [], "emb": [], "memb": []}
 
-    for f, start, count in schema.token_slots():
+    for f, start, count in heads.schema.token_slots():
+        target, present = inputs[f.name]
+        if present.sum() == 0:  # nothing observed (a tag set always is)
+            continue
         dec = heads.decoder_for(f)
-        tok = tokens[:, start, :] if count == 1 else None
+        multi = f.kind == FeatureKind.MULTI_EMBEDDING
+        pred = dec(tokens[:, start : start + count, :] if multi else tokens[:, start, :])
         if f.kind == FeatureKind.NUMERIC:
-            target = np.array(
-                [0.0 if s.values.get(f.name) is None else s.values[f.name] for s in originals],
-                dtype=np.float32,
-            )
-            observed = np.array(
-                [0.0 if s.values.get(f.name) is None else 1.0 for s in originals], dtype=np.float32
-            )
-            if observed.sum() == 0:
-                continue
-            pred = dec(tok).reshape(b)
-            err = (pred - Tensor(target)) * Tensor(observed)
-            acc["num"].append((err * err).sum() * (1.0 / observed.sum()))
+            err = (pred.reshape(len(target)) - Tensor(target)) * Tensor(present)
+            acc["num"].append((err * err).sum() * (1.0 / present.sum()))
         elif f.kind == FeatureKind.CATEGORICAL:
-            idx = [s.values.get(f.name) for s in originals]
-            observed = np.array([0.0 if v is None else 1.0 for v in idx], dtype=np.float32)
-            if observed.sum() == 0:
-                continue
-            onehot = np.zeros((b, f.vocab_size), dtype=np.float32)
-            for i, v in enumerate(idx):
-                if v is not None:
-                    onehot[i, v] = 1.0
-            logp = log_softmax(dec(tok), axis=-1)
-            ce = -(logp * Tensor(onehot)).sum(axis=-1)
-            acc["ce"].append((ce * Tensor(observed)).sum() * (1.0 / observed.sum()))
+            ce = -(log_softmax(pred, axis=-1) * Tensor(target)).sum(axis=-1)
+            acc["ce"].append((ce * Tensor(present)).sum() * (1.0 / present.sum()))
         elif f.kind == FeatureKind.MULTI_CATEGORICAL:
-            indicator = np.zeros((b, f.vocab_size), dtype=np.float32)
-            for i, s in enumerate(originals):
-                for v in s.values.get(f.name) or ():
-                    indicator[i, v] = 1.0
-            logits = dec(tok)
-            # sum over classes of per-class binary cross-entropy
-            p = _sigmoid(logits)
-            y = Tensor(indicator)
+            # sum over classes of per-class binary cross-entropy on the multi-hot set
+            p = _sigmoid(pred)
+            y = Tensor(np.minimum(target, 1.0))
             bce = -(y * p.clip_min(1e-12).log() + (1.0 - y) * (1.0 - p).clip_min(1e-12).log())
             acc["mcat"].append(bce.sum(axis=-1).mean())
-        elif f.kind == FeatureKind.EMBEDDING:
-            target = np.zeros((b, f.dim), dtype=np.float32)
-            observed = np.zeros(b, dtype=np.float32)
-            for i, s in enumerate(originals):
-                v = s.values.get(f.name)
-                if v is not None:
-                    target[i] = v
-                    observed[i] = 1.0
-            if observed.sum() == 0:
-                continue
-            err = (dec(tok) - Tensor(target)) * Tensor(observed.reshape(b, 1))
-            acc["emb"].append((err * err).sum() * (1.0 / (observed.sum() * f.dim)))
-        else:  # multi-embedding
-            target = np.zeros((b, count, f.dim), dtype=np.float32)
-            present = np.zeros((b, count), dtype=np.float32)
-            for i, s in enumerate(originals):
-                assets = select_top_k_assets(
-                    s.values.get(f.name) or [], count, criterion=asset_criterion, seed=asset_seed
-                )
-                for j, a in enumerate(assets):
-                    target[i, j] = a.vector
-                    present[i, j] = 1.0
-            if present.sum() == 0:
-                continue
-            toks = tokens[:, start : start + count, :]
-            err = (dec(toks) - Tensor(target)) * Tensor(present.reshape(b, count, 1))
-            acc["memb"].append((err * err).sum() * (1.0 / (present.sum() * f.dim)))
+        else:  # squared error per observed vector, normalized by dim
+            err = (pred - Tensor(target)) * Tensor(present[..., None])
+            acc["memb" if multi else "emb"].append((err * err).sum() * (1.0 / (present.sum() * f.dim)))
 
     zero = Tensor(np.zeros((), dtype=tokens.dtype))
     out = {}
@@ -272,9 +222,11 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
     """Run the self-supervised stage; mutates model parameters in place.
 
     Per step: sample a batch and a partner permutation; CutMix in input
-    space; encode both views; MixUp the augmented view's tokens; forward
-    both through the trunk with ISA on; reconstruction losses against the
-    original inputs plus InfoNCE between the two pooled embeddings; AdamW.
+    space; encode both views, featurizing the batch once, since its input
+    arrays are also the reconstruction targets; MixUp the augmented view's
+    tokens; forward both through the trunk with ISA on; reconstruction
+    losses against the original inputs plus InfoNCE between the two pooled
+    embeddings; AdamW.
 
     Returns the loss curve: a list of per-step records.
     """
@@ -296,7 +248,8 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
                 for i in range(len(batch))
             ]
 
-            x_orig, mask = model.encoder.assemble_tokens(batch)
+            inputs = model.encoder.inputs(batch)
+            x_orig, mask = model.encoder.tokens(inputs)
             x_aug, mask_aug = model.encoder.assemble_tokens(augmented)
             # MixUp in latent space, pairing each anchor with the same partner
             x_aug = mixup(x_aug, x_aug[partner.tolist()], cfg.augment.mixup_alpha)
@@ -306,14 +259,7 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
             advance_power_iteration(spectral)
             _, pooled_orig = model.trunk(x_orig, mask, mode="pretrain")
 
-            parts = reconstruction_loss(
-                tokens_aug,
-                batch,
-                model.encoder.schema,
-                model.recon,
-                asset_criterion=model.encoder.asset_criterion,
-                asset_seed=model.encoder.asset_seed,
-            )
+            parts = reconstruction_loss(tokens_aug, inputs, model.recon)
             parts["con"] = info_nce(pooled_orig, pooled_aug, cfg.weights.tau)
             total = pretrain_total_loss(parts, cfg.weights)
             if not np.isfinite(total.item()):

@@ -18,6 +18,7 @@ from conftest import fd_gradient_check, random_snapshots, small_schema
 from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
 from tabfusion.benchmark import DATASETS, run_benchmark
 from tabfusion.config import RunConfig
+from tabfusion.encoder import FeatureEncoder
 from tabfusion.feature_select import StopRule, backward_eliminate
 from tabfusion.finetune import (
     FinetuneConfig,
@@ -172,7 +173,7 @@ def test_criterion_03_gradient_integrity():
         ],
         [],
     )
-    snaps = random_snapshots(schema, 3, seed=1)
+    inputs = FeatureEncoder(schema, 4, np.random.default_rng(0)).inputs(random_snapshots(schema, 3, seed=1))
     recon = ReconstructionHeads(schema, 4, rng)
     recon_leaves = []
     for lin in recon.decoders.values():
@@ -181,12 +182,12 @@ def test_criterion_03_gradient_integrity():
     tokens = Tensor(rng.standard_normal((3, schema.token_count(), 4)), requires_grad=True)
     for part in ("num", "ce", "mcat", "emb", "memb"):
         check(
-            lambda part=part: reconstruction_loss(tokens, snaps, schema, recon)[part],
+            lambda part=part: reconstruction_loss(tokens, inputs, recon)[part],
             [tokens],
         )
     check(
         lambda: pretrain_total_loss(
-            {**reconstruction_loss(tokens, snaps, schema, recon), "con": Tensor(np.zeros(()))},
+            {**reconstruction_loss(tokens, inputs, recon), "con": Tensor(np.zeros(()))},
             LossWeights(),
         ),
         [tokens] + recon_leaves,

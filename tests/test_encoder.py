@@ -12,18 +12,25 @@ def numeric_encoder(d=8, rng=None):
     return FeatureEncoder(schema, d, rng or np.random.default_rng(0))
 
 
+def first_tokens(enc, values, name):
+    """Tokens [B, d] that assemble_tokens gives the first feature, `name`,
+    for one row per value."""
+    x, _ = enc.assemble_tokens([Snapshot({name: v}) for v in values])
+    return x[:, 0]
+
+
 class TestNumericEncoding:
     def test_zero_input_alternates_sin_cos(self):
         # sin(0)=0 and cos(0)=1 regardless of frequency, interleaved
         enc = numeric_encoder(d=8)
-        tok = enc.encode_numeric(["x"], [[0.0]], [[0.0]]).data[0, 0]
+        tok = first_tokens(enc, [0.0], "x").data[0]
         np.testing.assert_allclose(tok, [0.0, 1.0] * 4, atol=1e-7)
 
     def test_half_at_unit_frequency(self):
         # x=0.5, f=1: sin(pi/2)=1, cos(pi/2)=0
         enc = numeric_encoder(d=4)
         enc.freqs["x"].data[...] = [1.0, 2.0]
-        tok = enc.encode_numeric(["x"], [[0.5]], [[0.0]]).data[0, 0]
+        tok = first_tokens(enc, [0.5], "x").data[0]
         np.testing.assert_allclose(tok[:2], [1.0, 0.0], atol=1e-6)
         # f=2: sin(pi)=0, cos(pi)=-1
         np.testing.assert_allclose(tok[2:], [0.0, -1.0], atol=1e-6)
@@ -31,12 +38,12 @@ class TestNumericEncoding:
     def test_bounded_in_unit_interval(self, rng):
         enc = numeric_encoder(d=16, rng=rng)
         vals = rng.normal(scale=100.0, size=50)
-        toks = enc.encode_numeric(["x"], vals[:, None], np.zeros((50, 1))).data
+        toks = first_tokens(enc, vals.tolist(), "x").data
         assert np.all(np.abs(toks) <= 1.0 + 1e-6)
 
     def test_missing_uses_learned_embedding(self):
         enc = numeric_encoder(d=6)
-        tok = enc.encode_numeric(["x"], [[0.0]], [[1.0]]).data[0, 0]
+        tok = first_tokens(enc, [None], "x").data[0]
         np.testing.assert_allclose(tok, enc.missing["x"].data, atol=1e-7)
 
     def test_default_frequency_ladder(self):
@@ -52,7 +59,7 @@ class TestNumericEncoding:
         enc.missing["x"] = Tensor(rng.standard_normal(4), requires_grad=True)
 
         def build():
-            return (enc.encode_numeric(["x"], [[0.3], [-1.2]], [[0.0], [1.0]]) ** 2.0).sum()
+            return (first_tokens(enc, [0.3, None], "x") ** 2.0).sum()
 
         assert fd_gradient_check(build, [enc.freqs["x"], enc.missing["x"]]) < 1e-4
 
@@ -64,39 +71,62 @@ class TestCategoricalEncoding:
 
     def test_singleton_is_table_row(self):
         enc = self.make()
-        tok = enc.encode_categorical("c", [[2]]).data[0]
+        tok = first_tokens(enc, [(2,)], "c").data[0]
         np.testing.assert_allclose(tok, enc.tables["c"].data[2], atol=1e-7)
 
     def test_set_encoding_is_additive(self):
         enc = self.make()
-        ab = enc.encode_categorical("c", [[0, 3]]).data[0]
-        a = enc.encode_categorical("c", [[0]]).data[0]
-        b = enc.encode_categorical("c", [[3]]).data[0]
+        ab, a, b = first_tokens(enc, [(0, 3), (0,), (3,)], "c").data
         np.testing.assert_allclose(ab, a + b, atol=1e-6)
 
     def test_order_invariant(self):
         enc = self.make()
-        x = enc.encode_categorical("c", [[1, 4, 2]]).data
-        y = enc.encode_categorical("c", [[4, 2, 1]]).data
+        x, y = first_tokens(enc, [(1, 4, 2), (4, 2, 1)], "c").data
         np.testing.assert_allclose(x, y, atol=1e-7)
 
     def test_empty_set_is_zero(self):
         enc = self.make()
-        tok = enc.encode_categorical("c", [[]]).data[0]
+        tok = first_tokens(enc, [()], "c").data[0]
         np.testing.assert_allclose(tok, np.zeros(6), atol=1e-7)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
-            self.make().encode_categorical("c", [[9]])
+            first_tokens(self.make(), [(9,)], "c")
 
     def test_gradient_flows_to_table(self, rng):
         enc = self.make()
         enc.tables["c"] = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
 
         def build():
-            return (enc.encode_categorical("c", [[0, 2], [4]]) ** 2.0).sum()
+            return (first_tokens(enc, [(0, 2), (4,)], "c") ** 2.0).sum()
 
         assert fd_gradient_check(build, [enc.tables["c"]]) < 1e-4
+
+
+class TestInputs:
+    def test_arrays_per_feature_kind(self):
+        schema = FeatureSchema([
+            FeatureSpec("x", "numeric"), FeatureSpec("c", "categorical", vocab_size=3),
+            FeatureSpec("t", "multi_categorical", vocab_size=4), FeatureSpec("e", "embedding", dim=2),
+            FeatureSpec("m", "multi_embedding", dim=2, max_count=2),
+        ])
+        enc = FeatureEncoder(schema, 4, np.random.default_rng(0), asset_criterion="engagement")
+        assets = [Asset(np.full(2, float(i), dtype=np.float32), timestamp=-i, engagement=i) for i in range(4)]
+        rows = [Snapshot({"x": 1.5, "c": 2, "t": (0, 3), "e": np.array([1.0, -1.0]), "m": assets}),
+                Snapshot({"x": None, "c": None, "t": (), "e": None, "m": []})]
+        got = enc.inputs(rows)
+        assert list(got) == ["x", "c", "t", "e", "m"]
+        want = {
+            "x": ([1.5, 0.0], [1, 0]),
+            "c": ([[0, 0, 1], [0, 0, 0]], [1, 0]),
+            "t": ([[1, 0, 0, 1], [0, 0, 0, 0]], [1, 1]),  # a tag set, empty or not, is present
+            "e": ([[1, -1], [0, 0]], [1, 0]),
+            "m": ([[[3, 3], [2, 2]], [[0, 0], [0, 0]]], [[1, 1], [0, 0]]),  # the two most engaging
+        }
+        for name, (values, present) in want.items():
+            assert got[name][0].dtype == got[name][1].dtype == np.float32
+            np.testing.assert_array_equal(got[name][0], values)
+            np.testing.assert_array_equal(got[name][1], present)
 
 
 class TestAssembly:
@@ -191,9 +221,9 @@ class TestAssembly:
             leaf.grad = None
         ref_loss = 0.0
         for name, pos in positions.items():
-            vals = [[s.values[name] or 0.0] for s in snaps]
-            miss = [[float(s.values[name] is None)] for s in snaps]
-            tok = enc.encode_numeric([name], vals, miss)
+            alone = FeatureEncoder(FeatureSchema([schema.get(name)]), 4, np.random.default_rng(0))
+            alone.freqs[name], alone.missing[name] = enc.freqs[name], enc.missing[name]
+            tok, _ = alone.assemble_tokens([Snapshot({name: s.values[name]}) for s in snaps])
             np.testing.assert_array_equal(x.data[:, pos:pos + 1], tok.data)
             ref_loss = (tok * weight[:, pos:pos + 1]).sum() + ref_loss
         ref_loss.backward()
@@ -208,7 +238,7 @@ class TestAssembly:
         assets = [Asset(np.full(3, float(i), dtype=np.float32), timestamp=float(i)) for i in range(5)]
         x, mask = enc.assemble_tokens([Snapshot({"m": assets})])
         # the two most recent assets (4 and 3) fill the slots
-        expect = enc.encode_embedding_feature(3, np.array([[4.0] * 3, [3.0] * 3], dtype=np.float32))
+        expect = enc.projectors[3](Tensor(np.array([[4.0] * 3, [3.0] * 3], dtype=np.float32)))
         np.testing.assert_allclose(x.data[0], expect.data, atol=1e-6)
         assert mask[0].tolist() == [1.0, 1.0]
 

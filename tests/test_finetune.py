@@ -141,7 +141,7 @@ class TestLaplaceCovariance:
             rows = np.roll(phi[:size], size // 2, axis=0)  # row 0 sits at index size // 2
             assert head.variance(rows)[size // 2] == alone
 
-    def test_refit_reset_and_load_invalidate_cached_factor(self, rng):
+    def test_refit_and_load_invalidate_cached_factor(self, rng):
         head = SngpHead(2, 2, rng, d_rf=8, ridge=0.5)
         phi = rng.standard_normal((20, 8))
         head.fit_covariance(phi[:10], rng.uniform(0.1, 0.9, 10))
@@ -152,9 +152,9 @@ class TestLaplaceCovariance:
         lam = 0.5 * np.eye(8) + (phi * w[:, None]).T @ phi
         want = np.einsum("ij,jk,ik->i", phi, np.linalg.inv(lam), phi)
         np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
-        head.reset_covariance()
+        head.precision = 0.5 * np.eye(8)  # as Model.load sets a stored precision
         np.testing.assert_allclose(head.variance(phi), (phi * phi).sum(axis=1) / 0.5, rtol=1e-12)
-        head.precision = lam  # as Model.load sets it
+        head.precision = lam
         np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
 
     def test_variance_requires_fit(self, rng):
@@ -277,6 +277,34 @@ class TestFinetuneLoop:
         assert vectors and all(model.buffers()[k] is v for k, v in vectors.items())
         np.testing.assert_array_equal(model.embed(snaps), embedded)
         assert np.any(model.heads["risk"].beta.weight.data != 0)
+
+    def test_linear_probe_embeds_its_rows_once(self, monkeypatch):
+        """A probe's backbone is fixed: its training rows, its held-out rows
+        and the covariance pass are embedded once each, and every evaluation
+        scores exactly what a fresh embedding of the held-out rows gives."""
+        import tabfusion.metrics as metrics
+
+        _, snaps, model = separable_setup()
+        val = list(range(20))
+        embed, auprc_of = model.embed, metrics.auprc
+        calls, scored = [], []
+
+        def counting(rows, *args, **kw):
+            calls.append(len(rows))
+            return embed(rows, *args, **kw)
+
+        def fresh_auprc(scores, labels):
+            pooled = embed([snaps[i] for i in val])
+            fresh = model.heads["risk"].predict(Tensor(pooled), calibrated=False)["probs"][:, 1]
+            scored.append(np.array_equal(scores, fresh))
+            return auprc_of(scores, labels)
+
+        monkeypatch.setattr(model, "embed", counting)
+        monkeypatch.setattr(metrics, "auprc", fresh_auprc)
+        cfg = quick_cfg(steps=10, eval_every=2, patience=100, linear_probe=True)
+        curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg, val)
+        assert calls == [40, 20, 40]  # training rows, held-out rows, covariance pass
+        assert scored == [True] * 5 and len([rec for rec in curve if "val_auprc.risk" in rec]) == 5
 
     def test_isa_is_neither_trained_nor_power_iterated(self, monkeypatch):
         import tabfusion.finetune as ft

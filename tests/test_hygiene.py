@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: unused module-level imports,
 RunConfig fields that nothing reads, one list of model fields, no
 hand-written parameter or buffer plumbing outside nn.Module, no writes
-into a `.data` array, and no global mode besides `no_grad`."""
+into a `.data` array, no global mode besides `no_grad`, and asset
+selection only in the encoder."""
 
 import ast
 import inspect
@@ -220,3 +221,31 @@ def test_no_grad_is_the_only_global_mode():
     switched by a hidden module global."""
     rebound = sorted(name for path in MODULES for name in global_rebinds(path.read_text(), path.stem))
     assert rebound == ["tensor._GRAD_ENABLED", "tensor._MAC_COUNT"]
+
+
+def calls_to(source: str, name: str) -> list[int]:
+    """Lines that call `name`, bare or as an attribute (`data.name(...)`)."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)) == name
+    )
+
+
+def test_call_scanner_finds_bare_and_attribute_calls_only():
+    source = (
+        "from .data import select_top_k_assets\n"
+        "def f(a):\n    return select_top_k_assets(a, 2)\n"
+        "def g(a):\n    pick = select_top_k_assets\n    return data.select_top_k_assets(a, 1), pick\n"
+        "def select_top_k_assets(a, k):\n    return a[:k]\n"
+    )
+    assert calls_to(source, "select_top_k_assets") == [3, 6]
+
+
+def test_only_the_encoder_selects_assets():
+    """The encoder's criterion and seed pick a row's assets; every other
+    module (pre-training's targets included) reads them off the encoder's
+    inputs, so two modules cannot disagree on the pick."""
+    callers = [path.name for path in MODULES if calls_to(path.read_text(), "select_top_k_assets")]
+    assert callers == ["encoder.py"]

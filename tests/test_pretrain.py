@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_snapshots, small_schema
 from tabfusion.data import Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
+from tabfusion.encoder import FeatureEncoder
 from tabfusion.model import Model
 from tabfusion.pretrain import (
     AugmentConfig,
@@ -99,12 +100,16 @@ class TestReconstructionLoss:
             lin.bias.data[...] = 0.0
         return heads
 
+    @staticmethod
+    def inputs(schema, snaps, **encoder_kwargs):
+        return FeatureEncoder(schema, 4, np.random.default_rng(0), **encoder_kwargs).inputs(snaps)
+
     def test_numeric_mse(self):
         schema = FeatureSchema([FeatureSpec("x", "numeric")], [])
         heads = self.zeroed_heads(schema, 4)
         snaps = [Snapshot({"x": 1.0}), Snapshot({"x": -3.0})]
         tokens = Tensor(np.zeros((2, 1, 4), dtype=np.float32))
-        parts = reconstruction_loss(tokens, snaps, schema, heads)
+        parts = reconstruction_loss(tokens, self.inputs(schema, snaps), heads)
         # zeroed decoder predicts 0: mean of (1^2, 3^2) = 5
         assert abs(parts["num"].item() - 5.0) < 1e-6
         assert parts["ce"].item() == 0.0
@@ -114,7 +119,7 @@ class TestReconstructionLoss:
         heads = self.zeroed_heads(schema, 4)
         snaps = [Snapshot({"x": 2.0}), Snapshot({"x": None})]
         tokens = Tensor(np.zeros((2, 1, 4), dtype=np.float32))
-        parts = reconstruction_loss(tokens, snaps, schema, heads)
+        parts = reconstruction_loss(tokens, self.inputs(schema, snaps), heads)
         assert abs(parts["num"].item() - 4.0) < 1e-6
 
     def test_categorical_uniform_logits_give_log_vocab(self):
@@ -122,7 +127,7 @@ class TestReconstructionLoss:
         heads = self.zeroed_heads(schema, 4)
         snaps = [Snapshot({"c": 3}), Snapshot({"c": 0})]
         tokens = Tensor(np.zeros((2, 1, 4), dtype=np.float32))
-        parts = reconstruction_loss(tokens, snaps, schema, heads)
+        parts = reconstruction_loss(tokens, self.inputs(schema, snaps), heads)
         assert abs(parts["ce"].item() - math.log(7)) < 1e-6
 
     def test_multilabel_zero_logits_give_vocab_ln2(self):
@@ -130,7 +135,7 @@ class TestReconstructionLoss:
         heads = self.zeroed_heads(schema, 4)
         snaps = [Snapshot({"t": (0, 2)}), Snapshot({"t": ()})]
         tokens = Tensor(np.zeros((2, 1, 4), dtype=np.float32))
-        parts = reconstruction_loss(tokens, snaps, schema, heads)
+        parts = reconstruction_loss(tokens, self.inputs(schema, snaps), heads)
         # zero logits: every class costs ln 2 regardless of the target
         assert abs(parts["mcat"].item() - 5 * math.log(2)) < 1e-5
 
@@ -139,7 +144,7 @@ class TestReconstructionLoss:
         heads = self.zeroed_heads(schema, 4)
         snaps = [Snapshot({"e": np.array([2.0, 0.0, 0.0, 0.0], dtype=np.float32)})]
         tokens = Tensor(np.zeros((1, 1, 4), dtype=np.float32))
-        parts = reconstruction_loss(tokens, snaps, schema, heads)
+        parts = reconstruction_loss(tokens, self.inputs(schema, snaps), heads)
         assert abs(parts["emb"].item() - 4.0 / 4.0) < 1e-6
 
     def test_per_type_mean_over_features(self):
@@ -147,8 +152,26 @@ class TestReconstructionLoss:
         heads = self.zeroed_heads(schema, 4)
         snaps = [Snapshot({"a": 1.0, "b": 3.0})]
         tokens = Tensor(np.zeros((1, 2, 4), dtype=np.float32))
-        parts = reconstruction_loss(tokens, snaps, schema, heads)
+        parts = reconstruction_loss(tokens, self.inputs(schema, snaps), heads)
         assert abs(parts["num"].item() - (1.0 + 9.0) / 2.0) < 1e-6
+
+    def test_asset_targets_follow_the_encoder_criterion(self):
+        # four assets for two slots: by engagement the top two are assets 1
+        # and 3, by recency (the default) assets 3 and 2
+        schema = FeatureSchema([FeatureSpec("m", "multi_embedding", dim=2, max_count=2)], [])
+        heads = self.zeroed_heads(schema, 4)
+        vectors = [[1.0, 2.0], [3.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
+        engagement = [0.1, 0.9, 0.2, 0.5]
+        assets = [Asset(np.array(v, dtype=np.float32), timestamp=float(i), engagement=e)
+                  for i, (v, e) in enumerate(zip(vectors, engagement))]
+        snaps = [Snapshot({"m": assets}), Snapshot({"m": assets[:1]})]
+        tokens = Tensor(np.zeros((2, 2, 4), dtype=np.float32))
+        parts = reconstruction_loss(tokens, self.inputs(schema, snaps, asset_criterion="engagement"), heads)
+        # zeroed decoder predicts 0: squared norms of assets 1, 3 and (row 2) 0
+        # over 3 present slots of dim 2
+        assert abs(parts["memb"].item() - (9.0 + 8.0 + 5.0) / (3 * 2)) < 1e-6
+        recency = reconstruction_loss(tokens, self.inputs(schema, snaps), heads)["memb"].item()
+        assert abs(recency - (8.0 + 1.0 + 5.0) / (3 * 2)) < 1e-6
 
 
 class TestInfoNce:
