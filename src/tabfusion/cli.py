@@ -275,7 +275,7 @@ def cmd_select(args) -> int:
     cfg = _load_config(args)
     schema, snapshots = _load_data(args)
     rule = StopRule(tolerance=args.tolerance, min_features=args.min_features)
-    reduced, trace = backward_eliminate(snapshots, schema, args.task, rule, seed=cfg.seed)
+    reduced, trace = backward_eliminate(snapshots, schema, args.task, rule, cfg.seed, cfg.asset_criterion)
     reduced.save(args.out_schema)
     if args.trace:
         with Path(args.trace).open("w") as fh:

@@ -1,12 +1,12 @@
 """Per-feature encoders mapping heterogeneous inputs to d-dimensional tokens.
 
-A batch is featurized once into per-feature arrays (`FeatureEncoder.inputs`)
-that are both the encoder's input and pre-training's reconstruction target.
-Numerics use learned-frequency sinusoidal encoding, categoricals use summed
-embedding-table rows, and precomputed modality embeddings pass through a
-small projector MLP of hidden width d. Missing values take a learned
-embedding and empty asset slots a learned pad; no positional encoding is
-added (the token set is unordered).
+A batch is featurized once into per-feature arrays (`feature_inputs`) that
+are the encoder's input, pre-training's reconstruction target and feature
+selection's columns. Numerics use learned-frequency sinusoidal encoding,
+categoricals use summed embedding-table rows, and precomputed modality
+embeddings pass through a small projector MLP of hidden width d. Missing
+values take a learned embedding and empty asset slots a learned pad; no
+positional encoding is added (the token set is unordered).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .data import FeatureKind, FeatureSchema, Snapshot, select_top_k_assets
 from .nn import Mlp, Module
 from .tensor import Tensor, concat, matmul, numeric_encoding
 
-__all__ = ["FeatureEncoder"]
+__all__ = ["FeatureEncoder", "feature_inputs"]
 
 
 class FeatureEncoder(Module):
@@ -73,49 +73,8 @@ class FeatureEncoder(Module):
     # ---- featurization and assembly --------------------------------------
 
     def inputs(self, snapshots: list[Snapshot]) -> dict:
-        """Each feature's float32 input arrays for a batch, name -> (values, present).
-
-        - numeric: values [B] (missing zero-filled), present [B];
-        - categorical and multi-categorical: index counts [B, vocab] and
-          present [B]; a tag set is never missing, only empty;
-        - embedding: vectors [B, dim] (missing zero-filled), present [B];
-        - multi-embedding: the top max_count assets by the encoder's
-          criterion and seed, vectors [B, max_count, dim] and present
-          [B, max_count].
-
-        `tokens` encodes these arrays and pre-training reconstructs them.
-        """
-        b = len(snapshots)
-        out = {}
-        for f in self.schema:
-            raw = [s.values.get(f.name) for s in snapshots]
-            if f.kind == FeatureKind.MULTI_CATEGORICAL:  # a tag set is never missing, only empty
-                out[f.name] = (_counts(f, [v or () for v in raw]), np.ones(b, dtype=np.float32))
-                continue
-            if f.kind == FeatureKind.MULTI_EMBEDDING:
-                values = np.zeros((b, f.max_count, f.dim), dtype=np.float32)
-                present = np.zeros((b, f.max_count), dtype=np.float32)
-                for i, assets in enumerate(raw):
-                    top = select_top_k_assets(
-                        assets or [], f.max_count, criterion=self.asset_criterion, seed=self.asset_seed
-                    )
-                    for j, a in enumerate(top):
-                        values[i, j] = a.vector
-                        present[i, j] = 1.0
-                out[f.name] = (values, present)
-                continue
-            present = np.array([v is not None for v in raw], dtype=np.float32)
-            if f.kind == FeatureKind.NUMERIC:
-                values = np.array([0.0 if v is None else v for v in raw], dtype=np.float32)
-            elif f.kind == FeatureKind.CATEGORICAL:
-                values = _counts(f, [() if v is None else (v,) for v in raw])
-            else:
-                values = np.zeros((b, f.dim), dtype=np.float32)
-                for i, v in enumerate(raw):
-                    if v is not None:
-                        values[i] = v
-            out[f.name] = (values, present)
-        return out
+        """`feature_inputs` of a batch under the encoder's asset criterion and seed."""
+        return feature_inputs(self.schema, snapshots, self.asset_criterion, self.asset_seed)
 
     def assemble_tokens(self, snapshots: list[Snapshot]):
         """Encode a batch into (X: [B, N, d], mask: [B, N]): `tokens` of `inputs`."""
@@ -172,6 +131,50 @@ class FeatureEncoder(Module):
         """tok where present is 1, the [d] embedding `fill` where it is 0."""
         p = Tensor(present.reshape(present.shape + (1,)))
         return tok * p + fill.reshape((1,) * present.ndim + (self.d,)) * (1.0 - p)
+
+
+def feature_inputs(schema: FeatureSchema, snapshots: list[Snapshot], asset_criterion: str, asset_seed: int) -> dict:
+    """Each feature's float32 input arrays for a batch, name -> (values, present).
+
+    - numeric: values [B] (missing zero-filled), present [B];
+    - categorical and multi-categorical: index counts [B, vocab] and
+      present [B]; a tag set is never missing, only empty;
+    - embedding: vectors [B, dim] (missing zero-filled), present [B];
+    - multi-embedding: the top max_count assets by `asset_criterion` and
+      `asset_seed`, vectors [B, max_count, dim] and present [B, max_count].
+
+    The encoder encodes these arrays, pre-training reconstructs them and
+    feature selection flattens them.
+    """
+    b = len(snapshots)
+    out = {}
+    for f in schema:
+        raw = [s.values.get(f.name) for s in snapshots]
+        if f.kind == FeatureKind.MULTI_CATEGORICAL:  # a tag set is never missing, only empty
+            out[f.name] = (_counts(f, [v or () for v in raw]), np.ones(b, dtype=np.float32))
+            continue
+        if f.kind == FeatureKind.MULTI_EMBEDDING:
+            values = np.zeros((b, f.max_count, f.dim), dtype=np.float32)
+            present = np.zeros((b, f.max_count), dtype=np.float32)
+            for i, assets in enumerate(raw):
+                top = select_top_k_assets(assets or [], f.max_count, criterion=asset_criterion, seed=asset_seed)
+                for j, a in enumerate(top):
+                    values[i, j] = a.vector
+                    present[i, j] = 1.0
+            out[f.name] = (values, present)
+            continue
+        present = np.array([v is not None for v in raw], dtype=np.float32)
+        if f.kind == FeatureKind.NUMERIC:
+            values = np.array([0.0 if v is None else v for v in raw], dtype=np.float32)
+        elif f.kind == FeatureKind.CATEGORICAL:
+            values = _counts(f, [() if v is None else (v,) for v in raw])
+        else:
+            values = np.zeros((b, f.dim), dtype=np.float32)
+            for i, v in enumerate(raw):
+                if v is not None:
+                    values[i] = v
+        out[f.name] = (values, present)
+    return out
 
 
 def _counts(f, index_sets) -> np.ndarray:

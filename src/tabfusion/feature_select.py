@@ -1,7 +1,7 @@
 """Backward-elimination feature selection with permutation importance.
 
-The importance scorer is pluggable; the default is a cheap logistic probe
-over flattened feature encodings (one-hot categoricals, raw embeddings).
+Importance is scored by a logistic probe over each feature's encoder inputs
+(`encoder.feature_inputs`), flattened into columns.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureKind, FeatureSchema, Snapshot
+from .data import DataError, FeatureKind, FeatureSchema, Snapshot
+from .encoder import feature_inputs
 from .metrics import auroc
 
 __all__ = [
@@ -38,51 +39,33 @@ class EliminationTrace:
         return [r[1] for r in self.rounds]
 
 
-def featurize(snapshots: list[Snapshot], schema: FeatureSchema):
-    """Flatten snapshots into (X, column ranges per feature name).
+def featurize(snapshots: list[Snapshot], schema: FeatureSchema, asset_criterion: str = "recency", asset_seed: int = 0):
+    """Flatten the encoder's input arrays into (X, column ranges per feature name).
 
-    numeric -> one standardized column (missing as 0 plus a missing flag);
-    categorical -> one-hot; multi-categorical -> multi-hot; embedding -> raw
-    vector; multi-embedding -> mean of asset vectors.
+    numeric -> the value (missing as 0) and a missing flag; categorical and
+    tag set -> multi-hot; embedding -> the vector (missing as 0);
+    multi-embedding -> the mean of the assets the encoder keeps by
+    `asset_criterion` and `asset_seed` (0 when there are none). A category
+    index out of range raises IndexError, as it does in the encoder.
     """
+    inputs = feature_inputs(schema, snapshots, asset_criterion, asset_seed)
     cols = []
     ranges = {}
     pos = 0
-    n = len(snapshots)
     for f in schema:
+        values, present = inputs[f.name]
         if f.kind == FeatureKind.NUMERIC:
-            v = np.array(
-                [0.0 if s.values.get(f.name) is None else s.values[f.name] for s in snapshots]
-            )
-            miss = np.array([1.0 if s.values.get(f.name) is None else 0.0 for s in snapshots])
-            block = np.stack([v, miss], axis=1)
-        elif f.kind == FeatureKind.CATEGORICAL:
-            block = np.zeros((n, f.vocab_size))
-            for i, s in enumerate(snapshots):
-                v = s.values.get(f.name)
-                if v is not None:
-                    block[i, v] = 1.0
-        elif f.kind == FeatureKind.MULTI_CATEGORICAL:
-            block = np.zeros((n, f.vocab_size))
-            for i, s in enumerate(snapshots):
-                for v in s.values.get(f.name) or ():
-                    block[i, v] = 1.0
+            block = np.stack([values, 1.0 - present], axis=1)
+        elif f.kind in (FeatureKind.CATEGORICAL, FeatureKind.MULTI_CATEGORICAL):
+            block = np.minimum(values, 1.0)
         elif f.kind == FeatureKind.EMBEDDING:
-            block = np.zeros((n, f.dim))
-            for i, s in enumerate(snapshots):
-                v = s.values.get(f.name)
-                if v is not None:
-                    block[i] = v
-        else:
-            block = np.zeros((n, f.dim))
-            for i, s in enumerate(snapshots):
-                assets = s.values.get(f.name) or []
-                if assets:
-                    block[i] = np.mean([a.vector for a in assets], axis=0)
-        cols.append(block)
+            block = values
+        else:  # empty slots are zero, so the sum runs over the kept assets
+            block = values.sum(axis=1) / np.maximum(present.sum(axis=1), 1.0)[:, None]
+        cols.append(block.astype(np.float64))
         ranges[f.name] = (pos, pos + block.shape[1])
         pos += block.shape[1]
-    x = np.concatenate(cols, axis=1) if cols else np.zeros((n, 0))
+    x = np.concatenate(cols, axis=1) if cols else np.zeros((len(snapshots), 0))
     return x, ranges
 
 
@@ -110,7 +93,7 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, steps: int = 300, lr: float = 0.
 
 
 def logistic_probe_auroc(x_train, y_train, x_val, y_val) -> float:
-    """Default model_fit_fn: train a logistic probe, return validation AUROC."""
+    """Train a logistic probe, return its validation AUROC."""
     score = _fit_logistic(x_train, y_train)
     return auroc(score(x_val), y_val)
 
@@ -146,38 +129,41 @@ def backward_eliminate(
     schema: FeatureSchema,
     task: str,
     stop_rule: StopRule | None = None,
-    model_fit_fn=logistic_probe_auroc,
-    repeats: int = 5,
     seed: int = 0,
-    val_frac: float = 0.3,
+    asset_criterion: str = "recency",
 ):
     """Iteratively drop the lowest-importance feature until the validation
     metric would fall more than stop_rule.tolerance below the full-schema
     baseline, or min_features is reached.
+
+    Only rows labeled for `task` are scored (DataError if none is). They are
+    featurized once, as a model built with `asset_criterion` and `seed`
+    would, and each candidate subset takes its columns. `seed` also draws
+    the validation split and the permutations.
 
     Returns (reduced FeatureSchema, EliminationTrace).
     """
     stop_rule = stop_rule or StopRule()
     if len(schema) < 2:
         raise ValueError("need at least 2 features to eliminate")
+    labeled = [s for s in snapshots if s.labels.get(task) is not None]
+    if not labeled:
+        raise DataError(f"no row is labeled for task '{task}'")
     rng = np.random.default_rng(seed)
-    y = np.array([s.labels[task] for s in snapshots], dtype=np.float64)
-    n = len(snapshots)
-    order = rng.permutation(n)
-    n_val = max(1, int(n * val_frac))
+    y = np.array([s.labels[task] for s in labeled], dtype=np.float64)
+    x_all, ranges_all = featurize(labeled, schema, asset_criterion, seed)
+    order = rng.permutation(len(labeled))
+    n_val = max(1, int(len(labeled) * 0.3))  # validation share
     val_idx, train_idx = order[:n_val], order[n_val:]
 
     remaining = [f.name for f in schema]
     trace = EliminationTrace()
 
     def metric_for(feature_names):
-        sub = FeatureSchema([schema.get(nm) for nm in feature_names], schema.tasks)
-        x, ranges = featurize(snapshots, sub)
-        return (
-            model_fit_fn(x[train_idx], y[train_idx], x[val_idx], y[val_idx]),
-            x,
-            ranges,
-        )
+        x = np.concatenate([x_all[:, slice(*ranges_all[nm])] for nm in feature_names], axis=1)
+        widths = [hi - lo for lo, hi in (ranges_all[nm] for nm in feature_names)]
+        ranges = {nm: (end - w, end) for nm, w, end in zip(feature_names, widths, np.cumsum(widths))}
+        return logistic_probe_auroc(x[train_idx], y[train_idx], x[val_idx], y[val_idx]), x, ranges
 
     baseline, x, ranges = metric_for(remaining)
     trace.baseline_metric = baseline
@@ -187,13 +173,12 @@ def backward_eliminate(
         importances = {}
         for name in remaining:
             importances[name] = permutation_importance(
-                model_fit_fn,
+                logistic_probe_auroc,
                 x[train_idx],
                 y[train_idx],
                 x[val_idx],
                 y[val_idx],
                 ranges[name],
-                repeats=repeats,
                 rng=rng,
                 baseline=current,
             )

@@ -202,9 +202,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
 
     Rows named by `val_indices` are held out of training. Every
     `cfg.eval_every` steps each task's head is scored by AUPRC on the
-    embedded held-out rows labeled for its task, recorded as
-    `val_auprc.<task>`. Only tasks whose labeled held-out rows include a
-    positive are scored; the mean of their AUPRCs drives early stopping with
+    embedded held-out rows labeled for its task, class 1 against the rest,
+    recorded as `val_auprc.<task>`. Only tasks with a held-out class-1 row
+    are scored; the mean of their AUPRCs drives early stopping with
     `cfg.patience`. At the end the trained parameters with the best mean are
     restored, with the power-iteration vectors u and v of their spectral
     layers, so the model is the one that was scored. When no task has a
@@ -247,9 +247,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         val_set = [snapshots[i] for i in val_indices]
         for t in tasks:
             rows = [i for i, s in enumerate(val_set) if s.labels.get(t.name) is not None]
-            labels = np.array([val_set[i].labels[t.name] for i in rows])
-            if np.any(labels == 1):  # AUPRC needs a positive
-                val_tasks[t.name] = (rows, labels)
+            positive = np.array([val_set[i].labels[t.name] for i in rows]) == 1
+            if positive.any():  # AUPRC needs a positive
+                val_tasks[t.name] = (rows, positive)
     features = model.embed(train_set) if cfg.linear_probe else None
     val_features = model.embed(val_set) if cfg.linear_probe and val_tasks else None
 
@@ -287,9 +287,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
 
         if val_tasks and (step + 1) % cfg.eval_every == 0:
             pooled = model.embed(val_set) if val_features is None else val_features
-            for name, (rows, labels) in val_tasks.items():
+            for name, (rows, positive) in val_tasks.items():
                 scores = model.heads[name].predict(Tensor(pooled[rows]), calibrated=False)["probs"][:, 1]
-                record[f"val_auprc.{name}"] = auprc(scores, labels)
+                record[f"val_auprc.{name}"] = auprc(scores, positive)
             metric = sum(record[f"val_auprc.{name}"] for name in val_tasks) / len(val_tasks)
             if metric > best_metric + 1e-12:
                 best_metric = metric

@@ -13,10 +13,11 @@ __all__ = ["auroc", "auprc", "ece", "MetricsReport", "FoldMetrics"]
 def auroc(scores, labels) -> float:
     """Area under the ROC curve via the rank (Mann-Whitney U) formulation.
 
-    Ties contribute 0.5 through midranks. Raises on single-class input.
+    Ties contribute 0.5 through midranks. Raises on single-class input and
+    on labels other than 0 and 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = _binary(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -24,6 +25,14 @@ def auroc(scores, labels) -> float:
     ranks = _midranks(scores)
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _binary(labels) -> np.ndarray:
+    """labels as an array, raising ValueError unless every one is 0 or 1."""
+    labels = np.asarray(labels)
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1; score a multi-class task one-vs-rest")
+    return labels
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -43,9 +52,10 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 def auprc(scores, labels) -> float:
     """Area under the precision-recall curve with step-wise interpolation
-    (average precision). Tied scores are grouped into one threshold."""
+    (average precision). Tied scores are grouped into one threshold. Raises
+    without a positive and on labels other than 0 and 1."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = _binary(labels)
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         raise ValueError("auprc needs at least one positive")

@@ -218,6 +218,37 @@ class TestTrainingCommands:
         assert "baseline" in (workspace / "trace.txt").read_text()
 
 
+    def select(self, ws, data, emb, tag):
+        return main(
+            ["--config", str(ws / "config.json"), "select-features", "--schema", str(ws / "schema.json"),
+             "--data", str(data), "--embeddings", str(emb), "--task", "risk", "--tolerance", "0.05",
+             "--out-schema", str(ws / f"{tag}.json"), "--trace", str(ws / f"{tag}.txt")]
+        )
+
+    def test_select_features_scores_only_labeled_rows(self, workspace):
+        """Unlabeled rows interleaved with the workspace's change no trace line
+        (scored, their NaN labels zeroed every importance)."""
+        schema = small_schema(with_assets=True)
+        labeled = random_snapshots(schema, 24, seed=0, label_rule=lambda v, rng: int(v["age"] > 0))
+        unlabeled = random_snapshots(schema, 12, seed=3)
+        for s in unlabeled:
+            s.labels["risk"] = None
+        mixed = [row for pair in zip(labeled, unlabeled) for row in pair] + labeled[len(unlabeled):]
+        save_dataset(mixed, schema, workspace / "mixed.csv", workspace / "mixed.bin")
+        assert self.select(workspace, workspace / "data.csv", workspace / "emb.bin", "labeled") == EXIT_OK
+        assert self.select(workspace, workspace / "mixed.csv", workspace / "mixed.bin", "mixed") == EXIT_OK
+        assert (workspace / "mixed.txt").read_text() == (workspace / "labeled.txt").read_text()
+
+    def test_select_features_without_labeled_rows(self, workspace, capsys):
+        schema = small_schema(with_assets=True)
+        snaps = random_snapshots(schema, 12, seed=2)
+        for s in snaps:
+            s.labels["risk"] = None
+        save_dataset(snaps, schema, workspace / "unlabeled.csv", workspace / "unlabeled.bin")
+        assert self.select(workspace, workspace / "unlabeled.csv", workspace / "unlabeled.bin", "none") == EXIT_DATA
+        assert "labeled for task 'risk'" in capsys.readouterr().err
+
+
 class TestSelfDescribingCheckpoint:
     def predict_lines(self, ws, ckpt, data, schema="schema.json"):
         out = ws / f"{Path(data).stem}.jsonl"

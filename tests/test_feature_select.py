@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
-from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
+from tabfusion.data import Asset, DataError, FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
 from tabfusion.feature_select import (
     EliminationTrace,
     StopRule,
@@ -54,12 +54,39 @@ class TestFeaturize:
         np.testing.assert_allclose(x, [[1, 0, 1, 0], [0, 0, 0, 0]])
 
     def test_asset_mean(self):
-        from tabfusion.data import Asset
-
         schema = FeatureSchema([FeatureSpec("m", "multi_embedding", dim=2, max_count=3)], [])
         snaps = [Snapshot({"m": [Asset(np.array([1.0, 0.0])), Asset(np.array([3.0, 2.0]))]})]
         x, _ = featurize(snaps, schema)
         np.testing.assert_allclose(x, [[2.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "criterion, mean",
+        [("recency", [3.0, 2.0]), ("engagement", [5.0, 4.0])],
+        ids=["recency", "engagement"],
+    )
+    def test_asset_mean_over_the_encoders_top_k(self, criterion, mean):
+        """Four assets for two slots: the mean runs over the two the encoder
+        keeps (timestamps 3 and 2, or engagement 0.9 and 0.7), not all four."""
+        schema = FeatureSchema([FeatureSpec("m", "multi_embedding", dim=2, max_count=2)], [])
+        assets = [([1.0, 0.0], 3.0, 0.1), ([3.0, 2.0], 1.0, 0.9), ([5.0, 4.0], 2.0, 0.5), ([7.0, 6.0], 0.0, 0.7)]
+        snaps = [Snapshot({"m": [Asset(np.array(v), t, e) for v, t, e in assets]})]
+        x, _ = featurize(snaps, schema, asset_criterion=criterion)
+        np.testing.assert_array_equal(x, [mean])
+
+    @pytest.mark.parametrize(
+        "spec, value",
+        [
+            (FeatureSpec("c", "categorical", vocab_size=3), -1),
+            (FeatureSpec("c", "categorical", vocab_size=3), 3),
+            (FeatureSpec("c", "multi_categorical", vocab_size=3), (-1,)),
+        ],
+        ids=["categorical-minus-1", "categorical-vocab-size", "tag-set-minus-1"],
+    )
+    def test_out_of_range_category_raises(self, spec, value):
+        """As in the encoder: -1 must not one-hot the last column."""
+        schema = FeatureSchema([spec], [])
+        with pytest.raises(IndexError, match="out of range for 'c'"):
+            featurize([Snapshot({"c": value})], schema)
 
 
 class TestPermutationImportance:
@@ -138,6 +165,30 @@ class TestBackwardElimination:
         _, trace = backward_eliminate(snaps, schema, "y", rule)
         for _, _, _, metric in trace.rounds:
             assert metric >= trace.baseline_metric - rule.tolerance
+
+    def test_scores_only_labeled_rows(self):
+        """Rows without a label for the task (None or absent) are left out,
+        so interleaving them changes nothing."""
+        schema, snaps = label_copy_dataset(n_noise=3)
+        _, extra = label_copy_dataset(n=60, n_noise=3, seed=9)
+        for i, s in enumerate(extra):
+            if i % 2:
+                s.labels["y"] = None
+            else:
+                s.labels.clear()
+        mixed = [row for pair in zip(snaps, extra) for row in pair] + snaps[len(extra):]
+        rule = StopRule(tolerance=0.02)
+        want_schema, want = backward_eliminate(snaps, schema, "y", rule)
+        got_schema, got = backward_eliminate(mixed, schema, "y", rule)
+        assert (got.baseline_metric, got.rounds) == (want.baseline_metric, want.rounds)
+        assert [f.name for f in got_schema] == [f.name for f in want_schema]
+
+    def test_no_labeled_row_is_a_data_error(self):
+        schema, snaps = label_copy_dataset(n=20)
+        for s in snaps:
+            s.labels["y"] = None
+        with pytest.raises(DataError, match="labeled for task 'y'"):
+            backward_eliminate(snaps, schema, "y")
 
     def test_single_feature_schema_rejected(self):
         schema = FeatureSchema([FeatureSpec("x", "numeric")], [TaskSpecLite("y", 2)])

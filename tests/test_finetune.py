@@ -403,6 +403,20 @@ class TestFinetuneLoop:
         assert not any("val_auprc.risk" in rec for rec in curve)
         assert model.heads["risk"].precision is not None
 
+    def test_three_class_validation_scores_class_1_one_vs_rest(self):
+        # scored on the raw labels, class-2 rows counted as two positives each
+        schema = FeatureSchema([FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], [TaskSpecLite("tier", 3)])
+        snaps = random_snapshots(schema, 60, seed=2, label_rule=lambda v, rng: int(np.digitize(v["x"], [-0.5, 0.5])))
+        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=2)
+        val = list(range(20))
+        labels = np.array([snaps[i].labels["tier"] for i in val])
+        assert set(labels.tolist()) == {0, 1, 2}
+        curve = finetune_loop(model, snaps, [TaskSpec("tier", 3)], quick_cfg(steps=4, eval_every=4), val)
+        pooled = model.embed([snaps[i] for i in val])
+        scores = model.heads["tier"].predict(Tensor(pooled), calibrated=False)["probs"][:, 1]
+        assert curve[-1]["val_auprc.tier"] == auprc(scores, labels == 1)
+        assert 0.0 < curve[-1]["val_auprc.tier"] <= 1.0
+
     def test_early_stopping_restores_best_mean_over_tasks(self):
         # task a's best step is not the best step of the mean over a and b
         schema = FeatureSchema(

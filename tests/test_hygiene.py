@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: unused module-level imports,
 RunConfig fields that nothing reads, one list of model fields, no
 hand-written parameter or buffer plumbing outside nn.Module, no writes
-into a `.data` array, no global mode besides `no_grad`, and asset
-selection only in the encoder."""
+into a `.data` array, no global mode besides `no_grad`, asset selection
+only in the encoder, and snapshot values read only by IO, featurization
+and CutMix."""
 
 import ast
 import inspect
@@ -249,3 +250,31 @@ def test_only_the_encoder_selects_assets():
     inputs, so two modules cannot disagree on the pick."""
     callers = [path.name for path in MODULES if calls_to(path.read_text(), "select_top_k_assets")]
     assert callers == ["encoder.py"]
+
+
+def attribute_reads(source: str, attr: str) -> list[int]:
+    """Lines that use an attribute `attr` other than by calling it as a
+    method: `s.values[...]` and `s.values.get(...)` count, `d.values()` does not."""
+    tree = ast.parse(source)
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == attr and id(n) not in called)
+
+
+def test_attribute_scanner_skips_method_calls():
+    source = (
+        "def f(s, d):\n"
+        "    a = s.values.get('x')\n"
+        "    b = list(d.values())\n"
+        "    return s.values['y'], a, b, values\n"
+        "def g(s):\n    s.values = {}\n"
+    )
+    assert attribute_reads(source, "values") == [2, 4, 6]
+
+
+def test_only_io_featurization_and_cutmix_read_snapshot_values():
+    """`Snapshot.values` holds raw per-kind values. Reading them anywhere but
+    data.py (IO), encoder.py (featurization) and pretrain.py (CutMix swaps
+    whole values) would be a second parser that can disagree with the
+    encoder's, as feature selection's own parser once did."""
+    readers = [path.name for path in MODULES if attribute_reads(path.read_text(), "values")]
+    assert readers == ["data.py", "encoder.py", "pretrain.py"]

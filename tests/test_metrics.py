@@ -46,6 +46,15 @@ class TestAuroc:
         with pytest.raises(ValueError):
             auroc([0.1, 0.9], [1, 1])
 
+    @pytest.mark.parametrize(
+        "labels", [[0, 1, np.nan, np.nan, 0, 1], [0, 1, 2, 2, 0, 1], [0, 1, None, None, 0, 1]],
+        ids=["nan", "class-2", "none"],
+    )
+    def test_labels_outside_0_1_rejected(self, labels):
+        # unchecked, the NaN case read 1.25: unlabeled rows must be dropped, not scored
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            auroc(np.arange(6), labels)
+
     def test_matches_brute_force_random(self, rng):
         for _ in range(30):
             n = int(rng.integers(4, 30))
@@ -85,6 +94,12 @@ class TestAuprc:
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError):
             auprc([0.1, 0.9], [0, 0])
+
+    @pytest.mark.parametrize("labels", [[2, 1, 0], [np.nan, 1, 0]], ids=["class-2", "nan"])
+    def test_labels_outside_0_1_rejected(self, labels):
+        # unchecked, the class-2 case read 5.5: a multi-class task is scored one-vs-rest
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            auprc([0.9, 0.8, 0.1], labels)
 
     def test_matches_brute_force_random(self, rng):
         for _ in range(30):
