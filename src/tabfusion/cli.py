@@ -237,7 +237,7 @@ def cmd_eval(args) -> int:
     if not labeled:
         raise DataError(f"no row is labeled for task '{args.task}'")
     scores = predict_scores(model, labeled, args.task)
-    y = np.array([s.labels[args.task] for s in labeled])
+    y = np.array([s.labels[args.task] for s in labeled]) == 1  # class 1 against the rest
     result = {
         "task": args.task,
         "n": len(labeled),

@@ -105,13 +105,12 @@ def permutation_importance(
     x_val,
     y_val,
     col_range,
+    rng: np.random.Generator,
     repeats: int = 5,
-    rng: np.random.Generator | None = None,
     baseline: float | None = None,
 ) -> float:
     """AUROC(original) minus mean AUROC with the feature's validation columns
-    permuted, over `repeats` draws."""
-    rng = rng or np.random.default_rng(0)
+    permuted, over `repeats` draws from `rng`."""
     if baseline is None:
         baseline = model_fit_fn(x_train, y_train, x_val, y_val)
     lo, hi = col_range
@@ -136,7 +135,8 @@ def backward_eliminate(
     metric would fall more than stop_rule.tolerance below the full-schema
     baseline, or min_features is reached.
 
-    Only rows labeled for `task` are scored (DataError if none is). They are
+    Only rows labeled for `task` are scored (DataError if none is), class 1
+    against the rest, so a multi-class task is scored as binary. They are
     featurized once, as a model built with `asset_criterion` and `seed`
     would, and each candidate subset takes its columns. `seed` also draws
     the validation split and the permutations.
@@ -150,7 +150,7 @@ def backward_eliminate(
     if not labeled:
         raise DataError(f"no row is labeled for task '{task}'")
     rng = np.random.default_rng(seed)
-    y = np.array([s.labels[task] for s in labeled], dtype=np.float64)
+    y = (np.array([s.labels[task] for s in labeled]) == 1).astype(np.float64)
     x_all, ranges_all = featurize(labeled, schema, asset_criterion, seed)
     order = rng.permutation(len(labeled))
     n_val = max(1, int(len(labeled) * 0.3))  # validation share

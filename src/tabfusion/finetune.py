@@ -329,5 +329,6 @@ def fit_heads_covariance(model, snapshots, tasks) -> None:
 
 
 def predict_scores(model, snapshots, task: str, calibrated: bool = True):
-    """Positive-class (class 1) probabilities for a binary task."""
+    """Class-1 probabilities: the positive class of a binary task, class 1
+    against the rest of a multi-class one."""
     return model.predict(snapshots, task, calibrated)["probs"][:, 1]

@@ -10,7 +10,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import FeatureSchema
 from .encoder import FeatureEncoder
 from .finetune import SngpHead
-from .nn import Module
+from .nn import Module, _Placeholders
 from .pretrain import ReconstructionHeads
 from .tensor import Tensor, no_grad
 from .trunk import Trunk, TrunkConfig
@@ -35,18 +35,23 @@ class Model(Module):
         seed: int = 0,
     ):
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        self.schema = schema
-        self.d = d
         d_prime = d_prime if d_prime is not None else 4 * d
-        # the constructor fields, as the checkpoint record stores them
-        self.fields = dict(
+        self._build(schema, rng, dict(
             d=d, n_layers=n_layers, heads=heads, ffn_dim=ffn_dim, d_prime=d_prime,
             spectral_norm=spectral_norm, asset_criterion=asset_criterion, seed=seed,
-        )
-        self.encoder = FeatureEncoder(schema, d, rng, asset_criterion=asset_criterion, asset_seed=seed)
+        ))
+
+    def _build(self, schema: FeatureSchema, rng, fields: dict) -> None:
+        """The module tree of `fields` (the constructor fields, as the checkpoint
+        record stores them), its arrays drawn from `rng`."""
+        self.schema = schema
+        self.d = d = fields["d"]
+        self.fields = fields
+        self.encoder = FeatureEncoder(schema, d, rng, asset_criterion=fields["asset_criterion"],
+                                      asset_seed=fields["seed"])
         self.trunk_config = TrunkConfig(
-            d=d, n_tokens=schema.token_count(), n_layers=n_layers, heads=heads, ffn_dim=ffn_dim, d_prime=d_prime,
-            spectral_norm=spectral_norm,
+            d=d, n_tokens=schema.token_count(),
+            **{k: fields[k] for k in ("n_layers", "heads", "ffn_dim", "d_prime", "spectral_norm")},
         )
         self.trunk = Trunk(self.trunk_config, rng)
         self.recon = ReconstructionHeads(schema, d, rng)
@@ -72,7 +77,10 @@ class Model(Module):
     def load(path, schema: FeatureSchema | None = None, config_dict: dict | None = None, **model_kwargs) -> "Model":
         """Rebuild a model, its heads and its training schema from the checkpoint
         record alone, then set a copy of each file array, cast to the slot's
-        dtype, as the parameter's data or the buffer its name points to. A missing
+        dtype, as the parameter's data or the buffer its name points to. The
+        constructors that build a fresh model build the tree, but its slots are
+        placeholders: the load draws no random number and runs no power
+        iteration, so every array the model ends with is the file's. A missing
         array, a shape mismatch or an array that names no attribute raises
         CheckpointError. `schema` (normalization aside), `config_dict` and
         `model_kwargs` are only checked against the record: a mismatch raises
@@ -84,9 +92,11 @@ class Model(Module):
         if config_dict is not None:
             _check_fields("config", config_dict, record["config"], config_dict.keys() | record["config"].keys())
         _check_fields("model", model_kwargs, record["model"], model_kwargs.keys())
-        model = Model(saved, **record["model"])
+        placeholders = _Placeholders()
+        model = Model.__new__(Model)
+        model._build(saved, placeholders, record["model"])
         for task, fields in record["heads"].items():
-            model.heads[task] = SngpHead(model.d, rng=np.random.default_rng(0), **fields)
+            model.heads[task] = SngpHead(model.d, rng=placeholders, **fields)
         slots = {name: (owner, key, value) for name, owner, key, value in model.named_state()}
         for name, (_, _, value) in slots.items():
             if value is not None and name not in arrays:

@@ -89,13 +89,27 @@ def _walk(node, prefix: str):
             yield from _walk(value, path + ".")
 
 
+class _Placeholders:
+    """Stands in for a Generator where a module tree is built only to be
+    filled from a checkpoint: it draws nothing. `uniform` gives float32 zeros
+    (calloc'd, so a weight never touches its pages before the file's array
+    replaces it) and `standard_normal` ones, so that normalizing a draw stays
+    finite. A spectral layer on a zero weight skips its warm start."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.zeros(size, dtype=np.float32)
+
+    def standard_normal(self, size=None):
+        return np.ones(size, dtype=np.float32)
+
+
 class Linear(Module):
     """Dense layer y = x W^T + b with Kaiming-uniform init."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
         bound = 1.0 / np.sqrt(in_dim)
         self.weight = Tensor(
-            rng.uniform(-bound, bound, size=(out_dim, in_dim)).astype(np.float32),
+            rng.uniform(-bound, bound, size=(out_dim, in_dim)).astype(np.float32, copy=False),
             requires_grad=True,
         )
         self.bias = (
@@ -123,7 +137,11 @@ class SpectralLinear(Linear):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
         super().__init__(in_dim, out_dim, rng, bias=bias)
         u = rng.standard_normal(out_dim).astype(np.float32)
-        _, self.u, self.v = power_iteration(self.weight.data, u / np.linalg.norm(u), 5)
+        u = u / np.linalg.norm(u)
+        w = self.weight.data
+        # a zero weight has sigma 0 and nothing to warm-start toward: what
+        # power_iteration would return, without its matvec
+        _, self.u, self.v = power_iteration(w, u, 5) if w.any() else (0.0, u, np.zeros(in_dim, w.dtype))
         # (weight.data, u, v, W / sigma) of the last inference call; not saved
         self._cached_weight: tuple | None = None
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
+from tabfusion import nn
 from tabfusion.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -16,6 +18,7 @@ from tabfusion.checkpoint import (
 from tabfusion.config import ConfigError, RunConfig
 from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop, predict_scores
 from tabfusion.model import HEAD_FIELDS, Model
+from tabfusion.tensor import Tensor
 
 
 def layout(record: dict, arrays: dict) -> dict:
@@ -232,12 +235,38 @@ class TestModelPersistence:
             save_checkpoint(path, {**arrays, stray: np.zeros(2, dtype=np.float32)}, record)
             with pytest.raises(CheckpointError, match=f"array '{stray}' names no attribute"):
                 Model.load(path)
-        save_checkpoint(path, {k: v for k, v in arrays.items() if k != "trunk.layers.0.w_q.u"}, record)
-        with pytest.raises(CheckpointError, match="missing array 'trunk.layers.0.w_q.u'"):
-            Model.load(path)
+        # a parameter, a buffer and a head array: a kept placeholder would serve zeros
+        for missing in ("trunk.layers.0.w_q.weight", "trunk.layers.0.w_q.u", "heads.risk.omega"):
+            save_checkpoint(path, {k: v for k, v in arrays.items() if k != missing}, record)
+            with pytest.raises(CheckpointError, match=f"missing array '{missing}'"):
+                Model.load(path)
         save_checkpoint(path, {**arrays, "heads.risk.omega": arrays["heads.risk.omega"][1:]}, record)
         with pytest.raises(CheckpointError, match="shape mismatch for 'heads.risk.omega'"):
             Model.load(path)
+
+    def test_load_only_reads_and_checks(self, tmp_path, monkeypatch):
+        """The loaded model's every array is the file's: the load power-iterates
+        nothing and draws from no generator."""
+        schema, snaps, model = self.build_trained(tmp_path)
+        model.save(tmp_path / "m.ckpt", {})
+        iterate = nn.power_iteration
+        calls = []
+        monkeypatch.setattr(nn, "power_iteration", lambda *args: calls.append(args) or iterate(*args))
+        want = model.predict(snaps, "risk")
+        Model(schema, **self.kwargs())  # a fresh model warm-starts each spectral layer
+        assert calls
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("Model.load made a random generator")
+
+        calls.clear()
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        clone = Model.load(tmp_path / "m.ckpt")
+        monkeypatch.undo()
+        assert calls == []
+        got = clone.predict(snaps, "risk")
+        np.testing.assert_array_equal(got["probs"], want["probs"])
+        np.testing.assert_array_equal(got["variance"], want["variance"])
 
     def test_arguments_are_checked_not_used(self, tmp_path):
         schema, snaps, model = self.build_trained(tmp_path)
@@ -262,6 +291,42 @@ class TestModelPersistence:
         emb = model.embed(snaps)
         assert emb.shape == (20, 8)
         assert np.all(np.isfinite(emb))
+
+
+def state_digest(module, skip=()) -> str:
+    """sha256 over every parameter and buffer of `module` in walk order:
+    each one's path, dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for path, _, _, value in module.named_state():
+        if value is None or path in skip:
+            continue
+        array = value.data if isinstance(value, Tensor) else value
+        digest.update(f"{path} {array.dtype} {array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+class TestFreshInitialisation:
+    """Fixed digests of what a fresh model and a new head draw: `Model.load`
+    builds the same module tree from placeholders, and a fresh draw must not
+    change with it."""
+
+    @pytest.mark.parametrize("seed,want", [
+        (0, "95df7966b3f15f72fb2c747b19fa09c563746bbc072666f682b7b599bb1b5769"),
+        (7, "a0a2486b31bc56b6b450a2497577d8d67b77b638917db42547e95a973142e8dc"),
+    ])
+    def test_model_digest(self, seed, want):
+        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=seed)
+        assert state_digest(model) == want
+
+    def test_new_head_digest(self):
+        schema = small_schema()
+        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=3)
+        cfg = FinetuneConfig(steps=0, d_rf=32, seed=5, eval_every=1000)
+        finetune_loop(model, random_snapshots(schema, 12, seed=0), [TaskSpec("risk", 2)], cfg)
+        # the precision is fitted by the covariance pass, not drawn
+        assert state_digest(model.heads["risk"], skip={"precision"}) == (
+            "44be50bb8e4c3ba281640e17b5170051b067d68449f99301cd64a8a53b771e62")
 
 
 class TestRunConfig:

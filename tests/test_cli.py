@@ -9,6 +9,8 @@ from conftest import random_snapshots, small_schema
 from tabfusion.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, main
 from tabfusion.config import RunConfig
 from tabfusion.data import TaskSpecLite, load_dataset, save_dataset
+from tabfusion.finetune import predict_scores
+from tabfusion.metrics import auprc, auroc, ece
 from tabfusion.model import Model
 
 
@@ -185,6 +187,27 @@ class TestTrainingCommands:
         result = json.loads((workspace / "m.json").read_text())
         assert set(result) >= {"auroc", "auprc", "ece", "n"}
         assert 0.0 <= result["auroc"] <= 1.0
+
+    def test_eval_scores_a_multi_class_task_class_1_against_the_rest(self, tmp_path, capsys):
+        # raw labels in {0, 1, 2} made auroc raise ("labels must be 0 or 1"): exit 1
+        schema = small_schema(with_assets=True)
+        schema.tasks[0] = TaskSpecLite("risk", 3)
+        snaps = random_snapshots(schema, 30, seed=0, label_rule=lambda v, rng: int(rng.integers(3)))
+        save_dataset(snaps, schema, tmp_path / "data.csv", tmp_path / "emb.bin").save(tmp_path / "schema.json")
+        RunConfig(d=8, heads=2, n_layers=1, ffn_dim=16, d_prime=8, batch_size=8, finetune_steps=3, d_rf=32,
+                  warmup_steps=2, decay_steps=10, seed=1).save(tmp_path / "config.json")
+        ckpt = run_finetune(tmp_path)
+        rc = main(["--config", str(tmp_path / "config.json"), "eval"] + base_args(tmp_path)[2:]
+                  + ["--checkpoint", str(ckpt), "--task", "risk", "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        result = json.loads((tmp_path / "m.json").read_text())
+        model = Model.load(ckpt)
+        rows = load_dataset(tmp_path / "data.csv", model.schema, tmp_path / "emb.bin")[1]
+        scores = predict_scores(model, rows, "risk")
+        y = np.array([s.labels["risk"] for s in rows])
+        assert set(y.tolist()) == {0, 1, 2} and result["n"] == 30
+        assert (result["auroc"], result["auprc"], result["ece"]) == (
+            auroc(scores, y == 1), auprc(scores, y == 1), ece(scores, y == 1))
 
     def test_export_embeddings(self, workspace):
         ckpt = run_finetune(workspace)

@@ -183,6 +183,20 @@ class TestBackwardElimination:
         assert (got.baseline_metric, got.rounds) == (want.baseline_metric, want.rounds)
         assert [f.name for f in got_schema] == [f.name for f in want_schema]
 
+    def test_multi_class_task_scores_class_1_against_the_rest(self):
+        # labels in {0, 1, 2} made auroc raise ("labels must be 0 or 1")
+        schema = small_schema()
+        snaps = random_snapshots(schema, 60, seed=0, label_rule=lambda v, rng: int(rng.integers(3)))
+        binary = random_snapshots(schema, 60, seed=0, label_rule=lambda v, rng: int(rng.integers(3)))
+        for s in binary:
+            s.labels["risk"] = int(s.labels["risk"] == 1)
+        assert {s.labels["risk"] for s in snaps} == {0, 1, 2}
+        rule = StopRule(tolerance=0.05)
+        got_schema, got = backward_eliminate(snaps, schema, "risk", rule)
+        want_schema, want = backward_eliminate(binary, schema, "risk", rule)
+        assert (got.baseline_metric, got.rounds) == (want.baseline_metric, want.rounds)
+        assert [f.name for f in got_schema] == [f.name for f in want_schema]
+
     def test_no_labeled_row_is_a_data_error(self):
         schema, snaps = label_copy_dataset(n=20)
         for s in snaps:

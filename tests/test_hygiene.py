@@ -2,8 +2,8 @@
 RunConfig fields that nothing reads, one list of model fields, no
 hand-written parameter or buffer plumbing outside nn.Module, no writes
 into a `.data` array, no global mode besides `no_grad`, asset selection
-only in the encoder, and snapshot values read only by IO, featurization
-and CutMix."""
+only in the encoder, snapshot values read only by IO, featurization and
+CutMix, and no generator seeded with a literal."""
 
 import ast
 import inspect
@@ -278,3 +278,38 @@ def test_only_io_featurization_and_cutmix_read_snapshot_values():
     encoder's, as feature selection's own parser once did."""
     readers = [path.name for path in MODULES if attribute_reads(path.read_text(), "values")]
     assert readers == ["data.py", "encoder.py", "pretrain.py"]
+
+
+def literal_seeded_generators(source: str) -> list[str]:
+    """Calls of `default_rng`, bare or as an attribute, whose arguments are
+    all literals (`default_rng(0)`, `default_rng(seed=[1, 2])`), as 'line: call'."""
+    return [
+        f"{n.lineno}: {ast.unparse(n)}"
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)) == "default_rng"
+        and (n.args or n.keywords)
+        and not any(isinstance(m, ast.Name) for arg in n.args + n.keywords for m in ast.walk(arg))
+    ]
+
+
+def test_literal_seed_scanner_flags_only_literal_seeds():
+    source = (
+        "a = np.random.default_rng(0)\n"
+        "b = default_rng(seed=[1, 2])\n"
+        "c = rng or np.random.default_rng(-3)\n"
+        "d = np.random.default_rng(seed)\n"
+        "e = np.random.default_rng(cfg.seed + 1)\n"
+        "f = np.random.default_rng([seed, 1])\n"
+        "g = np.random.default_rng()\n"
+    )
+    assert literal_seeded_generators(source) == [
+        "1: np.random.default_rng(0)", "2: default_rng(seed=[1, 2])", "3: np.random.default_rng(-3)",
+    ]
+
+
+def test_no_library_generator_is_seeded_with_a_literal():
+    """Library randomness comes from a seed or generator the caller passes:
+    a literal seed would draw the same numbers whatever the run's seed."""
+    found = [f"{path.name}:{c}" for path in MODULES for c in literal_seeded_generators(path.read_text())]
+    assert found == []

@@ -192,17 +192,17 @@ class TestInferenceWeightCache:
         schema = small_schema()
         rows = random_snapshots(schema, 6, seed=2)
         model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=1)
-        for p in model.parameters().values():  # away from the initial weights load starts from
+        for p in model.parameters().values():  # away from the initial weights
             p.data = p.data + rng.normal(scale=0.1, size=p.shape).astype(p.dtype)
         want = model.embed(rows)
         model.save(tmp_path / "m.ckpt", {})
-        init = Model.__init__
+        build = Model._build  # builds the module tree for __init__ and for load
 
-        def init_and_serve(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            self.embed(rows)  # caches W / sigma of the random initial weights
+        def build_and_serve(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            self.embed(rows)  # caches W / sigma of the placeholder weights
 
-        monkeypatch.setattr(Model, "__init__", init_and_serve)
+        monkeypatch.setattr(Model, "_build", build_and_serve)
         loaded = Model.load(tmp_path / "m.ckpt")
         assert np.array_equal(loaded.embed(rows), want)
 
