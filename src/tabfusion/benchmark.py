@@ -20,6 +20,7 @@ from .data import (
     Snapshot,
     TaskSpecLite,
     make_folds,
+    normalize_split,
 )
 from .finetune import FinetuneConfig, TaskSpec, finetune_loop, predict_scores
 from .metrics import FoldMetrics, MetricsReport, auprc, auroc, ece
@@ -94,7 +95,10 @@ def _is_float(v: str) -> bool:
 
 
 def load_benchmark_csv(path, dataset_name: str):
-    """Load a raw benchmark CSV into (schema, snapshots) with a binary label."""
+    """Load a raw benchmark CSV into (schema, snapshots) with a binary label.
+
+    Numerics stay raw: `run_benchmark` normalizes each fold from its
+    training rows."""
     spec = DATASETS[dataset_name]
     path = Path(path)
     if not path.exists():
@@ -125,10 +129,6 @@ def load_benchmark_csv(path, dataset_name: str):
                     raise DataError("unseen category", row=row_no, feature=f.name)
         label = 1 if r[spec["target"]].strip() in positives else 0
         snapshots.append(Snapshot(values, {spec["target"]: label}))
-    # normalize numerics in place (z-score computed over the whole dataset)
-    from .data import _normalize_numerics
-
-    _normalize_numerics(schema, snapshots)
     return schema, snapshots
 
 
@@ -141,9 +141,10 @@ def run_benchmark(
 ) -> MetricsReport:
     """5-fold CV reproduction of the public-benchmark protocol.
 
-    Per fold: fresh model, optional self-supervised pretraining on the train
-    split, fine-tuning with an SNGP head and focal loss, calibrated scoring
-    of the held-out fold. Reports mean +/- std AUROC across folds.
+    Per fold: numerics z-scored by the train split's statistics, fresh
+    model, optional self-supervised pretraining on the train split,
+    fine-tuning with an SNGP head and focal loss, calibrated scoring of the
+    held-out fold. Reports mean +/- std AUROC across folds.
     """
     config.validate()
     if dataset_name not in DATASETS:
@@ -167,9 +168,10 @@ def run_benchmark(
 
     for fold in range(config.folds):
         train_idx, test_idx = split.fold_split(fold)
-        train = [snapshots[i] for i in train_idx]
-        test = [snapshots[i] for i in test_idx]
-        model = build_model(schema, replace(config, seed=config.seed + fold))
+        fold_schema, train, test = normalize_split(
+            schema, [snapshots[i] for i in train_idx], [snapshots[i] for i in test_idx]
+        )
+        model = build_model(fold_schema, replace(config, seed=config.seed + fold))
         if config.pretrain_steps > 0:
             pretrain_loop(model, train, pretrain_config(config))
         task = TaskSpec(task_name, classes=2, gamma=config.focal_gamma)

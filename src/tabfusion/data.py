@@ -11,6 +11,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ __all__ = [
     "DataError",
     "load_dataset",
     "save_dataset",
+    "normalize_split",
     "select_top_k_assets",
     "make_folds",
     "chronological_split",
@@ -74,20 +77,6 @@ class FeatureSpec:
             raise DataError("dim must be >= 1", feature=self.name)
         if self.kind == FeatureKind.MULTI_EMBEDDING and self.max_count < 1:
             raise DataError("max_count must be >= 1", feature=self.name)
-
-    def token_index(self, token: str, row: int | None = None) -> int:
-        if self.vocab is not None:
-            try:
-                return self.vocab.index(token)
-            except ValueError:
-                raise DataError(f"token '{token}' not in vocabulary", row=row, feature=self.name) from None
-        try:
-            idx = int(token)
-        except ValueError:
-            raise DataError(f"expected integer index, got '{token}'", row=row, feature=self.name) from None
-        if not 0 <= idx < self.vocab_size:
-            raise DataError(f"index {idx} outside vocabulary of size {self.vocab_size}", row=row, feature=self.name)
-        return idx
 
 
 @dataclass
@@ -159,14 +148,14 @@ class FeatureSchema:
         return FeatureSchema.from_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass
+@dataclass(slots=True)
 class Asset:
     vector: np.ndarray
     timestamp: float = 0.0
     engagement: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Snapshot:
     """One example: feature values keyed by schema name plus optional labels.
 
@@ -201,51 +190,24 @@ class Snapshot:
 # ---- IO -------------------------------------------------------------------
 
 
-def _parse_cell(cell: str, f: FeatureSpec, row: int, sidecar: np.ndarray | None):
-    if cell == "":
-        return [] if f.kind == FeatureKind.MULTI_EMBEDDING else (
-            tuple() if f.kind == FeatureKind.MULTI_CATEGORICAL else None
-        )
-    if f.kind == FeatureKind.NUMERIC:
-        try:
-            return float(cell)
-        except ValueError:
-            raise DataError(f"bad numeric value '{cell}'", row=row, feature=f.name) from None
-    if f.kind == FeatureKind.CATEGORICAL:
-        return f.token_index(cell, row)
-    if f.kind == FeatureKind.MULTI_CATEGORICAL:
-        return tuple(sorted(f.token_index(tok, row) for tok in cell.split("|")))
-    if f.kind == FeatureKind.EMBEDDING:
-        off = int(cell)
-        _check_sidecar(sidecar, off, f, row)
-        return sidecar[off : off + f.dim].copy()
-    # multi-embedding: "offset:timestamp:engagement;..."
-    assets = []
-    for part in cell.split(";"):
-        bits = part.split(":")
-        off = int(bits[0])
-        _check_sidecar(sidecar, off, f, row)
-        ts = float(bits[1]) if len(bits) > 1 else 0.0
-        eng = float(bits[2]) if len(bits) > 2 else 0.0
-        assets.append(Asset(sidecar[off : off + f.dim].copy(), ts, eng))
-    return assets
-
-
-def _check_sidecar(sidecar, off, f, row):
-    if sidecar is None:
-        raise DataError("embedding feature but no embeddings sidecar supplied", row=row, feature=f.name)
-    if off < 0 or off + f.dim > sidecar.size:
-        raise DataError(f"sidecar offset {off} out of range", row=row, feature=f.name)
+# Rows read and converted at a time: bounds the raw text held in memory.
+LOAD_CHUNK_ROWS = 256
 
 
 def load_dataset(data_path, schema, embeddings_path=None):
-    """Load (schema, snapshots) and z-score-normalize numerics in place.
+    """Load (schema, snapshots) with z-score-normalized numerics.
 
     `schema` is a schema file or a FeatureSchema, such as a loaded model's;
     a copy of it is returned. Missing values are kept as explicit None/empty
     markers, never imputed. Normalization parameters come from the schema
     when present, otherwise they are computed from the data and written
-    into the returned schema.
+    into the returned schema. Label cells are integers, in `[0, classes)`
+    for a task the schema declares. Malformed content raises DataError
+    naming the first bad row and its feature or `label:<task>` column.
+
+    The file is read LOAD_CHUNK_ROWS rows at a time and converted one column
+    at a time; each chunk's embedding vectors are rows of one array gathered
+    from the sidecar per feature.
     """
     schema = schema if isinstance(schema, FeatureSchema) else FeatureSchema.load(schema)
     schema = FeatureSchema.from_dict(schema.to_dict())  # a copy: normalization is filled in below
@@ -253,49 +215,195 @@ def load_dataset(data_path, schema, embeddings_path=None):
     if embeddings_path is not None:
         sidecar = np.fromfile(embeddings_path, dtype="<f4")
 
-    snapshots = []
-    data_path = Path(data_path)
-    with data_path.open(newline="") as fh:
+    with Path(data_path).open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             return schema, []
-        label_cols = {}
-        col_of = {}
-        for i, col in enumerate(header):
-            if col.startswith("label:"):
-                label_cols[col[len("label:") :]] = i
-            else:
-                col_of[col] = i
+        label_cols = {col[len("label:") :]: i for i, col in enumerate(header) if col.startswith("label:")}
+        col_of = {col: i for i, col in enumerate(header) if not col.startswith("label:")}
         for f in schema:
             if f.name not in col_of:
                 raise DataError("feature missing from data header", feature=f.name)
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
-            values = {f.name: _parse_cell(row[col_of[f.name]], f, row_no, sidecar) for f in schema}
-            labels = {}
-            for task, i in label_cols.items():
-                labels[task] = int(row[i]) if row[i] != "" else None
-            snapshots.append(Snapshot(values, labels))
+        classes = {t.name: t.classes for t in schema.tasks}
+        # (header index, column name, converter, converted values)
+        columns = [(col_of[f.name], f.name, _column_converter(f, sidecar), []) for f in schema]
+        columns += [(i, f"label:{task}", _label_converter(classes.get(task)), []) for task, i in label_cols.items()]
+        first = 2  # file row of the chunk's first row, the header being row 1
+        while rows := list(islice(reader, LOAD_CHUNK_ROWS)):
+            if set(map(len, rows)) != {len(header)}:
+                bad = next(i for i, row in enumerate(rows) if len(row) != len(header))
+                _convert_chunk(columns, rows[:bad], first)  # a bad cell above it comes first
+                raise DataError(f"expected {len(header)} cells, got {len(rows[bad])}", row=first + bad)
+            _convert_chunk(columns, rows, first)
+            first += len(rows)
 
-    _normalize_numerics(schema, snapshots)
+    for f, (_, _, _, values) in zip(schema, columns):
+        if f.kind == FeatureKind.NUMERIC:
+            values[:] = _normalize(f, values)
+    names = [f.name for f in schema]
+    tasks = list(label_cols)
+    n_rows = first - 2
+    table = zip(*(values for _, _, _, values in columns)) if columns else repeat((), n_rows)
+    snapshots = [Snapshot(dict(zip(names, row)), dict(zip(tasks, row[len(names) :]))) for row in table]
     return schema, snapshots
 
 
-def _normalize_numerics(schema, snapshots):
-    for f in schema.of_kind(FeatureKind.NUMERIC):
-        if f.normalization is None:
-            obs = [s.values[f.name] for s in snapshots if s.values[f.name] is not None]
-            mean = float(np.mean(obs)) if obs else 0.0
-            std = float(np.std(obs)) if obs else 1.0
-            f.normalization = {"mean": mean, "std": std if std > 1e-12 else 1.0}
-        m, s = f.normalization["mean"], f.normalization["std"]
-        for snap in snapshots:
-            v = snap.values[f.name]
-            if v is not None:
-                snap.values[f.name] = (v - m) / s
+def _convert_chunk(columns, rows, first):
+    """Convert each column of `rows` onto its values. On bad cells raise the
+    DataError of the first bad row, the feature first in schema order (then
+    the labels) breaking ties."""
+    if not rows:
+        return
+    cells = list(zip(*rows))
+    errors = []
+    for i, name, convert, values in columns:
+        try:
+            values.extend(_convert(convert, cells[i], first, name))
+        except DataError as e:
+            errors.append(e)
+    if errors:
+        raise min(errors, key=lambda e: e.row)
+
+
+def _convert(convert, cells, first, name):
+    """`convert(cells)`; when it fails, a DataError naming the first cell that
+    fails on its own."""
+    try:
+        return convert(cells)
+    except (ValueError, KeyError):
+        for i, cell in enumerate(cells):
+            try:
+                convert((cell,))
+            except KeyError as e:
+                raise DataError(f"token {e.args[0]!r} not in vocabulary", row=first + i, feature=name) from None
+            except ValueError as e:
+                raise DataError(str(e), row=first + i, feature=name) from None
+        raise
+
+
+def _spread(cells, values):
+    """`values`, one per non-empty cell, with None at the empty cells."""
+    if len(values) == len(cells):
+        return values
+    it = iter(values)
+    return [next(it) if cell else None for cell in cells]
+
+
+def _in_range(values, stop, what):
+    """`values` when each lies in [0, stop) or `stop` is None; ValueError otherwise."""
+    if values and stop is not None:
+        lo, hi = min(values), max(values)
+        if lo < 0 or hi >= stop:
+            raise ValueError(f"{what} {lo if lo < 0 else hi} outside [0, {stop})")
+    return values
+
+
+def _column_converter(f: FeatureSpec, sidecar):
+    """A function from one column of `f`'s cells to their values.
+
+    Numerics are floats, categoricals int indices (or vocabulary positions,
+    the first for a repeated token), multi-categoricals sorted index tuples,
+    embeddings sidecar vectors and multi-embeddings lists of Asset built from
+    `offset[:timestamp[:engagement]]` parts joined by `;`. An empty cell is
+    None, () or [] by kind.
+    """
+    if f.kind == FeatureKind.NUMERIC:
+        return lambda cells: _spread(cells, list(map(float, filter(None, cells))))
+    if f.kind in (FeatureKind.CATEGORICAL, FeatureKind.MULTI_CATEGORICAL):
+        if f.vocab is not None:
+            position = {}
+            for i, token in enumerate(f.vocab):
+                position.setdefault(token, i)
+
+            def index(tokens):
+                return list(map(position.__getitem__, tokens))
+        else:
+
+            def index(tokens):
+                return _in_range(list(map(int, tokens)), f.vocab_size, "vocabulary index")
+
+        if f.kind == FeatureKind.CATEGORICAL:
+            return lambda cells: _spread(cells, index(filter(None, cells)))
+
+        def multi_categorical(cells):
+            counts = [cell.count("|") + 1 if cell else 0 for cell in cells]
+            it = iter(index(_split_column(cells, "|")))
+            return [tuple(sorted(islice(it, n))) for n in counts]
+
+        return multi_categorical
+    if f.kind == FeatureKind.EMBEDDING:
+        return lambda cells: _spread(cells, _gather(sidecar, f, list(map(int, filter(None, cells)))))
+
+    def multi_embedding(cells):
+        counts = [cell.count(";") + 1 if cell else 0 for cell in cells]
+        parts = _split_column(cells, ";")
+        assets = []
+        if parts:
+            colons = list(map(methodcaller("count", ":"), parts))
+            if max(colons) > 2:
+                raise ValueError(f"asset with {max(colons) + 1} fields; the format is offset:timestamp:engagement")
+            if min(colons) < 2:  # an omitted timestamp or engagement is 0
+                parts = [part + ":0" * (2 - n) for part, n in zip(parts, colons)]
+            fields = ":".join(parts).split(":")
+            vectors = _gather(sidecar, f, list(map(int, fields[0::3])))
+            assets = list(map(Asset, vectors, map(float, fields[1::3]), map(float, fields[2::3])))
+        it = iter(assets)
+        return [list(islice(it, n)) for n in counts]
+
+    return multi_embedding
+
+
+def _split_column(cells, sep):
+    """The `sep`-separated items of every non-empty cell, in order, from one split."""
+    joined = sep.join(filter(None, cells))
+    return joined.split(sep) if joined else []
+
+
+def _gather(sidecar, f: FeatureSpec, offsets):
+    """The sidecar vectors at `offsets`: rows of one freshly gathered array."""
+    if not offsets:
+        return []
+    if sidecar is None:
+        raise ValueError("embedding feature but no embeddings sidecar supplied")
+    _in_range(offsets, sidecar.size - f.dim + 1, "sidecar offset")
+    return list(sidecar[np.array(offsets, dtype=np.int64)[:, None] + np.arange(f.dim)])
+
+
+def _label_converter(classes):
+    """A function from one label column to int labels, in [0, classes) unless
+    `classes` is None (a task the schema does not declare); an empty cell
+    means unlabeled."""
+    return lambda cells: _spread(cells, _in_range(list(map(int, filter(None, cells))), classes, "label"))
+
+
+def _normalize(f: FeatureSpec, column):
+    """`column` z-scored by `f.normalization`, which is fitted on the column's
+    observed values when unset; None stays None."""
+    values = np.array(column, dtype=object)
+    seen = np.not_equal(values, None)
+    obs = values[seen].astype(np.float64)
+    if f.normalization is None:
+        mean = float(np.mean(obs)) if obs.size else 0.0
+        std = float(np.std(obs)) if obs.size else 1.0
+        f.normalization = {"mean": mean, "std": std if std > 1e-12 else 1.0}
+    values[seen] = (obs - f.normalization["mean"]) / f.normalization["std"]
+    return values.tolist()
+
+
+def normalize_split(schema, fit, *rest):
+    """A schema copy whose unset numeric normalization is fitted on the
+    snapshots `fit`, then copies of `fit` and of each of `rest` with numerics
+    z-scored by it: held-out rows never shape the statistics."""
+    schema = FeatureSchema.from_dict(schema.to_dict())
+    out = [schema]
+    for rows in (fit, *rest):
+        copies = [Snapshot(dict(s.values), dict(s.labels)) for s in rows]
+        for f in schema.of_kind(FeatureKind.NUMERIC):
+            for snap, v in zip(copies, _normalize(f, [s.values[f.name] for s in rows])):
+                snap.values[f.name] = v
+        out.append(copies)
+    return out
 
 
 def save_dataset(snapshots, schema, data_path, embeddings_path=None):

@@ -219,9 +219,12 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
                           f"pass task '{others[0]}' too, or set linear_probe")
     rng = np.random.default_rng(cfg.seed)
     for t in tasks:
-        labeled = [s for s in snapshots if s.labels.get(t.name) is not None]
-        if not labeled:
+        labels = [s.labels[t.name] for s in snapshots if s.labels.get(t.name) is not None]
+        if not labels:
             raise ValueError(f"no labeled examples for task '{t.name}'")
+        bad = [y for y in labels if not (isinstance(y, (int, np.integer)) and 0 <= y < t.classes)]
+        if bad:
+            raise ValueError(f"task '{t.name}' has label {bad[0]!r}; labels are integers in [0, {t.classes})")
     head_rng = np.random.default_rng(cfg.seed + 1)
     for t in tasks:
         if t.name not in model.heads:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -99,6 +100,55 @@ class TestBasics:
             + ["--out-checkpoint", str(workspace / "x.ckpt")]
         )
         assert rc == EXIT_CONFIG
+
+
+
+def rewrite_cell(ws, row, column, text):
+    """Put `text` in `column` of file row `row` (the header is row 1) of data.csv."""
+    path = ws / "data.csv"
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[row - 1][rows[0].index(column)] = text
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+class TestMalformedData:
+    """Malformed cells exit 4 naming the row and column; these used to exit 1
+    with a bare int()/float() message, or (labels) pass the loader."""
+
+    @pytest.mark.parametrize(
+        "column, text",
+        [
+            ("creatives", "zz:1:2"),
+            ("creatives", "2:abc:2"),
+            ("page_vec", "abc"),
+            ("label:risk", "7"),
+            ("label:risk", "-1"),
+            ("label:risk", "yes"),
+        ],
+    )
+    def test_dry_run_exits_4(self, workspace, capsys, column, text):
+        rewrite_cell(workspace, 5, column, text)
+        rc = main(
+            ["--config", str(workspace / "config.json"), "--dry-run", "pretrain"]
+            + base_args(workspace)[2:]
+            + ["--out-checkpoint", str(workspace / "x.ckpt")]
+        )
+        assert rc == EXIT_DATA
+        assert f"(row 5, feature '{column}')" in capsys.readouterr().err
+
+    def test_finetune_on_an_out_of_range_label_exits_4(self, workspace, capsys):
+        # label 7 on a 2-class task died in focal_loss with an IndexError (exit 1)
+        rewrite_cell(workspace, 5, "label:risk", "7")
+        rc = main(
+            ["--config", str(workspace / "config.json"), "finetune"]
+            + base_args(workspace)[2:]
+            + ["--task", "risk", "--out-checkpoint", str(workspace / "model.ckpt")]
+        )
+        assert rc == EXIT_DATA
+        assert "label 7 outside [0, 2) (row 5, feature 'label:risk')" in capsys.readouterr().err
+        assert not (workspace / "model.ckpt").exists()
 
 
 class TestTrainingCommands:

@@ -1,15 +1,22 @@
+import csv
+import hashlib
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_snapshots, small_schema
+import tabfusion.data as tfd
 from tabfusion.data import (
     Asset,
     DataError,
+    FeatureKind,
     FeatureSchema,
     FeatureSpec,
     Snapshot,
+    TaskSpecLite,
     chronological_split,
     load_dataset,
     make_folds,
@@ -119,6 +126,275 @@ class TestIo:
         schema.save(tmp_path / "s.json")
         with pytest.raises(DataError, match="'y'"):
             load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
+
+
+def _canonical(v):
+    """A value with its Python type: floats as hex, arrays with dtype and bytes."""
+    if isinstance(v, np.ndarray):
+        return ("ndarray", v.dtype.str, v.shape, v.tobytes().hex())
+    if isinstance(v, Asset):
+        return ("Asset", _canonical(v.vector), _canonical(v.timestamp), _canonical(v.engagement))
+    if isinstance(v, (list, tuple)):
+        return (type(v).__name__, tuple(_canonical(x) for x in v))
+    if isinstance(v, float):
+        return (type(v).__name__, v.hex())
+    return (type(v).__name__, v)
+
+
+def load_digest(schema, snapshots) -> str:
+    h = hashlib.sha256(json.dumps(schema.to_dict(), sort_keys=True).encode())
+    for s in snapshots:
+        for d in (s.values, s.labels):
+            h.update(repr([(k, _canonical(v)) for k, v in d.items()]).encode())
+    return h.hexdigest()
+
+
+def test_loaded_dataset_digest(tmp_path):
+    """Schema and snapshots loaded from a fixed dataset with all five kinds,
+    missing cells, a string vocabulary with a repeated token and unlabeled
+    rows, pinned by value and Python type: a faster loader must not move them."""
+    schema = FeatureSchema([
+        FeatureSpec("age", "numeric"),
+        FeatureSpec("spend", "numeric"),
+        FeatureSpec("region", "categorical", vocab_size=7),
+        FeatureSpec("plan", "categorical", vocab_size=4, vocab=["basic", "pro", "basic", "team"]),
+        FeatureSpec("tags", "multi_categorical", vocab_size=9),
+        FeatureSpec("page_vec", "embedding", dim=5),
+        FeatureSpec("creatives", "multi_embedding", dim=5, max_count=3),
+    ], [TaskSpecLite("risk", 2), TaskSpecLite("tier", 3)])
+    snaps = random_snapshots(schema, 2500, seed=11, missing_rate=0.15)
+    for i, s in enumerate(snaps):
+        s.labels["tier"] = None if i % 7 == 0 else i % 3
+    save_dataset(snaps, schema, tmp_path / "d.csv", tmp_path / "e.f32")
+    fitted, rows = load_dataset(tmp_path / "d.csv", schema, tmp_path / "e.f32")
+    assert load_digest(fitted, rows) == DIGEST
+    # the fitted statistics applied again give the same values
+    assert load_digest(*load_dataset(tmp_path / "d.csv", fitted, tmp_path / "e.f32")) == DIGEST
+
+
+DIGEST = "81f807d5368cd498d473efb3bebc1968a15c77ed36f5b87bf94f630c455406b2"
+
+
+# ---- loader: round trip, memory, errors ------------------------------------
+
+ASCII = st.characters(min_codepoint=32, max_codepoint=126)
+
+
+@st.composite
+def datasets(draw):
+    """(schema, snapshots) over all five kinds with missing cells, string
+    vocabularies, empty asset lists and vectors drawn from a small pool.
+    Multi-categorical features get no string vocabulary: save_dataset
+    writes their indices, not tokens."""
+    features = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(FeatureKind.ALL), min_size=1, max_size=6))):
+        size = draw(st.integers(1, 4))
+        vocab = None
+        if kind == FeatureKind.CATEGORICAL and draw(st.booleans()):
+            vocab = draw(st.lists(st.text(ASCII, min_size=1, max_size=3), min_size=size, max_size=size, unique=True))
+        features.append(FeatureSpec(f"f{i}", kind, vocab_size=size, dim=size, max_count=size, vocab=vocab))
+    tasks = [TaskSpecLite(f"t{i}", draw(st.integers(2, 4))) for i in range(draw(st.integers(0, 2)))]
+    vec = st.lists(st.floats(width=32), min_size=4, max_size=4).map(lambda v: np.array(v, dtype=np.float32))
+    pool = draw(st.lists(vec, min_size=1, max_size=3))  # a feature of dim d takes the first d entries
+    floats = st.floats(allow_nan=False)
+    snaps = []
+    for _ in range(draw(st.integers(0, 8))):
+        values = {}
+        for f in features:
+            if f.kind == FeatureKind.NUMERIC:
+                values[f.name] = draw(st.none() | st.floats())
+            elif f.kind == FeatureKind.CATEGORICAL:
+                values[f.name] = draw(st.none() | st.integers(0, f.vocab_size - 1))
+            elif f.kind == FeatureKind.MULTI_CATEGORICAL:
+                values[f.name] = tuple(sorted(draw(st.sets(st.integers(0, f.vocab_size - 1)))))
+            elif f.kind == FeatureKind.EMBEDDING:
+                values[f.name] = None if draw(st.booleans()) else draw(st.sampled_from(pool))[: f.dim].copy()
+            else:
+                values[f.name] = [
+                    Asset(draw(st.sampled_from(pool))[: f.dim].copy(), draw(st.just(0.0) | floats),
+                          draw(st.just(0.0) | floats))
+                    for _ in range(draw(st.integers(0, 3)))
+                ]
+        labels = {t.name: draw(st.none() | st.integers(0, t.classes - 1)) for t in tasks}
+        snaps.append(Snapshot(values, labels))
+    return FeatureSchema(features, tasks), snaps
+
+
+def compact_assets(schema, data, emb):
+    """Rewrite asset cells in the shorter forms the format allows: trailing
+    zero engagement and timestamp left out, and one sidecar offset for
+    equal vectors."""
+    sidecar = np.fromfile(emb, dtype="<f4")
+    with data.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    first_offset = {}
+    for f in schema.of_kind(FeatureKind.MULTI_EMBEDDING):
+        col = rows[0].index(f.name)
+        for row in rows[1:]:
+            parts = []
+            for part in filter(None, row[col].split(";")):
+                off, ts, eng = part.split(":")
+                off = first_offset.setdefault((f.dim, sidecar[int(off) : int(off) + f.dim].tobytes()), off)
+                bits = [off, ts, eng]
+                while len(bits) > 1 and bits[-1] == "0.0":
+                    bits.pop()
+                parts.append(":".join(bits))
+            row[col] = ";".join(parts)
+    with data.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+class TestLoader:
+    @given(datasets(), st.booleans())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_keeps_values_and_types(self, tmp_path, dataset, compact):
+        schema, snaps = dataset
+        data, emb = tmp_path / "d.csv", tmp_path / "e.f32"
+        saved = save_dataset(snaps, schema, data, emb)
+        if compact:
+            compact_assets(schema, data, emb)
+        loaded_schema, loaded = load_dataset(data, saved, emb)
+        assert loaded_schema.to_dict() == saved.to_dict()
+        assert len(loaded) == len(snaps)
+        for a, b in zip(snaps, loaded):
+            assert [(k, _canonical(v)) for k, v in b.values.items()] == [
+                (f.name, _canonical(a.values[f.name])) for f in schema
+            ]
+            assert b.labels == a.labels
+            assert all(type(v) is type(a.labels[k]) for k, v in b.labels.items())
+
+    def test_no_two_cells_share_memory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tfd, "LOAD_CHUNK_ROWS", 3)
+        schema = FeatureSchema([FeatureSpec("v", "embedding", dim=2), FeatureSpec("a", "multi_embedding", dim=2, max_count=2)])
+        (tmp_path / "d.csv").write_text("v,a\n" + "".join(f"{i % 3},0;{i % 2}:1;2\n" for i in range(8)))
+        np.arange(8, dtype="<f4").tofile(tmp_path / "e.f32")
+        _, snaps = load_dataset(tmp_path / "d.csv", schema, tmp_path / "e.f32")
+        vectors = [v for s in snaps for v in [s.values["v"]] + [a.vector for a in s.values["a"]]]
+        assert len(vectors) == 32
+        for i, u in enumerate(vectors):
+            assert not any(np.shares_memory(u, w) for w in vectors[i + 1 :])
+        assert snaps[0].values["a"][1].vector.tolist() == [0.0, 1.0]
+
+    def test_repeated_vocabulary_token_takes_its_first_index(self, tmp_path):
+        schema = FeatureSchema([FeatureSpec("c", "categorical", vocab_size=3, vocab=["a", "b", "a"])])
+        (tmp_path / "d.csv").write_text("c\na\nb\n")
+        _, snaps = load_dataset(tmp_path / "d.csv", schema)
+        assert [s.values["c"] for s in snaps] == [0, 1]
+
+    def test_asset_fields_default_to_zero(self, tmp_path):
+        schema = FeatureSchema([FeatureSpec("a", "multi_embedding", dim=1, max_count=3)])
+        (tmp_path / "d.csv").write_text("a\n0;1:5;2:6:0.5\n")
+        np.arange(3, dtype="<f4").tofile(tmp_path / "e.f32")
+        _, snaps = load_dataset(tmp_path / "d.csv", schema, tmp_path / "e.f32")
+        assert [(a.vector.tolist(), a.timestamp, a.engagement) for a in snaps[0].values["a"]] == [
+            ([0.0], 0.0, 0.0), ([1.0], 5.0, 0.0), ([2.0], 6.0, 0.5),
+        ]
+
+    @pytest.mark.parametrize("label", ["-1", "2"])
+    def test_label_outside_the_declared_classes_rejected(self, tmp_path, label):
+        # -1 used to train as class 1; 2 (== classes) passed the loader and
+        # crashed fine-tuning with an IndexError
+        schema = FeatureSchema([FeatureSpec("x", "numeric")], [TaskSpecLite("risk", 2)])
+        (tmp_path / "d.csv").write_text(f"x,label:risk\n1.0,1\n2.0,{label}\n")
+        with pytest.raises(DataError, match=r"label .* outside \[0, 2\)") as err:
+            load_dataset(tmp_path / "d.csv", schema)
+        assert (err.value.row, err.value.feature) == (3, "label:risk")
+
+    def test_labels_of_an_undeclared_task_need_only_be_integers(self, tmp_path):
+        schema = FeatureSchema([FeatureSpec("x", "numeric")], [])
+        (tmp_path / "d.csv").write_text("x,label:other\n1.0,7\n2.0,\n")
+        _, snaps = load_dataset(tmp_path / "d.csv", schema)
+        assert [s.labels for s in snaps] == [{"other": 7}, {"other": None}]
+
+
+# every kind of malformed cell: (column, bad cell); the error names row 7
+MALFORMED = {
+    "bad numeric": ("x", "1.2.3"),
+    "non-integer index": ("c", "1.5"),
+    "index out of range": ("c", "3"),
+    "negative index": ("tags", "0|-1"),
+    "unknown token": ("s", "zz"),
+    "bad offset": ("v", "abc"),
+    "offset out of range": ("v", "9"),
+    "bad asset offset": ("a", "zz:1:2"),
+    "bad asset timestamp": ("a", "2:abc:2"),
+    "bad asset engagement": ("a", "0:1:x"),
+    "asset with four fields": ("a", "0:1:2:3"),
+    "empty asset": ("a", "0:1:2;"),
+    "non-integer label": ("label:risk", "yes"),
+    "label out of range": ("label:risk", "2"),
+}
+
+
+def malformed_dataset(tmp_path, *bad, sidecar=True):
+    """A 12-row dataset, three chunks of 4 rows, with each (column, text) of
+    `bad` on row 7 and a bad numeric below them on row 9."""
+    schema = FeatureSchema(
+        [
+            FeatureSpec("x", "numeric"),
+            FeatureSpec("c", "categorical", vocab_size=3),
+            FeatureSpec("s", "categorical", vocab_size=2, vocab=["a", "b"]),
+            FeatureSpec("tags", "multi_categorical", vocab_size=3),
+            FeatureSpec("v", "embedding", dim=2),
+            FeatureSpec("a", "multi_embedding", dim=2, max_count=2),
+        ],
+        [TaskSpecLite("risk", 2)],
+    )
+    header = ["x", "c", "s", "tags", "v", "a", "label:risk"]
+    rows = [[f"{i}.5", str(i % 3), "ab"[i % 2], "0|2", str(i % 7), f"{i % 7}:1:0.5", str(i % 2)] for i in range(12)]
+    rows[7][0] = "oops"  # row 9 of the file
+    for col, text in bad:
+        rows[5][header.index(col)] = text
+    with (tmp_path / "d.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    np.arange(8, dtype="<f4").tofile(tmp_path / "e.f32")
+    return tmp_path / "d.csv", schema, (tmp_path / "e.f32") if sidecar else None
+
+
+class TestLoaderErrors:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(tfd, "LOAD_CHUNK_ROWS", 4)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_first_bad_cell_is_named(self, tmp_path, kind):
+        column, _ = MALFORMED[kind]
+        with pytest.raises(DataError) as err:
+            load_dataset(*malformed_dataset(tmp_path, MALFORMED[kind]))
+        assert (err.value.row, err.value.feature) == (7, column)
+
+    def test_only_later_rows_bad_names_the_later_row(self, tmp_path):
+        with pytest.raises(DataError, match="could not convert") as err:
+            load_dataset(*malformed_dataset(tmp_path))
+        assert (err.value.row, err.value.feature) == (9, "x")
+
+    def test_wrong_cell_count_names_its_row(self, tmp_path):
+        data, schema, emb = malformed_dataset(tmp_path)
+        lines = data.read_text().splitlines()
+        lines[6] += ",extra"
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="expected 7 cells, got 8") as err:
+            load_dataset(data, schema, emb)
+        assert (err.value.row, err.value.feature) == (7, None)
+
+    def test_bad_cell_above_a_short_row_comes_first(self, tmp_path):
+        data, schema, emb = malformed_dataset(tmp_path, ("label:risk", "9"))
+        lines = data.read_text().splitlines()
+        lines[7] = lines[7].rsplit(",", 1)[0]
+        data.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(data, schema, emb)
+        assert (err.value.row, err.value.feature) == (7, "label:risk")
+
+    def test_in_one_row_the_first_feature_is_named(self, tmp_path):
+        with pytest.raises(DataError, match="outside") as err:
+            load_dataset(*malformed_dataset(tmp_path, ("label:risk", "x"), ("s", "zz"), ("c", "8")))
+        assert (err.value.row, err.value.feature) == (7, "c")
+
+    def test_missing_sidecar_names_the_first_embedding_cell(self, tmp_path):
+        with pytest.raises(DataError, match="no embeddings sidecar") as err:
+            load_dataset(*malformed_dataset(tmp_path, sidecar=False))
+        assert (err.value.row, err.value.feature) == (2, "v")
 
 
 def make_assets(vals):

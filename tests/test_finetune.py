@@ -365,6 +365,15 @@ class TestFinetuneLoop:
         with pytest.raises(ValueError, match="no labeled"):
             finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=1))
 
+    @pytest.mark.parametrize("label", [-1, 2, 1.0, "1"])
+    def test_label_outside_the_task_classes_rejected(self, label):
+        # -1 used to train as class 1 by negative indexing; 2 died in focal_loss
+        _, snaps, model = separable_setup(n=10)
+        snaps[3].labels["risk"] = label
+        with pytest.raises(ValueError, match=r"task 'risk' has label .*\[0, 2\)"):
+            finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=1))
+        assert model.heads == {}
+
     def test_early_stopping_restores_best(self):
         _, snaps, model = separable_setup(n=40)
         cfg = quick_cfg(steps=40, eval_every=5, patience=2)

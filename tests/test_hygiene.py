@@ -3,7 +3,8 @@ RunConfig fields that nothing reads, one list of model fields, no
 hand-written parameter or buffer plumbing outside nn.Module, no writes
 into a `.data` array, no global mode besides `no_grad`, asset selection
 only in the encoder, snapshot values read only by IO, featurization and
-CutMix, and no generator seeded with a literal."""
+CutMix, no generator seeded with a literal, and no garbage-collector
+switches."""
 
 import ast
 import inspect
@@ -250,6 +251,21 @@ def test_only_the_encoder_selects_assets():
     inputs, so two modules cannot disagree on the pick."""
     callers = [path.name for path in MODULES if calls_to(path.read_text(), "select_top_k_assets")]
     assert callers == ["encoder.py"]
+
+
+# gc calls that change process-global collector state
+GC_SWITCHES = ("disable", "freeze", "set_threshold")
+
+
+def test_library_leaves_the_garbage_collector_alone():
+    """Collector state is the process's, not the library's: a loader that
+    turned collection off for speed would leave it off, or change it, for
+    the caller's program."""
+    source = "import gc\ngc.disable()\nfrom gc import freeze\nfreeze()\ngc.collect()\n"
+    assert [calls_to(source, name) for name in GC_SWITCHES] == [[2], [4], []]
+    found = [f"{path.name}:{name}:{line}" for path in MODULES for name in GC_SWITCHES
+             for line in calls_to(path.read_text(), name)]
+    assert found == []
 
 
 def attribute_reads(source: str, attr: str) -> list[int]:
