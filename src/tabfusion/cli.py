@@ -204,6 +204,12 @@ def cmd_finetune(args) -> int:
         schema, snapshots = _load_data(args)
         model = bench.build_model(schema, cfg)
     classes = {t.name: t.classes for t in FeatureSchema.load(args.schema).tasks}
+    for name in set(args.task) - classes.keys():
+        # a task the schema does not declare is binary; the loader checked
+        # only the declared tasks' labels, so check this one's here
+        bad = next((i for i, s in enumerate(snapshots) if s.labels.get(name) not in (None, 0, 1)), None)
+        if bad is not None:
+            raise DataError(f"label {snapshots[bad].labels[name]} outside [0, 2)", row=bad + 2, feature=f"label:{name}")
     tasks = [TaskSpec(name, classes=classes.get(name, 2), gamma=cfg.focal_gamma) for name in args.task]
     finetune_loop(model, snapshots, tasks, bench.finetune_config(cfg))
     model.save(args.out_checkpoint, cfg.to_dict())

@@ -436,7 +436,7 @@ def save_dataset(snapshots, schema, data_path, embeddings_path=None):
                     else:
                         row.append(f.vocab[v] if f.vocab is not None else str(v))
                 elif f.kind == FeatureKind.MULTI_CATEGORICAL:
-                    row.append("|".join(str(i) for i in v))
+                    row.append("|".join(f.vocab[i] if f.vocab is not None else str(i) for i in v))
                 elif f.kind == FeatureKind.EMBEDDING:
                     row.append("" if v is None else str(sidecar_offset(v)))
                 else:

@@ -153,14 +153,17 @@ class SpectralLinear(Linear):
         serving does not renormalize every layer per request. Library code
         therefore assigns new arrays and never writes into these: writing
         into `weight.data` after a no_grad call leaves a stale W / sigma.
-        Graph-building calls never use the cache.
+        Graph-building calls never use the cache. The cached W / sigma is
+        the transpose of a C-contiguous [in, out] array, the layout the row
+        kernels read, so a request makes no copy of it.
         """
         w = self.weight
         if grad_enabled():
             return spectral_normalize(w, self.u, self.v, SPECTRAL_EPS)
         c = self._cached_weight
         if c is None or c[0] is not w.data or c[1] is not self.u or c[2] is not self.v:
-            c = (w.data, self.u, self.v, spectral_normalize(w, self.u, self.v, SPECTRAL_EPS))
+            ws = spectral_normalize(w, self.u, self.v, SPECTRAL_EPS).data
+            c = (w.data, self.u, self.v, Tensor(np.ascontiguousarray(ws.T).T))
             self._cached_weight = c
         return c[3]
 

@@ -368,17 +368,32 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(data, (a, b), bwd, "mul")
 
 
+def _row_product(a: np.ndarray, wt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a [..., in] times wt [in, out]: the one kernel of every product with a
+    2-D right operand (matmul, linear, ffn and spectral_normalize's sigma).
+
+    wt is read as a C-contiguous [in, out] array, copied only when it is not
+    one: BLAS runs the small per-example products up to twice as fast on it
+    as on a transposed view. A 2-D a is multiplied one row at a time and a
+    stacked a one example at a time, so a row's bits never depend on the
+    rest of the batch (one 2-D gemm reblocks by the row count). The result
+    goes into `out` when given.
+    """
+    wt = np.ascontiguousarray(wt)
+    if a.ndim == 2:
+        rows = np.matmul(a[:, None, :], wt, out=None if out is None else out[:, None, :])
+        return rows[:, 0, :]
+    return np.matmul(a, wt, out=out)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b; a 2-D b goes through the row kernel (`_row_product`), so each
+    row of a gets the same bits in any batch."""
     global _MAC_COUNT
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul", a.shape, b.shape)
     try:
-        if a.ndim == 2 and b.ndim == 2:
-            # per-row kernel: bitwise identical results regardless of how
-            # many rows are in the batch (plain gemm reblocks by M)
-            data = np.matmul(a.data[:, None, :], b.data)[:, 0, :]
-        else:
-            data = np.matmul(a.data, b.data)
+        data = _row_product(a.data, b.data) if b.ndim == 2 else np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeError("matmul", a.shape, b.shape) from None
     # multiply-accumulate count: product of output extents times inner dim
@@ -403,18 +418,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x w^T + b as one graph node; w is [out, in], x is [..., in].
 
-    The kernels are matmul's against the transposed view of w: per-row for
-    2-D x, so a row's output is bitwise the same in any batch, and one
-    stacked matmul otherwise. The backward takes dw in one gemm over all rows.
+    The product is matmul's row kernel on w^T read as a contiguous [in, out]
+    array, so it is bitwise matmul(x, w^T) + b and a row's output is the
+    same in any batch. The backward takes dw in one gemm over all rows.
     """
     global _MAC_COUNT
     if x.ndim < 2 or w.ndim != 2:
         raise ShapeError("linear", x.shape, w.shape)
     try:
-        if x.ndim == 2:
-            data = np.matmul(x.data[:, None, :], w.data.T)[:, 0, :]
-        else:
-            data = np.matmul(x.data, w.data.T)
+        data = _row_product(x.data, w.data.T)
     except ValueError:
         raise ShapeError("linear", x.shape, w.shape) from None
     if b is not None:
@@ -441,14 +453,13 @@ def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> T
     u and v are the singular-vector estimates of power iteration and are
     constants of the node, so the backward is the spectral-norm gradient
     dW = G / sigma - (<G, W> / sigma^2) u v^T (Miyato et al. 2018). sigma is
-    computed with matmul's per-row kernels and counts its products. A sigma
+    computed with matmul's row kernel and counts its products. A sigma
     below `eps` leaves W unnormalized: w itself is returned.
     """
     global _MAC_COUNT
     u = u.astype(w.dtype, copy=False).reshape(1, -1)
     v = v.astype(w.dtype, copy=False).reshape(-1, 1)
-    uw = np.matmul(u[:, None, :], w.data)[:, 0, :]
-    sigma = np.matmul(uw[:, None, :], v)[:, 0, :]  # [1, 1]
+    sigma = _row_product(_row_product(u, w.data), v)  # [1, 1]
     _MAC_COUNT += w.data.size + w.shape[1]
     if sigma[0, 0] < eps:
         return w
@@ -468,51 +479,65 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
     """softmax(q k^T / sqrt(dh) + mask) v over the tokens of [B, T, d]
     inputs, as one graph node.
 
-    With heads > 1 the inputs are split into [B, H, T, dh] and the output
-    merged back; masked keys (key_mask [B, T] of 0/1) get -1e9 before the
-    softmax. The backward keeps only the attention weights.
+    The inputs are viewed as [B, H, T, dh] heads and the output merged back
+    into one [B, T, d] array; masked keys (key_mask [B, T] of 0/1) get -1e9
+    before the softmax. Axis 0 is walked in blocks of whole examples that
+    fit _BLOCK_BYTES, as ffn does: each block's logits, softmax and product
+    with v run in place in its slice of the attention weights, so an
+    example's output is bitwise the same alone or in any batch. The node
+    keeps only the attention weights; its backward walks the same blocks.
     """
     global _MAC_COUNT
     if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
         raise ShapeError("multi_head_attention", q.shape, k.shape, v.shape)
     b, t, d = q.shape
     dh = d // heads
+    dtype = np.result_type(q.data, k.data)
     scale = 1.0 / math.sqrt(dh)
 
-    def split(a: np.ndarray) -> np.ndarray:  # [B, T, d] -> [B, H, T, dh]
-        return a.reshape(b, t, heads, dh).transpose(0, 2, 1, 3) if heads > 1 else a
-
-    def merge(a: np.ndarray) -> np.ndarray:  # [B, H, T, dh] -> a fresh [B, T, d]
-        if heads == 1:
-            return a
-        out = np.empty(q.shape, dtype=a.dtype)
-        out.reshape(b, t, heads, dh)[...] = a.transpose(0, 2, 1, 3)
-        return out
+    def split(a: np.ndarray) -> np.ndarray:  # a view of [n, T, d] as [n, H, T, dh]
+        return a.reshape(a.shape[0], t, heads, dh).transpose(0, 2, 1, 3)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    logits = np.matmul(qh, np.swapaxes(kh, -1, -2))
-    logits *= logits.dtype.type(scale)
-    if key_mask is not None:
-        bias = (np.asarray(key_mask, dtype=np.float32) - 1.0) * 1e9  # [B, T]
-        logits += bias[:, None, None, :] if heads > 1 else bias[:, None, :]
-    attn = _softmax_last(logits)
-    data = merge(np.matmul(attn, vh))
-    _MAC_COUNT += 2 * attn.size * dh
+    bias = None if key_mask is None else (np.asarray(key_mask, dtype=np.float32) - 1.0) * 1e9  # [B, T]
+    blocks = _example_blocks(b, (heads * t * t + 4 * t * d) * dtype.itemsize)
+    rows = blocks[0].stop if blocks else 0
+    keep = _GRAD_ENABLED and any(x.requires_grad for x in (q, k, v))
+    attn = np.empty(((b if keep else rows), heads, t, t), dtype=dtype)
+    data = np.empty(q.shape, dtype=np.result_type(dtype, v.data))
+    for s in blocks:
+        a = attn[s] if keep else attn[: s.stop - s.start]
+        np.matmul(qh[s], np.swapaxes(kh[s], -1, -2), out=a)
+        a *= dtype.type(scale)
+        if bias is not None:
+            a += bias[s, None, None, :]
+        _softmax_last(a, out=a)
+        np.matmul(a, vh[s], out=split(data[s]))
+    _MAC_COUNT += 2 * b * heads * t * t * dh
 
     def bwd(g):
         gh = split(g)
-        if v.requires_grad:
-            v._accumulate(merge(np.matmul(np.swapaxes(attn, -1, -2), gh)))
-        if q.requires_grad or k.requires_grad:
-            ga = np.matmul(gh, np.swapaxes(vh, -1, -2))
-            dot = (ga * attn).sum(axis=-1, keepdims=True)
+        want_qk = q.requires_grad or k.requires_grad
+        gq, gk, gv = (np.empty(x.shape, dtype=np.result_type(dtype, g)) if x.requires_grad else None for x in (q, k, v))
+        work = np.empty((rows, heads, t, t), dtype=np.result_type(g, v.data)) if want_qk else None
+        for s in blocks:
+            a, gs = attn[s], gh[s]
+            if gv is not None:
+                np.matmul(np.swapaxes(a, -1, -2), gs, out=split(gv[s]))
+            if not want_qk:
+                continue
+            ga = np.matmul(gs, np.swapaxes(vh[s], -1, -2), out=work[: s.stop - s.start])
+            dot = (ga * a).sum(axis=-1, keepdims=True)
             ga -= dot
-            ga *= attn
+            ga *= a
             ga *= ga.dtype.type(scale)
-            if q.requires_grad:
-                q._accumulate(merge(np.matmul(ga, kh)))
-            if k.requires_grad:
-                k._accumulate(merge(np.matmul(np.swapaxes(ga, -1, -2), qh)))
+            if gq is not None:
+                np.matmul(ga, kh[s], out=split(gq[s]))
+            if gk is not None:
+                np.matmul(np.swapaxes(ga, -1, -2), qh[s], out=split(gk[s]))
+        for x, gx in zip((q, k, v), (gq, gk, gv)):
+            if gx is not None:
+                x._accumulate(gx)
 
     return Tensor._make(data, (q, k, v), bwd, "multi_head_attention")
 
@@ -655,9 +680,10 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a fresh array (max subtracted first)."""
-    e = x - _row_max(x)
+def _softmax_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis (max subtracted first), into `out` (x
+    itself for in place) or a fresh array."""
+    e = np.subtract(x, _row_max(x), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -769,20 +795,27 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(data, (x,), bwd, "gelu")
 
 
-# bytes of hidden activation per ffn block: 256 rows of 512 float32, sized
-# so a block's few hidden-sized temporaries stay in cache
-_FFN_BLOCK_BYTES = 256 * 512 * 4
+# bytes per block of examples in ffn and multi_head_attention: 256 rows of
+# 512 float32, sized so a block's few temporaries stay in cache
+_BLOCK_BYTES = 256 * 512 * 4
+
+
+def _example_blocks(n: int, per_example: int) -> list[slice]:
+    """Slices of axis 0 (length n) in blocks of whole examples: as many
+    examples of `per_example` bytes as fit _BLOCK_BYTES, at least one."""
+    step = max(1, _BLOCK_BYTES // max(per_example, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """linear(gelu(linear(x, w1, b1)), w2, b2) as one graph node.
 
     w1 is [hidden, in] and w2 [out, hidden]. Axis 0 of x is walked in blocks
-    of whole examples whose hidden activation fits _FFN_BLOCK_BYTES; each
-    block uses linear's kernels (per-row for 2-D x, one stacked matmul
-    otherwise), so the output is bitwise that of the three ops and does not
-    depend on the batch. The node keeps only the pre-activation x w1^T + b1;
-    its backward recomputes gelu from it one block at a time.
+    of whole examples whose hidden activation fits _BLOCK_BYTES; each block
+    uses linear's row kernel on w1^T and w2^T, each read as a contiguous
+    [in, out] array, so the output is bitwise that of the three ops and does
+    not depend on the batch. The node keeps only the pre-activation
+    x w1^T + b1; its backward recomputes gelu from it one block at a time.
     """
     global _MAC_COUNT
     if (
@@ -793,29 +826,23 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     (hidden, d_in), d_out = w1.shape, w2.shape[0]
     lead = x.shape[:-1]
     dtype = np.result_type(x.data, w1.data)
-    per_example = math.prod(lead[1:]) * hidden * dtype.itemsize
-    step = max(1, _FFN_BLOCK_BYTES // max(per_example, 1))
-    blocks = [slice(lo, min(lo + step, lead[0])) for lo in range(0, lead[0], step)]
-    w1t, w2t = w1.data.T, w2.data.T
-
-    def fc(a: np.ndarray, wt: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        if a.ndim == 2:  # linear's per-row kernel
-            np.matmul(a[:, None, :], wt, out=out[:, None, :])
-        else:
-            np.matmul(a, wt, out=out)
-        out += b
+    blocks = _example_blocks(lead[0], math.prod(lead[1:]) * hidden * dtype.itemsize)
+    w1t, w2t = np.ascontiguousarray(w1.data.T), np.ascontiguousarray(w2.data.T)
 
     keep = _GRAD_ENABLED and any(t.requires_grad for t in (x, w1, b1, w2, b2))
     pre = np.empty(lead + (hidden,), dtype=dtype) if keep else None
-    block = (min(step, lead[0]),) + lead[1:] + (hidden,)
+    block = (blocks[0].stop if blocks else 0,) + lead[1:] + (hidden,)
     work = np.empty((3,) + block, dtype=dtype)
     data = np.empty(lead + (d_out,), dtype=np.result_type(dtype, w2.data))
     for s in blocks:
         n = s.stop - s.start
         p, th, h = (pre[s] if keep else work[0, :n]), work[1, :n], work[2, :n]
-        fc(x.data[s], w1t, b1.data, p)
+        _row_product(x.data[s], w1t, out=p)
+        p += b1.data
         _gelu(p, th, h)
-        fc(h, w2t, b2.data, data[s])
+        y = data[s]
+        _row_product(h, w2t, out=y)
+        y += b2.data
     _MAC_COUNT += math.prod(lead) * (hidden * d_in + d_out * hidden)
 
     def bwd(g):

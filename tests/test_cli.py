@@ -150,6 +150,27 @@ class TestMalformedData:
         assert "label 7 outside [0, 2) (row 5, feature 'label:risk')" in capsys.readouterr().err
         assert not (workspace / "model.ckpt").exists()
 
+    def test_finetune_on_an_undeclared_task_with_an_out_of_range_label_exits_4(self, workspace, capsys):
+        # the schema declares only risk; churn is trained as binary, and its
+        # label 7 used to exit 1 from finetune_loop naming no row
+        path = workspace / "data.csv"
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[0].append("label:churn")
+        for i, row in enumerate(rows[1:]):
+            row.append(str(i % 2))
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        rewrite_cell(workspace, 7, "label:churn", "7")
+        rc = main(
+            ["--config", str(workspace / "config.json"), "finetune"]
+            + base_args(workspace)[2:]
+            + ["--task", "churn", "--out-checkpoint", str(workspace / "model.ckpt")]
+        )
+        assert rc == EXIT_DATA
+        assert "label 7 outside [0, 2) (row 7, feature 'label:churn')" in capsys.readouterr().err
+        assert not (workspace / "model.ckpt").exists()
+
 
 class TestTrainingCommands:
     def test_pretrain_writes_checkpoint_and_manifest(self, workspace):

@@ -183,15 +183,16 @@ ASCII = st.characters(min_codepoint=32, max_codepoint=126)
 @st.composite
 def datasets(draw):
     """(schema, snapshots) over all five kinds with missing cells, string
-    vocabularies, empty asset lists and vectors drawn from a small pool.
-    Multi-categorical features get no string vocabulary: save_dataset
-    writes their indices, not tokens."""
+    vocabularies (categorical and multi-categorical), empty asset lists and
+    vectors drawn from a small pool. A multi-categorical token holds no "|",
+    the separator of its cell."""
     features = []
     for i, kind in enumerate(draw(st.lists(st.sampled_from(FeatureKind.ALL), min_size=1, max_size=6))):
         size = draw(st.integers(1, 4))
         vocab = None
-        if kind == FeatureKind.CATEGORICAL and draw(st.booleans()):
-            vocab = draw(st.lists(st.text(ASCII, min_size=1, max_size=3), min_size=size, max_size=size, unique=True))
+        if kind in (FeatureKind.CATEGORICAL, FeatureKind.MULTI_CATEGORICAL) and draw(st.booleans()):
+            chars = ASCII.filter(lambda c: c != "|") if kind == FeatureKind.MULTI_CATEGORICAL else ASCII
+            vocab = draw(st.lists(st.text(chars, min_size=1, max_size=3), min_size=size, max_size=size, unique=True))
         features.append(FeatureSpec(f"f{i}", kind, vocab_size=size, dim=size, max_count=size, vocab=vocab))
     tasks = [TaskSpecLite(f"t{i}", draw(st.integers(2, 4))) for i in range(draw(st.integers(0, 2)))]
     vec = st.lists(st.floats(width=32), min_size=4, max_size=4).map(lambda v: np.array(v, dtype=np.float32))
@@ -280,6 +281,15 @@ class TestLoader:
         (tmp_path / "d.csv").write_text("c\na\nb\n")
         _, snaps = load_dataset(tmp_path / "d.csv", schema)
         assert [s.values["c"] for s in snaps] == [0, 1]
+
+    def test_multi_categorical_vocabulary_is_written_as_tokens(self, tmp_path):
+        # the indices (0|2) used to be written, which the loader then looked
+        # up as tokens: "token '0' not in vocabulary"
+        schema = FeatureSchema([FeatureSpec("tags", "multi_categorical", vocab_size=3, vocab=["x", "y", "z"])])
+        save_dataset([Snapshot({"tags": (0, 2)}), Snapshot({"tags": ()})], schema, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_text().splitlines() == ["tags", "x|z", '""']
+        _, snaps = load_dataset(tmp_path / "d.csv", schema)
+        assert [s.values["tags"] for s in snaps] == [(0, 2), ()]
 
     def test_asset_fields_default_to_zero(self, tmp_path):
         schema = FeatureSchema([FeatureSpec("a", "multi_embedding", dim=1, max_count=3)])

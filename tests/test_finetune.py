@@ -18,6 +18,7 @@ from tabfusion.finetune import (
 )
 from tabfusion.metrics import auprc, auroc
 from tabfusion.model import Model
+import tabfusion.tensor as tensor_mod
 from tabfusion.tensor import Tensor, softmax
 
 
@@ -513,6 +514,41 @@ class TestInferencePath:
             np.testing.assert_allclose(raw["probs"].sum(axis=1), 1.0, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.argmax(raw["probs"], axis=1), np.argmax(logits, axis=1))
             assert raw["calibrated"] is False and np.all(np.isnan(raw["variance"]))
+
+    def test_single_rows_are_bitwise_their_batch_rows_at_default_width(self, monkeypatch):
+        """Criterion 5 at d 32, 8 heads, 16 tokens and d_rf 1024: a 100-row
+        batch crosses several attention and ffn blocks and ends in a partial
+        block of each, and every single-row answer equals its batch row."""
+        feats = [FeatureSpec(f"num{i}", "numeric") for i in range(6)]
+        feats += [FeatureSpec(f"cat{i}", "categorical", vocab_size=5 + 7 * i) for i in range(3)]
+        feats += [
+            FeatureSpec("tags", "multi_categorical", vocab_size=20),
+            FeatureSpec("profile", "embedding", dim=16),
+            FeatureSpec("assets", "multi_embedding", dim=16, max_count=5),
+        ]
+        schema = FeatureSchema(feats, [TaskSpecLite("risk", 2)])
+        assert schema.token_count() == 16
+        snaps = random_snapshots(schema, 100, seed=7, missing_rate=0.15)
+        model = Model(schema, d=32, n_layers=2, heads=8, ffn_dim=512, seed=3)
+        finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=2, batch_size=32, d_rf=1024))
+        sizes, blocks = {}, tensor_mod._example_blocks
+
+        def spy(n, per_example):
+            out = blocks(n, per_example)
+            sizes.setdefault(per_example, [s.stop - s.start for s in out])
+            return out
+
+        monkeypatch.setattr(tensor_mod, "_example_blocks", spy)
+        batch = model.predict(snaps, "risk")
+        # float32 bytes per example: attention weights plus q, k, v and
+        # output rows, and the ffn's hidden activation
+        assert sizes[(8 * 16 * 16 + 4 * 16 * 32) * 4] == [32, 32, 32, 4]
+        assert sizes[16 * 512 * 4] == [16] * 6 + [4]
+        assert batch["calibrated"]
+        for i, s in enumerate(snaps):
+            one = model.predict([s], "risk")
+            assert np.array_equal(one["probs"][0], batch["probs"][i])
+            assert np.array_equal(one["variance"][0], batch["variance"][i])
 
     def test_inference_passes_record_no_graph(self, monkeypatch):
         snaps, model = two_task_setup()

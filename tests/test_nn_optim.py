@@ -6,10 +6,10 @@ from tabfusion.checkpoint import load_checkpoint
 from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpecLite
 from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop
 from tabfusion.model import Model
-from tabfusion.nn import Linear, Mlp, Module, SpectralLinear, advance_power_iteration, power_iteration
+from tabfusion.nn import SPECTRAL_EPS, Linear, Mlp, Module, SpectralLinear, advance_power_iteration, power_iteration
 from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError
 from tabfusion.pretrain import PretrainConfig, pretrain_loop
-from tabfusion.tensor import Tensor, no_grad
+from tabfusion.tensor import Tensor, no_grad, spectral_normalize
 
 
 class TestPowerIteration:
@@ -141,6 +141,16 @@ class TestInferenceWeightCache:
             assert layer.effective_weight() is cached
         assert layer.effective_weight() is not cached
         assert layer.effective_weight().requires_grad
+
+    def test_serves_one_weight_whose_transpose_is_contiguous(self, rng):
+        # the row kernels read W / sigma as a contiguous [in, out] array: the
+        # cached layout spares every request a copy of it
+        layer, _ = self.make(rng)
+        with no_grad():
+            w = layer.effective_weight().data
+            assert w.T.flags.c_contiguous
+            assert layer.effective_weight().data is w
+        assert np.array_equal(w, spectral_normalize(layer.weight, layer.u, layer.v, SPECTRAL_EPS).data)
 
     def test_after_adamw_step(self, rng):
         layer, x = self.make(rng)

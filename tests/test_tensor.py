@@ -495,7 +495,7 @@ class TestFfn:
         hidden = 6
         # two examples per block, so a batch of 5 ends in a block of one
         per_example = math.prod(shape[1:-1]) * hidden * 8
-        monkeypatch.setattr(tensor_mod, "_FFN_BLOCK_BYTES", 2 * per_example)
+        monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 2 * per_example)
         x = t64(rng.standard_normal(shape))
         w1, b1, w2, b2 = self.leaves(rng, 4, hidden, 3)
         c = t64(rng.standard_normal(shape[:-1] + (3,)), grad=False)
@@ -509,7 +509,7 @@ class TestFfn:
     @pytest.mark.parametrize("shape", [(40, 16, 32), (600, 8), (1, 300, 32)], ids=["3d", "2d", "isa"])
     def test_forward_is_the_three_ops_bitwise_in_any_batch(self, shape, rng):
         hidden = 512 if len(shape) == 3 else 256
-        # a [40, 16] or [600] batch spans three blocks of _FFN_BLOCK_BYTES
+        # a [40, 16] or [600] batch spans three blocks of _BLOCK_BYTES
         x = Tensor(rng.standard_normal(shape).astype(np.float32))
         params = self.leaves(rng, shape[-1], hidden, 16, np.float32, grad=False)
         with no_grad():
@@ -558,8 +558,69 @@ class TestFfn:
         assert hidden_bytes <= kept - out.data.nbytes < 1.1 * hidden_bytes
         # the backward adds four block-sized buffers and small arrays, no
         # further hidden-sized one
-        assert peak - kept < 4 * tensor_mod._FFN_BLOCK_BYTES + 8 * out.data.nbytes
+        assert peak - kept < 4 * tensor_mod._BLOCK_BYTES + 8 * out.data.nbytes
         assert w1.grad is not None and x.grad is not None
+
+
+class TestBlockedAttention:
+    """multi_head_attention walks axis 0 in blocks of whole examples of
+    _BLOCK_BYTES, as ffn does, keeping only the attention weights."""
+
+    @staticmethod
+    def spy_blocks(monkeypatch):
+        """The block sizes of every _example_blocks call, in call order."""
+        sizes, blocks = [], tensor_mod._example_blocks
+
+        def spy(n, per_example):
+            out = blocks(n, per_example)
+            sizes.append([s.stop - s.start for s in out])
+            return out
+
+        monkeypatch.setattr(tensor_mod, "_example_blocks", spy)
+        return sizes
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_gradient_over_blocks_with_a_tail(self, heads, masked, rng, monkeypatch):
+        b, t, d = 5, 3, 4
+        q, k, v = (t64(rng.standard_normal((b, t, d))) for _ in range(3))
+        mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        mask = mask if masked else None
+        c = t64(rng.standard_normal((b, t, d)), grad=False)
+        with no_grad():
+            whole = multi_head_attention(q, k, v, heads, mask).data
+        # two float64 examples per block, so a batch of 5 ends in a block of one
+        monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 2 * (heads * t * t + 4 * t * d) * 8)
+        sizes = self.spy_blocks(monkeypatch)
+        out = multi_head_attention(q, k, v, heads, mask)
+        assert sizes == [[2, 2, 1]] and out._parents == (q, k, v)
+        assert np.array_equal(out.data, whole)
+
+        def build():
+            return (multi_head_attention(q, k, v, heads, mask) * c).sum()
+
+        assert fd_gradient_check(build, [q, k, v]) < 1e-4
+
+    @pytest.mark.parametrize("heads", [1, 8])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_one_example_alone_is_bitwise_its_rows_of_a_multi_block_batch(self, heads, masked, rng, monkeypatch):
+        b, t, d = 130, 16, 32
+        q, k, v = (Tensor(rng.standard_normal((b, t, d)).astype(np.float32), requires_grad=True) for _ in range(3))
+        mask = None
+        if masked:
+            mask = (rng.random((b, t)) < 0.7).astype(np.float32)
+            mask[:, 0] = 1.0
+        sizes = self.spy_blocks(monkeypatch)
+        with no_grad():
+            got = multi_head_attention(q, k, v, heads, mask).data
+        assert len(sizes[0]) >= 3 and sizes[0][-1] < sizes[0][0]  # ends in a partial block
+        # the graph-recording forward keeps every block's weights: same bits
+        assert np.array_equal(multi_head_attention(q, k, v, heads, mask).data, got)
+        with no_grad():
+            for i in (0, 31, 32, 64, b - 1):
+                one = [Tensor(a.data[i : i + 1]) for a in (q, k, v)]
+                alone = multi_head_attention(*one, heads, None if mask is None else mask[i : i + 1]).data
+                assert np.array_equal(alone, got[i : i + 1])
 
 
 class TestBatchStability:
