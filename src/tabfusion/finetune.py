@@ -70,11 +70,21 @@ class SngpHead(Module):
         # (the precision it is derived from, the column panels of
         # (L^-1)^T with L = chol(precision)); built lazily by `variance`
         self._factor: tuple = (None, None)
+        # (omega, Omega as the transpose of a C-contiguous [in, d_rf] array
+        # in some dtype), the layout linear's row kernel reads; not saved
+        self._omega: tuple = (None, None)
 
     def features(self, pooled: Tensor) -> Tensor:
-        """Phi = sqrt(2/d_rf) cos(pooled Omega^T + b); differentiable in pooled."""
-        omega, phase = (Tensor(a.astype(pooled.dtype, copy=False)) for a in (self.omega, self.phase))
-        return linear(pooled, omega, phase).cos() * math.sqrt(2.0 / self.d_rf)
+        """Phi = sqrt(2/d_rf) cos(pooled Omega^T + b); differentiable in pooled.
+
+        Omega is read in the row kernel's layout, made once per `omega` array
+        and dtype, so a request copies nothing; library code assigns `omega`
+        and never writes into it."""
+        c = self._omega
+        if c[0] is not self.omega or c[1].dtype != pooled.dtype:
+            c = self._omega = (self.omega, Tensor(np.asfortranarray(self.omega, dtype=pooled.dtype)))
+        phase = Tensor(self.phase.astype(pooled.dtype, copy=False))
+        return linear(pooled, c[1], phase).cos() * math.sqrt(2.0 / self.d_rf)
 
     def logits(self, pooled: Tensor) -> Tensor:
         return self.beta(self.features(pooled))
@@ -91,8 +101,11 @@ class SngpHead(Module):
             p = probs[:, 1] if probs.shape[1] == 2 else probs.max(axis=1)
         else:
             p = probs
-        w = p * (1.0 - p)
-        lam = self.ridge * np.eye(self.d_rf) + (phi * w[:, None]).T @ phi
+        # a^T a with a = phi sqrt(w): numpy's symmetric product, so lam is
+        # exactly symmetric
+        a = phi * np.sqrt(p * (1.0 - p))[:, None]
+        lam = a.T @ a
+        lam[np.diag_indices(self.d_rf)] += self.ridge
         self.precision = lam
         self._factor = (None, None)  # free the old factor and precision now, not at the next variance
         return lam

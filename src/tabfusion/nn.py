@@ -19,6 +19,22 @@ __all__ = [
 SPECTRAL_EPS = 1e-8
 
 
+def _power_step(w: np.ndarray, u: np.ndarray):
+    """One power-iteration step from u: (u', v, ok) with v = W^T u / |W^T u|
+    and u' = W v / |W v|, two matvecs. A zero product ends the step early
+    with ok False: v is zero when W^T u is, and u' is u when W v is."""
+    wu = w.T @ u
+    nu = np.linalg.norm(wu)
+    if nu == 0.0:
+        return u, np.zeros(w.shape[1], dtype=w.dtype), False
+    v = wu / nu
+    wv = w @ v
+    nv = np.linalg.norm(wv)
+    if nv == 0.0:
+        return u, v, False
+    return wv / nv, v, True
+
+
 def power_iteration(w: np.ndarray, u: np.ndarray, iters: int = 1):
     """Estimate the largest singular value of a matrix.
 
@@ -27,29 +43,20 @@ def power_iteration(w: np.ndarray, u: np.ndarray, iters: int = 1):
     matrix yields sigma 0; the caller guards the division.
     """
     w = np.asarray(w)
-    sigma = 0.0
-    v = np.zeros(w.shape[1], dtype=w.dtype)
     for _ in range(max(1, iters)):
-        wu = w.T @ u
-        nu = np.linalg.norm(wu)
-        if nu == 0.0:
+        u, v, ok = _power_step(w, u)
+        if not ok:
             return 0.0, u, v
-        v = wu / nu
-        wv = w @ v
-        nv = np.linalg.norm(wv)
-        if nv == 0.0:
-            return 0.0, u, v
-        u = wv / nv
-        sigma = float(u @ w @ v)
-    return sigma, u, v
+    return float(u @ w @ v), u, v
 
 
 def advance_power_iteration(layers) -> None:
     """One power-iteration step for each SpectralLinear in `layers`: new u and v
     arrays. Forwards never move them; the training loops call this right
-    before each forward of the spectral layers they train."""
+    before each forward of the spectral layers they train. The step skips
+    power_iteration's sigma, which spectral_normalize computes itself."""
     for layer in layers:
-        _, layer.u, layer.v = power_iteration(layer.weight.data, layer.u)
+        layer.u, layer.v, _ = _power_step(layer.weight.data, layer.u)
 
 
 class Module:
@@ -115,9 +122,21 @@ class Linear(Module):
         self.bias = (
             Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True) if bias else None
         )
+        # the weight of the last inference call and the arrays it was made
+        # from, weight.data first (SpectralLinear adds u and v); not saved
+        self._cached_weight: tuple | None = None
 
     def effective_weight(self) -> Tensor:
-        return self.weight
+        """W itself; under no_grad, W as the transpose of a C-contiguous
+        [in, out] array, the layout the row kernels read, made once per
+        `weight.data` array (see SpectralLinear.effective_weight)."""
+        w = self.weight
+        if grad_enabled():
+            return w
+        c = self._cached_weight
+        if c is None or c[0] is not w.data:
+            c = self._cached_weight = (w.data, Tensor(np.asfortranarray(w.data)))
+        return c[1]
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.effective_weight(), self.bias)
@@ -142,8 +161,6 @@ class SpectralLinear(Linear):
         # a zero weight has sigma 0 and nothing to warm-start toward: what
         # power_iteration would return, without its matvec
         _, self.u, self.v = power_iteration(w, u, 5) if w.any() else (0.0, u, np.zeros(in_dim, w.dtype))
-        # (weight.data, u, v, W / sigma) of the last inference call; not saved
-        self._cached_weight: tuple | None = None
 
     def effective_weight(self) -> Tensor:
         """W / sigma, or W itself when sigma < eps, with the current u and v.

@@ -481,11 +481,17 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
 
     The inputs are viewed as [B, H, T, dh] heads and the output merged back
     into one [B, T, d] array; masked keys (key_mask [B, T] of 0/1) get -1e9
-    before the softmax. Axis 0 is walked in blocks of whole examples that
-    fit _BLOCK_BYTES, as ffn does: each block's logits, softmax and product
-    with v run in place in its slice of the attention weights, so an
-    example's output is bitwise the same alone or in any batch. The node
-    keeps only the attention weights; its backward walks the same blocks.
+    before the softmax. The attention weights are stored keys-major, as
+    [T_k, B, H, T_q]: the mask bias is added to contiguous [H, T_q] slices,
+    and the softmax max and sum reduce over the outer key axis, elementwise
+    and in key order, so an example's output is bitwise the same alone or in
+    any batch. Axis B is walked in blocks of whole examples that fit
+    _BLOCK_BYTES, as ffn does: each block's logits, softmax and product with
+    v run in place in its slice of the weights, and every product reads the
+    weights through a transposed view that BLAS takes as it is. The node
+    keeps only the weights; its backward walks the same blocks with one
+    block-sized work buffer and overwrites each block's weights once it has
+    read them, since a graph is walked back once.
     """
     global _MAC_COUNT
     if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
@@ -498,43 +504,52 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
     def split(a: np.ndarray) -> np.ndarray:  # a view of [n, T, d] as [n, H, T, dh]
         return a.reshape(a.shape[0], t, heads, dh).transpose(0, 2, 1, 3)
 
+    def by_example(a: np.ndarray) -> np.ndarray:  # [T_k, n, H, T_q] as [n, H, T_k, T_q]
+        return a.transpose(1, 2, 0, 3)
+
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    bias = None if key_mask is None else (np.asarray(key_mask, dtype=np.float32) - 1.0) * 1e9  # [B, T]
+    # [T_k, B] keys-major, so a block's bias broadcasts over [H, T_q]
+    bias = None if key_mask is None else ((np.asarray(key_mask, dtype=np.float32) - 1.0) * 1e9).T
     blocks = _example_blocks(b, (heads * t * t + 4 * t * d) * dtype.itemsize)
     rows = blocks[0].stop if blocks else 0
     keep = _GRAD_ENABLED and any(x.requires_grad for x in (q, k, v))
-    attn = np.empty(((b if keep else rows), heads, t, t), dtype=dtype)
+    attn = np.empty((t, (b if keep else rows), heads, t), dtype=dtype)
     data = np.empty(q.shape, dtype=np.result_type(dtype, v.data))
     for s in blocks:
-        a = attn[s] if keep else attn[: s.stop - s.start]
-        np.matmul(qh[s], np.swapaxes(kh[s], -1, -2), out=a)
+        a = attn[:, s] if keep else attn[:, : s.stop - s.start]
+        np.matmul(kh[s], np.swapaxes(qh[s], -1, -2), out=by_example(a))
         a *= dtype.type(scale)
         if bias is not None:
-            a += bias[s, None, None, :]
-        _softmax_last(a, out=a)
-        np.matmul(a, vh[s], out=split(data[s]))
+            a += bias[:, s, None, None]
+        a -= np.maximum.reduce(a, axis=0)
+        np.exp(a, out=a)
+        a /= np.add.reduce(a, axis=0)
+        np.matmul(a.transpose(1, 2, 3, 0), vh[s], out=split(data[s]))
     _MAC_COUNT += 2 * b * heads * t * t * dh
 
     def bwd(g):
         gh = split(g)
         want_qk = q.requires_grad or k.requires_grad
         gq, gk, gv = (np.empty(x.shape, dtype=np.result_type(dtype, g)) if x.requires_grad else None for x in (q, k, v))
-        work = np.empty((rows, heads, t, t), dtype=np.result_type(g, v.data)) if want_qk else None
+        work = np.empty((t, rows, heads, t), dtype=np.result_type(g, v.data)) if want_qk else None
         for s in blocks:
-            a, gs = attn[s], gh[s]
+            a, gs = attn[:, s], gh[s]
             if gv is not None:
-                np.matmul(np.swapaxes(a, -1, -2), gs, out=split(gv[s]))
+                np.matmul(by_example(a), gs, out=split(gv[s]))
             if not want_qk:
                 continue
-            ga = np.matmul(gs, np.swapaxes(vh[s], -1, -2), out=work[: s.stop - s.start])
-            dot = (ga * a).sum(axis=-1, keepdims=True)
-            ga -= dot
+            # d logits = a (ga - sum_k ga a), ga = g v^T keys-major; a is not
+            # read again, so it takes a * sum_k ga a in place
+            ga = work[:, : s.stop - s.start]
+            np.matmul(vh[s], np.swapaxes(gs, -1, -2), out=by_example(ga))
             ga *= a
+            a *= np.add.reduce(ga, axis=0)
+            ga -= a
             ga *= ga.dtype.type(scale)
             if gq is not None:
-                np.matmul(ga, kh[s], out=split(gq[s]))
+                np.matmul(ga.transpose(1, 2, 3, 0), kh[s], out=split(gq[s]))
             if gk is not None:
-                np.matmul(np.swapaxes(ga, -1, -2), qh[s], out=split(gk[s]))
+                np.matmul(by_example(ga), qh[s], out=split(gk[s]))
         for x, gx in zip((q, k, v), (gq, gk, gv)):
             if gx is not None:
                 x._accumulate(gx)
@@ -680,18 +695,13 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def _softmax_last(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis (max subtracted first), into `out` (x
-    itself for in place) or a fresh array."""
-    e = np.subtract(x, _row_max(x), out=out)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max subtracted before exponentiation)."""
-    data = np.moveaxis(_softmax_last(np.moveaxis(x.data, axis, -1)), -1, axis)
+    moved = np.moveaxis(x.data, axis, -1)
+    e = moved - _row_max(moved)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    data = np.moveaxis(e, -1, axis)
 
     def bwd(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
@@ -744,52 +754,52 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-def _gelu(x: np.ndarray, th: np.ndarray, out: np.ndarray) -> None:
-    """tanh-approximation gelu of x into out, in x's dtype: th receives
-    tanh(c (x + k x^3)) and out 0.5 x (1 + th). Both are written in place."""
-    np.multiply(x, x, out=th)
-    th *= _GELU_K
-    th += 1.0
-    th *= x
-    th *= _GELU_C
-    np.tanh(th, out=th)
-    np.add(th, 1.0, out=out)
-    out *= x
-    out *= 0.5
+def _gelu(x: np.ndarray, s: np.ndarray, out: np.ndarray, x2: np.ndarray | None = None) -> None:
+    """tanh-approximation gelu of x into out, in x's dtype, in 8 passes:
+    s receives 0.5 (1 + tanh(x (c + c k x^2))) and out x s. out may be s,
+    which then ends as gelu(x). x2, when given, receives x^2 for
+    _gelu_grad; otherwise s holds it on the way."""
+    x2 = s if x2 is None else x2
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, _GELU_C * _GELU_K, out=s)
+    s += _GELU_C
+    s *= x
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    np.multiply(x, s, out=out)
 
 
-def _gelu_grad(x: np.ndarray, th: np.ndarray, g: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = g * gelu'(x) given th from _gelu; tmp is a work array of out's shape.
+def _gelu_grad(x2: np.ndarray, s: np.ndarray, h: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """out = g * gelu'(x) in 7 passes, from x2, s and h = x s of _gelu; x2
+    is overwritten and out may be h.
 
-    d/dx = 0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3k x^2).
+    With s = 0.5 (1 + th), 1 - th^2 = 4 s (1 - s), so
+    gelu'(x) = 0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3k x^2)
+             = s + 2c (1 + 3k x^2) h (1 - s).
     """
-    np.multiply(th, th, out=out)
-    np.subtract(1.0, out, out=out)
-    out *= x
-    out *= _GELU_C
-    np.multiply(x, x, out=tmp)
-    tmp *= 3.0 * _GELU_K
-    tmp += 1.0
-    out *= tmp
-    np.add(th, 1.0, out=tmp)
-    out += tmp
+    x2 *= 6.0 * _GELU_C * _GELU_K
+    x2 += 2.0 * _GELU_C
+    x2 *= h
+    np.subtract(1.0, s, out=out)
+    out *= x2
+    out += s
     out *= g
-    out *= 0.5
 
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation gelu (the form recorded in model configs).
 
-    One graph node: 0.5 x (1 + th) with th = tanh(c (x + k x^3)), computed in
-    the input dtype. The backward reuses th.
+    One graph node: x s with s = 0.5 (1 + tanh(c (x + k x^3))), computed in
+    the input dtype by ffn's helpers. The backward reuses s.
     """
     xd = x.data
-    th, data = np.empty_like(xd), np.empty_like(xd)
-    _gelu(xd, th, data)
+    s, data = np.empty_like(xd), np.empty_like(xd)
+    _gelu(xd, s, data)
 
     def bwd(g):
         gx = np.empty_like(xd)
-        _gelu_grad(xd, th, g, gx, np.empty_like(xd))
+        _gelu_grad(xd * xd, s, data, g, gx)
         x._accumulate(gx)
 
     return Tensor._make(data, (x,), bwd, "gelu")
@@ -815,7 +825,9 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     uses linear's row kernel on w1^T and w2^T, each read as a contiguous
     [in, out] array, so the output is bitwise that of the three ops and does
     not depend on the batch. The node keeps only the pre-activation
-    x w1^T + b1; its backward recomputes gelu from it one block at a time.
+    x w1^T + b1; its backward recomputes gelu from it one block at a time,
+    keeping x^2 and s for the fused derivative (_gelu_grad): 15 passes over
+    the hidden block in all.
     """
     global _MAC_COUNT
     if (
@@ -832,14 +844,14 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     keep = _GRAD_ENABLED and any(t.requires_grad for t in (x, w1, b1, w2, b2))
     pre = np.empty(lead + (hidden,), dtype=dtype) if keep else None
     block = (blocks[0].stop if blocks else 0,) + lead[1:] + (hidden,)
-    work = np.empty((3,) + block, dtype=dtype)
+    work = np.empty((2,) + block, dtype=dtype)
     data = np.empty(lead + (d_out,), dtype=np.result_type(dtype, w2.data))
     for s in blocks:
         n = s.stop - s.start
-        p, th, h = (pre[s] if keep else work[0, :n]), work[1, :n], work[2, :n]
+        p, h = (pre[s] if keep else work[0, :n]), work[1, :n]
         _row_product(x.data[s], w1t, out=p)
         p += b1.data
-        _gelu(p, th, h)
+        _gelu(p, h, h)
         y = data[s]
         _row_product(h, w2t, out=y)
         y += b2.data
@@ -854,8 +866,8 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         for s in blocks:
             n = s.stop - s.start
             p, g2 = pre[s], g[s].reshape(-1, d_out)
-            th, h, dh, dp = buf[0, :n], buf[1, :n], buf[2, :n], buf[3, :n]
-            _gelu(p, th, h)
+            x2, sg, h, dh = buf[0, :n], buf[1, :n], buf[2, :n], buf[3, :n]
+            _gelu(p, sg, h, x2)
             if gw2 is not None:
                 gw2 += g2.T @ h.reshape(-1, hidden)
             if gb2 is not None:
@@ -864,7 +876,8 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
                 continue
             # one gemm over the block: only the forward must keep linear's kernels
             np.matmul(g2, w2.data, out=dh.reshape(-1, hidden))
-            _gelu_grad(p, th, dh, dp, h)
+            dp = h  # the gradient at the pre-activation takes h's place
+            _gelu_grad(x2, sg, h, dh, dp)
             p2 = dp.reshape(-1, hidden)
             if gw1 is not None:
                 gw1 += p2.T @ x.data[s].reshape(-1, d_in)

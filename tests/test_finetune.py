@@ -19,7 +19,7 @@ from tabfusion.finetune import (
 from tabfusion.metrics import auprc, auroc
 from tabfusion.model import Model
 import tabfusion.tensor as tensor_mod
-from tabfusion.tensor import Tensor, softmax
+from tabfusion.tensor import Tensor, linear, softmax
 
 
 class TestRandomFeatures:
@@ -52,6 +52,21 @@ class TestRandomFeatures:
             want = math.exp(-np.sum((x - y) ** 2) / (2.0 * ell * ell))
             assert abs(got - want) < 0.05
 
+    def test_omega_is_laid_out_once_per_array(self, rng):
+        # the row kernel reads Omega^T as a contiguous [in, d_rf] array: the
+        # head keeps that copy until another array is set as omega
+        head = SngpHead(8, 2, rng, d_rf=64)
+        x = Tensor(rng.standard_normal((5, 8)).astype(np.float32))
+        phase = Tensor(head.phase)
+        want = (linear(x, Tensor(head.omega), phase).cos() * math.sqrt(2.0 / 64)).data
+        assert np.array_equal(head.features(x).data, want)
+        laid_out = head._omega[1]
+        assert laid_out.data.T.flags.c_contiguous
+        assert np.array_equal(head.features(x).data, want) and head._omega[1] is laid_out
+        head.omega = rng.standard_normal((64, 8)).astype(np.float32)
+        want = (linear(x, Tensor(head.omega), phase).cos() * math.sqrt(2.0 / 64)).data
+        assert np.array_equal(head.features(x).data, want) and head._omega[1] is not laid_out
+
 
 class TestLaplaceCovariance:
     def test_rank_one_matches_sherman_morrison(self, rng):
@@ -74,6 +89,16 @@ class TestLaplaceCovariance:
         lam = 0.5 * np.eye(8) + (phi * w[:, None]).T @ phi
         want = np.einsum("ij,jk,ik->i", phi, np.linalg.inv(lam), phi)
         np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
+
+    def test_precision_is_exactly_symmetric(self, rng):
+        head = SngpHead(2, 2, rng, d_rf=256, ridge=0.7)
+        phi = rng.standard_normal((300, 256)) * 0.1
+        probs = rng.uniform(0.0, 1.0, size=300)
+        lam = head.fit_covariance(phi, probs)
+        assert np.array_equal(lam, lam.T)
+        w = probs * (1 - probs)
+        want = 0.7 * np.eye(256) + (phi * w[:, None]).T @ phi
+        np.testing.assert_allclose(lam, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
     def test_order_independent(self, rng):
         head = SngpHead(2, 2, rng, d_rf=8)

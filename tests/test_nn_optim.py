@@ -42,6 +42,18 @@ class TestPowerIteration:
             assert sigma >= prev - 1e-9
             prev = sigma
 
+    @pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
+    def test_advance_is_power_iterations_step_bitwise(self, zero, rng):
+        # advance_power_iteration skips sigma; u and v are those of power_iteration
+        layer = SpectralLinear(6, 4, rng, bias=False)
+        if zero:
+            layer.weight = Tensor(np.zeros((4, 6), dtype=np.float32), requires_grad=True)
+        for _ in range(3):
+            _, u, v = power_iteration(layer.weight.data, layer.u)
+            advance_power_iteration([layer])
+            assert np.array_equal(layer.u, u) and np.array_equal(layer.v, v)
+            assert layer.u.dtype == u.dtype and layer.v.dtype == v.dtype
+
 
 class TestSpectralLinear:
     def test_diagonal_normalization(self, rng):
@@ -172,6 +184,21 @@ class TestInferenceWeightCache:
         layer, x = self.make(rng)
         layer.weight = Tensor(rng.standard_normal((5, 6)).astype(np.float32), requires_grad=True)
         self.assert_fresh(layer, x)
+
+    def test_plain_linear_serves_its_weight_in_the_row_kernel_layout(self, rng):
+        layer = Linear(6, 5, rng)
+        x = Tensor(rng.standard_normal((3, 6)).astype(np.float32))
+        want = layer(x).data  # a graph-building call reads the parameter itself
+        assert layer.effective_weight() is layer.weight
+        with no_grad():
+            w = layer.effective_weight()
+            assert w.data.T.flags.c_contiguous and np.array_equal(w.data, layer.weight.data)
+            assert layer.effective_weight() is w
+            assert np.array_equal(layer(x).data, want)
+        layer.weight = Tensor(rng.standard_normal((5, 6)).astype(np.float32), requires_grad=True)
+        with no_grad():
+            assert layer.effective_weight() is not w
+            assert np.array_equal(layer(x).data, (x @ layer.weight.transpose(1, 0) + layer.bias).data)
 
     def test_no_grad_and_graph_forward_bitwise_equal(self, rng):
         model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=4)

@@ -561,6 +561,28 @@ class TestFfn:
         assert peak - kept < 4 * tensor_mod._BLOCK_BYTES + 8 * out.data.nbytes
         assert w1.grad is not None and x.grad is not None
 
+    def test_fused_gelu_derivative_is_the_tanh_form(self):
+        """_gelu_grad's s + 2c (1 + 3k x^2) h (1 - s) against the textbook
+        0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3k x^2), in float64 over
+        [-12, 12]: th saturates to -1 and 1 at the ends. Where gelu' is
+        tiny (x near -5), s = 0.5 (1 + th) keeps only a few digits of th's
+        rounding in both forms, hence rtol 1e-8."""
+        x = np.linspace(-12.0, 12.0, 24001)
+        c, k = tensor_mod._GELU_C, tensor_mod._GELU_K
+        th = np.tanh(c * (x + k * x**3))
+        want = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * c * (1.0 + 3.0 * k * x * x)
+        g = np.linspace(-2.0, 2.0, x.size)
+        x2, s, h, got = (np.empty_like(x) for _ in range(4))
+        tensor_mod._gelu(x, s, h, x2)
+        np.testing.assert_allclose(h, 0.5 * x * (1.0 + th), rtol=1e-10, atol=1e-300)
+        tensor_mod._gelu_grad(x2, s, h, g, got)
+        np.testing.assert_allclose(got, g * want, rtol=1e-8, atol=0.0)
+        assert got[0] == 0.0 and got[-1] == g[-1]  # saturated: gelu' is exactly 0 and 1
+        # the gelu node's backward is the same helper
+        xt = t64(x)
+        (gelu(xt) * Tensor(g)).sum().backward()
+        assert np.array_equal(xt.grad, got)
+
 
 class TestBlockedAttention:
     """multi_head_attention walks axis 0 in blocks of whole examples of
@@ -621,6 +643,74 @@ class TestBlockedAttention:
                 one = [Tensor(a.data[i : i + 1]) for a in (q, k, v)]
                 alone = multi_head_attention(*one, heads, None if mask is None else mask[i : i + 1]).data
                 assert np.array_equal(alone, got[i : i + 1])
+
+    @staticmethod
+    def oracle(q, k, v, g, heads, mask):
+        """The attention and its input gradients for upstream g, composed
+        from plain numpy on [B, H, T, dh] heads with query-major weights."""
+        b, t, d = q.shape
+        dh = d // heads
+
+        def split(a):
+            return a.reshape(b, t, heads, dh).transpose(0, 2, 1, 3)
+
+        def merge(a):
+            return a.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+        qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+        logits = qh @ kh.swapaxes(-1, -2) / math.sqrt(dh) + ((mask - 1.0) * 1e9)[:, None, None, :]
+        w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        w /= w.sum(axis=-1, keepdims=True)
+        gw = gh @ vh.swapaxes(-1, -2)
+        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) / math.sqrt(dh)
+        return merge(w @ vh), merge(gl @ kh), merge(gl.swapaxes(-1, -2) @ qh), merge(w.swapaxes(-1, -2) @ gh)
+
+    def test_matches_a_plain_numpy_oracle_in_float64(self, rng):
+        b, t, d, heads = 6, 16, 32, 8
+        q, k, v = (t64(rng.standard_normal((b, t, d))) for _ in range(3))
+        g = rng.standard_normal((b, t, d))
+        mask = (rng.random((b, t)) < 0.6).astype(np.float64)
+        mask[:, 3] = 1.0
+        mask[2] = 0.0
+        mask[2, 9] = 1.0  # a single real key: every query puts all its weight there
+        out = multi_head_attention(q, k, v, heads, mask)
+        (out * Tensor(g)).sum().backward()
+        want = self.oracle(q.data, k.data, v.data, g, heads, mask)
+        for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        # example 2 outputs v's row 9 for every query
+        np.testing.assert_allclose(out.data[2], np.broadcast_to(v.data[2, 9], (t, d)), rtol=1e-12)
+        assert np.abs(q.grad[2]).max() < 1e-12 * np.abs(q.grad).max()
+
+    def test_node_keeps_the_weights_and_backward_one_work_block(self, rng, monkeypatch):
+        """tracemalloc sees numpy buffers: the forward keeps the [T, B, H, T]
+        weights and its output. Beyond q, k and v's gradients and out's
+        upstream gradient, the backward allocates one block-sized work
+        buffer plus small arrays (per-block key sums and numpy's bounded
+        ufunc buffers), not a second block-sized temporary."""
+        b, t, d, heads = 128, 16, 32, 8
+        per_example = (heads * t * t + 4 * t * d) * 8
+        monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 32 * per_example)  # four blocks
+        q, k, v = (t64(rng.standard_normal((b, t, d))) for _ in range(3))
+        c = t64(rng.standard_normal((b, t, d)), grad=False)
+        mask = (rng.random((b, t)) < 0.7).astype(np.float32)
+        weights = t * b * heads * t * 8  # 2 MiB
+        work = 32 * heads * t * t * 8  # 512 KiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = multi_head_attention(q, k, v, heads, mask)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            loss = (out * c).sum()
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert weights <= kept - out.data.nbytes < 1.05 * weights
+        grads = 3 * q.data.nbytes + out.data.nbytes
+        assert work <= peak - kept - grads < 1.5 * work
+        assert q.grad is not None and k.grad is not None and v.grad is not None
 
 
 class TestBatchStability:
