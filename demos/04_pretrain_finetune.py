@@ -7,15 +7,15 @@ fine-tune an uncertainty-aware head and score held-out examples.
 
 import numpy as np
 
-from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
-from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop, predict_scores
+from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
+from tabfusion.finetune import FinetuneConfig, finetune_loop, predict_scores
 from tabfusion.metrics import auprc, auroc
 from tabfusion.model import Model
 from tabfusion.pretrain import AugmentConfig, PretrainConfig, pretrain_loop
 
 schema = FeatureSchema(
     [FeatureSpec("x1", "numeric"), FeatureSpec("x2", "numeric")],
-    [TaskSpecLite("y", 2)],
+    [TaskSpec("y", 2)],
 )
 
 

@@ -7,14 +7,14 @@ back off toward 0.5 instead of staying confidently wrong.
 
 import numpy as np
 
-from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
-from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop
+from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
+from tabfusion.finetune import FinetuneConfig, finetune_loop
 from tabfusion.model import Model
 
 rng = np.random.default_rng(0)
 schema = FeatureSchema(
     [FeatureSpec("x1", "numeric"), FeatureSpec("x2", "numeric")],
-    [TaskSpecLite("y", 2)],
+    [TaskSpec("y", 2)],
 )
 
 

@@ -6,14 +6,14 @@ drops the noise one round at a time and stops before touching the signal.
 
 import numpy as np
 
-from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
+from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.feature_select import StopRule, backward_eliminate
 
 rng = np.random.default_rng(0)
 feats = [FeatureSpec("signal", "numeric")] + [
     FeatureSpec(f"noise{i}", "numeric") for i in range(5)
 ]
-schema = FeatureSchema(feats, [TaskSpecLite("y", 2)])
+schema = FeatureSchema(feats, [TaskSpec("y", 2)])
 
 snaps = []
 for _ in range(300):

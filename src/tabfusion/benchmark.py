@@ -18,11 +18,11 @@ from .data import (
     FeatureSchema,
     FeatureSpec,
     Snapshot,
-    TaskSpecLite,
+    TaskSpec,
     make_folds,
     normalize_split,
 )
-from .finetune import FinetuneConfig, TaskSpec, finetune_loop, predict_scores
+from .finetune import FinetuneConfig, finetune_loop, predict_scores
 from .metrics import FoldMetrics, MetricsReport, auprc, auroc, ece
 from .model import Model
 from .optim import CosineWarmupSchedule
@@ -83,7 +83,7 @@ def infer_schema(rows: list[dict], target: str, drop=(), max_vocab: int = 200) -
             features.append(
                 FeatureSpec(col, FeatureKind.CATEGORICAL, vocab_size=len(vocab), vocab=vocab)
             )
-    return FeatureSchema(features, [TaskSpecLite(target, 2)])
+    return FeatureSchema(features, [TaskSpec(target)])
 
 
 def _is_float(v: str) -> bool:
@@ -108,7 +108,7 @@ def load_benchmark_csv(path, dataset_name: str):
     with path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
-        return FeatureSchema([], [TaskSpecLite(spec["target"], 2)]), []
+        return FeatureSchema([], [TaskSpec(spec["target"])]), []
     schema = infer_schema(rows, spec["target"], drop=spec.get("drop", ()))
     positives = set(spec["positive"])
     snapshots = []
@@ -152,6 +152,7 @@ def run_benchmark(
     path = Path(data_path) if data_path else Path(data_dir) / f"{dataset_name}.csv"
     schema, snapshots = load_benchmark_csv(path, dataset_name)
     task_name = DATASETS[dataset_name]["target"]
+    tasks = [replace(t, gamma=config.focal_gamma) for t in schema.tasks]
     labels = [s.labels[task_name] for s in snapshots]
     split = make_folds(len(snapshots), config.folds, config.seed, labels=labels)
 
@@ -174,8 +175,7 @@ def run_benchmark(
         model = build_model(fold_schema, replace(config, seed=config.seed + fold))
         if config.pretrain_steps > 0:
             pretrain_loop(model, train, pretrain_config(config))
-        task = TaskSpec(task_name, classes=2, gamma=config.focal_gamma)
-        finetune_loop(model, train, [task], finetune_config(config))
+        finetune_loop(model, train, tasks, finetune_config(config))
         scores = predict_scores(model, test, task_name)
         y = np.array([s.labels[task_name] for s in test])
         report.add(
@@ -205,13 +205,7 @@ def pretrain_config(config: RunConfig) -> PretrainConfig:
         batch_size=config.batch_size,
         augment=AugmentConfig(config.cutmix_swap_prob, config.mixup_alpha, seed=config.seed),
         weights=LossWeights(tau=config.contrastive_tau),
-        schedule=CosineWarmupSchedule(
-            initial_lr=config.initial_lr,
-            warmup_target_multiplier=config.warmup_target_pretrain,
-            warmup_steps=config.warmup_steps,
-            cosine_alpha=config.cosine_alpha,
-            decay_steps=config.decay_steps,
-        ),
+        schedule=_schedule(config, config.warmup_target_pretrain),
         weight_decay=config.weight_decay,
         seed=config.seed,
     )
@@ -221,19 +215,24 @@ def finetune_config(config: RunConfig) -> FinetuneConfig:
     return FinetuneConfig(
         steps=config.finetune_steps,
         batch_size=config.batch_size,
-        schedule=CosineWarmupSchedule(
-            initial_lr=config.initial_lr,
-            warmup_target_multiplier=config.warmup_target_finetune,
-            warmup_steps=config.warmup_steps,
-            cosine_alpha=config.cosine_alpha,
-            decay_steps=config.decay_steps,
-        ),
+        schedule=_schedule(config, config.warmup_target_finetune),
         weight_decay=config.weight_decay,
         d_rf=config.d_rf,
         length_scale=config.gp_length_scale,
         ridge=config.gp_ridge,
         linear_probe=config.linear_probe,
         seed=config.seed,
+    )
+
+
+def _schedule(config: RunConfig, warmup_target: float) -> CosineWarmupSchedule:
+    """`config`'s learning-rate schedule, peaking at `warmup_target` times its initial rate."""
+    return CosineWarmupSchedule(
+        initial_lr=config.initial_lr,
+        warmup_target_multiplier=warmup_target,
+        warmup_steps=config.warmup_steps,
+        cosine_alpha=config.cosine_alpha,
+        decay_steps=config.decay_steps,
     )
 
 

@@ -14,15 +14,16 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmark as bench
 from .config import ConfigError, RunConfig
-from .data import DataError, FeatureSchema, load_dataset
+from .data import DataError, FeatureSchema, TaskSpec, load_dataset
 from .feature_select import StopRule, backward_eliminate
-from .finetune import TaskSpec, finetune_loop, predict_scores
+from .finetune import finetune_loop, predict_scores
 from .metrics import auprc, auroc, ece
 from .model import Model
 from .pretrain import pretrain_loop
@@ -203,14 +204,14 @@ def cmd_finetune(args) -> int:
     else:
         schema, snapshots = _load_data(args)
         model = bench.build_model(schema, cfg)
-    classes = {t.name: t.classes for t in FeatureSchema.load(args.schema).tasks}
-    for name in set(args.task) - classes.keys():
+    declared = {t.name: t for t in FeatureSchema.load(args.schema).tasks}
+    for name in set(args.task) - declared.keys():
         # a task the schema does not declare is binary; the loader checked
         # only the declared tasks' labels, so check this one's here
         bad = next((i for i, s in enumerate(snapshots) if s.labels.get(name) not in (None, 0, 1)), None)
         if bad is not None:
             raise DataError(f"label {snapshots[bad].labels[name]} outside [0, 2)", row=bad + 2, feature=f"label:{name}")
-    tasks = [TaskSpec(name, classes=classes.get(name, 2), gamma=cfg.focal_gamma) for name in args.task]
+    tasks = [replace(declared.get(name, TaskSpec(name)), gamma=cfg.focal_gamma) for name in args.task]
     finetune_loop(model, snapshots, tasks, bench.finetune_config(cfg))
     model.save(args.out_checkpoint, cfg.to_dict())
     _write_manifest(args.out_checkpoint, cfg, {"schema": args.schema, "data": args.data}, started)

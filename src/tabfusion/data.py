@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from itertools import islice, repeat
 from operator import methodcaller
 from pathlib import Path
@@ -23,6 +23,7 @@ __all__ = [
     "FeatureSchema",
     "Asset",
     "Snapshot",
+    "TaskSpec",
     "DatasetSplit",
     "DataError",
     "load_dataset",
@@ -30,7 +31,6 @@ __all__ = [
     "normalize_split",
     "select_top_k_assets",
     "make_folds",
-    "chronological_split",
 ]
 
 
@@ -46,6 +46,11 @@ class DataError(ValueError):
         super().__init__(f"{message} ({', '.join(loc)})" if loc else message)
         self.row = row
         self.feature = feature
+
+
+def _is_int(v) -> bool:
+    """An integer, numpy's included; a bool (JSON `true`) is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 class FeatureKind:
@@ -71,6 +76,9 @@ class FeatureSpec:
     def __post_init__(self):
         if self.kind not in FeatureKind.ALL:
             raise DataError(f"unknown feature kind '{self.kind}'", feature=self.name)
+        for key in ("vocab_size", "dim", "max_count"):
+            if not _is_int(getattr(self, key)):
+                raise DataError(f"{key} must be an integer, not {getattr(self, key)!r}", feature=self.name)
         if self.kind in (FeatureKind.CATEGORICAL, FeatureKind.MULTI_CATEGORICAL) and self.vocab_size < 1:
             raise DataError("vocab_size must be >= 1", feature=self.name)
         if self.kind in (FeatureKind.EMBEDDING, FeatureKind.MULTI_EMBEDDING) and self.dim < 1:
@@ -80,9 +88,25 @@ class FeatureSpec:
 
 
 @dataclass
-class TaskSpecLite:
+class TaskSpec:
+    """A labelled task: its label column is `label:<name>`, its labels are
+    integers in [0, classes), and fine-tuning weighs it by a focal loss
+    with focusing parameter `gamma`. A schema file stores only `name` and
+    `classes`; a run sets `gamma` from its config."""
+
     name: str
     classes: int = 2
+    gamma: float = 2.0
+
+    def __post_init__(self):
+        if not _is_int(self.classes) or self.classes < 2:
+            raise DataError(f"task '{self.name}' needs an integer classes >= 2, not {self.classes!r}")
+        if self.gamma < 0:
+            raise DataError(f"task '{self.name}' has gamma {self.gamma}; gamma must be >= 0")
+
+
+# kept only because bench/workloads.py imports this name
+TaskSpecLite = TaskSpec
 
 
 @dataclass
@@ -91,9 +115,9 @@ class FeatureSchema:
     tasks: list = field(default_factory=list)
 
     def __post_init__(self):
-        names = [f.name for f in self.features]
-        if len(names) != len(set(names)):
-            raise DataError("duplicate feature names in schema")
+        for what, names in (("feature", [f.name for f in self.features]), ("task", [t.name for t in self.tasks])):
+            if len(names) != len(set(names)):
+                raise DataError(f"duplicate {what} names in schema")
         self._by_name = {f.name: f for f in self.features}
 
     def __iter__(self):
@@ -136,8 +160,14 @@ class FeatureSchema:
 
     @staticmethod
     def from_dict(d: dict) -> "FeatureSchema":
-        feats = [FeatureSpec(**f) for f in d["features"]]
-        tasks = [TaskSpecLite(**t) for t in d.get("tasks", [])]
+        """The schema of `to_dict`'s record, a schema file's content: a
+        `features` list of FeatureSpec fields and an optional `tasks` list
+        of `name` and `classes`. A record of any other shape raises DataError."""
+        if not (isinstance(d, dict) and isinstance(d.get("features"), list) and isinstance(d.get("tasks", []), list)
+                and d.keys() <= {"features", "tasks"}):
+            raise DataError("a schema is a JSON object with a 'features' list and an optional 'tasks' list")
+        feats = [FeatureSpec(**_record(f, FeatureSpec, "feature")) for f in d["features"]]
+        tasks = [TaskSpec(**_record(t, TaskSpec, "task", keys=("name", "classes"))) for t in d.get("tasks", [])]
         return FeatureSchema(feats, tasks)
 
     def save(self, path) -> None:
@@ -145,7 +175,27 @@ class FeatureSchema:
 
     @staticmethod
     def load(path) -> "FeatureSchema":
-        return FeatureSchema.from_dict(json.loads(Path(path).read_text()))
+        try:
+            d = json.loads(Path(path).read_text())
+        except ValueError as e:  # invalid JSON or UTF-8
+            raise DataError(f"schema file {path} is not valid JSON: {e}") from None
+        return FeatureSchema.from_dict(d)
+
+
+def _record(d, cls, what: str, keys=None) -> dict:
+    """`d`, one schema-file object for `cls`, once it is known to hold every
+    field of `cls` without a default and no key outside `keys` (by default
+    the fields of `cls`)."""
+    if not isinstance(d, dict):
+        raise DataError(f"a {what} is a JSON object, not {d!r}")
+    fields = cls.__dataclass_fields__
+    keys = list(keys or fields)
+    missing = [k for k, f in fields.items() if f.default is MISSING and k not in d]
+    unknown = sorted(d.keys() - set(keys))
+    if missing or unknown:
+        problem = f"lacks {missing}" if missing else f"has unknown keys {unknown}"
+        raise DataError(f"{what} {d.get('name', '')!r} {problem}; its keys are {keys}")
+    return d
 
 
 @dataclass(slots=True)
@@ -167,24 +217,6 @@ class Snapshot:
 
     values: dict
     labels: dict = field(default_factory=dict)
-
-    def validate(self, schema: FeatureSchema, row: int | None = None) -> None:
-        for f in schema:
-            v = self.values.get(f.name)
-            if v is None and f.kind != FeatureKind.MULTI_EMBEDDING:
-                continue
-            if f.kind == FeatureKind.CATEGORICAL and not 0 <= v < f.vocab_size:
-                raise DataError(f"index {v} outside vocabulary", row=row, feature=f.name)
-            if f.kind == FeatureKind.MULTI_CATEGORICAL:
-                for i in v:
-                    if not 0 <= i < f.vocab_size:
-                        raise DataError(f"index {i} outside vocabulary", row=row, feature=f.name)
-            if f.kind == FeatureKind.EMBEDDING and len(v) != f.dim:
-                raise DataError(f"embedding dim {len(v)} != {f.dim}", row=row, feature=f.name)
-            if f.kind == FeatureKind.MULTI_EMBEDDING:
-                for a in v or []:
-                    if len(a.vector) != f.dim:
-                        raise DataError(f"embedding dim {len(a.vector)} != {f.dim}", row=row, feature=f.name)
 
 
 # ---- IO -------------------------------------------------------------------
@@ -510,13 +542,9 @@ def select_top_k_assets(assets, k: int, criterion: str = "recency", seed: int | 
 
 @dataclass
 class DatasetSplit:
-    """Fold assignments for k-fold CV plus optional train/val/test index lists."""
+    """Fold assignments for k-fold CV."""
 
     folds: list  # list of np.ndarray index arrays, a partition of range(n)
-    seed: int
-    train: np.ndarray | None = None
-    validation: np.ndarray | None = None
-    test: np.ndarray | None = None
 
     def fold_split(self, fold: int):
         """(train_idx, test_idx) for one CV fold."""
@@ -546,19 +574,5 @@ def make_folds(n: int, k: int, seed: int, labels=None) -> DatasetSplit:
             for i in members:
                 folds[slot % k].append(int(i))
                 slot += 1
-    return DatasetSplit([np.sort(np.array(f, dtype=np.int64)) for f in folds], seed)
+    return DatasetSplit([np.sort(np.array(f, dtype=np.int64)) for f in folds])
 
-
-def chronological_split(timestamps, train_frac: float = 0.8, val_frac: float = 0.1) -> DatasetSplit:
-    """Order by timestamp and cut into train < validation < test."""
-    order = np.argsort(np.asarray(timestamps), kind="stable")
-    n = len(order)
-    n_train = int(n * train_frac)
-    n_val = int(n * val_frac)
-    return DatasetSplit(
-        folds=[],
-        seed=0,
-        train=order[:n_train],
-        validation=order[n_train : n_train + n_val],
-        test=order[n_train + n_val :],
-    )

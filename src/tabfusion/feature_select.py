@@ -35,9 +35,6 @@ class EliminationTrace:
     baseline_metric: float = float("nan")
     rounds: list = field(default_factory=list)  # (round, feature, importance, metric)
 
-    def removed_features(self) -> list:
-        return [r[1] for r in self.rounds]
-
 
 def featurize(snapshots: list[Snapshot], schema: FeatureSchema, asset_criterion: str = "recency", asset_seed: int = 0):
     """Flatten the encoder's input arrays into (X, column ranges per feature name).

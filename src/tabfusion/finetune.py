@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigError
+from .data import TaskSpec
 from .nn import Linear, Module, SpectralLinear, advance_power_iteration
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, linear, no_grad, softmax
@@ -22,20 +23,6 @@ __all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfi
 VARIANCE_BLOCK_ROWS = 8
 # Columns per cached panel of the upper-triangular variance factor.
 VARIANCE_PANEL_COLS = 128
-
-
-@dataclass
-class TaskSpec:
-    name: str
-    classes: int = 2
-    gamma: float = 2.0  # focal focusing parameter
-    class_weights: list | None = None
-
-    def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("a task needs at least 2 classes")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
 
 
 class SngpHead(Module):
@@ -164,7 +151,7 @@ class SngpHead(Module):
         return {"probs": softmax(Tensor(adjusted)).data, "variance": var, "calibrated": True}
 
 
-def focal_loss(probs: Tensor, labels, gamma: float, class_weights=None) -> Tensor:
+def focal_loss(probs: Tensor, labels, gamma: float) -> Tensor:
     """Mean over the batch of -(1-p)^gamma * log(p) at the true class.
 
     gamma=0 reduces exactly to cross-entropy. probs are clamped at 1e-12.
@@ -178,9 +165,6 @@ def focal_loss(probs: Tensor, labels, gamma: float, class_weights=None) -> Tenso
     p_true = (probs * Tensor(onehot)).sum(axis=-1)
     p_safe = p_true.clip_min(1e-12)
     per_example = -((1.0 - p_true) ** float(gamma)) * p_safe.log() if gamma > 0 else -p_safe.log()
-    if class_weights is not None:
-        w = np.array([class_weights[int(y)] for y in labels], dtype=np.float32)
-        per_example = per_example * Tensor(w)
     return per_example.mean()
 
 
@@ -290,7 +274,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
                 continue
             probs = softmax(model.heads[t.name].logits(pooled[labeled]), axis=-1)
             labels = [batch[i].labels[t.name] for i in labeled]
-            loss = focal_loss(probs, labels, t.gamma, t.class_weights)
+            loss = focal_loss(probs, labels, t.gamma)
             record[f"loss.{t.name}"] = loss.item()
             total = loss if total is None else total + loss
         if total is None:

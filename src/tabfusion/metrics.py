@@ -116,7 +116,6 @@ class FoldMetrics:
     auroc: float
     auprc: float
     ece: float
-    loss: float = float("nan")
     n_pos: int = 0
     n_neg: int = 0
 

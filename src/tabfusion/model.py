@@ -49,11 +49,10 @@ class Model(Module):
         self.fields = fields
         self.encoder = FeatureEncoder(schema, d, rng, asset_criterion=fields["asset_criterion"],
                                       asset_seed=fields["seed"])
-        self.trunk_config = TrunkConfig(
+        self.trunk = Trunk(TrunkConfig(
             d=d, n_tokens=schema.token_count(),
             **{k: fields[k] for k in ("n_layers", "heads", "ffn_dim", "d_prime", "spectral_norm")},
-        )
-        self.trunk = Trunk(self.trunk_config, rng)
+        ), rng)
         self.recon = ReconstructionHeads(schema, d, rng)
         self.heads: dict = {}  # task name -> SngpHead, created at fine-tune
 

@@ -25,6 +25,9 @@ __all__ = [
     "pretrain_loop",
 ]
 
+# Steps between the lines `pretrain_loop` writes to its loss log.
+LOG_EVERY = 10
+
 
 @dataclass
 class AugmentConfig:
@@ -215,7 +218,6 @@ class PretrainConfig:
     schedule: CosineWarmupSchedule = field(default_factory=CosineWarmupSchedule)
     weight_decay: float = 0.0
     seed: int = 0
-    log_every: int = 10
 
 
 def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_path=None):
@@ -273,7 +275,7 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
             record = {"step": step, "lr": lr, "total": total.item()}
             record.update({k: v.item() for k, v in parts.items()})
             curve.append(record)
-            if fh and step % cfg.log_every == 0:
+            if fh and step % LOG_EVERY == 0:
                 fh.write(
                     " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in record.items())
                     + "\n"

@@ -104,9 +104,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data, dtype=dtype)
@@ -118,7 +118,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward = None
         self._op = "leaf"
-        self.name = name
 
     # ---- construction helpers -------------------------------------------
 
@@ -131,7 +130,6 @@ class Tensor:
         out._parents = parents if out.requires_grad else ()
         out._backward = backward if out.requires_grad else None
         out._op = op
-        out.name = ""
         return out
 
     @property

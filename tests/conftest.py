@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tabfusion.data import Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
+from tabfusion.data import Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 
 
 def fd_gradient_check(build, leaves, h=1e-4, rtol=1e-4, max_entries=40, rng=None):
@@ -50,7 +50,7 @@ def small_schema(with_assets=True):
     ]
     if with_assets:
         feats.append(FeatureSpec("creatives", "multi_embedding", dim=6, max_count=2))
-    return FeatureSchema(feats, [TaskSpecLite("risk", 2)])
+    return FeatureSchema(feats, [TaskSpec("risk", 2)])
 
 
 def random_snapshots(schema, n, seed=0, label_rule=None, missing_rate=0.0):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient_check, random_snapshots, small_schema
-from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
+from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.benchmark import DATASETS, run_benchmark
 from tabfusion.config import RunConfig
 from tabfusion.encoder import FeatureEncoder
@@ -23,7 +23,6 @@ from tabfusion.feature_select import StopRule, backward_eliminate
 from tabfusion.finetune import (
     FinetuneConfig,
     SngpHead,
-    TaskSpec,
     finetune_loop,
     focal_loss,
     predict_scores,
@@ -317,7 +316,7 @@ def test_criterion_08_sngp_calibration():
     rng = np.random.default_rng(0)
     schema = FeatureSchema(
         [FeatureSpec("x1", "numeric"), FeatureSpec("x2", "numeric")],
-        [TaskSpecLite("y", 2)],
+        [TaskSpec("y", 2)],
     )
 
     def cluster(n, cx, cy, label, noise=0.6, random_labels=False):
@@ -375,7 +374,7 @@ def test_criterion_08_sngp_calibration():
 def test_criterion_09_pretraining_efficacy():
     schema = FeatureSchema(
         [FeatureSpec("x1", "numeric"), FeatureSpec("x2", "numeric")],
-        [TaskSpecLite("y", 2)],
+        [TaskSpec("y", 2)],
     )
 
     def make_data(n, seed):
@@ -441,7 +440,7 @@ def test_criterion_10_feature_selection():
         feats = [FeatureSpec("signal", "numeric")] + [
             FeatureSpec(nm, "numeric") for nm in noise_names
         ]
-        schema = FeatureSchema(feats, [TaskSpecLite("y", 2)])
+        schema = FeatureSchema(feats, [TaskSpec("y", 2)])
         snaps = []
         for _ in range(200):
             label = int(rng.integers(2))
@@ -452,7 +451,7 @@ def test_criterion_10_feature_selection():
         reduced, trace = backward_eliminate(
             snaps, schema, "y", StopRule(tolerance=0.02), seed=seed
         )
-        removed = trace.removed_features()
+        removed = [r[1] for r in trace.rounds]
         if sorted(removed) != sorted(noise_names) or "signal" not in [f.name for f in reduced]:
             failures.append((seed, removed))
     report(

@@ -1,10 +1,12 @@
 """The public-benchmark protocol on a small CSV written by the test."""
 
+import json
+
 import numpy as np
 
 import tabfusion.benchmark as bm
 from tabfusion.config import RunConfig
-from tabfusion.data import make_folds
+from tabfusion.data import TaskSpec, make_folds
 
 N = 30
 
@@ -42,3 +44,26 @@ def test_training_rows_are_normalized_by_their_own_statistics(tmp_path, monkeypa
     assert abs(ages.mean()) < 1e-12 and abs(ages.std() - 1.0) < 1e-12
     # the folds that train on the extreme row do see it
     assert all(runs[0][k] != runs[1][k] for k in range(cfg.folds) if k != fold)
+
+
+def test_report_is_strict_json_and_tasks_are_the_schemas(tmp_path, monkeypatch):
+    """Every fold's record carried an unset loss, so metrics.json held a bare
+    NaN, which strict JSON parsers reject."""
+    seen = []
+    finetune_loop = bm.finetune_loop
+
+    def spy(model, snapshots, tasks, cfg, **kw):
+        seen.append(tasks)
+        return finetune_loop(model, snapshots, tasks, cfg, **kw)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    monkeypatch.setattr(bm, "finetune_loop", spy)
+    cfg = RunConfig(d=8, heads=2, n_layers=1, ffn_dim=16, d_prime=8, batch_size=8, pretrain_steps=0,
+                    finetune_steps=1, d_rf=32, warmup_steps=1, decay_steps=10, folds=3, seed=0, focal_gamma=0.5)
+    write_csv(tmp_path / "adult.csv", 0.5)
+    bm.run_benchmark("adult", cfg, data_path=tmp_path / "adult.csv", report_path=tmp_path / "metrics.json")
+    report = json.loads((tmp_path / "metrics.json").read_text(), parse_constant=reject)
+    assert [fold["fold"] for fold in report["folds"]] == [0, 1, 2]
+    assert seen == [[TaskSpec("target", 2, gamma=0.5)]] * 3

@@ -16,6 +16,7 @@ from tabfusion.checkpoint import (
     save_checkpoint,
 )
 from tabfusion.config import ConfigError, RunConfig
+from tabfusion.data import FeatureSchema, FeatureSpec
 from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop, predict_scores
 from tabfusion.model import HEAD_FIELDS, Model
 from tabfusion.tensor import Tensor
@@ -175,6 +176,25 @@ class TestModelPersistence:
                 root = root.base
             assert isinstance(root, np.ndarray) and value.flags.writeable, name
             assert not any(np.shares_memory(value, a) for a in arrays.values()), name
+
+    def test_schema_record_format_is_pinned(self, tmp_path):
+        # a schema file and a checkpoint's record["schema"] hold each task as
+        # exactly its name and classes (gamma is a run's, not the schema's),
+        # so version-3 checkpoints written before the task records merged load
+        schema = FeatureSchema(
+            [FeatureSpec("x", "numeric"), FeatureSpec("c", "categorical", vocab_size=3)],
+            [TaskSpec("risk", 2, gamma=0.5), TaskSpec("tier", 3)],
+        )
+        expected = {
+            "features": [{"name": "x", "kind": "numeric"}, {"name": "c", "kind": "categorical", "vocab_size": 3}],
+            "tasks": [{"name": "risk", "classes": 2}, {"name": "tier", "classes": 3}],
+        }
+        assert schema.to_dict() == expected
+        schema.save(tmp_path / "schema.json")
+        assert json.loads((tmp_path / "schema.json").read_text()) == expected
+        Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8).save(tmp_path / "m.ckpt", {})
+        assert load_checkpoint(tmp_path / "m.ckpt")[0]["schema"] == expected
+        assert Model.load(tmp_path / "m.ckpt").schema.tasks == [TaskSpec("risk", 2), TaskSpec("tier", 3)]
 
     def test_reload_restores_head_covariance(self, tmp_path):
         schema, snaps, model = self.build_trained(tmp_path)
@@ -374,7 +394,7 @@ class TestRunConfig:
         assert set(record) == {
             "d", "n_layers", "heads", "ffn_dim", "d_prime", "spectral_norm", "asset_criterion", "seed"
         }
-        assert Model(small_schema(), **record).trunk_config.ffn_dim == 16
+        assert Model(small_schema(), **record).trunk.cfg.ffn_dim == 16
         trained = RunConfig(**{**cfg.to_dict(), "pretrain_steps": 200, "finetune_steps": 3, "batch_size": 8})
         assert config_digest(trained.model_record()) == config_digest(record)
         assert config_digest(RunConfig(**{**cfg.to_dict(), "seed": 4}).model_record()) != config_digest(record)

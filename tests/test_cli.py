@@ -9,7 +9,7 @@ import pytest
 from conftest import random_snapshots, small_schema
 from tabfusion.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, main
 from tabfusion.config import RunConfig
-from tabfusion.data import TaskSpecLite, load_dataset, save_dataset
+from tabfusion.data import TaskSpec, load_dataset, save_dataset
 from tabfusion.finetune import predict_scores
 from tabfusion.metrics import auprc, auroc, ece
 from tabfusion.model import Model
@@ -171,6 +171,38 @@ class TestMalformedData:
         assert "label 7 outside [0, 2) (row 7, feature 'label:churn')" in capsys.readouterr().err
         assert not (workspace / "model.ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: "{broken", "is not valid JSON"),
+            (lambda d: {"tasks": d["tasks"]}, "with a 'features' list"),
+            (lambda d: {"features": d["features"], "task": d["tasks"]}, "with a 'features' list"),
+            (lambda d: {**d, "features": [{**d["features"][0], "colour": "red"}]}, "has unknown keys ['colour']"),
+            (lambda d: {**d, "tasks": [{"name": "risk", "classes": 2, "gamma": 1.0}]}, "has unknown keys ['gamma']"),
+            (lambda d: {**d, "tasks": [{"name": "risk", "classes": "2"}]}, "integer classes >= 2, not '2'"),
+            (lambda d: {**d, "tasks": [{"name": "risk", "classes": 1}]}, "integer classes >= 2, not 1"),
+            (lambda d: {**d, "tasks": [{"name": "risk", "classes": 2}] * 2}, "duplicate task names"),
+        ],
+        ids=["invalid-json", "no-features", "unknown-schema-key", "unknown-feature-key", "task-gamma", "string-classes",
+             "one-class", "duplicate-task"],
+    )
+    def test_finetune_on_a_malformed_schema_exits_4(self, workspace, capsys, edit, message):
+        # each exited 1 with error:runtime or a raw TypeError traceback, but
+        # an unknown top-level key, which dropped the schema's tasks unseen,
+        # and a repeated task, whose last entry won unseen
+        path = workspace / "schema.json"
+        schema = edit(json.loads(path.read_text()))
+        path.write_text(schema if isinstance(schema, str) else json.dumps(schema))
+        rc = main(
+            ["--config", str(workspace / "config.json"), "finetune"]
+            + base_args(workspace)[2:]
+            + ["--task", "risk", "--out-checkpoint", str(workspace / "model.ckpt")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert err.startswith("error:data: ") and message in err
+        assert not (workspace / "model.ckpt").exists()
+
 
 class TestTrainingCommands:
     def test_pretrain_writes_checkpoint_and_manifest(self, workspace):
@@ -262,7 +294,7 @@ class TestTrainingCommands:
     def test_eval_scores_a_multi_class_task_class_1_against_the_rest(self, tmp_path, capsys):
         # raw labels in {0, 1, 2} made auroc raise ("labels must be 0 or 1"): exit 1
         schema = small_schema(with_assets=True)
-        schema.tasks[0] = TaskSpecLite("risk", 3)
+        schema.tasks[0] = TaskSpec("risk", 3)
         snaps = random_snapshots(schema, 30, seed=0, label_rule=lambda v, rng: int(rng.integers(3)))
         save_dataset(snaps, schema, tmp_path / "data.csv", tmp_path / "emb.bin").save(tmp_path / "schema.json")
         RunConfig(d=8, heads=2, n_layers=1, ffn_dim=16, d_prime=8, batch_size=8, finetune_steps=3, d_rf=32,
@@ -390,7 +422,7 @@ class TestSelfDescribingCheckpoint:
     def add_churn(self, tmp_path, linear_probe):
         """Fine-tune risk, then churn on that checkpoint; (rc, risk.ckpt, both.ckpt)."""
         schema = small_schema(with_assets=True)
-        schema.tasks.append(TaskSpecLite("churn", 2))
+        schema.tasks.append(TaskSpec("churn", 2))
         snaps = random_snapshots(schema, 24, seed=0)
         save_dataset(snaps, schema, tmp_path / "data.csv", tmp_path / "emb.bin").save(tmp_path / "schema.json")
         RunConfig(d=8, heads=2, n_layers=1, ffn_dim=16, d_prime=8, batch_size=8, finetune_steps=3, d_rf=32,

@@ -16,8 +16,7 @@ from tabfusion.data import (
     FeatureSchema,
     FeatureSpec,
     Snapshot,
-    TaskSpecLite,
-    chronological_split,
+    TaskSpec,
     load_dataset,
     make_folds,
     save_dataset,
@@ -161,7 +160,7 @@ def test_loaded_dataset_digest(tmp_path):
         FeatureSpec("tags", "multi_categorical", vocab_size=9),
         FeatureSpec("page_vec", "embedding", dim=5),
         FeatureSpec("creatives", "multi_embedding", dim=5, max_count=3),
-    ], [TaskSpecLite("risk", 2), TaskSpecLite("tier", 3)])
+    ], [TaskSpec("risk", 2), TaskSpec("tier", 3)])
     snaps = random_snapshots(schema, 2500, seed=11, missing_rate=0.15)
     for i, s in enumerate(snaps):
         s.labels["tier"] = None if i % 7 == 0 else i % 3
@@ -194,7 +193,7 @@ def datasets(draw):
             chars = ASCII.filter(lambda c: c != "|") if kind == FeatureKind.MULTI_CATEGORICAL else ASCII
             vocab = draw(st.lists(st.text(chars, min_size=1, max_size=3), min_size=size, max_size=size, unique=True))
         features.append(FeatureSpec(f"f{i}", kind, vocab_size=size, dim=size, max_count=size, vocab=vocab))
-    tasks = [TaskSpecLite(f"t{i}", draw(st.integers(2, 4))) for i in range(draw(st.integers(0, 2)))]
+    tasks = [TaskSpec(f"t{i}", draw(st.integers(2, 4))) for i in range(draw(st.integers(0, 2)))]
     vec = st.lists(st.floats(width=32), min_size=4, max_size=4).map(lambda v: np.array(v, dtype=np.float32))
     pool = draw(st.lists(vec, min_size=1, max_size=3))  # a feature of dim d takes the first d entries
     floats = st.floats(allow_nan=False)
@@ -304,7 +303,7 @@ class TestLoader:
     def test_label_outside_the_declared_classes_rejected(self, tmp_path, label):
         # -1 used to train as class 1; 2 (== classes) passed the loader and
         # crashed fine-tuning with an IndexError
-        schema = FeatureSchema([FeatureSpec("x", "numeric")], [TaskSpecLite("risk", 2)])
+        schema = FeatureSchema([FeatureSpec("x", "numeric")], [TaskSpec("risk", 2)])
         (tmp_path / "d.csv").write_text(f"x,label:risk\n1.0,1\n2.0,{label}\n")
         with pytest.raises(DataError, match=r"label .* outside \[0, 2\)") as err:
             load_dataset(tmp_path / "d.csv", schema)
@@ -348,7 +347,7 @@ def malformed_dataset(tmp_path, *bad, sidecar=True):
             FeatureSpec("v", "embedding", dim=2),
             FeatureSpec("a", "multi_embedding", dim=2, max_count=2),
         ],
-        [TaskSpecLite("risk", 2)],
+        [TaskSpec("risk", 2)],
     )
     header = ["x", "c", "s", "tags", "v", "a", "label:risk"]
     rows = [[f"{i}.5", str(i % 3), "ab"[i % 2], "0|2", str(i % 7), f"{i % 7}:1:0.5", str(i % 2)] for i in range(12)]
@@ -501,26 +500,3 @@ class TestFolds:
             return
         split = make_folds(n, k, seed)
         assert sorted(np.concatenate(split.folds).tolist()) == list(range(n))
-
-
-class TestChronological:
-    def test_ordering(self):
-        ts = [5.0, 1.0, 3.0, 2.0, 4.0, 0.0, 6.0, 7.0, 8.0, 9.0]
-        split = chronological_split(ts, train_frac=0.6, val_frac=0.2)
-        assert len(split.train) == 6 and len(split.validation) == 2 and len(split.test) == 2
-        assert max(np.asarray(ts)[split.train]) <= min(np.asarray(ts)[split.validation])
-        assert max(np.asarray(ts)[split.validation]) <= min(np.asarray(ts)[split.test])
-
-
-class TestSnapshotValidate:
-    def test_bad_embedding_dim(self):
-        schema = small_schema(with_assets=False)
-        snap = random_snapshots(schema, 1, seed=0)[0]
-        snap.values["page_vec"] = np.zeros(3, dtype=np.float32)
-        with pytest.raises(DataError, match="page_vec"):
-            snap.validate(schema)
-
-    def test_valid_snapshot_passes(self):
-        schema = small_schema()
-        for snap in random_snapshots(schema, 5, seed=1, missing_rate=0.3):
-            snap.validate(schema)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
-from tabfusion.data import Asset, DataError, FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
+from tabfusion.data import Asset, DataError, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.feature_select import (
     EliminationTrace,
     StopRule,
@@ -19,7 +19,7 @@ def label_copy_dataset(n=200, n_noise=3, seed=0):
     feats = [FeatureSpec("signal", "numeric")] + [
         FeatureSpec(f"noise{i}", "numeric") for i in range(n_noise)
     ]
-    schema = FeatureSchema(feats, [TaskSpecLite("y", 2)])
+    schema = FeatureSchema(feats, [TaskSpec("y", 2)])
     snaps = []
     for _ in range(n):
         label = int(rng.integers(2))
@@ -118,7 +118,7 @@ class TestPermutationImportance:
         rng = np.random.default_rng(3)
         schema = FeatureSchema(
             [FeatureSpec("a", "numeric"), FeatureSpec("b", "numeric")],
-            [TaskSpecLite("y", 2)],
+            [TaskSpec("y", 2)],
         )
         snaps = []
         for _ in range(200):
@@ -141,7 +141,7 @@ class TestBackwardElimination:
         reduced, trace = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02))
         kept = [f.name for f in reduced]
         assert "signal" in kept
-        removed = trace.removed_features()
+        removed = [r[1] for r in trace.rounds]
         assert all(nm.startswith("noise") for nm in removed)
         assert len(removed) >= 3
 
@@ -156,7 +156,7 @@ class TestBackwardElimination:
         schema, snaps = label_copy_dataset(n_noise=3, seed=5)
         a = backward_eliminate(snaps, schema, "y", seed=11)
         b = backward_eliminate(snaps, schema, "y", seed=11)
-        assert a[1].removed_features() == b[1].removed_features()
+        assert [r[1] for r in a[1].rounds] == [r[1] for r in b[1].rounds]
         assert [f.name for f in a[0]] == [f.name for f in b[0]]
 
     def test_trace_metrics_within_tolerance(self):
@@ -205,7 +205,7 @@ class TestBackwardElimination:
             backward_eliminate(snaps, schema, "y")
 
     def test_single_feature_schema_rejected(self):
-        schema = FeatureSchema([FeatureSpec("x", "numeric")], [TaskSpecLite("y", 2)])
+        schema = FeatureSchema([FeatureSpec("x", "numeric")], [TaskSpec("y", 2)])
         snaps = [Snapshot({"x": float(i % 2)}, {"y": i % 2}) for i in range(20)]
         with pytest.raises(ValueError):
             backward_eliminate(snaps, schema, "y")

@@ -5,12 +5,11 @@ import pytest
 
 from conftest import random_snapshots, small_schema
 from tabfusion.config import ConfigError
-from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpecLite
+from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpec
 from tabfusion.finetune import (
     VARIANCE_PANEL_COLS,
     FinetuneConfig,
     SngpHead,
-    TaskSpec,
     finetune_loop,
     fit_heads_covariance,
     focal_loss,
@@ -233,12 +232,6 @@ class TestFocalLoss:
         ratio_ce = focal_loss(easy, [0], 0.0).item() / focal_loss(hard, [0], 0.0).item()
         assert ratio_focal < ratio_ce
 
-    def test_class_weights(self):
-        probs = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        unweighted = focal_loss(probs, [0, 1], gamma=0.0).item()
-        weighted = focal_loss(probs, [0, 1], gamma=0.0, class_weights=[2.0, 0.0]).item()
-        assert abs(weighted - unweighted) < 1e-9  # (2 + 0)/2 == (1 + 1)/2 here
-
     def test_numerically_safe_at_zero_prob(self):
         probs = Tensor(np.array([[1.0, 0.0]]))
         assert np.isfinite(focal_loss(probs, [1], gamma=2.0).item())
@@ -256,7 +249,7 @@ class TestFocalLoss:
 def separable_setup(n=60, seed=0):
     schema = FeatureSchema(
         [FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")],
-        [TaskSpecLite("risk", 2)],
+        [TaskSpec("risk", 2)],
     )
     snaps = random_snapshots(schema, n, seed=seed, label_rule=lambda v, rng: int(v["x"] > 0))
     model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=seed)
@@ -370,7 +363,7 @@ class TestFinetuneLoop:
     def test_two_identical_tasks_have_equal_losses(self):
         schema = FeatureSchema(
             [FeatureSpec("x", "numeric")],
-            [TaskSpecLite("a", 2), TaskSpecLite("b", 2)],
+            [TaskSpec("a", 2), TaskSpec("b", 2)],
         )
         snaps = random_snapshots(schema, 20, seed=1)
         for s in snaps:
@@ -440,7 +433,7 @@ class TestFinetuneLoop:
 
     def test_three_class_validation_scores_class_1_one_vs_rest(self):
         # scored on the raw labels, class-2 rows counted as two positives each
-        schema = FeatureSchema([FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], [TaskSpecLite("tier", 3)])
+        schema = FeatureSchema([FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], [TaskSpec("tier", 3)])
         snaps = random_snapshots(schema, 60, seed=2, label_rule=lambda v, rng: int(np.digitize(v["x"], [-0.5, 0.5])))
         model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=2)
         val = list(range(20))
@@ -456,7 +449,7 @@ class TestFinetuneLoop:
         # task a's best step is not the best step of the mean over a and b
         schema = FeatureSchema(
             [FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")],
-            [TaskSpecLite("a", 2), TaskSpecLite("b", 2)],
+            [TaskSpec("a", 2), TaskSpec("b", 2)],
         )
         snaps = random_snapshots(schema, 60, seed=0, label_rule=lambda v, rng: int(v["x"] > 0))
         for s in snaps:
@@ -501,7 +494,7 @@ def two_task_setup():
     """Task `a` fully labeled, task `b` labeled on every third row."""
     schema = FeatureSchema(
         [FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")],
-        [TaskSpecLite("a", 2), TaskSpecLite("b", 2)],
+        [TaskSpec("a", 2), TaskSpec("b", 2)],
     )
     snaps = random_snapshots(schema, 40, seed=4, label_rule=lambda v, rng: int(v["x"] > 0))
     for i, s in enumerate(snaps):
@@ -551,7 +544,7 @@ class TestInferencePath:
             FeatureSpec("profile", "embedding", dim=16),
             FeatureSpec("assets", "multi_embedding", dim=16, max_count=5),
         ]
-        schema = FeatureSchema(feats, [TaskSpecLite("risk", 2)])
+        schema = FeatureSchema(feats, [TaskSpec("risk", 2)])
         assert schema.token_count() == 16
         snaps = random_snapshots(schema, 100, seed=7, missing_rate=0.15)
         model = Model(schema, d=32, n_layers=2, heads=8, ffn_dim=512, seed=3)

@@ -3,8 +3,8 @@ RunConfig fields that nothing reads, one list of model fields, no
 hand-written parameter or buffer plumbing outside nn.Module, no writes
 into a `.data` array, no global mode besides `no_grad`, asset selection
 only in the encoder, snapshot values read only by IO, featurization and
-CutMix, no generator seeded with a literal, and no garbage-collector
-switches."""
+CutMix, no generator seeded with a literal, no garbage-collector
+switches, and no function or class that no other library line names."""
 
 import ast
 import inspect
@@ -21,11 +21,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tabfusion"
 MODULES = sorted(SRC.glob("*.py"))
 
 
+def _is_all(node) -> bool:
+    """Whether `node` is an `__all__ = [...]` assignment."""
+    return isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
 def _exported(tree: ast.Module) -> set[str]:
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if _is_all(node):
             return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
     return set()
 
@@ -329,3 +332,56 @@ def test_no_library_generator_is_seeded_with_a_literal():
     a literal seed would draw the same numbers whatever the run's seed."""
     found = [f"{path.name}:{c}" for path in MODULES for c in literal_seeded_generators(path.read_text())]
     assert found == []
+
+
+def lone_definitions(sources: dict) -> list[str]:
+    """Functions and classes (dunder methods aside) in `sources`, a map of
+    module name to source, whose name appears on no line of any of them but
+    the one that defines it, as 'module.name'. A name, an attribute or a
+    string equal to the name counts, as getattr and op labels name things by
+    string; an `__all__` entry does not, since exporting is not using."""
+    defined, seen = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        exports = {id(n) for node in tree.body if _is_all(node) for n in ast.walk(node)}
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                if not (n.name.startswith("__") and n.name.endswith("__")):
+                    defined.append((module, n.lineno, n.name))
+            elif isinstance(n, ast.Name):
+                seen.setdefault(n.id, set()).add((module, n.lineno))
+            elif isinstance(n, ast.Attribute):
+                seen.setdefault(n.attr, set()).add((module, n.lineno))
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in exports:
+                seen.setdefault(n.value, set()).add((module, n.lineno))
+    return [f"{module}.{name}" for module, line, name in defined if not seen.get(name, set()) - {(module, line)}]
+
+
+def test_lone_definition_scanner_counts_names_attributes_and_strings_not_exports():
+    sources = {
+        "a": (
+            "__all__ = ['unused', 'Used']\n"
+            "def unused():\n    pass\n"
+            "class Used:\n    def method(self):\n        return helper()\n"
+            "    def __len__(self):\n        return 0\n"
+            "def helper():\n    return 'by_label'\n"
+            "def by_label():\n    pass\n"
+        ),
+        "b": "from .a import Used\ndef caller():\n    return Used().method\n",
+    }
+    assert lone_definitions(sources) == ["a.unused", "b.caller"]
+
+
+# public API that only tests, demos and the benchmark call, with the reason it stays
+LONE_ALLOWED = {
+    "tensor.mac_count": "criterion 6 and the ISA cost tests count multiply-accumulates with it",
+    "tensor.reset_mac_count": "zeroes the counter mac_count reads, before the counted call",
+    "data.save_dataset": "load_dataset's inverse: tests and bench/ write their datasets with it",
+}
+
+
+def test_every_library_function_and_class_is_named_elsewhere():
+    """A function or class that no other library line names is dead code or
+    public API; only the allowlisted public API may stay."""
+    found = lone_definitions({path.stem: path.read_text() for path in MODULES})
+    assert sorted(found) == sorted(LONE_ALLOWED)

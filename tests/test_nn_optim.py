@@ -3,8 +3,8 @@ import pytest
 
 from conftest import fd_gradient_check, random_snapshots, small_schema
 from tabfusion.checkpoint import load_checkpoint
-from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpecLite
-from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop
+from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpec
+from tabfusion.finetune import FinetuneConfig, finetune_loop
 from tabfusion.model import Model
 from tabfusion.nn import SPECTRAL_EPS, Linear, Mlp, Module, SpectralLinear, advance_power_iteration, power_iteration
 from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError
@@ -214,7 +214,7 @@ class TestInferenceWeightCache:
 
     def test_after_finetune_best_state_restore(self):
         schema = FeatureSchema(
-            [FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], [TaskSpecLite("risk", 2)]
+            [FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], [TaskSpec("risk", 2)]
         )
         snaps = random_snapshots(schema, 40, seed=0, label_rule=lambda v, rng: int(v["x"] > 0))
         model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
-from tabfusion.data import Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpecLite
+from tabfusion.data import Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.encoder import FeatureEncoder
 from tabfusion.model import Model
 from tabfusion.pretrain import (
@@ -325,13 +325,13 @@ class TestGraphSize:
             FeatureSpec("profile", "embedding", dim=16),
             FeatureSpec("assets", "multi_embedding", dim=16, max_count=5),
         ]
-        schema = FeatureSchema(feats, [TaskSpecLite("risk", 2)])
+        schema = FeatureSchema(feats, [TaskSpec("risk", 2)])
         assert schema.token_count() == 16
         snaps = random_snapshots(schema, 64, seed=0, missing_rate=0.1)
         assert graph_nodes_per_step(Model(schema), snaps, 64, monkeypatch) <= 610
 
     def test_criterion_9_model_step(self, monkeypatch):
-        schema = FeatureSchema([FeatureSpec("x1", "numeric"), FeatureSpec("x2", "numeric")], [TaskSpecLite("y", 2)])
+        schema = FeatureSchema([FeatureSpec("x1", "numeric"), FeatureSpec("x2", "numeric")], [TaskSpec("y", 2)])
         snaps = random_snapshots(schema, 32, seed=0)
         model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
         assert graph_nodes_per_step(model, snaps, 16, monkeypatch) <= 121

@@ -204,7 +204,7 @@ class TestBackwardRelease:
         every first gradient and keeps every node."""
         model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=3)
         params = model.trunk.parameters()
-        x0 = rng.standard_normal((5, model.trunk_config.n_tokens, 8)).astype(np.float32)
+        x0 = rng.standard_normal((5, model.trunk.cfg.n_tokens, 8)).astype(np.float32)
 
         def loss_fn():
             for p in params.values():
