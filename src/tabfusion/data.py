@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, replace
 from itertools import islice, repeat
 from operator import methodcaller
 from pathlib import Path
@@ -149,6 +149,14 @@ class FeatureSchema:
             pos += count
         return slots
 
+    def copy(self) -> "FeatureSchema":
+        """New feature records with their own normalization dicts, so one
+        copy's fitted normalization leaves the other as it was; the task
+        records, gamma included, are kept as they are."""
+        feats = [replace(f, normalization=None if f.normalization is None else dict(f.normalization))
+                 for f in self.features]
+        return FeatureSchema(feats, list(self.tasks))
+
     def to_dict(self) -> dict:
         return {
             "features": [
@@ -242,7 +250,7 @@ def load_dataset(data_path, schema, embeddings_path=None):
     from the sidecar per feature.
     """
     schema = schema if isinstance(schema, FeatureSchema) else FeatureSchema.load(schema)
-    schema = FeatureSchema.from_dict(schema.to_dict())  # a copy: normalization is filled in below
+    schema = schema.copy()  # normalization is filled in below
     sidecar = None
     if embeddings_path is not None:
         sidecar = np.fromfile(embeddings_path, dtype="<f4")
@@ -427,7 +435,7 @@ def normalize_split(schema, fit, *rest):
     """A schema copy whose unset numeric normalization is fitted on the
     snapshots `fit`, then copies of `fit` and of each of `rest` with numerics
     z-scored by it: held-out rows never shape the statistics."""
-    schema = FeatureSchema.from_dict(schema.to_dict())
+    schema = schema.copy()
     out = [schema]
     for rows in (fit, *rest):
         copies = [Snapshot(dict(s.values), dict(s.labels)) for s in rows]
@@ -448,7 +456,7 @@ def save_dataset(snapshots, schema, data_path, embeddings_path=None):
         emb_values.extend(np.asarray(vec, dtype="<f4").tolist())
         return off
 
-    out_schema = FeatureSchema.from_dict(schema.to_dict())
+    out_schema = schema.copy()
     for f in out_schema.of_kind(FeatureKind.NUMERIC):
         f.normalization = {"mean": 0.0, "std": 1.0}
 

@@ -20,7 +20,7 @@ __all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfi
 # Rows per product with the cached variance factor. A fixed block shape gives
 # every row the same BLAS kernel and summation order whatever the batch size,
 # so variances are bitwise batch-independent (plain gemm reblocks by M).
-VARIANCE_BLOCK_ROWS = 8
+VARIANCE_BLOCK_ROWS = 4
 # Columns per cached panel of the upper-triangular variance factor.
 VARIANCE_PANEL_COLS = 128
 

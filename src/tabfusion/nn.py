@@ -22,14 +22,16 @@ SPECTRAL_EPS = 1e-8
 def _power_step(w: np.ndarray, u: np.ndarray):
     """One power-iteration step from u: (u', v, ok) with v = W^T u / |W^T u|
     and u' = W v / |W v|, two matvecs. A zero product ends the step early
-    with ok False: v is zero when W^T u is, and u' is u when W v is."""
+    with ok False: v is zero when W^T u is, and u' is u when W v is. Each
+    norm is sqrt(a . a), np.linalg.norm's own path for a 1-D array, without
+    its per-call checks."""
     wu = w.T @ u
-    nu = np.linalg.norm(wu)
+    nu = np.sqrt(wu.dot(wu))
     if nu == 0.0:
         return u, np.zeros(w.shape[1], dtype=w.dtype), False
     v = wu / nu
     wv = w @ v
-    nv = np.linalg.norm(wv)
+    nv = np.sqrt(wv.dot(wv))
     if nv == 0.0:
         return u, v, False
     return wv / nv, v, True

@@ -753,51 +753,57 @@ _GELU_K = 0.044715
 
 
 def _gelu(x: np.ndarray, s: np.ndarray, out: np.ndarray, x2: np.ndarray | None = None) -> None:
-    """tanh-approximation gelu of x into out, in x's dtype, in 8 passes:
-    s receives 0.5 (1 + tanh(x (c + c k x^2))) and out x s. out may be s,
-    which then ends as gelu(x). x2, when given, receives x^2 for
-    _gelu_grad; otherwise s holds it on the way."""
+    """Twice the tanh-approximation gelu of x into out, in x's dtype, in 7
+    passes: s receives 1 + tanh(x (c + c k x^2)) and out x s = 2 gelu(x).
+    out may be x. x2, when given, receives x^2 for _gelu_grad;
+    otherwise s holds it on the way. Doubling is exact, so half of out is
+    bitwise 0.5 x (1 + th) and no pass is spent on the 0.5."""
     x2 = s if x2 is None else x2
     np.multiply(x, x, out=x2)
     np.multiply(x2, _GELU_C * _GELU_K, out=s)
     s += _GELU_C
     s *= x
     np.tanh(s, out=s)
-    s *= 0.5
-    s += 0.5
+    s += 1.0
     np.multiply(x, s, out=out)
 
 
-def _gelu_grad(x2: np.ndarray, s: np.ndarray, h: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
-    """out = g * gelu'(x) in 7 passes, from x2, s and h = x s of _gelu; x2
-    is overwritten and out may be h.
+def _gelu_grad(x2: np.ndarray, s: np.ndarray, h: np.ndarray) -> None:
+    """h = 2 gelu'(x) in 6 passes, from x2, s and h = x s of _gelu; x2 is
+    overwritten.
 
-    With s = 0.5 (1 + th), 1 - th^2 = 4 s (1 - s), so
-    gelu'(x) = 0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3k x^2)
-             = s + 2c (1 + 3k x^2) h (1 - s).
+    With s = 1 + th, 1 - th^2 = s (2 - s), so
+    2 gelu'(x) = (1 + th) + x (1 - th^2) c (1 + 3k x^2)
+               = s + c (1 + 3k x^2) h (2 - s).
+    Each of its two terms is exactly twice the matching term of the
+    undoubled form s/2 + 2c (1 + 3k x^2) (h/2) (1 - s/2), so half of h is
+    bitwise that form's value.
     """
-    x2 *= 6.0 * _GELU_C * _GELU_K
-    x2 += 2.0 * _GELU_C
+    x2 *= 3.0 * _GELU_C * _GELU_K
+    x2 += _GELU_C
     x2 *= h
-    np.subtract(1.0, s, out=out)
-    out *= x2
-    out += s
-    out *= g
+    np.subtract(2.0, s, out=h)
+    h *= x2
+    h += s
 
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation gelu (the form recorded in model configs).
 
-    One graph node: x s with s = 0.5 (1 + tanh(c (x + k x^3))), computed in
-    the input dtype by ffn's helpers. The backward reuses s.
+    One graph node: x s / 2 with s = 1 + tanh(c (x + k x^3)), computed in
+    the input dtype by ffn's helpers. The node keeps s and its output; the
+    backward doubles the output back to x s.
     """
     xd = x.data
     s, data = np.empty_like(xd), np.empty_like(xd)
     _gelu(xd, s, data)
+    data *= 0.5
 
     def bwd(g):
-        gx = np.empty_like(xd)
-        _gelu_grad(xd * xd, s, data, g, gx)
+        gx = data * 2.0
+        _gelu_grad(xd * xd, s, gx)
+        gx *= g
+        gx *= 0.5
         x._accumulate(gx)
 
     return Tensor._make(data, (x,), bwd, "gelu")
@@ -822,10 +828,16 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     of whole examples whose hidden activation fits _BLOCK_BYTES; each block
     uses linear's row kernel on w1^T and w2^T, each read as a contiguous
     [in, out] array, so the output is bitwise that of the three ops and does
-    not depend on the batch. The node keeps only the pre-activation
-    x w1^T + b1; its backward recomputes gelu from it one block at a time,
-    keeping x^2 and s for the fused derivative (_gelu_grad): 15 passes over
-    the hidden block in all.
+    not depend on the batch. The helpers yield 2 gelu, so the [..., out]
+    product is halved before b2 is added.
+
+    The node keeps no hidden-sized array, only x and the contiguous w1^T.
+    Its backward recomputes each block's pre-activation p with the forward's
+    own call, so p is bitwise the forward's, and works in three block
+    buffers: one holds p, then 2 gelu(p), then twice the gradient at p; one
+    x^2, then the gradient at the hidden activation; one s. A gradient taken
+    from the doubled forms is halved once it is reduced to its small
+    [hidden, in], [hidden], [out, hidden] or [..., in] array.
     """
     global _MAC_COUNT
     if (
@@ -837,21 +849,23 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     lead = x.shape[:-1]
     dtype = np.result_type(x.data, w1.data)
     blocks = _example_blocks(lead[0], math.prod(lead[1:]) * hidden * dtype.itemsize)
+    block = (blocks[0].stop if blocks else 0,) + lead[1:] + (hidden,)
     w1t, w2t = np.ascontiguousarray(w1.data.T), np.ascontiguousarray(w2.data.T)
 
-    keep = _GRAD_ENABLED and any(t.requires_grad for t in (x, w1, b1, w2, b2))
-    pre = np.empty(lead + (hidden,), dtype=dtype) if keep else None
-    block = (blocks[0].stop if blocks else 0,) + lead[1:] + (hidden,)
+    def pre_activation(s: slice, out: np.ndarray) -> None:
+        _row_product(x.data[s], w1t, out=out)
+        out += b1.data
+
     work = np.empty((2,) + block, dtype=dtype)
     data = np.empty(lead + (d_out,), dtype=np.result_type(dtype, w2.data))
     for s in blocks:
         n = s.stop - s.start
-        p, h = (pre[s] if keep else work[0, :n]), work[1, :n]
-        _row_product(x.data[s], w1t, out=p)
-        p += b1.data
-        _gelu(p, h, h)
+        h, sg = work[0, :n], work[1, :n]
+        pre_activation(s, h)
+        _gelu(h, sg, h)
         y = data[s]
         _row_product(h, w2t, out=y)
+        y *= 0.5
         y += b2.data
     _MAC_COUNT += math.prod(lead) * (hidden * d_in + d_out * hidden)
 
@@ -860,29 +874,34 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         grads = [np.zeros(t.shape, dtype=t.dtype) if t.requires_grad else None for t in (w1, b1, w2, b2)]
         gw1, gb1, gw2, gb2 = grads
         gx = np.empty(x.shape, dtype=np.result_type(g, w1.data)) if x.requires_grad else None
-        buf = np.empty((4,) + block, dtype=np.result_type(dtype, g))
+        buf = np.empty((3,) + block, dtype=np.result_type(dtype, g))
         for s in blocks:
             n = s.stop - s.start
-            p, g2 = pre[s], g[s].reshape(-1, d_out)
-            x2, sg, h, dh = buf[0, :n], buf[1, :n], buf[2, :n], buf[3, :n]
-            _gelu(p, sg, h, x2)
+            g2 = g[s].reshape(-1, d_out)
+            h, x2, sg = buf[0, :n], buf[1, :n], buf[2, :n]
+            pre_activation(s, h)
+            _gelu(h, sg, h, x2)
             if gw2 is not None:
                 gw2 += g2.T @ h.reshape(-1, hidden)
             if gb2 is not None:
                 gb2 += g2.sum(axis=0)
             if not want_pre:
                 continue
-            # one gemm over the block: only the forward must keep linear's kernels
-            np.matmul(g2, w2.data, out=dh.reshape(-1, hidden))
-            dp = h  # the gradient at the pre-activation takes h's place
-            _gelu_grad(x2, sg, h, dh, dp)
-            p2 = dp.reshape(-1, hidden)
+            _gelu_grad(x2, sg, h)
+            # the gradient at the hidden activation takes x2's place, in one
+            # gemm over the block: only the forward must keep linear's kernels
+            np.matmul(g2, w2.data, out=x2.reshape(-1, hidden))
+            h *= x2  # twice the gradient at p
+            p2 = h.reshape(-1, hidden)
             if gw1 is not None:
                 gw1 += p2.T @ x.data[s].reshape(-1, d_in)
             if gb1 is not None:
                 gb1 += p2.sum(axis=0)
             if gx is not None:
-                np.matmul(dp, w1.data, out=gx[s])
+                np.matmul(h, w1.data, out=gx[s])
+        for gt in (gx, gw1, gb1, gw2):  # all but gb2 come from the doubled forms
+            if gt is not None:
+                gt *= 0.5
         for t, gt in zip((x, w1, b1, w2, b2), (gx, *grads)):
             if gt is not None:
                 t._accumulate(gt)

@@ -49,6 +49,30 @@ class TestSchema:
         assert clone.tasks[0].name == "risk"
 
 
+    def test_copy_keeps_task_gamma(self, tmp_path):
+        """Regression: the loader, normalize_split and save_dataset copied the
+        schema through its file record, which stores no gamma, so every task
+        came back with gamma 2.0."""
+        base = small_schema()
+        schema = FeatureSchema(base.features, [TaskSpec("risk", 2, gamma=0.5)])
+        snaps = random_snapshots(schema, 8, seed=1)
+        saved = save_dataset(snaps, schema, tmp_path / "d.csv", tmp_path / "e.bin")
+        loaded, _ = load_dataset(tmp_path / "d.csv", schema, tmp_path / "e.bin")
+        split, _ = tfd.normalize_split(schema, snaps)
+        for copy in (saved, loaded, split):
+            assert copy.tasks == [TaskSpec("risk", 2, gamma=0.5)]
+        assert saved.to_dict()["tasks"] == [{"name": "risk", "classes": 2}]
+
+    def test_copy_has_its_own_feature_records(self):
+        schema = small_schema()
+        schema.get("age").normalization = {"mean": 1.0, "std": 2.0}
+        clone = schema.copy()
+        assert clone.to_dict() == schema.to_dict() and clone.tasks == schema.tasks
+        clone.get("age").normalization["mean"] = 5.0
+        clone.get("spend").normalization = {"mean": 0.0, "std": 1.0}
+        assert schema.get("age").normalization == {"mean": 1.0, "std": 2.0}
+        assert schema.get("spend").normalization is None
+
 class TestIo:
     def test_round_trip(self, tmp_path):
         schema = small_schema()

@@ -6,6 +6,7 @@ from tabfusion.checkpoint import load_checkpoint
 from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpec
 from tabfusion.finetune import FinetuneConfig, finetune_loop
 from tabfusion.model import Model
+import tabfusion.nn as tfn
 from tabfusion.nn import SPECTRAL_EPS, Linear, Mlp, Module, SpectralLinear, advance_power_iteration, power_iteration
 from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError
 from tabfusion.pretrain import PretrainConfig, pretrain_loop
@@ -41,6 +42,39 @@ class TestPowerIteration:
             sigma, u, _ = power_iteration(w, u, iters=1)
             assert sigma >= prev - 1e-9
             prev = sigma
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["random", "zero-matrix", "zero-product"])
+    def test_step_norms_are_linalg_norm_bitwise(self, case, dtype, rng):
+        """_power_step takes each norm as sqrt(a . a); the step of the
+        np.linalg.norm form gives the same bits."""
+
+        def linalg_step(w, u):
+            wu = w.T @ u
+            nu = np.linalg.norm(wu)
+            if nu == 0.0:
+                return u, np.zeros(w.shape[1], dtype=w.dtype), False
+            v = wu / nu
+            wv = w @ v
+            nv = np.linalg.norm(wv)
+            if nv == 0.0:
+                return u, v, False
+            return wv / nv, v, True
+
+        w = rng.standard_normal((48, 96)).astype(dtype)
+        u = rng.standard_normal(48).astype(dtype)
+        if case == "zero-matrix":
+            w[...] = 0.0
+        elif case == "zero-product":  # u lies on a zero row of w: W^T u is zero
+            w[3] = 0.0
+            u = np.zeros(48, dtype=dtype)
+            u[3] = 1.0
+        for _ in range(3):
+            (u_got, v_got, ok), (u_want, v_want, ok_want) = tfn._power_step(w, u), linalg_step(w, u)
+            assert ok == ok_want == (case == "random")
+            for got, want in ((u_got, u_want), (v_got, v_want)):
+                assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+            u = u_got
 
     @pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
     def test_advance_is_power_iterations_step_bitwise(self, zero, rng):

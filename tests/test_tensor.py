@@ -481,7 +481,7 @@ class TestOneNodeOps:
 
 class TestFfn:
     """ffn is linear -> gelu -> linear as one node that walks axis 0 in
-    blocks of examples and keeps only the pre-activation."""
+    blocks of examples and keeps only its input and w1^T."""
 
     @staticmethod
     def leaves(rng, d_in, hidden, d_out, dtype=np.float64, grad=True):
@@ -538,10 +538,11 @@ class TestFfn:
             with pytest.raises(ShapeError, match="ffn"):
                 ffn(*args)
 
-    def test_node_keeps_one_hidden_sized_array(self, rng):
-        """tracemalloc sees numpy buffers: after the forward the graph holds
-        the output and the pre-activation; linear -> gelu -> linear held
-        four hidden-sized arrays (fc1's output, gelu's output, th and x^2)."""
+    def test_node_keeps_no_hidden_sized_array(self, rng):
+        """tracemalloc sees numpy buffers: after the forward the node holds
+        its output and the contiguous w1^T, nothing hidden-sized; linear ->
+        gelu -> linear held four hidden-sized arrays (fc1's output, gelu's
+        output, th and x^2)."""
         x = t64(rng.standard_normal((128, 8, 16)))
         w1, b1, w2, b2 = self.leaves(rng, 16, 256, 16)
         hidden_bytes = 128 * 8 * 256 * 8  # 2 MiB, four blocks
@@ -555,27 +556,30 @@ class TestFfn:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert hidden_bytes <= kept - out.data.nbytes < 1.1 * hidden_bytes
-        # the backward adds four block-sized buffers and small arrays, no
-        # further hidden-sized one
-        assert peak - kept < 4 * tensor_mod._BLOCK_BYTES + 8 * out.data.nbytes
+        assert kept - out.data.nbytes < 0.1 * hidden_bytes
+        # the backward adds three block buffers (the recomputed pre-activation
+        # shares one with gelu's output and the gradient at it) and a few
+        # output-sized arrays: under four blocks in all
+        assert 4 * out.data.nbytes == tensor_mod._BLOCK_BYTES
+        assert peak - kept < 3 * tensor_mod._BLOCK_BYTES + 4 * out.data.nbytes
         assert w1.grad is not None and x.grad is not None
 
     def test_fused_gelu_derivative_is_the_tanh_form(self):
-        """_gelu_grad's s + 2c (1 + 3k x^2) h (1 - s) against the textbook
-        0.5 (1 + th) + 0.5 x (1 - th^2) c (1 + 3k x^2), in float64 over
-        [-12, 12]: th saturates to -1 and 1 at the ends. Where gelu' is
-        tiny (x near -5), s = 0.5 (1 + th) keeps only a few digits of th's
-        rounding in both forms, hence rtol 1e-8."""
+        """Half of _gelu's x s and of _gelu_grad's s + c (1 + 3k x^2) h (2 - s)
+        against the textbook 0.5 x (1 + th) and 0.5 (1 + th) + 0.5 x (1 - th^2)
+        c (1 + 3k x^2), in float64 over [-12, 12]: th saturates to -1 and 1 at
+        the ends. Where gelu' is tiny (x near -5), s = 1 + th keeps only a few
+        digits of th's rounding in both forms, hence rtol 1e-8."""
         x = np.linspace(-12.0, 12.0, 24001)
         c, k = tensor_mod._GELU_C, tensor_mod._GELU_K
         th = np.tanh(c * (x + k * x**3))
         want = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * c * (1.0 + 3.0 * k * x * x)
         g = np.linspace(-2.0, 2.0, x.size)
-        x2, s, h, got = (np.empty_like(x) for _ in range(4))
+        x2, s, h = (np.empty_like(x) for _ in range(3))
         tensor_mod._gelu(x, s, h, x2)
-        np.testing.assert_allclose(h, 0.5 * x * (1.0 + th), rtol=1e-10, atol=1e-300)
-        tensor_mod._gelu_grad(x2, s, h, g, got)
+        np.testing.assert_allclose(0.5 * h, 0.5 * x * (1.0 + th), rtol=1e-10, atol=1e-300)
+        tensor_mod._gelu_grad(x2, s, h)
+        got = 0.5 * (h * g)
         np.testing.assert_allclose(got, g * want, rtol=1e-8, atol=0.0)
         assert got[0] == 0.0 and got[-1] == g[-1]  # saturated: gelu' is exactly 0 and 1
         # the gelu node's backward is the same helper

@@ -192,6 +192,42 @@ class TestTrunk:
         assert np.abs(tokens.data).max() < 100.0 * max(1.0, np.abs(x).max())
 
 
+    def test_pretrain_graph_keeps_no_ffn_activation(self, rng):
+        """No closure of a pretrain-mode graph holds an array of B*T rows of
+        ffn_dim: the ffn nodes recompute their hidden activation."""
+        # B*T = 24 rows, apart from the 32 rows of the [d, ffn_dim] weights
+        b, t, cfg = 3, 8, self.cfg(d=32, n_tokens=8, heads=8, ffn_dim=512, d_prime=128)
+        trunk = Trunk(cfg, rng)
+        x = Tensor(rng.standard_normal((b, t, 32)).astype(np.float32), requires_grad=True)
+        tokens, pooled = trunk(x, mode="pretrain")
+
+        def arrays(value, seen):
+            if id(value) in seen:
+                return
+            seen.add(id(value))
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, Tensor):
+                yield value.data
+            elif isinstance(value, (tuple, list)):
+                for v in value:
+                    yield from arrays(v, seen)
+            elif callable(value) and getattr(value, "__closure__", None):
+                for cell in value.__closure__:
+                    yield from arrays(cell.cell_contents, seen)
+
+        nodes, stack, held, seen = set(), [tokens, pooled], [], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in nodes:
+                continue
+            nodes.add(id(node))
+            stack.extend(node._parents)
+            held.extend(arrays(node._backward, seen))
+        assert len(nodes) > 50 and held
+        hidden = [a.shape for a in held if a.ndim and a.shape[-1] == cfg.ffn_dim and a.size == b * t * cfg.ffn_dim]
+        assert hidden == []
+
 class TestIsaCost:
     def test_mac_count_linear_in_batch(self, rng):
         """The ISA block cost grows linearly in B for fixed d' (attention term
