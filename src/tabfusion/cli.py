@@ -245,6 +245,9 @@ def cmd_eval(args) -> int:
         raise DataError(f"no row is labeled for task '{args.task}'")
     scores = predict_scores(model, labeled, args.task)
     y = np.array([s.labels[args.task] for s in labeled]) == 1  # class 1 against the rest
+    if y.all() or not y.any():
+        raise DataError(f"the {len(labeled)} rows labeled for task '{args.task}' are all one class "
+                        "(class 1 against the rest); AUROC needs both")
     result = {
         "task": args.task,
         "n": len(labeled),

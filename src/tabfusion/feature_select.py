@@ -1,7 +1,9 @@
 """Backward-elimination feature selection with permutation importance.
 
 Importance is scored by a logistic probe over each feature's encoder inputs
-(`encoder.feature_inputs`), flattened into columns.
+(`encoder.feature_inputs`), flattened into columns. The probe is fitted once
+per candidate feature subset; the permuted validation copies are scored with
+that fitted probe.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ __all__ = [
     "StopRule",
     "EliminationTrace",
     "featurize",
-    "logistic_probe_auroc",
+    "fit_logistic_probe",
     "permutation_importance",
     "backward_eliminate",
 ]
@@ -66,7 +68,12 @@ def featurize(snapshots: list[Snapshot], schema: FeatureSchema, asset_criterion:
     return x, ranges
 
 
-def _fit_logistic(x: np.ndarray, y: np.ndarray, steps: int = 300, lr: float = 0.5):
+PROBE_STEPS = 300  # full-batch gradient steps of the logistic probe
+PROBE_LR = 0.5
+REPEATS = 5  # permutations per feature and round
+
+
+def fit_logistic_probe(x: np.ndarray, y: np.ndarray):
     """Plain full-batch gradient descent on standardized inputs; returns a
     scoring closure. Deterministic, no regularization beyond standardization."""
     mu = x.mean(axis=0)
@@ -76,12 +83,12 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, steps: int = 300, lr: float = 0.
     w = np.zeros(xs.shape[1])
     b = 0.0
     n = len(y)
-    for _ in range(steps):
+    for _ in range(PROBE_STEPS):
         z = xs @ w + b
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
         g = p - y
-        w -= lr * (xs.T @ g / n + 1e-4 * w)
-        b -= lr * g.mean()
+        w -= PROBE_LR * (xs.T @ g / n + 1e-4 * w)
+        b -= PROBE_LR * g.mean()
 
     def score(x_new):
         return ((x_new - mu) / sd) @ w + b
@@ -89,34 +96,17 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, steps: int = 300, lr: float = 0.
     return score
 
 
-def logistic_probe_auroc(x_train, y_train, x_val, y_val) -> float:
-    """Train a logistic probe, return its validation AUROC."""
-    score = _fit_logistic(x_train, y_train)
-    return auroc(score(x_val), y_val)
-
-
-def permutation_importance(
-    model_fit_fn,
-    x_train,
-    y_train,
-    x_val,
-    y_val,
-    col_range,
-    rng: np.random.Generator,
-    repeats: int = 5,
-    baseline: float | None = None,
-) -> float:
-    """AUROC(original) minus mean AUROC with the feature's validation columns
-    permuted, over `repeats` draws from `rng`."""
-    if baseline is None:
-        baseline = model_fit_fn(x_train, y_train, x_val, y_val)
+def permutation_importance(score, x_val, y_val, col_range, rng: np.random.Generator) -> float:
+    """AUROC of the fitted `score` on the validation rows minus its mean
+    AUROC with the feature's columns permuted, over REPEATS draws from `rng`."""
+    baseline = auroc(score(x_val), y_val)
     lo, hi = col_range
     drops = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         perm = rng.permutation(len(x_val))
         x_perm = x_val.copy()
         x_perm[:, lo:hi] = x_val[perm, lo:hi]
-        drops.append(baseline - model_fit_fn(x_train, y_train, x_perm, y_val))
+        drops.append(baseline - auroc(score(x_perm), y_val))
     return float(np.mean(drops))
 
 
@@ -135,8 +125,9 @@ def backward_eliminate(
     Only rows labeled for `task` are scored (DataError if none is), class 1
     against the rest, so a multi-class task is scored as binary. They are
     featurized once, as a model built with `asset_criterion` and `seed`
-    would, and each candidate subset takes its columns. `seed` also draws
-    the validation split and the permutations.
+    would, and each candidate subset takes its columns and one probe fit.
+    `seed` also draws the validation split (DataError unless it holds both
+    classes) and the permutations.
 
     Returns (reduced FeatureSchema, EliminationTrace).
     """
@@ -152,42 +143,37 @@ def backward_eliminate(
     order = rng.permutation(len(labeled))
     n_val = max(1, int(len(labeled) * 0.3))  # validation share
     val_idx, train_idx = order[:n_val], order[n_val:]
+    y_val = y[val_idx]
+    if y_val.min() == y_val.max():
+        raise DataError(f"the {n_val} validation rows for task '{task}' are all one class "
+                        "(class 1 against the rest); AUROC needs both")
 
     remaining = [f.name for f in schema]
     trace = EliminationTrace()
 
     def metric_for(feature_names):
+        """Validation AUROC of a probe fitted on `feature_names`' columns, the
+        probe, its validation columns and each feature's range in them."""
         x = np.concatenate([x_all[:, slice(*ranges_all[nm])] for nm in feature_names], axis=1)
         widths = [hi - lo for lo, hi in (ranges_all[nm] for nm in feature_names)]
         ranges = {nm: (end - w, end) for nm, w, end in zip(feature_names, widths, np.cumsum(widths))}
-        return logistic_probe_auroc(x[train_idx], y[train_idx], x[val_idx], y[val_idx]), x, ranges
+        score = fit_logistic_probe(x[train_idx], y[train_idx])
+        x_val = x[val_idx]
+        return auroc(score(x_val), y_val), score, x_val, ranges
 
-    baseline, x, ranges = metric_for(remaining)
-    trace.baseline_metric = baseline
-    current = baseline
+    trace.baseline_metric, score, x_val, ranges = metric_for(remaining)
     rnd = 0
     while len(remaining) > stop_rule.min_features:
-        importances = {}
-        for name in remaining:
-            importances[name] = permutation_importance(
-                logistic_probe_auroc,
-                x[train_idx],
-                y[train_idx],
-                x[val_idx],
-                y[val_idx],
-                ranges[name],
-                rng=rng,
-                baseline=current,
-            )
+        importances = {nm: permutation_importance(score, x_val, y_val, ranges[nm], rng) for nm in remaining}
         weakest = min(remaining, key=lambda nm: (importances[nm], nm))
         candidate = [nm for nm in remaining if nm != weakest]
-        new_metric, new_x, new_ranges = metric_for(candidate)
+        new_metric, new_score, new_x_val, new_ranges = metric_for(candidate)
         if new_metric < trace.baseline_metric - stop_rule.tolerance:
             break
         rnd += 1
         trace.rounds.append((rnd, weakest, importances[weakest], new_metric))
         remaining = candidate
-        current, x, ranges = new_metric, new_x, new_ranges
+        score, x_val, ranges = new_score, new_x_val, new_ranges
 
     reduced = FeatureSchema([schema.get(nm) for nm in remaining], schema.tasks)
     return reduced, trace

@@ -30,23 +30,24 @@ def auroc(scores, labels) -> float:
 def _binary(labels) -> np.ndarray:
     """labels as an array, raising ValueError unless every one is 0 or 1."""
     labels = np.asarray(labels)
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1; score a multi-class task one-vs-rest")
     return labels
+
+
+def _tie_groups(sorted_scores: np.ndarray):
+    """(starts, ends) of the runs of equal values in `sorted_scores`, ends
+    exclusive. NaN equals nothing, so each NaN is a group of its own."""
+    change = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    return np.concatenate(([0], change)), np.concatenate((change, [len(sorted_scores)]))
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average rank."""
     order = np.argsort(x, kind="mergesort")
+    starts, ends = _tie_groups(x[order])
     ranks = np.empty(len(x), dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
     return ranks
 
 
@@ -60,24 +61,11 @@ def auprc(scores, labels) -> float:
     if n_pos == 0:
         raise ValueError("auprc needs at least one positive")
     order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order]
-    area = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        group_pos = int(y[i : j + 1].sum())
-        tp += group_pos
-        seen += j - i + 1
-        precision = tp / seen
-        area += precision * (group_pos / n_pos)  # step width = recall gained
-        i = j + 1
-    return float(area)
+    _, ends = _tie_groups(scores[order])
+    tp = np.cumsum(labels[order] == 1)[ends - 1]  # positives at or above each threshold
+    precision = tp / ends
+    # step width = recall gained; cumsum adds in order, as a running sum would
+    return float(np.cumsum(precision * (np.diff(tp, prepend=0) / n_pos))[-1])
 
 
 def ece(probs, labels, bins: int = 15) -> float:

@@ -279,6 +279,21 @@ class TestTrainingCommands:
         assert rc == EXIT_DATA
         assert "labeled for task 'risk'" in capsys.readouterr().err
 
+    def test_eval_on_one_class_is_a_data_error(self, workspace, capsys):
+        # auroc raised "needs both classes present": exit 1 with error:runtime
+        ckpt = run_finetune(workspace)
+        schema = small_schema(with_assets=True)
+        snaps = random_snapshots(schema, 5, seed=2, label_rule=lambda v, rng: 0)
+        save_dataset(snaps, schema, workspace / "negatives.csv", workspace / "negatives.bin")
+        rc = main(
+            ["--config", str(workspace / "config.json"), "eval",
+             "--schema", str(workspace / "schema.json"), "--data", str(workspace / "negatives.csv"),
+             "--embeddings", str(workspace / "negatives.bin"),
+             "--checkpoint", str(ckpt), "--task", "risk"]
+        )
+        assert rc == EXIT_DATA
+        assert "error:data: the 5 rows labeled for task 'risk' are all one class" in capsys.readouterr().err
+
     def test_eval_reports_metrics(self, workspace, capsys):
         ckpt = run_finetune(workspace)
         rc = main(
@@ -373,6 +388,16 @@ class TestTrainingCommands:
         save_dataset(snaps, schema, workspace / "unlabeled.csv", workspace / "unlabeled.bin")
         assert self.select(workspace, workspace / "unlabeled.csv", workspace / "unlabeled.bin", "none") == EXIT_DATA
         assert "labeled for task 'risk'" in capsys.readouterr().err
+
+    def test_select_features_on_one_labeled_row_is_a_data_error(self, workspace, capsys):
+        # the one row is the whole validation split: auroc raised, exit 1
+        schema = small_schema(with_assets=True)
+        snaps = random_snapshots(schema, 6, seed=2, label_rule=lambda v, rng: 1)
+        for s in snaps[1:]:
+            s.labels["risk"] = None
+        save_dataset(snaps, schema, workspace / "one.csv", workspace / "one.bin")
+        assert self.select(workspace, workspace / "one.csv", workspace / "one.bin", "one") == EXIT_DATA
+        assert "error:data: the 1 validation rows for task 'risk' are all one class" in capsys.readouterr().err
 
 
 class TestSelfDescribingCheckpoint:

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import tabfusion.feature_select as feature_select
 from conftest import random_snapshots, small_schema
 from tabfusion.data import Asset, DataError, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.feature_select import (
@@ -8,7 +11,7 @@ from tabfusion.feature_select import (
     StopRule,
     backward_eliminate,
     featurize,
-    logistic_probe_auroc,
+    fit_logistic_probe,
     permutation_importance,
 )
 
@@ -96,7 +99,7 @@ class TestPermutationImportance:
         x, ranges = featurize(snaps, schema)
         tr, va = np.arange(140), np.arange(140, 200)
         imp = permutation_importance(
-            logistic_probe_auroc, x[tr], y[tr], x[va], y[va], ranges["signal"],
+            fit_logistic_probe(x[tr], y[tr]), x[va], y[va], ranges["signal"],
             rng=np.random.default_rng(1),
         )
         # breaking a perfect predictor costs roughly the full 0.5 of AUROC
@@ -108,7 +111,7 @@ class TestPermutationImportance:
         x, ranges = featurize(snaps, schema)
         tr, va = np.arange(140), np.arange(140, 200)
         imp = permutation_importance(
-            logistic_probe_auroc, x[tr], y[tr], x[va], y[va], ranges["noise0"],
+            fit_logistic_probe(x[tr], y[tr]), x[va], y[va], ranges["noise0"],
             rng=np.random.default_rng(2),
         )
         assert abs(imp) < 0.1
@@ -129,7 +132,7 @@ class TestPermutationImportance:
         x, ranges = featurize(snaps, schema)
         tr, va = np.arange(140), np.arange(140, 200)
         imp = permutation_importance(
-            logistic_probe_auroc, x[tr], y[tr], x[va], y[va], ranges["a"],
+            fit_logistic_probe(x[tr], y[tr]), x[va], y[va], ranges["a"],
             rng=np.random.default_rng(4),
         )
         assert imp < 0.15
@@ -204,6 +207,26 @@ class TestBackwardElimination:
         with pytest.raises(DataError, match="labeled for task 'y'"):
             backward_eliminate(snaps, schema, "y")
 
+    def test_one_class_validation_split_is_a_data_error(self, monkeypatch):
+        """Both classes are labeled, but the split puts the only positive in
+        training: AUROC on the validation rows is undefined. The check runs
+        before any probe is fitted."""
+        schema, snaps = label_copy_dataset(n=10)
+        last_train_row = np.random.default_rng(0).permutation(10)[-1]
+        for i, s in enumerate(snaps):
+            s.labels["y"] = int(i == last_train_row)
+        monkeypatch.setattr(feature_select, "fit_logistic_probe", None)
+        with pytest.raises(DataError, match="validation rows for task 'y' are all one class"):
+            backward_eliminate(snaps, schema, "y", seed=0)
+
+    def test_one_labeled_row_is_a_data_error_without_warnings(self):
+        # it fitted a probe on an empty training split first, warning on the empty means
+        schema, snaps = label_copy_dataset(n=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="task 'y'"):
+                backward_eliminate(snaps, schema, "y")
+
     def test_single_feature_schema_rejected(self):
         schema = FeatureSchema([FeatureSpec("x", "numeric")], [TaskSpec("y", 2)])
         snaps = [Snapshot({"x": float(i % 2)}, {"y": i % 2}) for i in range(20)]
@@ -216,3 +239,39 @@ class TestBackwardElimination:
             schema, snaps = label_copy_dataset(n_noise=3, seed=seed)
             reduced, _ = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02), seed=seed)
             assert "signal" in [f.name for f in reduced]
+
+    def test_one_probe_fit_per_evaluated_subset(self, monkeypatch):
+        """The baseline and each candidate subset are fitted once; permuted
+        validation copies are scored by that fit, not refitted."""
+        fits = []
+        fit = feature_select.fit_logistic_probe
+
+        def counted_fit(x, y):
+            fits.append(x.shape)
+            return fit(x, y)
+
+        monkeypatch.setattr(feature_select, "fit_logistic_probe", counted_fit)
+        schema, snaps = label_copy_dataset(n_noise=4)
+        reduced, trace = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02))
+        stopped_early = len(reduced) > StopRule().min_features
+        assert len(fits) == 1 + len(trace.rounds) + stopped_early
+        # one fit per subset: every fit has one feature fewer than the one before
+        assert [cols for _, cols in fits] == [2 * k for k in range(len(schema), len(schema) - len(fits), -1)]
+
+
+class TestPinnedTrace:
+    """A fixed elimination over every feature kind, as literal floats: the
+    probe, the permutations and the metrics must reproduce it bit for bit."""
+
+    def test_trace(self):
+        schema = small_schema()
+        snaps = random_snapshots(schema, 80, seed=2, label_rule=lambda v, rng: int(v["age"] + rng.normal() > 0))
+        reduced, trace = backward_eliminate(snaps, schema, "risk", StopRule(tolerance=0.05), seed=2)
+        assert (trace.baseline_metric, trace.rounds) == (0.6783216783216783, [
+            (1, "page_vec", -0.029370629370629352, 0.7202797202797203),
+            (2, "tags", -0.03916083916083912, 0.8321678321678322),
+            (3, "region", 0.01118881118881121, 0.8321678321678322),
+            (4, "creatives", 0.02237762237762244, 0.8391608391608392),
+            (5, "spend", 0.025174825174825187, 0.8321678321678322),
+        ])
+        assert [f.name for f in reduced] == ["age"]

@@ -1,10 +1,11 @@
 """Source hygiene checks that need no linter: unused module-level imports,
-RunConfig fields that nothing reads, one list of model fields, no
-hand-written parameter or buffer plumbing outside nn.Module, no writes
-into a `.data` array, no global mode besides `no_grad`, asset selection
-only in the encoder, snapshot values read only by IO, featurization and
-CutMix, no generator seeded with a literal, no garbage-collector
-switches, and no function or class that no other library line names."""
+`__all__` entries that name nothing in their module, RunConfig fields
+that nothing reads, one list of model fields, no hand-written parameter
+or buffer plumbing outside nn.Module, no writes into a `.data` array, no
+global mode besides `no_grad`, asset selection only in the encoder,
+snapshot values read only by IO, featurization and CutMix, no generator
+seeded with a literal, no garbage-collector switches, and no function or
+class that no other library line names."""
 
 import ast
 import inspect
@@ -59,6 +60,41 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unresolved_exports(source: str) -> list[str]:
+    """`__all__` entries in `source` that no module-level function, class,
+    assignment or import of it binds, in `__all__` order."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    entries = [elt.value for node in tree.body if _is_all(node) for elt in node.value.elts]
+    return [name for name in entries if name not in bound]
+
+
+def test_export_scanner_flags_names_bound_nowhere_at_module_level():
+    source = (
+        "import os.path\nfrom math import pi as circle\n"
+        "__all__ = ['f', 'C', 'K', 'T', 'a', 'b', 'os', 'circle', 'pi', 'stale', 'inner']\n"
+        "def f():\n    def inner():\n        pass\n"
+        "class C:\n    pass\n"
+        "K = 1\nT: int = 2\na, b = 3, 4\n"
+    )
+    assert unresolved_exports(source) == ["pi", "stale", "inner"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_export_names_a_module_level_binding(path):
+    """A stale `__all__` entry outlives the function it named and breaks
+    `from module import *`."""
+    assert unresolved_exports(path.read_text()) == []
 
 
 def _names_config(annotation) -> bool:

@@ -26,10 +26,19 @@ def brute_force_auprc(scores, labels):
     for t in sorted(set(scores), reverse=True):
         keep = scores >= t
         tp = int(labels[keep].sum())
-        precision = tp / keep.sum()
-        area += precision * (tp - prev_tp) / n_pos
+        area += (tp / keep.sum()) * ((tp - prev_tp) / n_pos)
         prev_tp = tp
     return area
+
+
+def tie_rich_cases(rng, count=30, max_rows=400):
+    """(scores, labels) pairs of 4 to `max_rows` rows: scores on a grid of 2
+    to 20 values, so most rows tie, and labels of a random prevalence."""
+    for _ in range(count):
+        n = int(rng.integers(4, max_rows + 1))
+        scores = rng.integers(0, int(rng.integers(2, 21)), n) / 4.0
+        labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(int)
+        yield scores, labels
 
 
 class TestAuroc:
@@ -56,13 +65,10 @@ class TestAuroc:
             auroc(np.arange(6), labels)
 
     def test_matches_brute_force_random(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(4, 30))
-            scores = np.round(rng.random(n), 2)  # force some ties
-            labels = rng.integers(0, 2, n)
-            if labels.sum() in (0, n):
+        for scores, labels in tie_rich_cases(rng):
+            if labels.sum() in (0, len(labels)):
                 continue
-            assert abs(auroc(scores, labels) - brute_force_auroc(scores, labels)) < 1e-12
+            assert auroc(scores, labels) == brute_force_auroc(scores, labels)
 
     def test_exhaustive_small_grids(self):
         # every labeling and every score grid on <= 5 points from {0.0, 0.5, 1.0}
@@ -71,9 +77,7 @@ class TestAuroc:
                 for labels in itertools.product((0, 1), repeat=n):
                     if sum(labels) in (0, n):
                         continue
-                    got = auroc(list(scores), list(labels))
-                    want = brute_force_auroc(scores, labels)
-                    assert abs(got - want) < 1e-12, (scores, labels)
+                    assert auroc(list(scores), list(labels)) == brute_force_auroc(scores, labels), (scores, labels)
 
     @given(st.lists(st.floats(0, 1), min_size=4, max_size=20))
     @settings(max_examples=40, deadline=None)
@@ -95,6 +99,17 @@ class TestAuprc:
         with pytest.raises(ValueError):
             auprc([0.1, 0.9], [0, 0])
 
+    def test_each_nan_score_is_its_own_threshold(self):
+        # NaN equals nothing, so two NaN scores are two thresholds, not one tie group
+        assert auprc([np.nan, np.nan], [1, 0]) == 1.0
+
+    def test_bool_labels_match_int_labels(self, rng):
+        for scores, labels in tie_rich_cases(rng, count=10):
+            if labels.sum() in (0, len(labels)):
+                continue
+            assert auprc(scores, labels.astype(bool)) == auprc(scores, labels)
+            assert auroc(scores, labels.astype(bool)) == auroc(scores, labels)
+
     @pytest.mark.parametrize("labels", [[2, 1, 0], [np.nan, 1, 0]], ids=["class-2", "nan"])
     def test_labels_outside_0_1_rejected(self, labels):
         # unchecked, the class-2 case read 5.5: a multi-class task is scored one-vs-rest
@@ -102,13 +117,10 @@ class TestAuprc:
             auprc([0.9, 0.8, 0.1], labels)
 
     def test_matches_brute_force_random(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(4, 30))
-            scores = np.round(rng.random(n), 2)
-            labels = rng.integers(0, 2, n)
+        for scores, labels in tie_rich_cases(rng):
             if labels.sum() == 0:
                 continue
-            assert abs(auprc(scores, labels) - brute_force_auprc(scores, labels)) < 1e-12
+            assert auprc(scores, labels) == brute_force_auprc(scores, labels)
 
     def test_exhaustive_small_grids(self):
         for n in (2, 3, 4):
@@ -116,9 +128,7 @@ class TestAuprc:
                 for labels in itertools.product((0, 1), repeat=n):
                     if sum(labels) == 0:
                         continue
-                    got = auprc(list(scores), list(labels))
-                    want = brute_force_auprc(scores, labels)
-                    assert abs(got - want) < 1e-12, (scores, labels)
+                    assert auprc(list(scores), list(labels)) == brute_force_auprc(scores, labels), (scores, labels)
 
 
 class TestEce:
