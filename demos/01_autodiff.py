@@ -38,13 +38,13 @@ print(f"analytic dL/dw[1,2] = {w.grad[1, 2]:.8f}")
 print(f"numeric  dL/dw[1,2] = {numeric:.8f}")
 
 # the interior nodes were freed as backward walked them: only leaf .grad survives
-print(f"after backward: loss keeps parents = {bool(loss._parents)}, w.grad kept = {w.grad is not None}")
+print(f"after backward: loss keeps parents = {bool(loss._node.parents)}, w.grad kept = {w.grad is not None}")
 
-# inference: under no_grad the same forward records no parents and no closures
+# inference: under no_grad the same forward records no graph node at all
 with no_grad():
     frozen = loss_fn()
 print(f"under no_grad: loss = {frozen.item():.6f}, requires_grad = {frozen.requires_grad}, "
-      f"parents = {len(frozen._parents)}")
+      f"graph node = {frozen._node}")
 try:
     frozen.backward()
 except RuntimeError as e:

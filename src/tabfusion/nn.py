@@ -191,8 +191,10 @@ class Mlp(Module):
     """Two-layer feed-forward block with gelu, optionally spectrally normalized.
 
     One `ffn` graph node over the effective weights and biases of `fc1` and
-    `fc2`: it runs in blocks of examples and keeps only fc1's output for the
-    backward. The layers stay modules, so parameter names do not change.
+    `fc2`: it runs in blocks of examples and keeps no hidden-sized array for
+    the backward, only its input, the contiguous w1^T and the small weights;
+    the backward recomputes fc1's output block by block. The layers stay
+    modules, so parameter names do not change.
     """
 
     def __init__(

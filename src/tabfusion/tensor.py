@@ -1,7 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A small numpy-backed autodiff engine: every op builds a node in a DAG and
-records a closure that scatters the upstream gradient to its parents.
+A small numpy-backed autodiff engine. The graph is kept apart from the
+values: every recorded op makes a `Node` in a DAG of nodes, holding the
+closure that scatters the upstream gradient to its parent nodes, and the
+`Tensor` it returns holds that node and its value. A closure captures the
+parent nodes and only the arrays its backward reads, never a Tensor, so an
+interior value is freed as soon as the caller drops its Tensor unless some
+backward reads it.
 Under ``no_grad`` ops record nothing, so an inference forward holds no graph.
 ``backward`` frees each interior node's gradient and closure as soon as it
 has run, so a graph can be walked back once and only leaf ``.grad`` survives.
@@ -65,15 +70,15 @@ def mac_count() -> int:
     return _MAC_COUNT
 
 
-# graph recording is off inside no_grad(); inference forwards then keep no
-# parents or closures, so their activations are freed as soon as unused
+# graph recording is off inside no_grad(); inference forwards then make no
+# nodes or closures, so their activations are freed as soon as unused
 _GRAD_ENABLED = True
 
 
 class no_grad:
-    """Context in which ops record no graph: outputs have no parents, no
-    backward closure and requires_grad False. Nests; the previous state is
-    restored on exit, also when the block raises."""
+    """Context in which ops record no graph: outputs have no node, so
+    requires_grad is False. Nests; the previous state is restored on exit,
+    also when the block raises."""
 
     def __enter__(self):
         global _GRAD_ENABLED
@@ -103,8 +108,38 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad if grad.shape == shape else grad.reshape(shape)
 
 
+class Node:
+    """One recorded op of the graph: its gradient, its parent nodes, the
+    backward closure that scatters a gradient to them, the shape and dtype
+    of its value, and the op name. It holds no value; a leaf that requires
+    grad has a node of op "leaf" with no parents and no closure."""
+
+    __slots__ = ("grad", "parents", "backward", "shape", "dtype", "op")
+
+    def __init__(self, parents: tuple, backward, shape: tuple, dtype, op: str):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward = backward
+        self.shape = shape
+        self.dtype = dtype
+        self.op = op
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # own an array the backward allocated or the upstream node hands
+            # on (add passes its own gradient); copy a view, since reshape,
+            # transpose and concat pass on aliases of the upstream gradient
+            owned = type(g) is np.ndarray and g.base is None and g.dtype == self.dtype
+            self.grad = g if owned else g.astype(self.dtype, copy=True)
+        else:
+            self.grad += g
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    """A value and, when it records a graph, its `Node`: `.grad` is the
+    node's gradient and `requires_grad` whether there is a node."""
+
+    __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -112,50 +147,65 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward = None
-        self._op = "leaf"
+        self._data = arr
+        self._node = Node((), None, arr.shape, arr.dtype, "leaf") if requires_grad else None
 
     # ---- construction helpers -------------------------------------------
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
+        """The output of an op: a node over the parents that record a graph
+        when recording is on and there is one, else a value alone."""
         out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out._parents = parents if out.requires_grad else ()
-        out._backward = backward if out.requires_grad else None
-        out._op = op
+        out._data = data
+        out._node = None
+        if _GRAD_ENABLED:
+            nodes = tuple(p._node for p in parents if p._node is not None)
+            if nodes:
+                out._node = Node(nodes, backward, data.shape, data.dtype, op)
         return out
 
     @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data = value
+        node = self._node
+        if node is not None and node.op == "leaf":  # a leaf's gradient takes its array's dtype
+            node.shape, node.dtype = value.shape, value.dtype
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        node = self._node
+        return None if node is None else node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise RuntimeError("grad: the tensor records no graph")
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
     def shape(self) -> tuple:
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     def item(self) -> float:
-        return float(self.data)
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # own an array the backward allocated or the upstream node hands
-            # on (add passes its own gradient); copy a view, since reshape,
-            # transpose and concat pass on aliases of the upstream gradient
-            owned = type(g) is np.ndarray and g.base is None and g.dtype == self.data.dtype
-            self.grad = g if owned else g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
+        return float(self._data)
 
     # ---- autodiff --------------------------------------------------------
 
@@ -163,38 +213,39 @@ class Tensor:
         """Reverse-mode sweep from a scalar; visits each node exactly once.
 
         Each interior node's gradient, closure and parents are dropped once
-        its closure has run, so activations and gradients are freed during
-        the sweep and only leaf `.grad` survives. A graph is walked back
-        once: a root built under no_grad, or a graph that an earlier
-        backward consumed, raises RuntimeError.
+        its closure has run, so the arrays the closures read and the
+        gradients are freed during the sweep and only leaf `.grad` survives.
+        A graph is walked back once: a root built under no_grad, or a graph
+        that an earlier backward consumed, raises RuntimeError.
         """
-        if self.data.size != 1:
+        if self._data.size != 1:
             raise ShapeError("backward", self.shape)
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise RuntimeError("backward: the root records no graph (built under no_grad or from constants)")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        topo: list[Node] = []
+        seen: set[Node] = set()
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in seen or not node.requires_grad:
+            if node in seen:
                 continue
-            if node._backward is None and node._op != "leaf":
+            if node.backward is None and node.op != "leaf":
                 raise RuntimeError("backward: the graph was already consumed by an earlier backward")
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self._data)
         while topo:
             node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node.grad = node._backward = None
-                node._parents = ()
+            if node.backward is not None:
+                node.backward(node.grad)
+                node.grad = node.backward = None
+                node.parents = ()
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -230,19 +281,21 @@ class Tensor:
         return mul(self._coerce(other), self ** -1.0)
 
     def __neg__(self):
-        data = -self.data
+        data = -self._data
+        xn = self._node
 
         def bwd(g):
-            self._accumulate(-g)
+            xn.accumulate(-g)
 
         return Tensor._make(data, (self,), bwd, "neg")
 
     def __pow__(self, exponent: float):
         e = float(exponent)
-        data = self.data ** e
+        xd, xn = self._data, self._node
+        data = xd ** e
 
         def bwd(g):
-            self._accumulate(g * e * self.data ** (e - 1.0))
+            xn.accumulate(g * e * xd ** (e - 1.0))
 
         return Tensor._make(data, (self,), bwd, "pow")
 
@@ -250,66 +303,74 @@ class Tensor:
         return matmul(self, self._coerce(other))
 
     def __getitem__(self, idx):
-        data = self.data[idx]
+        data = self._data[idx]
+        xn = self._node
 
         def bwd(g):
-            full = np.zeros_like(self.data)
+            full = np.zeros(xn.shape, dtype=xn.dtype)
             np.add.at(full, idx, g)
-            self._accumulate(full)
+            xn.accumulate(full)
 
         return Tensor._make(data, (self,), bwd, "getitem")
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, grad={'set' if self.grad is not None else 'none'})"
+        op = None if self._node is None else self._node.op
+        return f"Tensor(shape={self.shape}, op={op}, grad={'set' if self.grad is not None else 'none'})"
 
     # ---- elementwise math ------------------------------------------------
 
     def exp(self):
-        data = np.exp(self.data)
+        data = np.exp(self._data)
+        xn = self._node
 
         def bwd(g):
-            self._accumulate(g * data)
+            xn.accumulate(g * data)
 
         return Tensor._make(data, (self,), bwd, "exp")
 
     def log(self):
-        data = np.log(self.data)
+        xd, xn = self._data, self._node
+        data = np.log(xd)
 
         def bwd(g):
-            self._accumulate(g / self.data)
+            xn.accumulate(g / xd)
 
         return Tensor._make(data, (self,), bwd, "log")
 
     def tanh(self):
-        data = np.tanh(self.data)
+        data = np.tanh(self._data)
+        xn = self._node
 
         def bwd(g):
-            self._accumulate(g * (1.0 - data * data))
+            xn.accumulate(g * (1.0 - data * data))
 
         return Tensor._make(data, (self,), bwd, "tanh")
 
     def sin(self):
-        data = np.sin(self.data)
+        xd, xn = self._data, self._node
+        data = np.sin(xd)
 
         def bwd(g):
-            self._accumulate(g * np.cos(self.data))
+            xn.accumulate(g * np.cos(xd))
 
         return Tensor._make(data, (self,), bwd, "sin")
 
     def cos(self):
-        data = np.cos(self.data)
+        xd, xn = self._data, self._node
+        data = np.cos(xd)
 
         def bwd(g):
-            self._accumulate(g * -np.sin(self.data))
+            xn.accumulate(g * -np.sin(xd))
 
         return Tensor._make(data, (self,), bwd, "cos")
 
     def clip_min(self, floor: float):
         """Lower clamp; gradient passes only where the input is above the floor."""
-        data = np.maximum(self.data, floor)
+        xd, xn = self._data, self._node
+        data = np.maximum(xd, floor)
 
         def bwd(g):
-            self._accumulate(g * (self.data > floor))
+            xn.accumulate(g * (xd > floor))
 
         return Tensor._make(data, (self,), bwd, "clip_min")
 
@@ -338,15 +399,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError("add", a.shape, b.shape) from None
+    an, bn = a._node, b._node
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
+        if an is not None:
+            an.accumulate(_unbroadcast(g, an.shape))
+        if bn is not None:
+            gb = _unbroadcast(g, bn.shape)
             # a may now own g: b gets its own array, or a later accumulation
             # into one operand's gradient would reach the other's
-            b._accumulate(gb.copy() if gb is g and a.grad is g else gb)
+            bn.accumulate(gb.copy() if gb is g and an is not None and an.grad is g else gb)
 
     return Tensor._make(data, (a, b), bwd, "add")
 
@@ -356,12 +418,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError("mul", a.shape, b.shape) from None
+    an, bn = a._node, b._node
+    # each operand's gradient reads the other's value
+    ad = None if bn is None else a.data
+    bd = None if an is None else b.data
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if an is not None:
+            an.accumulate(_unbroadcast(g * bd, an.shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g * ad, bn.shape))
 
     return Tensor._make(data, (a, b), bwd, "mul")
 
@@ -396,19 +462,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul", a.shape, b.shape) from None
     # multiply-accumulate count: product of output extents times inner dim
     _MAC_COUNT += int(np.prod(data.shape)) * a.shape[-1]
+    an, bn = a._node, b._node
+    ad = None if bn is None else a.data
+    bd = None if an is None else b.data
 
     def bwd(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            if b.ndim == 2:
+        if an is not None:
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+            an.accumulate(_unbroadcast(ga, an.shape))
+        if bn is not None:
+            if len(bn.shape) == 2:
                 # a shared 2-D weight: one gemm over all rows of every batch
-                k, n = b.shape
-                b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+                k, n = bn.shape
+                bn.accumulate(ad.reshape(-1, k).T @ g.reshape(-1, n))
             else:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.shape))
+                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+                bn.accumulate(_unbroadcast(gb, bn.shape))
 
     return Tensor._make(data, (a, b), bwd, "matmul")
 
@@ -432,15 +501,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             raise ShapeError("linear", x.shape, w.shape, b.shape)
         data += b.data  # the product is fresh: add in place
     _MAC_COUNT += math.prod(data.shape) * w.shape[1]
+    xn, wn, bn = x._node, w._node, None if b is None else b._node
+    xd = None if wn is None else x.data
+    wd = None if xn is None else w.data
 
     def bwd(g):
-        if x.requires_grad:
-            x._accumulate(np.matmul(g, w.data))
-        if w.requires_grad:
-            n, k = w.shape
-            w._accumulate(g.reshape(-1, n).T @ x.data.reshape(-1, k))
-        if b is not None and b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        if xn is not None:
+            xn.accumulate(np.matmul(g, wd))
+        if wn is not None:
+            n, k = wn.shape
+            wn.accumulate(g.reshape(-1, n).T @ xd.reshape(-1, k))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g, bn.shape))
 
     return Tensor._make(data, (x, w) if b is None else (x, w, b), bwd, "linear")
 
@@ -462,13 +534,14 @@ def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> T
     if sigma[0, 0] < eps:
         return w
     inv = sigma ** -1.0
-    data = w.data * inv
+    wd, wn = w.data, w._node
+    data = wd * inv
 
     def bwd(g):
         gw = g * inv
-        coef = np.vdot(g, w.data) * (inv[0, 0] * inv[0, 0])
+        coef = np.vdot(g, wd) * (inv[0, 0] * inv[0, 0])
         gw -= np.outer(u * coef, v)
-        w._accumulate(gw)
+        wn.accumulate(gw)
 
     return Tensor._make(data, (w,), bwd, "spectral_normalize")
 
@@ -479,17 +552,21 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
 
     The inputs are viewed as [B, H, T, dh] heads and the output merged back
     into one [B, T, d] array; masked keys (key_mask [B, T] of 0/1) get -1e9
-    before the softmax. The attention weights are stored keys-major, as
-    [T_k, B, H, T_q]: the mask bias is added to contiguous [H, T_q] slices,
-    and the softmax max and sum reduce over the outer key axis, elementwise
-    and in key order, so an example's output is bitwise the same alone or in
-    any batch. Axis B is walked in blocks of whole examples that fit
-    _BLOCK_BYTES, as ffn does: each block's logits, softmax and product with
-    v run in place in its slice of the weights, and every product reads the
-    weights through a transposed view that BLAS takes as it is. The node
-    keeps only the weights; its backward walks the same blocks with one
-    block-sized work buffer and overwrites each block's weights once it has
-    read them, since a graph is walked back once.
+    before the softmax. Axis B is walked in blocks of whole examples that
+    fit _BLOCK_BYTES, as ffn does. A block's attention weights are stored
+    keys-major, as [T_k, n, H, T_q], in one block-sized buffer: the mask
+    bias is added to contiguous [H, T_q] slices, and the softmax max and sum
+    reduce over the outer key axis, elementwise and in key order, so an
+    example's output is bitwise the same alone or in any batch. The logits,
+    softmax and product with v run in place in that buffer, and every
+    product reads the weights through a transposed view that BLAS takes as
+    it is.
+
+    The node keeps no weights, only the q, k and v head views and the mask
+    bias. Its backward recomputes each block's weights with the forward's
+    own calls (a shared `weights` closure), so they are bitwise the
+    forward's, and works in two block buffers: the weights and one for the
+    gradient at them.
     """
     global _MAC_COUNT
     if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
@@ -509,12 +586,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
     # [T_k, B] keys-major, so a block's bias broadcasts over [H, T_q]
     bias = None if key_mask is None else ((np.asarray(key_mask, dtype=np.float32) - 1.0) * 1e9).T
     blocks = _example_blocks(b, (heads * t * t + 4 * t * d) * dtype.itemsize)
-    rows = blocks[0].stop if blocks else 0
-    keep = _GRAD_ENABLED and any(x.requires_grad for x in (q, k, v))
-    attn = np.empty((t, (b if keep else rows), heads, t), dtype=dtype)
-    data = np.empty(q.shape, dtype=np.result_type(dtype, v.data))
-    for s in blocks:
-        a = attn[:, s] if keep else attn[:, : s.stop - s.start]
+    block = (t, blocks[0].stop if blocks else 0, heads, t)
+
+    def weights(s: slice, a: np.ndarray) -> None:
+        """The attention weights of the examples in s into a [T_k, n, H, T_q]."""
         np.matmul(kh[s], np.swapaxes(qh[s], -1, -2), out=by_example(a))
         a *= dtype.type(scale)
         if bias is not None:
@@ -522,23 +597,33 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
         a -= np.maximum.reduce(a, axis=0)
         np.exp(a, out=a)
         a /= np.add.reduce(a, axis=0)
+
+    attn = np.empty(block, dtype=dtype)
+    data = np.empty(q.shape, dtype=np.result_type(dtype, v.data))
+    for s in blocks:
+        a = attn[:, : s.stop - s.start]
+        weights(s, a)
         np.matmul(a.transpose(1, 2, 3, 0), vh[s], out=split(data[s]))
     _MAC_COUNT += 2 * b * heads * t * t * dh
+    qn, kn, vn = q._node, k._node, v._node
 
     def bwd(g):
         gh = split(g)
-        want_qk = q.requires_grad or k.requires_grad
-        gq, gk, gv = (np.empty(x.shape, dtype=np.result_type(dtype, g)) if x.requires_grad else None for x in (q, k, v))
-        work = np.empty((t, rows, heads, t), dtype=np.result_type(g, v.data)) if want_qk else None
+        want_qk = qn is not None or kn is not None
+        gq, gk, gv = (np.empty(n.shape, dtype=np.result_type(dtype, g)) if n is not None else None for n in (qn, kn, vn))
+        attn = np.empty(block, dtype=dtype)
+        work = np.empty(block, dtype=np.result_type(g, vh)) if want_qk else None
         for s in blocks:
-            a, gs = attn[:, s], gh[s]
+            n = s.stop - s.start
+            a, gs = attn[:, :n], gh[s]
+            weights(s, a)
             if gv is not None:
                 np.matmul(by_example(a), gs, out=split(gv[s]))
             if not want_qk:
                 continue
             # d logits = a (ga - sum_k ga a), ga = g v^T keys-major; a is not
             # read again, so it takes a * sum_k ga a in place
-            ga = work[:, : s.stop - s.start]
+            ga = work[:, :n]
             np.matmul(vh[s], np.swapaxes(gs, -1, -2), out=by_example(ga))
             ga *= a
             a *= np.add.reduce(ga, axis=0)
@@ -548,9 +633,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
                 np.matmul(ga.transpose(1, 2, 3, 0), kh[s], out=split(gq[s]))
             if gk is not None:
                 np.matmul(by_example(ga), qh[s], out=split(gk[s]))
-        for x, gx in zip((q, k, v), (gq, gk, gv)):
+        for n, gx in zip((qn, kn, vn), (gq, gk, gv)):
             if gx is not None:
-                x._accumulate(gx)
+                n.accumulate(gx)
 
     return Tensor._make(data, (q, k, v), bwd, "multi_head_attention")
 
@@ -587,25 +672,27 @@ def numeric_encoding(
     tok[..., 1] = cos
     data = tok.reshape(b, n, e.shape[1]) * keep
     data += e * m
+    vn, vd = values._node, values.data
+    fn, en = [t._node for t in freqs], [t._node for t in missing]
 
     def bwd(g):
-        if any(t.requires_grad for t in missing):
+        if any(en):
             ge = (g * m).sum(axis=0)
-            for k, t in enumerate(missing):
-                if t.requires_grad:
-                    t._accumulate(ge[k])
-        if values.requires_grad or any(t.requires_grad for t in freqs):
+            for k, node in enumerate(en):
+                if node is not None:
+                    node.accumulate(ge[k])
+        if vn is not None or any(fn):
             gp = g.reshape(b, n, -1, 2)
             ga = gp[..., 0] * cos
             ga -= gp[..., 1] * sin
             ga *= keep
             ga *= pi
-            if values.requires_grad:
-                values._accumulate((ga * f).sum(axis=2))
-            gf = (ga * values.data[:, :, None]).sum(axis=0)
-            for k, t in enumerate(freqs):
-                if t.requires_grad:
-                    t._accumulate(gf[k])
+            if vn is not None:
+                vn.accumulate((ga * f).sum(axis=2))
+            gf = (ga * vd[:, :, None]).sum(axis=0)
+            for k, node in enumerate(fn):
+                if node is not None:
+                    node.accumulate(gf[k])
 
     return Tensor._make(data, (values, *freqs, *missing), bwd, "numeric_encoding")
 
@@ -616,9 +703,10 @@ def reshape(x: Tensor, shape) -> Tensor:
         data = x.data.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", x.shape, shape) from None
+    xn = x._node
 
     def bwd(g):
-        x._accumulate(g.reshape(x.shape))
+        xn.accumulate(g.reshape(xn.shape))
 
     return Tensor._make(data, (x,), bwd, "reshape")
 
@@ -627,9 +715,10 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     data = np.transpose(x.data, axes)
     inv = np.argsort(axes)
+    xn = x._node
 
     def bwd(g):
-        x._accumulate(np.transpose(g, inv))
+        xn.accumulate(np.transpose(g, inv))
 
     return Tensor._make(data, (x,), bwd, "transpose")
 
@@ -642,25 +731,27 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("concat", *[t.shape for t in tensors]) from None
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
 
     def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
+                node.accumulate(g[tuple(sl)])
 
     return Tensor._make(data, tuple(tensors), bwd, "concat")
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
+    xn = x._node
 
     def bwd(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g, x.shape).copy())
+        xn.accumulate(np.broadcast_to(g, xn.shape).copy())
 
     return Tensor._make(np.asarray(data), (x,), bwd, "reduce_sum")
 
@@ -700,10 +791,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     data = np.moveaxis(e, -1, axis)
+    xn = x._node
 
     def bwd(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        x._accumulate(data * (g - dot))
+        xn.accumulate(data * (g - dot))
 
     return Tensor._make(data, (x,), bwd, "softmax")
 
@@ -714,9 +806,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
     p = np.exp(data)
+    xn = x._node
 
     def bwd(g):
-        x._accumulate(g - p * g.sum(axis=axis, keepdims=True))
+        xn.accumulate(g - p * g.sum(axis=axis, keepdims=True))
 
     return Tensor._make(data, (x,), bwd, "log_softmax")
 
@@ -736,6 +829,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     inv += eps
     inv **= -0.5
     y *= inv
+    xn = x._node
 
     def bwd(g):
         gy = g * y
@@ -743,7 +837,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
         np.multiply(y, gy.sum(axis=-1, keepdims=True) / n, out=gy)
         gx -= gy
         gx *= inv
-        x._accumulate(gx)
+        xn.accumulate(gx)
 
     return Tensor._make(y, (x,), bwd, "layer_norm")
 
@@ -798,13 +892,14 @@ def gelu(x: Tensor) -> Tensor:
     s, data = np.empty_like(xd), np.empty_like(xd)
     _gelu(xd, s, data)
     data *= 0.5
+    xn = x._node
 
     def bwd(g):
         gx = data * 2.0
         _gelu_grad(xd * xd, s, gx)
         gx *= g
         gx *= 0.5
-        x._accumulate(gx)
+        xn.accumulate(gx)
 
     return Tensor._make(data, (x,), bwd, "gelu")
 
@@ -831,8 +926,8 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     not depend on the batch. The helpers yield 2 gelu, so the [..., out]
     product is halved before b2 is added.
 
-    The node keeps no hidden-sized array, only x and the contiguous w1^T.
-    Its backward recomputes each block's pre-activation p with the forward's
+    The node keeps no hidden-sized array, only x, the contiguous w1^T and
+    the weights and b1 its backward reads. Its backward recomputes each block's pre-activation p with the forward's
     own call, so p is bitwise the forward's, and works in three block
     buffers: one holds p, then 2 gelu(p), then twice the gradient at p; one
     x^2, then the gradient at the hidden activation; one s. A gradient taken
@@ -850,11 +945,12 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     dtype = np.result_type(x.data, w1.data)
     blocks = _example_blocks(lead[0], math.prod(lead[1:]) * hidden * dtype.itemsize)
     block = (blocks[0].stop if blocks else 0,) + lead[1:] + (hidden,)
-    w1t, w2t = np.ascontiguousarray(w1.data.T), np.ascontiguousarray(w2.data.T)
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+    w1t, w2t = np.ascontiguousarray(w1d.T), np.ascontiguousarray(w2d.T)
 
     def pre_activation(s: slice, out: np.ndarray) -> None:
-        _row_product(x.data[s], w1t, out=out)
-        out += b1.data
+        _row_product(xd[s], w1t, out=out)
+        out += b1d
 
     work = np.empty((2,) + block, dtype=dtype)
     data = np.empty(lead + (d_out,), dtype=np.result_type(dtype, w2.data))
@@ -868,12 +964,14 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         y *= 0.5
         y += b2.data
     _MAC_COUNT += math.prod(lead) * (hidden * d_in + d_out * hidden)
+    nodes = (x._node, w1._node, b1._node, w2._node, b2._node)
+    xn, w1n, b1n, w2n, b2n = nodes
 
     def bwd(g):
-        want_pre = x.requires_grad or w1.requires_grad or b1.requires_grad
-        grads = [np.zeros(t.shape, dtype=t.dtype) if t.requires_grad else None for t in (w1, b1, w2, b2)]
+        want_pre = xn is not None or w1n is not None or b1n is not None
+        grads = [None if n is None else np.zeros(n.shape, dtype=n.dtype) for n in (w1n, b1n, w2n, b2n)]
         gw1, gb1, gw2, gb2 = grads
-        gx = np.empty(x.shape, dtype=np.result_type(g, w1.data)) if x.requires_grad else None
+        gx = None if xn is None else np.empty(xn.shape, dtype=np.result_type(g, w1d))
         buf = np.empty((3,) + block, dtype=np.result_type(dtype, g))
         for s in blocks:
             n = s.stop - s.start
@@ -890,20 +988,20 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             _gelu_grad(x2, sg, h)
             # the gradient at the hidden activation takes x2's place, in one
             # gemm over the block: only the forward must keep linear's kernels
-            np.matmul(g2, w2.data, out=x2.reshape(-1, hidden))
+            np.matmul(g2, w2d, out=x2.reshape(-1, hidden))
             h *= x2  # twice the gradient at p
             p2 = h.reshape(-1, hidden)
             if gw1 is not None:
-                gw1 += p2.T @ x.data[s].reshape(-1, d_in)
+                gw1 += p2.T @ xd[s].reshape(-1, d_in)
             if gb1 is not None:
                 gb1 += p2.sum(axis=0)
             if gx is not None:
-                np.matmul(h, w1.data, out=gx[s])
+                np.matmul(h, w1d, out=gx[s])
         for gt in (gx, gw1, gb1, gw2):  # all but gb2 come from the doubled forms
             if gt is not None:
                 gt *= 0.5
-        for t, gt in zip((x, w1, b1, w2, b2), (gx, *grads)):
+        for n, gt in zip(nodes, (gx, *grads)):
             if gt is not None:
-                t._accumulate(gt)
+                n.accumulate(gt)
 
     return Tensor._make(data, (x, w1, b1, w2, b2), bwd, "ffn")

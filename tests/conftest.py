@@ -2,6 +2,19 @@ import numpy as np
 import pytest
 
 from tabfusion.data import Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
+from tabfusion.tensor import (
+    concat,
+    ffn,
+    gelu,
+    layer_norm,
+    linear,
+    log_softmax,
+    matmul,
+    multi_head_attention,
+    numeric_encoding,
+    softmax,
+    spectral_normalize,
+)
 
 
 def fd_gradient_check(build, leaves, h=1e-4, rtol=1e-4, max_entries=40, rng=None):
@@ -38,6 +51,22 @@ def fd_gradient_check(build, leaves, h=1e-4, rtol=1e-4, max_entries=40, rng=None
             worst = max(worst, err)
             assert err < rtol, f"grad mismatch at coord {i}: analytic {analytic[i]}, fd {numeric}"
     return worst
+
+
+def every_op(x, w):
+    """One output of each op on leaves x [4, 3] and w [3, 3]."""
+    h = matmul(x, w)
+    x3 = x.reshape(2, 2, 3)
+    su, _, svt = np.linalg.svd(w.data)
+    return [
+        x + w[0], x - 1.0, x * w[1], x / 2.0, -x, x ** 2.0, h, x[1:3], x.exp(), (x + 5.0).log(),
+        x.tanh(), x.sin(), x.cos(), x.clip_min(0.0), x.reshape(12), x.transpose(1, 0),
+        concat([x, h], axis=1), x.sum(), x.mean(axis=0), softmax(x), log_softmax(x), layer_norm(x), gelu(x),
+        linear(x, w), linear(x3, w, w[2]), spectral_normalize(w, su[:, 0], svt[0], 1e-8),
+        multi_head_attention(x3, x3 * 2.0, x3, heads=3, key_mask=np.array([[1.0, 0.0], [1.0, 1.0]])),
+        numeric_encoding(x, np.eye(4, 3), [w[0], w[1], w[2]], [x[:2].reshape(6)] * 3),
+        ffn(x, w, w[0], w, w[1]), ffn(x3, w * 2.0, w[2], w, w[0]),
+    ]
 
 
 def small_schema(with_assets=True):

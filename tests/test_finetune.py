@@ -588,7 +588,7 @@ class TestInferencePath:
         model.predict(snaps, "a")
         fit_heads_covariance(model, snaps, [TaskSpec("a", 2)])
         assert len(seen) == 8  # tokens in, tokens and pooled out, features; twice
-        assert all(not t.requires_grad and t._parents == () and t._backward is None for t in seen)
+        assert all(not t.requires_grad and t._node is None for t in seen)
 
     def test_model_predict_on_no_rows(self):
         _, model = two_task_setup()

@@ -4,19 +4,22 @@ that nothing reads, one list of model fields, no hand-written parameter
 or buffer plumbing outside nn.Module, no writes into a `.data` array, no
 global mode besides `no_grad`, asset selection only in the encoder,
 snapshot values read only by IO, featurization and CutMix, no generator
-seeded with a literal, no garbage-collector switches, and no function or
-class that no other library line names."""
+seeded with a literal, no garbage-collector switches, no function or
+class that no other library line names, and no backward closure that
+holds a Tensor."""
 
 import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import small_schema
+from conftest import every_op, small_schema
 from tabfusion.checkpoint import load_checkpoint
 from tabfusion.config import RunConfig
 from tabfusion.model import Model
+from tabfusion.tensor import Node, Tensor
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tabfusion"
 MODULES = sorted(SRC.glob("*.py"))
@@ -421,3 +424,79 @@ def test_every_library_function_and_class_is_named_elsewhere():
     public API; only the allowlisted public API may stay."""
     found = lone_definitions({path.stem: path.read_text() for path in MODULES})
     assert sorted(found) == sorted(LONE_ALLOWED)
+
+
+def tensors_held(value) -> list[str]:
+    """Paths to every Tensor that `value` reaches through closure cells,
+    nested closures included, tuples, lists, dicts and graph nodes (a node's
+    parents and closure), each as the dotted names of the cells on the way."""
+    found, seen = [], set()
+
+    def visit(v, path):
+        if id(v) in seen:
+            return
+        seen.add(id(v))
+        if isinstance(v, Tensor):
+            found.append(path)
+        elif isinstance(v, Node):
+            visit(v.backward, f"{path}.backward")
+            for i, p in enumerate(v.parents):
+                visit(p, f"{path}.parents[{i}]")
+        elif isinstance(v, (tuple, list)):
+            for i, item in enumerate(v):
+                visit(item, f"{path}[{i}]")
+        elif isinstance(v, dict):
+            for k, item in v.items():
+                visit(item, f"{path}[{k!r}]")
+        elif callable(v) and getattr(v, "__closure__", None):
+            for name, cell in zip(v.__code__.co_freevars, v.__closure__):
+                try:
+                    contents = cell.cell_contents
+                except ValueError:  # a cell not yet assigned
+                    continue
+                visit(contents, f"{path}.{name}")
+
+    visit(value, "root")
+    return found
+
+
+def test_closure_scanner_finds_tensors_in_cells_nested_closures_containers_and_nodes():
+    t, arr = Tensor(np.ones(2)), np.ones(2)
+    leaf = Node((), None, (2,), np.float64, "leaf")
+
+    def direct(g):
+        return t, arr
+
+    def helper():
+        return t
+
+    def nested(g):
+        return helper()
+
+    def boxed(g):
+        return pair, table
+
+    pair, table = (arr, [t]), {"k": Tensor(np.zeros(1))}
+    graph = Node((leaf,), direct, (2,), np.float64, "op")
+
+    def clean(g):
+        return arr, leaf, 2.0
+
+    assert tensors_held(direct) == ["root.t"]
+    assert tensors_held(nested) == ["root.helper.t"]
+    assert sorted(tensors_held(boxed)) == ["root.pair[1][0]", "root.table['k']"]
+    assert tensors_held(Node((graph,), clean, (2,), np.float64, "op")) == ["root.parents[0].backward.t"]
+    assert tensors_held(clean) == []
+
+
+def test_no_backward_closure_holds_a_tensor():
+    """A closure holding a Tensor keeps its value alive until the graph is
+    walked back, whether or not the backward reads it: closures capture
+    parent nodes and the arrays they read. Scanned from each op's node, so
+    every closure upstream of it, parents' included, is checked."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    outs = every_op(x, w)
+    assert all(o._node is not None for o in outs)
+    assert [(o._node.op, path) for o in outs for path in tensors_held(o._node)] == []

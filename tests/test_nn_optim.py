@@ -244,7 +244,7 @@ class TestInferenceWeightCache:
         assert np.array_equal(served_tokens.data, tokens.data)
         assert np.array_equal(served_pooled.data, pooled.data)
         assert not served_pooled.requires_grad
-        assert pooled.requires_grad and pooled._parents and pooled._backward is not None
+        assert pooled.requires_grad and pooled._node.parents and pooled._node.backward is not None
 
     def test_after_finetune_best_state_restore(self):
         schema = FeatureSchema(
@@ -320,13 +320,13 @@ class TestModule:
         backward = Tensor.backward
 
         def recording(root):
-            seen, stack = set(), [root]
+            seen, stack = set(), [root._node]
             while stack:
                 node = stack.pop()
                 if id(node) not in seen:
                     seen.add(id(node))
-                    stack.extend(node._parents)
-                    if node.requires_grad and node._op == "leaf":
+                    stack.extend(node.parents)
+                    if node.op == "leaf":
                         leaves.append(node)
             backward(root)
 
@@ -335,10 +335,10 @@ class TestModule:
         pretrain_leaves, leaves = leaves, []
         finetune_loop(model, snaps, [TaskSpec("risk"), TaskSpec("churn")],
                       FinetuneConfig(steps=1, batch_size=8, d_rf=16, eval_every=1000))
-        params = {id(p) for p in model.parameters().values()}
+        params = {id(p._node) for p in model.parameters().values()}
         for found in (pretrain_leaves, leaves):
             assert found and all(id(leaf) in params for leaf in found)
-        assert any(leaf is model.heads["churn"].beta.weight for leaf in leaves)
+        assert any(leaf is model.heads["churn"].beta.weight._node for leaf in leaves)
 
 
 class TestAdamW:

@@ -294,12 +294,12 @@ def graph_nodes_per_step(model, snaps, batch_size, monkeypatch) -> int:
     backward = Tensor.backward
 
     def counting(root):
-        seen, stack = set(), [root]
+        seen, stack = set(), [root._node]
         while stack:
             node = stack.pop()
-            if id(node) not in seen and node.requires_grad:
+            if id(node) not in seen:
                 seen.add(id(node))
-                stack.extend(node._parents)
+                stack.extend(node.parents)
         counts.append(len(seen) - len(model.parameters()))
         backward(root)
 

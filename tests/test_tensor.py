@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient_check, small_schema
+from conftest import every_op, fd_gradient_check, small_schema
 from tabfusion.model import Model
 import tabfusion.tensor as tensor_mod
 from tabfusion.tensor import (
+    Node,
     ShapeError,
     Tensor,
     _row_max,
@@ -145,35 +146,19 @@ class TestBackward:
         assert fd_gradient_check(build, [a, b]) < 1e-4
 
 
-def _every_op(x, w):
-    """One output of each op on leaves x [4, 3] and w [3, 3]."""
-    h = matmul(x, w)
-    x3 = x.reshape(2, 2, 3)
-    su, _, svt = np.linalg.svd(w.data)
-    return [
-        x + w[0], x - 1.0, x * w[1], x / 2.0, -x, x ** 2.0, h, x[1:3], x.exp(), (x + 5.0).log(),
-        x.tanh(), x.sin(), x.cos(), x.clip_min(0.0), x.reshape(12), x.transpose(1, 0),
-        concat([x, h], axis=1), x.sum(), x.mean(axis=0), softmax(x), log_softmax(x), layer_norm(x), gelu(x),
-        linear(x, w), linear(x3, w, w[2]), spectral_normalize(w, su[:, 0], svt[0], 1e-8),
-        multi_head_attention(x3, x3 * 2.0, x3, heads=3, key_mask=np.array([[1.0, 0.0], [1.0, 1.0]])),
-        numeric_encoding(x, np.eye(4, 3), [w[0], w[1], w[2]], [x[:2].reshape(6)] * 3),
-        ffn(x, w, w[0], w, w[1]), ffn(x3, w * 2.0, w[2], w, w[0]),
-    ]
-
-
 class TestNoGrad:
     def test_ops_record_no_graph(self, rng):
         x, w = t64(rng.standard_normal((4, 3))), t64(rng.standard_normal((3, 3)))
         with no_grad():
-            outs = _every_op(x, w)
-        assert all(not o.requires_grad and o._parents == () and o._backward is None for o in outs)
-        assert all(o.requires_grad and o._parents and o._backward is not None for o in _every_op(x, w))
+            outs = every_op(x, w)
+        assert all(not o.requires_grad and o._node is None for o in outs)
+        assert all(o.requires_grad and o._node.parents and o._node.backward is not None for o in every_op(x, w))
 
     def test_same_values_as_with_graph(self, rng):
         x, w = t64(rng.standard_normal((4, 3))), t64(rng.standard_normal((3, 3)))
         with no_grad():
-            frozen = _every_op(x, w)
-        for a, b in zip(frozen, _every_op(x, w)):
+            frozen = every_op(x, w)
+        for a, b in zip(frozen, every_op(x, w)):
             assert np.array_equal(a.data, b.data)
 
     def test_nests_and_restores_on_raise(self):
@@ -194,8 +179,8 @@ class TestBackwardRelease:
         s = h * h
         loss = s.sum()
         loss.backward()
-        for node in (h, s, loss):
-            assert node.grad is None and node._parents == () and node._backward is None
+        for out in (h, s, loss):
+            assert out.grad is None and out._node.parents == () and out._node.backward is None
         assert x.grad is not None and x.grad.shape == x.shape
 
     def test_leaf_grads_match_copying_sweep_that_frees_nothing(self, rng, monkeypatch):
@@ -217,25 +202,25 @@ class TestBackwardRelease:
 
         def copying(self, g):
             if self.grad is None:
-                self.grad = g.astype(self.data.dtype, copy=True)
+                self.grad = g.astype(self.dtype, copy=True)
             else:
                 self.grad += g
 
-        monkeypatch.setattr(Tensor, "_accumulate", copying)
+        monkeypatch.setattr(Node, "accumulate", copying)
         root = loss_fn()
-        topo, seen, stack = [], set(), [(root, False)]
+        topo, seen, stack = [], set(), [(root._node, False)]
         while stack:  # the same post-order as backward, so the same summation order
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
-            elif id(node) not in seen and node.requires_grad:
+            elif id(node) not in seen:
                 seen.add(id(node))
                 stack.append((node, True))
-                stack.extend((p, False) for p in node._parents)
+                stack.extend((p, False) for p in node.parents)
         root.grad = np.ones_like(root.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node.backward is not None:
+                node.backward(node.grad)
         assert all(p.grad is not None for p in params.values())
         for k, p in params.items():
             assert np.array_equal(got[k], p.grad), k
@@ -319,7 +304,7 @@ class TestFusedOps:
         # a random weight: layer_norm(x).sum() alone has a zero gradient
         x = t64(rng.standard_normal((2, 3, 5)))
         w = t64(rng.standard_normal((2, 3, 5)), grad=False)
-        assert op(x)._parents == (x,)
+        assert op(x)._node.parents == (x._node,)
         assert fd_gradient_check(lambda: (op(x) * w).sum(), [x]) < 1e-4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -388,7 +373,7 @@ class TestOneNodeOps:
         b = t64(rng.standard_normal(3)) if bias else None
         c = t64(rng.standard_normal(shape[:-1] + (3,)), grad=False)
         out = linear(x, w, b)
-        assert out._parents == ((x, w, b) if bias else (x, w))
+        assert out._node.parents == ((x._node, w._node, b._node) if bias else (x._node, w._node))
         np.testing.assert_allclose(out.data, x.data @ w.data.T + (b.data if bias else 0.0), rtol=1e-12)
         assert fd_gradient_check(lambda: (linear(x, w, b) * c).sum(), [x, w] + ([b] if bias else [])) < 1e-4
 
@@ -413,7 +398,7 @@ class TestOneNodeOps:
         u *= np.sign(u @ w.data @ v)  # sigma > 0, so the eps guard leaves the node in place
         c = t64(rng.standard_normal((4, 3)), grad=False)
         out = spectral_normalize(w, u, v, 1e-8)
-        assert out._parents == (w,)
+        assert out._node.parents == (w._node,)
         np.testing.assert_allclose(out.data, w.data / (u @ w.data @ v), rtol=1e-12)
         assert fd_gradient_check(lambda: (spectral_normalize(w, u, v, 1e-8) * c).sum(), [w]) < 1e-4
 
@@ -423,7 +408,7 @@ class TestOneNodeOps:
         q, k, v = (t64(rng.standard_normal((2, 3, 4))) for _ in range(3))
         mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]) if masked else None
         c = t64(rng.standard_normal((2, 3, 4)), grad=False)
-        assert multi_head_attention(q, k, v, heads, mask)._parents == (q, k, v)
+        assert multi_head_attention(q, k, v, heads, mask)._node.parents == (q._node, k._node, v._node)
 
         def build():
             return (multi_head_attention(q, k, v, heads, mask) * c).sum()
@@ -447,7 +432,8 @@ class TestOneNodeOps:
         missing = [t64(rng.standard_normal(2 * h)) for _ in range(n)]
         c = t64(rng.standard_normal((b, n, 2 * h)), grad=False)
         out = numeric_encoding(x, miss, freqs, missing)
-        assert out.shape == (b, n, 2 * h) and out._parents == (x, *freqs, *missing)
+        assert out.shape == (b, n, 2 * h)
+        assert out._node.parents == tuple(t._node for t in (x, *freqs, *missing))
 
         def build():
             return (numeric_encoding(x, miss, freqs, missing) * c).sum()
@@ -500,7 +486,7 @@ class TestFfn:
         w1, b1, w2, b2 = self.leaves(rng, 4, hidden, 3)
         c = t64(rng.standard_normal(shape[:-1] + (3,)), grad=False)
         out = ffn(x, w1, b1, w2, b2)
-        assert out._parents == (x, w1, b1, w2, b2)
+        assert out._node.parents == tuple(t._node for t in (x, w1, b1, w2, b2))
         with no_grad():
             want = linear(gelu(linear(x, w1, b1)), w2, b2).data
         np.testing.assert_allclose(out.data, want, rtol=1e-12)
@@ -590,7 +576,8 @@ class TestFfn:
 
 class TestBlockedAttention:
     """multi_head_attention walks axis 0 in blocks of whole examples of
-    _BLOCK_BYTES, as ffn does, keeping only the attention weights."""
+    _BLOCK_BYTES, as ffn does, keeping no attention weights: its backward
+    recomputes them block by block."""
 
     @staticmethod
     def spy_blocks(monkeypatch):
@@ -619,7 +606,7 @@ class TestBlockedAttention:
         monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 2 * (heads * t * t + 4 * t * d) * 8)
         sizes = self.spy_blocks(monkeypatch)
         out = multi_head_attention(q, k, v, heads, mask)
-        assert sizes == [[2, 2, 1]] and out._parents == (q, k, v)
+        assert sizes == [[2, 2, 1]] and out._node.parents == (q._node, k._node, v._node)
         assert np.array_equal(out.data, whole)
 
         def build():
@@ -640,7 +627,7 @@ class TestBlockedAttention:
         with no_grad():
             got = multi_head_attention(q, k, v, heads, mask).data
         assert len(sizes[0]) >= 3 and sizes[0][-1] < sizes[0][0]  # ends in a partial block
-        # the graph-recording forward keeps every block's weights: same bits
+        # the graph-recording forward runs the same blocks: same bits
         assert np.array_equal(multi_head_attention(q, k, v, heads, mask).data, got)
         with no_grad():
             for i in (0, 31, 32, 64, b - 1):
@@ -686,12 +673,13 @@ class TestBlockedAttention:
         np.testing.assert_allclose(out.data[2], np.broadcast_to(v.data[2, 9], (t, d)), rtol=1e-12)
         assert np.abs(q.grad[2]).max() < 1e-12 * np.abs(q.grad).max()
 
-    def test_node_keeps_the_weights_and_backward_one_work_block(self, rng, monkeypatch):
-        """tracemalloc sees numpy buffers: the forward keeps the [T, B, H, T]
-        weights and its output. Beyond q, k and v's gradients and out's
-        upstream gradient, the backward allocates one block-sized work
-        buffer plus small arrays (per-block key sums and numpy's bounded
-        ufunc buffers), not a second block-sized temporary."""
+    def test_node_keeps_no_weights_and_backward_two_work_blocks(self, rng, monkeypatch):
+        """tracemalloc sees numpy buffers: the forward keeps its output and
+        nothing [T_k, B, H, T_q]-sized, and at its peak holds one block of
+        weights beside the output. Beyond q, k and v's gradients and out's
+        upstream gradient, the backward allocates two block-sized buffers
+        (the recomputed weights and the gradient at them) plus small arrays
+        (per-block key sums and numpy's bounded ufunc buffers)."""
         b, t, d, heads = 128, 16, 32, 8
         per_example = (heads * t * t + 4 * t * d) * 8
         monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 32 * per_example)  # four blocks
@@ -704,17 +692,44 @@ class TestBlockedAttention:
         try:
             before = tracemalloc.get_traced_memory()[0]
             out = multi_head_attention(q, k, v, heads, mask)
-            kept = tracemalloc.get_traced_memory()[0] - before
+            kept, forward_peak = (m - before for m in tracemalloc.get_traced_memory())
             loss = (out * c).sum()
             tracemalloc.reset_peak()
             loss.backward()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert weights <= kept - out.data.nbytes < 1.05 * weights
+        assert kept - out.data.nbytes < 0.05 * weights
+        assert work <= forward_peak - out.data.nbytes < 1.5 * work
         grads = 3 * q.data.nbytes + out.data.nbytes
-        assert work <= peak - kept - grads < 1.5 * work
+        assert 2 * work <= peak - kept - grads < 2.5 * work
         assert q.grad is not None and k.grad is not None and v.grad is not None
+
+    def test_backward_recomputes_the_forward_weights_bitwise(self, rng, monkeypatch):
+        """The backward's weights come from the forward's own calls: spying
+        on np.exp, the one call that writes each block's weights before
+        their normalization, sees the same arrays in both passes."""
+        b, t, d, heads = 9, 5, 8, 2
+        monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 4 * (heads * t * t + 4 * t * d) * 4)
+        q, k, v = (Tensor(rng.standard_normal((b, t, d)).astype(np.float32), requires_grad=True) for _ in range(3))
+        mask = (rng.random((b, t)) < 0.7).astype(np.float32)
+        mask[:, 0] = 1.0
+        seen, exp = [], np.exp
+
+        def spy(x, *args, **kwargs):
+            out = exp(x, *args, **kwargs)
+            seen.append(out.copy())
+            return out
+
+        monkeypatch.setattr(tensor_mod.np, "exp", spy)
+        out = multi_head_attention(q, k, v, heads, mask)
+        forward = seen[:]
+        del seen[:]
+        (out * out).sum().backward()
+        monkeypatch.undo()
+        assert len(forward) == 3 and len(seen) == 3  # blocks of 4, 4 and 1 examples
+        for a, r in zip(forward, seen):
+            assert np.array_equal(a.view(np.uint32), r.view(np.uint32))
 
 
 class TestBatchStability:

@@ -1,6 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
+import tabfusion.nn as nn_mod
+import tabfusion.tensor as tensor_mod
+import tabfusion.trunk as trunk_mod
 from tabfusion.nn import Linear
 from tabfusion.tensor import Tensor, mac_count, reset_mac_count
 from tabfusion.trunk import IsaBlock, Trunk, TrunkConfig, TrunkLayer, attention, masked_mean
@@ -152,7 +157,9 @@ class TestTrunk:
         trunk = Trunk(self.cfg(), rng)
         x = Tensor(rng.standard_normal((3, 4, 8)).astype(np.float32), requires_grad=True)
         for out in trunk(x, mode=mode):
-            recorded = out.requires_grad, bool(out._parents), out._backward is not None
+            node = out._node
+            graph = node is not None
+            recorded = out.requires_grad, graph and bool(node.parents), graph and node.backward is not None
             assert recorded == ((False,) * 3 if mode == "inference" else (True,) * 3)
 
     def test_pretrain_not_batch_independent(self, rng):
@@ -216,17 +223,50 @@ class TestTrunk:
                 for cell in value.__closure__:
                     yield from arrays(cell.cell_contents, seen)
 
-        nodes, stack, held, seen = set(), [tokens, pooled], [], set()
+        nodes, stack, held, seen = set(), [tokens._node, pooled._node], [], set()
         while stack:
             node = stack.pop()
             if id(node) in nodes:
                 continue
             nodes.add(id(node))
-            stack.extend(node._parents)
-            held.extend(arrays(node._backward, seen))
+            stack.extend(node.parents)
+            held.extend(arrays(node.backward, seen))
         assert len(nodes) > 50 and held
         hidden = [a.shape for a in held if a.ndim and a.shape[-1] == cfg.ffn_dim and a.size == b * t * cfg.ffn_dim]
         assert hidden == []
+
+    def test_pretrain_graph_frees_the_values_no_backward_reads(self, rng, monkeypatch):
+        """Once a pretrain-mode forward returns and the caller holds only the
+        loss, each layer's row attention output, row ffn output and the two
+        residual sums that only an add and a layer_norm consume are freed:
+        add reads no operand, and layer_norm keeps its own output. The sum
+        that ISA projects stays, since its projection's weight gradient
+        reads it."""
+        b, t, cfg = 4, 8, self.cfg(d=32, n_tokens=8, heads=8, ffn_dim=512, d_prime=128)
+        trunk = Trunk(cfg, rng)
+        outputs = {"attention": [], "ffn": [], "add": []}
+
+        def spying(name, fn):
+            def spy(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if out.shape == (b, t, cfg.d):  # the row ops, not ISA's [1, B, d']
+                    outputs[name].append(weakref.ref(out.data))
+                return out
+
+            return spy
+
+        monkeypatch.setattr(trunk_mod, "multi_head_attention", spying("attention", trunk_mod.multi_head_attention))
+        monkeypatch.setattr(nn_mod, "ffn", spying("ffn", nn_mod.ffn))
+        monkeypatch.setattr(tensor_mod, "add", spying("add", tensor_mod.add))
+        x = Tensor(rng.standard_normal((b, t, cfg.d)).astype(np.float32), requires_grad=True)
+        loss = trunk(x, mode="pretrain")[1].sum()
+        monkeypatch.undo()
+        assert [len(refs) for refs in outputs.values()] == [2, 2, 6]
+        alive = {name: [ref() is not None for ref in refs] for name, refs in outputs.items()}
+        # per layer: x + attention, x + ffn (ISA's input), x + isa
+        assert alive == {"attention": [False, False], "ffn": [False, False], "add": [False, True, False] * 2}
+        loss.backward()
+        assert x.grad is not None
 
 class TestIsaCost:
     def test_mac_count_linear_in_batch(self, rng):
