@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigError
-from .data import TaskSpec
+from .data import DataError, TaskSpec
 from .nn import Linear, Module, SpectralLinear, advance_power_iteration
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, linear, no_grad, softmax
@@ -218,10 +218,10 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     for t in tasks:
         labels = [s.labels[t.name] for s in snapshots if s.labels.get(t.name) is not None]
         if not labels:
-            raise ValueError(f"no labeled examples for task '{t.name}'")
+            raise DataError(f"no labeled examples for task '{t.name}'")
         bad = [y for y in labels if not (isinstance(y, (int, np.integer)) and 0 <= y < t.classes)]
         if bad:
-            raise ValueError(f"task '{t.name}' has label {bad[0]!r}; labels are integers in [0, {t.classes})")
+            raise DataError(f"task '{t.name}' has label {bad[0]!r}; labels are integers in [0, {t.classes})")
     head_rng = np.random.default_rng(cfg.seed + 1)
     for t in tasks:
         if t.name not in model.heads:

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Asset, FeatureKind, FeatureSchema, Snapshot
+from .config import ConfigError
+from .data import DataError, FeatureKind, FeatureSchema, Snapshot
 from .nn import Linear, Module, SpectralLinear, advance_power_iteration
 from .optim import AdamW, CosineWarmupSchedule
 from .tensor import Tensor, log_softmax, matmul, reduce_sum
@@ -62,28 +63,18 @@ class LossWeights:
             raise ValueError("temperature must be positive")
 
 
-def cutmix(x_i: Snapshot, x_j: Snapshot, swap_prob: float, rng: np.random.Generator) -> Snapshot:
-    """Per-feature input-space mix: each feature comes from the partner x_j
-    with probability swap_prob, else from the anchor x_i."""
-    if set(x_i.values) != set(x_j.values):
-        raise ValueError("cutmix requires snapshots sharing one schema")
-    values = {}
-    for name in x_i.values:
-        take_partner = rng.random() < swap_prob
-        values[name] = _copy_value(x_j.values[name] if take_partner else x_i.values[name])
-    return Snapshot(values, dict(x_i.labels))
-
-
-def _copy_value(value):
-    """A copy of a feature value that shares no mutable state with it: arrays,
-    assets and lists are copied; numbers, None and tuples are immutable."""
-    if isinstance(value, np.ndarray):
-        return value.copy()
-    if isinstance(value, Asset):
-        return Asset(value.vector.copy(), value.timestamp, value.engagement)
-    if isinstance(value, list):
-        return [_copy_value(v) for v in value]
-    return value
+def cutmix(inputs: dict, partner: np.ndarray, swap_prob: float, rng: np.random.Generator) -> dict:
+    """Per-feature input-space mix of featurized rows (`FeatureEncoder.inputs`):
+    row i takes each feature's whole (values, present) pair from row
+    partner[i] with probability swap_prob, else keeps its own. The [B, F]
+    draws are taken at once in schema order; the arrays returned are new."""
+    swap = rng.random((len(partner), len(inputs))) < swap_prob
+    rows = np.arange(len(partner))
+    mixed = {}
+    for k, (name, arrays) in enumerate(inputs.items()):
+        take = np.where(swap[:, k], partner, rows)
+        mixed[name] = tuple(a[take] for a in arrays)
+    return mixed
 
 
 def mixup(h_i: Tensor, h_j: Tensor, alpha: float) -> Tensor:
@@ -223,15 +214,22 @@ class PretrainConfig:
 def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_path=None):
     """Run the self-supervised stage; mutates model parameters in place.
 
-    Per step: sample a batch and a partner permutation; CutMix in input
-    space; encode both views, featurizing the batch once, since its input
-    arrays are also the reconstruction targets; MixUp the augmented view's
-    tokens; forward both through the trunk with ISA on; reconstruction
-    losses against the original inputs plus InfoNCE between the two pooled
+    Per step: sample a batch and featurize it once, since its input arrays
+    are also the reconstruction targets; draw a partner permutation; CutMix
+    those arrays; encode both views; MixUp the augmented view's tokens;
+    forward both through the trunk with ISA on; reconstruction losses
+    against the original inputs plus InfoNCE between the two pooled
     embeddings; AdamW.
+
+    Raises DataError for fewer than 2 rows and ConfigError for a batch size
+    under 2: InfoNCE needs an in-batch negative.
 
     Returns the loss curve: a list of per-step records.
     """
+    if len(snapshots) < 2:
+        raise DataError(f"pre-training needs at least 2 rows, got {len(snapshots)}")
+    if cfg.batch_size < 2:
+        raise ConfigError(f"pre-training batch_size must be at least 2, got {cfg.batch_size}")
     rng = np.random.default_rng(cfg.seed)
     aug_rng = np.random.default_rng(cfg.augment.seed)
     params = model.parameters()
@@ -243,16 +241,12 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
     try:
         for step in range(cfg.steps):
             idx = rng.choice(len(snapshots), size=min(cfg.batch_size, len(snapshots)), replace=False)
-            batch = [snapshots[i] for i in idx]
-            partner = rng.permutation(len(batch))
-            augmented = [
-                cutmix(batch[i], batch[partner[i]], cfg.augment.cutmix_swap_prob, aug_rng)
-                for i in range(len(batch))
-            ]
+            inputs = model.encoder.inputs([snapshots[i] for i in idx])
+            partner = rng.permutation(len(idx))
+            augmented = cutmix(inputs, partner, cfg.augment.cutmix_swap_prob, aug_rng)
 
-            inputs = model.encoder.inputs(batch)
             x_orig, mask = model.encoder.tokens(inputs)
-            x_aug, mask_aug = model.encoder.assemble_tokens(augmented)
+            x_aug, mask_aug = model.encoder.tokens(augmented)
             # MixUp in latent space, pairing each anchor with the same partner
             x_aug = mixup(x_aug, x_aug[partner.tolist()], cfg.augment.mixup_alpha)
 

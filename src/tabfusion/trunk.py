@@ -64,7 +64,6 @@ class IsaBlock(Module):
         self.w_k = cls(dp, dp, rng, bias=False)
         self.w_v = cls(dp, dp, rng, bias=False)
         self.ffn = Mlp(dp, dp, dp, rng, spectral=cfg.spectral_norm)
-        self.cfg = cfg
 
     def __call__(self, x: Tensor) -> Tensor:
         b, n, d = x.shape

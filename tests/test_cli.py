@@ -203,6 +203,54 @@ class TestMalformedData:
         assert err.startswith("error:data: ") and message in err
         assert not (workspace / "model.ckpt").exists()
 
+    def test_finetune_without_labeled_rows_exits_4(self, workspace, capsys):
+        # finetune_loop raised a plain ValueError: exit 1 with error:runtime
+        for row in range(2, 26):
+            rewrite_cell(workspace, row, "label:risk", "")
+        rc = main(
+            ["--config", str(workspace / "config.json"), "finetune"]
+            + base_args(workspace)[2:]
+            + ["--task", "risk", "--out-checkpoint", str(workspace / "model.ckpt")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert err.startswith("error:data: ") and "no labeled examples for task 'risk'" in err
+        assert not (workspace / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_pretrain_on_fewer_than_two_rows_exits_4(self, workspace, capsys, rows):
+        # no rows exited 1 from a zero-size numpy reduction, one row from inside info_nce
+        path = workspace / "data.csv"
+        with path.open(newline="") as fh:
+            kept = list(csv.reader(fh))[: 1 + rows]
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(kept)
+        rc = main(
+            ["--config", str(workspace / "config.json"), "pretrain"]
+            + base_args(workspace)[2:]
+            + ["--out-checkpoint", str(workspace / "pre.ckpt")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert err.startswith("error:data: ") and f"at least 2 rows, got {rows}" in err
+        assert not (workspace / "pre.ckpt").exists()
+
+    def test_pretrain_with_batch_size_1_exits_2(self, workspace, capsys):
+        # exited 1 from inside info_nce; fine-tuning still accepts batch 1
+        cfg = RunConfig.load(workspace / "config.json")
+        cfg.batch_size = 1
+        cfg.save(workspace / "config.json")
+        rc = main(
+            ["--config", str(workspace / "config.json"), "pretrain"]
+            + base_args(workspace)[2:]
+            + ["--out-checkpoint", str(workspace / "pre.ckpt")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG, err
+        assert err.startswith("error:config: ") and "batch_size must be at least 2, got 1" in err
+        assert not (workspace / "pre.ckpt").exists()
+        run_finetune(workspace)
+
 
 class TestTrainingCommands:
     def test_pretrain_writes_checkpoint_and_manifest(self, workspace):

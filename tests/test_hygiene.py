@@ -329,13 +329,13 @@ def test_attribute_scanner_skips_method_calls():
     assert attribute_reads(source, "values") == [2, 4, 6]
 
 
-def test_only_io_featurization_and_cutmix_read_snapshot_values():
+def test_only_io_and_featurization_read_snapshot_values():
     """`Snapshot.values` holds raw per-kind values. Reading them anywhere but
-    data.py (IO), encoder.py (featurization) and pretrain.py (CutMix swaps
-    whole values) would be a second parser that can disagree with the
-    encoder's, as feature selection's own parser once did."""
+    data.py (IO) and encoder.py (featurization) would be a second parser
+    that can disagree with the encoder's, as feature selection's own parser
+    once did; CutMix mixes the featurized arrays."""
     readers = [path.name for path in MODULES if attribute_reads(path.read_text(), "values")]
-    assert readers == ["data.py", "encoder.py", "pretrain.py"]
+    assert readers == ["data.py", "encoder.py"]
 
 
 def literal_seeded_generators(source: str) -> list[str]:

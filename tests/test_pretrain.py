@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
-from tabfusion.data import Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
-from tabfusion.encoder import FeatureEncoder
+from tabfusion.data import TOPK_CRITERIA, Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
+from tabfusion.encoder import FeatureEncoder, feature_inputs
 from tabfusion.model import Model
 from tabfusion.pretrain import (
     AugmentConfig,
@@ -22,57 +22,114 @@ from tabfusion.pretrain import (
 from tabfusion.tensor import Tensor
 
 
+def old_cutmix(x_i: Snapshot, x_j: Snapshot, swap_prob: float, rng) -> Snapshot:
+    """The Snapshot-level CutMix that the array `cutmix` replaced: each value
+    from the partner x_j with probability swap_prob, one draw per feature in
+    the snapshot's value order (schema order for loaded rows)."""
+    return Snapshot({name: (x_j if rng.random() < swap_prob else x_i).values[name] for name in x_i.values})
+
+
+def ramp_inputs(b, n_features):
+    """Featurized-shape inputs whose row i holds i in every feature."""
+    ramp = np.arange(b, dtype=np.float32)
+    return {f"f{k}": (ramp.copy(), np.ones(b, dtype=np.float32)) for k in range(n_features)}
+
+
 class TestCutmix:
     def test_swap_rate_matches_probability(self):
         rng = np.random.default_rng(0)
-        a = Snapshot({f"f{i}": 0.0 for i in range(10)})
-        b = Snapshot({f"f{i}": 1.0 for i in range(10)})
-        total = swapped = 0
-        for _ in range(5000):
-            mixed = cutmix(a, b, 0.2, rng)
-            swapped += sum(v == 1.0 for v in mixed.values.values())
-            total += 10
+        inputs = ramp_inputs(500, 10)
+        partner = np.roll(np.arange(500), 1)
+        swapped = total = 0
+        for _ in range(10):
+            mixed = cutmix(inputs, partner, 0.2, rng)
+            swapped += sum(int((values != inputs[name][0]).sum()) for name, (values, _) in mixed.items())
+            total += 500 * 10
         assert abs(swapped / total - 0.2) < 0.01
 
     def test_prob_zero_and_one(self):
         rng = np.random.default_rng(1)
-        a = Snapshot({"x": 1.0, "y": 2.0})
-        b = Snapshot({"x": 9.0, "y": 8.0})
-        assert cutmix(a, b, 0.0, rng).values == a.values
-        assert cutmix(a, b, 1.0, rng).values == b.values
+        schema = small_schema()
+        inputs = feature_inputs(schema, random_snapshots(schema, 6, seed=1), "recency", 0)
+        partner = np.array([3, 0, 5, 1, 2, 4])
+        for p, rows in ((0.0, np.arange(6)), (1.0, partner)):
+            mixed = cutmix(inputs, partner, p, rng)
+            assert list(mixed) == list(inputs)
+            for name, arrays in inputs.items():
+                assert len(mixed[name]) == 2
+                for got, want in zip(mixed[name], arrays):
+                    assert got.dtype == want.dtype and np.array_equal(got, want[rows])
 
     def test_values_are_copies(self):
+        # every kind, asset slots included; neither the anchor's nor the partner's arrays are shared
         rng = np.random.default_rng(2)
-        a = Snapshot({"v": np.zeros(3)})
-        b = Snapshot({"v": np.ones(3)})
-        mixed = cutmix(a, b, 1.0, rng)
-        mixed.values["v"][0] = 99.0
-        assert b.values["v"][0] == 1.0
+        schema = small_schema()
+        inputs = feature_inputs(schema, random_snapshots(schema, 4, seed=2), "recency", 0)
+        before = {name: tuple(a.copy() for a in arrays) for name, arrays in inputs.items()}
+        for p in (0.0, 0.5, 1.0):
+            for arrays in cutmix(inputs, np.array([1, 2, 3, 0]), p, rng).values():
+                for a in arrays:
+                    a[...] = 99.0
+        for name, arrays in inputs.items():
+            for got, want in zip(arrays, before[name]):
+                assert np.array_equal(got, want)
 
     def test_assets_are_copies_and_immutable_values_shared(self):
+        # the asset slots and the values a Snapshot shared (tag tuples, floats) come back as
+        # the anchor's, in arrays of their own that share no memory with the inputs
         rng = np.random.default_rng(4)
-        tags = (1, 3)
-        a = Snapshot({"assets": [Asset(np.zeros(2), 1.0, 0.5)], "tags": tags, "x": 1.0})
+        schema = FeatureSchema(
+            [
+                FeatureSpec("assets", "multi_embedding", dim=2, max_count=2),
+                FeatureSpec("tags", "multi_categorical", vocab_size=4),
+                FeatureSpec("x", "numeric"),
+            ],
+            [],
+        )
+        a = Snapshot({"assets": [Asset(np.zeros(2), 1.0, 0.5)], "tags": (1, 3), "x": 1.0})
         b = Snapshot({"assets": [Asset(np.ones(2), 2.0, 0.25)], "tags": (), "x": 2.0})
-        mixed = cutmix(a, b, 0.0, rng)
-        assert mixed.values["tags"] is tags and mixed.values["x"] == 1.0
-        (asset,) = mixed.values["assets"]
-        assert mixed.values["assets"] is not a.values["assets"] and asset is not a.values["assets"][0]
-        assert (asset.timestamp, asset.engagement) == (1.0, 0.5) and np.array_equal(asset.vector, np.zeros(2))
-        asset.vector[0] = 99.0
-        asset.timestamp = 7.0
-        original = a.values["assets"][0]
-        assert original.timestamp == 1.0 and np.array_equal(original.vector, np.zeros(2))
+        inputs = feature_inputs(schema, [a, b], "recency", 0)
+        mixed = cutmix(inputs, np.array([1, 0]), 0.0, rng)
+        vectors, slots = mixed["assets"]
+        assert np.array_equal(vectors[0], np.zeros((2, 2))) and np.array_equal(slots[0], [1.0, 0.0])
+        assert np.array_equal(mixed["tags"][0][0], [0.0, 1.0, 0.0, 1.0]) and mixed["x"][0][0] == 1.0
+        for name, arrays in mixed.items():
+            for got, given in zip(arrays, inputs[name]):
+                assert got is not given and not np.shares_memory(got, given)
+        vectors[0, 0, 0] = 99.0
+        slots[0, 1] = 1.0
+        assert np.array_equal(inputs["assets"][0][0], np.zeros((2, 2)))
+        assert np.array_equal(inputs["assets"][1][0], [1.0, 0.0])
 
-    def test_keeps_anchor_labels(self):
-        rng = np.random.default_rng(3)
-        a = Snapshot({"x": 1.0}, {"risk": 1})
-        b = Snapshot({"x": 2.0}, {"risk": 0})
-        assert cutmix(a, b, 1.0, rng).labels == {"risk": 1}
-
-    def test_schema_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cutmix(Snapshot({"x": 1.0}), Snapshot({"y": 1.0}), 0.5, np.random.default_rng(0))
+    @pytest.mark.parametrize("criterion", TOPK_CRITERIA)
+    def test_equals_featurizing_the_snapshot_cutmix(self, criterion):
+        # all five kinds, missing values, and up to max_count + 3 assets per row
+        feats = [
+            FeatureSpec("age", "numeric"),
+            FeatureSpec("region", "categorical", vocab_size=4),
+            FeatureSpec("tags", "multi_categorical", vocab_size=5),
+            FeatureSpec("page_vec", "embedding", dim=3),
+            FeatureSpec("creatives", "multi_embedding", dim=3, max_count=4),
+            FeatureSpec("spend", "numeric"),
+        ]
+        schema = FeatureSchema(feats, [TaskSpec("risk", 2)])
+        for seed in range(5):
+            snaps = random_snapshots(schema, 24, seed=seed, missing_rate=0.3)
+            for s in snaps:
+                s.values["creatives"] = s.values["creatives"] + [
+                    Asset(v.vector[::-1].copy(), v.timestamp + 0.5, v.engagement / 2) for v in s.values["creatives"][:2]
+                ]
+            assert max(len(s.values["creatives"]) for s in snaps) > 4
+            partner = np.random.default_rng(seed).permutation(len(snaps))
+            old_rng, new_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+            reference = [old_cutmix(snaps[i], snaps[partner[i]], 0.4, old_rng) for i in range(len(snaps))]
+            want = feature_inputs(schema, reference, criterion, 3)
+            got = cutmix(feature_inputs(schema, snaps, criterion, 3), partner, 0.4, new_rng)
+            assert list(got) == list(want)
+            for name in want:
+                for g, w in zip(got[name], want[name]):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert old_rng.random() == new_rng.random()  # both drew B x F doubles
 
 
 class TestMixup:
@@ -277,6 +334,23 @@ class TestPretrainLoop:
         first = np.mean([r["total"] for r in curve[:10]])
         last = np.mean([r["total"] for r in curve[-10:]])
         assert last < first
+
+    def test_curve_is_pinned(self):
+        # captured before CutMix moved from snapshots to featurized arrays;
+        # the same draws give bitwise the same augmented views
+        schema = small_schema()
+        model = tiny_model(schema)
+        snaps = random_snapshots(schema, 16, seed=8, missing_rate=0.2)
+        cfg = PretrainConfig(steps=3, batch_size=6, augment=AugmentConfig(cutmix_swap_prob=0.5, seed=0), seed=0)
+        curve = [[r[k] for k in ("total", "num", "ce", "mcat", "emb", "memb", "con")] for r in pretrain_loop(model, snaps, cfg)]
+        assert curve == [
+            [9.096773147583008, 0.6204533576965332, 1.3625364303588867, 3.400743007659912,
+             0.7006582021713257, 1.2745920419692993, 1.7377898693084717],
+            [12.542098999023438, 1.0847212076187134, 1.415462613105774, 3.4196815490722656,
+             0.8649378418922424, 1.447375774383545, 4.309920310974121],
+            [9.122856140136719, 0.41386088728904724, 1.5517455339431763, 3.4811148643493652,
+             0.9824678897857666, 1.211272954940796, 1.4823942184448242],
+        ]
 
     def test_writes_loss_log(self, tmp_path):
         schema = small_schema()
