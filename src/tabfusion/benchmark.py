@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -98,7 +99,8 @@ def load_benchmark_csv(path, dataset_name: str):
     """Load a raw benchmark CSV into (schema, snapshots) with a binary label.
 
     Numerics stay raw: `run_benchmark` normalizes each fold from its
-    training rows."""
+    training rows. A non-finite numeric cell raises DataError naming its
+    row and feature."""
     spec = DATASETS[dataset_name]
     path = Path(path)
     if not path.exists():
@@ -120,6 +122,8 @@ def load_benchmark_csv(path, dataset_name: str):
                 values[f.name] = None
             elif f.kind == FeatureKind.NUMERIC:
                 values[f.name] = float(cell)
+                if not math.isfinite(values[f.name]):
+                    raise DataError(f"non-finite value {cell!r}", row=row_no, feature=f.name)
             else:
                 if cell in f.vocab:
                     values[f.name] = f.vocab.index(cell)

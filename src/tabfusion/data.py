@@ -242,8 +242,9 @@ def load_dataset(data_path, schema, embeddings_path=None):
     markers, never imputed. Normalization parameters come from the schema
     when present, otherwise they are computed from the data and written
     into the returned schema. Label cells are integers, in `[0, classes)`
-    for a task the schema declares. Malformed content raises DataError
-    naming the first bad row and its feature or `label:<task>` column.
+    for a task the schema declares. Malformed content, a non-finite numeric
+    cell or referenced sidecar vector included, raises DataError naming the
+    first bad row and its feature or `label:<task>` column.
 
     The file is read LOAD_CHUNK_ROWS rows at a time and converted one column
     at a time; each chunk's embedding vectors are rows of one array gathered
@@ -346,10 +347,10 @@ def _column_converter(f: FeatureSpec, sidecar):
     the first for a repeated token), multi-categoricals sorted index tuples,
     embeddings sidecar vectors and multi-embeddings lists of Asset built from
     `offset[:timestamp[:engagement]]` parts joined by `;`. An empty cell is
-    None, () or [] by kind.
+    None, () or [] by kind. A non-finite numeric or sidecar value fails.
     """
     if f.kind == FeatureKind.NUMERIC:
-        return lambda cells: _spread(cells, list(map(float, filter(None, cells))))
+        return lambda cells: _spread(cells, _finite(list(map(float, filter(None, cells)))))
     if f.kind in (FeatureKind.CATEGORICAL, FeatureKind.MULTI_CATEGORICAL):
         if f.vocab is not None:
             position = {}
@@ -407,7 +408,21 @@ def _gather(sidecar, f: FeatureSpec, offsets):
     if sidecar is None:
         raise ValueError("embedding feature but no embeddings sidecar supplied")
     _in_range(offsets, sidecar.size - f.dim + 1, "sidecar offset")
-    return list(sidecar[np.array(offsets, dtype=np.int64)[:, None] + np.arange(f.dim)])
+    vectors = sidecar[np.array(offsets, dtype=np.int64)[:, None] + np.arange(f.dim)]
+    if not np.isfinite(vectors).all():
+        raise ValueError("non-finite value in the sidecar vector")
+    return list(vectors)
+
+
+def _finite(values):
+    """`values`, a list of floats, when each is finite; ValueError otherwise.
+    Their sum, one pass in C, is finite unless a value is not or the sum
+    overflows; only then are the values looked at one by one."""
+    if not math.isfinite(sum(values)):
+        bad = next((v for v in values if not math.isfinite(v)), None)
+        if bad is not None:
+            raise ValueError(f"non-finite value {bad}")
+    return values
 
 
 def _label_converter(classes):
@@ -504,8 +519,8 @@ def select_top_k_assets(assets, k: int, criterion: str = "recency", seed: int | 
 
     recency/engagement sort descending by the metadata field;
     centroid_outlier keeps ceil(k/2) nearest-to-centroid and floor(k/2)
-    farthest; random uses the seed. Ties break by stable input order then
-    lexicographic vector comparison.
+    farthest; random uses the seed. Each sort is stable, so ties keep
+    input order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -515,14 +530,11 @@ def select_top_k_assets(assets, k: int, criterion: str = "recency", seed: int | 
     if len(assets) <= k:
         return assets
 
-    def tie_key(i):
-        return (i, tuple(np.asarray(assets[i].vector).tolist()))
-
     idx = list(range(len(assets)))
     if criterion == "recency":
-        idx.sort(key=lambda i: (-assets[i].timestamp,) + tie_key(i))
+        idx.sort(key=lambda i: -assets[i].timestamp)
     elif criterion == "engagement":
-        idx.sort(key=lambda i: (-assets[i].engagement,) + tie_key(i))
+        idx.sort(key=lambda i: -assets[i].engagement)
     elif criterion == "random":
         rng = np.random.default_rng(seed)
         idx = list(rng.permutation(len(assets)))
@@ -530,8 +542,8 @@ def select_top_k_assets(assets, k: int, criterion: str = "recency", seed: int | 
         vecs = np.stack([np.asarray(a.vector, dtype=np.float64) for a in assets])
         centroid = vecs.mean(axis=0)
         dist = np.linalg.norm(vecs - centroid, axis=1)
-        near = sorted(range(len(assets)), key=lambda i: (dist[i],) + tie_key(i))
-        far = sorted(range(len(assets)), key=lambda i: (-dist[i],) + tie_key(i))
+        near = sorted(range(len(assets)), key=lambda i: dist[i])
+        far = sorted(range(len(assets)), key=lambda i: -dist[i])
         n_near = math.ceil(k / 2)
         chosen = near[:n_near]
         taken = set(chosen)

@@ -11,8 +11,8 @@ import numpy as np
 
 from .config import ConfigError
 from .data import DataError, TaskSpec
-from .nn import Linear, Module, SpectralLinear, advance_power_iteration
-from .optim import AdamW, CosineWarmupSchedule
+from .nn import Linear, Module, advance_power_iteration
+from .optim import CosineWarmupSchedule, Trainer
 from .tensor import Tensor, linear, no_grad, softmax
 
 __all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfig"]
@@ -195,12 +195,15 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     stale and raises ConfigError; `cfg.linear_probe` embeds the training
     and held-out rows once and trains only the task heads on those fixed
     features. Ends with a covariance pass over the training set for every
-    task's head. Returns the loss curve.
+    task's head. Returns the loss curve: a record per step that trained or
+    evaluated. A batch with no row labeled for any task trains nothing, and
+    its record, if it evaluated, has no `total`. A non-finite loss raises
+    RuntimeError naming the step.
 
     Rows named by `val_indices` are held out of training. Every
-    `cfg.eval_every` steps each task's head is scored by AUPRC on the
-    embedded held-out rows labeled for its task, class 1 against the rest,
-    recorded as `val_auprc.<task>`. Only tasks with a held-out class-1 row
+    `cfg.eval_every` steps, trained or not, each task's head is scored by
+    AUPRC on the embedded held-out rows labeled for its task, class 1
+    against the rest, recorded as `val_auprc.<task>`. Only tasks with a held-out class-1 row
     are scored; the mean of their AUPRCs drives early stopping with
     `cfg.patience`. At the end the trained parameters with the best mean are
     restored, with the power-iteration vectors u and v of their spectral
@@ -214,7 +217,6 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     if others and not cfg.linear_probe:
         raise ConfigError(f"training the backbone would leave head '{others[0]}' stale: "
                           f"pass task '{others[0]}' too, or set linear_probe")
-    rng = np.random.default_rng(cfg.seed)
     for t in tasks:
         labels = [s.labels[t.name] for s in snapshots if s.labels.get(t.name) is not None]
         if not labels:
@@ -234,9 +236,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     # the best state: the task heads, plus encoder and trunk without ISA unless probing
     runs = tuple(f"heads.{t.name}." for t in tasks) + (() if cfg.linear_probe else ("encoder.", "trunk."))
     trained = [slot for slot in model.named_state() if slot[0].startswith(runs) and ".isa." not in slot[0]]
-    params = {path: value for path, _, _, value in trained if isinstance(value, Tensor)}
-    spectral = [owner for _, owner, key, _ in trained if isinstance(owner, SpectralLinear) and key == "u"]
-    opt = AdamW(params, weight_decay=cfg.weight_decay)
+    trainer = Trainer(trained, cfg.schedule, cfg.weight_decay, cfg.seed)
 
     val_set, val_tasks = [], {}  # task name -> (held-out rows labeled for it, their labels)
     if val_indices is None:
@@ -258,13 +258,13 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     best_state = None
     stale = 0
     for step in range(cfg.steps):
-        idx = rng.choice(len(train_set), size=min(cfg.batch_size, len(train_set)), replace=False)
+        idx = trainer.batch(len(train_set), cfg.batch_size)
         batch = [train_set[i] for i in idx]
         record = {"step": step}
         if cfg.linear_probe:
             pooled = Tensor(features[idx])
         else:
-            advance_power_iteration(spectral)
+            advance_power_iteration(trainer.spectral)
             x, mask = model.encoder.assemble_tokens(batch)
             _, pooled = model.trunk(x, mask, mode="finetune")
         total = None
@@ -277,15 +277,15 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
             loss = focal_loss(probs, labels, t.gamma)
             record[f"loss.{t.name}"] = loss.item()
             total = loss if total is None else total + loss
-        if total is None:
+        evaluate = val_tasks and (step + 1) % cfg.eval_every == 0
+        if total is None and not evaluate:
             continue
-        record["total"] = total.item()
-        opt.zero_grad()
-        total.backward()
-        opt.step(lr=cfg.schedule.lr_at(step))
         curve.append(record)
+        if total is not None:
+            record["total"] = total.item()
+            trainer.step(step, total)
 
-        if val_tasks and (step + 1) % cfg.eval_every == 0:
+        if evaluate:
             pooled = model.embed(val_set) if val_features is None else val_features
             for name, (rows, positive) in val_tasks.items():
                 scores = model.heads[name].predict(Tensor(pooled[rows]), calibrated=False)["probs"][:, 1]
@@ -295,7 +295,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
                 best_metric = metric
                 # references suffice: optimizer steps and power iteration
                 # assign new arrays, never write in place
-                best_state = [p.data for p in params.values()], [(o.u, o.v) for o in spectral]
+                best_state = [p.data for p in trainer.params.values()], [(o.u, o.v) for o in trainer.spectral]
                 stale = 0
             else:
                 stale += 1
@@ -303,9 +303,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
                     break
 
     if best_state is not None:
-        for p, data in zip(params.values(), best_state[0]):
+        for p, data in zip(trainer.params.values(), best_state[0]):
             p.data = data
-        for layer, (u, v) in zip(spectral, best_state[1]):
+        for layer, (u, v) in zip(trainer.spectral, best_state[1]):
             layer.u, layer.v = u, v
 
     fit_heads_covariance(model, train_set, tasks)

@@ -1,4 +1,5 @@
-"""AdamW with decoupled weight decay and the warmup + cosine schedule."""
+"""AdamW with decoupled weight decay, the warmup + cosine schedule, and the
+training step both stages run."""
 
 from __future__ import annotations
 
@@ -7,7 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AdamW", "CosineWarmupSchedule", "NanGradientError"]
+from .nn import SpectralLinear
+from .tensor import Tensor
+
+__all__ = ["AdamW", "CosineWarmupSchedule", "NanGradientError", "Trainer"]
 
 
 class NanGradientError(RuntimeError):
@@ -51,13 +55,11 @@ class AdamW:
     def __init__(
         self,
         params: dict,
-        lr: float = 5e-5,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.params = dict(params)
-        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -69,8 +71,7 @@ class AdamW:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
         for name, p in self.params.items():
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise NanGradientError(name)
@@ -92,3 +93,36 @@ class AdamW:
             # decoupled decay: applied to the parameter directly, not the moments;
             # a new array, so caches keyed on the old one (SpectralLinear's) miss
             p.data = p.data - lr * (update + self.weight_decay * p.data)
+
+
+class Trainer:
+    """The training step of both stages, over `slots`, entries of
+    `Module.named_state`: the Tensors among them are the parameters, under
+    one AdamW, and the SpectralLinear owners of their `u` slots are the
+    spectral layers (`spectral`), whose power iteration the caller advances
+    before each forward. The engine draws the batches from one rng seeded
+    `seed` (`rng`) and takes each step at `schedule.lr_at(step)`."""
+
+    def __init__(self, slots, schedule: CosineWarmupSchedule, weight_decay: float, seed: int):
+        slots = list(slots)
+        self.params = {path: value for path, _, _, value in slots if isinstance(value, Tensor)}
+        self.spectral = [owner for _, owner, key, _ in slots if isinstance(owner, SpectralLinear) and key == "u"]
+        self.schedule = schedule
+        self.opt = AdamW(self.params, weight_decay=weight_decay)
+        self.rng = np.random.default_rng(seed)
+
+    def batch(self, n: int, size: int) -> np.ndarray:
+        """Indices of min(size, n) distinct rows of n."""
+        return self.rng.choice(n, size=min(size, n), replace=False)
+
+    def step(self, step: int, loss: Tensor) -> float:
+        """Backpropagate `loss` and take the AdamW step; returns its rate.
+        A non-finite loss raises RuntimeError naming the step before any
+        parameter moves."""
+        if not np.isfinite(loss.item()):
+            raise RuntimeError(f"non-finite loss at step {step}")
+        self.opt.zero_grad()
+        loss.backward()
+        lr = self.schedule.lr_at(step)
+        self.opt.step(lr)
+        return lr

@@ -10,8 +10,8 @@ import numpy as np
 
 from .config import ConfigError
 from .data import DataError, FeatureKind, FeatureSchema, Snapshot
-from .nn import Linear, Module, SpectralLinear, advance_power_iteration
-from .optim import AdamW, CosineWarmupSchedule
+from .nn import Linear, Module, advance_power_iteration
+from .optim import CosineWarmupSchedule, Trainer
 from .tensor import Tensor, log_softmax, matmul, reduce_sum
 
 __all__ = [
@@ -219,7 +219,9 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
     those arrays; encode both views; MixUp the augmented view's tokens;
     forward both through the trunk with ISA on; reconstruction losses
     against the original inputs plus InfoNCE between the two pooled
-    embeddings; AdamW.
+    embeddings; the trainer's step, which refuses a non-finite loss. Every
+    parameter of the model trains, and every spectral layer, ISA's
+    included, advances its power iteration before each trunk call.
 
     Raises DataError for fewer than 2 rows and ConfigError for a batch size
     under 2: InfoNCE needs an in-batch negative.
@@ -230,51 +232,36 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
         raise DataError(f"pre-training needs at least 2 rows, got {len(snapshots)}")
     if cfg.batch_size < 2:
         raise ConfigError(f"pre-training batch_size must be at least 2, got {cfg.batch_size}")
-    rng = np.random.default_rng(cfg.seed)
+    trainer = Trainer(model.named_state(), cfg.schedule, cfg.weight_decay, cfg.seed)
     aug_rng = np.random.default_rng(cfg.augment.seed)
-    params = model.parameters()
-    opt = AdamW(params, weight_decay=cfg.weight_decay)
-    # the trunk's spectral layers, ISA included: one power-iteration step per trunk call
-    spectral = [o for _, o, key, _ in model.trunk.named_state() if isinstance(o, SpectralLinear) and key == "u"]
     curve = []
-    fh = open(log_path, "a") if log_path else None
-    try:
-        for step in range(cfg.steps):
-            idx = rng.choice(len(snapshots), size=min(cfg.batch_size, len(snapshots)), replace=False)
-            inputs = model.encoder.inputs([snapshots[i] for i in idx])
-            partner = rng.permutation(len(idx))
-            augmented = cutmix(inputs, partner, cfg.augment.cutmix_swap_prob, aug_rng)
+    for step in range(cfg.steps):
+        idx = trainer.batch(len(snapshots), cfg.batch_size)
+        inputs = model.encoder.inputs([snapshots[i] for i in idx])
+        partner = trainer.rng.permutation(len(idx))
+        augmented = cutmix(inputs, partner, cfg.augment.cutmix_swap_prob, aug_rng)
 
-            x_orig, mask = model.encoder.tokens(inputs)
-            x_aug, mask_aug = model.encoder.tokens(augmented)
-            # MixUp in latent space, pairing each anchor with the same partner
-            x_aug = mixup(x_aug, x_aug[partner.tolist()], cfg.augment.mixup_alpha)
+        x_orig, mask = model.encoder.tokens(inputs)
+        x_aug, mask_aug = model.encoder.tokens(augmented)
+        # MixUp in latent space, pairing each anchor with the same partner
+        x_aug = mixup(x_aug, x_aug[partner.tolist()], cfg.augment.mixup_alpha)
 
-            advance_power_iteration(spectral)
-            tokens_aug, pooled_aug = model.trunk(x_aug, mask_aug, mode="pretrain")
-            advance_power_iteration(spectral)
-            _, pooled_orig = model.trunk(x_orig, mask, mode="pretrain")
+        # one power-iteration step per trunk call, ISA's layers included
+        advance_power_iteration(trainer.spectral)
+        tokens_aug, pooled_aug = model.trunk(x_aug, mask_aug, mode="pretrain")
+        advance_power_iteration(trainer.spectral)
+        _, pooled_orig = model.trunk(x_orig, mask, mode="pretrain")
 
-            parts = reconstruction_loss(tokens_aug, inputs, model.recon)
-            parts["con"] = info_nce(pooled_orig, pooled_aug, cfg.weights.tau)
-            total = pretrain_total_loss(parts, cfg.weights)
-            if not np.isfinite(total.item()):
-                raise RuntimeError(f"non-finite pretrain loss at step {step}")
+        parts = reconstruction_loss(tokens_aug, inputs, model.recon)
+        parts["con"] = info_nce(pooled_orig, pooled_aug, cfg.weights.tau)
+        total = pretrain_total_loss(parts, cfg.weights)
+        lr = trainer.step(step, total)
 
-            opt.zero_grad()
-            total.backward()
-            lr = cfg.schedule.lr_at(step)
-            opt.step(lr=lr)
-
-            record = {"step": step, "lr": lr, "total": total.item()}
-            record.update({k: v.item() for k, v in parts.items()})
-            curve.append(record)
-            if fh and step % LOG_EVERY == 0:
-                fh.write(
-                    " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in record.items())
-                    + "\n"
-                )
-    finally:
-        if fh:
-            fh.close()
+        record = {"step": step, "lr": lr, "total": total.item()}
+        record.update({k: v.item() for k, v in parts.items()})
+        curve.append(record)
+        if log_path and step % LOG_EVERY == 0:
+            with open(log_path, "a") as fh:
+                fh.write(" ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in record.items())
+                         + "\n")
     return curve

@@ -3,10 +3,11 @@
 import json
 
 import numpy as np
+import pytest
 
 import tabfusion.benchmark as bm
 from tabfusion.config import RunConfig
-from tabfusion.data import TaskSpec, make_folds
+from tabfusion.data import DataError, TaskSpec, make_folds
 
 N = 30
 
@@ -17,6 +18,15 @@ def write_csv(path, first_age):
         f"{first_age if i == 0 else rng.normal()!r},{'abc'[i % 3]},{i % 2}" for i in range(N)
     ]
     path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("first_age", [float("nan"), float("-inf")])
+def test_a_non_finite_numeric_cell_is_a_data_error(tmp_path, first_age):
+    """float() accepts 'nan' and '-inf', and the fold's z-scores became NaN."""
+    write_csv(tmp_path / "adult.csv", first_age)
+    with pytest.raises(DataError, match="non-finite") as err:
+        bm.load_benchmark_csv(tmp_path / "adult.csv", "adult")
+    assert (err.value.row, err.value.feature) == (2, "age")
 
 
 def test_training_rows_are_normalized_by_their_own_statistics(tmp_path, monkeypatch):

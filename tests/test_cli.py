@@ -138,6 +138,42 @@ class TestMalformedData:
         assert rc == EXIT_DATA
         assert f"(row 5, feature '{column}')" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["finetune", "pretrain"])
+    @pytest.mark.parametrize("text", ["nan", "-inf"])
+    def test_training_on_a_non_finite_numeric_exits_4(self, workspace, capsys, command, text):
+        # float() accepts these: the column normalized to NaN, and training
+        # exited 1 naming a gradient (finetune) or a step (pretrain)
+        rewrite_cell(workspace, 5, "age", text)
+        extra = ["--task", "risk"] if command == "finetune" else ["--steps", "2"]
+        rc = main(
+            ["--config", str(workspace / "config.json"), command]
+            + base_args(workspace)[2:]
+            + extra + ["--out-checkpoint", str(workspace / "model.ckpt")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert err.startswith("error:data: non-finite value") and "(row 5, feature 'age')" in err
+        assert not (workspace / "model.ckpt").exists()
+
+    def test_finetune_on_a_non_finite_sidecar_vector_exits_4(self, workspace, capsys):
+        # the NaN vector loaded, and training exited 1 naming a numeric
+        # feature's parameter, not the embedding
+        with (workspace / "data.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        offset = int(rows[4][rows[0].index("page_vec")])  # file row 5
+        sidecar = np.fromfile(workspace / "emb.bin", dtype="<f4")
+        sidecar[offset + 1] = np.nan
+        sidecar.tofile(workspace / "emb.bin")
+        rc = main(
+            ["--config", str(workspace / "config.json"), "finetune"]
+            + base_args(workspace)[2:]
+            + ["--task", "risk", "--out-checkpoint", str(workspace / "model.ckpt")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert "non-finite" in err and "(row 5, feature 'page_vec')" in err
+        assert not (workspace / "model.ckpt").exists()
+
     def test_finetune_on_an_out_of_range_label_exits_4(self, workspace, capsys):
         # label 7 on a 2-class task died in focal_loss with an IndexError (exit 1)
         rewrite_cell(workspace, 5, "label:risk", "7")

@@ -127,6 +127,13 @@ class TestIo:
         with pytest.raises(DataError, match=r"row 2.*'x'"):
             load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
 
+    def test_finite_numerics_whose_sum_overflows_load(self, tmp_path):
+        # the loader screens a column by its sum before looking at each value
+        schema = FeatureSchema([FeatureSpec("x", "numeric", normalization={"mean": 0.0, "std": 1.0})], [])
+        (tmp_path / "d.csv").write_text("x\n1e308\n1e308\n-1e308\n")
+        _, snaps = load_dataset(tmp_path / "d.csv", schema)
+        assert [s.values["x"] for s in snaps] == [1e308, 1e308, -1e308]
+
     def test_out_of_vocab_index_rejected(self, tmp_path):
         schema = FeatureSchema([FeatureSpec("c", "categorical", vocab_size=3)], [])
         (tmp_path / "d.csv").write_text("c\n7\n")
@@ -208,7 +215,8 @@ def datasets(draw):
     """(schema, snapshots) over all five kinds with missing cells, string
     vocabularies (categorical and multi-categorical), empty asset lists and
     vectors drawn from a small pool. A multi-categorical token holds no "|",
-    the separator of its cell."""
+    the separator of its cell. Numerics and vectors are finite: the loader
+    refuses a non-finite one (TestLoaderErrors)."""
     features = []
     for i, kind in enumerate(draw(st.lists(st.sampled_from(FeatureKind.ALL), min_size=1, max_size=6))):
         size = draw(st.integers(1, 4))
@@ -218,7 +226,8 @@ def datasets(draw):
             vocab = draw(st.lists(st.text(chars, min_size=1, max_size=3), min_size=size, max_size=size, unique=True))
         features.append(FeatureSpec(f"f{i}", kind, vocab_size=size, dim=size, max_count=size, vocab=vocab))
     tasks = [TaskSpec(f"t{i}", draw(st.integers(2, 4))) for i in range(draw(st.integers(0, 2)))]
-    vec = st.lists(st.floats(width=32), min_size=4, max_size=4).map(lambda v: np.array(v, dtype=np.float32))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    vec = st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=4, max_size=4).map(lambda v: np.array(v, dtype=np.float32))
     pool = draw(st.lists(vec, min_size=1, max_size=3))  # a feature of dim d takes the first d entries
     floats = st.floats(allow_nan=False)
     snaps = []
@@ -226,7 +235,7 @@ def datasets(draw):
         values = {}
         for f in features:
             if f.kind == FeatureKind.NUMERIC:
-                values[f.name] = draw(st.none() | st.floats())
+                values[f.name] = draw(st.none() | finite)
             elif f.kind == FeatureKind.CATEGORICAL:
                 values[f.name] = draw(st.none() | st.integers(0, f.vocab_size - 1))
             elif f.kind == FeatureKind.MULTI_CATEGORICAL:
@@ -356,6 +365,9 @@ MALFORMED = {
     "empty asset": ("a", "0:1:2;"),
     "non-integer label": ("label:risk", "yes"),
     "label out of range": ("label:risk", "2"),
+    # float() accepts these, and the column used to normalize to all NaN
+    "non-finite numeric": ("x", "nan"),
+    "infinite numeric": ("x", "-inf"),
 }
 
 
@@ -429,6 +441,26 @@ class TestLoaderErrors:
             load_dataset(*malformed_dataset(tmp_path, sidecar=False))
         assert (err.value.row, err.value.feature) == (2, "v")
 
+    @pytest.mark.parametrize("column, cell", [("v", "8"), ("a", "0:1:2;8:1:0.5")])
+    def test_non_finite_sidecar_vector_names_the_row_that_references_it(self, tmp_path, column, cell):
+        # a NaN vector used to load, and training then failed naming a parameter
+        data, schema, emb = malformed_dataset(tmp_path, (column, cell))
+        sidecar = np.arange(10, dtype="<f4")
+        sidecar[9] = np.nan
+        sidecar.tofile(emb)
+        with pytest.raises(DataError, match="non-finite") as err:
+            load_dataset(data, schema, emb)
+        assert (err.value.row, err.value.feature) == (7, column)
+
+    def test_a_non_finite_sidecar_value_no_row_references_loads(self, tmp_path):
+        data, schema, emb = malformed_dataset(tmp_path)
+        data.write_text(data.read_text().replace("oops", "0.5"))
+        sidecar = np.arange(10, dtype="<f4")
+        sidecar[9] = np.inf
+        sidecar.tofile(emb)
+        _, snaps = load_dataset(data, schema, emb)
+        assert len(snaps) == 12
+
 
 def make_assets(vals):
     """vals: list of (first_component, timestamp, engagement)."""
@@ -472,6 +504,40 @@ class TestTopK:
             remaining = [i for i in np.argsort(-dist, kind="stable") if i not in expect_near]
             expect = expect_near | set(remaining[: k - n_near])
             assert got == {id(assets[i]) for i in expect}
+
+    @pytest.mark.parametrize("criterion", ["recency", "engagement", "centroid_outlier", "random"])
+    def test_picks_match_the_vector_tie_break_it_replaced(self, criterion):
+        # the sorts once broke ties by (index, vector); the index is unique,
+        # so a stable sort on each criterion's own key picks the same assets
+        def old_pick(assets, k):
+            def tie_key(i):
+                return (i, tuple(np.asarray(assets[i].vector).tolist()))
+
+            idx = list(range(len(assets)))
+            if criterion == "recency":
+                idx.sort(key=lambda i: (-assets[i].timestamp,) + tie_key(i))
+            elif criterion == "engagement":
+                idx.sort(key=lambda i: (-assets[i].engagement,) + tie_key(i))
+            elif criterion == "random":
+                idx = list(np.random.default_rng(3).permutation(len(assets)))
+            else:
+                vecs = np.stack([np.asarray(a.vector, dtype=np.float64) for a in assets])
+                dist = np.linalg.norm(vecs - vecs.mean(axis=0), axis=1)
+                near = sorted(range(len(assets)), key=lambda i: (dist[i],) + tie_key(i))
+                far = sorted(range(len(assets)), key=lambda i: (-dist[i],) + tie_key(i))
+                idx = near[: -(-k // 2)]
+                idx += [i for i in far if i not in idx][: k - len(idx)]
+            return [assets[i] for i in idx[:k]]
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            # few distinct values, so ties in every key are common
+            assets = [Asset(rng.integers(0, 2, size=2).astype(np.float32), float(rng.integers(0, 3)),
+                            float(rng.integers(0, 2))) for _ in range(n)]
+            k = int(rng.integers(1, n))  # k >= n returns the list as it is
+            got = select_top_k_assets(assets, k, criterion, seed=3)
+            assert [id(a) for a in got] == [id(a) for a in old_pick(assets, k)]
 
     def test_random_deterministic_per_seed(self, rng):
         assets = [Asset(rng.normal(size=2)) for _ in range(8)]

@@ -326,16 +326,16 @@ class TestFinetuneLoop:
         assert scored == [True] * 5 and len([rec for rec in curve if "val_auprc.risk" in rec]) == 5
 
     def test_isa_is_neither_trained_nor_power_iterated(self, monkeypatch):
-        import tabfusion.finetune as ft
+        import tabfusion.optim as optim
 
         made = []
 
-        class Recording(ft.AdamW):
+        class Recording(optim.AdamW):
             def __init__(self, params, **kwargs):
                 super().__init__(params, **kwargs)
                 made.append(self)
 
-        monkeypatch.setattr(ft, "AdamW", Recording)
+        monkeypatch.setattr(optim, "AdamW", Recording)
         _, snaps, model = separable_setup()
 
         def arrays(where):
@@ -488,6 +488,60 @@ class TestFinetuneLoop:
         best = int(np.argmax(metrics))
         assert best < len(metrics) - 1  # the loop went on past the best evaluation
         assert np.array_equal(embed([snaps[i] for i in val]), scored[best])
+
+    def test_evaluates_at_every_scheduled_step_trained_or_not(self):
+        # a batch with no labeled row used to skip the evaluation of its step
+        # and that evaluation's patience count
+        _, snaps, model = separable_setup(n=52)
+        val = list(range(10))
+        for i, s in enumerate(snaps[10:]):
+            if i % 7:
+                s.labels["risk"] = None
+        cfg = quick_cfg(steps=40, batch_size=2, eval_every=4, patience=100)
+        curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg, val)
+        evaluated = [rec["step"] for rec in curve if "val_auprc.risk" in rec]
+        assert evaluated == list(range(3, 40, 4))
+        untrained = [rec for rec in curve if "total" not in rec]
+        assert untrained and all(set(rec) == {"step", "val_auprc.risk"} for rec in untrained)
+        assert all("loss.risk" in rec for rec in curve if "total" in rec)
+
+    def test_curve_is_pinned(self):
+        # captured before the training step moved into optim.Trainer: two
+        # tasks, held-out rows and early stopping after step 5, then a linear
+        # probe of the restored best state
+        schema = FeatureSchema([FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")],
+                               [TaskSpec("risk", 2), TaskSpec("churn", 2)])
+        snaps = random_snapshots(schema, 48, seed=4, label_rule=lambda v, rng: int(v["x"] > 0))
+        for i, s in enumerate(snaps):
+            s.labels["churn"] = None if i % 3 == 0 else int(s.values["noise"] > 0)
+        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=2)
+        tasks = [TaskSpec("risk", 2), TaskSpec("churn", 2, gamma=0.0)]
+        cfg = FinetuneConfig(steps=30, batch_size=8, d_rf=32, eval_every=2, patience=2, seed=5)
+        cfg.schedule.initial_lr = 2e-3
+        cfg.schedule.warmup_steps = 3
+        curve = finetune_loop(model, snaps, tasks, cfg, val_indices=list(range(36, 48)))
+        probe = FinetuneConfig(steps=3, batch_size=8, d_rf=32, linear_probe=True, seed=6)
+        curve += finetune_loop(model, snaps, tasks[:1], probe)
+        assert curve == [
+            {"step": 0, "loss.risk": 0.19218206405639648, "loss.churn": 0.6317104697227478,
+             "total": 0.8238925337791443},
+            {"step": 1, "loss.risk": 0.17268182337284088, "loss.churn": 0.6937146186828613,
+             "total": 0.866396427154541, "val_auprc.risk": 0.6083333333333333,
+             "val_auprc.churn": 0.8095238095238095},
+            {"step": 2, "loss.risk": 0.17982560396194458, "loss.churn": 0.6400575637817383,
+             "total": 0.8198831677436829},
+            {"step": 3, "loss.risk": 0.15299402177333832, "loss.churn": 0.651024341583252,
+             "total": 0.8040183782577515, "val_auprc.risk": 0.6083333333333333,
+             "val_auprc.churn": 0.8095238095238095},
+            {"step": 4, "loss.risk": 0.16608527302742004, "loss.churn": 0.6183924674987793,
+             "total": 0.784477710723877},
+            {"step": 5, "loss.risk": 0.1828915923833847, "loss.churn": 0.6303713917732239,
+             "total": 0.8132629990577698, "val_auprc.risk": 0.5845238095238094,
+             "val_auprc.churn": 0.8333333333333333},
+            {"step": 0, "loss.risk": 0.180012047290802, "total": 0.180012047290802},
+            {"step": 1, "loss.risk": 0.1797809898853302, "total": 0.1797809898853302},
+            {"step": 2, "loss.risk": 0.16704192757606506, "total": 0.16704192757606506},
+        ]
 
 
 def two_task_setup():

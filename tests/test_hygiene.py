@@ -2,8 +2,9 @@
 `__all__` entries that name nothing in their module, RunConfig fields
 that nothing reads, one list of model fields, no hand-written parameter
 or buffer plumbing outside nn.Module, no writes into a `.data` array, no
-global mode besides `no_grad`, asset selection only in the encoder,
-snapshot values read only by IO, featurization and CutMix, no generator
+global mode besides `no_grad`, asset selection only in the encoder, the
+optimizer step only in the trainer, snapshot values read only by IO,
+featurization and CutMix, no generator
 seeded with a literal, no garbage-collector switches, no function or
 class that no other library line names, and no backward closure that
 holds a Tensor."""
@@ -293,6 +294,16 @@ def test_only_the_encoder_selects_assets():
     inputs, so two modules cannot disagree on the pick."""
     callers = [path.name for path in MODULES if calls_to(path.read_text(), "select_top_k_assets")]
     assert callers == ["encoder.py"]
+
+
+def test_only_the_trainer_takes_a_step():
+    """`optim.Trainer` builds the optimizer, backpropagates and steps for
+    both training stages, so its checks (a finite loss) and its schedule
+    hold for each. tensor.py's one `backward` call is the graph walk of
+    `Tensor.backward` calling each node's closure."""
+    callers = {name: [path.name for path in MODULES if calls_to(path.read_text(), name)]
+               for name in ("AdamW", "zero_grad", "backward")}
+    assert callers == {"AdamW": ["optim.py"], "zero_grad": ["optim.py"], "backward": ["optim.py", "tensor.py"]}
 
 
 # gc calls that change process-global collector state

@@ -8,7 +8,7 @@ from tabfusion.finetune import FinetuneConfig, finetune_loop
 from tabfusion.model import Model
 import tabfusion.nn as tfn
 from tabfusion.nn import SPECTRAL_EPS, Linear, Mlp, Module, SpectralLinear, advance_power_iteration, power_iteration
-from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError
+from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError, Trainer
 from tabfusion.pretrain import PretrainConfig, pretrain_loop
 from tabfusion.tensor import Tensor, no_grad, spectral_normalize
 
@@ -200,9 +200,9 @@ class TestInferenceWeightCache:
 
     def test_after_adamw_step(self, rng):
         layer, x = self.make(rng)
-        opt = AdamW({"weight": layer.weight, "bias": layer.bias}, lr=0.1)
+        opt = AdamW({"weight": layer.weight, "bias": layer.bias})
         (layer(x) ** 2.0).sum().backward()
-        opt.step()
+        opt.step(0.1)
         self.assert_fresh(layer, x)
 
     def test_after_an_explicit_power_iteration_advance(self, rng):
@@ -344,18 +344,18 @@ class TestModule:
 class TestAdamW:
     def test_zero_grad_no_decay_unchanged(self, rng):
         p = Tensor(np.ones(3), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.1)
+        opt = AdamW({"p": p})
         p.grad = np.zeros(3, dtype=p.dtype)
-        opt.step()
+        opt.step(0.1)
         np.testing.assert_array_equal(p.data, np.ones(3))
 
     def test_single_step_matches_closed_form(self):
         # scalar param, g=1, fresh moments: update = -lr * mhat/(sqrt(vhat)+eps)
         p = Tensor(np.array([0.0]), requires_grad=True)
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        opt = AdamW({"p": p}, lr=lr, betas=(b1, b2), eps=eps)
+        opt = AdamW({"p": p}, betas=(b1, b2), eps=eps)
         p.grad = np.array([1.0], dtype=p.dtype)
-        opt.step()
+        opt.step(lr)
         mhat = (1 - b1) * 1.0 / (1 - b1)
         vhat = (1 - b2) * 1.0 / (1 - b2)
         expected = -lr * mhat / (np.sqrt(vhat) + eps)
@@ -364,17 +364,17 @@ class TestAdamW:
 
     def test_decoupled_weight_decay(self):
         p = Tensor(np.array([2.0]), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.5)
+        opt = AdamW({"p": p}, weight_decay=0.5)
         p.grad = np.zeros(1, dtype=p.dtype)
-        opt.step()
+        opt.step(0.1)
         np.testing.assert_allclose(p.data, [2.0 * (1 - 0.1 * 0.5)], rtol=1e-6)
 
     def test_nan_gradient_aborts_with_name(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = AdamW({"theta": p}, lr=0.1)
+        opt = AdamW({"theta": p})
         p.grad = np.array([np.nan], dtype=p.dtype)
         with pytest.raises(NanGradientError, match="theta"):
-            opt.step()
+            opt.step(0.1)
         np.testing.assert_array_equal(p.data, [1.0])  # step aborted
 
     def test_deterministic(self, rng):
@@ -382,12 +382,82 @@ class TestAdamW:
         results = []
         for _ in range(2):
             p = Tensor(np.ones(5, dtype=np.float32), requires_grad=True)
-            opt = AdamW({"p": p}, lr=0.05, weight_decay=0.01)
+            opt = AdamW({"p": p}, weight_decay=0.01)
             for _ in range(10):
                 p.grad = g * 1.0
-                opt.step()
+                opt.step(0.05)
             results.append(p.data.copy())
         np.testing.assert_array_equal(results[0], results[1])
+
+
+class TestTrainer:
+    def test_pretrain_slots_give_every_parameter_and_spectral_layer(self):
+        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        trainer = Trainer(model.named_state(), CosineWarmupSchedule(), 0.0, 0)
+        expected = [
+            layer
+            for row in model.trunk.layers
+            for layer in (row.w_q, row.w_k, row.w_v, row.ffn.fc1, row.ffn.fc2, row.isa.project, row.isa.restore,
+                          row.isa.w_q, row.isa.w_k, row.isa.w_v, row.isa.ffn.fc1, row.isa.ffn.fc2)
+        ]
+        assert [id(layer) for layer in trainer.spectral] == [id(layer) for layer in expected]
+        assert trainer.params == model.parameters()
+
+    def test_finetune_slots_give_no_isa_layer(self, monkeypatch):
+        import tabfusion.finetune as ft
+
+        made = []
+
+        class Recording(Trainer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(ft, "Trainer", Recording)
+        schema = small_schema()
+        model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        finetune_loop(model, random_snapshots(schema, 12, seed=1), [TaskSpec("risk")],
+                      FinetuneConfig(steps=1, batch_size=4, d_rf=16, eval_every=1000))
+        (trainer,) = made
+        isa = {id(o) for path, o, key, _ in model.named_state() if ".isa." in path and key == "u"}
+        rows = {id(row.w_q) for row in model.trunk.layers}
+        spectral = {id(layer) for layer in trainer.spectral}
+        assert isa and not spectral & isa and rows <= spectral
+        assert not [path for path in trainer.params if ".isa." in path]
+
+    def test_step_returns_the_scheduled_rate_and_draws_distinct_rows(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        schedule = CosineWarmupSchedule(initial_lr=1e-2, warmup_steps=4, decay_steps=20)
+        trainer = Trainer([("p", None, "p", p)], schedule, 0.0, 0)
+        for step in (0, 3, 9):
+            assert trainer.step(step, (p * p).sum()) == schedule.lr_at(step)
+        assert trainer.opt.step_count == 3
+        assert len(set(trainer.batch(10, 4).tolist())) == 4 and sorted(trainer.batch(3, 8).tolist()) == [0, 1, 2]
+
+    def test_non_finite_loss_raises_before_any_parameter_moves(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        trainer = Trainer([("p", None, "p", p)], CosineWarmupSchedule(), 0.0, 0)
+        data = p.data
+        with pytest.raises(RuntimeError, match="non-finite loss at step 4"):
+            trainer.step(4, (p * np.nan).sum())
+        assert p.data is data and p.grad is None and trainer.opt.step_count == 0
+
+    @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+    def test_a_loop_on_a_non_finite_loss_names_the_step(self, stage):
+        # fine-tuning used to fail in AdamW naming the first parameter in
+        # its dict with a NaN gradient, not the loss
+        schema = FeatureSchema([FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], [TaskSpec("risk", 2)])
+        snaps = random_snapshots(schema, 8, seed=0)
+        for s in snaps:
+            s.values["x"] = float("nan")
+        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        before = {path: p.data for path, p in model.parameters().items()}
+        with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
+            if stage == "pretrain":
+                pretrain_loop(model, snaps, PretrainConfig(steps=2, batch_size=4))
+            else:
+                finetune_loop(model, snaps, [TaskSpec("risk")], FinetuneConfig(steps=2, batch_size=4, d_rf=16))
+        assert all(model.parameters()[path].data is data for path, data in before.items())
 
 
 class TestSchedule:
