@@ -347,7 +347,8 @@ def _column_converter(f: FeatureSpec, sidecar):
     the first for a repeated token), multi-categoricals sorted index tuples,
     embeddings sidecar vectors and multi-embeddings lists of Asset built from
     `offset[:timestamp[:engagement]]` parts joined by `;`. An empty cell is
-    None, () or [] by kind. A non-finite numeric or sidecar value fails.
+    None, () or [] by kind. A non-finite numeric, asset timestamp or
+    engagement, or sidecar value fails.
     """
     if f.kind == FeatureKind.NUMERIC:
         return lambda cells: _spread(cells, _finite(list(map(float, filter(None, cells)))))
@@ -388,7 +389,9 @@ def _column_converter(f: FeatureSpec, sidecar):
                 parts = [part + ":0" * (2 - n) for part, n in zip(parts, colons)]
             fields = ":".join(parts).split(":")
             vectors = _gather(sidecar, f, list(map(int, fields[0::3])))
-            assets = list(map(Asset, vectors, map(float, fields[1::3]), map(float, fields[2::3])))
+            timestamps = _finite(list(map(float, fields[1::3])))
+            engagements = _finite(list(map(float, fields[2::3])))
+            assets = list(map(Asset, vectors, timestamps, engagements))
         it = iter(assets)
         return [list(islice(it, n)) for n in counts]
 

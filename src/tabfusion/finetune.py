@@ -196,9 +196,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     and held-out rows once and trains only the task heads on those fixed
     features. Ends with a covariance pass over the training set for every
     task's head. Returns the loss curve: a record per step that trained or
-    evaluated. A batch with no row labeled for any task trains nothing, and
-    its record, if it evaluated, has no `total`. A non-finite loss raises
-    RuntimeError naming the step.
+    evaluated. A batch with no row labeled for any task runs no forward and
+    does not advance power iteration, and its record, if it evaluated, has
+    no `total`. A non-finite loss raises RuntimeError naming the step.
 
     Rows named by `val_indices` are held out of training. Every
     `cfg.eval_every` steps, trained or not, each task's head is scored by
@@ -261,20 +261,20 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         idx = trainer.batch(len(train_set), cfg.batch_size)
         batch = [train_set[i] for i in idx]
         record = {"step": step}
-        if cfg.linear_probe:
-            pooled = Tensor(features[idx])
-        else:
-            advance_power_iteration(trainer.spectral)
-            x, mask = model.encoder.assemble_tokens(batch)
-            _, pooled = model.trunk(x, mask, mode="finetune")
+        # each task's labeled rows: a batch with none for any task runs no forward
+        labeled = [(t, [i for i, s in enumerate(batch) if s.labels.get(t.name) is not None]) for t in tasks]
+        labeled = [(t, rows) for t, rows in labeled if rows]
         total = None
-        for t in tasks:
-            labeled = [i for i, s in enumerate(batch) if s.labels.get(t.name) is not None]
-            if not labeled:
-                continue
-            probs = softmax(model.heads[t.name].logits(pooled[labeled]), axis=-1)
-            labels = [batch[i].labels[t.name] for i in labeled]
-            loss = focal_loss(probs, labels, t.gamma)
+        if labeled:
+            if cfg.linear_probe:
+                pooled = Tensor(features[idx])
+            else:
+                advance_power_iteration(trainer.spectral)
+                x, mask = model.encoder.assemble_tokens(batch)
+                _, pooled = model.trunk(x, mask, mode="finetune")
+        for t, rows in labeled:
+            probs = softmax(model.heads[t.name].logits(pooled[rows]), axis=-1)
+            loss = focal_loss(probs, [batch[i].labels[t.name] for i in rows], t.gamma)
             record[f"loss.{t.name}"] = loss.item()
             total = loss if total is None else total + loss
         evaluate = val_tasks and (step + 1) % cfg.eval_every == 0

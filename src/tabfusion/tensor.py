@@ -546,34 +546,44 @@ def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> T
     return Tensor._make(data, (w,), bwd, "spectral_normalize")
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_mask=None) -> Tensor:
-    """softmax(q k^T / sqrt(dh) + mask) v over the tokens of [B, T, d]
-    inputs, as one graph node.
+def multi_head_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, heads: int = 1, key_mask=None) -> Tensor:
+    """softmax(q k^T / sqrt(dh) + mask) v over the tokens of x [B, T, d_in],
+    with q, k, v = x W_q^T, x W_k^T, x W_v^T, as one graph node.
 
-    The inputs are viewed as [B, H, T, dh] heads and the output merged back
-    into one [B, T, d] array; masked keys (key_mask [B, T] of 0/1) get -1e9
-    before the softmax. Axis B is walked in blocks of whole examples that
-    fit _BLOCK_BYTES, as ffn does. A block's attention weights are stored
-    keys-major, as [T_k, n, H, T_q], in one block-sized buffer: the mask
-    bias is added to contiguous [H, T_q] slices, and the softmax max and sum
-    reduce over the outer key axis, elementwise and in key order, so an
-    example's output is bitwise the same alone or in any batch. The logits,
-    softmax and product with v run in place in that buffer, and every
-    product reads the weights through a transposed view that BLAS takes as
-    it is.
+    The weights are [d, d_in]. Each projection is linear's row kernel on
+    W^T, so q, k and v are bitwise the three `linear` outputs and count
+    their products as linear does. They are viewed as [B, H, T, dh] heads
+    and the output merged back into one [B, T, d] array; masked keys
+    (key_mask [B, T] of 0/1) get -1e9 before the softmax. Axis B is walked
+    in blocks of whole examples that fit _BLOCK_BYTES, as ffn does. A
+    block's attention weights are stored keys-major, as [T_k, n, H, T_q], in
+    one block-sized buffer: the mask bias is added to contiguous [H, T_q]
+    slices, and the softmax max and sum reduce over the outer key axis,
+    elementwise and in key order, so an example's output is bitwise the same
+    alone or in any batch. The logits, softmax and product with v run in
+    place in that buffer, and every product reads the weights through a
+    transposed view that BLAS takes as it is.
 
-    The node keeps no weights, only the q, k and v head views and the mask
-    bias. Its backward recomputes each block's weights with the forward's
-    own calls (a shared `weights` closure), so they are bitwise the
-    forward's, and works in two block buffers: the weights and one for the
-    gradient at them.
+    The node keeps no q, k, v or attention weights, only x (which the
+    `layer_norm` before it keeps anyway), the three weights and the mask
+    bias. Its backward recomputes q, k and v and each block's weights with
+    the forward's own calls, so they are bitwise the forward's, and works
+    in two block buffers: the weights and one for the gradient at them. It
+    then takes linear's backward over the whole gradients at q, k and v:
+    each weight's gradient in one gemm over all rows, and x's as
+    gq W_q + gk W_k + gv W_v, summed in that order.
     """
     global _MAC_COUNT
-    if q.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % heads:
-        raise ShapeError("multi_head_attention", q.shape, k.shape, v.shape)
-    b, t, d = q.shape
+    ws = (w_q, w_k, w_v)
+    if (
+        x.ndim != 3 or any(w.ndim != 2 or w.shape != w_q.shape for w in ws)
+        or w_q.shape[1] != x.shape[-1] or w_q.shape[0] % heads
+    ):
+        raise ShapeError("multi_head_attention", x.shape, *(w.shape for w in ws))
+    b, t, d_in = x.shape
+    d = w_q.shape[0]
     dh = d // heads
-    dtype = np.result_type(q.data, k.data)
+    xd, wd = x.data, tuple(w.data for w in ws)
     scale = 1.0 / math.sqrt(dh)
 
     def split(a: np.ndarray) -> np.ndarray:  # a view of [n, T, d] as [n, H, T, dh]
@@ -582,13 +592,18 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
     def by_example(a: np.ndarray) -> np.ndarray:  # [T_k, n, H, T_q] as [n, H, T_k, T_q]
         return a.transpose(1, 2, 0, 3)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    def project() -> list[np.ndarray]:
+        """q, k and v as [B, H, T, dh] head views, by linear's own call."""
+        return [split(_row_product(xd, w.T)) for w in wd]
+
+    qh, kh, vh = project()
+    dtype = np.result_type(qh, kh)
     # [T_k, B] keys-major, so a block's bias broadcasts over [H, T_q]
     bias = None if key_mask is None else ((np.asarray(key_mask, dtype=np.float32) - 1.0) * 1e9).T
     blocks = _example_blocks(b, (heads * t * t + 4 * t * d) * dtype.itemsize)
     block = (t, blocks[0].stop if blocks else 0, heads, t)
 
-    def weights(s: slice, a: np.ndarray) -> None:
+    def weights(qh: np.ndarray, kh: np.ndarray, s: slice, a: np.ndarray) -> None:
         """The attention weights of the examples in s into a [T_k, n, H, T_q]."""
         np.matmul(kh[s], np.swapaxes(qh[s], -1, -2), out=by_example(a))
         a *= dtype.type(scale)
@@ -599,24 +614,29 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
         a /= np.add.reduce(a, axis=0)
 
     attn = np.empty(block, dtype=dtype)
-    data = np.empty(q.shape, dtype=np.result_type(dtype, v.data))
+    data = np.empty((b, t, d), dtype=np.result_type(dtype, vh))
     for s in blocks:
         a = attn[:, : s.stop - s.start]
-        weights(s, a)
+        weights(qh, kh, s, a)
         np.matmul(a.transpose(1, 2, 3, 0), vh[s], out=split(data[s]))
-    _MAC_COUNT += 2 * b * heads * t * t * dh
-    qn, kn, vn = q._node, k._node, v._node
+    _MAC_COUNT += 3 * b * t * d * d_in + 2 * b * heads * t * t * dh
+    xn, wn = x._node, tuple(w._node for w in ws)
 
     def bwd(g):
+        qh, kh, vh = project()
         gh = split(g)
-        want_qk = qn is not None or kn is not None
-        gq, gk, gv = (np.empty(n.shape, dtype=np.result_type(dtype, g)) if n is not None else None for n in (qn, kn, vn))
+        # x's gradient reads all three projection gradients, a weight's its own
+        gq, gk, gv = (
+            np.empty((b, t, d), dtype=np.result_type(dtype, g)) if xn is not None or n is not None else None
+            for n in wn
+        )
+        want_qk = gq is not None or gk is not None
         attn = np.empty(block, dtype=dtype)
         work = np.empty(block, dtype=np.result_type(g, vh)) if want_qk else None
         for s in blocks:
             n = s.stop - s.start
             a, gs = attn[:, :n], gh[s]
-            weights(s, a)
+            weights(qh, kh, s, a)
             if gv is not None:
                 np.matmul(by_example(a), gs, out=split(gv[s]))
             if not want_qk:
@@ -633,11 +653,17 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1, key_ma
                 np.matmul(ga.transpose(1, 2, 3, 0), kh[s], out=split(gq[s]))
             if gk is not None:
                 np.matmul(by_example(ga), qh[s], out=split(gk[s]))
-        for n, gx in zip((qn, kn, vn), (gq, gk, gv)):
-            if gx is not None:
-                n.accumulate(gx)
+        del qh, kh, vh, attn, work  # freed before x's gradient, so the loop holds the backward's peak
+        for n, gp in zip(wn, (gq, gk, gv)):
+            if n is not None:
+                n.accumulate(gp.reshape(-1, d).T @ xd.reshape(-1, d_in))
+        if xn is not None:
+            gx = np.matmul(gq, wd[0])
+            gx += np.matmul(gk, wd[1])
+            gx += np.matmul(gv, wd[2])
+            xn.accumulate(gx)
 
-    return Tensor._make(data, (q, k, v), bwd, "multi_head_attention")
+    return Tensor._make(data, (x, *ws), bwd, "multi_head_attention")
 
 
 def numeric_encoding(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import Linear, Mlp, Module, SpectralLinear
-from .tensor import Tensor, ShapeError, layer_norm, multi_head_attention, no_grad
+from .tensor import Tensor, layer_norm, multi_head_attention, no_grad
 
 __all__ = ["TrunkConfig", "attention", "IsaBlock", "TrunkLayer", "Trunk"]
 
@@ -43,12 +43,15 @@ class TrunkConfig:
 def attention(x: Tensor, w_q: Linear, w_k: Linear, w_v: Linear, heads: int = 1, key_mask=None) -> Tensor:
     """Scaled dot-product attention over the token axis of x [B, T, d].
 
-    Three projection nodes, then one `multi_head_attention` node: multi-head
-    split/merge when heads > 1; masked keys get -1e9 pre-softmax.
+    One `multi_head_attention` node over x and the effective weights of the
+    three projection layers: multi-head split/merge when heads > 1; masked
+    keys get -1e9 pre-softmax. The node keeps x and the weights, not the
+    projections q, k and v, and its backward recomputes them; the layers
+    stay modules, so parameter names do not change.
     """
-    if x.ndim != 3:
-        raise ShapeError("attention", x.shape)
-    return multi_head_attention(w_q(x), w_k(x), w_v(x), heads, key_mask)
+    return multi_head_attention(
+        x, w_q.effective_weight(), w_k.effective_weight(), w_v.effective_weight(), heads, key_mask
+    )
 
 
 class IsaBlock(Module):

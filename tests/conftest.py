@@ -3,6 +3,8 @@ import pytest
 
 from tabfusion.data import Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.tensor import (
+    Node,
+    Tensor,
     concat,
     ffn,
     gelu,
@@ -63,10 +65,51 @@ def every_op(x, w):
         x.tanh(), x.sin(), x.cos(), x.clip_min(0.0), x.reshape(12), x.transpose(1, 0),
         concat([x, h], axis=1), x.sum(), x.mean(axis=0), softmax(x), log_softmax(x), layer_norm(x), gelu(x),
         linear(x, w), linear(x3, w, w[2]), spectral_normalize(w, su[:, 0], svt[0], 1e-8),
-        multi_head_attention(x3, x3 * 2.0, x3, heads=3, key_mask=np.array([[1.0, 0.0], [1.0, 1.0]])),
+        multi_head_attention(x3, w, w * 2.0, w.transpose(1, 0), heads=3, key_mask=np.array([[1.0, 0.0], [1.0, 1.0]])),
         numeric_encoding(x, np.eye(4, 3), [w[0], w[1], w[2]], [x[:2].reshape(6)] * 3),
         ffn(x, w, w[0], w, w[1]), ffn(x3, w * 2.0, w[2], w, w[0]),
     ]
+
+
+def held_values(root) -> list[tuple[str, object]]:
+    """(path, value) for every Tensor and numpy array that `root` reaches
+    through closure cells, nested closures included, tuples, lists, dicts
+    and graph nodes (a node's parents and closure). Each object is visited
+    once; a path is the dotted names of the cells on the way."""
+    found, seen = [], set()
+
+    def visit(v, path):
+        if id(v) in seen:
+            return
+        seen.add(id(v))
+        if isinstance(v, (Tensor, np.ndarray)):
+            found.append((path, v))
+        elif isinstance(v, Node):
+            visit(v.backward, f"{path}.backward")
+            for i, p in enumerate(v.parents):
+                visit(p, f"{path}.parents[{i}]")
+        elif isinstance(v, (tuple, list)):
+            for i, item in enumerate(v):
+                visit(item, f"{path}[{i}]")
+        elif isinstance(v, dict):
+            for k, item in v.items():
+                visit(item, f"{path}[{k!r}]")
+        elif callable(v) and getattr(v, "__closure__", None):
+            for name, cell in zip(v.__code__.co_freevars, v.__closure__):
+                try:
+                    contents = cell.cell_contents
+                except ValueError:  # a cell not yet assigned
+                    continue
+                visit(contents, f"{path}.{name}")
+
+    visit(root, "root")
+    return found
+
+
+def graph_arrays(*nodes) -> list[np.ndarray]:
+    """Every array the backward closures of the graph upstream of `nodes`
+    hold (a held Tensor gives its value)."""
+    return [v.data if isinstance(v, Tensor) else v for _, v in held_values(nodes)]
 
 
 def small_schema(with_assets=True):

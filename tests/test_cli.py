@@ -155,6 +155,20 @@ class TestMalformedData:
         assert err.startswith("error:data: non-finite value") and "(row 5, feature 'age')" in err
         assert not (workspace / "model.ckpt").exists()
 
+    def test_pretrain_on_a_non_finite_asset_timestamp_exits_4(self, workspace, capsys):
+        # float() accepts these: the cell loaded, and the recency pick of its
+        # assets depended on their order
+        rewrite_cell(workspace, 5, "creatives", "0:nan:0;2:5:0;4:3:0;6:inf:0")
+        rc = main(
+            ["--config", str(workspace / "config.json"), "pretrain"]
+            + base_args(workspace)[2:]
+            + ["--steps", "2", "--out-checkpoint", str(workspace / "model.ckpt")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert err.startswith("error:data: non-finite value") and "(row 5, feature 'creatives')" in err
+        assert not (workspace / "model.ckpt").exists()
+
     def test_finetune_on_a_non_finite_sidecar_vector_exits_4(self, workspace, capsys):
         # the NaN vector loaded, and training exited 1 naming a numeric
         # feature's parameter, not the embedding

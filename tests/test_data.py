@@ -215,8 +215,9 @@ def datasets(draw):
     """(schema, snapshots) over all five kinds with missing cells, string
     vocabularies (categorical and multi-categorical), empty asset lists and
     vectors drawn from a small pool. A multi-categorical token holds no "|",
-    the separator of its cell. Numerics and vectors are finite: the loader
-    refuses a non-finite one (TestLoaderErrors)."""
+    the separator of its cell. Numerics, asset timestamps and engagements
+    and vectors are finite: the loader refuses a non-finite one
+    (TestLoaderErrors)."""
     features = []
     for i, kind in enumerate(draw(st.lists(st.sampled_from(FeatureKind.ALL), min_size=1, max_size=6))):
         size = draw(st.integers(1, 4))
@@ -229,7 +230,6 @@ def datasets(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     vec = st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=4, max_size=4).map(lambda v: np.array(v, dtype=np.float32))
     pool = draw(st.lists(vec, min_size=1, max_size=3))  # a feature of dim d takes the first d entries
-    floats = st.floats(allow_nan=False)
     snaps = []
     for _ in range(draw(st.integers(0, 8))):
         values = {}
@@ -244,8 +244,8 @@ def datasets(draw):
                 values[f.name] = None if draw(st.booleans()) else draw(st.sampled_from(pool))[: f.dim].copy()
             else:
                 values[f.name] = [
-                    Asset(draw(st.sampled_from(pool))[: f.dim].copy(), draw(st.just(0.0) | floats),
-                          draw(st.just(0.0) | floats))
+                    Asset(draw(st.sampled_from(pool))[: f.dim].copy(), draw(st.just(0.0) | finite),
+                          draw(st.just(0.0) | finite))
                     for _ in range(draw(st.integers(0, 3)))
                 ]
         labels = {t.name: draw(st.none() | st.integers(0, t.classes - 1)) for t in tasks}
@@ -451,6 +451,14 @@ class TestLoaderErrors:
         with pytest.raises(DataError, match="non-finite") as err:
             load_dataset(data, schema, emb)
         assert (err.value.row, err.value.feature) == (7, column)
+
+    @pytest.mark.parametrize("cell", ["0:nan:0;2:5:0;4:3:0;6:inf:0", "2:5:0;4:3:0;6:inf:0;0:nan:0", "0:1:0;2:3:-inf"])
+    def test_non_finite_asset_timestamp_or_engagement_names_its_row(self, tmp_path, cell):
+        # float() accepts these: the first two cells loaded, and the recency
+        # pick of their assets then depended on the assets' order
+        with pytest.raises(DataError, match="non-finite value") as err:
+            load_dataset(*malformed_dataset(tmp_path, ("a", cell)))
+        assert (err.value.row, err.value.feature) == (7, "a")
 
     def test_a_non_finite_sidecar_value_no_row_references_loads(self, tmp_path):
         data, schema, emb = malformed_dataset(tmp_path)

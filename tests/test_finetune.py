@@ -15,10 +15,12 @@ from tabfusion.finetune import (
     focal_loss,
     predict_scores,
 )
+import tabfusion.finetune as finetune_mod
 from tabfusion.metrics import auprc, auroc
 from tabfusion.model import Model
 import tabfusion.tensor as tensor_mod
 from tabfusion.tensor import Tensor, linear, softmax
+from tabfusion.trunk import Trunk
 
 
 class TestRandomFeatures:
@@ -504,6 +506,31 @@ class TestFinetuneLoop:
         untrained = [rec for rec in curve if "total" not in rec]
         assert untrained and all(set(rec) == {"step", "val_auprc.risk"} for rec in untrained)
         assert all("loss.risk" in rec for rec in curve if "total" in rec)
+
+    def test_a_batch_with_no_labeled_row_runs_no_forward(self, monkeypatch):
+        # such a batch ran the encoder and the trunk, and advanced power
+        # iteration, then threw the result away: 40 trunk calls for 11 steps
+        _, snaps, model = separable_setup(n=52)
+        for i, s in enumerate(snaps[10:]):
+            if i % 7:
+                s.labels["risk"] = None
+        calls, trunk_call, advance = [], Trunk.__call__, finetune_mod.advance_power_iteration
+
+        def counting_trunk(self, x, mask=None, mode="inference"):
+            calls.append(mode)
+            return trunk_call(self, x, mask, mode)
+
+        def counting_advance(layers):
+            calls.append("advance")
+            advance(layers)
+
+        monkeypatch.setattr(Trunk, "__call__", counting_trunk)
+        monkeypatch.setattr(finetune_mod, "advance_power_iteration", counting_advance)
+        cfg = quick_cfg(steps=40, batch_size=2, eval_every=4, patience=100)
+        curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg, list(range(10)))
+        trained = [rec for rec in curve if "total" in rec]
+        assert len(trained) == 11
+        assert calls.count("finetune") == calls.count("advance") == len(trained)
 
     def test_curve_is_pinned(self):
         # captured before the training step moved into optim.Trainer: two

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import every_op, small_schema
+from conftest import every_op, held_values, small_schema
 from tabfusion.checkpoint import load_checkpoint
 from tabfusion.config import RunConfig
 from tabfusion.model import Model
@@ -438,37 +438,8 @@ def test_every_library_function_and_class_is_named_elsewhere():
 
 
 def tensors_held(value) -> list[str]:
-    """Paths to every Tensor that `value` reaches through closure cells,
-    nested closures included, tuples, lists, dicts and graph nodes (a node's
-    parents and closure), each as the dotted names of the cells on the way."""
-    found, seen = [], set()
-
-    def visit(v, path):
-        if id(v) in seen:
-            return
-        seen.add(id(v))
-        if isinstance(v, Tensor):
-            found.append(path)
-        elif isinstance(v, Node):
-            visit(v.backward, f"{path}.backward")
-            for i, p in enumerate(v.parents):
-                visit(p, f"{path}.parents[{i}]")
-        elif isinstance(v, (tuple, list)):
-            for i, item in enumerate(v):
-                visit(item, f"{path}[{i}]")
-        elif isinstance(v, dict):
-            for k, item in v.items():
-                visit(item, f"{path}[{k!r}]")
-        elif callable(v) and getattr(v, "__closure__", None):
-            for name, cell in zip(v.__code__.co_freevars, v.__closure__):
-                try:
-                    contents = cell.cell_contents
-                except ValueError:  # a cell not yet assigned
-                    continue
-                visit(contents, f"{path}.{name}")
-
-    visit(value, "root")
-    return found
+    """Paths to every Tensor that `value` reaches (`conftest.held_values`)."""
+    return [path for path, v in held_values(value) if isinstance(v, Tensor)]
 
 
 def test_closure_scanner_finds_tensors_in_cells_nested_closures_containers_and_nodes():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import every_op, fd_gradient_check, small_schema
+from conftest import every_op, fd_gradient_check, graph_arrays, small_schema
 from tabfusion.model import Model
 import tabfusion.tensor as tensor_mod
 from tabfusion.tensor import (
@@ -405,22 +405,26 @@ class TestOneNodeOps:
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     def test_attention_gradient(self, heads, masked, rng):
-        q, k, v = (t64(rng.standard_normal((2, 3, 4))) for _ in range(3))
+        x, ws = attention_leaves(rng, 2, 3, 4, d_in=5)  # the projections take d_in 5 to d 4
         mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]) if masked else None
         c = t64(rng.standard_normal((2, 3, 4)), grad=False)
-        assert multi_head_attention(q, k, v, heads, mask)._node.parents == (q._node, k._node, v._node)
+        assert multi_head_attention(x, *ws, heads, mask)._node.parents == tuple(t._node for t in (x, *ws))
 
         def build():
-            return (multi_head_attention(q, k, v, heads, mask) * c).sum()
+            return (multi_head_attention(x, *ws, heads, mask) * c).sum()
 
-        assert fd_gradient_check(build, [q, k, v]) < 1e-4
+        assert fd_gradient_check(build, [x, *ws]) < 1e-4
 
     def test_attention_shape_errors(self):
-        x = Tensor(np.ones((2, 3, 4)))
+        x, w = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 4)))
         with pytest.raises(ShapeError):
-            multi_head_attention(x, x, Tensor(np.ones((2, 3, 2))))
+            multi_head_attention(x, w, w, Tensor(np.ones((2, 4))))
         with pytest.raises(ShapeError):
-            multi_head_attention(x, x, x, heads=3)
+            multi_head_attention(x, w, w, w, heads=3)
+        with pytest.raises(ShapeError):
+            multi_head_attention(x, *[Tensor(np.ones((4, 3)))] * 3)
+        with pytest.raises(ShapeError):
+            multi_head_attention(Tensor(np.ones((3, 4))), w, w, w)
 
     def test_numeric_encoding_gradient(self, rng):
         b, n, h = 5, 3, 4
@@ -574,10 +578,89 @@ class TestFfn:
         assert np.array_equal(xt.grad, got)
 
 
+def qkv_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask) -> Tensor:
+    """The attention node over q, k and v that `multi_head_attention` was
+    before it took over their projections, kept verbatim (less its shape
+    check and product count) as the reference its bits are checked against:
+    three `linear` nodes feeding this one make the old composition."""
+    b, t, d = q.shape
+    dh = d // heads
+    dtype = np.result_type(q.data, k.data)
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):
+        return a.reshape(a.shape[0], t, heads, dh).transpose(0, 2, 1, 3)
+
+    def by_example(a):
+        return a.transpose(1, 2, 0, 3)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    bias = None if key_mask is None else ((np.asarray(key_mask, dtype=np.float32) - 1.0) * 1e9).T
+    blocks = tensor_mod._example_blocks(b, (heads * t * t + 4 * t * d) * dtype.itemsize)
+    block = (t, blocks[0].stop if blocks else 0, heads, t)
+
+    def weights(s, a):
+        np.matmul(kh[s], np.swapaxes(qh[s], -1, -2), out=by_example(a))
+        a *= dtype.type(scale)
+        if bias is not None:
+            a += bias[:, s, None, None]
+        a -= np.maximum.reduce(a, axis=0)
+        np.exp(a, out=a)
+        a /= np.add.reduce(a, axis=0)
+
+    attn = np.empty(block, dtype=dtype)
+    data = np.empty(q.shape, dtype=np.result_type(dtype, v.data))
+    for s in blocks:
+        a = attn[:, : s.stop - s.start]
+        weights(s, a)
+        np.matmul(a.transpose(1, 2, 3, 0), vh[s], out=split(data[s]))
+    qn, kn, vn = q._node, k._node, v._node
+
+    def bwd(g):
+        gh = split(g)
+        want_qk = qn is not None or kn is not None
+        gq, gk, gv = (np.empty(n.shape, dtype=np.result_type(dtype, g)) if n is not None else None for n in (qn, kn, vn))
+        attn = np.empty(block, dtype=dtype)
+        work = np.empty(block, dtype=np.result_type(g, vh)) if want_qk else None
+        for s in blocks:
+            n = s.stop - s.start
+            a, gs = attn[:, :n], gh[s]
+            weights(s, a)
+            if gv is not None:
+                np.matmul(by_example(a), gs, out=split(gv[s]))
+            if not want_qk:
+                continue
+            ga = work[:, :n]
+            np.matmul(vh[s], np.swapaxes(gs, -1, -2), out=by_example(ga))
+            ga *= a
+            a *= np.add.reduce(ga, axis=0)
+            ga -= a
+            ga *= ga.dtype.type(scale)
+            if gq is not None:
+                np.matmul(ga.transpose(1, 2, 3, 0), kh[s], out=split(gq[s]))
+            if gk is not None:
+                np.matmul(by_example(ga), qh[s], out=split(gk[s]))
+        for n, gx in zip((qn, kn, vn), (gq, gk, gv)):
+            if gx is not None:
+                n.accumulate(gx)
+
+    return Tensor._make(data, (q, k, v), bwd, "qkv_attention")
+
+
+def attention_leaves(rng, b, t, d, dtype=np.float64, d_in=None):
+    """x [b, t, d_in] and three [d, d_in] weights scaled by 1/sqrt(d_in), as
+    leaves that require grad."""
+    d_in = d if d_in is None else d_in
+    x = Tensor(rng.standard_normal((b, t, d_in)).astype(dtype), requires_grad=True)
+    ws = [Tensor((rng.standard_normal((d, d_in)) / math.sqrt(d_in)).astype(dtype), requires_grad=True) for _ in range(3)]
+    return x, ws
+
+
 class TestBlockedAttention:
     """multi_head_attention walks axis 0 in blocks of whole examples of
-    _BLOCK_BYTES, as ffn does, keeping no attention weights: its backward
-    recomputes them block by block."""
+    _BLOCK_BYTES, as ffn does, keeping no attention weights and no
+    projections: its backward recomputes q, k and v, then the weights block
+    by block."""
 
     @staticmethod
     def spy_blocks(monkeypatch):
@@ -596,49 +679,51 @@ class TestBlockedAttention:
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     def test_gradient_over_blocks_with_a_tail(self, heads, masked, rng, monkeypatch):
         b, t, d = 5, 3, 4
-        q, k, v = (t64(rng.standard_normal((b, t, d))) for _ in range(3))
+        x, ws = attention_leaves(rng, b, t, d)
         mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         mask = mask if masked else None
         c = t64(rng.standard_normal((b, t, d)), grad=False)
         with no_grad():
-            whole = multi_head_attention(q, k, v, heads, mask).data
+            whole = multi_head_attention(x, *ws, heads, mask).data
         # two float64 examples per block, so a batch of 5 ends in a block of one
         monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 2 * (heads * t * t + 4 * t * d) * 8)
         sizes = self.spy_blocks(monkeypatch)
-        out = multi_head_attention(q, k, v, heads, mask)
-        assert sizes == [[2, 2, 1]] and out._node.parents == (q._node, k._node, v._node)
+        out = multi_head_attention(x, *ws, heads, mask)
+        assert sizes == [[2, 2, 1]] and out._node.parents == tuple(a._node for a in (x, *ws))
         assert np.array_equal(out.data, whole)
 
         def build():
-            return (multi_head_attention(q, k, v, heads, mask) * c).sum()
+            return (multi_head_attention(x, *ws, heads, mask) * c).sum()
 
-        assert fd_gradient_check(build, [q, k, v]) < 1e-4
+        assert fd_gradient_check(build, [x, *ws]) < 1e-4
 
     @pytest.mark.parametrize("heads", [1, 8])
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     def test_one_example_alone_is_bitwise_its_rows_of_a_multi_block_batch(self, heads, masked, rng, monkeypatch):
         b, t, d = 130, 16, 32
-        q, k, v = (Tensor(rng.standard_normal((b, t, d)).astype(np.float32), requires_grad=True) for _ in range(3))
+        x, ws = attention_leaves(rng, b, t, d, np.float32)
         mask = None
         if masked:
             mask = (rng.random((b, t)) < 0.7).astype(np.float32)
             mask[:, 0] = 1.0
         sizes = self.spy_blocks(monkeypatch)
         with no_grad():
-            got = multi_head_attention(q, k, v, heads, mask).data
+            got = multi_head_attention(x, *ws, heads, mask).data
         assert len(sizes[0]) >= 3 and sizes[0][-1] < sizes[0][0]  # ends in a partial block
         # the graph-recording forward runs the same blocks: same bits
-        assert np.array_equal(multi_head_attention(q, k, v, heads, mask).data, got)
+        assert np.array_equal(multi_head_attention(x, *ws, heads, mask).data, got)
         with no_grad():
             for i in (0, 31, 32, 64, b - 1):
-                one = [Tensor(a.data[i : i + 1]) for a in (q, k, v)]
-                alone = multi_head_attention(*one, heads, None if mask is None else mask[i : i + 1]).data
+                alone = multi_head_attention(Tensor(x.data[i : i + 1]), *ws, heads, None if mask is None else mask[i : i + 1]).data
                 assert np.array_equal(alone, got[i : i + 1])
 
     @staticmethod
-    def oracle(q, k, v, g, heads, mask):
-        """The attention and its input gradients for upstream g, composed
-        from plain numpy on [B, H, T, dh] heads with query-major weights."""
+    def oracle(x, ws, g, heads, mask):
+        """The attention and its gradients at x and the three weights for
+        upstream g, composed from plain numpy: the projections, then
+        [B, H, T, dh] heads with query-major weights."""
+        wq, wk, wv = ws
+        q, k, v = x @ wq.T, x @ wk.T, x @ wv.T
         b, t, d = q.shape
         dh = d // heads
 
@@ -654,80 +739,117 @@ class TestBlockedAttention:
         w /= w.sum(axis=-1, keepdims=True)
         gw = gh @ vh.swapaxes(-1, -2)
         gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) / math.sqrt(dh)
-        return merge(w @ vh), merge(gl @ kh), merge(gl.swapaxes(-1, -2) @ qh), merge(w.swapaxes(-1, -2) @ gh)
+        gq, gk, gv = merge(gl @ kh), merge(gl.swapaxes(-1, -2) @ qh), merge(w.swapaxes(-1, -2) @ gh)
+        rows = x.reshape(-1, x.shape[-1])
+        return (merge(w @ vh), gq @ wq + gk @ wk + gv @ wv, *(gp.reshape(-1, d).T @ rows for gp in (gq, gk, gv)))
 
     def test_matches_a_plain_numpy_oracle_in_float64(self, rng):
         b, t, d, heads = 6, 16, 32, 8
-        q, k, v = (t64(rng.standard_normal((b, t, d))) for _ in range(3))
+        x, ws = attention_leaves(rng, b, t, d)
         g = rng.standard_normal((b, t, d))
         mask = (rng.random((b, t)) < 0.6).astype(np.float64)
         mask[:, 3] = 1.0
         mask[2] = 0.0
         mask[2, 9] = 1.0  # a single real key: every query puts all its weight there
-        out = multi_head_attention(q, k, v, heads, mask)
+        out = multi_head_attention(x, *ws, heads, mask)
         (out * Tensor(g)).sum().backward()
-        want = self.oracle(q.data, k.data, v.data, g, heads, mask)
-        for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+        want = self.oracle(x.data, [w.data for w in ws], g, heads, mask)
+        for got, ref in zip((out.data, x.grad, *(w.grad for w in ws)), want):
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
         # example 2 outputs v's row 9 for every query
-        np.testing.assert_allclose(out.data[2], np.broadcast_to(v.data[2, 9], (t, d)), rtol=1e-12)
-        assert np.abs(q.grad[2]).max() < 1e-12 * np.abs(q.grad).max()
+        wv = ws[2].data
+        np.testing.assert_allclose(out.data[2], np.broadcast_to(x.data[2, 9] @ wv.T, (t, d)), rtol=1e-12)
+        # and its gradient at q vanishes: x's gradient comes only through v's row 9
+        assert np.abs(np.delete(x.grad[2], 9, axis=0)).max() < 1e-12 * np.abs(x.grad).max()
+        np.testing.assert_allclose(x.grad[2, 9], g[2].sum(axis=0) @ wv, rtol=1e-12)
+
+    def test_is_bitwise_three_linear_nodes_and_an_attention_over_q_k_v(self, rng):
+        """At default width (d 32, 8 heads, 16 tokens) in float32, masked and
+        over blocks that end in a partial one, the output and the gradients
+        at x and all three weights are byte for byte those of the
+        composition the node replaced: three `linear` nodes feeding
+        `qkv_attention`."""
+        b, t, d, heads = 70, 16, 32, 8
+        x, ws = attention_leaves(rng, b, t, d, np.float32)
+        mask = (rng.random((b, t)) < 0.7).astype(np.float32)
+        mask[:, 0] = 1.0
+        g = Tensor(rng.standard_normal((b, t, d)).astype(np.float32))
+        out = multi_head_attention(x, *ws, heads, mask)
+        (out * g).sum().backward()
+        leaves = [Tensor(a.data, requires_grad=True) for a in (x, *ws)]
+        ref = qkv_attention(*(linear(leaves[0], w) for w in leaves[1:]), heads, mask)
+        (ref * g).sum().backward()
+        assert len(tensor_mod._example_blocks(b, (heads * t * t + 4 * t * d) * 4)) == 3  # 32, 32 and 6
+        for got, want in zip((out.data, x.grad, *(w.grad for w in ws)), (ref.data, *(a.grad for a in leaves))):
+            assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_node_keeps_no_weights_and_backward_two_work_blocks(self, rng, monkeypatch):
-        """tracemalloc sees numpy buffers: the forward keeps its output and
-        nothing [T_k, B, H, T_q]-sized, and at its peak holds one block of
-        weights beside the output. Beyond q, k and v's gradients and out's
-        upstream gradient, the backward allocates two block-sized buffers
-        (the recomputed weights and the gradient at them) plus small arrays
+        """The node keeps x, the three weights and the mask bias, and
+        nothing else. tracemalloc sees numpy buffers: the forward keeps
+        its output and nothing [T_k, B, H, T_q]- or q-sized, and at its peak
+        holds q, k, v and one block of weights beside the output. Beyond
+        the recomputed q, k and v, their gradients and out's upstream
+        gradient, the backward allocates two block-sized buffers (the
+        recomputed weights and the gradient at them) plus small arrays
         (per-block key sums and numpy's bounded ufunc buffers)."""
         b, t, d, heads = 128, 16, 32, 8
         per_example = (heads * t * t + 4 * t * d) * 8
         monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 32 * per_example)  # four blocks
-        q, k, v = (t64(rng.standard_normal((b, t, d))) for _ in range(3))
+        x, ws = attention_leaves(rng, b, t, d)
         c = t64(rng.standard_normal((b, t, d)), grad=False)
         mask = (rng.random((b, t)) < 0.7).astype(np.float32)
         weights = t * b * heads * t * 8  # 2 MiB
         work = 32 * heads * t * t * 8  # 512 KiB
+        projection = b * t * d * 8  # 512 KiB, one of q, k and v
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = multi_head_attention(q, k, v, heads, mask)
+            out = multi_head_attention(x, *ws, heads, mask)
             kept, forward_peak = (m - before for m in tracemalloc.get_traced_memory())
+            held = graph_arrays(out._node)  # before the backward frees the graph
             loss = (out * c).sum()
             tracemalloc.reset_peak()
             loss.backward()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert kept - out.data.nbytes < 0.05 * weights
-        assert work <= forward_peak - out.data.nbytes < 1.5 * work
-        grads = 3 * q.data.nbytes + out.data.nbytes
+        assert kept - out.data.nbytes < 0.05 * min(weights, projection)
+        assert all(any(a is leaf.data for a in held) for leaf in (x, *ws))
+        assert sorted(a.shape for a in held) == [(t, b), (d, d), (d, d), (d, d), (b, t, d)]  # the bias is keys-major
+        assert 3 * projection + work <= forward_peak - out.data.nbytes < 3 * projection + 1.5 * work
+        grads = 6 * projection + out.data.nbytes
         assert 2 * work <= peak - kept - grads < 2.5 * work
-        assert q.grad is not None and k.grad is not None and v.grad is not None
+        assert x.grad is not None and all(w.grad is not None for w in ws)
 
     def test_backward_recomputes_the_forward_weights_bitwise(self, rng, monkeypatch):
-        """The backward's weights come from the forward's own calls: spying
-        on np.exp, the one call that writes each block's weights before
+        """The backward's projections and weights come from the forward's
+        own calls: spying on _row_product, the call that makes q, k and v,
+        and on np.exp, the one call that writes each block's weights before
         their normalization, sees the same arrays in both passes."""
         b, t, d, heads = 9, 5, 8, 2
         monkeypatch.setattr(tensor_mod, "_BLOCK_BYTES", 4 * (heads * t * t + 4 * t * d) * 4)
-        q, k, v = (Tensor(rng.standard_normal((b, t, d)).astype(np.float32), requires_grad=True) for _ in range(3))
+        x, ws = attention_leaves(rng, b, t, d, np.float32)
         mask = (rng.random((b, t)) < 0.7).astype(np.float32)
         mask[:, 0] = 1.0
-        seen, exp = [], np.exp
+        seen, exp, row_product = [], np.exp, tensor_mod._row_product
 
-        def spy(x, *args, **kwargs):
-            out = exp(x, *args, **kwargs)
-            seen.append(out.copy())
-            return out
+        def spying(fn):
+            def spy(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.append(out.copy())
+                return out
 
-        monkeypatch.setattr(tensor_mod.np, "exp", spy)
-        out = multi_head_attention(q, k, v, heads, mask)
+            return spy
+
+        monkeypatch.setattr(tensor_mod.np, "exp", spying(exp))
+        monkeypatch.setattr(tensor_mod, "_row_product", spying(row_product))
+        out = multi_head_attention(x, *ws, heads, mask)
         forward = seen[:]
         del seen[:]
         (out * out).sum().backward()
         monkeypatch.undo()
-        assert len(forward) == 3 and len(seen) == 3  # blocks of 4, 4 and 1 examples
+        assert len(forward) == 6 and len(seen) == 6  # q, k, v, then blocks of 4, 4 and 1 examples
         for a, r in zip(forward, seen):
             assert np.array_equal(a.view(np.uint32), r.view(np.uint32))
 

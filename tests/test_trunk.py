@@ -3,11 +3,12 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import graph_arrays
 import tabfusion.nn as nn_mod
 import tabfusion.tensor as tensor_mod
 import tabfusion.trunk as trunk_mod
 from tabfusion.nn import Linear
-from tabfusion.tensor import Tensor, mac_count, reset_mac_count
+from tabfusion.tensor import Tensor, linear, mac_count, no_grad, reset_mac_count
 from tabfusion.trunk import IsaBlock, Trunk, TrunkConfig, TrunkLayer, attention, masked_mean
 
 
@@ -208,32 +209,35 @@ class TestTrunk:
         x = Tensor(rng.standard_normal((b, t, 32)).astype(np.float32), requires_grad=True)
         tokens, pooled = trunk(x, mode="pretrain")
 
-        def arrays(value, seen):
-            if id(value) in seen:
-                return
-            seen.add(id(value))
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, Tensor):
-                yield value.data
-            elif isinstance(value, (tuple, list)):
-                for v in value:
-                    yield from arrays(v, seen)
-            elif callable(value) and getattr(value, "__closure__", None):
-                for cell in value.__closure__:
-                    yield from arrays(cell.cell_contents, seen)
-
-        nodes, stack, held, seen = set(), [tokens._node, pooled._node], [], set()
-        while stack:
-            node = stack.pop()
-            if id(node) in nodes:
-                continue
-            nodes.add(id(node))
-            stack.extend(node.parents)
-            held.extend(arrays(node.backward, seen))
-        assert len(nodes) > 50 and held
+        held = graph_arrays(tokens._node, pooled._node)
+        assert len(held) > 50
         hidden = [a.shape for a in held if a.ndim and a.shape[-1] == cfg.ffn_dim and a.size == b * t * cfg.ffn_dim]
         assert hidden == []
+
+    def test_pretrain_graph_keeps_no_attention_projection(self, rng, monkeypatch):
+        """No closure of a pretrain-mode graph holds the q, k or v of a row
+        attention ([B, T, d]) or of ISA's attention ([1, B, d']), nor a view
+        of one: each attention node keeps its input and the three weights,
+        and its backward recomputes the projections."""
+        b, t, cfg = 3, 8, self.cfg(d=32, n_tokens=8, heads=8, ffn_dim=512, d_prime=128)
+        trunk = Trunk(cfg, rng)
+        inputs, projections, attend = [], [], trunk_mod.multi_head_attention
+
+        def spy(x, w_q, w_k, w_v, heads=1, key_mask=None):
+            inputs.append(x.data)
+            with no_grad():
+                projections.extend(linear(x, w).data for w in (w_q, w_k, w_v))
+            return attend(x, w_q, w_k, w_v, heads, key_mask)
+
+        monkeypatch.setattr(trunk_mod, "multi_head_attention", spy)
+        x = Tensor(rng.standard_normal((b, t, cfg.d)).astype(np.float32), requires_grad=True)
+        tokens, pooled = trunk(x, mode="pretrain")
+        monkeypatch.undo()
+        assert [p.shape for p in projections] == ([(b, t, cfg.d)] * 3 + [(1, b, cfg.d_prime)] * 3) * cfg.n_layers
+        owners = [a if a.base is None else a.base for a in graph_arrays(tokens._node, pooled._node)]
+        assert all(any(o is a for o in owners) for a in inputs)  # each node keeps its input
+        kept = [p.shape for p in projections if any(o.shape == p.shape and np.array_equal(o, p) for o in owners)]
+        assert kept == []
 
     def test_pretrain_graph_frees_the_values_no_backward_reads(self, rng, monkeypatch):
         """Once a pretrain-mode forward returns and the caller holds only the
