@@ -136,6 +136,18 @@ def load_benchmark_csv(path, dataset_name: str):
     return schema, snapshots
 
 
+HASH_CHUNK_BYTES = 1 << 20
+
+
+def file_sha256(path) -> str:
+    """Hex SHA-256 of the file's bytes, read HASH_CHUNK_BYTES at a time."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def run_benchmark(
     dataset_name: str,
     config: RunConfig,
@@ -160,7 +172,7 @@ def run_benchmark(
     labels = [s.labels[task_name] for s in snapshots]
     split = make_folds(len(snapshots), config.folds, config.seed, labels=labels)
 
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = file_sha256(path)
     report = MetricsReport(
         dataset=dataset_name,
         manifest={

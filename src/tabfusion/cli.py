@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 missing input file,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -172,9 +171,7 @@ def _dry_run(args) -> int:
 def _write_manifest(out_path, cfg: RunConfig, inputs: dict, started: float) -> None:
     manifest = {
         "config": cfg.to_dict(),
-        "inputs": {
-            k: hashlib.sha256(Path(v).read_bytes()).hexdigest() for k, v in inputs.items() if v
-        },
+        "inputs": {k: bench.file_sha256(v) for k, v in inputs.items() if v},
         "wall_time_s": round(time.time() - started, 3),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -214,7 +211,8 @@ def cmd_finetune(args) -> int:
     tasks = [replace(declared.get(name, TaskSpec(name)), gamma=cfg.focal_gamma) for name in args.task]
     finetune_loop(model, snapshots, tasks, bench.finetune_config(cfg))
     model.save(args.out_checkpoint, cfg.to_dict())
-    _write_manifest(args.out_checkpoint, cfg, {"schema": args.schema, "data": args.data}, started)
+    inputs = {"schema": args.schema, "data": args.data, "init_checkpoint": args.init_checkpoint}
+    _write_manifest(args.out_checkpoint, cfg, inputs, started)
     return EXIT_OK
 
 

@@ -466,47 +466,56 @@ def normalize_split(schema, fit, *rest):
 
 def save_dataset(snapshots, schema, data_path, embeddings_path=None):
     """Inverse of load_dataset for round-tripping (numerics stay normalized:
-    the written schema carries identity normalization)."""
+    the written schema carries identity normalization). A value
+    load_dataset would refuse, a non-finite numeric or embedding value or
+    asset timestamp or engagement, raises DataError naming the snapshot's
+    index and the feature before anything is written."""
     emb_values = []
 
     def sidecar_offset(vec):
+        values = _finite(np.asarray(vec, dtype="<f4").tolist())
         off = len(emb_values)
-        emb_values.extend(np.asarray(vec, dtype="<f4").tolist())
+        emb_values.extend(values)
         return off
+
+    def cell(f: FeatureSpec, v) -> str:
+        if f.kind == FeatureKind.NUMERIC:
+            return "" if v is None else repr(_finite([float(v)])[0])
+        if f.kind == FeatureKind.CATEGORICAL:
+            if v is None:
+                return ""
+            return f.vocab[v] if f.vocab is not None else str(v)
+        if f.kind == FeatureKind.MULTI_CATEGORICAL:
+            return "|".join(f.vocab[i] if f.vocab is not None else str(i) for i in v)
+        if f.kind == FeatureKind.EMBEDDING:
+            return "" if v is None else str(sidecar_offset(v))
+        parts = []
+        for a in v or []:
+            _finite([float(a.timestamp), float(a.engagement)])
+            parts.append(f"{sidecar_offset(a.vector)}:{a.timestamp}:{a.engagement}")
+        return ";".join(parts)
+
+    rows = []
+    for i, snap in enumerate(snapshots):
+        row = []
+        for f in schema:
+            try:
+                row.append(cell(f, snap.values.get(f.name)))
+            except ValueError as e:
+                raise DataError(f"{e} in snapshot {i}", feature=f.name) from None
+        for t in schema.tasks:
+            lab = snap.labels.get(t.name)
+            row.append("" if lab is None else str(lab))
+        rows.append(row)
 
     out_schema = schema.copy()
     for f in out_schema.of_kind(FeatureKind.NUMERIC):
         f.normalization = {"mean": 0.0, "std": 1.0}
-
     header = [f.name for f in schema] + [f"label:{t.name}" for t in schema.tasks]
     with Path(data_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for snap in snapshots:
-            row = []
-            for f in schema:
-                v = snap.values.get(f.name)
-                if f.kind == FeatureKind.NUMERIC:
-                    row.append("" if v is None else repr(float(v)))
-                elif f.kind == FeatureKind.CATEGORICAL:
-                    if v is None:
-                        row.append("")
-                    else:
-                        row.append(f.vocab[v] if f.vocab is not None else str(v))
-                elif f.kind == FeatureKind.MULTI_CATEGORICAL:
-                    row.append("|".join(f.vocab[i] if f.vocab is not None else str(i) for i in v))
-                elif f.kind == FeatureKind.EMBEDDING:
-                    row.append("" if v is None else str(sidecar_offset(v)))
-                else:
-                    row.append(
-                        ";".join(
-                            f"{sidecar_offset(a.vector)}:{a.timestamp}:{a.engagement}" for a in (v or [])
-                        )
-                    )
-            for t in schema.tasks:
-                lab = snap.labels.get(t.name)
-                row.append("" if lab is None else str(lab))
-            writer.writerow(row)
+        writer.writerows(rows)
     if embeddings_path is not None:
         np.asarray(emb_values, dtype="<f4").tofile(embeddings_path)
     return out_schema

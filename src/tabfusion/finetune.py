@@ -23,6 +23,8 @@ __all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfi
 VARIANCE_BLOCK_ROWS = 4
 # Columns per cached panel of the upper-triangular variance factor.
 VARIANCE_PANEL_COLS = 128
+# Widest diagonal block the triangular inverse hands to a general inverse.
+INVERSE_LEAF = 64
 
 
 class SngpHead(Module):
@@ -82,19 +84,20 @@ class SngpHead(Module):
         For binary tasks p_i is the positive-class probability; multiclass
         uses the max-prob heuristic. Order-independent (a plain sum).
         """
-        phi = np.asarray(phi, dtype=np.float64)
+        # free the old precision and factor before the new ones are made
+        self.precision, self._factor = None, (None, None)
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim == 2:
             p = probs[:, 1] if probs.shape[1] == 2 else probs.max(axis=1)
         else:
             p = probs
-        # a^T a with a = phi sqrt(w): numpy's symmetric product, so lam is
-        # exactly symmetric
-        a = phi * np.sqrt(p * (1.0 - p))[:, None]
+        # a^T a with a = phi sqrt(w), weighted in one float64 copy of phi:
+        # numpy's symmetric product, so lam is exactly symmetric
+        a = np.array(phi, dtype=np.float64)
+        a *= np.sqrt(p * (1.0 - p))[:, None]
         lam = a.T @ a
         lam[np.diag_indices(self.d_rf)] += self.ridge
         self.precision = lam
-        self._factor = (None, None)  # free the old factor and precision now, not at the next variance
         return lam
 
     def variance(self, phi: np.ndarray) -> np.ndarray:
@@ -104,18 +107,20 @@ class SngpHead(Module):
         row's variance is |phi F|^2: O(d_rf^2) per row. F is upper
         triangular, so only its column panels of VARIANCE_PANEL_COLS are
         kept, panel [c0, c1) holding rows [0, c1). They are computed from
-        `precision` on first use (an O(d_rf^3) Cholesky factorisation and
-        inverse) and cached until another array is set as `precision`. Rows
-        are multiplied in zero-padded blocks of VARIANCE_BLOCK_ROWS, so every
-        kernel call has a shape fixed by the panel alone and a row's variance
-        is bitwise the same alone or in any batch.
+        `precision` on first use (an O(d_rf^3) Cholesky factorisation and a
+        triangular inverse made in place in L) and cached until another array
+        is set as `precision`. Rows are multiplied in zero-padded blocks of
+        VARIANCE_BLOCK_ROWS, so every kernel call has a shape fixed by the
+        panel alone and a row's variance is bitwise the same alone or in any
+        batch.
         """
         if self.precision is None:
             raise RuntimeError("covariance not fitted")
         if self._factor[0] is not self.precision:
-            f = np.linalg.inv(np.linalg.cholesky(self.precision)).T
+            self._factor = (None, None)  # the old panels go before the new are made
+            l_inv = _invert_lower(np.linalg.cholesky(self.precision))  # F^T
             panels = [
-                np.ascontiguousarray(f[: c0 + VARIANCE_PANEL_COLS, c0 : c0 + VARIANCE_PANEL_COLS])
+                np.ascontiguousarray(l_inv[c0 : c0 + VARIANCE_PANEL_COLS, : c0 + VARIANCE_PANEL_COLS].T)
                 for c0 in range(0, self.d_rf, VARIANCE_PANEL_COLS)
             ]
             self._factor = (self.precision, panels)
@@ -149,6 +154,29 @@ class SngpHead(Module):
         var = self.variance(phi_t.data)
         adjusted = logits / np.sqrt(1.0 + self.kappa * var)[:, None]
         return {"probs": softmax(Tensor(adjusted)).data, "variance": var, "calibrated": True}
+
+
+def _invert_lower(low: np.ndarray) -> np.ndarray:
+    """The inverse of the lower-triangular `low`, made in place in it.
+
+    With low = [[A, 0], [B, C]], the inverse is [[A^-1, 0], [-C^-1 B A^-1,
+    C^-1]]: both diagonal blocks are inverted in place, recursively, then B
+    is replaced through one B-sized temporary. Diagonal blocks of at most
+    INVERSE_LEAF columns are inverted by np.linalg.inv and their strictly
+    upper part zeroed. A and C split at a multiple of INVERSE_LEAF.
+    """
+    n = low.shape[0]
+    if n <= INVERSE_LEAF:
+        low[...] = np.tril(np.linalg.inv(low))
+        return low
+    h = -(-(n // 2) // INVERSE_LEAF) * INVERSE_LEAF
+    a, b, c = low[:h, :h], low[h:, :h], low[h:, h:]
+    _invert_lower(a)
+    _invert_lower(c)
+    ba = b @ a  # b's rows times A^-1, whose upper part is zero
+    np.matmul(c, ba, out=b)
+    np.negative(b, out=b)
+    return low
 
 
 def focal_loss(probs: Tensor, labels, gamma: float) -> Tensor:

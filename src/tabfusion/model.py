@@ -75,15 +75,15 @@ class Model(Module):
     @staticmethod
     def load(path, schema: FeatureSchema | None = None, config_dict: dict | None = None, **model_kwargs) -> "Model":
         """Rebuild a model, its heads and its training schema from the checkpoint
-        record alone, then set a copy of each file array, cast to the slot's
-        dtype, as the parameter's data or the buffer its name points to. The
-        constructors that build a fresh model build the tree, but its slots are
-        placeholders: the load draws no random number and runs no power
-        iteration, so every array the model ends with is the file's. A missing
-        array, a shape mismatch or an array that names no attribute raises
-        CheckpointError. `schema` (normalization aside), `config_dict` and
-        `model_kwargs` are only checked against the record: a mismatch raises
-        CheckpointError naming the feature or field."""
+        record alone, then set each array `load_checkpoint` read, cast to the
+        slot's dtype if it differs, as the parameter's data or the buffer its
+        name points to. The constructors that build a fresh model build the
+        tree, but its slots are placeholders: the load draws no random number
+        and runs no power iteration, so every array the model ends with is
+        the file's. A missing array, a shape mismatch or an array that names
+        no attribute raises CheckpointError. `schema` (normalization aside),
+        `config_dict` and `model_kwargs` are only checked against the record:
+        a mismatch raises CheckpointError naming the feature or field."""
         record, arrays = load_checkpoint(path)
         saved = FeatureSchema.from_dict(record["schema"])
         if schema is not None:
@@ -106,9 +106,10 @@ class Model(Module):
             owner, key, value = slots[name]
             if value is not None and value.shape != array.shape:
                 raise CheckpointError(f"shape mismatch for '{name}'")
-            # a new array in every slot (a head's precision is None until a
-            # fit), so no cache keyed on the old one survives
-            fresh = array.astype(array.dtype if value is None else value.dtype)
+            # the file's own array, cast only when its dtype is not the slot's
+            # (a head's precision is None until a fit): a new object in
+            # every slot, so no cache keyed on the old one survives
+            fresh = array if value is None else array.astype(value.dtype, copy=False)
             if isinstance(value, Tensor):
                 value.data = fresh
             elif isinstance(owner, Module):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,26 @@ def fd_gradient_check(build, leaves, h=1e-4, rtol=1e-4, max_entries=40, rng=None
             worst = max(worst, err)
             assert err < rtol, f"grad mismatch at coord {i}: analytic {analytic[i]}, fd {numeric}"
     return worst
+
+
+def traced(fn) -> tuple[int, int]:
+    """(kept, peak): the bytes fn() leaves allocated and the most it held at
+    once, both above the level at its start, as tracemalloc sees them (numpy
+    buffers included). Called while a trace the caller started runs, it
+    measures within that trace, so memory allocated before the call and
+    freed during it counts too (and that trace's peak is reset)."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    return now - start, peak - start
 
 
 def every_op(x, w):

@@ -1,5 +1,6 @@
 """The public-benchmark protocol on a small CSV written by the test."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -77,3 +78,12 @@ def test_report_is_strict_json_and_tasks_are_the_schemas(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "metrics.json").read_text(), parse_constant=reject)
     assert [fold["fold"] for fold in report["folds"]] == [0, 1, 2]
     assert seen == [[TaskSpec("target", 2, gamma=0.5)]] * 3
+    assert report["manifest"]["dataset_digest"] == hashlib.sha256((tmp_path / "adult.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, 6, 7, 8, 50])
+def test_file_digest_is_the_sha256_of_the_bytes_read_in_chunks(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(bm, "HASH_CHUNK_BYTES", 7)
+    data = np.random.default_rng(size).bytes(size)
+    (tmp_path / "f").write_bytes(data)
+    assert bm.file_sha256(tmp_path / "f") == hashlib.sha256(data).hexdigest()

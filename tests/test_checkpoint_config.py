@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_snapshots, small_schema
+from conftest import random_snapshots, small_schema, traced
 from tabfusion import nn
 from tabfusion.checkpoint import (
     MAGIC,
@@ -17,7 +17,7 @@ from tabfusion.checkpoint import (
 )
 from tabfusion.config import ConfigError, RunConfig
 from tabfusion.data import FeatureSchema, FeatureSpec
-from tabfusion.finetune import FinetuneConfig, TaskSpec, finetune_loop, predict_scores
+from tabfusion.finetune import FinetuneConfig, SngpHead, TaskSpec, finetune_loop, predict_scores
 from tabfusion.model import HEAD_FIELDS, Model
 from tabfusion.tensor import Tensor
 
@@ -134,6 +134,30 @@ class TestCheckpointFormat:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
+    def test_arrays_of_every_layout_round_trip_and_their_bytes_are_pinned(self, tmp_path):
+        # digest of the file the array-copying writer made for the same
+        # arrays: streaming each array's own buffer writes the same bytes
+        grid = np.arange(24, dtype=np.float64).reshape(4, 6)
+        arrays = {
+            "strided": grid[:, ::2], "transposed": grid.T.astype(np.float32), "half": grid.astype(np.float16),
+            "scalar": np.float64(2.5).reshape(()), "empty": np.zeros((0, 3), np.float32), "ints": np.arange(3),
+        }
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, arrays, {"k": [1, 2]})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "80398a2b84b0a71be8d1898060c481961d6260c6782ee759765b099297de2f40")
+        _, loaded = load_checkpoint(path)
+        for name, want in arrays.items():
+            dtype = want.dtype if want.dtype in (np.float32, np.float64) else np.float32
+            assert loaded[name].dtype == dtype and loaded[name].shape == want.shape, name
+            np.testing.assert_array_equal(loaded[name], want.astype(dtype))
+
+    def test_save_copies_no_array(self, tmp_path):
+        # the writer made two copies of each array: 16 MB for this precision
+        arrays = {"heads.risk.precision": np.eye(1024), "w": np.ones((256, 64), np.float32)}
+        _, peak = traced(lambda: save_checkpoint(tmp_path / "m.ckpt", arrays, {"d": 8}))
+        assert peak < 1 << 20
+
     def test_digest_is_key_order_independent(self):
         assert config_digest({"a": 1, "b": 2}) == config_digest({"b": 2, "a": 1})
         assert config_digest({"a": 1}) != config_digest({"a": 2})
@@ -161,12 +185,12 @@ class TestModelPersistence:
         np.testing.assert_array_equal(before, after)
 
     def test_loaded_state_is_writable_and_owns_its_memory(self, tmp_path):
-        # load_checkpoint hands out read-only views of the file's bytes;
-        # Model.load copies each one into the model exactly once
+        # load_checkpoint reads each array into memory of its own, and
+        # Model.load sets those arrays in the model without copying them
         schema, snaps, model = self.build_trained(tmp_path)
         model.save(tmp_path / "m.ckpt", {"arch": "tiny"})
         _, arrays = load_checkpoint(tmp_path / "m.ckpt")
-        assert not any(a.flags.writeable for a in arrays.values())
+        assert all(a.flags.writeable and a.flags.owndata for a in arrays.values())
         clone = Model.load(tmp_path / "m.ckpt")
         state = {**{k: p.data for k, p in clone.parameters().items()}, **clone.buffers()}
         assert state.keys() == arrays.keys() and "heads.risk.precision" in state
@@ -176,6 +200,29 @@ class TestModelPersistence:
                 root = root.base
             assert isinstance(root, np.ndarray) and value.flags.writeable, name
             assert not any(np.shares_memory(value, a) for a in arrays.values()), name
+
+    def test_model_file_bytes_are_pinned(self, tmp_path):
+        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        head = model.heads["risk"] = SngpHead(8, 2, np.random.default_rng(1), d_rf=32)
+        head.precision = np.eye(32) + np.arange(32 * 32).reshape(32, 32) / 1024.0
+        model.save(tmp_path / "m.ckpt", {"arch": "tiny"})
+        assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == (
+            "64b42c4a88ecc26336865af431f7230208448d78a8ca8939837c8a18fbbc3c01")
+
+    def test_load_holds_each_array_once(self, tmp_path):
+        # peak minus kept was about the array bytes when the load held the
+        # file's bytes and a copy of each array; what remains is mostly the
+        # placeholders the module tree is built with before the swap
+        model = Model(small_schema(), d=16, n_layers=2, heads=2, ffn_dim=64, d_prime=16, seed=0)
+        for task, seed in (("risk", 1), ("churn", 2)):
+            head = model.heads[task] = SngpHead(16, 2, np.random.default_rng(seed), d_rf=256)
+            head.precision = 2.0 * np.eye(256)
+        model.save(tmp_path / "m.ckpt", {})
+        nbytes = sum(a.nbytes for a in [p.data for p in model.parameters().values()] + list(model.buffers().values()))
+        loaded = []
+        kept, peak = traced(lambda: loaded.append(Model.load(tmp_path / "m.ckpt")))
+        assert kept >= nbytes
+        assert peak - kept <= 0.35 * nbytes
 
     def test_schema_record_format_is_pinned(self, tmp_path):
         # a schema file and a checkpoint's record["schema"] hold each task as

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -566,6 +567,13 @@ class TestSelfDescribingCheckpoint:
         want, got = before.predict(rows, "risk"), after.predict(rows, "risk")
         np.testing.assert_array_equal(got["probs"], want["probs"])
         np.testing.assert_array_equal(got["variance"], want["variance"])
+
+    def test_manifest_digests_every_input_including_the_starting_checkpoint(self, tmp_path, capsys):
+        rc, first, second = self.add_churn(tmp_path, linear_probe=True)
+        assert rc == EXIT_OK, capsys.readouterr().err
+        inputs = json.loads(Path(str(second) + ".manifest.json").read_text())["inputs"]
+        files = {"schema": "schema.json", "data": "data.csv", "init_checkpoint": first.name}
+        assert inputs == {k: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for k, name in files.items()}
 
     def test_finetune_refuses_to_train_the_backbone_under_another_head(self, tmp_path, capsys):
         rc, _, second = self.add_churn(tmp_path, linear_probe=False)

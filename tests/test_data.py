@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -119,6 +120,27 @@ class TestIo:
         _, snaps = load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
         assert snaps[0].values["x"] is None
         assert snaps[0].labels["risk"] == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("feature, bad", [
+        ("age", math.nan),
+        ("spend", -math.inf),
+        ("page_vec", np.full(6, np.inf)),
+        ("page_vec", np.full(6, 1e300)),  # saved as float32, so inf
+        ("creatives", Asset(np.full(6, np.nan, np.float32), 1.0, 0.5)),
+        ("creatives", Asset(np.ones(6, np.float32), math.inf, 0.5)),
+        ("creatives", Asset(np.ones(6, np.float32), 1.0, math.nan)),
+    ])
+    def test_save_refuses_what_load_would_refuse_before_writing(self, tmp_path, feature, bad):
+        """save_dataset wrote such a cell, and the file then failed to load."""
+        schema = small_schema()
+        snaps = random_snapshots(schema, 6, seed=1)
+        if feature == "creatives":  # behind a good asset
+            bad = [Asset(np.ones(6, np.float32), 2.0, 0.5), bad]
+        snaps[4].values[feature] = bad
+        with pytest.raises(DataError, match=rf"^non-finite value \S+ in snapshot 4 \(feature '{feature}'\)$"):
+            save_dataset(snaps, schema, tmp_path / "d.csv", tmp_path / "e.bin")
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "e.bin").exists()
 
     def test_bad_numeric_reports_row_and_feature(self, tmp_path):
         schema = FeatureSchema([FeatureSpec("x", "numeric")], [])

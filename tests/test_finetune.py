@@ -1,18 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_snapshots, small_schema
+from conftest import random_snapshots, small_schema, traced
 from tabfusion.config import ConfigError
 from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpec
 from tabfusion.finetune import (
+    INVERSE_LEAF,
     VARIANCE_PANEL_COLS,
     FinetuneConfig,
     SngpHead,
     finetune_loop,
     fit_heads_covariance,
     focal_loss,
+    _invert_lower,
     predict_scores,
 )
 import tabfusion.finetune as finetune_mod
@@ -183,6 +186,50 @@ class TestLaplaceCovariance:
         np.testing.assert_allclose(head.variance(phi), (phi * phi).sum(axis=1) / 0.5, rtol=1e-12)
         head.precision = lam
         np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
+
+    def test_refit_frees_the_old_precision_and_panels_first(self, rng):
+        head = SngpHead(8, 2, rng, d_rf=1024)
+        phi = head.features(Tensor(rng.standard_normal((256, 8)).astype(np.float32))).data
+        probs = rng.uniform(0.05, 0.95, 256)
+        tracemalloc.start()
+        try:
+            head.fit_covariance(phi, probs)
+            head.variance(phi[:1])  # makes the panels
+            first = head.precision.copy()  # not a reference, which would keep the old array alive
+            _, peak = traced(lambda: head.fit_covariance(phi, probs))
+        finally:
+            tracemalloc.stop()
+        lam = head.precision
+        assert np.array_equal(lam, first)
+        # the old precision and panels (12.5 MB) go before the new precision
+        # and the one weighted float64 copy of phi (10 MB) are made, so the
+        # refit barely rises above its start; holding both sets of arrays and
+        # a second copy of phi, it rose 12 MB above it
+        assert peak < 0.05 * lam.nbytes
+
+    def test_first_variance_inverts_only_leaf_blocks(self, rng, monkeypatch):
+        head = SngpHead(8, 2, rng, d_rf=1024)
+        phi = head.features(Tensor(rng.standard_normal((300, 8)))).data
+        head.fit_covariance(phi, rng.uniform(0.05, 0.95, 300))
+        inv, widths = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: widths.append(a.shape[-1]) or inv(a))
+        head.variance(phi[:1])
+        monkeypatch.undo()
+        assert INVERSE_LEAF == 64 and 0 < max(widths) <= INVERSE_LEAF
+        dense = inv(np.linalg.cholesky(head.precision)).T
+        for c0, panel in zip(range(0, 1024, VARIANCE_PANEL_COLS), head._factor[1]):
+            want = dense[: c0 + VARIANCE_PANEL_COLS, c0 : c0 + VARIANCE_PANEL_COLS]
+            np.testing.assert_allclose(panel, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 300])
+    def test_triangular_inverse_in_place(self, n, rng):
+        a = rng.standard_normal((n, n))
+        low = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+        want = np.linalg.inv(low)
+        got = low.copy()
+        assert _invert_lower(got) is got
+        assert not np.triu(got, 1).any()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     def test_variance_requires_fit(self, rng):
         head = SngpHead(2, 2, rng, d_rf=4)

@@ -1,12 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import every_op, fd_gradient_check, graph_arrays, small_schema
+from conftest import every_op, fd_gradient_check, graph_arrays, small_schema, traced
 from tabfusion.model import Model
 import tabfusion.tensor as tensor_mod
 from tabfusion.tensor import (
@@ -280,19 +279,12 @@ class TestBackwardRelease:
         passes it keeps the peak near the live gradient, not the chain."""
         n = 1 << 17  # 1 MiB of float64 per array
         x = t64(np.linspace(-1.0, 1.0, n))
-        tracemalloc.start()
-        try:
-            y = x
-            for _ in range(10):
-                y = y.sin()
-            loss = y.sum()
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - before) / x.data.nbytes < 4.0
+        y = x
+        for _ in range(10):
+            y = y.sin()
+        loss = y.sum()
+        _, peak = traced(loss.backward)
+        assert peak / x.data.nbytes < 4.0
 
 
 class TestFusedOps:
@@ -536,22 +528,16 @@ class TestFfn:
         x = t64(rng.standard_normal((128, 8, 16)))
         w1, b1, w2, b2 = self.leaves(rng, 16, 256, 16)
         hidden_bytes = 128 * 8 * 256 * 8  # 2 MiB, four blocks
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ffn(x, w1, b1, w2, b2)
-            kept = tracemalloc.get_traced_memory()[0] - before
-            tracemalloc.reset_peak()
-            (out * out).sum().backward()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        outs = []
+        kept, _ = traced(lambda: outs.append(ffn(x, w1, b1, w2, b2)))
+        out = outs[0]
+        _, peak = traced(lambda: (out * out).sum().backward())
         assert kept - out.data.nbytes < 0.1 * hidden_bytes
         # the backward adds three block buffers (the recomputed pre-activation
         # shares one with gelu's output and the gradient at it) and a few
         # output-sized arrays: under four blocks in all
         assert 4 * out.data.nbytes == tensor_mod._BLOCK_BYTES
-        assert peak - kept < 3 * tensor_mod._BLOCK_BYTES + 4 * out.data.nbytes
+        assert peak < 3 * tensor_mod._BLOCK_BYTES + 4 * out.data.nbytes
         assert w1.grad is not None and x.grad is not None
 
     def test_fused_gelu_derivative_is_the_tanh_form(self):
@@ -802,24 +788,18 @@ class TestBlockedAttention:
         weights = t * b * heads * t * 8  # 2 MiB
         work = 32 * heads * t * t * 8  # 512 KiB
         projection = b * t * d * 8  # 512 KiB, one of q, k and v
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = multi_head_attention(x, *ws, heads, mask)
-            kept, forward_peak = (m - before for m in tracemalloc.get_traced_memory())
-            held = graph_arrays(out._node)  # before the backward frees the graph
-            loss = (out * c).sum()
-            tracemalloc.reset_peak()
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        outs = []
+        kept, forward_peak = traced(lambda: outs.append(multi_head_attention(x, *ws, heads, mask)))
+        out = outs[0]
+        held = graph_arrays(out._node)  # before the backward frees the graph
+        loss = (out * c).sum()
+        _, peak = traced(loss.backward)
         assert kept - out.data.nbytes < 0.05 * min(weights, projection)
         assert all(any(a is leaf.data for a in held) for leaf in (x, *ws))
         assert sorted(a.shape for a in held) == [(t, b), (d, d), (d, d), (d, d), (b, t, d)]  # the bias is keys-major
         assert 3 * projection + work <= forward_peak - out.data.nbytes < 3 * projection + 1.5 * work
         grads = 6 * projection + out.data.nbytes
-        assert 2 * work <= peak - kept - grads < 2.5 * work
+        assert 2 * work <= peak - grads < 2.5 * work
         assert x.grad is not None and all(w.grad is not None for w in ws)
 
     def test_backward_recomputes_the_forward_weights_bitwise(self, rng, monkeypatch):
