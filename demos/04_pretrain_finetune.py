@@ -7,11 +7,12 @@ fine-tune an uncertainty-aware head and score held-out examples.
 
 import numpy as np
 
+from tabfusion.config import RunConfig
 from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
-from tabfusion.finetune import FinetuneConfig, finetune_loop, predict_scores
+from tabfusion.finetune import finetune_loop, predict_scores
 from tabfusion.metrics import auprc, auroc
 from tabfusion.model import Model
-from tabfusion.pretrain import AugmentConfig, PretrainConfig, pretrain_loop
+from tabfusion.pretrain import pretrain_loop
 
 schema = FeatureSchema(
     [FeatureSpec("x1", "numeric"), FeatureSpec("x2", "numeric")],
@@ -31,19 +32,13 @@ def make_data(n, seed):
 train, test = make_data(300, 0), make_data(200, 1)
 model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
 
-pcfg = PretrainConfig(steps=300, batch_size=16, augment=AugmentConfig(seed=0), seed=0)
-pcfg.schedule.initial_lr = 1e-3
-pcfg.schedule.warmup_steps = 20
-pcfg.schedule.warmup_target_multiplier = 1.0
-pcfg.schedule.decay_steps = 300
+pcfg = RunConfig(pretrain_steps=300, batch_size=16, seed=0, initial_lr=1e-3, warmup_steps=20,
+                 warmup_target_pretrain=1.0, decay_steps=300).pretrain_config()
 curve = pretrain_loop(model, train, pcfg)
 print(f"pretrain: loss {curve[0]['total']:.3f} -> {curve[-1]['total']:.3f} over {len(curve)} steps")
 
-fcfg = FinetuneConfig(steps=200, batch_size=32, d_rf=64, seed=0, eval_every=10**9)
-fcfg.schedule.initial_lr = 1e-3
-fcfg.schedule.warmup_steps = 5
-fcfg.schedule.warmup_target_multiplier = 1.0
-fcfg.schedule.decay_steps = 200
+fcfg = RunConfig(finetune_steps=200, batch_size=32, d_rf=64, seed=0, initial_lr=1e-3, warmup_steps=5,
+                 warmup_target_finetune=1.0, decay_steps=200).finetune_config()
 finetune_loop(model, train, [TaskSpec("y", 2, gamma=2.0)], fcfg)
 
 scores = predict_scores(model, test, "y", calibrated=True)

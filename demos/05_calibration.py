@@ -7,8 +7,9 @@ back off toward 0.5 instead of staying confidently wrong.
 
 import numpy as np
 
+from tabfusion.config import RunConfig
 from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
-from tabfusion.finetune import FinetuneConfig, finetune_loop
+from tabfusion.finetune import finetune_loop
 from tabfusion.model import Model
 
 rng = np.random.default_rng(0)
@@ -28,11 +29,8 @@ def cluster(n, cx, cy, label):
 train = cluster(300, -1, -1, 0) + cluster(300, 1, 1, 1)
 rng.shuffle(train)
 model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
-cfg = FinetuneConfig(steps=300, batch_size=64, d_rf=128, seed=0, eval_every=10**9)
-cfg.schedule.initial_lr = 2e-3
-cfg.schedule.warmup_steps = 5
-cfg.schedule.warmup_target_multiplier = 1.0
-cfg.schedule.decay_steps = 300
+cfg = RunConfig(finetune_steps=300, batch_size=64, d_rf=128, seed=0, initial_lr=2e-3, warmup_steps=5,
+                warmup_target_finetune=1.0, decay_steps=300).finetune_config()
 finetune_loop(model, train, [TaskSpec("y", 2, gamma=0.0)], cfg)
 
 for name, probe in (

@@ -23,11 +23,10 @@ from .data import (
     make_folds,
     normalize_split,
 )
-from .finetune import FinetuneConfig, finetune_loop, predict_scores
+from .finetune import finetune_loop, predict_scores
 from .metrics import FoldMetrics, MetricsReport, auprc, auroc, ece
 from .model import Model
-from .optim import CosineWarmupSchedule
-from .pretrain import AugmentConfig, LossWeights, PretrainConfig, pretrain_loop
+from .pretrain import pretrain_loop
 
 __all__ = ["DATASETS", "load_benchmark_csv", "run_benchmark", "export_embeddings"]
 
@@ -99,8 +98,9 @@ def load_benchmark_csv(path, dataset_name: str):
     """Load a raw benchmark CSV into (schema, snapshots) with a binary label.
 
     Numerics stay raw: `run_benchmark` normalizes each fold from its
-    training rows. A non-finite numeric cell raises DataError naming its
-    row and feature."""
+    training rows. A header without the dataset's target column, a row
+    whose cell count is not the header's, or a non-finite numeric cell
+    raises DataError naming the column, row or feature."""
     spec = DATASETS[dataset_name]
     path = Path(path)
     if not path.exists():
@@ -108,9 +108,15 @@ def load_benchmark_csv(path, dataset_name: str):
             f"dataset file {path} not found; download it from {spec['source']}"
         )
     with path.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
     if not rows:
         return FeatureSchema([], [TaskSpec(spec["target"])]), []
+    if spec["target"] not in reader.fieldnames:
+        raise DataError(f"{path} has no target column", feature=spec["target"])
+    for row_no, r in enumerate(rows, start=2):
+        if None in r or None in r.values():  # DictReader's marks of a cell beyond or short of the header
+            raise DataError(f"the cell count differs from the header's {len(reader.fieldnames)}", row=row_no)
     schema = infer_schema(rows, spec["target"], drop=spec.get("drop", ()))
     positives = set(spec["positive"])
     snapshots = []
@@ -190,8 +196,8 @@ def run_benchmark(
         )
         model = build_model(fold_schema, replace(config, seed=config.seed + fold))
         if config.pretrain_steps > 0:
-            pretrain_loop(model, train, pretrain_config(config))
-        finetune_loop(model, train, tasks, finetune_config(config))
+            pretrain_loop(model, train, config.pretrain_config())
+        finetune_loop(model, train, tasks, config.finetune_config())
         scores = predict_scores(model, test, task_name)
         y = np.array([s.labels[task_name] for s in test])
         report.add(
@@ -215,41 +221,9 @@ def build_model(schema: FeatureSchema, config: RunConfig) -> Model:
     return Model(schema, **config.model_record())
 
 
-def pretrain_config(config: RunConfig) -> PretrainConfig:
-    return PretrainConfig(
-        steps=config.pretrain_steps,
-        batch_size=config.batch_size,
-        augment=AugmentConfig(config.cutmix_swap_prob, config.mixup_alpha, seed=config.seed),
-        weights=LossWeights(tau=config.contrastive_tau),
-        schedule=_schedule(config, config.warmup_target_pretrain),
-        weight_decay=config.weight_decay,
-        seed=config.seed,
-    )
-
-
-def finetune_config(config: RunConfig) -> FinetuneConfig:
-    return FinetuneConfig(
-        steps=config.finetune_steps,
-        batch_size=config.batch_size,
-        schedule=_schedule(config, config.warmup_target_finetune),
-        weight_decay=config.weight_decay,
-        d_rf=config.d_rf,
-        length_scale=config.gp_length_scale,
-        ridge=config.gp_ridge,
-        linear_probe=config.linear_probe,
-        seed=config.seed,
-    )
-
-
-def _schedule(config: RunConfig, warmup_target: float) -> CosineWarmupSchedule:
-    """`config`'s learning-rate schedule, peaking at `warmup_target` times its initial rate."""
-    return CosineWarmupSchedule(
-        initial_lr=config.initial_lr,
-        warmup_target_multiplier=warmup_target,
-        warmup_steps=config.warmup_steps,
-        cosine_alpha=config.cosine_alpha,
-        decay_steps=config.decay_steps,
-    )
+# the stage records of a RunConfig under the names bench/workloads.py calls
+pretrain_config = RunConfig.pretrain_config
+finetune_config = RunConfig.finetune_config
 
 
 def export_embeddings(snapshots, model: Model, out_prefix, task: str | None = None, pca2d: bool = False):

@@ -187,7 +187,7 @@ def cmd_pretrain(args) -> int:
     if cfg.pretrain_steps <= 0:
         cfg.pretrain_steps = 200
     model = bench.build_model(schema, cfg)
-    pretrain_loop(model, snapshots, bench.pretrain_config(cfg), log_path=args.loss_log)
+    pretrain_loop(model, snapshots, cfg.pretrain_config(), log_path=args.loss_log)
     model.save(args.out_checkpoint, cfg.to_dict())
     _write_manifest(args.out_checkpoint, cfg, {"schema": args.schema, "data": args.data}, started)
     return EXIT_OK
@@ -209,7 +209,7 @@ def cmd_finetune(args) -> int:
         if bad is not None:
             raise DataError(f"label {snapshots[bad].labels[name]} outside [0, 2)", row=bad + 2, feature=f"label:{name}")
     tasks = [replace(declared.get(name, TaskSpec(name)), gamma=cfg.focal_gamma) for name in args.task]
-    finetune_loop(model, snapshots, tasks, bench.finetune_config(cfg))
+    finetune_loop(model, snapshots, tasks, cfg.finetune_config())
     model.save(args.out_checkpoint, cfg.to_dict())
     inputs = {"schema": args.schema, "data": args.data, "init_checkpoint": args.init_checkpoint}
     _write_manifest(args.out_checkpoint, cfg, inputs, started)

@@ -1,4 +1,5 @@
-"""Run configuration: the full hyperparameter record and its validation."""
+"""Run configuration: the full hyperparameter record, which declares every
+run default, its validation, and the stage records the training loops read."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-__all__ = ["RunConfig", "ConfigError"]
+from .optim import CosineWarmupSchedule
+
+__all__ = ["RunConfig", "ConfigError", "AugmentConfig", "LossWeights", "PretrainConfig", "FinetuneConfig"]
 
 
 class ConfigError(ValueError):
@@ -72,6 +75,28 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def pretrain_config(self) -> PretrainConfig:
+        return PretrainConfig(
+            steps=self.pretrain_steps, batch_size=self.batch_size,
+            augment=AugmentConfig(self.cutmix_swap_prob, self.mixup_alpha, seed=self.seed),
+            weights=LossWeights(tau=self.contrastive_tau), schedule=self._schedule(self.warmup_target_pretrain),
+            weight_decay=self.weight_decay, seed=self.seed,
+        )
+
+    def finetune_config(self) -> FinetuneConfig:
+        return FinetuneConfig(
+            steps=self.finetune_steps, batch_size=self.batch_size, schedule=self._schedule(self.warmup_target_finetune),
+            weight_decay=self.weight_decay, d_rf=self.d_rf, length_scale=self.gp_length_scale, ridge=self.gp_ridge,
+            linear_probe=self.linear_probe, seed=self.seed,
+        )
+
+    def _schedule(self, warmup_target: float) -> CosineWarmupSchedule:
+        """The learning-rate schedule, peaking at `warmup_target` times the initial rate."""
+        return CosineWarmupSchedule(
+            initial_lr=self.initial_lr, warmup_target_multiplier=warmup_target, warmup_steps=self.warmup_steps,
+            cosine_alpha=self.cosine_alpha, decay_steps=self.decay_steps,
+        )
+
     def model_record(self) -> dict:
         """The fields `Model` is built from, as its keyword arguments; the CLI
         checks them against a checkpoint's record (`seed` seeds the `random`
@@ -100,3 +125,62 @@ class RunConfig:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+
+
+@dataclass
+class AugmentConfig:
+    cutmix_swap_prob: float  # probability a feature is taken from the partner
+    mixup_alpha: float  # weight on the anchor in the latent interpolation
+    seed: int
+
+    def __post_init__(self):
+        if not 0.0 <= self.cutmix_swap_prob <= 1.0:
+            raise ValueError("cutmix_swap_prob must be in [0, 1]")
+        if not 0.0 <= self.mixup_alpha <= 1.0:
+            raise ValueError("mixup_alpha must be in [0, 1]")
+
+
+@dataclass
+class LossWeights:
+    num: float = 1.0
+    ce: float = 1.0
+    mcat: float = 1.0
+    con: float = 1.0
+    emb: float = 1.0
+    memb: float = 1.0
+    tau: float = 0.1
+
+    def __post_init__(self):
+        parts = (self.num, self.ce, self.mcat, self.con, self.emb, self.memb)
+        if any(a < 0 for a in parts):
+            raise ValueError("loss weights must be non-negative")
+        if all(a == 0 for a in parts):
+            raise ValueError("at least one loss weight must be positive")
+        if self.tau <= 0:
+            raise ValueError("temperature must be positive")
+
+
+@dataclass
+class PretrainConfig:
+    steps: int
+    batch_size: int
+    augment: AugmentConfig
+    weights: LossWeights
+    schedule: CosineWarmupSchedule
+    weight_decay: float
+    seed: int
+
+
+@dataclass
+class FinetuneConfig:
+    steps: int
+    batch_size: int
+    schedule: CosineWarmupSchedule
+    weight_decay: float
+    d_rf: int
+    length_scale: float
+    ridge: float
+    linear_probe: bool  # freeze everything but the heads
+    seed: int
+    eval_every: int = 50
+    patience: int = 10  # early-stopping patience in eval intervals, on val AUPRC

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
 from .data import DataError, FeatureKind, FeatureSchema, Snapshot
 from .encoder import feature_inputs
 from .metrics import auroc
@@ -30,6 +31,10 @@ __all__ = [
 class StopRule:
     tolerance: float = 0.002  # allowed validation-AUROC drop vs the full set
     min_features: int = 1
+
+    def __post_init__(self):
+        if self.min_features < 1:
+            raise ConfigError(f"min_features must be at least 1, got {self.min_features}")
 
 
 @dataclass

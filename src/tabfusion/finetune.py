@@ -5,17 +5,16 @@ Laplace covariance), focal loss, multi-task fine-tuning, calibrated inference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, FinetuneConfig
 from .data import DataError, TaskSpec
 from .nn import Linear, Module, advance_power_iteration
-from .optim import CosineWarmupSchedule, Trainer
+from .optim import Trainer
 from .tensor import Tensor, linear, no_grad, softmax
 
-__all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop", "FinetuneConfig"]
+__all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop"]
 
 # Rows per product with the cached variance factor. A fixed block shape gives
 # every row the same BLAS kernel and summation order whatever the batch size,
@@ -194,23 +193,6 @@ def focal_loss(probs: Tensor, labels, gamma: float) -> Tensor:
     p_safe = p_true.clip_min(1e-12)
     per_example = -((1.0 - p_true) ** float(gamma)) * p_safe.log() if gamma > 0 else -p_safe.log()
     return per_example.mean()
-
-
-@dataclass
-class FinetuneConfig:
-    steps: int = 500
-    batch_size: int = 64
-    schedule: CosineWarmupSchedule = field(
-        default_factory=lambda: CosineWarmupSchedule(warmup_target_multiplier=2.0)
-    )
-    weight_decay: float = 0.0
-    d_rf: int = 1024
-    length_scale: float = 2.0
-    ridge: float = 1.0
-    linear_probe: bool = False  # freeze everything but the heads
-    eval_every: int = 50
-    patience: int = 10  # early-stopping patience in eval intervals, on val AUPRC
-    seed: int = 0
 
 
 def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, val_indices=None):

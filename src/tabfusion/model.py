@@ -94,8 +94,10 @@ class Model(Module):
         placeholders = _Placeholders()
         model = Model.__new__(Model)
         model._build(saved, placeholders, record["model"])
-        for task, fields in record["heads"].items():
-            model.heads[task] = SngpHead(model.d, rng=placeholders, **fields)
+        # the heads in their arrays' order, which `save` kept; the record's JSON sorts its keys
+        position = {name: i for i, name in enumerate(arrays)}
+        for task in sorted(record["heads"], key=lambda t: position.get(f"heads.{t}.beta.weight", -1)):
+            model.heads[task] = SngpHead(model.d, rng=placeholders, **record["heads"][task])
         slots = {name: (owner, key, value) for name, owner, key, value in model.named_state()}
         for name, (_, _, value) in slots.items():
             if value is not None and name not in arrays:

@@ -27,11 +27,11 @@ class CosineWarmupSchedule:
     """Linear warmup from initial_lr to warmup_target_multiplier * initial_lr,
     then cosine decay down to cosine_alpha * peak over decay_steps."""
 
-    initial_lr: float = 5e-5
-    warmup_target_multiplier: float = 10.0
-    warmup_steps: int = 100
-    cosine_alpha: float = 0.1
-    decay_steps: int = 10_000
+    initial_lr: float
+    warmup_target_multiplier: float
+    warmup_steps: int
+    cosine_alpha: float
+    decay_steps: int
 
     @property
     def peak_lr(self) -> float:

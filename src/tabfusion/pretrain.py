@@ -4,19 +4,15 @@ reconstruction decoders and losses, InfoNCE contrastive loss, and the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, LossWeights, PretrainConfig
 from .data import DataError, FeatureKind, FeatureSchema, Snapshot
 from .nn import Linear, Module, advance_power_iteration
-from .optim import CosineWarmupSchedule, Trainer
+from .optim import Trainer
 from .tensor import Tensor, log_softmax, matmul, reduce_sum
 
 __all__ = [
-    "AugmentConfig",
-    "LossWeights",
     "ReconstructionHeads",
     "cutmix",
     "mixup",
@@ -28,39 +24,6 @@ __all__ = [
 
 # Steps between the lines `pretrain_loop` writes to its loss log.
 LOG_EVERY = 10
-
-
-@dataclass
-class AugmentConfig:
-    cutmix_swap_prob: float = 0.2  # probability a feature is taken from the partner
-    mixup_alpha: float = 0.8  # weight on the anchor in the latent interpolation
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.cutmix_swap_prob <= 1.0:
-            raise ValueError("cutmix_swap_prob must be in [0, 1]")
-        if not 0.0 <= self.mixup_alpha <= 1.0:
-            raise ValueError("mixup_alpha must be in [0, 1]")
-
-
-@dataclass
-class LossWeights:
-    num: float = 1.0
-    ce: float = 1.0
-    mcat: float = 1.0
-    con: float = 1.0
-    emb: float = 1.0
-    memb: float = 1.0
-    tau: float = 0.1
-
-    def __post_init__(self):
-        parts = (self.num, self.ce, self.mcat, self.con, self.emb, self.memb)
-        if any(a < 0 for a in parts):
-            raise ValueError("loss weights must be non-negative")
-        if all(a == 0 for a in parts):
-            raise ValueError("at least one loss weight must be positive")
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
 
 
 def cutmix(inputs: dict, partner: np.ndarray, swap_prob: float, rng: np.random.Generator) -> dict:
@@ -198,17 +161,6 @@ def pretrain_total_loss(parts: dict, weights: LossWeights) -> Tensor:
         + parts["emb"] * weights.emb
         + parts["memb"] * weights.memb
     )
-
-
-@dataclass
-class PretrainConfig:
-    steps: int = 200
-    batch_size: int = 32
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-    weights: LossWeights = field(default_factory=LossWeights)
-    schedule: CosineWarmupSchedule = field(default_factory=CosineWarmupSchedule)
-    weight_decay: float = 0.0
-    seed: int = 0
 
 
 def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_path=None):

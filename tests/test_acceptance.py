@@ -17,11 +17,10 @@ import pytest
 from conftest import fd_gradient_check, random_snapshots, small_schema
 from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.benchmark import DATASETS, run_benchmark
-from tabfusion.config import RunConfig
+from tabfusion.config import LossWeights, RunConfig
 from tabfusion.encoder import FeatureEncoder
 from tabfusion.feature_select import StopRule, backward_eliminate
 from tabfusion.finetune import (
-    FinetuneConfig,
     SngpHead,
     finetune_loop,
     focal_loss,
@@ -31,9 +30,6 @@ from tabfusion.metrics import auprc, auroc, ece
 from tabfusion.model import Model
 from tabfusion.nn import Linear, SpectralLinear, power_iteration
 from tabfusion.pretrain import (
-    AugmentConfig,
-    LossWeights,
-    PretrainConfig,
     ReconstructionHeads,
     info_nce,
     pretrain_loop,
@@ -243,7 +239,7 @@ def test_criterion_05_inference_batch_independence():
     schema = small_schema(with_assets=True)
     snaps = random_snapshots(schema, 50, seed=3, missing_rate=0.15)
     model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=4)
-    cfg = FinetuneConfig(steps=5, batch_size=16, d_rf=32, seed=0, eval_every=10**9)
+    cfg = RunConfig(finetune_steps=5, batch_size=16, d_rf=32, seed=0).finetune_config()
     finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg)
 
     reference = np.array([predict_scores(model, [s], "risk", calibrated=True)[0] for s in snaps])
@@ -334,11 +330,8 @@ def test_criterion_08_sngp_calibration():
     train = cluster(300, -1, -1, 0) + cluster(300, 1, 1, 1)
     rng.shuffle(train)
     model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
-    cfg = FinetuneConfig(steps=300, batch_size=64, d_rf=128, seed=0, eval_every=10**9)
-    cfg.schedule.initial_lr = 2e-3
-    cfg.schedule.warmup_steps = 5
-    cfg.schedule.warmup_target_multiplier = 1.0
-    cfg.schedule.decay_steps = 400
+    cfg = RunConfig(finetune_steps=300, batch_size=64, d_rf=128, seed=0, initial_lr=2e-3, warmup_steps=5,
+                    warmup_target_finetune=1.0, decay_steps=400).finetune_config()
     finetune_loop(model, train, [TaskSpec("y", 2, gamma=0.0)], cfg)
 
     # n = 10k evaluation: 8k in-distribution, 2k from a far-away cluster
@@ -388,11 +381,8 @@ def test_criterion_09_pretraining_efficacy():
         return out
 
     def steps_to_threshold(model, train, val, seed, thresh=0.85, max_steps=400, chunk=10):
-        cfg = FinetuneConfig(steps=chunk, batch_size=32, d_rf=64, seed=seed, eval_every=10**9)
-        cfg.schedule.initial_lr = 1e-3
-        cfg.schedule.warmup_steps = 5
-        cfg.schedule.warmup_target_multiplier = 1.0
-        cfg.schedule.decay_steps = max_steps
+        cfg = RunConfig(finetune_steps=chunk, batch_size=32, d_rf=64, seed=seed, initial_lr=1e-3, warmup_steps=5,
+                        warmup_target_finetune=1.0, decay_steps=max_steps).finetune_config()
         yv = np.array([s.labels["y"] for s in val])
         total = 0
         while total < max_steps:
@@ -410,13 +400,8 @@ def test_criterion_09_pretraining_efficacy():
         cold_steps = steps_to_threshold(cold, train, val, seed)
 
         warm = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=seed)
-        pcfg = PretrainConfig(
-            steps=2000, batch_size=16, augment=AugmentConfig(seed=seed), seed=seed
-        )
-        pcfg.schedule.initial_lr = 1e-3
-        pcfg.schedule.warmup_steps = 50
-        pcfg.schedule.warmup_target_multiplier = 1.0
-        pcfg.schedule.decay_steps = 2000
+        pcfg = RunConfig(pretrain_steps=2000, batch_size=16, seed=seed, initial_lr=1e-3, warmup_steps=50,
+                         warmup_target_pretrain=1.0, decay_steps=2000).pretrain_config()
         pretrain_loop(warm, train, pcfg)
         warm_steps = steps_to_threshold(warm, train, val, seed)
         ratios.append(warm_steps / cold_steps)

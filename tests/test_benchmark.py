@@ -30,6 +30,23 @@ def test_a_non_finite_numeric_cell_is_a_data_error(tmp_path, first_age):
     assert (err.value.row, err.value.feature) == (2, "age")
 
 
+@pytest.mark.parametrize("line,text,where", [
+    (2, "0.5,a", (3, None)),  # a short row
+    (2, "0.5,a,1,9", (3, None)),  # a row with an extra cell
+    (0, "age,job,label", (None, "target")),  # a header without the target column
+])
+def test_a_malformed_row_or_header_is_a_data_error(tmp_path, line, text, where):
+    """A short row raised AttributeError on its missing cell, a missing
+    target column KeyError, and an extra cell was silently dropped."""
+    write_csv(tmp_path / "adult.csv", 0.5)
+    lines = (tmp_path / "adult.csv").read_text().splitlines()
+    lines[line] = text
+    (tmp_path / "adult.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as err:
+        bm.load_benchmark_csv(tmp_path / "adult.csv", "adult")
+    assert (err.value.row, err.value.feature) == where
+
+
 def test_training_rows_are_normalized_by_their_own_statistics(tmp_path, monkeypatch):
     """A held-out value used to shape the z-scores of the training rows."""
     seen = []

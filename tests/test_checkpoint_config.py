@@ -15,10 +15,12 @@ from tabfusion.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from tabfusion.config import ConfigError, RunConfig
+import tabfusion.benchmark as bm
+from tabfusion.config import AugmentConfig, ConfigError, FinetuneConfig, LossWeights, PretrainConfig, RunConfig
 from tabfusion.data import FeatureSchema, FeatureSpec
-from tabfusion.finetune import FinetuneConfig, SngpHead, TaskSpec, finetune_loop, predict_scores
+from tabfusion.finetune import SngpHead, TaskSpec, finetune_loop, predict_scores
 from tabfusion.model import HEAD_FIELDS, Model
+from tabfusion.optim import CosineWarmupSchedule
 from tabfusion.tensor import Tensor
 
 
@@ -168,7 +170,7 @@ class TestModelPersistence:
         schema = small_schema()
         snaps = random_snapshots(schema, 20, seed=0)
         model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=3)
-        cfg = FinetuneConfig(steps=4, batch_size=8, d_rf=32, seed=0, eval_every=1000)
+        cfg = RunConfig(finetune_steps=4, batch_size=8, d_rf=32, seed=0).finetune_config()
         finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg)
         return schema, snaps, model
 
@@ -257,8 +259,8 @@ class TestModelPersistence:
         # a second head with another d_rf and GP prior, added to the fitted model
         for snap in snaps:
             snap.labels["churn"] = 1 - snap.labels["risk"]
-        cfg = FinetuneConfig(steps=2, batch_size=8, d_rf=16, length_scale=1.5, ridge=0.25, seed=1, eval_every=1000,
-                             linear_probe=True)  # training the backbone too would leave risk stale
+        cfg = RunConfig(finetune_steps=2, batch_size=8, d_rf=16, gp_length_scale=1.5, gp_ridge=0.25, seed=1,
+                        linear_probe=True).finetune_config()  # training the backbone too would leave risk stale
         finetune_loop(model, snaps, [TaskSpec("churn", 2)], cfg)
         model.heads["churn"].kappa = 0.3
         model.save(tmp_path / "m.ckpt", {"arch": "tiny"})
@@ -276,6 +278,19 @@ class TestModelPersistence:
         churn = clone.heads["churn"]
         assert (churn.d_rf, churn.length_scale, churn.ridge, churn.kappa) == (16, 1.5, 0.25, 0.3)
         assert clone.heads["risk"].kappa == math.pi / 8
+
+    def test_save_load_save_keeps_the_head_order_and_the_bytes(self, tmp_path):
+        # the record's JSON sorts its keys, and the heads came back as churn, risk
+        schema, snaps, model = self.build_trained(tmp_path)
+        for snap in snaps:
+            snap.labels["churn"] = 1 - snap.labels["risk"]
+        cfg = RunConfig(finetune_steps=2, batch_size=8, d_rf=16, seed=1, linear_probe=True).finetune_config()
+        finetune_loop(model, snaps, [TaskSpec("churn", 2)], cfg)
+        model.save(tmp_path / "a.ckpt", {"arch": "tiny"})
+        clone = Model.load(tmp_path / "a.ckpt")
+        clone.save(tmp_path / "b.ckpt", {"arch": "tiny"})
+        assert list(clone.heads) == list(model.heads) == ["risk", "churn"]
+        assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
     def test_flipped_byte_in_parameter_data_rejected(self, tmp_path):
         schema, snaps, model = self.build_trained(tmp_path)
@@ -389,7 +404,7 @@ class TestFreshInitialisation:
     def test_new_head_digest(self):
         schema = small_schema()
         model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=3)
-        cfg = FinetuneConfig(steps=0, d_rf=32, seed=5, eval_every=1000)
+        cfg = RunConfig(finetune_steps=0, batch_size=64, d_rf=32, seed=5).finetune_config()
         finetune_loop(model, random_snapshots(schema, 12, seed=0), [TaskSpec("risk", 2)], cfg)
         # the precision is fitted by the covariance pass, not drawn
         assert state_digest(model.heads["risk"], skip={"precision"}) == (
@@ -434,6 +449,32 @@ class TestRunConfig:
         (tmp_path / "c.json").write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             RunConfig.load(tmp_path / "c.json")
+
+    def test_default_stage_records(self):
+        # the records bench/workloads.py receives and replaces fields on
+        pretrain = PretrainConfig(
+            steps=0, batch_size=256,
+            augment=AugmentConfig(cutmix_swap_prob=0.2, mixup_alpha=0.8, seed=0),
+            weights=LossWeights(num=1.0, ce=1.0, mcat=1.0, con=1.0, emb=1.0, memb=1.0, tau=0.1),
+            schedule=CosineWarmupSchedule(initial_lr=5e-5, warmup_target_multiplier=10.0, warmup_steps=100,
+                                          cosine_alpha=0.1, decay_steps=10_000),
+            weight_decay=0.0, seed=0,
+        )
+        finetune = FinetuneConfig(
+            steps=500, batch_size=256,
+            schedule=CosineWarmupSchedule(initial_lr=5e-5, warmup_target_multiplier=2.0, warmup_steps=100,
+                                          cosine_alpha=0.1, decay_steps=10_000),
+            weight_decay=0.0, d_rf=1024, length_scale=2.0, ridge=1.0, linear_probe=False, seed=0,
+            eval_every=50, patience=10,
+        )
+        assert bm.pretrain_config(RunConfig()) == RunConfig().pretrain_config() == pretrain
+        assert bm.finetune_config(RunConfig()) == RunConfig().finetune_config() == finetune
+
+    @pytest.mark.parametrize("record", [PretrainConfig, FinetuneConfig, AugmentConfig, CosineWarmupSchedule])
+    def test_stage_records_declare_no_run_default(self, record):
+        # a stage record comes from a RunConfig, or names every value
+        with pytest.raises(TypeError):
+            record()
 
     def test_model_record_is_the_model_kwargs(self):
         cfg = RunConfig(d=8, heads=2, n_layers=1, ffn_dim=16, d_prime=8, seed=3)

@@ -465,6 +465,19 @@ class TestTrainingCommands:
              "--out-schema", str(ws / f"{tag}.json"), "--trace", str(ws / f"{tag}.txt")]
         )
 
+    def test_select_features_with_min_features_0_exits_2(self, workspace, capsys):
+        # elimination ran down to an empty subset, where numpy's concatenate raised: exit 1
+        rc = main(
+            ["--config", str(workspace / "config.json"), "select-features"]
+            + base_args(workspace)[2:]
+            + ["--task", "risk", "--tolerance", "1.0", "--min-features", "0",
+               "--out-schema", str(workspace / "reduced.json")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG, err
+        assert err.startswith("error:config: ") and "min_features must be at least 1, got 0" in err
+        assert not (workspace / "reduced.json").exists()
+
     def test_select_features_scores_only_labeled_rows(self, workspace):
         """Unlabeled rows interleaved with the workspace's change no trace line
         (scored, their NaN labels zeroed every importance)."""
@@ -629,6 +642,24 @@ class TestBenchmarkCommand:
         assert len(report["folds"]) == 3
         assert "auroc" in report["summary"]
         assert "mean:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line,text,message", [
+        (2, "0.5,a", "cell count differs from the header's 3 (row 3)"),
+        (2, "0.5,a,1,9", "cell count differs from the header's 3 (row 3)"),
+        (0, "age,job,label", "has no target column"),
+    ])
+    def test_dry_run_on_a_malformed_csv_exits_4(self, workspace, capsys, line, text, message):
+        # a short row ended in an AttributeError traceback, a missing target
+        # column exited 1, and an extra cell was dropped
+        path = workspace / "adult.csv"
+        self.make_csv(path)
+        lines = path.read_text().splitlines()
+        lines[line] = text
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["--dry-run", "benchmark", "--dataset", "adult", "--data", str(path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert err.startswith("error:data: ") and message in err
 
     def test_benchmark_missing_file_names_source(self, workspace, capsys):
         rc = main(

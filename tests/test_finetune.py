@@ -1,16 +1,16 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema, traced
-from tabfusion.config import ConfigError
+from tabfusion.config import ConfigError, RunConfig
 from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpec
 from tabfusion.finetune import (
     INVERSE_LEAF,
     VARIANCE_PANEL_COLS,
-    FinetuneConfig,
     SngpHead,
     finetune_loop,
     fit_heads_covariance,
@@ -306,14 +306,9 @@ def separable_setup(n=60, seed=0):
 
 
 def quick_cfg(**kw):
-    cfg = FinetuneConfig(steps=80, batch_size=32, d_rf=64, seed=0, eval_every=1000)
-    cfg.schedule.initial_lr = 2e-3
-    cfg.schedule.warmup_steps = 5
-    cfg.schedule.warmup_target_multiplier = 1.0
-    cfg.schedule.decay_steps = 100
-    for k, v in kw.items():
-        setattr(cfg, k, v)
-    return cfg
+    cfg = RunConfig(finetune_steps=80, batch_size=32, d_rf=64, seed=0, initial_lr=2e-3, warmup_steps=5,
+                    warmup_target_finetune=1.0, decay_steps=100).finetune_config()
+    return replace(cfg, **kw)
 
 
 class TestFinetuneLoop:
@@ -590,11 +585,10 @@ class TestFinetuneLoop:
             s.labels["churn"] = None if i % 3 == 0 else int(s.values["noise"] > 0)
         model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=2)
         tasks = [TaskSpec("risk", 2), TaskSpec("churn", 2, gamma=0.0)]
-        cfg = FinetuneConfig(steps=30, batch_size=8, d_rf=32, eval_every=2, patience=2, seed=5)
-        cfg.schedule.initial_lr = 2e-3
-        cfg.schedule.warmup_steps = 3
+        cfg = replace(RunConfig(finetune_steps=30, batch_size=8, d_rf=32, seed=5, initial_lr=2e-3,
+                                warmup_steps=3).finetune_config(), eval_every=2, patience=2)
         curve = finetune_loop(model, snaps, tasks, cfg, val_indices=list(range(36, 48)))
-        probe = FinetuneConfig(steps=3, batch_size=8, d_rf=32, linear_probe=True, seed=6)
+        probe = RunConfig(finetune_steps=3, batch_size=8, d_rf=32, linear_probe=True, seed=6).finetune_config()
         curve += finetune_loop(model, snaps, tasks[:1], probe)
         assert curve == [
             {"step": 0, "loss.risk": 0.19218206405639648, "loss.churn": 0.6317104697227478,

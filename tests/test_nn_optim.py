@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import fd_gradient_check, random_snapshots, small_schema
 from tabfusion.checkpoint import load_checkpoint
 from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpec
-from tabfusion.finetune import FinetuneConfig, finetune_loop
+from tabfusion.config import RunConfig
+from tabfusion.finetune import finetune_loop
 from tabfusion.model import Model
 import tabfusion.nn as tfn
 from tabfusion.nn import SPECTRAL_EPS, Linear, Mlp, Module, SpectralLinear, advance_power_iteration, power_iteration
 from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError, Trainer
-from tabfusion.pretrain import PretrainConfig, pretrain_loop
+from tabfusion.pretrain import pretrain_loop
 from tabfusion.tensor import Tensor, no_grad, spectral_normalize
 
 
@@ -252,7 +255,7 @@ class TestInferenceWeightCache:
         )
         snaps = random_snapshots(schema, 40, seed=0, label_rule=lambda v, rng: int(v["x"] > 0))
         model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
-        cfg = FinetuneConfig(steps=20, batch_size=16, d_rf=32, eval_every=1, patience=1)
+        cfg = replace(RunConfig(finetune_steps=20, batch_size=16, d_rf=32).finetune_config(), eval_every=1, patience=1)
         curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg, val_indices=list(range(10)))
         # stopped early: the last evaluation served the last step's weights,
         # and the restore replaced them with the best ones
@@ -331,10 +334,10 @@ class TestModule:
             backward(root)
 
         monkeypatch.setattr(Tensor, "backward", recording)
-        pretrain_loop(model, snaps, PretrainConfig(steps=1, batch_size=8))
+        pretrain_loop(model, snaps, RunConfig(pretrain_steps=1, batch_size=8).pretrain_config())
         pretrain_leaves, leaves = leaves, []
         finetune_loop(model, snaps, [TaskSpec("risk"), TaskSpec("churn")],
-                      FinetuneConfig(steps=1, batch_size=8, d_rf=16, eval_every=1000))
+                      RunConfig(finetune_steps=1, batch_size=8, d_rf=16).finetune_config())
         params = {id(p._node) for p in model.parameters().values()}
         for found in (pretrain_leaves, leaves):
             assert found and all(id(leaf) in params for leaf in found)
@@ -393,7 +396,7 @@ class TestAdamW:
 class TestTrainer:
     def test_pretrain_slots_give_every_parameter_and_spectral_layer(self):
         model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0)
-        trainer = Trainer(model.named_state(), CosineWarmupSchedule(), 0.0, 0)
+        trainer = Trainer(model.named_state(), RunConfig().pretrain_config().schedule, 0.0, 0)
         expected = [
             layer
             for row in model.trunk.layers
@@ -417,7 +420,7 @@ class TestTrainer:
         schema = small_schema()
         model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0)
         finetune_loop(model, random_snapshots(schema, 12, seed=1), [TaskSpec("risk")],
-                      FinetuneConfig(steps=1, batch_size=4, d_rf=16, eval_every=1000))
+                      RunConfig(finetune_steps=1, batch_size=4, d_rf=16).finetune_config())
         (trainer,) = made
         isa = {id(o) for path, o, key, _ in model.named_state() if ".isa." in path and key == "u"}
         rows = {id(row.w_q) for row in model.trunk.layers}
@@ -427,7 +430,7 @@ class TestTrainer:
 
     def test_step_returns_the_scheduled_rate_and_draws_distinct_rows(self):
         p = Tensor(np.ones(3), requires_grad=True)
-        schedule = CosineWarmupSchedule(initial_lr=1e-2, warmup_steps=4, decay_steps=20)
+        schedule = RunConfig(initial_lr=1e-2, warmup_steps=4, decay_steps=20).pretrain_config().schedule
         trainer = Trainer([("p", None, "p", p)], schedule, 0.0, 0)
         for step in (0, 3, 9):
             assert trainer.step(step, (p * p).sum()) == schedule.lr_at(step)
@@ -436,7 +439,7 @@ class TestTrainer:
 
     def test_non_finite_loss_raises_before_any_parameter_moves(self):
         p = Tensor(np.ones(3), requires_grad=True)
-        trainer = Trainer([("p", None, "p", p)], CosineWarmupSchedule(), 0.0, 0)
+        trainer = Trainer([("p", None, "p", p)], RunConfig().pretrain_config().schedule, 0.0, 0)
         data = p.data
         with pytest.raises(RuntimeError, match="non-finite loss at step 4"):
             trainer.step(4, (p * np.nan).sum())
@@ -454,9 +457,10 @@ class TestTrainer:
         before = {path: p.data for path, p in model.parameters().items()}
         with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
             if stage == "pretrain":
-                pretrain_loop(model, snaps, PretrainConfig(steps=2, batch_size=4))
+                pretrain_loop(model, snaps, RunConfig(pretrain_steps=2, batch_size=4).pretrain_config())
             else:
-                finetune_loop(model, snaps, [TaskSpec("risk")], FinetuneConfig(steps=2, batch_size=4, d_rf=16))
+                finetune_loop(model, snaps, [TaskSpec("risk")],
+                              RunConfig(finetune_steps=2, batch_size=4, d_rf=16).finetune_config())
         assert all(model.parameters()[path].data is data for path, data in before.items())
 
 

@@ -7,10 +7,8 @@ from conftest import random_snapshots, small_schema
 from tabfusion.data import TOPK_CRITERIA, Asset, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.encoder import FeatureEncoder, feature_inputs
 from tabfusion.model import Model
+from tabfusion.config import LossWeights, RunConfig
 from tabfusion.pretrain import (
-    AugmentConfig,
-    LossWeights,
-    PretrainConfig,
     ReconstructionHeads,
     cutmix,
     info_nce,
@@ -284,13 +282,8 @@ def tiny_model(schema, seed=0):
 
 
 class TestPretrainLoop:
-    def cfg(self, steps=5, seed=0):
-        return PretrainConfig(
-            steps=steps,
-            batch_size=6,
-            augment=AugmentConfig(seed=seed),
-            seed=seed,
-        )
+    def cfg(self, steps=5, seed=0, **run):
+        return RunConfig(pretrain_steps=steps, batch_size=6, seed=seed, **run).pretrain_config()
 
     def test_returns_curve_with_all_terms(self):
         schema = small_schema()
@@ -325,11 +318,7 @@ class TestPretrainLoop:
         schema = small_schema(with_assets=False)
         model = tiny_model(schema)
         snaps = random_snapshots(schema, 24, seed=5)
-        cfg = self.cfg(steps=60)
-        cfg.schedule.initial_lr = 3e-3
-        cfg.schedule.warmup_steps = 5
-        cfg.schedule.warmup_target_multiplier = 1.0
-        cfg.schedule.decay_steps = 60
+        cfg = self.cfg(steps=60, initial_lr=3e-3, warmup_steps=5, warmup_target_pretrain=1.0, decay_steps=60)
         curve = pretrain_loop(model, snaps, cfg)
         first = np.mean([r["total"] for r in curve[:10]])
         last = np.mean([r["total"] for r in curve[-10:]])
@@ -341,7 +330,7 @@ class TestPretrainLoop:
         schema = small_schema()
         model = tiny_model(schema)
         snaps = random_snapshots(schema, 16, seed=8, missing_rate=0.2)
-        cfg = PretrainConfig(steps=3, batch_size=6, augment=AugmentConfig(cutmix_swap_prob=0.5, seed=0), seed=0)
+        cfg = RunConfig(pretrain_steps=3, batch_size=6, cutmix_swap_prob=0.5, seed=0).pretrain_config()
         curve = [[r[k] for k in ("total", "num", "ce", "mcat", "emb", "memb", "con")] for r in pretrain_loop(model, snaps, cfg)]
         assert curve == [
             [9.096773147583008, 0.6204533576965332, 1.3625364303588867, 3.400743007659912,
@@ -378,7 +367,7 @@ def graph_nodes_per_step(model, snaps, batch_size, monkeypatch) -> int:
         backward(root)
 
     monkeypatch.setattr(Tensor, "backward", counting)
-    pretrain_loop(model, snaps, PretrainConfig(steps=1, batch_size=batch_size))
+    pretrain_loop(model, snaps, RunConfig(pretrain_steps=1, batch_size=batch_size).pretrain_config())
     return counts[0]
 
 
