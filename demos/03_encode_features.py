@@ -36,7 +36,7 @@ missing = Snapshot(
     {"monthly_spend": None, "industry": None, "channels": (), "page_embedding": None, "creatives": []}
 )
 
-encoder = FeatureEncoder(schema, d=8, rng=rng)
+encoder = FeatureEncoder(schema, d=8, rng=rng, asset_criterion="recency", asset_seed=0)
 tokens, mask = encoder.assemble_tokens([record, missing])
 print(f"token tensor: {tokens.shape}  (2 examples, {schema.token_count()} tokens, d=8)")
 print(f"mask:\n{mask}")

@@ -30,7 +30,7 @@ def make_data(n, seed):
 
 
 train, test = make_data(300, 0), make_data(200, 1)
-model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0))
 
 pcfg = RunConfig(pretrain_steps=300, batch_size=16, seed=0, initial_lr=1e-3, warmup_steps=20,
                  warmup_target_pretrain=1.0, decay_steps=300).pretrain_config()

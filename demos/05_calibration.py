@@ -28,7 +28,7 @@ def cluster(n, cx, cy, label):
 
 train = cluster(300, -1, -1, 0) + cluster(300, 1, 1, 1)
 rng.shuffle(train)
-model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0))
 cfg = RunConfig(finetune_steps=300, batch_size=64, d_rf=128, seed=0, initial_lr=2e-3, warmup_steps=5,
                 warmup_target_finetune=1.0, decay_steps=300).finetune_config()
 finetune_loop(model, train, [TaskSpec("y", 2, gamma=0.0)], cfg)

@@ -23,7 +23,7 @@ for _ in range(300):
         values[f"noise{i}"] = float(rng.normal())
     snaps.append(Snapshot(values, {"y": label}))
 
-reduced, trace = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02))
+reduced, trace = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02), seed=0, asset_criterion="recency")
 print(f"baseline validation auroc: {trace.baseline_metric:.4f}")
 for rnd, name, importance, metric in trace.rounds:
     print(f"round {rnd}: removed {name:8s} (importance {importance:+.4f}) -> auroc {metric:.4f}")

@@ -100,7 +100,8 @@ def load_benchmark_csv(path, dataset_name: str):
     Numerics stay raw: `run_benchmark` normalizes each fold from its
     training rows. A header without the dataset's target column, a row
     whose cell count is not the header's, or a non-finite numeric cell
-    raises DataError naming the column, row or feature."""
+    raises DataError naming the column, feature or row (the file line the
+    row ends on)."""
     spec = DATASETS[dataset_name]
     path = Path(path)
     if not path.exists():
@@ -109,18 +110,20 @@ def load_benchmark_csv(path, dataset_name: str):
         )
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = list(reader)
+        # each row with the file line it ends on; DictReader skips blank lines
+        numbered = [(reader.line_num, r) for r in reader]
+    rows = [r for _, r in numbered]
     if not rows:
         return FeatureSchema([], [TaskSpec(spec["target"])]), []
     if spec["target"] not in reader.fieldnames:
         raise DataError(f"{path} has no target column", feature=spec["target"])
-    for row_no, r in enumerate(rows, start=2):
+    for row_no, r in numbered:
         if None in r or None in r.values():  # DictReader's marks of a cell beyond or short of the header
             raise DataError(f"the cell count differs from the header's {len(reader.fieldnames)}", row=row_no)
     schema = infer_schema(rows, spec["target"], drop=spec.get("drop", ()))
     positives = set(spec["positive"])
     snapshots = []
-    for row_no, r in enumerate(rows, start=2):
+    for row_no, r in numbered:
         values = {}
         for f in schema:
             cell = r[f.name].strip()
@@ -194,7 +197,7 @@ def run_benchmark(
         fold_schema, train, test = normalize_split(
             schema, [snapshots[i] for i in train_idx], [snapshots[i] for i in test_idx]
         )
-        model = build_model(fold_schema, replace(config, seed=config.seed + fold))
+        model = Model(fold_schema, replace(config, seed=config.seed + fold))
         if config.pretrain_steps > 0:
             pretrain_loop(model, train, config.pretrain_config())
         finetune_loop(model, train, tasks, config.finetune_config())
@@ -217,11 +220,9 @@ def run_benchmark(
     return report
 
 
-def build_model(schema: FeatureSchema, config: RunConfig) -> Model:
-    return Model(schema, **config.model_record())
-
-
-# the stage records of a RunConfig under the names bench/workloads.py calls
+# the model constructor and the stage records of a RunConfig under the names
+# bench/workloads.py calls
+build_model = Model
 pretrain_config = RunConfig.pretrain_config
 finetune_config = RunConfig.finetune_config
 

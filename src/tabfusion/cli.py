@@ -185,8 +185,9 @@ def cmd_pretrain(args) -> int:
     if args.steps is not None:
         cfg.pretrain_steps = args.steps
     if cfg.pretrain_steps <= 0:
-        cfg.pretrain_steps = 200
-    model = bench.build_model(schema, cfg)
+        raise ConfigError(f"pretrain needs a step count: pass --steps or set pretrain_steps above 0, "
+                          f"got {cfg.pretrain_steps}")
+    model = Model(schema, cfg)
     pretrain_loop(model, snapshots, cfg.pretrain_config(), log_path=args.loss_log)
     model.save(args.out_checkpoint, cfg.to_dict())
     _write_manifest(args.out_checkpoint, cfg, {"schema": args.schema, "data": args.data}, started)
@@ -200,7 +201,7 @@ def cmd_finetune(args) -> int:
         model, snapshots = _load_model_and_data(args.init_checkpoint, args, cfg)
     else:
         schema, snapshots = _load_data(args)
-        model = bench.build_model(schema, cfg)
+        model = Model(schema, cfg)
     declared = {t.name: t for t in FeatureSchema.load(args.schema).tasks}
     for name in set(args.task) - declared.keys():
         # a task the schema does not declare is binary; the loader checked
@@ -220,7 +221,7 @@ def cmd_predict(args) -> int:
     started = time.time()
     cfg = _load_config(args)
     model, snapshots = _load_model_and_data(args.checkpoint, args, cfg, task=args.task)
-    result = model.predict(snapshots, args.task, batch_size=cfg.batch_size)
+    result = model.predict(snapshots, args.task)
     calibrated = result["calibrated"]
     with Path(args.out).open("w") as fh:
         for probs, var in zip(result["probs"], result["variance"]):

@@ -4,9 +4,10 @@ run default, its validation, and the stage records the training loops read."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .data import TOPK_CRITERIA
 from .optim import CosineWarmupSchedule
 
 __all__ = ["RunConfig", "ConfigError", "AugmentConfig", "LossWeights", "PretrainConfig", "FinetuneConfig"]
@@ -14,6 +15,11 @@ __all__ = ["RunConfig", "ConfigError", "AugmentConfig", "LossWeights", "Pretrain
 
 class ConfigError(ValueError):
     pass
+
+
+# the values a RunConfig field of each declared type takes; a bool is an
+# int to Python, so it passes only as a bool
+FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass
@@ -52,21 +58,38 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Raise ConfigError naming the first field whose value is not of its
+        declared type or is out of range."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         checks = [
             (self.d > 0 and self.d % 2 == 0, "d must be a positive even integer"),
             (self.heads > 0 and self.d % self.heads == 0, "d must be divisible by heads"),
             (self.n_layers >= 0, "n_layers must be >= 0"),
+            (self.ffn_dim >= 1, "ffn_dim must be >= 1"),
             (self.d_prime >= 1, "d_prime must be >= 1"),
             (0.0 <= self.cutmix_swap_prob <= 1.0, "cutmix_swap_prob must be in [0,1]"),
             (0.0 <= self.mixup_alpha <= 1.0, "mixup_alpha must be in [0,1]"),
             (self.contrastive_tau > 0, "contrastive_tau must be positive"),
             (self.initial_lr >= 0, "initial_lr must be >= 0"),
             (0.0 <= self.cosine_alpha <= 1.0, "cosine_alpha must be in [0,1]"),
+            (self.warmup_target_pretrain >= 0, "warmup_target_pretrain must be >= 0"),
+            (self.warmup_target_finetune >= 0, "warmup_target_finetune must be >= 0"),
+            (self.warmup_steps >= 0, "warmup_steps must be >= 0"),
+            (self.decay_steps >= 1, "decay_steps must be >= 1"),
+            (self.weight_decay >= 0, "weight_decay must be >= 0"),
+            (self.pretrain_steps >= 0, "pretrain_steps must be >= 0"),
+            (self.finetune_steps >= 0, "finetune_steps must be >= 0"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
             (self.folds >= 2, "folds must be >= 2"),
             (self.d_rf >= 1, "d_rf must be >= 1"),
+            (self.gp_length_scale > 0, "gp_length_scale must be positive"),
             (self.gp_ridge > 0, "gp_ridge must be positive"),
             (self.focal_gamma >= 0, "focal_gamma must be >= 0"),
+            (self.asset_criterion in TOPK_CRITERIA, f"asset_criterion must be one of {list(TOPK_CRITERIA)}"),
+            (self.seed >= 0, "seed must be >= 0"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -108,6 +131,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config is a JSON object of fields, not a {type(d).__name__}")
         known = {f for f in RunConfig.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:

@@ -526,7 +526,7 @@ def save_dataset(snapshots, schema, data_path, embeddings_path=None):
 TOPK_CRITERIA = ("recency", "engagement", "centroid_outlier", "random")
 
 
-def select_top_k_assets(assets, k: int, criterion: str = "recency", seed: int | None = None):
+def select_top_k_assets(assets, k: int, criterion: str, seed: int):
     """Pick at most k representative assets, deterministically.
 
     recency/engagement sort descending by the metadata field;

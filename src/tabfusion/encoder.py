@@ -24,14 +24,7 @@ __all__ = ["FeatureEncoder", "feature_inputs"]
 
 
 class FeatureEncoder(Module):
-    def __init__(
-        self,
-        schema: FeatureSchema,
-        d: int,
-        rng: np.random.Generator,
-        asset_criterion: str = "recency",
-        asset_seed: int = 0,
-    ):
+    def __init__(self, schema: FeatureSchema, d: int, rng: np.random.Generator, asset_criterion: str, asset_seed: int):
         if d % 2 != 0:
             raise ValueError("token dimension d must be even")
         self.schema = schema

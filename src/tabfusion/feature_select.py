@@ -43,7 +43,7 @@ class EliminationTrace:
     rounds: list = field(default_factory=list)  # (round, feature, importance, metric)
 
 
-def featurize(snapshots: list[Snapshot], schema: FeatureSchema, asset_criterion: str = "recency", asset_seed: int = 0):
+def featurize(snapshots: list[Snapshot], schema: FeatureSchema, asset_criterion: str, asset_seed: int):
     """Flatten the encoder's input arrays into (X, column ranges per feature name).
 
     numeric -> the value (missing as 0) and a missing flag; categorical and
@@ -119,9 +119,9 @@ def backward_eliminate(
     snapshots: list[Snapshot],
     schema: FeatureSchema,
     task: str,
-    stop_rule: StopRule | None = None,
-    seed: int = 0,
-    asset_criterion: str = "recency",
+    stop_rule: StopRule,
+    seed: int,
+    asset_criterion: str,
 ):
     """Iteratively drop the lowest-importance feature until the validation
     metric would fall more than stop_rule.tolerance below the full-schema
@@ -136,7 +136,6 @@ def backward_eliminate(
 
     Returns (reduced FeatureSchema, EliminationTrace).
     """
-    stop_rule = stop_rule or StopRule()
     if len(schema) < 2:
         raise ValueError("need at least 2 features to eliminate")
     labeled = [s for s in snapshots if s.labels.get(task) is not None]

@@ -40,9 +40,9 @@ class SngpHead(Module):
         in_dim: int,
         classes: int,
         rng: np.random.Generator,
-        d_rf: int = 1024,
-        length_scale: float = 2.0,
-        ridge: float = 1.0,
+        d_rf: int,
+        length_scale: float,
+        ridge: float,
         kappa: float = math.pi / 8.0,
     ):
         self.in_dim = in_dim
@@ -237,10 +237,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     head_rng = np.random.default_rng(cfg.seed + 1)
     for t in tasks:
         if t.name not in model.heads:
-            model.heads[t.name] = SngpHead(
-                model.d, t.classes, head_rng, d_rf=cfg.d_rf,
-                length_scale=cfg.length_scale, ridge=cfg.ridge,
-            )
+            model.heads[t.name] = SngpHead(model.d, t.classes, head_rng, cfg.d_rf, cfg.length_scale, cfg.ridge)
 
     # the slots a step runs and trains, behind the optimizer, power iteration and
     # the best state: the task heads, plus encoder and trunk without ISA unless probing

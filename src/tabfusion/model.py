@@ -7,6 +7,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .config import RunConfig
 from .data import FeatureSchema
 from .encoder import FeatureEncoder
 from .finetune import SngpHead
@@ -19,36 +20,25 @@ __all__ = ["Model"]
 
 # the SngpHead arguments a checkpoint stores per head: all but in_dim and rng
 HEAD_FIELDS = ("classes", "d_rf", "length_scale", "ridge", "kappa")
+# rows per inference chunk; rows are bitwise batch-independent, so it sets
+# only the peak memory of `embed` and `predict`, never an output bit
+INFERENCE_BATCH = 256
 
 
 class Model(Module):
-    def __init__(
-        self,
-        schema: FeatureSchema,
-        d: int = 32,
-        n_layers: int = 6,
-        heads: int = 8,
-        ffn_dim: int = 512,
-        d_prime: int | None = None,
-        spectral_norm: bool = True,
-        asset_criterion: str = "recency",
-        seed: int = 0,
-    ):
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        d_prime = d_prime if d_prime is not None else 4 * d
-        self._build(schema, rng, dict(
-            d=d, n_layers=n_layers, heads=heads, ffn_dim=ffn_dim, d_prime=d_prime,
-            spectral_norm=spectral_norm, asset_criterion=asset_criterion, seed=seed,
-        ))
+    def __init__(self, schema: FeatureSchema, cfg: RunConfig):
+        """A fresh model of `cfg.model_record()`, its arrays drawn from a
+        generator spawned from `cfg.seed`."""
+        fields = cfg.model_record()
+        self._build(schema, np.random.default_rng(np.random.SeedSequence(fields["seed"]).spawn(1)[0]), fields)
 
     def _build(self, schema: FeatureSchema, rng, fields: dict) -> None:
-        """The module tree of `fields` (the constructor fields, as the checkpoint
-        record stores them), its arrays drawn from `rng`."""
+        """The module tree of `fields` (`RunConfig.model_record()`, as the
+        checkpoint record stores it), its arrays drawn from `rng`."""
         self.schema = schema
         self.d = d = fields["d"]
         self.fields = fields
-        self.encoder = FeatureEncoder(schema, d, rng, asset_criterion=fields["asset_criterion"],
-                                      asset_seed=fields["seed"])
+        self.encoder = FeatureEncoder(schema, d, rng, fields["asset_criterion"], fields["seed"])
         self.trunk = Trunk(TrunkConfig(
             d=d, n_tokens=schema.token_count(),
             **{k: fields[k] for k in ("n_layers", "heads", "ffn_dim", "d_prime", "spectral_norm")},
@@ -61,7 +51,7 @@ class Model(Module):
     def save(self, path, config_dict: dict) -> None:
         """Write every parameter and buffer under its attribute path, plus the
         record `load` rebuilds the model from: the training schema (with its
-        normalization), the constructor fields, each head's fields and
+        normalization), the model record, each head's fields and
         `config_dict`."""
         arrays = {**{k: p.data for k, p in self.parameters().items()}, **self.buffers()}
         record = {
@@ -122,28 +112,28 @@ class Model(Module):
 
     # ---- inference -------------------------------------------------------
 
-    def embed(self, snapshots, batch_size: int = 256) -> np.ndarray:
+    def embed(self, snapshots) -> np.ndarray:
         """Pooled inference-mode embeddings, [n, d].
 
-        The one inference pass through encoder and trunk, run under no_grad.
-        ISA is bypassed, so a row's embedding is bitwise the same alone or in
-        any batch.
+        The one inference pass through encoder and trunk, run under no_grad,
+        INFERENCE_BATCH rows at a time. ISA is bypassed, so a row's embedding
+        is bitwise the same alone or in any batch.
         """
         chunks = []
-        for lo in range(0, len(snapshots), batch_size):
+        for lo in range(0, len(snapshots), INFERENCE_BATCH):
             with no_grad():
-                x, mask = self.encoder.assemble_tokens(snapshots[lo : lo + batch_size])
+                x, mask = self.encoder.assemble_tokens(snapshots[lo : lo + INFERENCE_BATCH])
                 _, pooled = self.trunk(x, mask, mode="inference")
             chunks.append(pooled.data)
         return np.concatenate(chunks) if chunks else np.zeros((0, self.d), dtype=np.float32)
 
-    def predict(self, snapshots, task: str, calibrated: bool = True, batch_size: int = 256) -> dict:
-        """`SngpHead.predict` of the task's head on `embed`'s rows, batch_size
-        at a time: probs [n, classes], variance [n] and calibrated."""
-        pooled = self.embed(snapshots, batch_size)
+    def predict(self, snapshots, task: str, calibrated: bool = True) -> dict:
+        """`SngpHead.predict` of the task's head on `embed`'s rows,
+        INFERENCE_BATCH at a time: probs [n, classes], variance [n] and calibrated."""
+        pooled = self.embed(snapshots)
         parts = [  # an empty input still gets one (empty) call
-            self.heads[task].predict(Tensor(pooled[lo : lo + batch_size]), calibrated)
-            for lo in range(0, max(len(pooled), 1), batch_size)
+            self.heads[task].predict(Tensor(pooled[lo : lo + INFERENCE_BATCH]), calibrated)
+            for lo in range(0, max(len(pooled), 1), INFERENCE_BATCH)
         ]
         out = {key: np.concatenate([p[key] for p in parts]) for key in ("probs", "variance")}
         return {**out, "calibrated": parts[0]["calibrated"]}

@@ -52,13 +52,7 @@ class CosineWarmupSchedule:
 class AdamW:
     """Decoupled-weight-decay Adam over a name -> Tensor parameter dict."""
 
-    def __init__(
-        self,
-        params: dict,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: dict, weight_decay: float, betas: tuple = (0.9, 0.999), eps: float = 1e-8):
         self.params = dict(params)
         self.beta1, self.beta2 = betas
         self.eps = eps

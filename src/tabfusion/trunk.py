@@ -25,12 +25,12 @@ MODES = ("pretrain", "finetune", "inference")
 
 @dataclass
 class TrunkConfig:
-    d: int = 32
-    n_tokens: int = 8
-    n_layers: int = 6
-    heads: int = 8
-    ffn_dim: int = 512
-    d_prime: int = 128  # ISA projected dim, default 4*d
+    d: int
+    n_tokens: int
+    n_layers: int
+    heads: int
+    ffn_dim: int
+    d_prime: int  # ISA projected dim
     spectral_norm: bool = True
 
     def __post_init__(self):

@@ -148,7 +148,7 @@ def test_criterion_03_gradient_integrity():
     check(lambda: (isa(ix) ** 2.0).sum(), [ix] + leaves)
 
     # SNGP head + focal loss
-    head = SngpHead(4, 2, rng, d_rf=16)
+    head = SngpHead(4, 2, rng, d_rf=16, length_scale=2.0, ridge=1.0)
     f64(head.beta)
     hx = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     check(
@@ -168,7 +168,8 @@ def test_criterion_03_gradient_integrity():
         ],
         [],
     )
-    inputs = FeatureEncoder(schema, 4, np.random.default_rng(0)).inputs(random_snapshots(schema, 3, seed=1))
+    encoder = FeatureEncoder(schema, 4, np.random.default_rng(0), "recency", 0)
+    inputs = encoder.inputs(random_snapshots(schema, 3, seed=1))
     recon = ReconstructionHeads(schema, 4, rng)
     recon_leaves = []
     for lin in recon.decoders.values():
@@ -238,7 +239,7 @@ def test_criterion_04_spectral_normalization():
 def test_criterion_05_inference_batch_independence():
     schema = small_schema(with_assets=True)
     snaps = random_snapshots(schema, 50, seed=3, missing_rate=0.15)
-    model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=4)
+    model = Model(schema, RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=4))
     cfg = RunConfig(finetune_steps=5, batch_size=16, d_rf=32, seed=0).finetune_config()
     finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg)
 
@@ -329,7 +330,7 @@ def test_criterion_08_sngp_calibration():
 
     train = cluster(300, -1, -1, 0) + cluster(300, 1, 1, 1)
     rng.shuffle(train)
-    model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+    model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0))
     cfg = RunConfig(finetune_steps=300, batch_size=64, d_rf=128, seed=0, initial_lr=2e-3, warmup_steps=5,
                     warmup_target_finetune=1.0, decay_steps=400).finetune_config()
     finetune_loop(model, train, [TaskSpec("y", 2, gamma=0.0)], cfg)
@@ -341,10 +342,10 @@ def test_criterion_08_sngp_calibration():
     test = in_dist + shifted
     y = np.array([s.labels["y"] for s in test])
 
-    calibrated = model.predict(test, "y", batch_size=512)
+    calibrated = model.predict(test, "y")
     cal_probs, variances = calibrated["probs"][:, 1], calibrated["variance"]
     # the uncalibrated baseline: a plain softmax of the same head's logits
-    logits = model.heads["y"].logits(Tensor(model.embed(test, 512))).data.astype(np.float64)
+    logits = model.heads["y"].logits(Tensor(model.embed(test))).data.astype(np.float64)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     raw_probs = (e / e.sum(axis=-1, keepdims=True))[:, 1]
 
@@ -396,10 +397,10 @@ def test_criterion_09_pretraining_efficacy():
     for seed in range(5):
         train = make_data(300, seed)
         val = make_data(200, 100 + seed)
-        cold = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=seed)
+        cold = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=seed))
         cold_steps = steps_to_threshold(cold, train, val, seed)
 
-        warm = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=seed)
+        warm = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=seed))
         pcfg = RunConfig(pretrain_steps=2000, batch_size=16, seed=seed, initial_lr=1e-3, warmup_steps=50,
                          warmup_target_pretrain=1.0, decay_steps=2000).pretrain_config()
         pretrain_loop(warm, train, pcfg)
@@ -434,7 +435,7 @@ def test_criterion_10_feature_selection():
                 values[nm] = float(rng.normal())
             snaps.append(Snapshot(values, {"y": label}))
         reduced, trace = backward_eliminate(
-            snaps, schema, "y", StopRule(tolerance=0.02), seed=seed
+            snaps, schema, "y", StopRule(tolerance=0.02), seed=seed, asset_criterion="recency"
         )
         removed = [r[1] for r in trace.rounds]
         if sorted(removed) != sorted(noise_names) or "signal" not in [f.name for f in reduced]:

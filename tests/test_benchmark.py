@@ -34,6 +34,7 @@ def test_a_non_finite_numeric_cell_is_a_data_error(tmp_path, first_age):
     (2, "0.5,a", (3, None)),  # a short row
     (2, "0.5,a,1,9", (3, None)),  # a row with an extra cell
     (0, "age,job,label", (None, "target")),  # a header without the target column
+    (2, "\n0.5,a", (4, None)),  # a short row after a blank line, which was named by its record, row 3
 ])
 def test_a_malformed_row_or_header_is_a_data_error(tmp_path, line, text, where):
     """A short row raised AttributeError on its missing cell, a missing

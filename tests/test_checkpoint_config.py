@@ -169,7 +169,7 @@ class TestModelPersistence:
     def build_trained(self, tmp_path):
         schema = small_schema()
         snaps = random_snapshots(schema, 20, seed=0)
-        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=3)
+        model = Model(schema, RunConfig(**self.kwargs()))
         cfg = RunConfig(finetune_steps=4, batch_size=8, d_rf=32, seed=0).finetune_config()
         finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg)
         return schema, snaps, model
@@ -204,8 +204,8 @@ class TestModelPersistence:
             assert not any(np.shares_memory(value, a) for a in arrays.values()), name
 
     def test_model_file_bytes_are_pinned(self, tmp_path):
-        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0)
-        head = model.heads["risk"] = SngpHead(8, 2, np.random.default_rng(1), d_rf=32)
+        model = Model(small_schema(), RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0))
+        head = model.heads["risk"] = SngpHead(8, 2, np.random.default_rng(1), d_rf=32, length_scale=2.0, ridge=1.0)
         head.precision = np.eye(32) + np.arange(32 * 32).reshape(32, 32) / 1024.0
         model.save(tmp_path / "m.ckpt", {"arch": "tiny"})
         assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == (
@@ -215,9 +215,9 @@ class TestModelPersistence:
         # peak minus kept was about the array bytes when the load held the
         # file's bytes and a copy of each array; what remains is mostly the
         # placeholders the module tree is built with before the swap
-        model = Model(small_schema(), d=16, n_layers=2, heads=2, ffn_dim=64, d_prime=16, seed=0)
+        model = Model(small_schema(), RunConfig(d=16, n_layers=2, heads=2, ffn_dim=64, d_prime=16, seed=0))
         for task, seed in (("risk", 1), ("churn", 2)):
-            head = model.heads[task] = SngpHead(16, 2, np.random.default_rng(seed), d_rf=256)
+            head = model.heads[task] = SngpHead(16, 2, np.random.default_rng(seed), 256, length_scale=2.0, ridge=1.0)
             head.precision = 2.0 * np.eye(256)
         model.save(tmp_path / "m.ckpt", {})
         nbytes = sum(a.nbytes for a in [p.data for p in model.parameters().values()] + list(model.buffers().values()))
@@ -241,7 +241,7 @@ class TestModelPersistence:
         assert schema.to_dict() == expected
         schema.save(tmp_path / "schema.json")
         assert json.loads((tmp_path / "schema.json").read_text()) == expected
-        Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8).save(tmp_path / "m.ckpt", {})
+        Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8)).save(tmp_path / "m.ckpt", {})
         assert load_checkpoint(tmp_path / "m.ckpt")[0]["schema"] == expected
         assert Model.load(tmp_path / "m.ckpt").schema.tasks == [TaskSpec("risk", 2), TaskSpec("tier", 3)]
 
@@ -335,7 +335,7 @@ class TestModelPersistence:
         calls = []
         monkeypatch.setattr(nn, "power_iteration", lambda *args: calls.append(args) or iterate(*args))
         want = model.predict(snaps, "risk")
-        Model(schema, **self.kwargs())  # a fresh model warm-starts each spectral layer
+        Model(schema, RunConfig(**self.kwargs()))  # a fresh model warm-starts each spectral layer
         assert calls
 
         def no_generator(*args, **kwargs):
@@ -398,12 +398,12 @@ class TestFreshInitialisation:
         (7, "a0a2486b31bc56b6b450a2497577d8d67b77b638917db42547e95a973142e8dc"),
     ])
     def test_model_digest(self, seed, want):
-        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=seed)
+        model = Model(small_schema(), RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=seed))
         assert state_digest(model) == want
 
     def test_new_head_digest(self):
         schema = small_schema()
-        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=3)
+        model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=3))
         cfg = RunConfig(finetune_steps=0, batch_size=64, d_rf=32, seed=5).finetune_config()
         finetune_loop(model, random_snapshots(schema, 12, seed=0), [TaskSpec("risk", 2)], cfg)
         # the precision is fitted by the covariance pass, not drawn
@@ -438,6 +438,12 @@ class TestRunConfig:
         cfg.save(tmp_path / "c.json")
         loaded = RunConfig.load(tmp_path / "c.json")
         assert loaded == cfg
+
+    def test_a_float_field_takes_an_int_and_a_bool_field_only_a_bool(self):
+        assert RunConfig.from_dict({"gp_ridge": 1, "initial_lr": 0}).gp_ridge == 1
+        for key in ("linear_probe", "spectral_norm"):
+            with pytest.raises(ConfigError, match=f"{key} must be of type bool"):
+                RunConfig.from_dict({key: 1})
 
     def test_unknown_key_rejected(self):
         # threads and activation were fields once; nothing read them
@@ -482,7 +488,8 @@ class TestRunConfig:
         assert set(record) == {
             "d", "n_layers", "heads", "ffn_dim", "d_prime", "spectral_norm", "asset_criterion", "seed"
         }
-        assert Model(small_schema(), **record).trunk.cfg.ffn_dim == 16
+        assert Model(small_schema(), cfg).fields == record
+        assert Model(small_schema(), cfg).trunk.cfg.ffn_dim == 16
         trained = RunConfig(**{**cfg.to_dict(), "pretrain_steps": 200, "finetune_steps": 3, "batch_size": 8})
         assert config_digest(trained.model_record()) == config_digest(record)
         assert config_digest(RunConfig(**{**cfg.to_dict(), "seed": 4}).model_record()) != config_digest(record)

@@ -93,6 +93,31 @@ class TestBasics:
         assert rc == EXIT_CONFIG
         assert "error:config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"d": "8"}', "d must be of type int"),  # TypeError tracebacks, exit 1
+        ('{"batch_size": null}', "batch_size must be of type int"),
+        ('{"seed": true}', "seed must be of type int"),
+        ('{"spectral_norm": "no"}', "spectral_norm must be of type bool"),  # loaded, and meant on
+        ('{"decay_steps": 0}', "decay_steps must be >= 1"),  # ZeroDivisionError once warm-up ended
+        ('{"asset_criterion": "bogus"}', "asset_criterion must be one of"),  # loaded
+        ('{"warmup_steps": -1}', "warmup_steps must be >= 0"),
+        ('{"ffn_dim": 0}', "ffn_dim must be >= 1"),
+        ('{"pretrain_steps": -1}', "pretrain_steps must be >= 0"),
+        ('{"finetune_steps": -1}', "finetune_steps must be >= 0"),
+        ('{"weight_decay": -0.1}', "weight_decay must be >= 0"),
+        ('[1, 2]', "a config is a JSON object"),  # reported as unknown keys [1, 2]
+    ])
+    def test_dry_run_rejects_a_bad_config_field(self, workspace, capsys, text, field):
+        (workspace / "bad.json").write_text(text)
+        rc = main(
+            ["--config", str(workspace / "bad.json"), "--dry-run", "pretrain"]
+            + base_args(workspace)[2:]
+            + ["--out-checkpoint", str(workspace / "x.ckpt")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG, err
+        assert err.startswith("error:config: ") and field in err
+
     def test_unknown_config_key(self, workspace, capsys):
         (workspace / "bad.json").write_text('{"mystery_knob": 3}')
         rc = main(
@@ -284,6 +309,22 @@ class TestMalformedData:
         err = capsys.readouterr().err
         assert rc == EXIT_DATA, err
         assert err.startswith("error:data: ") and f"at least 2 rows, got {rows}" in err
+        assert not (workspace / "pre.ckpt").exists()
+
+    @pytest.mark.parametrize("steps", [[], ["--steps", "0"]])
+    def test_pretrain_without_steps_exits_2(self, workspace, capsys, steps):
+        # ran 200 steps, a count no config declares, and recorded them as the run's
+        cfg = RunConfig.load(workspace / "config.json")
+        cfg.pretrain_steps = 0
+        cfg.save(workspace / "config.json")
+        rc = main(
+            ["--config", str(workspace / "config.json"), "pretrain"]
+            + base_args(workspace)[2:] + steps
+            + ["--out-checkpoint", str(workspace / "pre.ckpt")]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG, err
+        assert err.startswith("error:config: ") and "--steps" in err and "pretrain_steps" in err
         assert not (workspace / "pre.ckpt").exists()
 
     def test_pretrain_with_batch_size_1_exits_2(self, workspace, capsys):
@@ -646,6 +687,7 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize("line,text,message", [
         (2, "0.5,a", "cell count differs from the header's 3 (row 3)"),
         (2, "0.5,a,1,9", "cell count differs from the header's 3 (row 3)"),
+        (2, "\n0.5,a", "cell count differs from the header's 3 (row 4)"),  # after a blank line
         (0, "age,job,label", "has no target column"),
     ])
     def test_dry_run_on_a_malformed_csv_exits_4(self, workspace, capsys, line, text, message):

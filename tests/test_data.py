@@ -500,21 +500,21 @@ def make_assets(vals):
 class TestTopK:
     def test_fewer_than_k_passthrough(self):
         assets = make_assets([(1, 0, 0)])
-        assert select_top_k_assets(assets, 3) == assets
+        assert select_top_k_assets(assets, 3, "recency", 0) == assets
 
     def test_recency(self):
         assets = make_assets([(1, 5, 0), (2, 9, 0), (3, 1, 0)])
-        picked = select_top_k_assets(assets, 2, "recency")
+        picked = select_top_k_assets(assets, 2, "recency", 0)
         assert [a.timestamp for a in picked] == [9, 5]
 
     def test_engagement(self):
         assets = make_assets([(1, 0, 0.1), (2, 0, 0.9), (3, 0, 0.5)])
-        picked = select_top_k_assets(assets, 2, "engagement")
+        picked = select_top_k_assets(assets, 2, "engagement", 0)
         assert [a.engagement for a in picked] == [0.9, 0.5]
 
     def test_ties_break_by_input_order(self):
         assets = make_assets([(1, 7, 0), (2, 7, 0), (3, 7, 0)])
-        picked = select_top_k_assets(assets, 2, "recency")
+        picked = select_top_k_assets(assets, 2, "recency", 0)
         assert [a.vector[0] for a in picked] == [1, 2]
 
     def test_centroid_outlier_matches_brute_force(self, rng):
@@ -522,7 +522,7 @@ class TestTopK:
             n = int(rng.integers(5, 10))
             assets = [Asset(rng.normal(size=3)) for _ in range(n)]
             k = int(rng.integers(2, n))
-            picked = select_top_k_assets(assets, k, "centroid_outlier")
+            picked = select_top_k_assets(assets, k, "centroid_outlier", 0)
             vecs = np.stack([a.vector for a in assets])
             dist = np.linalg.norm(vecs - vecs.mean(axis=0), axis=1)
             order_near = np.argsort(dist, kind="stable")
@@ -577,9 +577,9 @@ class TestTopK:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            select_top_k_assets([], 0)
+            select_top_k_assets([], 0, "recency", 0)
         with pytest.raises(ValueError, match="criterion"):
-            select_top_k_assets(make_assets([(1, 0, 0)] * 3), 2, "magic")
+            select_top_k_assets(make_assets([(1, 0, 0)] * 3), 2, "magic", 0)
 
 
 class TestFolds:

@@ -9,7 +9,7 @@ from tabfusion.tensor import Tensor
 
 def numeric_encoder(d=8, rng=None):
     schema = FeatureSchema([FeatureSpec("x", "numeric")], [])
-    return FeatureEncoder(schema, d, rng or np.random.default_rng(0))
+    return FeatureEncoder(schema, d, rng or np.random.default_rng(0), "recency", 0)
 
 
 def first_tokens(enc, values, name):
@@ -67,7 +67,7 @@ class TestNumericEncoding:
 class TestCategoricalEncoding:
     def make(self, vocab=5, d=6):
         schema = FeatureSchema([FeatureSpec("c", "multi_categorical", vocab_size=vocab)], [])
-        return FeatureEncoder(schema, d, np.random.default_rng(1))
+        return FeatureEncoder(schema, d, np.random.default_rng(1), "recency", 0)
 
     def test_singleton_is_table_row(self):
         enc = self.make()
@@ -110,7 +110,7 @@ class TestInputs:
             FeatureSpec("t", "multi_categorical", vocab_size=4), FeatureSpec("e", "embedding", dim=2),
             FeatureSpec("m", "multi_embedding", dim=2, max_count=2),
         ])
-        enc = FeatureEncoder(schema, 4, np.random.default_rng(0), asset_criterion="engagement")
+        enc = FeatureEncoder(schema, 4, np.random.default_rng(0), asset_criterion="engagement", asset_seed=0)
         assets = [Asset(np.full(2, float(i), dtype=np.float32), timestamp=-i, engagement=i) for i in range(4)]
         rows = [Snapshot({"x": 1.5, "c": 2, "t": (0, 3), "e": np.array([1.0, -1.0]), "m": assets}),
                 Snapshot({"x": None, "c": None, "t": (), "e": None, "m": []})]
@@ -132,7 +132,7 @@ class TestInputs:
 class TestAssembly:
     def test_shapes_and_mask(self):
         schema = small_schema(with_assets=True)
-        enc = FeatureEncoder(schema, 8, np.random.default_rng(2))
+        enc = FeatureEncoder(schema, 8, np.random.default_rng(2), "recency", 0)
         snaps = random_snapshots(schema, 4, seed=5)
         x, mask = enc.assemble_tokens(snaps)
         assert x.shape == (4, schema.token_count(), 8)
@@ -145,7 +145,7 @@ class TestAssembly:
 
     def test_all_missing_snapshot_is_finite(self):
         schema = small_schema(with_assets=True)
-        enc = FeatureEncoder(schema, 8, np.random.default_rng(3))
+        enc = FeatureEncoder(schema, 8, np.random.default_rng(3), "recency", 0)
         empty = Snapshot({f.name: ([] if f.kind == "multi_embedding" else
                                    (tuple() if f.kind == "multi_categorical" else None))
                           for f in schema})
@@ -155,7 +155,7 @@ class TestAssembly:
 
     def test_batch_rows_independent(self):
         schema = small_schema(with_assets=True)
-        enc = FeatureEncoder(schema, 8, np.random.default_rng(4))
+        enc = FeatureEncoder(schema, 8, np.random.default_rng(4), "recency", 0)
         snaps = random_snapshots(schema, 6, seed=7, missing_rate=0.2)
         full, mfull = enc.assemble_tokens(snaps)
         one, mone = enc.assemble_tokens(snaps[2:3])
@@ -170,8 +170,8 @@ class TestAssembly:
             FeatureSpec("c", "numeric"),
         ]
         snaps = [Snapshot({"a": 0.4, "b": 1, "c": -0.7})]
-        enc1 = FeatureEncoder(FeatureSchema(list(specs)), 6, np.random.default_rng(8))
-        enc2 = FeatureEncoder(FeatureSchema([specs[2], specs[0], specs[1]]), 6, np.random.default_rng(0))
+        enc1 = FeatureEncoder(FeatureSchema(list(specs)), 6, np.random.default_rng(8), "recency", 0)
+        enc2 = FeatureEncoder(FeatureSchema([specs[2], specs[0], specs[1]]), 6, np.random.default_rng(0), "recency", 0)
         # share parameters so only ordering differs
         enc2.freqs = enc1.freqs
         enc2.tables = enc1.tables
@@ -186,7 +186,7 @@ class TestAssembly:
             [FeatureSpec("a", "numeric"), FeatureSpec("b", "categorical", vocab_size=3),
              FeatureSpec("c", "numeric"), FeatureSpec("e", "numeric")], []
         )
-        enc = FeatureEncoder(schema, 4, np.random.default_rng(12))
+        enc = FeatureEncoder(schema, 4, np.random.default_rng(12), "recency", 0)
         for p in enc.parameters().values():
             p.data = p.data.astype(np.float64)
         snaps = [Snapshot({"a": 0.4, "b": 1, "c": None, "e": 2.5}), Snapshot({"a": None, "b": 2, "c": -0.7})]
@@ -203,7 +203,7 @@ class TestAssembly:
              FeatureSpec("e", "numeric"), FeatureSpec("n", "multi_embedding", dim=3, max_count=1),
              FeatureSpec("g", "numeric")], []
         )
-        enc = FeatureEncoder(schema, 4, np.random.default_rng(14))
+        enc = FeatureEncoder(schema, 4, np.random.default_rng(14), "recency", 0)
         for p in enc.parameters().values():
             p.data = p.data.astype(np.float64)
         asset = Asset(np.ones(3, dtype=np.float32), timestamp=0.0)
@@ -221,7 +221,7 @@ class TestAssembly:
             leaf.grad = None
         ref_loss = 0.0
         for name, pos in positions.items():
-            alone = FeatureEncoder(FeatureSchema([schema.get(name)]), 4, np.random.default_rng(0))
+            alone = FeatureEncoder(FeatureSchema([schema.get(name)]), 4, np.random.default_rng(0), "recency", 0)
             alone.freqs[name], alone.missing[name] = enc.freqs[name], enc.missing[name]
             tok, _ = alone.assemble_tokens([Snapshot({name: s.values[name]}) for s in snaps])
             np.testing.assert_array_equal(x.data[:, pos:pos + 1], tok.data)
@@ -234,7 +234,7 @@ class TestAssembly:
         schema = FeatureSchema(
             [FeatureSpec("m", "multi_embedding", dim=3, max_count=2)], []
         )
-        enc = FeatureEncoder(schema, 6, np.random.default_rng(9), asset_criterion="recency")
+        enc = FeatureEncoder(schema, 6, np.random.default_rng(9), asset_criterion="recency", asset_seed=0)
         assets = [Asset(np.full(3, float(i), dtype=np.float32), timestamp=float(i)) for i in range(5)]
         x, mask = enc.assemble_tokens([Snapshot({"m": assets})])
         # the two most recent assets (4 and 3) fill the slots
@@ -244,7 +244,7 @@ class TestAssembly:
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            FeatureEncoder(small_schema(), 7, np.random.default_rng(0))
+            FeatureEncoder(small_schema(), 7, np.random.default_rng(0), "recency", 0)
 
     def test_projectors_shared_by_dim(self):
         schema = FeatureSchema(
@@ -255,12 +255,12 @@ class TestAssembly:
             ],
             [],
         )
-        enc = FeatureEncoder(schema, 8, np.random.default_rng(10))
+        enc = FeatureEncoder(schema, 8, np.random.default_rng(10), "recency", 0)
         assert set(enc.projectors.keys()) == {4, 6}
 
     def test_end_to_end_gradient(self, rng):
         schema = small_schema(with_assets=True)
-        enc = FeatureEncoder(schema, 4, np.random.default_rng(11))
+        enc = FeatureEncoder(schema, 4, np.random.default_rng(11), "recency", 0)
         snaps = random_snapshots(schema, 2, seed=13)
         params = {k: v for k, v in enc.parameters().items()}
         for p in params.values():

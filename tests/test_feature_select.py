@@ -37,7 +37,7 @@ class TestFeaturize:
     def test_column_layout(self):
         schema = small_schema(with_assets=True)
         snaps = random_snapshots(schema, 5, seed=1)
-        x, ranges = featurize(snaps, schema)
+        x, ranges = featurize(snaps, schema, "recency", 0)
         # 2 numerics (2 cols each) + cat(4) + mcat(5) + emb(6) + memb(6)
         assert x.shape == (5, 2 + 2 + 4 + 5 + 6 + 6)
         assert ranges["age"] == (0, 2)
@@ -47,19 +47,19 @@ class TestFeaturize:
     def test_missing_flag_column(self):
         schema = FeatureSchema([FeatureSpec("x", "numeric")], [])
         snaps = [Snapshot({"x": 2.5}), Snapshot({"x": None})]
-        x, _ = featurize(snaps, schema)
+        x, _ = featurize(snaps, schema, "recency", 0)
         np.testing.assert_allclose(x, [[2.5, 0.0], [0.0, 1.0]])
 
     def test_multi_hot(self):
         schema = FeatureSchema([FeatureSpec("t", "multi_categorical", vocab_size=4)], [])
         snaps = [Snapshot({"t": (0, 2)}), Snapshot({"t": ()})]
-        x, _ = featurize(snaps, schema)
+        x, _ = featurize(snaps, schema, "recency", 0)
         np.testing.assert_allclose(x, [[1, 0, 1, 0], [0, 0, 0, 0]])
 
     def test_asset_mean(self):
         schema = FeatureSchema([FeatureSpec("m", "multi_embedding", dim=2, max_count=3)], [])
         snaps = [Snapshot({"m": [Asset(np.array([1.0, 0.0])), Asset(np.array([3.0, 2.0]))]})]
-        x, _ = featurize(snaps, schema)
+        x, _ = featurize(snaps, schema, "recency", 0)
         np.testing.assert_allclose(x, [[2.0, 1.0]])
 
     @pytest.mark.parametrize(
@@ -73,7 +73,7 @@ class TestFeaturize:
         schema = FeatureSchema([FeatureSpec("m", "multi_embedding", dim=2, max_count=2)], [])
         assets = [([1.0, 0.0], 3.0, 0.1), ([3.0, 2.0], 1.0, 0.9), ([5.0, 4.0], 2.0, 0.5), ([7.0, 6.0], 0.0, 0.7)]
         snaps = [Snapshot({"m": [Asset(np.array(v), t, e) for v, t, e in assets]})]
-        x, _ = featurize(snaps, schema, asset_criterion=criterion)
+        x, _ = featurize(snaps, schema, asset_criterion=criterion, asset_seed=0)
         np.testing.assert_array_equal(x, [mean])
 
     @pytest.mark.parametrize(
@@ -89,14 +89,14 @@ class TestFeaturize:
         """As in the encoder: -1 must not one-hot the last column."""
         schema = FeatureSchema([spec], [])
         with pytest.raises(IndexError, match="out of range for 'c'"):
-            featurize([Snapshot({"c": value})], schema)
+            featurize([Snapshot({"c": value})], schema, "recency", 0)
 
 
 class TestPermutationImportance:
     def test_label_copy_has_high_importance(self):
         schema, snaps = label_copy_dataset()
         y = np.array([s.labels["y"] for s in snaps], dtype=float)
-        x, ranges = featurize(snaps, schema)
+        x, ranges = featurize(snaps, schema, "recency", 0)
         tr, va = np.arange(140), np.arange(140, 200)
         imp = permutation_importance(
             fit_logistic_probe(x[tr], y[tr]), x[va], y[va], ranges["signal"],
@@ -108,7 +108,7 @@ class TestPermutationImportance:
     def test_noise_has_near_zero_importance(self):
         schema, snaps = label_copy_dataset()
         y = np.array([s.labels["y"] for s in snaps], dtype=float)
-        x, ranges = featurize(snaps, schema)
+        x, ranges = featurize(snaps, schema, "recency", 0)
         tr, va = np.arange(140), np.arange(140, 200)
         imp = permutation_importance(
             fit_logistic_probe(x[tr], y[tr]), x[va], y[va], ranges["noise0"],
@@ -129,7 +129,7 @@ class TestPermutationImportance:
             v = float(label) + float(rng.normal(0, 0.05))
             snaps.append(Snapshot({"a": v, "b": v}, {"y": label}))
         y = np.array([s.labels["y"] for s in snaps], dtype=float)
-        x, ranges = featurize(snaps, schema)
+        x, ranges = featurize(snaps, schema, "recency", 0)
         tr, va = np.arange(140), np.arange(140, 200)
         imp = permutation_importance(
             fit_logistic_probe(x[tr], y[tr]), x[va], y[va], ranges["a"],
@@ -141,7 +141,7 @@ class TestPermutationImportance:
 class TestBackwardElimination:
     def test_noise_removed_signal_kept(self):
         schema, snaps = label_copy_dataset(n_noise=4)
-        reduced, trace = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02))
+        reduced, trace = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02), 0, "recency")
         kept = [f.name for f in reduced]
         assert "signal" in kept
         removed = [r[1] for r in trace.rounds]
@@ -150,22 +150,20 @@ class TestBackwardElimination:
 
     def test_min_features_respected(self):
         schema, snaps = label_copy_dataset(n_noise=3)
-        reduced, _ = backward_eliminate(
-            snaps, schema, "y", StopRule(tolerance=1.0, min_features=3)
-        )
+        reduced, _ = backward_eliminate(snaps, schema, "y", StopRule(tolerance=1.0, min_features=3), 0, "recency")
         assert len(reduced) == 3
 
     def test_deterministic(self):
         schema, snaps = label_copy_dataset(n_noise=3, seed=5)
-        a = backward_eliminate(snaps, schema, "y", seed=11)
-        b = backward_eliminate(snaps, schema, "y", seed=11)
+        a = backward_eliminate(snaps, schema, "y", StopRule(), 11, "recency")
+        b = backward_eliminate(snaps, schema, "y", StopRule(), 11, "recency")
         assert [r[1] for r in a[1].rounds] == [r[1] for r in b[1].rounds]
         assert [f.name for f in a[0]] == [f.name for f in b[0]]
 
     def test_trace_metrics_within_tolerance(self):
         schema, snaps = label_copy_dataset(n_noise=4)
         rule = StopRule(tolerance=0.02)
-        _, trace = backward_eliminate(snaps, schema, "y", rule)
+        _, trace = backward_eliminate(snaps, schema, "y", rule, 0, "recency")
         for _, _, _, metric in trace.rounds:
             assert metric >= trace.baseline_metric - rule.tolerance
 
@@ -181,8 +179,8 @@ class TestBackwardElimination:
                 s.labels.clear()
         mixed = [row for pair in zip(snaps, extra) for row in pair] + snaps[len(extra):]
         rule = StopRule(tolerance=0.02)
-        want_schema, want = backward_eliminate(snaps, schema, "y", rule)
-        got_schema, got = backward_eliminate(mixed, schema, "y", rule)
+        want_schema, want = backward_eliminate(snaps, schema, "y", rule, 0, "recency")
+        got_schema, got = backward_eliminate(mixed, schema, "y", rule, 0, "recency")
         assert (got.baseline_metric, got.rounds) == (want.baseline_metric, want.rounds)
         assert [f.name for f in got_schema] == [f.name for f in want_schema]
 
@@ -195,8 +193,8 @@ class TestBackwardElimination:
             s.labels["risk"] = int(s.labels["risk"] == 1)
         assert {s.labels["risk"] for s in snaps} == {0, 1, 2}
         rule = StopRule(tolerance=0.05)
-        got_schema, got = backward_eliminate(snaps, schema, "risk", rule)
-        want_schema, want = backward_eliminate(binary, schema, "risk", rule)
+        got_schema, got = backward_eliminate(snaps, schema, "risk", rule, 0, "recency")
+        want_schema, want = backward_eliminate(binary, schema, "risk", rule, 0, "recency")
         assert (got.baseline_metric, got.rounds) == (want.baseline_metric, want.rounds)
         assert [f.name for f in got_schema] == [f.name for f in want_schema]
 
@@ -205,7 +203,7 @@ class TestBackwardElimination:
         for s in snaps:
             s.labels["y"] = None
         with pytest.raises(DataError, match="labeled for task 'y'"):
-            backward_eliminate(snaps, schema, "y")
+            backward_eliminate(snaps, schema, "y", StopRule(), 0, "recency")
 
     def test_one_class_validation_split_is_a_data_error(self, monkeypatch):
         """Both classes are labeled, but the split puts the only positive in
@@ -217,7 +215,7 @@ class TestBackwardElimination:
             s.labels["y"] = int(i == last_train_row)
         monkeypatch.setattr(feature_select, "fit_logistic_probe", None)
         with pytest.raises(DataError, match="validation rows for task 'y' are all one class"):
-            backward_eliminate(snaps, schema, "y", seed=0)
+            backward_eliminate(snaps, schema, "y", StopRule(), 0, "recency")
 
     def test_one_labeled_row_is_a_data_error_without_warnings(self):
         # it fitted a probe on an empty training split first, warning on the empty means
@@ -225,19 +223,19 @@ class TestBackwardElimination:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="task 'y'"):
-                backward_eliminate(snaps, schema, "y")
+                backward_eliminate(snaps, schema, "y", StopRule(), 0, "recency")
 
     def test_single_feature_schema_rejected(self):
         schema = FeatureSchema([FeatureSpec("x", "numeric")], [TaskSpec("y", 2)])
         snaps = [Snapshot({"x": float(i % 2)}, {"y": i % 2}) for i in range(20)]
         with pytest.raises(ValueError):
-            backward_eliminate(snaps, schema, "y")
+            backward_eliminate(snaps, schema, "y", StopRule(), 0, "recency")
 
     def test_works_across_seeds(self):
         # the signal feature survives elimination for every seed
         for seed in range(5):
             schema, snaps = label_copy_dataset(n_noise=3, seed=seed)
-            reduced, _ = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02), seed=seed)
+            reduced, _ = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02), seed, "recency")
             assert "signal" in [f.name for f in reduced]
 
     def test_one_probe_fit_per_evaluated_subset(self, monkeypatch):
@@ -252,7 +250,7 @@ class TestBackwardElimination:
 
         monkeypatch.setattr(feature_select, "fit_logistic_probe", counted_fit)
         schema, snaps = label_copy_dataset(n_noise=4)
-        reduced, trace = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02))
+        reduced, trace = backward_eliminate(snaps, schema, "y", StopRule(tolerance=0.02), 0, "recency")
         stopped_early = len(reduced) > StopRule().min_features
         assert len(fits) == 1 + len(trace.rounds) + stopped_early
         # one fit per subset: every fit has one feature fewer than the one before
@@ -266,7 +264,7 @@ class TestPinnedTrace:
     def test_trace(self):
         schema = small_schema()
         snaps = random_snapshots(schema, 80, seed=2, label_rule=lambda v, rng: int(v["age"] + rng.normal() > 0))
-        reduced, trace = backward_eliminate(snaps, schema, "risk", StopRule(tolerance=0.05), seed=2)
+        reduced, trace = backward_eliminate(snaps, schema, "risk", StopRule(tolerance=0.05), 2, "recency")
         assert (trace.baseline_metric, trace.rounds) == (0.6783216783216783, [
             (1, "page_vec", -0.029370629370629352, 0.7202797202797203),
             (2, "tags", -0.03916083916083912, 0.8321678321678322),

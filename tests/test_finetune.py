@@ -20,6 +20,7 @@ from tabfusion.finetune import (
 )
 import tabfusion.finetune as finetune_mod
 from tabfusion.metrics import auprc, auroc
+import tabfusion.model as model_mod
 from tabfusion.model import Model
 import tabfusion.tensor as tensor_mod
 from tabfusion.tensor import Tensor, linear, softmax
@@ -28,7 +29,7 @@ from tabfusion.trunk import Trunk
 
 class TestRandomFeatures:
     def test_feature_map_closed_form(self, rng):
-        head = SngpHead(2, 2, rng, d_rf=3)
+        head = SngpHead(2, 2, rng, d_rf=3, length_scale=2.0, ridge=1.0)
         head.omega = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=np.float32)
         head.phase = np.array([0.0, math.pi / 2.0, 0.0], dtype=np.float32)
         phi = head.features(Tensor(np.array([[math.pi, 0.0]], dtype=np.float64))).data[0]
@@ -39,7 +40,7 @@ class TestRandomFeatures:
         )
 
     def test_feature_norm_bounded(self, rng):
-        head = SngpHead(4, 2, rng, d_rf=256)
+        head = SngpHead(4, 2, rng, d_rf=256, length_scale=2.0, ridge=1.0)
         x = Tensor(rng.standard_normal((10, 4)))
         phi = head.features(x).data
         assert np.all(np.abs(phi) <= math.sqrt(2.0 / 256) + 1e-6)
@@ -47,7 +48,7 @@ class TestRandomFeatures:
     def test_kernel_monte_carlo(self, rng):
         # phi(x) . phi(y) approximates the RBF kernel exp(-|x-y|^2 / (2 l^2))
         ell = 2.0
-        head = SngpHead(3, 2, rng, d_rf=4096, length_scale=ell)
+        head = SngpHead(3, 2, rng, d_rf=4096, length_scale=ell, ridge=1.0)
         for _ in range(5):
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
@@ -59,7 +60,7 @@ class TestRandomFeatures:
     def test_omega_is_laid_out_once_per_array(self, rng):
         # the row kernel reads Omega^T as a contiguous [in, d_rf] array: the
         # head keeps that copy until another array is set as omega
-        head = SngpHead(8, 2, rng, d_rf=64)
+        head = SngpHead(8, 2, rng, d_rf=64, length_scale=2.0, ridge=1.0)
         x = Tensor(rng.standard_normal((5, 8)).astype(np.float32))
         phase = Tensor(head.phase)
         want = (linear(x, Tensor(head.omega), phase).cos() * math.sqrt(2.0 / 64)).data
@@ -74,7 +75,7 @@ class TestRandomFeatures:
 
 class TestLaplaceCovariance:
     def test_rank_one_matches_sherman_morrison(self, rng):
-        head = SngpHead(2, 2, rng, d_rf=6, ridge=1.0)
+        head = SngpHead(2, 2, rng, d_rf=6, length_scale=2.0, ridge=1.0)
         phi = rng.standard_normal((1, 6))
         p = 0.3
         head.fit_covariance(phi, np.array([[1 - p, p]]))
@@ -85,7 +86,7 @@ class TestLaplaceCovariance:
         assert abs(got - want) < 1e-10
 
     def test_matches_direct_inverse(self, rng):
-        head = SngpHead(2, 2, rng, d_rf=8, ridge=0.5)
+        head = SngpHead(2, 2, rng, d_rf=8, length_scale=2.0, ridge=0.5)
         phi = rng.standard_normal((20, 8))
         probs = rng.uniform(0.05, 0.95, size=20)
         head.fit_covariance(phi, probs)
@@ -95,7 +96,7 @@ class TestLaplaceCovariance:
         np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
 
     def test_precision_is_exactly_symmetric(self, rng):
-        head = SngpHead(2, 2, rng, d_rf=256, ridge=0.7)
+        head = SngpHead(2, 2, rng, d_rf=256, length_scale=2.0, ridge=0.7)
         phi = rng.standard_normal((300, 256)) * 0.1
         probs = rng.uniform(0.0, 1.0, size=300)
         lam = head.fit_covariance(phi, probs)
@@ -105,7 +106,7 @@ class TestLaplaceCovariance:
         np.testing.assert_allclose(lam, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
     def test_order_independent(self, rng):
-        head = SngpHead(2, 2, rng, d_rf=8)
+        head = SngpHead(2, 2, rng, d_rf=8, length_scale=2.0, ridge=1.0)
         phi = rng.standard_normal((15, 8))
         probs = rng.uniform(0.1, 0.9, size=15)
         head.fit_covariance(phi, probs)
@@ -115,7 +116,7 @@ class TestLaplaceCovariance:
         np.testing.assert_allclose(head.precision, lam1, rtol=1e-10)
 
     def test_more_data_shrinks_variance(self, rng):
-        head = SngpHead(2, 2, rng, d_rf=8)
+        head = SngpHead(2, 2, rng, d_rf=8, length_scale=2.0, ridge=1.0)
         phi = rng.standard_normal((1, 8))
         head.fit_covariance(phi, np.array([0.5]))
         v1 = head.variance(phi)[0]
@@ -126,7 +127,7 @@ class TestLaplaceCovariance:
     def test_variance_is_bitwise_batch_independent_at_default_size(self, rng):
         # criterion 5 at the default d_rf: a row's variance must not depend
         # on which rows share its batch or where it sits in it
-        head = SngpHead(8, 2, rng, d_rf=1024)
+        head = SngpHead(8, 2, rng, d_rf=1024, length_scale=2.0, ridge=1.0)
         head.fit_covariance(
             head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
         )
@@ -146,7 +147,7 @@ class TestLaplaceCovariance:
 
     @pytest.mark.parametrize("d_rf", [16, 32, 200, 1024])
     def test_panels_give_the_dense_factor_variance(self, d_rf, rng):
-        head = SngpHead(8, 2, rng, d_rf=d_rf)
+        head = SngpHead(8, 2, rng, d_rf=d_rf, length_scale=2.0, ridge=1.0)
         head.fit_covariance(
             head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
         )
@@ -161,7 +162,7 @@ class TestLaplaceCovariance:
 
     @pytest.mark.parametrize("d_rf", [200, 1024])
     def test_variance_bitwise_alone_and_in_batches_of_1_to_17(self, d_rf, rng):
-        head = SngpHead(8, 2, rng, d_rf=d_rf)
+        head = SngpHead(8, 2, rng, d_rf=d_rf, length_scale=2.0, ridge=1.0)
         head.fit_covariance(
             head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
         )
@@ -172,7 +173,7 @@ class TestLaplaceCovariance:
             assert head.variance(rows)[size // 2] == alone
 
     def test_refit_and_load_invalidate_cached_factor(self, rng):
-        head = SngpHead(2, 2, rng, d_rf=8, ridge=0.5)
+        head = SngpHead(2, 2, rng, d_rf=8, length_scale=2.0, ridge=0.5)
         phi = rng.standard_normal((20, 8))
         head.fit_covariance(phi[:10], rng.uniform(0.1, 0.9, 10))
         head.variance(phi)  # caches the factor of the first fit
@@ -188,7 +189,7 @@ class TestLaplaceCovariance:
         np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
 
     def test_refit_frees_the_old_precision_and_panels_first(self, rng):
-        head = SngpHead(8, 2, rng, d_rf=1024)
+        head = SngpHead(8, 2, rng, d_rf=1024, length_scale=2.0, ridge=1.0)
         phi = head.features(Tensor(rng.standard_normal((256, 8)).astype(np.float32))).data
         probs = rng.uniform(0.05, 0.95, 256)
         tracemalloc.start()
@@ -208,7 +209,7 @@ class TestLaplaceCovariance:
         assert peak < 0.05 * lam.nbytes
 
     def test_first_variance_inverts_only_leaf_blocks(self, rng, monkeypatch):
-        head = SngpHead(8, 2, rng, d_rf=1024)
+        head = SngpHead(8, 2, rng, d_rf=1024, length_scale=2.0, ridge=1.0)
         phi = head.features(Tensor(rng.standard_normal((300, 8)))).data
         head.fit_covariance(phi, rng.uniform(0.05, 0.95, 300))
         inv, widths = np.linalg.inv, []
@@ -232,14 +233,14 @@ class TestLaplaceCovariance:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     def test_variance_requires_fit(self, rng):
-        head = SngpHead(2, 2, rng, d_rf=4)
+        head = SngpHead(2, 2, rng, d_rf=4, length_scale=2.0, ridge=1.0)
         with pytest.raises(RuntimeError):
             head.variance(np.zeros((1, 4)))
 
 
 class TestMeanFieldCalibration:
     def test_high_variance_pulls_probs_to_uniform(self, rng):
-        head = SngpHead(3, 2, rng, d_rf=16, ridge=1e-8)
+        head = SngpHead(3, 2, rng, d_rf=16, length_scale=2.0, ridge=1e-8)
         head.beta.weight.data[...] = rng.standard_normal((2, 16)).astype(np.float32)
         # near-zero ridge: variance is huge, calibrated probs near 0.5
         head.fit_covariance(np.zeros((0, 16)), np.zeros(0))
@@ -248,7 +249,7 @@ class TestMeanFieldCalibration:
         np.testing.assert_allclose(out["probs"], 0.5, atol=0.02)
 
     def test_argmax_preserved(self, rng):
-        head = SngpHead(3, 3, rng, d_rf=32)
+        head = SngpHead(3, 3, rng, d_rf=32, length_scale=2.0, ridge=1.0)
         head.fit_covariance(rng.standard_normal((10, 32)), rng.uniform(0.2, 0.8, 10))
         x = Tensor(rng.standard_normal((8, 3)))
         raw = head.logits(x).data
@@ -256,7 +257,7 @@ class TestMeanFieldCalibration:
         np.testing.assert_array_equal(out["probs"].argmax(axis=1), raw.argmax(axis=1))
 
     def test_uncalibrated_fallback(self, rng):
-        head = SngpHead(3, 2, rng, d_rf=16)
+        head = SngpHead(3, 2, rng, d_rf=16, length_scale=2.0, ridge=1.0)
         out = head.predict(Tensor(rng.standard_normal((2, 3))))
         assert not out["calibrated"]
         assert np.all(np.isnan(out["variance"]))
@@ -301,7 +302,7 @@ def separable_setup(n=60, seed=0):
         [TaskSpec("risk", 2)],
     )
     snaps = random_snapshots(schema, n, seed=seed, label_rule=lambda v, rng: int(v["x"] > 0))
-    model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=seed)
+    model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=seed))
     return schema, snaps, model
 
 
@@ -412,10 +413,10 @@ class TestFinetuneLoop:
         snaps = random_snapshots(schema, 20, seed=1)
         for s in snaps:
             s.labels["b"] = s.labels["a"]
-        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0))
         # give both tasks bitwise-identical heads so the symmetry is exact
-        model.heads["a"] = SngpHead(8, 2, np.random.default_rng(42), d_rf=64)
-        model.heads["b"] = SngpHead(8, 2, np.random.default_rng(42), d_rf=64)
+        model.heads["a"] = SngpHead(8, 2, np.random.default_rng(42), d_rf=64, length_scale=2.0, ridge=1.0)
+        model.heads["b"] = SngpHead(8, 2, np.random.default_rng(42), d_rf=64, length_scale=2.0, ridge=1.0)
         tasks = [TaskSpec("a", 2), TaskSpec("b", 2)]
         curve = finetune_loop(model, snaps, tasks, quick_cfg(steps=3))
         for rec in curve:
@@ -479,7 +480,7 @@ class TestFinetuneLoop:
         # scored on the raw labels, class-2 rows counted as two positives each
         schema = FeatureSchema([FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], [TaskSpec("tier", 3)])
         snaps = random_snapshots(schema, 60, seed=2, label_rule=lambda v, rng: int(np.digitize(v["x"], [-0.5, 0.5])))
-        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=2)
+        model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=2))
         val = list(range(20))
         labels = np.array([snaps[i].labels["tier"] for i in val])
         assert set(labels.tolist()) == {0, 1, 2}
@@ -498,7 +499,7 @@ class TestFinetuneLoop:
         snaps = random_snapshots(schema, 60, seed=0, label_rule=lambda v, rng: int(v["x"] > 0))
         for s in snaps:
             s.labels["b"] = int(s.values["noise"] > 0)
-        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0))
         val = list(range(20))
         cfg = quick_cfg(steps=12, eval_every=1, patience=100)
         curve = finetune_loop(model, snaps, [TaskSpec("a", 2), TaskSpec("b", 2)], cfg, val)
@@ -583,7 +584,7 @@ class TestFinetuneLoop:
         snaps = random_snapshots(schema, 48, seed=4, label_rule=lambda v, rng: int(v["x"] > 0))
         for i, s in enumerate(snaps):
             s.labels["churn"] = None if i % 3 == 0 else int(s.values["noise"] > 0)
-        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=2)
+        model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=2))
         tasks = [TaskSpec("risk", 2), TaskSpec("churn", 2, gamma=0.0)]
         cfg = replace(RunConfig(finetune_steps=30, batch_size=8, d_rf=32, seed=5, initial_lr=2e-3,
                                 warmup_steps=3).finetune_config(), eval_every=2, patience=2)
@@ -621,7 +622,7 @@ def two_task_setup():
     snaps = random_snapshots(schema, 40, seed=4, label_rule=lambda v, rng: int(v["x"] > 0))
     for i, s in enumerate(snaps):
         s.labels["b"] = None if i % 3 else 1 - s.labels["a"]
-    model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=4)
+    model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=4))
     finetune_loop(model, snaps, [TaskSpec("a", 2), TaskSpec("b", 2)], quick_cfg(steps=3))
     return snaps, model
 
@@ -639,17 +640,18 @@ class TestInferencePath:
             np.testing.assert_array_equal(head.fit_covariance(phi.data, probs), fitted)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 256])
-    def test_model_predict_is_the_head_on_embeddings(self, batch_size):
+    def test_model_predict_is_the_head_on_embeddings(self, batch_size, monkeypatch):
+        monkeypatch.setattr(model_mod, "INFERENCE_BATCH", batch_size)
         snaps, model = two_task_setup()
         pooled = Tensor(model.embed(snaps))
         for task in ("a", "b"):
             want = model.heads[task].predict(pooled)
-            got = model.predict(snaps, task, batch_size=batch_size)
+            got = model.predict(snaps, task)
             assert got["calibrated"] is True
             np.testing.assert_array_equal(got["probs"], want["probs"])
             np.testing.assert_array_equal(got["variance"], want["variance"])
             np.testing.assert_array_equal(predict_scores(model, snaps, task), want["probs"][:, 1])
-            raw = model.predict(snaps, task, calibrated=False, batch_size=batch_size)
+            raw = model.predict(snaps, task, calibrated=False)
             logits = model.heads[task].logits(pooled).data.astype(np.float64)
             np.testing.assert_allclose(raw["probs"].sum(axis=1), 1.0, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.argmax(raw["probs"], axis=1), np.argmax(logits, axis=1))
@@ -669,7 +671,7 @@ class TestInferencePath:
         schema = FeatureSchema(feats, [TaskSpec("risk", 2)])
         assert schema.token_count() == 16
         snaps = random_snapshots(schema, 100, seed=7, missing_rate=0.15)
-        model = Model(schema, d=32, n_layers=2, heads=8, ffn_dim=512, seed=3)
+        model = Model(schema, RunConfig(d=32, n_layers=2, heads=8, ffn_dim=512, seed=3))
         finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=2, batch_size=32, d_rf=1024))
         sizes, blocks = {}, tensor_mod._example_blocks
 

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: unused module-level imports,
 `__all__` entries that name nothing in their module, RunConfig fields
-that nothing reads, one list of model fields, no hand-written parameter
+that nothing reads, one list of model fields, no default outside
+RunConfig that repeats one of its fields, no hand-written parameter
 or buffer plumbing outside nn.Module, no writes into a `.data` array, no
 global mode besides `no_grad`, asset selection only in the encoder, the
 optimizer step only in the trainer, snapshot values read only by IO,
@@ -10,7 +11,6 @@ class that no other library line names, and no backward closure that
 holds a Tensor."""
 
 import ast
-import inspect
 from pathlib import Path
 
 import numpy as np
@@ -160,13 +160,85 @@ def test_every_config_field_is_read():
 
 
 def test_model_fields_are_one_set(tmp_path):
-    """Model.__init__'s keywords, RunConfig.model_record() and the model record
-    a checkpoint stores name the same fields."""
-    keywords = set(inspect.signature(Model.__init__).parameters) - {"self", "schema"}
+    """The fields a Model is built from, RunConfig.model_record() and the
+    model record a checkpoint stores name the same fields."""
+    model = Model(small_schema(), RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=32))
+    keywords = set(model.fields)
     assert keywords == set(RunConfig().model_record())
-    Model(small_schema(), d=8, n_layers=1, heads=2, ffn_dim=16).save(tmp_path / "m.ckpt", {})
+    model.save(tmp_path / "m.ckpt", {})
     record, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert set(record["model"]) == keywords
+
+
+# parameter and field names that stand for a RunConfig field under another name
+CONFIG_ALIASES = {
+    "length_scale": "gp_length_scale",
+    "ridge": "gp_ridge",
+    "gamma": "focal_gamma",
+    "tau": "contrastive_tau",
+    "criterion": "asset_criterion",
+    "asset_seed": "seed",
+}
+
+
+def config_defaults(source: str, module: str, fields) -> list[str]:
+    """Parameter defaults and dataclass-field defaults in `source` whose name
+    is one of `fields` (the RunConfig fields) or a CONFIG_ALIASES key, as
+    'module.Qualified.name.param', RunConfig's own fields aside."""
+    names = set(fields) | set(CONFIG_ALIASES)
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if child.name != "RunConfig":
+                    found.extend(
+                        f"{scope}{child.name}.{s.target.id}" for s in child.body
+                        if isinstance(s, ast.AnnAssign) and s.value is not None
+                        and isinstance(s.target, ast.Name) and s.target.id in names
+                    )
+                    visit(child, f"{scope}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                defaulted = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                defaulted += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found.extend(f"{scope}{child.name}.{arg.arg}" for arg, _ in defaulted if arg.arg in names)
+                visit(child, f"{scope}{child.name}.")
+
+    visit(ast.parse(source), f"{module}.")
+    return found
+
+
+def test_config_default_scanner_finds_parameters_fields_and_aliases():
+    source = (
+        "class RunConfig:\n    d: int = 32\n    seed: int = 0\n"
+        "class Layer:\n    d: int = 8\n    width: int = 4\n"
+        "    def __init__(self, d, rng, seed=0, *, ridge=1.0, other=2):\n        pass\n"
+        "def select(assets, k, criterion='recency', asset_seed=None):\n    pass\n"
+    )
+    assert config_defaults(source, "m", ["d", "seed", "gp_ridge", "asset_criterion"]) == [
+        "m.Layer.d", "m.Layer.__init__.seed", "m.Layer.__init__.ridge", "m.select.criterion", "m.select.asset_seed",
+    ]
+
+
+# the defaults that repeat a RunConfig field and stay, with the reason each stays
+CONFIG_DEFAULTS_ALLOWED = {
+    "data.TaskSpec.gamma": "bench/workloads.py builds the serve fixture's tasks as TaskSpec(TASK, 2)",
+    "trunk.TrunkConfig.spectral_norm": "bench/tests/test_bench_harness.py builds a TrunkConfig without it",
+    "config.LossWeights.tau": "criterion 7 builds LossWeights from its six weights alone",
+    "trunk.attention.heads": "an op's single-head default, which ISA's attention uses",
+    "tensor.multi_head_attention.heads": "an op's single-head default",
+    "metrics.MetricsReport.folds": "a list of fold results, not the RunConfig folds count",
+}
+
+
+def test_run_defaults_are_declared_once():
+    """RunConfig declares every run default; a module constructor or function
+    takes the value from it, or keeps an allowlisted default."""
+    fields = list(RunConfig.__dataclass_fields__)
+    found = [d for path in MODULES for d in config_defaults(path.read_text(), path.stem, fields)]
+    assert sorted(found) == sorted(CONFIG_DEFAULTS_ALLOWED)
 
 
 # state plumbing that the one walk in nn.Module replaces

@@ -203,7 +203,7 @@ class TestInferenceWeightCache:
 
     def test_after_adamw_step(self, rng):
         layer, x = self.make(rng)
-        opt = AdamW({"weight": layer.weight, "bias": layer.bias})
+        opt = AdamW({"weight": layer.weight, "bias": layer.bias}, 0.0)
         (layer(x) ** 2.0).sum().backward()
         opt.step(0.1)
         self.assert_fresh(layer, x)
@@ -238,7 +238,7 @@ class TestInferenceWeightCache:
             assert np.array_equal(layer(x).data, (x @ layer.weight.transpose(1, 0) + layer.bias).data)
 
     def test_no_grad_and_graph_forward_bitwise_equal(self, rng):
-        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=4)
+        model = Model(small_schema(), RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=4))
         rows = random_snapshots(small_schema(), 7, seed=1, missing_rate=0.2)
         x, mask = model.encoder.assemble_tokens(rows)
         for _ in range(2):  # fills the caches, then uses them
@@ -254,7 +254,7 @@ class TestInferenceWeightCache:
             [FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], [TaskSpec("risk", 2)]
         )
         snaps = random_snapshots(schema, 40, seed=0, label_rule=lambda v, rng: int(v["x"] > 0))
-        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0))
         cfg = replace(RunConfig(finetune_steps=20, batch_size=16, d_rf=32).finetune_config(), eval_every=1, patience=1)
         curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg, val_indices=list(range(10)))
         # stopped early: the last evaluation served the last step's weights,
@@ -265,7 +265,7 @@ class TestInferenceWeightCache:
     def test_after_model_load(self, tmp_path, monkeypatch, rng):
         schema = small_schema()
         rows = random_snapshots(schema, 6, seed=2)
-        model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=1)
+        model = Model(schema, RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=1))
         for p in model.parameters().values():  # away from the initial weights
             p.data = p.data + rng.normal(scale=0.1, size=p.shape).astype(p.dtype)
         want = model.embed(rows)
@@ -281,7 +281,7 @@ class TestInferenceWeightCache:
         assert np.array_equal(loaded.embed(rows), want)
 
     def test_cache_is_not_saved(self, tmp_path):
-        model = Model(small_schema(), d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=1)
+        model = Model(small_schema(), RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=1))
         model.embed(random_snapshots(small_schema(), 3, seed=2))
         model.save(tmp_path / "m.ckpt", {})
         _, arrays = load_checkpoint(tmp_path / "m.ckpt")
@@ -318,7 +318,7 @@ class TestModule:
         snaps = random_snapshots(schema, 16, seed=0)
         for snap in snaps:
             snap.labels["churn"] = 1 - snap.labels["risk"]
-        model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=3)
+        model = Model(schema, RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=3))
         leaves = []
         backward = Tensor.backward
 
@@ -347,7 +347,7 @@ class TestModule:
 class TestAdamW:
     def test_zero_grad_no_decay_unchanged(self, rng):
         p = Tensor(np.ones(3), requires_grad=True)
-        opt = AdamW({"p": p})
+        opt = AdamW({"p": p}, 0.0)
         p.grad = np.zeros(3, dtype=p.dtype)
         opt.step(0.1)
         np.testing.assert_array_equal(p.data, np.ones(3))
@@ -356,7 +356,7 @@ class TestAdamW:
         # scalar param, g=1, fresh moments: update = -lr * mhat/(sqrt(vhat)+eps)
         p = Tensor(np.array([0.0]), requires_grad=True)
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        opt = AdamW({"p": p}, betas=(b1, b2), eps=eps)
+        opt = AdamW({"p": p}, 0.0, betas=(b1, b2), eps=eps)
         p.grad = np.array([1.0], dtype=p.dtype)
         opt.step(lr)
         mhat = (1 - b1) * 1.0 / (1 - b1)
@@ -374,7 +374,7 @@ class TestAdamW:
 
     def test_nan_gradient_aborts_with_name(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = AdamW({"theta": p})
+        opt = AdamW({"theta": p}, 0.0)
         p.grad = np.array([np.nan], dtype=p.dtype)
         with pytest.raises(NanGradientError, match="theta"):
             opt.step(0.1)
@@ -395,7 +395,7 @@ class TestAdamW:
 
 class TestTrainer:
     def test_pretrain_slots_give_every_parameter_and_spectral_layer(self):
-        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        model = Model(small_schema(), RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0))
         trainer = Trainer(model.named_state(), RunConfig().pretrain_config().schedule, 0.0, 0)
         expected = [
             layer
@@ -418,7 +418,7 @@ class TestTrainer:
 
         monkeypatch.setattr(ft, "Trainer", Recording)
         schema = small_schema()
-        model = Model(schema, d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        model = Model(schema, RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0))
         finetune_loop(model, random_snapshots(schema, 12, seed=1), [TaskSpec("risk")],
                       RunConfig(finetune_steps=1, batch_size=4, d_rf=16).finetune_config())
         (trainer,) = made
@@ -453,7 +453,7 @@ class TestTrainer:
         snaps = random_snapshots(schema, 8, seed=0)
         for s in snaps:
             s.values["x"] = float("nan")
-        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0))
         before = {path: p.data for path, p in model.parameters().items()}
         with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
             if stage == "pretrain":

@@ -156,8 +156,8 @@ class TestReconstructionLoss:
         return heads
 
     @staticmethod
-    def inputs(schema, snaps, **encoder_kwargs):
-        return FeatureEncoder(schema, 4, np.random.default_rng(0), **encoder_kwargs).inputs(snaps)
+    def inputs(schema, snaps, asset_criterion="recency"):
+        return FeatureEncoder(schema, 4, np.random.default_rng(0), asset_criterion, 0).inputs(snaps)
 
     def test_numeric_mse(self):
         schema = FeatureSchema([FeatureSpec("x", "numeric")], [])
@@ -278,7 +278,7 @@ class TestTotalLoss:
 
 
 def tiny_model(schema, seed=0):
-    return Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=16, seed=seed)
+    return Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=16, seed=seed))
 
 
 class TestPretrainLoop:
@@ -393,10 +393,10 @@ class TestGraphSize:
         schema = FeatureSchema(feats, [TaskSpec("risk", 2)])
         assert schema.token_count() == 16
         snaps = random_snapshots(schema, 64, seed=0, missing_rate=0.1)
-        assert graph_nodes_per_step(Model(schema), snaps, 64, monkeypatch) <= 538
+        assert graph_nodes_per_step(Model(schema, RunConfig()), snaps, 64, monkeypatch) <= 538
 
     def test_criterion_9_model_step(self, monkeypatch):
         schema = FeatureSchema([FeatureSpec("x1", "numeric"), FeatureSpec("x2", "numeric")], [TaskSpec("y", 2)])
         snaps = random_snapshots(schema, 32, seed=0)
-        model = Model(schema, d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0)
+        model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0))
         assert graph_nodes_per_step(model, snaps, 16, monkeypatch) <= 109

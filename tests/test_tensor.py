@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import every_op, fd_gradient_check, graph_arrays, small_schema, traced
+from tabfusion.config import RunConfig
 from tabfusion.model import Model
 import tabfusion.tensor as tensor_mod
 from tabfusion.tensor import (
@@ -186,7 +187,7 @@ class TestBackwardRelease:
         """A model's graph (trunk with ISA, residual adds, shared weights)
         walked by backward gives bitwise the gradients of a sweep that copies
         every first gradient and keeps every node."""
-        model = Model(small_schema(), d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=3)
+        model = Model(small_schema(), RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=3))
         params = model.trunk.parameters()
         x0 = rng.standard_normal((5, model.trunk.cfg.n_tokens, 8)).astype(np.float32)
 

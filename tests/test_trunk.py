@@ -189,7 +189,7 @@ class TestTrunk:
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ValueError):
-            TrunkConfig(d=8, heads=3)
+            self.cfg(heads=3)
 
     def test_activations_bounded_with_spectral_norm(self, rng):
         # spectrally normalized stacks should not blow activations up
