@@ -1,14 +1,17 @@
 """Versioned binary checkpoints: header + JSON record + named array table + raw floats.
 
-Layout (little-endian): magic b"TBF1", format version u32 (3), `config_digest`
+Layout (little-endian): magic b"TBF1", format version u32 (4), `config_digest`
 of the record (64 ascii hex bytes), record length u32, the record as utf-8
 JSON, array count u32; then per array: name length u16, name utf8, dtype
 code u8 (0 = float32, 1 = float64), ndim u8, extents u32 each, raw data;
 last, the CRC-32 (u32) of the array section, from the array count to the
 end of the last array's data. Loading rejects another version, a record
 that fails its digest, an array section that fails its checksum and a
-truncated file. Version 3 names arrays by attribute path; files of
-versions 1 and 2 must be re-created.
+truncated file. Arrays are named by attribute path. Version 4 has version
+3's layout; what changed is what `Model.save` puts in it (the parts its
+record names, and each SNGP head's variance factor in place of its
+precision), so version-3 files still load. Files of versions 1 and 2 must
+be re-created.
 
 Both directions stream: saving writes each array's own contiguous buffer
 (a copy only for an array that is not contiguous little-endian float32 or
@@ -32,7 +35,9 @@ import numpy as np
 __all__ = ["config_digest", "save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 MAGIC = b"TBF1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+# the versions `load_checkpoint` reads: 3 differs from 4 only in what Model.save stores
+READABLE_VERSIONS = (3, 4)
 _DTYPES = {0: "<f4", 1: "<f8"}
 _CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
@@ -46,7 +51,9 @@ def config_digest(config: dict) -> str:
 
 
 def save_checkpoint(path, arrays: dict, record: dict) -> None:
-    """arrays: name -> numpy array (float32/float64); record: any JSON-able dict.
+    """arrays: name -> numpy array (float32/float64), or a zero-argument
+    callable returning one, called when that array is written so that it
+    exists only while it is; record: any JSON-able dict.
 
     Writes a sibling temporary file and renames it over `path`, so a crash
     mid-write leaves any earlier checkpoint intact rather than a partial one.
@@ -77,11 +84,14 @@ def _array_section(arrays: dict):
     data as a contiguous little-endian array (the array itself when it is one)."""
     yield struct.pack("<I", len(arrays))
     for name, arr in arrays.items():
-        arr = np.asarray(arr)  # keeps 0-d arrays 0-d (ascontiguousarray makes them 1-d)
-        if arr.dtype not in _CODES:
-            arr = arr.astype(np.float32)
         nb = name.encode("utf-8")
         yield struct.pack("<H", len(nb)) + nb
+        # a callable's array is made only now, when the caller holds the last
+        # array written no longer; asarray keeps 0-d arrays 0-d
+        # (ascontiguousarray makes them 1-d)
+        arr = np.asarray(arr() if callable(arr) else arr)
+        if arr.dtype not in _CODES:
+            arr = arr.astype(np.float32)
         code = _CODES[arr.dtype]
         yield struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape)
         yield np.ascontiguousarray(arr, dtype=_DTYPES[code])
@@ -131,7 +141,7 @@ def _read(fh, length: int) -> tuple[dict, dict]:
     if take(4, "magic") != MAGIC:
         raise CheckpointError("bad magic; not a checkpoint file")
     (version,) = struct.unpack("<I", take(4, "version"))
-    if version != FORMAT_VERSION:  # version 1 had no record, version 2 other array names
+    if version not in READABLE_VERSIONS:  # version 1 had no record, version 2 other array names
         raise CheckpointError(f"unsupported checkpoint version {version}; re-create the checkpoint")
     digest = take(64, "record digest").decode("ascii", errors="replace")
     (size,) = struct.unpack("<I", take(4, "record length"))

@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", help="JSON run-config file (defaults used when omitted)")
     p.add_argument("--seed", type=int, help="override the run seed")
-    p.add_argument("--dry-run", action="store_true", help="validate config and data, touch no model state")
+    p.add_argument("--dry-run", action="store_true",
+                   help="make the checks the command makes before its work, and write nothing")
     sub = p.add_subparsers(dest="command")
 
     def data_args(sp):
@@ -144,26 +145,53 @@ def _check_inputs(args) -> None:
             raise FileNotFoundError(f"--{attr.replace('_', '-')} file {path} does not exist")
 
 
-def _load_data(args):
+def _inputs(args, cfg: RunConfig):
+    """(model, schema, snapshots): what the command reads, after every
+    refusal it makes before its work, in the order it makes them. A command
+    with a checkpoint loads it, which --schema and the model record must
+    match and which needs a head for the task of `predict` and `eval`, and
+    reads --data under the checkpoint's schema, so numerics use the training
+    statistics; any other reads --data under --schema and has no model.
+    `pretrain` needs a step count, from --steps or the config; `finetune`
+    needs labels in [0, 2) for a task the schema does not declare; `eval`
+    needs rows labeled for its task, of both classes (class 1 against the
+    rest)."""
     _check_inputs(args)
-    return load_dataset(args.data, args.schema, args.embeddings)
-
-
-def _load_model_and_data(path, args, cfg: RunConfig, task: str | None = None):
-    """(model, snapshots): the checkpoint, which --schema and the model record
-    must match and which needs a head for `task` when given, and --data read
-    under the checkpoint's schema, so numerics use the training statistics."""
-    _check_inputs(args)
-    model = Model.load(path, FeatureSchema.load(args.schema), **cfg.model_record())
-    if task is not None and task not in model.heads:
-        raise ConfigError(f"checkpoint has no head for task '{task}'")
-    return model, load_dataset(args.data, model.schema, args.embeddings)[1]
+    path = getattr(args, "checkpoint", None) or getattr(args, "init_checkpoint", None)
+    if path:
+        model = Model.load(path, FeatureSchema.load(args.schema), **cfg.model_record())
+        if args.command in ("predict", "eval") and args.task not in model.heads:
+            raise ConfigError(f"checkpoint has no head for task '{args.task}'")
+        schema, snapshots = model.schema, load_dataset(args.data, model.schema, args.embeddings)[1]
+    else:
+        model, (schema, snapshots) = None, load_dataset(args.data, args.schema, args.embeddings)
+    if args.command == "pretrain":
+        if args.steps is not None:
+            cfg.pretrain_steps = args.steps
+        if cfg.pretrain_steps <= 0:
+            raise ConfigError(f"pretrain needs a step count: pass --steps or set pretrain_steps above 0, "
+                              f"got {cfg.pretrain_steps}")
+    elif args.command == "finetune":
+        for name in set(args.task) - {t.name for t in FeatureSchema.load(args.schema).tasks}:
+            # a task the schema does not declare is binary; the loader checked
+            # only the declared tasks' labels, so check this one's here
+            bad = next((i for i, s in enumerate(snapshots) if s.labels.get(name) not in (None, 0, 1)), None)
+            if bad is not None:
+                raise DataError(f"label {snapshots[bad].labels[name]} outside [0, 2)", row=bad + 2,
+                                feature=f"label:{name}")
+    elif args.command == "eval":
+        y = np.array([s.labels[args.task] for s in snapshots if s.labels.get(args.task) is not None]) == 1
+        if not len(y):
+            raise DataError(f"no row is labeled for task '{args.task}'")
+        if y.all() or not y.any():  # class 1 against the rest
+            raise DataError(f"the {len(y)} rows labeled for task '{args.task}' are all one class "
+                            "(class 1 against the rest); AUROC needs both")
+    return model, schema, snapshots
 
 
 def _dry_run(args) -> int:
-    """Validate the config, the inputs and the data under --schema; touch no model state."""
-    _load_config(args)
-    schema, snapshots = _load_data(args)
+    """Make every refusal the command makes before its work (`_inputs`); write nothing."""
+    _, schema, snapshots = _inputs(args, _load_config(args))
     print(f"dry-run ok: {len(snapshots)} snapshots, {len(schema)} features")
     return EXIT_OK
 
@@ -181,12 +209,7 @@ def _write_manifest(out_path, cfg: RunConfig, inputs: dict, started: float) -> N
 def cmd_pretrain(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    schema, snapshots = _load_data(args)
-    if args.steps is not None:
-        cfg.pretrain_steps = args.steps
-    if cfg.pretrain_steps <= 0:
-        raise ConfigError(f"pretrain needs a step count: pass --steps or set pretrain_steps above 0, "
-                          f"got {cfg.pretrain_steps}")
+    _, schema, snapshots = _inputs(args, cfg)
     model = Model(schema, cfg)
     pretrain_loop(model, snapshots, cfg.pretrain_config(), log_path=args.loss_log)
     model.save(args.out_checkpoint, cfg.to_dict())
@@ -197,18 +220,10 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    if args.init_checkpoint:
-        model, snapshots = _load_model_and_data(args.init_checkpoint, args, cfg)
-    else:
-        schema, snapshots = _load_data(args)
+    model, schema, snapshots = _inputs(args, cfg)
+    if model is None:
         model = Model(schema, cfg)
     declared = {t.name: t for t in FeatureSchema.load(args.schema).tasks}
-    for name in set(args.task) - declared.keys():
-        # a task the schema does not declare is binary; the loader checked
-        # only the declared tasks' labels, so check this one's here
-        bad = next((i for i, s in enumerate(snapshots) if s.labels.get(name) not in (None, 0, 1)), None)
-        if bad is not None:
-            raise DataError(f"label {snapshots[bad].labels[name]} outside [0, 2)", row=bad + 2, feature=f"label:{name}")
     tasks = [replace(declared.get(name, TaskSpec(name)), gamma=cfg.focal_gamma) for name in args.task]
     finetune_loop(model, snapshots, tasks, cfg.finetune_config())
     model.save(args.out_checkpoint, cfg.to_dict())
@@ -220,7 +235,7 @@ def cmd_finetune(args) -> int:
 def cmd_predict(args) -> int:
     started = time.time()
     cfg = _load_config(args)
-    model, snapshots = _load_model_and_data(args.checkpoint, args, cfg, task=args.task)
+    model, _, snapshots = _inputs(args, cfg)
     result = model.predict(snapshots, args.task)
     calibrated = result["calibrated"]
     with Path(args.out).open("w") as fh:
@@ -238,15 +253,10 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    model, snapshots = _load_model_and_data(args.checkpoint, args, cfg, task=args.task)
+    model, _, snapshots = _inputs(args, cfg)
     labeled = [s for s in snapshots if s.labels.get(args.task) is not None]
-    if not labeled:
-        raise DataError(f"no row is labeled for task '{args.task}'")
     scores = predict_scores(model, labeled, args.task)
     y = np.array([s.labels[args.task] for s in labeled]) == 1  # class 1 against the rest
-    if y.all() or not y.any():
-        raise DataError(f"the {len(labeled)} rows labeled for task '{args.task}' are all one class "
-                        "(class 1 against the rest); AUROC needs both")
     result = {
         "task": args.task,
         "n": len(labeled),
@@ -282,7 +292,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _load_config(args)
-    schema, snapshots = _load_data(args)
+    _, schema, snapshots = _inputs(args, cfg)
     rule = StopRule(tolerance=args.tolerance, min_features=args.min_features)
     reduced, trace = backward_eliminate(snapshots, schema, args.task, rule, cfg.seed, cfg.asset_criterion)
     reduced.save(args.out_schema)
@@ -297,7 +307,7 @@ def cmd_select(args) -> int:
 
 def cmd_export(args) -> int:
     cfg = _load_config(args)
-    model, snapshots = _load_model_and_data(args.checkpoint, args, cfg)
+    model, _, snapshots = _inputs(args, cfg)
     bench.export_embeddings(snapshots, model, args.out_prefix, task=args.task, pca2d=args.pca2d)
     print(f"exported {len(snapshots)} embeddings")
     return EXIT_OK

@@ -55,9 +55,12 @@ class SngpHead(Module):
         self.phase = rng.uniform(0.0, 2.0 * math.pi, size=d_rf).astype(np.float32)
         self.beta = Linear(d_rf, classes, rng, bias=False)
         self.precision: np.ndarray | None = None  # Lambda, set by fit_covariance
-        # (the precision it is derived from, the column panels of
-        # (L^-1)^T with L = chol(precision)); built lazily by `variance`
-        self._factor: tuple = (None, None)
+        # F's column panels packed in one float64 array (`_factorise`), as a
+        # checkpoint stores them in place of the precision; set by a load
+        self.factor: np.ndarray | None = None
+        # (the precision or factor the panels come from, their packed buffer,
+        # the panels as views of it); built lazily by `variance`
+        self._factor: tuple = (None, None, None)
         # (omega, Omega as the transpose of a C-contiguous [in, d_rf] array
         # in some dtype), the layout linear's row kernel reads; not saved
         self._omega: tuple = (None, None)
@@ -84,7 +87,7 @@ class SngpHead(Module):
         uses the max-prob heuristic. Order-independent (a plain sum).
         """
         # free the old precision and factor before the new ones are made
-        self.precision, self._factor = None, (None, None)
+        self.precision, self.factor, self._factor = None, None, (None, None, None)
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim == 2:
             p = probs[:, 1] if probs.shape[1] == 2 else probs.max(axis=1)
@@ -105,30 +108,29 @@ class SngpHead(Module):
         With L = chol(Lambda) and F = (L^-1)^T, Lambda^-1 = F F^T, so each
         row's variance is |phi F|^2: O(d_rf^2) per row. F is upper
         triangular, so only its column panels of VARIANCE_PANEL_COLS are
-        kept, panel [c0, c1) holding rows [0, c1). They are computed from
-        `precision` on first use (an O(d_rf^3) Cholesky factorisation and a
-        triangular inverse made in place in L) and cached until another array
-        is set as `precision`. Rows are multiplied in zero-padded blocks of
+        kept, panel [c0, c1) holding rows [0, c1), as views of one packed
+        buffer. After a fit they are made from `precision` on first use (an
+        O(d_rf^3) Cholesky factorisation and a triangular inverse made in
+        place in L) and cached until another array is set as `precision`;
+        after a load they are views of the file's `factor`, so no
+        factorisation runs. Rows are multiplied in zero-padded blocks of
         VARIANCE_BLOCK_ROWS, so every kernel call has a shape fixed by the
         panel alone and a row's variance is bitwise the same alone or in any
         batch.
         """
-        if self.precision is None:
+        source = self.factor if self.precision is None else self.precision
+        if source is None:
             raise RuntimeError("covariance not fitted")
-        if self._factor[0] is not self.precision:
-            self._factor = (None, None)  # the old panels go before the new are made
-            l_inv = _invert_lower(np.linalg.cholesky(self.precision))  # F^T
-            panels = [
-                np.ascontiguousarray(l_inv[c0 : c0 + VARIANCE_PANEL_COLS, : c0 + VARIANCE_PANEL_COLS].T)
-                for c0 in range(0, self.d_rf, VARIANCE_PANEL_COLS)
-            ]
-            self._factor = (self.precision, panels)
+        if self._factor[0] is not source:
+            self._factor = (None, None, None)  # the old panels go before the new are made
+            packed = source if source is self.factor else _factorise(source)
+            self._factor = (source, packed, _panel_views(packed, self.d_rf))
         phi = np.asarray(phi, dtype=np.float64)
         n = phi.shape[0]
         blocks = np.zeros((-(-n // VARIANCE_BLOCK_ROWS), VARIANCE_BLOCK_ROWS, self.d_rf))
         blocks.reshape(-1, self.d_rf)[:n] = phi
         y = np.empty_like(blocks)
-        for panel in self._factor[1]:
+        for panel in self._factor[2]:
             c1 = panel.shape[0]
             y[:, :, c1 - panel.shape[1] : c1] = np.matmul(blocks[:, :, :c1], panel)
         y = y.reshape(-1, self.d_rf)[:n]
@@ -144,7 +146,7 @@ class SngpHead(Module):
         with no_grad():
             phi_t = self.features(pooled)
             logits = self.beta(phi_t).data.astype(np.float64)
-        if not calibrated or self.precision is None:
+        if not calibrated or (self.precision is None and self.factor is None):
             return {
                 "probs": softmax(Tensor(logits)).data,
                 "variance": np.full(logits.shape[0], np.nan),
@@ -153,6 +155,48 @@ class SngpHead(Module):
         var = self.variance(phi_t.data)
         adjusted = logits / np.sqrt(1.0 + self.kappa * var)[:, None]
         return {"probs": softmax(Tensor(adjusted)).data, "variance": var, "calibrated": True}
+
+    def packed_factor(self) -> np.ndarray:
+        """F's panels packed as `_factorise` packs them, the form a checkpoint
+        stores: the file's `factor` after a load; after a fit, the panels'
+        buffer if a calibrated request has made them, else made from
+        `precision` here and not kept."""
+        if self.precision is None:
+            return self.factor
+        source, packed, _ = self._factor
+        return packed if source is self.precision else _factorise(self.precision)
+
+
+def packed_size(d_rf: int) -> int:
+    """Entries of a packed factor: panel [c0, c1) holds c1 * (c1 - c0)."""
+    return sum(c1 * (c1 - c0) for c0, c1 in _panel_bounds(d_rf))
+
+
+def _panel_bounds(d_rf: int):
+    return [(c0, min(c0 + VARIANCE_PANEL_COLS, d_rf)) for c0 in range(0, d_rf, VARIANCE_PANEL_COLS)]
+
+
+def _factorise(precision: np.ndarray) -> np.ndarray:
+    """The column panels of F = (L^-1)^T, L = chol(precision), packed in one
+    new float64 array: panel [c0, c1) is F[:c1, c0:c1], C-contiguous, and
+    the panels follow one another in column order. The inverse is made in
+    place in L, which goes once the panels are copied out."""
+    l_inv = _invert_lower(np.linalg.cholesky(precision))  # F^T
+    d_rf = l_inv.shape[0]
+    packed = np.empty(packed_size(d_rf))
+    for (c0, c1), panel in zip(_panel_bounds(d_rf), _panel_views(packed, d_rf)):
+        panel[...] = l_inv[c0:c1, :c1].T
+    return packed
+
+
+def _panel_views(packed: np.ndarray, d_rf: int) -> list:
+    """The panels of a packed factor (`_factorise`) as views of it."""
+    views, start = [], 0
+    for c0, c1 in _panel_bounds(d_rf):
+        end = start + c1 * (c1 - c0)
+        views.append(packed[start:end].reshape(c1, c1 - c0))
+        start = end
+    return views
 
 
 def _invert_lower(low: np.ndarray) -> np.ndarray:

@@ -10,9 +10,9 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .data import FeatureSchema
 from .encoder import FeatureEncoder
-from .finetune import SngpHead
+from .finetune import SngpHead, packed_size
 from .nn import Module, _Placeholders
-from .pretrain import ReconstructionHeads
+from .pretrain import PRETRAINING_PARTS, ReconstructionHeads
 from .tensor import Tensor, no_grad
 from .trunk import Trunk, TrunkConfig
 
@@ -20,6 +20,9 @@ __all__ = ["Model"]
 
 # the SngpHead arguments a checkpoint stores per head: all but in_dim and rng
 HEAD_FIELDS = ("classes", "d_rf", "length_scale", "ridge", "kappa")
+# the parts of a model: the state under each top-level attribute, with
+# ISA's (`.isa.` in a trunk layer's path) a part of its own
+PARTS = ("encoder", "trunk", "isa", "recon", "heads")
 # rows per inference chunk; rows are bitwise batch-independent, so it sets
 # only the peak memory of `embed` and `predict`, never an output bit
 INFERENCE_BATCH = 256
@@ -30,34 +33,50 @@ class Model(Module):
         """A fresh model of `cfg.model_record()`, its arrays drawn from a
         generator spawned from `cfg.seed`."""
         fields = cfg.model_record()
-        self._build(schema, np.random.default_rng(np.random.SeedSequence(fields["seed"]).spawn(1)[0]), fields)
+        self._build(schema, np.random.default_rng(np.random.SeedSequence(fields["seed"]).spawn(1)[0]), fields, PARTS)
 
-    def _build(self, schema: FeatureSchema, rng, fields: dict) -> None:
+    def _build(self, schema: FeatureSchema, rng, fields: dict, parts) -> None:
         """The module tree of `fields` (`RunConfig.model_record()`, as the
-        checkpoint record stores it), its arrays drawn from `rng`."""
+        checkpoint record stores it) with the ISA blocks and reconstruction
+        decoders only when `parts` names them, its arrays drawn from `rng`."""
         self.schema = schema
         self.d = d = fields["d"]
         self.fields = fields
+        self.parts = tuple(parts)
         self.encoder = FeatureEncoder(schema, d, rng, fields["asset_criterion"], fields["seed"])
         self.trunk = Trunk(TrunkConfig(
             d=d, n_tokens=schema.token_count(),
             **{k: fields[k] for k in ("n_layers", "heads", "ffn_dim", "d_prime", "spectral_norm")},
-        ), rng)
-        self.recon = ReconstructionHeads(schema, d, rng)
+        ), rng, isa="isa" in parts)
+        self.recon = ReconstructionHeads(schema, d, rng) if "recon" in parts else None
         self.heads: dict = {}  # task name -> SngpHead, created at fine-tune
 
     # ---- persistence -----------------------------------------------------
 
     def save(self, path, config_dict: dict) -> None:
-        """Write every parameter and buffer under its attribute path, plus the
-        record `load` rebuilds the model from: the training schema (with its
-        normalization), the model record, each head's fields and
-        `config_dict`."""
-        arrays = {**{k: p.data for k, p in self.parameters().items()}, **self.buffers()}
+        """Write the model's parameters and buffers under their attribute
+        paths, plus the record `load` rebuilds the model from: the training
+        schema (with its normalization), the model record, each head's
+        fields, the parts the file holds and `config_dict`.
+
+        A model with heads is saved for serving: the file leaves out the ISA
+        blocks and reconstruction decoders, which only pre-training runs,
+        and holds each fitted head's variance factor (`SngpHead.packed_factor`,
+        made as it is written when no calibrated request has made it) as
+        `heads.<task>.factor` in place of its precision. A model without
+        heads keeps every part."""
+        parts = [p for p in self.parts if not (self.heads and p in PRETRAINING_PARTS)]
+        factors = {f"heads.{t}.precision": (f"heads.{t}.factor", h.packed_factor) for t, h in self.heads.items()}
+        arrays = {}
+        for name, value in {**{k: p.data for k, p in self.parameters().items()}, **self.buffers()}.items():
+            if _part(name) in parts:
+                name, value = factors.get(name, (name, value))
+                arrays[name] = value
         record = {
             "schema": self.schema.to_dict(),
             "model": self.fields,
             "heads": {task: {k: getattr(head, k) for k in HEAD_FIELDS} for task, head in self.heads.items()},
+            "parts": parts,
             "config": config_dict,
         }
         save_checkpoint(path, arrays, record)
@@ -67,13 +86,19 @@ class Model(Module):
         """Rebuild a model, its heads and its training schema from the checkpoint
         record alone, then set each array `load_checkpoint` read, cast to the
         slot's dtype if it differs, as the parameter's data or the buffer its
-        name points to. The constructors that build a fresh model build the
-        tree, but its slots are placeholders: the load draws no random number
-        and runs no power iteration, so every array the model ends with is
-        the file's. A missing array, a shape mismatch or an array that names
-        no attribute raises CheckpointError. `schema` (normalization aside),
-        `config_dict` and `model_kwargs` are only checked against the record:
-        a mismatch raises CheckpointError naming the feature or field."""
+        name points to. Only the parts the record names are built (a
+        version-3 record names none, and holds them all): a model loaded
+        from a served file has no ISA blocks or reconstruction decoders, so
+        pre-training it raises ConfigError. Each head gets the file's
+        variance factor, so its calibrated answers run no factorisation; a
+        version-3 head gets its precision, and factorises it on first use.
+        The constructors that build a fresh model build the tree, but its
+        slots are placeholders: the load draws no random number and runs no
+        power iteration, so every array the model ends with is the file's. A
+        missing array, a shape mismatch or an array that names no attribute
+        raises CheckpointError. `schema` (normalization aside), `config_dict`
+        and `model_kwargs` are only checked against the record: a mismatch
+        raises CheckpointError naming the feature or field."""
         record, arrays = load_checkpoint(path)
         saved = FeatureSchema.from_dict(record["schema"])
         if schema is not None:
@@ -83,7 +108,7 @@ class Model(Module):
         _check_fields("model", model_kwargs, record["model"], model_kwargs.keys())
         placeholders = _Placeholders()
         model = Model.__new__(Model)
-        model._build(saved, placeholders, record["model"])
+        model._build(saved, placeholders, record["model"], record.get("parts", PARTS))
         # the heads in their arrays' order, which `save` kept; the record's JSON sorts its keys
         position = {name: i for i, name in enumerate(arrays)}
         for task in sorted(record["heads"], key=lambda t: position.get(f"heads.{t}.beta.weight", -1)):
@@ -98,9 +123,12 @@ class Model(Module):
             owner, key, value = slots[name]
             if value is not None and value.shape != array.shape:
                 raise CheckpointError(f"shape mismatch for '{name}'")
+            # a head's factor slot is empty until set: its length follows from d_rf
+            if isinstance(owner, SngpHead) and key == "factor" and array.shape != (packed_size(owner.d_rf),):
+                raise CheckpointError(f"shape mismatch for '{name}'")
             # the file's own array, cast only when its dtype is not the slot's
-            # (a head's precision is None until a fit): a new object in
-            # every slot, so no cache keyed on the old one survives
+            # (a head's precision or factor is None until set): a new object
+            # in every slot, so no cache keyed on the old one survives
             fresh = array if value is None else array.astype(value.dtype, copy=False)
             if isinstance(value, Tensor):
                 value.data = fresh
@@ -137,6 +165,11 @@ class Model(Module):
         ]
         out = {key: np.concatenate([p[key] for p in parts]) for key in ("probs", "variance")}
         return {**out, "calibrated": parts[0]["calibrated"]}
+
+
+def _part(path: str) -> str:
+    """The part (PARTS) that the state at `path` belongs to."""
+    return "isa" if ".isa." in path else path.split(".", 1)[0]
 
 
 def _check_fields(what: str, given: dict, saved: dict, keys) -> None:

@@ -24,6 +24,9 @@ __all__ = [
 
 # Steps between the lines `pretrain_loop` writes to its loss log.
 LOG_EVERY = 10
+# The parts of a model (`model.PARTS`) that only pre-training runs: the file
+# of a model with heads leaves them out.
+PRETRAINING_PARTS = ("isa", "recon")
 
 
 def cutmix(inputs: dict, partner: np.ndarray, swap_prob: float, rng: np.random.Generator) -> dict:
@@ -176,10 +179,16 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
     included, advances its power iteration before each trunk call.
 
     Raises DataError for fewer than 2 rows and ConfigError for a batch size
-    under 2: InfoNCE needs an in-batch negative.
+    under 2: InfoNCE needs an in-batch negative. A model without the
+    pre-training parts, as one loaded from a fine-tuned checkpoint is,
+    raises ConfigError naming them.
 
     Returns the loss curve: a list of per-step records.
     """
+    missing = [part for part in PRETRAINING_PARTS if part not in model.parts]
+    if missing:
+        raise ConfigError(f"pre-training needs the model's parts {' and '.join(map(repr, missing))}, which a "
+                          "fine-tuned checkpoint leaves out; pre-train a fresh model or a pre-training checkpoint")
     if len(snapshots) < 2:
         raise DataError(f"pre-training needs at least 2 rows, got {len(snapshots)}")
     if cfg.batch_size < 2:

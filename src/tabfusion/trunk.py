@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .nn import Linear, Mlp, Module, SpectralLinear
 from .tensor import Tensor, layer_norm, multi_head_attention, no_grad
 
@@ -79,15 +80,17 @@ class IsaBlock(Module):
 
 
 class TrunkLayer(Module):
-    """Pre-norm transformer layer: row attention + FFN, then residual ISA."""
+    """Pre-norm transformer layer: row attention + FFN, then residual ISA.
+    Built without ISA (`isa` None) when only fine-tuning and inference will
+    run it."""
 
-    def __init__(self, cfg: TrunkConfig, rng: np.random.Generator):
+    def __init__(self, cfg: TrunkConfig, rng: np.random.Generator, isa: bool):
         cls = SpectralLinear if cfg.spectral_norm else Linear
         self.w_q = cls(cfg.d, cfg.d, rng, bias=False)
         self.w_k = cls(cfg.d, cfg.d, rng, bias=False)
         self.w_v = cls(cfg.d, cfg.d, rng, bias=False)
         self.ffn = Mlp(cfg.d, cfg.ffn_dim, cfg.d, rng, spectral=cfg.spectral_norm)
-        self.isa = IsaBlock(cfg, rng)
+        self.isa = IsaBlock(cfg, rng) if isa else None
         self.cfg = cfg
 
     def __call__(self, x: Tensor, mask, use_isa: bool) -> Tensor:
@@ -99,9 +102,12 @@ class TrunkLayer(Module):
 
 
 class Trunk(Module):
-    def __init__(self, cfg: TrunkConfig, rng: np.random.Generator):
+    def __init__(self, cfg: TrunkConfig, rng: np.random.Generator, isa: bool = True):
+        """`isa` False builds the layers without their ISA blocks, as a model
+        loaded from a checkpoint that leaves them out is: pretrain mode,
+        the only one that runs them, then refuses."""
         self.cfg = cfg
-        self.layers = [TrunkLayer(cfg, rng) for _ in range(cfg.n_layers)]
+        self.layers = [TrunkLayer(cfg, rng, isa) for _ in range(cfg.n_layers)]
 
     def __call__(self, x: Tensor, mask=None, mode: str = "inference"):
         """Run the stack; returns (tokens [B, N, d], pooled [B, d]).
@@ -117,6 +123,9 @@ class Trunk(Module):
         if mask is None:
             mask = np.ones((b, n), dtype=np.float32)
         use_isa = mode == "pretrain"
+        if use_isa and any(layer.isa is None for layer in self.layers):
+            raise ConfigError("pretrain mode runs the ISA blocks, which this trunk was built without "
+                              "(part 'isa', which a fine-tuned checkpoint leaves out)")
         with no_grad() if mode == "inference" else nullcontext():
             for layer in self.layers:
                 x = layer(x, mask, use_isa)

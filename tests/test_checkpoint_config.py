@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema, traced
-from tabfusion import nn
+from tabfusion import finetune, nn
 from tabfusion.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -19,7 +20,8 @@ import tabfusion.benchmark as bm
 from tabfusion.config import AugmentConfig, ConfigError, FinetuneConfig, LossWeights, PretrainConfig, RunConfig
 from tabfusion.data import FeatureSchema, FeatureSpec
 from tabfusion.finetune import SngpHead, TaskSpec, finetune_loop, predict_scores
-from tabfusion.model import HEAD_FIELDS, Model
+from tabfusion.model import HEAD_FIELDS, PARTS, Model
+from tabfusion.pretrain import pretrain_loop
 from tabfusion.optim import CosineWarmupSchedule
 from tabfusion.tensor import Tensor
 
@@ -146,7 +148,11 @@ class TestCheckpointFormat:
         }
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, arrays, {"k": [1, 2]})
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "6a033ca070038fde0f932843ab83ce74c45764b2fbe34d0ca7709844280d151a")
+        # the version-3 writer's pinned bytes, but for the version field
+        assert hashlib.sha256(data[:4] + struct.pack("<I", 3) + data[8:]).hexdigest() == (
             "80398a2b84b0a71be8d1898060c481961d6260c6782ee759765b099297de2f40")
         _, loaded = load_checkpoint(path)
         for name, want in arrays.items():
@@ -195,7 +201,7 @@ class TestModelPersistence:
         assert all(a.flags.writeable and a.flags.owndata for a in arrays.values())
         clone = Model.load(tmp_path / "m.ckpt")
         state = {**{k: p.data for k, p in clone.parameters().items()}, **clone.buffers()}
-        assert state.keys() == arrays.keys() and "heads.risk.precision" in state
+        assert state.keys() == arrays.keys() and "heads.risk.factor" in state
         for name, value in state.items():
             root = value
             while isinstance(root, np.ndarray) and root.base is not None:
@@ -204,12 +210,15 @@ class TestModelPersistence:
             assert not any(np.shares_memory(value, a) for a in arrays.values()), name
 
     def test_model_file_bytes_are_pinned(self, tmp_path):
+        # format 4: no ISA or decoder arrays, and the head's packed factor in
+        # place of its precision; a diagonal of powers of 4, whose factor
+        # every LAPACK makes exactly
         model = Model(small_schema(), RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=0))
         head = model.heads["risk"] = SngpHead(8, 2, np.random.default_rng(1), d_rf=32, length_scale=2.0, ridge=1.0)
-        head.precision = np.eye(32) + np.arange(32 * 32).reshape(32, 32) / 1024.0
+        head.precision = np.diag(4.0 ** (np.arange(32) % 4 - 1))
         model.save(tmp_path / "m.ckpt", {"arch": "tiny"})
         assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == (
-            "64b42c4a88ecc26336865af431f7230208448d78a8ca8939837c8a18fbbc3c01")
+            "22c7e700dda6054f1e2b47577eea1b91162cb3f025b73ebc935ea6d4a0132fa9")
 
     def test_load_holds_each_array_once(self, tmp_path):
         # peak minus kept was about the array bytes when the load held the
@@ -220,7 +229,7 @@ class TestModelPersistence:
             head = model.heads[task] = SngpHead(16, 2, np.random.default_rng(seed), 256, length_scale=2.0, ridge=1.0)
             head.precision = 2.0 * np.eye(256)
         model.save(tmp_path / "m.ckpt", {})
-        nbytes = sum(a.nbytes for a in [p.data for p in model.parameters().values()] + list(model.buffers().values()))
+        nbytes = sum(a.nbytes for a in load_checkpoint(tmp_path / "m.ckpt")[1].values())
         loaded = []
         kept, peak = traced(lambda: loaded.append(Model.load(tmp_path / "m.ckpt")))
         assert kept >= nbytes
@@ -250,9 +259,8 @@ class TestModelPersistence:
         cfg = {"arch": "tiny"}
         model.save(tmp_path / "m.ckpt", cfg)
         clone = Model.load(tmp_path / "m.ckpt", schema, cfg, **self.kwargs())
-        np.testing.assert_allclose(
-            clone.heads["risk"].precision, model.heads["risk"].precision, rtol=1e-6
-        )
+        phi = model.heads["risk"].features(Tensor(model.embed(snaps))).data
+        np.testing.assert_array_equal(clone.heads["risk"].variance(phi), model.heads["risk"].variance(phi))
 
     def test_file_alone_rebuilds_a_two_head_model(self, tmp_path):
         schema, snaps, model = self.build_trained(tmp_path)
@@ -309,11 +317,14 @@ class TestModelPersistence:
         path = tmp_path / "m.ckpt"
         model.save(path, {"arch": "tiny"})
         record, arrays = load_checkpoint(path)
-        assert set(arrays) == model.parameters().keys() | model.buffers().keys()
-        for name in ("encoder.freqs.age", "trunk.layers.0.w_q.weight", "trunk.layers.0.isa.ffn.fc1.u",
-                     "recon.decoders.num1.bias", "heads.risk.beta.weight", "heads.risk.precision"):
+        clone = Model.load(path)
+        assert set(arrays) == clone.parameters().keys() | clone.buffers().keys()
+        for name in ("encoder.freqs.age", "trunk.layers.0.w_q.weight", "trunk.layers.0.ffn.fc1.u",
+                     "heads.risk.beta.weight", "heads.risk.factor"):
             assert name in arrays, name
-        for stray in ("trunk.layers.0.w_q.scale", "trunk.layers.1.w_q.u", "heads.churn.omega", "fields.d"):
+        # ISA and the decoders are parts this fine-tuned file leaves out, so its model has no slot for them
+        for stray in ("trunk.layers.0.w_q.scale", "trunk.layers.1.w_q.u", "heads.churn.omega", "fields.d",
+                      "trunk.layers.0.isa.ffn.fc1.u", "recon.decoders.num1.bias"):
             save_checkpoint(path, {**arrays, stray: np.zeros(2, dtype=np.float32)}, record)
             with pytest.raises(CheckpointError, match=f"array '{stray}' names no attribute"):
                 Model.load(path)
@@ -322,9 +333,10 @@ class TestModelPersistence:
             save_checkpoint(path, {k: v for k, v in arrays.items() if k != missing}, record)
             with pytest.raises(CheckpointError, match=f"missing array '{missing}'"):
                 Model.load(path)
-        save_checkpoint(path, {**arrays, "heads.risk.omega": arrays["heads.risk.omega"][1:]}, record)
-        with pytest.raises(CheckpointError, match="shape mismatch for 'heads.risk.omega'"):
-            Model.load(path)
+        for name in ("heads.risk.omega", "heads.risk.factor"):
+            save_checkpoint(path, {**arrays, name: arrays[name][1:]}, record)
+            with pytest.raises(CheckpointError, match=f"shape mismatch for '{name}'"):
+                Model.load(path)
 
     def test_load_only_reads_and_checks(self, tmp_path, monkeypatch):
         """The loaded model's every array is the file's: the load power-iterates
@@ -373,6 +385,122 @@ class TestModelPersistence:
         emb = model.embed(snaps)
         assert emb.shape == (20, 8)
         assert np.all(np.isfinite(emb))
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def predictions(model, rows) -> dict:
+    return {task: model.predict(rows, task) for task in model.heads}
+
+
+def assert_same_predictions(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for task in want:
+        for key in ("probs", "variance"):
+            np.testing.assert_array_equal(got[task][key], np.asarray(want[task][key]), err_msg=f"{task} {key}")
+
+
+class TestServedCheckpoint:
+    """Format 4: the file of a model with heads holds each head's variance
+    factor in place of its precision and leaves out ISA and the decoders."""
+
+    def build_two_heads(self):
+        schema = small_schema()
+        snaps = random_snapshots(schema, 20, seed=0)
+        for snap in snaps:
+            snap.labels["churn"] = 1 - snap.labels["risk"]
+        model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=3))
+        finetune_loop(model, snaps, [TaskSpec("risk", 2)],
+                      RunConfig(finetune_steps=4, batch_size=8, d_rf=200, seed=0).finetune_config())
+        finetune_loop(model, snaps, [TaskSpec("churn", 2)],
+                      RunConfig(finetune_steps=2, batch_size=8, d_rf=32, seed=1, linear_probe=True).finetune_config())
+        return snaps, model
+
+    def test_version_3_file_loads_predicts_and_resaves_as_version_4(self, tmp_path):
+        """A version-3 file written before format 4 (tiny model, two heads of
+        d_rf 32: risk fine-tuned for 4 steps, then churn probed for 2), with
+        the probabilities and variances its writer's code gave on 12 rows."""
+        path = FIXTURES / "v3_two_heads.ckpt"
+        assert struct.unpack("<I", path.read_bytes()[4:8]) == (3,)
+        want = json.loads((FIXTURES / "v3_two_heads.json").read_text())
+        rows = random_snapshots(small_schema(), 12, seed=7)
+        model = Model.load(path)
+        assert model.parts == PARTS and list(model.heads) == ["risk", "churn"]
+        assert_same_predictions(predictions(model, rows), want)
+        model.save(tmp_path / "v4.ckpt", {"arch": "tiny"})
+        record, arrays = load_checkpoint(tmp_path / "v4.ckpt")
+        assert struct.unpack("<I", (tmp_path / "v4.ckpt").read_bytes()[4:8]) == (4,)
+        assert record["parts"] == ["encoder", "trunk", "heads"]
+        assert {"heads.risk.factor", "heads.churn.factor"} <= arrays.keys()
+        assert_same_predictions(predictions(Model.load(tmp_path / "v4.ckpt"), rows), want)
+
+    def test_load_and_calibrated_predict_run_no_factorisation(self, tmp_path, monkeypatch):
+        snaps, model = self.build_two_heads()
+        want = predictions(model, snaps)
+        model.save(tmp_path / "served.ckpt", {})
+        fresh = Model(small_schema(), RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8))
+        fresh.save(tmp_path / "pre.ckpt", {})
+
+        def refuse(*args):
+            raise AssertionError("a load or a calibrated answer factorised")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(finetune, "_invert_lower", refuse)
+        clone = Model.load(tmp_path / "served.ckpt")
+        got = predictions(clone, snaps)
+        assert all(got[task]["calibrated"] for task in got)
+        assert_same_predictions(got, want)
+        # what each file holds
+        names = load_checkpoint(tmp_path / "served.ckpt")[1].keys()
+        assert not [n for n in names if ".isa." in n or n.startswith("recon.") or n.endswith(".precision")]
+        assert clone.parts == ("encoder", "trunk", "heads") and clone.recon is None
+        pre = Model.load(tmp_path / "pre.ckpt")
+        names = load_checkpoint(tmp_path / "pre.ckpt")[1].keys()
+        assert pre.parts == PARTS and names == pre.parameters().keys() | pre.buffers().keys()
+        assert [n for n in names if ".isa." in n] and [n for n in names if n.startswith("recon.decoders.")]
+
+    def test_save_reuses_cached_panels_and_writes_the_same_bytes(self, tmp_path):
+        snaps, model = self.build_two_heads()
+        model.save(tmp_path / "a.ckpt", {})  # factors made as they are written
+        assert all(head._factor[0] is None for head in model.heads.values())  # and not kept
+        model.predict(snaps, "risk")  # caches risk's panels, which the next save writes
+        model.save(tmp_path / "b.ckpt", {})
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        clone = Model.load(tmp_path / "a.ckpt")
+        clone.predict(snaps, "risk")  # panels as views of the file's factor
+        clone.save(tmp_path / "c.ckpt", {})
+        assert (tmp_path / "c.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
+    def test_served_model_refuses_pretraining(self, tmp_path):
+        snaps, model = self.build_two_heads()
+        model.save(tmp_path / "served.ckpt", {})
+        clone = Model.load(tmp_path / "served.ckpt")
+        x, mask = clone.encoder.assemble_tokens(snaps[:4])
+        with pytest.raises(ConfigError, match="part 'isa'"):
+            clone.trunk(x, mask, mode="pretrain")
+        clone.trunk(x, mask, mode="finetune")
+        with pytest.raises(ConfigError, match="parts 'isa' and 'recon'"):
+            pretrain_loop(clone, snaps, RunConfig(pretrain_steps=1, batch_size=8).pretrain_config())
+
+    def test_served_model_fine_tunes_as_a_probe_and_as_a_full_run(self, tmp_path):
+        snaps, model = self.build_two_heads()
+        model.save(tmp_path / "served.ckpt", {})
+        for snap in snaps:
+            snap.labels["tier"] = int(snap.labels["risk"] == 0)
+        probe = Model.load(tmp_path / "served.ckpt")
+        before = predictions(probe, snaps)
+        cfg = RunConfig(finetune_steps=2, batch_size=8, d_rf=32, seed=2, linear_probe=True).finetune_config()
+        finetune_loop(probe, snaps, [TaskSpec("tier", 2)], cfg)
+        after = predictions(probe, snaps)
+        assert_same_predictions({t: after[t] for t in before}, before)
+        full = Model.load(tmp_path / "served.ckpt")
+        cfg = RunConfig(finetune_steps=2, batch_size=8, d_rf=32, seed=2).finetune_config()
+        finetune_loop(full, snaps, [TaskSpec("risk", 2), TaskSpec("churn", 2)], cfg)
+        for name, fitted in (("probe", probe), ("full", full)):
+            fitted.save(tmp_path / f"{name}.ckpt", {})
+            reloaded = Model.load(tmp_path / f"{name}.ckpt")
+            assert_same_predictions(predictions(reloaded, snaps), predictions(fitted, snaps))
 
 
 def state_digest(module, skip=()) -> str:

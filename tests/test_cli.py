@@ -10,8 +10,8 @@ import pytest
 from conftest import random_snapshots, small_schema
 from tabfusion.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, main
 from tabfusion.config import RunConfig
-from tabfusion.data import TaskSpec, load_dataset, save_dataset
-from tabfusion.finetune import predict_scores
+from tabfusion.data import FeatureSchema, TaskSpec, load_dataset, save_dataset
+from tabfusion.finetune import SngpHead, predict_scores
 from tabfusion.metrics import auprc, auroc, ece
 from tabfusion.model import Model
 
@@ -127,6 +127,78 @@ class TestBasics:
         )
         assert rc == EXIT_CONFIG
 
+
+
+# refusals each command makes before its work: (global flags, command
+# arguments after the data flags, exit code, text of the error line);
+# pre.ckpt is a pre-trained model's checkpoint and has no head
+DRY_RUN_REFUSALS = {
+    "pretrain without a step count": (["--config", "steps0.json"], ["pretrain", "--out-checkpoint", "x.ckpt"],
+                                      EXIT_CONFIG, "pretrain needs a step count"),
+    "predict without the head": ([], ["predict", "--checkpoint", "pre.ckpt", "--task", "risk", "--out", "p.jsonl"],
+                                 EXIT_CONFIG, "checkpoint has no head for task 'risk'"),
+    "eval without the head": ([], ["eval", "--checkpoint", "pre.ckpt", "--task", "risk", "--out", "m.json"],
+                              EXIT_CONFIG, "checkpoint has no head for task 'risk'"),
+    "predict with another model record": (["--seed", "5"], ["predict", "--checkpoint", "pre.ckpt", "--task", "risk",
+                                                            "--out", "p.jsonl"], 1, "model field 'seed' is 5 here"),
+    "export with another schema": ([], ["export-embeddings", "--checkpoint", "other.ckpt", "--out-prefix", "emb"],
+                                   1, "schema feature 'age' field 'kind'"),
+    "finetune from another model record": (["--seed", "5"], ["finetune", "--task", "risk", "--init-checkpoint",
+                                                             "pre.ckpt", "--out-checkpoint", "x.ckpt"],
+                                           1, "model field 'seed' is 5 here"),
+    "eval on a file that is no checkpoint": ([], ["eval", "--checkpoint", "schema.json", "--task", "risk"],
+                                             1, "bad magic"),
+    "eval on rows of one class": ([], ["eval", "--checkpoint", "head.ckpt", "--task", "risk", "--data", "one.csv"],
+                                  EXIT_DATA, "are all one class"),
+    "finetune on a bad label of an undeclared task": (
+        [], ["finetune", "--task", "tier", "--data", "tier.csv", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "label 7 outside [0, 2) (row 3, feature 'label:tier')"),
+}
+
+
+def write_labels(ws, name, column, values):
+    """A copy of data.csv with `column` set to `values`, one per data row."""
+    with (ws / "data.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    if column not in rows[0]:
+        rows[0].append(column)
+        rows[1:] = [row + [""] for row in rows[1:]]
+    at = rows[0].index(column)
+    for row, value in zip(rows[1:], values):
+        row[at] = value
+    with (ws / name).open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+class TestDryRun:
+    @pytest.mark.parametrize("case", DRY_RUN_REFUSALS)
+    def test_dry_run_refuses_as_the_command_does(self, workspace, capsys, case):
+        flags, command, code, text = DRY_RUN_REFUSALS[case]
+        cfg = RunConfig.load(workspace / "config.json")
+        RunConfig.from_dict({**cfg.to_dict(), "pretrain_steps": 0}).save(workspace / "steps0.json")
+        schema = FeatureSchema.load(workspace / "schema.json")
+        Model(schema, cfg).save(workspace / "pre.ckpt", cfg.to_dict())
+        schema.get("age").kind = "categorical"
+        schema.get("age").vocab_size = 3
+        Model(schema, cfg).save(workspace / "other.ckpt", cfg.to_dict())
+        model = Model(FeatureSchema.load(workspace / "schema.json"), cfg)
+        model.heads["risk"] = SngpHead(cfg.d, 2, np.random.default_rng(0), cfg.d_rf, cfg.gp_length_scale, cfg.gp_ridge)
+        model.save(workspace / "head.ckpt", cfg.to_dict())
+        write_labels(workspace, "one.csv", "label:risk", ["1"] * 24)
+        write_labels(workspace, "tier.csv", "label:tier", ["0", "7"] + ["1"] * 22)
+        flags = [str(workspace / a) if a.endswith(".json") else a for a in ["--config", "config.json", *flags]]
+        argv = command[:1] + base_args(workspace)[2:] + [
+            str(workspace / a) if "." in a else a for a in command[1:]]
+        files = sorted(workspace.iterdir())
+        results = []
+        for dry in (["--dry-run"], []):
+            rc = main(flags + dry + argv)
+            lines = capsys.readouterr().err.strip().splitlines()
+            results.append((rc, lines[-1] if lines else None))
+            if dry:
+                assert sorted(workspace.iterdir()) == files  # the dry run writes nothing
+        assert results[0] == results[1], case
+        assert results[0][0] == code and results[0][1].startswith("error:") and text in results[0][1], results[0]
 
 
 def rewrite_cell(ws, row, column, text):
@@ -621,6 +693,18 @@ class TestSelfDescribingCheckpoint:
         want, got = before.predict(rows, "risk"), after.predict(rows, "risk")
         np.testing.assert_array_equal(got["probs"], want["probs"])
         np.testing.assert_array_equal(got["variance"], want["variance"])
+
+    def test_finetune_trains_on_from_a_served_checkpoint(self, workspace, capsys):
+        # a fine-tuned file holds no ISA or decoders; fine-tuning never runs them
+        first, again = run_finetune(workspace), workspace / "again.ckpt"
+        rc = main(["--config", str(workspace / "config.json"), "finetune"] + base_args(workspace)[2:]
+                  + ["--task", "risk", "--init-checkpoint", str(first), "--out-checkpoint", str(again)])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        before, after = Model.load(first), Model.load(again)
+        assert before.parts == after.parts == ("encoder", "trunk", "heads")
+        rows = load_dataset(workspace / "data.csv", after.schema, workspace / "emb.bin")[1]
+        assert after.predict(rows, "risk")["calibrated"]
+        assert not np.array_equal(after.embed(rows), before.embed(rows))  # the backbone trained on
 
     def test_manifest_digests_every_input_including_the_starting_checkpoint(self, tmp_path, capsys):
         rc, first, second = self.add_churn(tmp_path, linear_probe=True)

@@ -156,7 +156,7 @@ class TestLaplaceCovariance:
         np.testing.assert_allclose(head.variance(phi), np.einsum("ij,ij->i", y, y), rtol=1e-12, atol=0.0)
         # only the upper-triangular column panels are kept
         starts = range(0, d_rf, VARIANCE_PANEL_COLS)
-        assert [p.shape for p in head._factor[1]] == [
+        assert [p.shape for p in head._factor[2]] == [
             (min(c0 + VARIANCE_PANEL_COLS, d_rf), min(VARIANCE_PANEL_COLS, d_rf - c0)) for c0 in starts
         ]
 
@@ -218,7 +218,7 @@ class TestLaplaceCovariance:
         monkeypatch.undo()
         assert INVERSE_LEAF == 64 and 0 < max(widths) <= INVERSE_LEAF
         dense = inv(np.linalg.cholesky(head.precision)).T
-        for c0, panel in zip(range(0, 1024, VARIANCE_PANEL_COLS), head._factor[1]):
+        for c0, panel in zip(range(0, 1024, VARIANCE_PANEL_COLS), head._factor[2]):
             want = dense[: c0 + VARIANCE_PANEL_COLS, c0 : c0 + VARIANCE_PANEL_COLS]
             np.testing.assert_allclose(panel, want, rtol=0.0, atol=1e-12)
 

@@ -273,12 +273,21 @@ def test_no_hand_written_state_plumbing():
     assert [name for path in MODULES for name in state_plumbing(path.read_text(), path.stem)] == []
 
 
-def data_writes(source: str) -> list[str]:
-    """Statements that write into a `.data` array rather than assign a new
-    one: `x.data[...] = y`, `x.data[i] += y` or `x.data -= y`, as 'line: target'.
+# the attributes whose arrays identity-keyed caches are made from: a
+# weight's `.data` (the no_grad caches of W/sigma, a plain Linear's weight
+# and SNGP's Omega, which is keyed on `omega`), and an SNGP head's
+# `precision` and `factor`, whose cached variance panels are views of one
+# packed buffer (the file's own `factor` after a load)
+CACHE_KEYS = ("data", "omega", "precision", "factor")
 
-    SpectralLinear's inference cache holds while a weight's `.data` is the
-    same array, so a write into that array would leave it stale.
+
+def data_writes(source: str) -> list[str]:
+    """Statements that write into a CACHE_KEYS array rather than assign a
+    new one: `x.data[...] = y`, `x.factor[i] += y` or `x.data -= y`, as
+    'line: target'.
+
+    Each cache holds while its key is the same array object, so a write
+    into that array would leave it stale.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -289,8 +298,9 @@ def data_writes(source: str) -> list[str]:
         else:
             continue
         for t in targets:
-            into_data = isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute) and t.value.attr == "data"
-            onto_data = isinstance(node, ast.AugAssign) and isinstance(t, ast.Attribute) and t.attr == "data"
+            into_data = (isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+                         and t.value.attr in CACHE_KEYS)
+            onto_data = isinstance(node, ast.AugAssign) and isinstance(t, ast.Attribute) and t.attr in CACHE_KEYS
             if into_data or onto_data:
                 found.append(f"{node.lineno}: {ast.unparse(t)}")
     return found
@@ -307,9 +317,15 @@ def test_data_write_scanner_flags_only_writes_into_data():
         "x.grad[...] = 0\n"
         "y = x.data[0]\n"
         "x.data.sum()\n"
+        "head.factor[:4] = 0\n"
+        "self.precision += ridge\n"
+        "self.omega[0, 0] *= 2\n"
+        "self.factor = packed\n"
+        "lam[0, 0] += ridge\n"
     )
     assert data_writes(source) == [
         "1: p.data[...]", "2: p.data", "3: w.data[1, 2]", "4: self.weight.data[0]",
+        "10: head.factor[:4]", "11: self.precision", "12: self.omega[0, 0]",
     ]
 
 
