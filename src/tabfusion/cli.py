@@ -22,7 +22,7 @@ from . import benchmark as bench
 from .config import ConfigError, RunConfig
 from .data import DataError, FeatureSchema, TaskSpec, load_dataset
 from .feature_select import StopRule, backward_eliminate
-from .finetune import finetune_loop, predict_scores
+from .finetune import check_finetune, finetune_loop, predict_scores
 from .metrics import auprc, auroc, ece
 from .model import Model
 from .pretrain import pretrain_loop
@@ -153,9 +153,9 @@ def _inputs(args, cfg: RunConfig):
     reads --data under the checkpoint's schema, so numerics use the training
     statistics; any other reads --data under --schema and has no model.
     `pretrain` needs a step count, from --steps or the config; `finetune`
-    needs labels in [0, 2) for a task the schema does not declare; `eval`
-    needs rows labeled for its task, of both classes (class 1 against the
-    rest)."""
+    needs labels in [0, 2) for a task the schema does not declare, then
+    makes `finetune_loop`'s own refusals (`check_finetune`); `eval` needs
+    rows labeled for its task, of both classes (class 1 against the rest)."""
     _check_inputs(args)
     path = getattr(args, "checkpoint", None) or getattr(args, "init_checkpoint", None)
     if path:
@@ -179,6 +179,7 @@ def _inputs(args, cfg: RunConfig):
             if bad is not None:
                 raise DataError(f"label {snapshots[bad].labels[name]} outside [0, 2)", row=bad + 2,
                                 feature=f"label:{name}")
+        check_finetune(model.heads if model else {}, snapshots, _tasks(args, cfg), cfg.linear_probe)
     elif args.command == "eval":
         y = np.array([s.labels[args.task] for s in snapshots if s.labels.get(args.task) is not None]) == 1
         if not len(y):
@@ -187,6 +188,13 @@ def _inputs(args, cfg: RunConfig):
             raise DataError(f"the {len(y)} rows labeled for task '{args.task}' are all one class "
                             "(class 1 against the rest); AUROC needs both")
     return model, schema, snapshots
+
+
+def _tasks(args, cfg: RunConfig) -> list[TaskSpec]:
+    """The tasks `finetune` trains: as --schema declares them (binary when
+    it does not), with the config's focal gamma."""
+    declared = {t.name: t for t in FeatureSchema.load(args.schema).tasks}
+    return [replace(declared.get(name, TaskSpec(name)), gamma=cfg.focal_gamma) for name in args.task]
 
 
 def _dry_run(args) -> int:
@@ -223,9 +231,7 @@ def cmd_finetune(args) -> int:
     model, schema, snapshots = _inputs(args, cfg)
     if model is None:
         model = Model(schema, cfg)
-    declared = {t.name: t for t in FeatureSchema.load(args.schema).tasks}
-    tasks = [replace(declared.get(name, TaskSpec(name)), gamma=cfg.focal_gamma) for name in args.task]
-    finetune_loop(model, snapshots, tasks, cfg.finetune_config())
+    finetune_loop(model, snapshots, _tasks(args, cfg), cfg.finetune_config())
     model.save(args.out_checkpoint, cfg.to_dict())
     inputs = {"schema": args.schema, "data": args.data, "init_checkpoint": args.init_checkpoint}
     _write_manifest(args.out_checkpoint, cfg, inputs, started)

@@ -14,7 +14,7 @@ from .nn import Linear, Module, advance_power_iteration
 from .optim import Trainer
 from .tensor import Tensor, linear, no_grad, softmax
 
-__all__ = ["TaskSpec", "SngpHead", "focal_loss", "finetune_loop"]
+__all__ = ["TaskSpec", "SngpHead", "focal_loss", "check_finetune", "finetune_loop"]
 
 # Rows per product with the cached variance factor. A fixed block shape gives
 # every row the same BLAS kernel and summation order whatever the batch size,
@@ -109,11 +109,11 @@ class SngpHead(Module):
         row's variance is |phi F|^2: O(d_rf^2) per row. F is upper
         triangular, so only its column panels of VARIANCE_PANEL_COLS are
         kept, panel [c0, c1) holding rows [0, c1), as views of one packed
-        buffer. After a fit they are made from `precision` on first use (an
-        O(d_rf^3) Cholesky factorisation and a triangular inverse made in
-        place in L) and cached until another array is set as `precision`;
-        after a load they are views of the file's `factor`, so no
-        factorisation runs. Rows are multiplied in zero-padded blocks of
+        buffer. After a fit they are made from `precision` on first use
+        (`_factorise`: O(d_rf^3), holding the packed factor and one block row
+        beside the precision) and cached until another array is set as
+        `precision`; after a load they are views of the file's `factor`, so
+        no factorisation runs. Rows are multiplied in zero-padded blocks of
         VARIANCE_BLOCK_ROWS, so every kernel call has a shape fixed by the
         panel alone and a row's variance is bitwise the same alone or in any
         batch.
@@ -160,7 +160,8 @@ class SngpHead(Module):
         """F's panels packed as `_factorise` packs them, the form a checkpoint
         stores: the file's `factor` after a load; after a fit, the panels'
         buffer if a calibrated request has made them, else made from
-        `precision` here and not kept."""
+        `precision` here and not kept, the factorisation holding the packed
+        factor and one block row beside the precision."""
         if self.precision is None:
             return self.factor
         source, packed, _ = self._factor
@@ -179,13 +180,33 @@ def _panel_bounds(d_rf: int):
 def _factorise(precision: np.ndarray) -> np.ndarray:
     """The column panels of F = (L^-1)^T, L = chol(precision), packed in one
     new float64 array: panel [c0, c1) is F[:c1, c0:c1], C-contiguous, and
-    the panels follow one another in column order. The inverse is made in
-    place in L, which goes once the panels are copied out."""
-    l_inv = _invert_lower(np.linalg.cholesky(precision))  # F^T
-    d_rf = l_inv.shape[0]
+    the panels follow one another in column order.
+
+    The panels are made in order, each from the precision and the panels
+    before it, so a factorisation holds the packed factor and one block row
+    beside the precision, never a d_rf x d_rf array. For panel [c0, c1),
+    L's block row is G = Lambda[c0:c1, :c0] F[:c0, :c0], one product per
+    earlier panel; its diagonal block's inverse is M = L_pp^-1 with L_pp =
+    chol(Lambda[c0:c1, c0:c1] - G G^T); and L^-1's block row is
+    [-M G F[:c0, :c0]^T | M], the panel's transpose. Cholesky factorisations
+    and inverses see blocks of at most VARIANCE_PANEL_COLS; with one panel
+    (d_rf <= VARIANCE_PANEL_COLS) this is chol and `_invert_lower` of the
+    whole precision."""
+    d_rf = precision.shape[0]
     packed = np.empty(packed_size(d_rf))
+    done = []  # ((q0, q1), panel) for the panels made so far
     for (c0, c1), panel in zip(_panel_bounds(d_rf), _panel_views(packed, d_rf)):
-        panel[...] = l_inv[c0:c1, :c1].T
+        g = np.empty((c1 - c0, c0))  # G, L's block row left of the diagonal
+        for (q0, q1), f in done:
+            np.matmul(precision[c0:c1, :q1], f, out=g[:, q0:q1])
+        m = _invert_lower(np.linalg.cholesky(precision[c0:c1, c0:c1] - g @ g.T))
+        h = np.zeros((c1 - c0, c0))  # G F[:c0, :c0]^T
+        for (q0, q1), f in done:
+            h[:, :q1] += g[:, q0:q1] @ f.T
+        np.matmul(h.T, m.T, out=panel[:c0])
+        np.negative(panel[:c0], out=panel[:c0])
+        panel[c0:] = m.T
+        done.append(((c0, c1), panel))
     return packed
 
 
@@ -200,7 +221,9 @@ def _panel_views(packed: np.ndarray, d_rf: int) -> list:
 
 
 def _invert_lower(low: np.ndarray) -> np.ndarray:
-    """The inverse of the lower-triangular `low`, made in place in it.
+    """The inverse of the lower-triangular `low`, made in place in it. In
+    `_factorise`, `low` is one diagonal block of L, at most
+    VARIANCE_PANEL_COLS wide, so the inverse holds nothing near d_rf x d_rf.
 
     With low = [[A, 0], [B, C]], the inverse is [[A^-1, 0], [-C^-1 B A^-1,
     C^-1]]: both diagonal blocks are inverted in place, recursively, then B
@@ -246,9 +269,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     nor power-iterated. A task without a head in `model.heads` gets a new
     one; heads are drawn in task order from one rng seeded `cfg.seed + 1`.
     Training the backbone under a head not in `tasks` would leave that head
-    stale and raises ConfigError; `cfg.linear_probe` embeds the training
-    and held-out rows once and trains only the task heads on those fixed
-    features. Ends with a covariance pass over the training set for every
+    stale and raises ConfigError (`check_finetune`); `cfg.linear_probe`
+    embeds the training and held-out rows once and trains only the task
+    heads on those fixed features. Ends with a covariance pass over the training set for every
     task's head. Returns the loss curve: a record per step that trained or
     evaluated. A batch with no row labeled for any task runs no forward and
     does not advance power iteration, and its record, if it evaluated, has
@@ -267,17 +290,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     """
     from .metrics import auprc
 
-    others = [name for name in model.heads if name not in {t.name for t in tasks}]
-    if others and not cfg.linear_probe:
-        raise ConfigError(f"training the backbone would leave head '{others[0]}' stale: "
-                          f"pass task '{others[0]}' too, or set linear_probe")
-    for t in tasks:
-        labels = [s.labels[t.name] for s in snapshots if s.labels.get(t.name) is not None]
-        if not labels:
-            raise DataError(f"no labeled examples for task '{t.name}'")
-        bad = [y for y in labels if not (isinstance(y, (int, np.integer)) and 0 <= y < t.classes)]
-        if bad:
-            raise DataError(f"task '{t.name}' has label {bad[0]!r}; labels are integers in [0, {t.classes})")
+    check_finetune(model.heads, snapshots, tasks, cfg.linear_probe)
     head_rng = np.random.default_rng(cfg.seed + 1)
     for t in tasks:
         if t.name not in model.heads:
@@ -361,6 +374,25 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
 
     fit_heads_covariance(model, train_set, tasks)
     return curve
+
+
+def check_finetune(heads: dict, snapshots, tasks: list[TaskSpec], linear_probe: bool) -> None:
+    """The refusals `finetune_loop` makes before its work, for a model with
+    `heads`: training the backbone under a head no task names would leave
+    it stale (ConfigError, unless `linear_probe`); every task needs a
+    labeled row, and its labels must be integers in [0, classes)
+    (DataError)."""
+    others = [name for name in heads if name not in {t.name for t in tasks}]
+    if others and not linear_probe:
+        raise ConfigError(f"training the backbone would leave head '{others[0]}' stale: "
+                          f"pass task '{others[0]}' too, or set linear_probe")
+    for t in tasks:
+        labels = [s.labels[t.name] for s in snapshots if s.labels.get(t.name) is not None]
+        if not labels:
+            raise DataError(f"no labeled examples for task '{t.name}'")
+        bad = [y for y in labels if not (isinstance(y, (int, np.integer)) and 0 <= y < t.classes)]
+        if bad:
+            raise DataError(f"task '{t.name}' has label {bad[0]!r}; labels are integers in [0, {t.classes})")
 
 
 def fit_heads_covariance(model, snapshots, tasks) -> None:

@@ -62,7 +62,12 @@ def traced(fn) -> tuple[int, int]:
     once, both above the level at its start, as tracemalloc sees them (numpy
     buffers included). Called while a trace the caller started runs, it
     measures within that trace, so memory allocated before the call and
-    freed during it counts too (and that trace's peak is reset)."""
+    freed during it counts too (and that trace's peak is reset).
+
+    tracemalloc does not see the working copies LAPACK makes of its inputs
+    (np.linalg copies each operand into a buffer of its own), so a memory
+    test of a LAPACK call also bounds the widths it hands over
+    (`linalg_widths`)."""
     outer = tracemalloc.is_tracing()
     if not outer:
         tracemalloc.start()
@@ -75,6 +80,21 @@ def traced(fn) -> tuple[int, int]:
         if not outer:
             tracemalloc.stop()
     return now - start, peak - start
+
+
+def linalg_widths(monkeypatch, name: str) -> list[int]:
+    """The widths of the square matrices handed to np.linalg.<name> from
+    now on, in call order: a list the patched function appends to until
+    `monkeypatch` undoes it."""
+    real, widths = getattr(np.linalg, name), []
+
+    def record(a, *args, **kwargs):
+        assert a.shape[-1] == a.shape[-2], f"np.linalg.{name} got a {a.shape} matrix"
+        widths.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, record)
+    return widths
 
 
 def every_op(x, w):

@@ -153,6 +153,13 @@ DRY_RUN_REFUSALS = {
     "finetune on a bad label of an undeclared task": (
         [], ["finetune", "--task", "tier", "--data", "tier.csv", "--out-checkpoint", "x.ckpt"],
         EXIT_DATA, "label 7 outside [0, 2) (row 3, feature 'label:tier')"),
+    "finetune on a task no row is labeled for": (
+        [], ["finetune", "--task", "nosuch", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "no labeled examples for task 'nosuch'"),
+    "finetune leaving a head stale": (
+        [], ["finetune", "--task", "churn", "--data", "churn.csv", "--init-checkpoint", "head.ckpt",
+             "--out-checkpoint", "x.ckpt"],
+        EXIT_CONFIG, "would leave head 'risk' stale"),
 }
 
 
@@ -186,6 +193,7 @@ class TestDryRun:
         model.save(workspace / "head.ckpt", cfg.to_dict())
         write_labels(workspace, "one.csv", "label:risk", ["1"] * 24)
         write_labels(workspace, "tier.csv", "label:tier", ["0", "7"] + ["1"] * 22)
+        write_labels(workspace, "churn.csv", "label:churn", ["0", "1"] * 12)
         flags = [str(workspace / a) if a.endswith(".json") else a for a in ["--config", "config.json", *flags]]
         argv = command[:1] + base_args(workspace)[2:] + [
             str(workspace / a) if "." in a else a for a in command[1:]]
@@ -195,8 +203,7 @@ class TestDryRun:
             rc = main(flags + dry + argv)
             lines = capsys.readouterr().err.strip().splitlines()
             results.append((rc, lines[-1] if lines else None))
-            if dry:
-                assert sorted(workspace.iterdir()) == files  # the dry run writes nothing
+            assert sorted(workspace.iterdir()) == files  # neither run writes a file
         assert results[0] == results[1], case
         assert results[0][0] == code and results[0][1].startswith("error:") and text in results[0][1], results[0]
 

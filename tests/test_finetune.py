@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_snapshots, small_schema, traced
+from conftest import linalg_widths, random_snapshots, small_schema, traced
 from tabfusion.config import ConfigError, RunConfig
 from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpec
 from tabfusion.finetune import (
@@ -15,7 +15,9 @@ from tabfusion.finetune import (
     finetune_loop,
     fit_heads_covariance,
     focal_loss,
+    _factorise,
     _invert_lower,
+    packed_size,
     predict_scores,
 )
 import tabfusion.finetune as finetune_mod
@@ -212,15 +214,54 @@ class TestLaplaceCovariance:
         head = SngpHead(8, 2, rng, d_rf=1024, length_scale=2.0, ridge=1.0)
         phi = head.features(Tensor(rng.standard_normal((300, 8)))).data
         head.fit_covariance(phi, rng.uniform(0.05, 0.95, 300))
-        inv, widths = np.linalg.inv, []
-        monkeypatch.setattr(np.linalg, "inv", lambda a: widths.append(a.shape[-1]) or inv(a))
+        widths = linalg_widths(monkeypatch, "inv")
         head.variance(phi[:1])
         monkeypatch.undo()
         assert INVERSE_LEAF == 64 and 0 < max(widths) <= INVERSE_LEAF
-        dense = inv(np.linalg.cholesky(head.precision)).T
+        dense = np.linalg.inv(np.linalg.cholesky(head.precision)).T
         for c0, panel in zip(range(0, 1024, VARIANCE_PANEL_COLS), head._factor[2]):
             want = dense[: c0 + VARIANCE_PANEL_COLS, c0 : c0 + VARIANCE_PANEL_COLS]
             np.testing.assert_allclose(panel, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d_rf", [16, 32, 64, 128])
+    def test_one_panel_factor_is_the_dense_route_bitwise(self, d_rf, rng):
+        # up to VARIANCE_PANEL_COLS the factor is the whole precision's
+        # Cholesky factor inverted in place, copied out panel by panel
+        head = SngpHead(8, 2, rng, d_rf=d_rf, length_scale=2.0, ridge=1.0)
+        lam = head.fit_covariance(
+            head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
+        )
+        l_inv = _invert_lower(np.linalg.cholesky(lam))
+        bounds = [(c0, min(c0 + VARIANCE_PANEL_COLS, d_rf)) for c0 in range(0, d_rf, VARIANCE_PANEL_COLS)]
+        want = np.concatenate([l_inv[c0:c1, :c1].T.ravel() for c0, c1 in bounds])
+        assert np.array_equal(_factorise(lam), want)
+
+    def test_factorisation_holds_the_packed_factor_and_one_block_row(self, rng, monkeypatch):
+        head = SngpHead(8, 2, rng, d_rf=1024, length_scale=2.0, ridge=1.0)
+        lam = head.fit_covariance(
+            head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
+        )
+        widths = linalg_widths(monkeypatch, "cholesky")
+        _, peak = traced(lambda: _factorise(lam))
+        monkeypatch.undo()
+        # LAPACK's working copies are not traced, so no Cholesky may see
+        # more than one diagonal block
+        assert VARIANCE_PANEL_COLS == 128 and len(widths) == 8 and max(widths) <= VARIANCE_PANEL_COLS
+        # 4.7 MB packed, 1.61x at peak; a dense Cholesky factor inverted in
+        # place and copied out peaked at 2.8x, plus LAPACK's copy of lam
+        assert peak <= 1.7 * 8 * packed_size(1024)
+
+    def test_saving_two_default_width_heads_holds_less_than_a_precision(self, rng, tmp_path):
+        # the serve workload's fixture shape: two fitted heads of d_rf 1024,
+        # each factorised as it is written and dropped after
+        model = Model(small_schema(), RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=0))
+        for task in ("risk", "churn"):
+            head = model.heads[task] = SngpHead(8, 2, rng, d_rf=1024, length_scale=2.0, ridge=1.0)
+            head.fit_covariance(
+                head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
+            )
+        _, peak = traced(lambda: model.save(tmp_path / "m.ckpt", {}))
+        assert peak < model.heads["risk"].precision.nbytes
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 300])
     def test_triangular_inverse_in_place(self, n, rng):
