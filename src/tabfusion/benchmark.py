@@ -28,7 +28,7 @@ from .metrics import FoldMetrics, MetricsReport, auprc, auroc, ece
 from .model import Model
 from .pretrain import pretrain_loop
 
-__all__ = ["DATASETS", "load_benchmark_csv", "run_benchmark", "export_embeddings"]
+__all__ = ["DATASETS", "load_benchmark_csv", "check_benchmark", "run_benchmark", "export_embeddings"]
 
 # target column and positive label per public dataset; source URLs are the
 # published download locations for each benchmark
@@ -157,29 +157,32 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def run_benchmark(
-    dataset_name: str,
-    config: RunConfig,
-    data_dir="data",
-    data_path=None,
-    report_path=None,
-) -> MetricsReport:
-    """5-fold CV reproduction of the public-benchmark protocol.
+def check_benchmark(dataset_name: str, config: RunConfig, data_dir="data", data_path=None):
+    """The refusals of a benchmark run, made before its work: the config,
+    the dataset name, its CSV (`load_benchmark_csv`) and its folds
+    (`make_folds`: DataError for fewer rows than `config.folds`). Returns
+    (path, schema, snapshots, split): what `run_benchmark` runs on."""
+    config.validate()
+    if dataset_name not in DATASETS:
+        raise ValueError(f"unknown dataset '{dataset_name}'; known: {sorted(DATASETS)}")
+    path = Path(data_path) if data_path else Path(data_dir) / f"{dataset_name}.csv"
+    schema, snapshots = load_benchmark_csv(path, dataset_name)
+    labels = [s.labels[DATASETS[dataset_name]["target"]] for s in snapshots]
+    return path, schema, snapshots, make_folds(len(snapshots), config.folds, config.seed, labels=labels)
+
+
+def run_benchmark(dataset_name: str, config: RunConfig, path, schema, snapshots, split,
+                  report_path=None) -> MetricsReport:
+    """5-fold CV reproduction of the public-benchmark protocol, on what
+    `check_benchmark` returned for `dataset_name` and `config`.
 
     Per fold: numerics z-scored by the train split's statistics, fresh
     model, optional self-supervised pretraining on the train split,
     fine-tuning with an SNGP head and focal loss, calibrated scoring of the
     held-out fold. Reports mean +/- std AUROC across folds.
     """
-    config.validate()
-    if dataset_name not in DATASETS:
-        raise ValueError(f"unknown dataset '{dataset_name}'; known: {sorted(DATASETS)}")
-    path = Path(data_path) if data_path else Path(data_dir) / f"{dataset_name}.csv"
-    schema, snapshots = load_benchmark_csv(path, dataset_name)
     task_name = DATASETS[dataset_name]["target"]
     tasks = [replace(t, gamma=config.focal_gamma) for t in schema.tasks]
-    labels = [s.labels[task_name] for s in snapshots]
-    split = make_folds(len(snapshots), config.folds, config.seed, labels=labels)
 
     digest = file_sha256(path)
     report = MetricsReport(

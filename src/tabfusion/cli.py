@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: pretrain, finetune, predict, eval, benchmark, select-features,
-export-embeddings. Every run writes a JSON manifest next to its outputs.
+export-embeddings. Each makes every refusal it can before its work, and
+--dry-run stops where the work begins. pretrain, finetune and predict write
+a JSON manifest next to their output.
 
-Exit codes: 0 success, 2 configuration error, 3 missing input file,
-4 malformed data, 1 any other failure.
+Exit codes: 0 success, 2 configuration error, 3 missing input file or
+output directory, 4 malformed data, 1 any other failure.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import numpy as np
 from . import benchmark as bench
 from .config import ConfigError, RunConfig
 from .data import DataError, FeatureSchema, TaskSpec, load_dataset
-from .feature_select import StopRule, backward_eliminate
+from .feature_select import StopRule, backward_eliminate, check_selection
 from .finetune import check_finetune, finetune_loop, predict_scores
 from .metrics import auprc, auroc, ece
 from .model import Model
-from .pretrain import pretrain_loop
+from .pretrain import check_pretrain, pretrain_loop
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,13 +38,11 @@ EXIT_DATA = 4
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
+    if not hasattr(args, "func"):  # no subcommand
         parser.print_help()
         return EXIT_CONFIG
     try:
-        if args.dry_run and args.command != "benchmark":
-            return _dry_run(args)
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except ConfigError as e:
         print(f"error:config: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the run seed")
     p.add_argument("--dry-run", action="store_true",
                    help="make the checks the command makes before its work, and write nothing")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers()
 
     def data_args(sp):
         sp.add_argument("--schema", required=True)
@@ -138,110 +138,110 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _check_inputs(args) -> None:
-    for attr in ("schema", "data", "embeddings", "checkpoint", "init_checkpoint"):
+# the flags that name a file a command reads, and those that name one it writes
+INPUTS = ("schema", "data", "embeddings", "checkpoint", "init_checkpoint")
+OUTPUTS = ("out_checkpoint", "out", "out_schema", "out_prefix", "trace", "loss_log")
+
+
+def _check_files(args) -> None:
+    """Every input file exists, and so does the directory of every output."""
+    for attr in INPUTS + OUTPUTS:
         path = getattr(args, attr, None)
-        if path and not Path(path).exists():
-            raise FileNotFoundError(f"--{attr.replace('_', '-')} file {path} does not exist")
+        if path:
+            need, what = (path, "file") if attr in INPUTS else (Path(path).parent, "directory")
+            if not Path(need).exists():
+                raise FileNotFoundError(f"--{attr.replace('_', '-')} {what} {need} does not exist")
 
 
 def _inputs(args, cfg: RunConfig):
-    """(model, schema, snapshots): what the command reads, after every
-    refusal it makes before its work, in the order it makes them. A command
-    with a checkpoint loads it, which --schema and the model record must
-    match and which needs a head for the task of `predict` and `eval`, and
+    """(model, schema, snapshots), after the refusals every data command
+    makes: its files (`_check_files`), then a checkpoint's load, which
+    --schema and the model record must match. A command with a checkpoint
     reads --data under the checkpoint's schema, so numerics use the training
-    statistics; any other reads --data under --schema and has no model.
-    `pretrain` needs a step count, from --steps or the config; `finetune`
-    needs labels in [0, 2) for a task the schema does not declare, then
-    makes `finetune_loop`'s own refusals (`check_finetune`); `eval` needs
-    rows labeled for its task, of both classes (class 1 against the rest)."""
-    _check_inputs(args)
+    statistics, and returns --schema as read; any other reads --data under
+    --schema and has no model. --schema is read once."""
+    _check_files(args)
+    given = FeatureSchema.load(args.schema)
     path = getattr(args, "checkpoint", None) or getattr(args, "init_checkpoint", None)
     if path:
-        model = Model.load(path, FeatureSchema.load(args.schema), **cfg.model_record())
-        if args.command in ("predict", "eval") and args.task not in model.heads:
-            raise ConfigError(f"checkpoint has no head for task '{args.task}'")
-        schema, snapshots = model.schema, load_dataset(args.data, model.schema, args.embeddings)[1]
-    else:
-        model, (schema, snapshots) = None, load_dataset(args.data, args.schema, args.embeddings)
-    if args.command == "pretrain":
-        if args.steps is not None:
-            cfg.pretrain_steps = args.steps
-        if cfg.pretrain_steps <= 0:
-            raise ConfigError(f"pretrain needs a step count: pass --steps or set pretrain_steps above 0, "
-                              f"got {cfg.pretrain_steps}")
-    elif args.command == "finetune":
-        for name in set(args.task) - {t.name for t in FeatureSchema.load(args.schema).tasks}:
-            # a task the schema does not declare is binary; the loader checked
-            # only the declared tasks' labels, so check this one's here
-            bad = next((i for i, s in enumerate(snapshots) if s.labels.get(name) not in (None, 0, 1)), None)
-            if bad is not None:
-                raise DataError(f"label {snapshots[bad].labels[name]} outside [0, 2)", row=bad + 2,
-                                feature=f"label:{name}")
-        check_finetune(model.heads if model else {}, snapshots, _tasks(args, cfg), cfg.linear_probe)
-    elif args.command == "eval":
-        y = np.array([s.labels[args.task] for s in snapshots if s.labels.get(args.task) is not None]) == 1
-        if not len(y):
-            raise DataError(f"no row is labeled for task '{args.task}'")
-        if y.all() or not y.any():  # class 1 against the rest
-            raise DataError(f"the {len(y)} rows labeled for task '{args.task}' are all one class "
-                            "(class 1 against the rest); AUROC needs both")
-    return model, schema, snapshots
+        model = Model.load(path, given, **cfg.model_record())
+        return model, given, load_dataset(args.data, model.schema, args.embeddings)[1]
+    return None, *load_dataset(args.data, given, args.embeddings)
 
 
-def _tasks(args, cfg: RunConfig) -> list[TaskSpec]:
-    """The tasks `finetune` trains: as --schema declares them (binary when
-    it does not), with the config's focal gamma."""
-    declared = {t.name: t for t in FeatureSchema.load(args.schema).tasks}
-    return [replace(declared.get(name, TaskSpec(name)), gamma=cfg.focal_gamma) for name in args.task]
+def _check_head(model: Model, task: str) -> None:
+    if task not in model.heads:
+        raise ConfigError(f"checkpoint has no head for task '{task}'")
 
 
-def _dry_run(args) -> int:
-    """Make every refusal the command makes before its work (`_inputs`); write nothing."""
-    _, schema, snapshots = _inputs(args, _load_config(args))
-    print(f"dry-run ok: {len(snapshots)} snapshots, {len(schema)} features")
-    return EXIT_OK
+def _dry_run(args, schema, snapshots) -> bool:
+    """Where a command's work begins: on --dry-run, after every refusal the
+    command makes, say what its checks read and stop."""
+    if args.dry_run:
+        print(f"dry-run ok: {len(snapshots)} snapshots, {len(schema)} features")
+    return args.dry_run
 
 
-def _write_manifest(out_path, cfg: RunConfig, inputs: dict, started: float) -> None:
+def _write_manifest(out_path, args, cfg: RunConfig, started: float) -> None:
+    """`<out_path>.manifest.json`: the config, the SHA-256 of every input file
+    the command read, and the wall time."""
     manifest = {
         "config": cfg.to_dict(),
-        "inputs": {k: bench.file_sha256(v) for k, v in inputs.items() if v},
+        "inputs": {k: bench.file_sha256(getattr(args, k)) for k in INPUTS if getattr(args, k, None)},
         "wall_time_s": round(time.time() - started, 3),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def cmd_pretrain(args) -> int:
+def cmd_pretrain(args, cfg: RunConfig) -> int:
     started = time.time()
-    cfg = _load_config(args)
     _, schema, snapshots = _inputs(args, cfg)
+    if args.steps is not None:
+        cfg.pretrain_steps = args.steps
+    if cfg.pretrain_steps <= 0:
+        raise ConfigError(f"pretrain needs a step count: pass --steps or set pretrain_steps above 0, "
+                          f"got {cfg.pretrain_steps}")
+    stage = cfg.pretrain_config()
+    check_pretrain(snapshots, stage)
+    if _dry_run(args, schema, snapshots):
+        return EXIT_OK
     model = Model(schema, cfg)
-    pretrain_loop(model, snapshots, cfg.pretrain_config(), log_path=args.loss_log)
+    pretrain_loop(model, snapshots, stage, log_path=args.loss_log)
     model.save(args.out_checkpoint, cfg.to_dict())
-    _write_manifest(args.out_checkpoint, cfg, {"schema": args.schema, "data": args.data}, started)
+    _write_manifest(args.out_checkpoint, args, cfg, started)
     return EXIT_OK
 
 
-def cmd_finetune(args) -> int:
+def cmd_finetune(args, cfg: RunConfig) -> int:
     started = time.time()
-    cfg = _load_config(args)
     model, schema, snapshots = _inputs(args, cfg)
+    declared = {t.name: t for t in schema.tasks}
+    for name in set(args.task) - set(declared):
+        # a task the schema does not declare is binary; the loader checked
+        # only the declared tasks' labels, so check this one's here
+        bad = next((i for i, s in enumerate(snapshots) if s.labels.get(name) not in (None, 0, 1)), None)
+        if bad is not None:
+            raise DataError(f"label {snapshots[bad].labels[name]} outside [0, 2)", row=bad + 2,
+                            feature=f"label:{name}")
+    tasks = [replace(declared.get(name, TaskSpec(name)), gamma=cfg.focal_gamma) for name in args.task]
+    check_finetune(model.heads if model else {}, snapshots, tasks, cfg.linear_probe)
+    if _dry_run(args, schema, snapshots):
+        return EXIT_OK
     if model is None:
         model = Model(schema, cfg)
-    finetune_loop(model, snapshots, _tasks(args, cfg), cfg.finetune_config())
+    finetune_loop(model, snapshots, tasks, cfg.finetune_config())
     model.save(args.out_checkpoint, cfg.to_dict())
-    inputs = {"schema": args.schema, "data": args.data, "init_checkpoint": args.init_checkpoint}
-    _write_manifest(args.out_checkpoint, cfg, inputs, started)
+    _write_manifest(args.out_checkpoint, args, cfg, started)
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args, cfg: RunConfig) -> int:
     started = time.time()
-    cfg = _load_config(args)
-    model, _, snapshots = _inputs(args, cfg)
+    model, schema, snapshots = _inputs(args, cfg)
+    _check_head(model, args.task)
+    if _dry_run(args, schema, snapshots):
+        return EXIT_OK
     result = model.predict(snapshots, args.task)
     calibrated = result["calibrated"]
     with Path(args.out).open("w") as fh:
@@ -253,16 +253,23 @@ def cmd_predict(args) -> int:
                 "calibrated": calibrated,
             }
             fh.write(json.dumps(rec) + "\n")
-    _write_manifest(args.out, cfg, {"schema": args.schema, "data": args.data}, started)
+    _write_manifest(args.out, args, cfg, started)
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    model, _, snapshots = _inputs(args, cfg)
+def cmd_eval(args, cfg: RunConfig) -> int:
+    model, schema, snapshots = _inputs(args, cfg)
+    _check_head(model, args.task)
     labeled = [s for s in snapshots if s.labels.get(args.task) is not None]
-    scores = predict_scores(model, labeled, args.task)
     y = np.array([s.labels[args.task] for s in labeled]) == 1  # class 1 against the rest
+    if not len(y):
+        raise DataError(f"no row is labeled for task '{args.task}'")
+    if y.all() or not y.any():
+        raise DataError(f"the {len(y)} rows labeled for task '{args.task}' are all one class "
+                        "(class 1 against the rest); AUROC needs both")
+    if _dry_run(args, schema, snapshots):
+        return EXIT_OK
+    scores = predict_scores(model, labeled, args.task)
     result = {
         "task": args.task,
         "n": len(labeled),
@@ -277,29 +284,25 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
-    cfg = _load_config(args)
+def cmd_benchmark(args, cfg: RunConfig) -> int:
     if args.folds is not None:
         cfg.folds = args.folds
     if args.pretrain_steps is not None:
         cfg.pretrain_steps = args.pretrain_steps
-    cfg.validate()
-    if args.dry_run:
-        path = Path(args.data) if args.data else Path(args.data_dir) / f"{args.dataset}.csv"
-        bench.load_benchmark_csv(path, args.dataset)
-        print("dry-run ok")
+    path, schema, snapshots, split = bench.check_benchmark(args.dataset, cfg, args.data_dir, args.data)
+    _check_files(args)  # after the CSV, whose own refusal names where to get it
+    if _dry_run(args, schema, snapshots):
         return EXIT_OK
-    report = bench.run_benchmark(
-        args.dataset, cfg, data_dir=args.data_dir, data_path=args.data, report_path=args.out
-    )
-    print(report.format_text())
+    print(bench.run_benchmark(args.dataset, cfg, path, schema, snapshots, split, args.out).format_text())
     return EXIT_OK
 
 
-def cmd_select(args) -> int:
-    cfg = _load_config(args)
+def cmd_select(args, cfg: RunConfig) -> int:
     _, schema, snapshots = _inputs(args, cfg)
     rule = StopRule(tolerance=args.tolerance, min_features=args.min_features)
+    check_selection(snapshots, schema, args.task, cfg.seed)
+    if _dry_run(args, schema, snapshots):
+        return EXIT_OK
     reduced, trace = backward_eliminate(snapshots, schema, args.task, rule, cfg.seed, cfg.asset_criterion)
     reduced.save(args.out_schema)
     if args.trace:
@@ -311,9 +314,10 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    cfg = _load_config(args)
-    model, _, snapshots = _inputs(args, cfg)
+def cmd_export(args, cfg: RunConfig) -> int:
+    model, schema, snapshots = _inputs(args, cfg)
+    if _dry_run(args, schema, snapshots):
+        return EXIT_OK
     bench.export_embeddings(snapshots, model, args.out_prefix, task=args.task, pca2d=args.pca2d)
     print(f"exported {len(snapshots)} embeddings")
     return EXIT_OK

@@ -586,11 +586,12 @@ class DatasetSplit:
 
 
 def make_folds(n: int, k: int, seed: int, labels=None) -> DatasetSplit:
-    """k folds of sizes differing by at most 1, stratified when labels given."""
+    """k folds of sizes differing by at most 1, stratified when labels given.
+    Fewer than k examples raise DataError."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < k:
-        raise ValueError(f"cannot make {k} folds from {n} examples")
+        raise DataError(f"cannot make {k} folds from {n} examples")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     if labels is None:

@@ -23,6 +23,7 @@ __all__ = [
     "featurize",
     "fit_logistic_probe",
     "permutation_importance",
+    "check_selection",
     "backward_eliminate",
 ]
 
@@ -115,6 +116,28 @@ def permutation_importance(score, x_val, y_val, col_range, rng: np.random.Genera
     return float(np.mean(drops))
 
 
+def check_selection(snapshots: list[Snapshot], schema: FeatureSchema, task: str, seed: int):
+    """The refusals `backward_eliminate` makes before its work, beside
+    `StopRule`'s own: fewer than 2 features (ValueError), no row labeled for
+    `task`, or a validation split of one class (DataError). The split is the
+    first draw of `default_rng(seed)`. Returns the labeled rows, their labels
+    as 0/1 floats (class 1 against the rest), the validation and training
+    indices into them, and the generator after that draw."""
+    if len(schema) < 2:
+        raise ValueError("need at least 2 features to eliminate")
+    labeled = [s for s in snapshots if s.labels.get(task) is not None]
+    if not labeled:
+        raise DataError(f"no row is labeled for task '{task}'")
+    rng = np.random.default_rng(seed)
+    y = (np.array([s.labels[task] for s in labeled]) == 1).astype(np.float64)
+    order = rng.permutation(len(labeled))
+    n_val = max(1, int(len(labeled) * 0.3))  # validation share
+    if y[order[:n_val]].min() == y[order[:n_val]].max():
+        raise DataError(f"the {n_val} validation rows for task '{task}' are all one class "
+                        "(class 1 against the rest); AUROC needs both")
+    return labeled, y, order[:n_val], order[n_val:], rng
+
+
 def backward_eliminate(
     snapshots: list[Snapshot],
     schema: FeatureSchema,
@@ -127,30 +150,18 @@ def backward_eliminate(
     metric would fall more than stop_rule.tolerance below the full-schema
     baseline, or min_features is reached.
 
-    Only rows labeled for `task` are scored (DataError if none is), class 1
-    against the rest, so a multi-class task is scored as binary. They are
+    Only rows labeled for `task` are scored, class 1 against the rest, so a
+    multi-class task is scored as binary; `check_selection` makes the
+    refusals and draws the validation split from `seed`. The rows are
     featurized once, as a model built with `asset_criterion` and `seed`
     would, and each candidate subset takes its columns and one probe fit.
-    `seed` also draws the validation split (DataError unless it holds both
-    classes) and the permutations.
+    The permutations come from the same generator, after the split.
 
     Returns (reduced FeatureSchema, EliminationTrace).
     """
-    if len(schema) < 2:
-        raise ValueError("need at least 2 features to eliminate")
-    labeled = [s for s in snapshots if s.labels.get(task) is not None]
-    if not labeled:
-        raise DataError(f"no row is labeled for task '{task}'")
-    rng = np.random.default_rng(seed)
-    y = (np.array([s.labels[task] for s in labeled]) == 1).astype(np.float64)
+    labeled, y, val_idx, train_idx, rng = check_selection(snapshots, schema, task, seed)
     x_all, ranges_all = featurize(labeled, schema, asset_criterion, seed)
-    order = rng.permutation(len(labeled))
-    n_val = max(1, int(len(labeled) * 0.3))  # validation share
-    val_idx, train_idx = order[:n_val], order[n_val:]
     y_val = y[val_idx]
-    if y_val.min() == y_val.max():
-        raise DataError(f"the {n_val} validation rows for task '{task}' are all one class "
-                        "(class 1 against the rest); AUROC needs both")
 
     remaining = [f.name for f in schema]
     trace = EliminationTrace()

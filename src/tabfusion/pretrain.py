@@ -19,6 +19,7 @@ __all__ = [
     "reconstruction_loss",
     "info_nce",
     "pretrain_total_loss",
+    "check_pretrain",
     "pretrain_loop",
 ]
 
@@ -166,6 +167,16 @@ def pretrain_total_loss(parts: dict, weights: LossWeights) -> Tensor:
     )
 
 
+def check_pretrain(snapshots: list[Snapshot], cfg: PretrainConfig) -> None:
+    """The refusals `pretrain_loop` makes of its rows and config before its
+    work: DataError for fewer than 2 rows, ConfigError for a batch size
+    under 2. InfoNCE needs an in-batch negative."""
+    if len(snapshots) < 2:
+        raise DataError(f"pre-training needs at least 2 rows, got {len(snapshots)}")
+    if cfg.batch_size < 2:
+        raise ConfigError(f"pre-training batch_size must be at least 2, got {cfg.batch_size}")
+
+
 def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_path=None):
     """Run the self-supervised stage; mutates model parameters in place.
 
@@ -178,10 +189,9 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
     parameter of the model trains, and every spectral layer, ISA's
     included, advances its power iteration before each trunk call.
 
-    Raises DataError for fewer than 2 rows and ConfigError for a batch size
-    under 2: InfoNCE needs an in-batch negative. A model without the
-    pre-training parts, as one loaded from a fine-tuned checkpoint is,
-    raises ConfigError naming them.
+    A model without the pre-training parts, as one loaded from a fine-tuned
+    checkpoint is, raises ConfigError naming them; `check_pretrain` makes
+    the refusals of the rows and the config.
 
     Returns the loss curve: a list of per-step records.
     """
@@ -189,10 +199,7 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
     if missing:
         raise ConfigError(f"pre-training needs the model's parts {' and '.join(map(repr, missing))}, which a "
                           "fine-tuned checkpoint leaves out; pre-train a fresh model or a pre-training checkpoint")
-    if len(snapshots) < 2:
-        raise DataError(f"pre-training needs at least 2 rows, got {len(snapshots)}")
-    if cfg.batch_size < 2:
-        raise ConfigError(f"pre-training batch_size must be at least 2, got {cfg.batch_size}")
+    check_pretrain(snapshots, cfg)
     trainer = Trainer(model.named_state(), cfg.schedule, cfg.weight_decay, cfg.seed)
     aug_rng = np.random.default_rng(cfg.augment.seed)
     curve = []

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import fd_gradient_check, random_snapshots, small_schema
 from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
-from tabfusion.benchmark import DATASETS, run_benchmark
+from tabfusion.benchmark import DATASETS, check_benchmark, run_benchmark
 from tabfusion.config import LossWeights, RunConfig
 from tabfusion.encoder import FeatureEncoder
 from tabfusion.feature_select import StopRule, backward_eliminate
@@ -73,7 +73,7 @@ def test_criterion_01_benchmark_auroc(dataset, tmp_path):
         pytest.skip(msg)
     cfg = RunConfig(pretrain_steps=0, finetune_steps=500, folds=5, seed=0)
     started = time.time()
-    rep = run_benchmark(dataset, cfg, data_path=path, report_path=tmp_path / "m.json")
+    rep = run_benchmark(dataset, cfg, *check_benchmark(dataset, cfg, data_path=path), report_path=tmp_path / "m.json")
     mean = rep.summary()["auroc"]["mean"]
     elapsed = time.time() - started
     report(

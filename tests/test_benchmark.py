@@ -64,7 +64,7 @@ def test_training_rows_are_normalized_by_their_own_statistics(tmp_path, monkeypa
     for first_age in (1e6, 0.5):
         write_csv(tmp_path / "adult.csv", first_age)
         seen.clear()
-        bm.run_benchmark("adult", cfg, data_path=tmp_path / "adult.csv")
+        bm.run_benchmark("adult", cfg, *bm.check_benchmark("adult", cfg, data_path=tmp_path / "adult.csv"))
         runs.append(list(seen))
     split = make_folds(N, cfg.folds, cfg.seed, labels=[i % 2 for i in range(N)])
     fold = next(k for k, held_out in enumerate(split.folds) if 0 in held_out)
@@ -92,7 +92,8 @@ def test_report_is_strict_json_and_tasks_are_the_schemas(tmp_path, monkeypatch):
     cfg = RunConfig(d=8, heads=2, n_layers=1, ffn_dim=16, d_prime=8, batch_size=8, pretrain_steps=0,
                     finetune_steps=1, d_rf=32, warmup_steps=1, decay_steps=10, folds=3, seed=0, focal_gamma=0.5)
     write_csv(tmp_path / "adult.csv", 0.5)
-    bm.run_benchmark("adult", cfg, data_path=tmp_path / "adult.csv", report_path=tmp_path / "metrics.json")
+    checked = bm.check_benchmark("adult", cfg, data_path=tmp_path / "adult.csv")
+    bm.run_benchmark("adult", cfg, *checked, report_path=tmp_path / "metrics.json")
     report = json.loads((tmp_path / "metrics.json").read_text(), parse_constant=reject)
     assert [fold["fold"] for fold in report["folds"]] == [0, 1, 2]
     assert seen == [[TaskSpec("target", 2, gamma=0.5)]] * 3

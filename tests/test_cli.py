@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
-from tabfusion.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, main
+from tabfusion.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, build_parser, main
 from tabfusion.config import RunConfig
 from tabfusion.data import FeatureSchema, TaskSpec, load_dataset, save_dataset
 from tabfusion.finetune import SngpHead, predict_scores
@@ -129,37 +130,95 @@ class TestBasics:
 
 
 
-# refusals each command makes before its work: (global flags, command
-# arguments after the data flags, exit code, text of the error line);
-# pre.ckpt is a pre-trained model's checkpoint and has no head
+def data_flags(data="data.csv", schema="schema.json"):
+    return ["--schema", schema, "--data", data, "--embeddings", "emb.bin"]
+
+
+# refusals each command makes before its work: (global flags, command line,
+# exit code, text of the error line), run in the workspace; pre.ckpt is a
+# pre-trained model's checkpoint and has no head, head.ckpt has one for risk
 DRY_RUN_REFUSALS = {
-    "pretrain without a step count": (["--config", "steps0.json"], ["pretrain", "--out-checkpoint", "x.ckpt"],
-                                      EXIT_CONFIG, "pretrain needs a step count"),
-    "predict without the head": ([], ["predict", "--checkpoint", "pre.ckpt", "--task", "risk", "--out", "p.jsonl"],
-                                 EXIT_CONFIG, "checkpoint has no head for task 'risk'"),
-    "eval without the head": ([], ["eval", "--checkpoint", "pre.ckpt", "--task", "risk", "--out", "m.json"],
-                              EXIT_CONFIG, "checkpoint has no head for task 'risk'"),
-    "predict with another model record": (["--seed", "5"], ["predict", "--checkpoint", "pre.ckpt", "--task", "risk",
-                                                            "--out", "p.jsonl"], 1, "model field 'seed' is 5 here"),
-    "export with another schema": ([], ["export-embeddings", "--checkpoint", "other.ckpt", "--out-prefix", "emb"],
-                                   1, "schema feature 'age' field 'kind'"),
-    "finetune from another model record": (["--seed", "5"], ["finetune", "--task", "risk", "--init-checkpoint",
-                                                             "pre.ckpt", "--out-checkpoint", "x.ckpt"],
-                                           1, "model field 'seed' is 5 here"),
-    "eval on a file that is no checkpoint": ([], ["eval", "--checkpoint", "schema.json", "--task", "risk"],
-                                             1, "bad magic"),
-    "eval on rows of one class": ([], ["eval", "--checkpoint", "head.ckpt", "--task", "risk", "--data", "one.csv"],
-                                  EXIT_DATA, "are all one class"),
+    "pretrain without a step count": (["--config", "steps0.json"], ["pretrain", *data_flags(), "--out-checkpoint",
+                                                                    "x.ckpt"], EXIT_CONFIG, "pretrain needs a step count"),
+    "predict without the head": ([], ["predict", *data_flags(), "--checkpoint", "pre.ckpt", "--task", "risk", "--out",
+                                      "p.jsonl"], EXIT_CONFIG, "checkpoint has no head for task 'risk'"),
+    "eval without the head": ([], ["eval", *data_flags(), "--checkpoint", "pre.ckpt", "--task", "risk", "--out",
+                                   "m.json"], EXIT_CONFIG, "checkpoint has no head for task 'risk'"),
+    "predict with another model record": (["--seed", "5"], ["predict", *data_flags(), "--checkpoint", "pre.ckpt",
+                                                            "--task", "risk", "--out", "p.jsonl"],
+                                          1, "model field 'seed' is 5 here"),
+    "export with another schema": ([], ["export-embeddings", *data_flags(), "--checkpoint", "other.ckpt",
+                                        "--out-prefix", "emb"], 1, "schema feature 'age' field 'kind'"),
+    "finetune from another model record": (["--seed", "5"], ["finetune", *data_flags(), "--task", "risk",
+                                                             "--init-checkpoint", "pre.ckpt", "--out-checkpoint",
+                                                             "x.ckpt"], 1, "model field 'seed' is 5 here"),
+    "eval on a file that is no checkpoint": ([], ["eval", *data_flags(), "--checkpoint", "schema.json", "--task",
+                                                  "risk"], 1, "bad magic"),
+    "eval on rows of one class": ([], ["eval", *data_flags("one.csv"), "--checkpoint", "head.ckpt", "--task", "risk"],
+                                  EXIT_DATA, "the 24 rows labeled for task 'risk' are all one class"),
+    "eval on rows labeled for no task": ([], ["eval", *data_flags("unlabeled.csv"), "--checkpoint", "head.ckpt",
+                                              "--task", "risk"], EXIT_DATA, "no row is labeled for task 'risk'"),
     "finetune on a bad label of an undeclared task": (
-        [], ["finetune", "--task", "tier", "--data", "tier.csv", "--out-checkpoint", "x.ckpt"],
+        [], ["finetune", *data_flags("tier.csv"), "--task", "tier", "--out-checkpoint", "x.ckpt"],
         EXIT_DATA, "label 7 outside [0, 2) (row 3, feature 'label:tier')"),
     "finetune on a task no row is labeled for": (
-        [], ["finetune", "--task", "nosuch", "--out-checkpoint", "x.ckpt"],
+        [], ["finetune", *data_flags(), "--task", "nosuch", "--out-checkpoint", "x.ckpt"],
         EXIT_DATA, "no labeled examples for task 'nosuch'"),
     "finetune leaving a head stale": (
-        [], ["finetune", "--task", "churn", "--data", "churn.csv", "--init-checkpoint", "head.ckpt",
+        [], ["finetune", *data_flags("churn.csv"), "--task", "churn", "--init-checkpoint", "head.ckpt",
              "--out-checkpoint", "x.ckpt"],
         EXIT_CONFIG, "would leave head 'risk' stale"),
+    # pretrain_loop refused these after the dry run had passed them
+    "pretrain on one row": ([], ["pretrain", *data_flags("row1.csv"), "--steps", "2", "--out-checkpoint", "x.ckpt"],
+                            EXIT_DATA, "pre-training needs at least 2 rows, got 1"),
+    "pretrain with batch size 1": (["--config", "batch1.json"], ["pretrain", *data_flags(), "--out-checkpoint",
+                                                                 "x.ckpt"],
+                                   EXIT_CONFIG, "pre-training batch_size must be at least 2, got 1"),
+    # elimination ran down to an empty subset, where numpy's concatenate raised: exit 1
+    "select-features with min-features 0": (
+        [], ["select-features", *data_flags(), "--task", "risk", "--min-features", "0", "--out-schema", "r.json"],
+        EXIT_CONFIG, "min_features must be at least 1, got 0"),
+    "select-features on rows labeled for no task": (
+        [], ["select-features", *data_flags("unlabeled.csv"), "--task", "risk", "--out-schema", "r.json"],
+        EXIT_DATA, "no row is labeled for task 'risk'"),
+    # the one row is the whole validation split: auroc raised, exit 1
+    "select-features on one labeled row": (
+        [], ["select-features", *data_flags("first.csv"), "--task", "risk", "--out-schema", "r.json"],
+        EXIT_DATA, "the 1 validation rows for task 'risk' are all one class"),
+    "select-features on one feature": (
+        [], ["select-features", *data_flags(schema="age.json"), "--task", "risk", "--out-schema", "r.json"],
+        1, "need at least 2 features to eliminate"),
+    "benchmark with fewer rows than folds": (
+        [], ["benchmark", "--dataset", "adult", "--data", "two.csv", "--folds", "5"],
+        EXIT_DATA, "cannot make 5 folds from 2 examples"),
+    # each output's directory: a missing one failed after the work
+    "pretrain into a missing directory": (
+        [], ["pretrain", *data_flags(), "--steps", "2", "--out-checkpoint", "nodir/x.ckpt"],
+        EXIT_MISSING_FILE, "--out-checkpoint directory nodir does not exist"),
+    "pretrain logging into a missing directory": (
+        [], ["pretrain", *data_flags(), "--steps", "2", "--out-checkpoint", "x.ckpt", "--loss-log", "nodir/l.log"],
+        EXIT_MISSING_FILE, "--loss-log directory nodir does not exist"),
+    "finetune into a missing directory": (
+        [], ["finetune", *data_flags(), "--task", "risk", "--out-checkpoint", "nodir/x.ckpt"],
+        EXIT_MISSING_FILE, "--out-checkpoint directory nodir does not exist"),
+    "predict into a missing directory": (
+        [], ["predict", *data_flags(), "--checkpoint", "head.ckpt", "--task", "risk", "--out", "nodir/p.jsonl"],
+        EXIT_MISSING_FILE, "--out directory nodir does not exist"),
+    "eval into a missing directory": (
+        [], ["eval", *data_flags(), "--checkpoint", "head.ckpt", "--task", "risk", "--out", "nodir/m.json"],
+        EXIT_MISSING_FILE, "--out directory nodir does not exist"),
+    "select-features into a missing directory": (
+        [], ["select-features", *data_flags(), "--task", "risk", "--out-schema", "nodir/r.json"],
+        EXIT_MISSING_FILE, "--out-schema directory nodir does not exist"),
+    "select-features tracing into a missing directory": (
+        [], ["select-features", *data_flags(), "--task", "risk", "--out-schema", "r.json", "--trace", "nodir/t.txt"],
+        EXIT_MISSING_FILE, "--trace directory nodir does not exist"),
+    "export into a missing directory": (
+        [], ["export-embeddings", *data_flags(), "--checkpoint", "head.ckpt", "--out-prefix", "nodir/emb"],
+        EXIT_MISSING_FILE, "--out-prefix directory nodir does not exist"),
+    "benchmark into a missing directory": (
+        [], ["benchmark", "--dataset", "adult", "--data", "bench.csv", "--folds", "2", "--out", "nodir/m.json"],
+        EXIT_MISSING_FILE, "--out directory nodir does not exist"),
 }
 
 
@@ -179,33 +238,42 @@ def write_labels(ws, name, column, values):
 
 class TestDryRun:
     @pytest.mark.parametrize("case", DRY_RUN_REFUSALS)
-    def test_dry_run_refuses_as_the_command_does(self, workspace, capsys, case):
+    def test_dry_run_refuses_as_the_command_does(self, workspace, capsys, monkeypatch, case):
         flags, command, code, text = DRY_RUN_REFUSALS[case]
-        cfg = RunConfig.load(workspace / "config.json")
-        RunConfig.from_dict({**cfg.to_dict(), "pretrain_steps": 0}).save(workspace / "steps0.json")
-        schema = FeatureSchema.load(workspace / "schema.json")
-        Model(schema, cfg).save(workspace / "pre.ckpt", cfg.to_dict())
+        monkeypatch.chdir(workspace)
+        cfg = RunConfig.load("config.json")
+        for name, change in (("steps0.json", {"pretrain_steps": 0}), ("batch1.json", {"batch_size": 1})):
+            RunConfig.from_dict({**cfg.to_dict(), **change}).save(name)
+        schema = FeatureSchema.load("schema.json")
+        Model(schema, cfg).save("pre.ckpt", cfg.to_dict())
+        FeatureSchema([schema.get("age")], schema.tasks).save("age.json")
         schema.get("age").kind = "categorical"
         schema.get("age").vocab_size = 3
-        Model(schema, cfg).save(workspace / "other.ckpt", cfg.to_dict())
-        model = Model(FeatureSchema.load(workspace / "schema.json"), cfg)
+        Model(schema, cfg).save("other.ckpt", cfg.to_dict())
+        model = Model(FeatureSchema.load("schema.json"), cfg)
         model.heads["risk"] = SngpHead(cfg.d, 2, np.random.default_rng(0), cfg.d_rf, cfg.gp_length_scale, cfg.gp_ridge)
-        model.save(workspace / "head.ckpt", cfg.to_dict())
+        model.save("head.ckpt", cfg.to_dict())
         write_labels(workspace, "one.csv", "label:risk", ["1"] * 24)
+        write_labels(workspace, "unlabeled.csv", "label:risk", [""] * 24)
+        write_labels(workspace, "first.csv", "label:risk", ["1"] + [""] * 23)
         write_labels(workspace, "tier.csv", "label:tier", ["0", "7"] + ["1"] * 22)
         write_labels(workspace, "churn.csv", "label:churn", ["0", "1"] * 12)
-        flags = [str(workspace / a) if a.endswith(".json") else a for a in ["--config", "config.json", *flags]]
-        argv = command[:1] + base_args(workspace)[2:] + [
-            str(workspace / a) if "." in a else a for a in command[1:]]
+        Path("row1.csv").write_text("\n".join(Path("data.csv").read_text().splitlines()[:2]) + "\n")
+        Path("two.csv").write_text("age,job,target\n0.5,a,1\n-0.5,b,0\n")
+        Path("bench.csv").write_text("age,job,target\n" + "".join(f"{i - 3},{'ab'[i % 2]},{i % 2}\n" for i in range(6)))
         files = sorted(workspace.iterdir())
         results = []
         for dry in (["--dry-run"], []):
-            rc = main(flags + dry + argv)
+            rc = main(["--config", "config.json", *flags, *dry, *command])
             lines = capsys.readouterr().err.strip().splitlines()
             results.append((rc, lines[-1] if lines else None))
             assert sorted(workspace.iterdir()) == files  # neither run writes a file
         assert results[0] == results[1], case
         assert results[0][0] == code and results[0][1].startswith("error:") and text in results[0][1], results[0]
+
+    def test_every_subcommand_has_a_case(self):
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert {command[0] for _, command, _, _ in DRY_RUN_REFUSALS.values()} == set(commands)
 
 
 def rewrite_cell(ws, row, column, text):
@@ -435,7 +503,7 @@ class TestTrainingCommands:
         assert (workspace / "pre.ckpt").exists()
         assert "total=" in (workspace / "loss.log").read_text()
         manifest = json.loads((workspace / "pre.ckpt.manifest.json").read_text())
-        assert set(manifest["inputs"]) == {"schema", "data"}
+        assert set(manifest["inputs"]) == {"schema", "data", "embeddings"}
         assert manifest["config"]["d"] == 8
 
     def test_finetune_then_predict_deterministic(self, workspace):
@@ -461,6 +529,8 @@ class TestTrainingCommands:
         want = model.predict(snaps, "risk")
         assert [rec["probs"] for rec in lines] == [[round(float(v), 8) for v in p] for p in want["probs"]]
         assert [rec["variance"] for rec in lines] == [round(float(v), 8) for v in want["variance"]]
+        inputs = json.loads((workspace / "p1.jsonl.manifest.json").read_text())["inputs"]
+        assert set(inputs) == {"schema", "data", "embeddings", "checkpoint"}  # the checkpoint was left out
 
     def test_predict_unknown_task(self, workspace, capsys):
         ckpt = run_finetune(workspace)
@@ -481,22 +551,6 @@ class TestTrainingCommands:
         )
         assert rc == EXIT_CONFIG
         assert "no head for task 'ghost'" in capsys.readouterr().err
-
-    def test_eval_without_labeled_rows(self, workspace, capsys):
-        ckpt = run_finetune(workspace)
-        schema = small_schema(with_assets=True)
-        snaps = random_snapshots(schema, 5, seed=2)
-        for s in snaps:
-            s.labels["risk"] = None
-        save_dataset(snaps, schema, workspace / "unlabeled.csv", workspace / "unlabeled.bin")
-        rc = main(
-            ["--config", str(workspace / "config.json"), "eval",
-             "--schema", str(workspace / "schema.json"), "--data", str(workspace / "unlabeled.csv"),
-             "--embeddings", str(workspace / "unlabeled.bin"),
-             "--checkpoint", str(ckpt), "--task", "risk"]
-        )
-        assert rc == EXIT_DATA
-        assert "labeled for task 'risk'" in capsys.readouterr().err
 
     def test_eval_on_one_class_is_a_data_error(self, workspace, capsys):
         # auroc raised "needs both classes present": exit 1 with error:runtime
@@ -585,19 +639,6 @@ class TestTrainingCommands:
              "--out-schema", str(ws / f"{tag}.json"), "--trace", str(ws / f"{tag}.txt")]
         )
 
-    def test_select_features_with_min_features_0_exits_2(self, workspace, capsys):
-        # elimination ran down to an empty subset, where numpy's concatenate raised: exit 1
-        rc = main(
-            ["--config", str(workspace / "config.json"), "select-features"]
-            + base_args(workspace)[2:]
-            + ["--task", "risk", "--tolerance", "1.0", "--min-features", "0",
-               "--out-schema", str(workspace / "reduced.json")]
-        )
-        err = capsys.readouterr().err
-        assert rc == EXIT_CONFIG, err
-        assert err.startswith("error:config: ") and "min_features must be at least 1, got 0" in err
-        assert not (workspace / "reduced.json").exists()
-
     def test_select_features_scores_only_labeled_rows(self, workspace):
         """Unlabeled rows interleaved with the workspace's change no trace line
         (scored, their NaN labels zeroed every importance)."""
@@ -611,25 +652,6 @@ class TestTrainingCommands:
         assert self.select(workspace, workspace / "data.csv", workspace / "emb.bin", "labeled") == EXIT_OK
         assert self.select(workspace, workspace / "mixed.csv", workspace / "mixed.bin", "mixed") == EXIT_OK
         assert (workspace / "mixed.txt").read_text() == (workspace / "labeled.txt").read_text()
-
-    def test_select_features_without_labeled_rows(self, workspace, capsys):
-        schema = small_schema(with_assets=True)
-        snaps = random_snapshots(schema, 12, seed=2)
-        for s in snaps:
-            s.labels["risk"] = None
-        save_dataset(snaps, schema, workspace / "unlabeled.csv", workspace / "unlabeled.bin")
-        assert self.select(workspace, workspace / "unlabeled.csv", workspace / "unlabeled.bin", "none") == EXIT_DATA
-        assert "labeled for task 'risk'" in capsys.readouterr().err
-
-    def test_select_features_on_one_labeled_row_is_a_data_error(self, workspace, capsys):
-        # the one row is the whole validation split: auroc raised, exit 1
-        schema = small_schema(with_assets=True)
-        snaps = random_snapshots(schema, 6, seed=2, label_rule=lambda v, rng: 1)
-        for s in snaps[1:]:
-            s.labels["risk"] = None
-        save_dataset(snaps, schema, workspace / "one.csv", workspace / "one.bin")
-        assert self.select(workspace, workspace / "one.csv", workspace / "one.bin", "one") == EXIT_DATA
-        assert "error:data: the 1 validation rows for task 'risk' are all one class" in capsys.readouterr().err
 
 
 class TestSelfDescribingCheckpoint:
@@ -717,7 +739,7 @@ class TestSelfDescribingCheckpoint:
         rc, first, second = self.add_churn(tmp_path, linear_probe=True)
         assert rc == EXIT_OK, capsys.readouterr().err
         inputs = json.loads(Path(str(second) + ".manifest.json").read_text())["inputs"]
-        files = {"schema": "schema.json", "data": "data.csv", "init_checkpoint": first.name}
+        files = {"schema": "schema.json", "data": "data.csv", "embeddings": "emb.bin", "init_checkpoint": first.name}
         assert inputs == {k: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for k, name in files.items()}
 
     def test_finetune_refuses_to_train_the_backbone_under_another_head(self, tmp_path, capsys):

@@ -610,7 +610,7 @@ class TestFolds:
         assert len(train) + len(test) == 20
 
     def test_too_few_examples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="cannot make 5 folds from 3 examples"):
             make_folds(3, 5, seed=0)
 
     @given(st.integers(10, 60), st.integers(2, 6), st.integers(0, 100))
