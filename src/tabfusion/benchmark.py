@@ -20,6 +20,7 @@ from .data import (
     FeatureSpec,
     Snapshot,
     TaskSpec,
+    _check_header,
     make_folds,
     normalize_split,
 )
@@ -98,10 +99,10 @@ def load_benchmark_csv(path, dataset_name: str):
     """Load a raw benchmark CSV into (schema, snapshots) with a binary label.
 
     Numerics stay raw: `run_benchmark` normalizes each fold from its
-    training rows. A header without the dataset's target column, a row
-    whose cell count is not the header's, or a non-finite numeric cell
-    raises DataError naming the column, feature or row (the file line the
-    row ends on)."""
+    training rows. A header without the dataset's target column or that
+    names a column twice, a row whose cell count is not the header's, or a
+    non-finite numeric cell raises DataError naming the column, feature or
+    row (the file line the row ends on)."""
     spec = DATASETS[dataset_name]
     path = Path(path)
     if not path.exists():
@@ -115,6 +116,7 @@ def load_benchmark_csv(path, dataset_name: str):
     rows = [r for _, r in numbered]
     if not rows:
         return FeatureSchema([], [TaskSpec(spec["target"])]), []
+    _check_header(reader.fieldnames)
     if spec["target"] not in reader.fieldnames:
         raise DataError(f"{path} has no target column", feature=spec["target"])
     for row_no, r in numbered:

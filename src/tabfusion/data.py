@@ -85,6 +85,20 @@ class FeatureSpec:
             raise DataError("dim must be >= 1", feature=self.name)
         if self.kind == FeatureKind.MULTI_EMBEDDING and self.max_count < 1:
             raise DataError("max_count must be >= 1", feature=self.name)
+        # a token's position indexes the embedding table, which has vocab_size rows
+        vocab = self.vocab
+        if vocab is not None and not (
+            isinstance(vocab, list) and all(isinstance(t, str) for t in vocab) and len(vocab) <= self.vocab_size
+        ):
+            raise DataError(f"vocab must be a list of at most vocab_size {self.vocab_size} strings", feature=self.name)
+        norm = self.normalization
+        if norm is not None and not (
+            isinstance(norm, dict) and norm.keys() == {"mean", "std"}
+            and all((_is_int(v) or isinstance(v, float)) and math.isfinite(v) for v in norm.values())
+            and norm["std"] > 0
+        ):
+            raise DataError(f'normalization must be {{"mean": m, "std": s}}, finite with s > 0, not {norm!r}',
+                            feature=self.name)
 
 
 @dataclass
@@ -244,7 +258,8 @@ def load_dataset(data_path, schema, embeddings_path=None):
     into the returned schema. Label cells are integers, in `[0, classes)`
     for a task the schema declares. Malformed content, a non-finite numeric
     cell or referenced sidecar vector included, raises DataError naming the
-    first bad row and its feature or `label:<task>` column.
+    first bad row and its feature or `label:<task>` column; so does a header
+    that names a column twice.
 
     The file is read LOAD_CHUNK_ROWS rows at a time and converted one column
     at a time; each chunk's embedding vectors are rows of one array gathered
@@ -261,6 +276,7 @@ def load_dataset(data_path, schema, embeddings_path=None):
         header = next(reader, None)
         if header is None:
             return schema, []
+        _check_header(header)
         label_cols = {col[len("label:") :]: i for i, col in enumerate(header) if col.startswith("label:")}
         col_of = {col: i for i, col in enumerate(header) if not col.startswith("label:")}
         for f in schema:
@@ -288,6 +304,16 @@ def load_dataset(data_path, schema, embeddings_path=None):
     table = zip(*(values for _, _, _, values in columns)) if columns else repeat((), n_rows)
     snapshots = [Snapshot(dict(zip(names, row)), dict(zip(tasks, row[len(names) :]))) for row in table]
     return schema, snapshots
+
+
+def _check_header(names) -> None:
+    """DataError naming the first column a CSV header names twice: a reader
+    keyed on names would keep the last copy alone."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError("the header names this column twice", feature=name)
+        seen.add(name)
 
 
 def _convert_chunk(columns, rows, first):

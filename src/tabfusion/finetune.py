@@ -16,11 +16,11 @@ from .tensor import Tensor, linear, no_grad, softmax
 
 __all__ = ["TaskSpec", "SngpHead", "focal_loss", "check_finetune", "finetune_loop"]
 
-# Rows per product with the cached variance factor. A fixed block shape gives
+# Rows per product with the variance factor. A fixed block shape gives
 # every row the same BLAS kernel and summation order whatever the batch size,
 # so variances are bitwise batch-independent (plain gemm reblocks by M).
 VARIANCE_BLOCK_ROWS = 4
-# Columns per cached panel of the upper-triangular variance factor.
+# Columns per panel of the upper-triangular variance factor.
 VARIANCE_PANEL_COLS = 128
 # Widest diagonal block the triangular inverse hands to a general inverse.
 INVERSE_LEAF = 64
@@ -51,31 +51,27 @@ class SngpHead(Module):
         self.length_scale = length_scale
         self.ridge = ridge
         self.kappa = kappa
-        self.omega = (rng.standard_normal((d_rf, in_dim)) / length_scale).astype(np.float32)
+        # Omega as the transpose of a C-contiguous [in, d_rf] array, the
+        # layout linear's row kernel reads
+        self.omega = np.asfortranarray((rng.standard_normal((d_rf, in_dim)) / length_scale).astype(np.float32))
         self.phase = rng.uniform(0.0, 2.0 * math.pi, size=d_rf).astype(np.float32)
         self.beta = Linear(d_rf, classes, rng, bias=False)
         self.precision: np.ndarray | None = None  # Lambda, set by fit_covariance
         # F's column panels packed in one float64 array (`_factorise`), as a
-        # checkpoint stores them in place of the precision; set by a load
+        # checkpoint stores them: set by a load, or made from the precision
+        # by the first `variance` after a fit
         self.factor: np.ndarray | None = None
-        # (the precision or factor the panels come from, their packed buffer,
-        # the panels as views of it); built lazily by `variance`
-        self._factor: tuple = (None, None, None)
-        # (omega, Omega as the transpose of a C-contiguous [in, d_rf] array
-        # in some dtype), the layout linear's row kernel reads; not saved
-        self._omega: tuple = (None, None)
 
     def features(self, pooled: Tensor) -> Tensor:
         """Phi = sqrt(2/d_rf) cos(pooled Omega^T + b); differentiable in pooled.
 
-        Omega is read in the row kernel's layout, made once per `omega` array
-        and dtype, so a request copies nothing; library code assigns `omega`
-        and never writes into it."""
-        c = self._omega
-        if c[0] is not self.omega or c[1].dtype != pooled.dtype:
-            c = self._omega = (self.omega, Tensor(np.asfortranarray(self.omega, dtype=pooled.dtype)))
+        Omega is read in the row kernel's layout, so a request copies
+        nothing; a C-ordered `omega`, as a load sets it, is laid out once,
+        by assignment."""
+        if not self.omega.T.flags.c_contiguous:
+            self.omega = np.asfortranarray(self.omega)
         phase = Tensor(self.phase.astype(pooled.dtype, copy=False))
-        return linear(pooled, c[1], phase).cos() * math.sqrt(2.0 / self.d_rf)
+        return linear(pooled, Tensor(self.omega), phase).cos() * math.sqrt(2.0 / self.d_rf)
 
     def logits(self, pooled: Tensor) -> Tensor:
         return self.beta(self.features(pooled))
@@ -87,7 +83,7 @@ class SngpHead(Module):
         uses the max-prob heuristic. Order-independent (a plain sum).
         """
         # free the old precision and factor before the new ones are made
-        self.precision, self.factor, self._factor = None, None, (None, None, None)
+        self.precision, self.factor = None, None
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim == 2:
             p = probs[:, 1] if probs.shape[1] == 2 else probs.max(axis=1)
@@ -108,29 +104,25 @@ class SngpHead(Module):
         With L = chol(Lambda) and F = (L^-1)^T, Lambda^-1 = F F^T, so each
         row's variance is |phi F|^2: O(d_rf^2) per row. F is upper
         triangular, so only its column panels of VARIANCE_PANEL_COLS are
-        kept, panel [c0, c1) holding rows [0, c1), as views of one packed
-        buffer. After a fit they are made from `precision` on first use
-        (`_factorise`: O(d_rf^3), holding the packed factor and one block row
-        beside the precision) and cached until another array is set as
-        `precision`; after a load they are views of the file's `factor`, so
-        no factorisation runs. Rows are multiplied in zero-padded blocks of
-        VARIANCE_BLOCK_ROWS, so every kernel call has a shape fixed by the
-        panel alone and a row's variance is bitwise the same alone or in any
-        batch.
+        kept, panel [c0, c1) holding rows [0, c1), as views of the packed
+        `factor`. After a load that is the file's, so no factorisation runs;
+        after a fit the first call makes it from `precision` (`_factorise`:
+        O(d_rf^3), holding the packed factor and one block row beside the
+        precision) and keeps it until the next fit. Rows are multiplied in
+        zero-padded blocks of VARIANCE_BLOCK_ROWS, so every kernel call has a
+        shape fixed by the panel alone and a row's variance is bitwise the
+        same alone or in any batch.
         """
-        source = self.factor if self.precision is None else self.precision
-        if source is None:
-            raise RuntimeError("covariance not fitted")
-        if self._factor[0] is not source:
-            self._factor = (None, None, None)  # the old panels go before the new are made
-            packed = source if source is self.factor else _factorise(source)
-            self._factor = (source, packed, _panel_views(packed, self.d_rf))
+        if self.factor is None:
+            if self.precision is None:
+                raise RuntimeError("covariance not fitted")
+            self.factor = _factorise(self.precision)
         phi = np.asarray(phi, dtype=np.float64)
         n = phi.shape[0]
         blocks = np.zeros((-(-n // VARIANCE_BLOCK_ROWS), VARIANCE_BLOCK_ROWS, self.d_rf))
         blocks.reshape(-1, self.d_rf)[:n] = phi
         y = np.empty_like(blocks)
-        for panel in self._factor[2]:
+        for panel in _panel_views(self.factor, self.d_rf):
             c1 = panel.shape[0]
             y[:, :, c1 - panel.shape[1] : c1] = np.matmul(blocks[:, :, :c1], panel)
         y = y.reshape(-1, self.d_rf)[:n]
@@ -157,15 +149,9 @@ class SngpHead(Module):
         return {"probs": softmax(Tensor(adjusted)).data, "variance": var, "calibrated": True}
 
     def packed_factor(self) -> np.ndarray:
-        """F's panels packed as `_factorise` packs them, the form a checkpoint
-        stores: the file's `factor` after a load; after a fit, the panels'
-        buffer if a calibrated request has made them, else made from
-        `precision` here and not kept, the factorisation holding the packed
-        factor and one block row beside the precision."""
-        if self.precision is None:
-            return self.factor
-        source, packed, _ = self._factor
-        return packed if source is self.precision else _factorise(self.precision)
+        """The packed `factor` a checkpoint stores; when no calibrated answer
+        has made it since a fit, made from `precision` here and not kept."""
+        return _factorise(self.precision) if self.factor is None else self.factor
 
 
 def packed_size(d_rf: int) -> int:
@@ -271,9 +257,10 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     Training the backbone under a head not in `tasks` would leave that head
     stale and raises ConfigError (`check_finetune`); `cfg.linear_probe`
     embeds the training and held-out rows once and trains only the task
-    heads on those fixed features. Ends with a covariance pass over the training set for every
-    task's head. Returns the loss curve: a record per step that trained or
-    evaluated. A batch with no row labeled for any task runs no forward and
+    heads on those fixed features. Ends with a covariance pass over the
+    training set for every task's head, on a probe's training embeddings.
+    Returns the loss curve: a record per step that trained or evaluated. A
+    batch with no row labeled for any task runs no forward and
     does not advance power iteration, and its record, if it evaluated, has
     no `total`. A non-finite loss raises RuntimeError naming the step.
 
@@ -297,9 +284,11 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
             model.heads[t.name] = SngpHead(model.d, t.classes, head_rng, cfg.d_rf, cfg.length_scale, cfg.ridge)
 
     # the slots a step runs and trains, behind the optimizer, power iteration and
-    # the best state: the task heads, plus encoder and trunk without ISA unless probing
+    # the best state: the task heads, plus encoder and trunk without ISA unless probing;
+    # a generator, as a list would keep each head's old precision and factor
+    # alive through the covariance pass
     runs = tuple(f"heads.{t.name}." for t in tasks) + (() if cfg.linear_probe else ("encoder.", "trunk."))
-    trained = [slot for slot in model.named_state() if slot[0].startswith(runs) and ".isa." not in slot[0]]
+    trained = (slot for slot in model.named_state() if slot[0].startswith(runs) and ".isa." not in slot[0])
     trainer = Trainer(trained, cfg.schedule, cfg.weight_decay, cfg.seed)
 
     val_set, val_tasks = [], {}  # task name -> (held-out rows labeled for it, their labels)
@@ -372,7 +361,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
         for layer, (u, v) in zip(trainer.spectral, best_state[1]):
             layer.u, layer.v = u, v
 
-    fit_heads_covariance(model, train_set, tasks)
+    fit_heads_covariance(model, train_set, tasks, features)
     return curve
 
 
@@ -395,13 +384,15 @@ def check_finetune(heads: dict, snapshots, tasks: list[TaskSpec], linear_probe: 
             raise DataError(f"task '{t.name}' has label {bad[0]!r}; labels are integers in [0, {t.classes})")
 
 
-def fit_heads_covariance(model, snapshots, tasks) -> None:
+def fit_heads_covariance(model, snapshots, tasks, pooled=None) -> None:
     """Final pass accumulating the Laplace precision for every task head.
 
-    The rows are embedded once; each head is fitted on the rows labeled
-    for its task. No graph is recorded.
+    The rows are embedded once, unless `pooled` holds their embeddings
+    already; each head is fitted on the rows labeled for its task. No graph
+    is recorded.
     """
-    pooled = model.embed(snapshots)
+    if pooled is None:
+        pooled = model.embed(snapshots)
     for t in tasks:
         head = model.heads[t.name]
         labeled = [i for i, s in enumerate(snapshots) if s.labels.get(t.name) is not None]

@@ -66,6 +66,8 @@ class Model(Module):
         `heads.<task>.factor` in place of its precision. A model without
         heads keeps every part."""
         parts = [p for p in self.parts if not (self.heads and p in PRETRAINING_PARTS)]
+        # a precision is written as its factor, in its place; a factor slot that
+        # is set then writes the same array again under that name
         factors = {f"heads.{t}.precision": (f"heads.{t}.factor", h.packed_factor) for t, h in self.heads.items()}
         arrays = {}
         for name, value in {**{k: p.data for k, p in self.parameters().items()}, **self.buffers()}.items():
@@ -156,12 +158,11 @@ class Model(Module):
         return np.concatenate(chunks) if chunks else np.zeros((0, self.d), dtype=np.float32)
 
     def predict(self, snapshots, task: str, calibrated: bool = True) -> dict:
-        """`SngpHead.predict` of the task's head on `embed`'s rows,
-        INFERENCE_BATCH at a time: probs [n, classes], variance [n] and calibrated."""
-        pooled = self.embed(snapshots)
+        """`SngpHead.predict` of the task's head on each INFERENCE_BATCH chunk
+        as `embed` makes it: probs [n, classes], variance [n] and calibrated."""
         parts = [  # an empty input still gets one (empty) call
-            self.heads[task].predict(Tensor(pooled[lo : lo + INFERENCE_BATCH]), calibrated)
-            for lo in range(0, max(len(pooled), 1), INFERENCE_BATCH)
+            self.heads[task].predict(Tensor(self.embed(snapshots[lo : lo + INFERENCE_BATCH])), calibrated)
+            for lo in range(0, max(len(snapshots), 1), INFERENCE_BATCH)
         ]
         out = {key: np.concatenate([p[key] for p in parts]) for key in ("probs", "variance")}
         return {**out, "calibrated": parts[0]["calibrated"]}

@@ -463,14 +463,25 @@ class TestServedCheckpoint:
     def test_save_reuses_cached_panels_and_writes_the_same_bytes(self, tmp_path):
         snaps, model = self.build_two_heads()
         model.save(tmp_path / "a.ckpt", {})  # factors made as they are written
-        assert all(head._factor[0] is None for head in model.heads.values())  # and not kept
-        model.predict(snaps, "risk")  # caches risk's panels, which the next save writes
+        assert all(head.factor is None for head in model.heads.values())  # and not kept
+        model.predict(snaps, "risk")  # makes risk's factor, which the next save writes
+        assert model.heads["risk"].factor is not None
         model.save(tmp_path / "b.ckpt", {})
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
         clone = Model.load(tmp_path / "a.ckpt")
         clone.predict(snaps, "risk")  # panels as views of the file's factor
         clone.save(tmp_path / "c.ckpt", {})
         assert (tmp_path / "c.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
+    def test_head_keeps_no_private_state(self, tmp_path):
+        # every array a calibrated answer reads is a slot the walk names
+        snaps, model = self.build_two_heads()  # init and fit
+        model.predict(snaps, "risk")
+        model.save(tmp_path / "m.ckpt", {})
+        clone = Model.load(tmp_path / "m.ckpt")
+        clone.predict(snaps, "risk")
+        for head in (*model.heads.values(), *clone.heads.values()):
+            assert [k for k in vars(head) if k.startswith("_")] == []
 
     def test_served_model_refuses_pretraining(self, tmp_path):
         snaps, model = self.build_two_heads()

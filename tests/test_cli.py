@@ -191,6 +191,28 @@ DRY_RUN_REFUSALS = {
     "benchmark with fewer rows than folds": (
         [], ["benchmark", "--dataset", "adult", "--data", "two.csv", "--folds", "5"],
         EXIT_DATA, "cannot make 5 folds from 2 examples"),
+    # schema fields and header columns the loader used to take as they came
+    "finetune with a vocab longer than vocab_size": (  # an IndexError traceback, exit 1
+        [], ["finetune", *data_flags(schema="vocab5.json"), "--task", "risk", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "vocab must be a list of at most vocab_size 4 strings (feature 'region')"),
+    "pretrain with a vocab that is one string": (  # read as its characters
+        [], ["pretrain", *data_flags(schema="vocabstr.json"), "--steps", "2", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "vocab must be a list of at most vocab_size 4 strings (feature 'region')"),
+    "pretrain with a normalization that lacks std": (  # error:runtime: 'std', exit 1
+        [], ["pretrain", *data_flags(schema="nostd.json"), "--steps", "2", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "normalization must be {\"mean\": m, \"std\": s}"),
+    "finetune with a normalization std of 0": (  # a non-finite loss at step 0, exit 1
+        [], ["finetune", *data_flags(schema="std0.json"), "--task", "risk", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "finite with s > 0, not {'mean': 0, 'std': 0} (feature 'age')"),
+    "pretrain on a header naming a feature twice": (  # the last copy won
+        [], ["pretrain", *data_flags("age2.csv"), "--steps", "2", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "the header names this column twice (feature 'age')"),
+    "finetune on a header naming a label twice": (
+        [], ["finetune", *data_flags("risk2.csv"), "--task", "risk", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "the header names this column twice (feature 'label:risk')"),
+    "benchmark on a header naming a column twice": (
+        [], ["benchmark", "--dataset", "adult", "--data", "bench2.csv", "--folds", "2"],
+        EXIT_DATA, "the header names this column twice (feature 'age')"),
     # each output's directory: a missing one failed after the work
     "pretrain into a missing directory": (
         [], ["pretrain", *data_flags(), "--steps", "2", "--out-checkpoint", "nodir/x.ckpt"],
@@ -261,6 +283,21 @@ class TestDryRun:
         Path("row1.csv").write_text("\n".join(Path("data.csv").read_text().splitlines()[:2]) + "\n")
         Path("two.csv").write_text("age,job,target\n0.5,a,1\n-0.5,b,0\n")
         Path("bench.csv").write_text("age,job,target\n" + "".join(f"{i - 3},{'ab'[i % 2]},{i % 2}\n" for i in range(6)))
+        Path("bench2.csv").write_text("age,job,target,age\n" + "".join(f"{i - 3},{'ab'[i % 2]},{i % 2},{i}\n"
+                                                                          for i in range(6)))
+        record = json.loads(Path("schema.json").read_text())
+        for name, feature, change in (("vocab5.json", "region", {"vocab": list("01234")}),
+                                      ("vocabstr.json", "region", {"vocab": "0123"}),
+                                      ("nostd.json", "age", {"normalization": {"mean": 0}}),
+                                      ("std0.json", "age", {"normalization": {"mean": 0, "std": 0}})):
+            features = [{**f, **change} if f["name"] == feature else f for f in record["features"]]
+            Path(name).write_text(json.dumps({**record, "features": features}))
+        with Path("data.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        for name, column in (("age2.csv", "age"), ("risk2.csv", "label:risk")):
+            at = rows[0].index(column)
+            with Path(name).open("w", newline="") as fh:
+                csv.writer(fh).writerows(row + [row[at]] for row in rows)
         files = sorted(workspace.iterdir())
         results = []
         for dry in (["--dry-run"], []):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_snapshots, small_schema
 import tabfusion.data as tfd
+from tabfusion.benchmark import load_benchmark_csv
 from tabfusion.data import (
     Asset,
     DataError,
@@ -49,6 +50,40 @@ class TestSchema:
         assert clone.get("region").vocab_size == 4
         assert clone.tasks[0].name == "risk"
 
+
+    @pytest.mark.parametrize("vocab", [["a", "b", "c"], "ab", ["a", 1], {"a": 0}])
+    def test_vocab_is_a_list_of_at_most_vocab_size_strings(self, tmp_path, vocab):
+        """A 3-token vocab of vocab_size 2 loaded and trained into an
+        IndexError on the third token; "ab" was read as the tokens a, b."""
+        (tmp_path / "s.json").write_text(json.dumps(
+            {"features": [{"name": "c", "kind": "categorical", "vocab_size": 2, "vocab": vocab}]}))
+        with pytest.raises(DataError, match="vocab must be a list of at most vocab_size 2 strings") as err:
+            FeatureSchema.load(tmp_path / "s.json")
+        assert err.value.feature == "c"
+
+    def test_repeated_vocab_tokens_are_allowed(self):
+        assert FeatureSpec("c", "categorical", vocab_size=3, vocab=["a", "b", "a"]).vocab == ["a", "b", "a"]
+
+    @pytest.mark.parametrize("norm", [
+        {"mean": 0},  # exited 1 naming the key 'std'
+        {"mean": 0, "std": 0},  # trained to a non-finite loss
+        {"mean": 0, "std": -1.0},
+        {"mean": float("nan"), "std": 1.0},
+        {"mean": 0, "std": float("inf")},
+        {"mean": "0", "std": 1},
+        {"mean": True, "std": 1},
+        {"mean": 0, "std": 1, "scale": 2},
+        [0, 1],
+    ])
+    def test_normalization_is_a_finite_mean_and_positive_std(self, tmp_path, norm):
+        (tmp_path / "s.json").write_text(json.dumps(
+            {"features": [{"name": "x", "kind": "numeric", "normalization": norm}]}))
+        with pytest.raises(DataError, match="normalization must be") as err:
+            FeatureSchema.load(tmp_path / "s.json")
+        assert err.value.feature == "x"
+
+    def test_integer_normalization_is_allowed(self):
+        assert FeatureSpec("x", "numeric", normalization={"mean": 0, "std": 2}).normalization["std"] == 2
 
     def test_copy_keeps_task_gamma(self, tmp_path):
         """Regression: the loader, normalize_split and save_dataset copied the
@@ -171,6 +206,22 @@ class TestIo:
         schema.save(tmp_path / "s.json")
         _, snaps = load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
         assert snaps[0].values["c"] == 1
+
+    @pytest.mark.parametrize("header, twice", [("x,x,y,label:risk", "x"), ("x,y,label:risk,label:risk", "label:risk")])
+    def test_a_column_named_twice_is_rejected(self, tmp_path, header, twice):
+        """The last copy used to win: `x,x` trained on the second x."""
+        schema = FeatureSchema([FeatureSpec("x", "numeric"), FeatureSpec("y", "numeric")], [TaskSpec("risk", 2)])
+        (tmp_path / "d.csv").write_text(f"{header}\n1.0,2.0,0,1\n")
+        with pytest.raises(DataError, match="the header names this column twice") as err:
+            load_dataset(tmp_path / "d.csv", schema)
+        assert err.value.feature == twice
+
+    @pytest.mark.parametrize("header, twice", [("age,age,target", "age"), ("age,target,target", "target")])
+    def test_a_benchmark_column_named_twice_is_rejected(self, tmp_path, header, twice):
+        (tmp_path / "adult.csv").write_text(f"{header}\n0.5,1.5,1\n-0.5,2.5,0\n")
+        with pytest.raises(DataError, match="the header names this column twice") as err:
+            load_benchmark_csv(tmp_path / "adult.csv", "adult")
+        assert err.value.feature == twice
 
     def test_missing_column_rejected(self, tmp_path):
         schema = FeatureSchema([FeatureSpec("x", "numeric"), FeatureSpec("y", "numeric")], [])

@@ -17,6 +17,7 @@ from tabfusion.finetune import (
     focal_loss,
     _factorise,
     _invert_lower,
+    _panel_views,
     packed_size,
     predict_scores,
 )
@@ -60,19 +61,33 @@ class TestRandomFeatures:
             assert abs(got - want) < 0.05
 
     def test_omega_is_laid_out_once_per_array(self, rng):
-        # the row kernel reads Omega^T as a contiguous [in, d_rf] array: the
-        # head keeps that copy until another array is set as omega
+        # the row kernel reads Omega^T as a contiguous [in, d_rf] array: a
+        # fresh head holds omega so, and a C-ordered omega (as a load sets it)
+        # is replaced once by its re-laid-out copy, the caller's array untouched
         head = SngpHead(8, 2, rng, d_rf=64, length_scale=2.0, ridge=1.0)
         x = Tensor(rng.standard_normal((5, 8)).astype(np.float32))
         phase = Tensor(head.phase)
-        want = (linear(x, Tensor(head.omega), phase).cos() * math.sqrt(2.0 / 64)).data
+        laid_out = head.omega
+        assert laid_out.T.flags.c_contiguous
+        want = (linear(x, Tensor(laid_out), phase).cos() * math.sqrt(2.0 / 64)).data
+        assert np.array_equal(head.features(x).data, want) and head.omega is laid_out
+        given = rng.standard_normal((64, 8)).astype(np.float32)
+        head.omega = given
+        want = (linear(x, Tensor(given), phase).cos() * math.sqrt(2.0 / 64)).data
         assert np.array_equal(head.features(x).data, want)
-        laid_out = head._omega[1]
-        assert laid_out.data.T.flags.c_contiguous
-        assert np.array_equal(head.features(x).data, want) and head._omega[1] is laid_out
-        head.omega = rng.standard_normal((64, 8)).astype(np.float32)
-        want = (linear(x, Tensor(head.omega), phase).cos() * math.sqrt(2.0 / 64)).data
-        assert np.array_equal(head.features(x).data, want) and head._omega[1] is not laid_out
+        assert head.omega is not given and head.omega.T.flags.c_contiguous and given.flags.c_contiguous
+        assert np.array_equal(head.omega, given)
+        laid_out = head.omega
+        assert np.array_equal(head.features(x).data, want) and head.omega is laid_out
+
+    def test_float64_features_match_a_float64_omega_bitwise(self, rng):
+        # a float64 caller reads the float32 Omega with no float64 copy kept
+        for d_rf, in_dim in ((32, 8), (1024, 8), (300, 64)):
+            head = SngpHead(in_dim, 2, rng, d_rf=d_rf, length_scale=2.0, ridge=1.0)
+            x = Tensor(rng.standard_normal((37, in_dim)))
+            wide = Tensor(np.asfortranarray(head.omega, dtype=np.float64))
+            want = (linear(x, wide, Tensor(head.phase.astype(np.float64))).cos() * math.sqrt(2.0 / d_rf)).data
+            assert np.array_equal(head.features(x).data, want)
 
 
 class TestLaplaceCovariance:
@@ -158,7 +173,7 @@ class TestLaplaceCovariance:
         np.testing.assert_allclose(head.variance(phi), np.einsum("ij,ij->i", y, y), rtol=1e-12, atol=0.0)
         # only the upper-triangular column panels are kept
         starts = range(0, d_rf, VARIANCE_PANEL_COLS)
-        assert [p.shape for p in head._factor[2]] == [
+        assert [p.shape for p in _panel_views(head.factor, d_rf)] == [
             (min(c0 + VARIANCE_PANEL_COLS, d_rf), min(VARIANCE_PANEL_COLS, d_rf - c0)) for c0 in starts
         ]
 
@@ -178,17 +193,16 @@ class TestLaplaceCovariance:
         head = SngpHead(2, 2, rng, d_rf=8, length_scale=2.0, ridge=0.5)
         phi = rng.standard_normal((20, 8))
         head.fit_covariance(phi[:10], rng.uniform(0.1, 0.9, 10))
-        head.variance(phi)  # caches the factor of the first fit
+        head.variance(phi)  # makes the factor of the first fit
         probs = rng.uniform(0.1, 0.9, 20)
         head.fit_covariance(phi, probs)
+        assert head.factor is None
         w = probs * (1 - probs)
         lam = 0.5 * np.eye(8) + (phi * w[:, None]).T @ phi
         want = np.einsum("ij,jk,ik->i", phi, np.linalg.inv(lam), phi)
         np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
-        head.precision = 0.5 * np.eye(8)  # as Model.load sets a stored precision
+        head.factor = _factorise(0.5 * np.eye(8))  # as Model.load sets a file's factor
         np.testing.assert_allclose(head.variance(phi), (phi * phi).sum(axis=1) / 0.5, rtol=1e-12)
-        head.precision = lam
-        np.testing.assert_allclose(head.variance(phi), want, rtol=1e-8)
 
     def test_refit_frees_the_old_precision_and_panels_first(self, rng):
         head = SngpHead(8, 2, rng, d_rf=1024, length_scale=2.0, ridge=1.0)
@@ -219,7 +233,7 @@ class TestLaplaceCovariance:
         monkeypatch.undo()
         assert INVERSE_LEAF == 64 and 0 < max(widths) <= INVERSE_LEAF
         dense = np.linalg.inv(np.linalg.cholesky(head.precision)).T
-        for c0, panel in zip(range(0, 1024, VARIANCE_PANEL_COLS), head._factor[2]):
+        for c0, panel in zip(range(0, 1024, VARIANCE_PANEL_COLS), _panel_views(head.factor, 1024)):
             want = dense[: c0 + VARIANCE_PANEL_COLS, c0 : c0 + VARIANCE_PANEL_COLS]
             np.testing.assert_allclose(panel, want, rtol=0.0, atol=1e-12)
 
@@ -384,9 +398,10 @@ class TestFinetuneLoop:
         assert np.any(model.heads["risk"].beta.weight.data != 0)
 
     def test_linear_probe_embeds_its_rows_once(self, monkeypatch):
-        """A probe's backbone is fixed: its training rows, its held-out rows
-        and the covariance pass are embedded once each, and every evaluation
-        scores exactly what a fresh embedding of the held-out rows gives."""
+        """A probe's backbone is fixed: its training rows and its held-out
+        rows are embedded once each, the covariance pass reusing the training
+        embeddings, and every evaluation and the covariance are exactly what
+        fresh embeddings give."""
         import tabfusion.metrics as metrics
 
         _, snaps, model = separable_setup()
@@ -408,8 +423,27 @@ class TestFinetuneLoop:
         monkeypatch.setattr(metrics, "auprc", fresh_auprc)
         cfg = quick_cfg(steps=10, eval_every=2, patience=100, linear_probe=True)
         curve = finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg, val)
-        assert calls == [40, 20, 40]  # training rows, held-out rows, covariance pass
+        assert calls == [40, 20]  # training rows, held-out rows; the covariance pass reuses the first
         assert scored == [True] * 5 and len([rec for rec in curve if "val_auprc.risk" in rec]) == 5
+        lam = model.heads["risk"].precision
+        fit_heads_covariance(model, snaps[20:], [TaskSpec("risk", 2)])
+        assert calls[2:] == [40] and np.array_equal(model.heads["risk"].precision, lam)
+
+    def test_refit_frees_the_old_precision_and_factor_first(self):
+        # the loop's list of trained slots held the old precision (and, once
+        # it was a slot, the factor) through the covariance pass: 8 MB above
+        # the call's start at d_rf 1024, where the new precision replaces the old
+        _, snaps, model = separable_setup()
+        cfg = replace(quick_cfg(steps=1), d_rf=1024)
+        tracemalloc.start()
+        try:
+            finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg)
+            model.predict(snaps[:1], "risk")  # makes the factor
+            assert model.heads["risk"].factor is not None
+            _, peak = traced(lambda: finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg))
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * model.heads["risk"].precision.nbytes
 
     def test_isa_is_neither_trained_nor_power_iterated(self, monkeypatch):
         import tabfusion.optim as optim
@@ -493,7 +527,7 @@ class TestFinetuneLoop:
 
         _, snaps, model = separable_setup(n=30)
         seen = []
-        monkeypatch.setattr(ft, "fit_heads_covariance", lambda m, rows, tasks: seen.extend(rows))
+        monkeypatch.setattr(ft, "fit_heads_covariance", lambda m, rows, tasks, pooled: seen.extend(rows))
         val = np.array([7, 0, 29])
         finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=1), val_indices=val)
         assert [id(s) for s in seen] == [id(s) for i, s in enumerate(snaps) if i not in (0, 7, 29)]

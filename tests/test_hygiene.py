@@ -273,11 +273,11 @@ def test_no_hand_written_state_plumbing():
     assert [name for path in MODULES for name in state_plumbing(path.read_text(), path.stem)] == []
 
 
-# the attributes whose arrays identity-keyed caches are made from: a
-# weight's `.data` (the no_grad caches of W/sigma, a plain Linear's weight
-# and SNGP's Omega, which is keyed on `omega`), and an SNGP head's
-# `precision` and `factor`, whose cached variance panels are views of one
-# packed buffer (the file's own `factor` after a load)
+# the attributes whose arrays something else is made from and kept: a
+# weight's `.data` (the identity-keyed no_grad caches of W/sigma and of a
+# plain Linear's weight layout) and an SNGP head's `precision` (its
+# `factor`, made once after a fit); the head's `omega` and `factor` are
+# set whole, by a fit, a load or a re-layout, like its other arrays
 CACHE_KEYS = ("data", "omega", "precision", "factor")
 
 
