@@ -259,6 +259,12 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     embeds the training and held-out rows once and trains only the task
     heads on those fixed features. Ends with a covariance pass over the
     training set for every task's head, on a probe's training embeddings.
+    Training moves the features a task head's fit was made on, so the loop
+    empties each task head's `precision` and `factor` once its refusals
+    are made, and drops the optimizer state and the best state before the
+    covariance pass (each step frees its gradients). A loop that raises
+    mid-way leaves its task heads unfitted, so they answer uncalibrated.
+    Heads not in `tasks` keep their fits.
     Returns the loss curve: a record per step that trained or evaluated. A
     batch with no row labeled for any task runs no forward and
     does not advance power iteration, and its record, if it evaluated, has
@@ -282,11 +288,12 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     for t in tasks:
         if t.name not in model.heads:
             model.heads[t.name] = SngpHead(model.d, t.classes, head_rng, cfg.d_rf, cfg.length_scale, cfg.ridge)
+        head = model.heads[t.name]
+        head.precision = head.factor = None
 
     # the slots a step runs and trains, behind the optimizer, power iteration and
     # the best state: the task heads, plus encoder and trunk without ISA unless probing;
-    # a generator, as a list would keep each head's old precision and factor
-    # alive through the covariance pass
+    # a generator, so no list of the slots' values outlives the Trainer
     runs = tuple(f"heads.{t.name}." for t in tasks) + (() if cfg.linear_probe else ("encoder.", "trunk."))
     trained = (slot for slot in model.named_state() if slot[0].startswith(runs) and ".isa." not in slot[0])
     trainer = Trainer(trained, cfg.schedule, cfg.weight_decay, cfg.seed)
@@ -360,6 +367,9 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
             p.data = data
         for layer, (u, v) in zip(trainer.spectral, best_state[1]):
             layer.u, layer.v = u, v
+    # the AdamW moments, twice the trained parameters, are freed before the
+    # covariance pass, which sets the call's peak
+    del trainer, best_state
 
     fit_heads_covariance(model, train_set, tasks, features)
     return curve

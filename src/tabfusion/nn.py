@@ -167,9 +167,13 @@ class SpectralLinear(Linear):
     def effective_weight(self) -> Tensor:
         """W / sigma, or W itself when sigma < eps, with the current u and v.
 
-        A call under no_grad reuses the last such result while `weight.data`,
-        `u` and `v` are the same array objects as when it was made, so
-        serving does not renormalize every layer per request. Library code
+        A graph-building call returns a `spectral_normalize` output whose
+        node records W and 1/sigma: the nodes that consume it keep those and
+        rebuild W / sigma in their backward, so a training graph keeps no
+        W / sigma array. A call under no_grad reuses the last such result
+        while `weight.data`, `u` and `v` are the same array objects as when
+        it was made, so serving does not renormalize every layer per
+        request. Library code
         therefore assigns new arrays and never writes into these: writing
         into `weight.data` after a no_grad call leaves a stale W / sigma.
         Graph-building calls never use the cache. The cached W / sigma is
@@ -192,9 +196,10 @@ class Mlp(Module):
 
     One `ffn` graph node over the effective weights and biases of `fc1` and
     `fc2`: it runs in blocks of examples and keeps no hidden-sized array for
-    the backward, only its input, the contiguous w1^T and the small weights;
-    the backward recomputes fc1's output block by block. The layers stay
-    modules, so parameter names do not change.
+    the backward, only its input, fc1's bias and the two weights, a
+    spectral weight as its raw W and 1/sigma, not W / sigma; the backward
+    rebuilds the weights and recomputes fc1's output block by block. The
+    layers stay modules, so parameter names do not change.
     """
 
     def __init__(

@@ -112,11 +112,13 @@ class Trainer:
     def step(self, step: int, loss: Tensor) -> float:
         """Backpropagate `loss` and take the AdamW step; returns its rate.
         A non-finite loss raises RuntimeError naming the step before any
-        parameter moves."""
+        parameter moves. The step frees the gradients once AdamW has read
+        them, so none is held through the next forward or after the loop."""
         if not np.isfinite(loss.item()):
             raise RuntimeError(f"non-finite loss at step {step}")
         self.opt.zero_grad()
         loss.backward()
         lr = self.schedule.lr_at(step)
         self.opt.step(lr)
+        self.opt.zero_grad()
         return lr

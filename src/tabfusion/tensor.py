@@ -112,9 +112,14 @@ class Node:
     """One recorded op of the graph: its gradient, its parent nodes, the
     backward closure that scatters a gradient to them, the shape and dtype
     of its value, and the op name. It holds no value; a leaf that requires
-    grad has a node of op "leaf" with no parents and no closure."""
+    grad has a node of op "leaf" with no parents and no closure.
 
-    __slots__ = ("grad", "parents", "backward", "shape", "dtype", "op")
+    A `spectral_normalize` node also has a `recipe`: the raw weight array
+    and the [1, 1] array inv = 1/sigma whose product raw * inv is its value.
+    A node that reads that value in its backward keeps the recipe, not the
+    value (`_kept`), and rebuilds the value there (`_value`)."""
+
+    __slots__ = ("grad", "parents", "backward", "shape", "dtype", "op", "recipe")
 
     def __init__(self, parents: tuple, backward, shape: tuple, dtype, op: str):
         self.grad: np.ndarray | None = None
@@ -123,6 +128,7 @@ class Node:
         self.shape = shape
         self.dtype = dtype
         self.op = op
+        self.recipe: tuple | None = None
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -212,9 +218,10 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar; visits each node exactly once.
 
-        Each interior node's gradient, closure and parents are dropped once
-        its closure has run, so the arrays the closures read and the
-        gradients are freed during the sweep and only leaf `.grad` survives.
+        Each interior node's gradient, closure, recipe and parents are
+        dropped once its closure has run, so the arrays the closures read
+        and the gradients are freed during the sweep and only leaf `.grad`
+        survives.
         A graph is walked back once: a root built under no_grad, or a graph
         that an earlier backward consumed, raises RuntimeError.
         """
@@ -244,7 +251,7 @@ class Tensor:
             node = topo.pop()
             if node.backward is not None:
                 node.backward(node.grad)
-                node.grad = node.backward = None
+                node.grad = node.backward = node.recipe = None
                 node.parents = ()
 
     # ---- arithmetic ------------------------------------------------------
@@ -482,12 +489,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(data, (a, b), bwd, "matmul")
 
 
+def _kept(w: Tensor):
+    """What a node keeps to read w's value in its backward: the recipe of a
+    spectral weight's node (the raw parameter array, alive anyway, and
+    1/sigma), else the value itself."""
+    node = w._node
+    recipe = None if node is None else node.recipe
+    return w.data if recipe is None else recipe
+
+
+def _value(kept) -> np.ndarray:
+    """The value `_kept` stands for. A recipe is rebuilt with
+    spectral_normalize's own expression, so bitwise its output."""
+    if type(kept) is tuple:
+        raw, inv = kept
+        return raw * inv
+    return kept
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x w^T + b as one graph node; w is [out, in], x is [..., in].
 
     The product is matmul's row kernel on w^T read as a contiguous [in, out]
     array, so it is bitwise matmul(x, w^T) + b and a row's output is the
     same in any batch. The backward takes dw in one gemm over all rows.
+    For x's gradient the node keeps w through `_kept`: a spectral weight's
+    W / sigma is rebuilt in the backward, not kept.
     """
     global _MAC_COUNT
     if x.ndim < 2 or w.ndim != 2:
@@ -503,11 +530,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     _MAC_COUNT += math.prod(data.shape) * w.shape[1]
     xn, wn, bn = x._node, w._node, None if b is None else b._node
     xd = None if wn is None else x.data
-    wd = None if xn is None else w.data
+    wk = None if xn is None else _kept(w)
 
     def bwd(g):
         if xn is not None:
-            xn.accumulate(np.matmul(g, wd))
+            xn.accumulate(np.matmul(g, _value(wk)))
         if wn is not None:
             n, k = wn.shape
             wn.accumulate(g.reshape(-1, n).T @ xd.reshape(-1, k))
@@ -525,6 +552,11 @@ def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> T
     dW = G / sigma - (<G, W> / sigma^2) u v^T (Miyato et al. 2018). sigma is
     computed with matmul's row kernel and counts its products. A sigma
     below `eps` leaves W unnormalized: w itself is returned.
+
+    The node's recipe is (W, inv), inv = 1/sigma: the nodes that consume
+    W / sigma keep it and rebuild W / sigma in their backward, so no graph
+    keeps a W / sigma array. The backward reads W as it was at the forward,
+    which holds because library code never writes into a parameter array.
     """
     global _MAC_COUNT
     u = u.astype(w.dtype, copy=False).reshape(1, -1)
@@ -543,7 +575,10 @@ def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> T
         gw -= np.outer(u * coef, v)
         wn.accumulate(gw)
 
-    return Tensor._make(data, (w,), bwd, "spectral_normalize")
+    out = Tensor._make(data, (w,), bwd, "spectral_normalize")
+    if out._node is not None:
+        out._node.recipe = (wd, inv)
+    return out
 
 
 def multi_head_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, heads: int = 1, key_mask=None) -> Tensor:
@@ -565,13 +600,14 @@ def multi_head_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, heads
     transposed view that BLAS takes as it is.
 
     The node keeps no q, k, v or attention weights, only x (which the
-    `layer_norm` before it keeps anyway), the three weights and the mask
-    bias. Its backward recomputes q, k and v and each block's weights with
-    the forward's own calls, so they are bitwise the forward's, and works
-    in two block buffers: the weights and one for the gradient at them. It
-    then takes linear's backward over the whole gradients at q, k and v:
-    each weight's gradient in one gemm over all rows, and x's as
-    gq W_q + gk W_k + gv W_v, summed in that order.
+    `layer_norm` before it keeps anyway), the three weights through `_kept`
+    (a spectral weight's recipe, not its W / sigma) and the mask bias. Its
+    backward rebuilds the weights, then recomputes q, k and v and each
+    block's weights with the forward's own calls, so they are bitwise the
+    forward's, and works in two block buffers: the weights and one for the
+    gradient at them. It then takes linear's backward over the whole
+    gradients at q, k and v: each weight's gradient in one gemm over all
+    rows, and x's as gq W_q + gk W_k + gv W_v, summed in that order.
     """
     global _MAC_COUNT
     ws = (w_q, w_k, w_v)
@@ -583,7 +619,7 @@ def multi_head_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, heads
     b, t, d_in = x.shape
     d = w_q.shape[0]
     dh = d // heads
-    xd, wd = x.data, tuple(w.data for w in ws)
+    xd = x.data
     scale = 1.0 / math.sqrt(dh)
 
     def split(a: np.ndarray) -> np.ndarray:  # a view of [n, T, d] as [n, H, T, dh]
@@ -592,11 +628,11 @@ def multi_head_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, heads
     def by_example(a: np.ndarray) -> np.ndarray:  # [T_k, n, H, T_q] as [n, H, T_k, T_q]
         return a.transpose(1, 2, 0, 3)
 
-    def project() -> list[np.ndarray]:
+    def project(wd) -> list[np.ndarray]:
         """q, k and v as [B, H, T, dh] head views, by linear's own call."""
         return [split(_row_product(xd, w.T)) for w in wd]
 
-    qh, kh, vh = project()
+    qh, kh, vh = project([w.data for w in ws])
     dtype = np.result_type(qh, kh)
     # [T_k, B] keys-major, so a block's bias broadcasts over [H, T_q]
     bias = None if key_mask is None else ((np.asarray(key_mask, dtype=np.float32) - 1.0) * 1e9).T
@@ -621,9 +657,11 @@ def multi_head_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, heads
         np.matmul(a.transpose(1, 2, 3, 0), vh[s], out=split(data[s]))
     _MAC_COUNT += 3 * b * t * d * d_in + 2 * b * heads * t * t * dh
     xn, wn = x._node, tuple(w._node for w in ws)
+    kept = tuple(_kept(w) for w in ws)
 
     def bwd(g):
-        qh, kh, vh = project()
+        wd = [_value(k) for k in kept]
+        qh, kh, vh = project(wd)
         gh = split(g)
         # x's gradient reads all three projection gradients, a weight's its own
         gq, gk, gv = (
@@ -850,7 +888,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     """
     n = x.shape[-1]
     y = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    inv = (y * y).sum(axis=-1, keepdims=True)
+    inv = np.square(y).sum(axis=-1, keepdims=True)
     inv /= n
     inv += eps
     inv **= -0.5
@@ -879,7 +917,7 @@ def _gelu(x: np.ndarray, s: np.ndarray, out: np.ndarray, x2: np.ndarray | None =
     otherwise s holds it on the way. Doubling is exact, so half of out is
     bitwise 0.5 x (1 + th) and no pass is spent on the 0.5."""
     x2 = s if x2 is None else x2
-    np.multiply(x, x, out=x2)
+    np.square(x, out=x2)
     np.multiply(x2, _GELU_C * _GELU_K, out=s)
     s += _GELU_C
     s *= x
@@ -922,7 +960,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def bwd(g):
         gx = data * 2.0
-        _gelu_grad(xd * xd, s, gx)
+        _gelu_grad(np.square(xd), s, gx)
         gx *= g
         gx *= 0.5
         xn.accumulate(gx)
@@ -952,13 +990,15 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     not depend on the batch. The helpers yield 2 gelu, so the [..., out]
     product is halved before b2 is added.
 
-    The node keeps no hidden-sized array, only x, the contiguous w1^T and
-    the weights and b1 its backward reads. Its backward recomputes each block's pre-activation p with the forward's
-    own call, so p is bitwise the forward's, and works in three block
-    buffers: one holds p, then 2 gelu(p), then twice the gradient at p; one
-    x^2, then the gradient at the hidden activation; one s. A gradient taken
-    from the doubled forms is halved once it is reduced to its small
-    [hidden, in], [hidden], [out, hidden] or [..., in] array.
+    The node keeps no hidden-sized array, only x, b1 and the two weights
+    through `_kept` (a spectral weight's recipe, not its W / sigma). Its
+    backward rebuilds the weights and the contiguous w1^T, then recomputes
+    each block's pre-activation p with the forward's own call, so p is
+    bitwise the forward's, and works in three block buffers: one holds p,
+    then 2 gelu(p), then twice the gradient at p; one x^2, then the
+    gradient at the hidden activation; one s. A gradient taken from the
+    doubled forms is halved once it is reduced to its small [hidden, in],
+    [hidden], [out, hidden] or [..., in] array.
     """
     global _MAC_COUNT
     if (
@@ -971,10 +1011,10 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     dtype = np.result_type(x.data, w1.data)
     blocks = _example_blocks(lead[0], math.prod(lead[1:]) * hidden * dtype.itemsize)
     block = (blocks[0].stop if blocks else 0,) + lead[1:] + (hidden,)
-    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
-    w1t, w2t = np.ascontiguousarray(w1d.T), np.ascontiguousarray(w2d.T)
+    xd, b1d = x.data, b1.data
+    w1t, w2t = np.ascontiguousarray(w1.data.T), np.ascontiguousarray(w2.data.T)
 
-    def pre_activation(s: slice, out: np.ndarray) -> None:
+    def pre_activation(s: slice, w1t: np.ndarray, out: np.ndarray) -> None:
         _row_product(xd[s], w1t, out=out)
         out += b1d
 
@@ -983,7 +1023,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     for s in blocks:
         n = s.stop - s.start
         h, sg = work[0, :n], work[1, :n]
-        pre_activation(s, h)
+        pre_activation(s, w1t, h)
         _gelu(h, sg, h)
         y = data[s]
         _row_product(h, w2t, out=y)
@@ -992,8 +1032,11 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     _MAC_COUNT += math.prod(lead) * (hidden * d_in + d_out * hidden)
     nodes = (x._node, w1._node, b1._node, w2._node, b2._node)
     xn, w1n, b1n, w2n, b2n = nodes
+    w1k, w2k = _kept(w1), _kept(w2)
 
     def bwd(g):
+        w1d, w2d = _value(w1k), _value(w2k)
+        w1t = np.ascontiguousarray(w1d.T)
         want_pre = xn is not None or w1n is not None or b1n is not None
         grads = [None if n is None else np.zeros(n.shape, dtype=n.dtype) for n in (w1n, b1n, w2n, b2n)]
         gw1, gb1, gw2, gb2 = grads
@@ -1003,7 +1046,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             n = s.stop - s.start
             g2 = g[s].reshape(-1, d_out)
             h, x2, sg = buf[0, :n], buf[1, :n], buf[2, :n]
-            pre_activation(s, h)
+            pre_activation(s, w1t, h)
             _gelu(h, sg, h, x2)
             if gw2 is not None:
                 gw2 += g2.T @ h.reshape(-1, hidden)

@@ -47,8 +47,10 @@ def attention(x: Tensor, w_q: Linear, w_k: Linear, w_v: Linear, heads: int = 1, 
     One `multi_head_attention` node over x and the effective weights of the
     three projection layers: multi-head split/merge when heads > 1; masked
     keys get -1e9 pre-softmax. The node keeps x and the weights, not the
-    projections q, k and v, and its backward recomputes them; the layers
-    stay modules, so parameter names do not change.
+    projections q, k and v, and its backward recomputes them; a spectral
+    layer's weight is kept as its raw W and 1/sigma and W / sigma rebuilt
+    in the backward. The layers stay modules, so parameter names do not
+    change.
     """
     return multi_head_attention(
         x, w_q.effective_weight(), w_k.effective_weight(), w_v.effective_weight(), heads, key_mask

@@ -113,11 +113,12 @@ def every_op(x, w):
     ]
 
 
-def held_values(root) -> list[tuple[str, object]]:
+def held_values(root, nodes: bool = True) -> list[tuple[str, object]]:
     """(path, value) for every Tensor and numpy array that `root` reaches
     through closure cells, nested closures included, tuples, lists, dicts
-    and graph nodes (a node's parents and closure). Each object is visited
-    once; a path is the dotted names of the cells on the way."""
+    and, unless `nodes` is False, graph nodes (a node's closure, recipe and
+    parents). Each object is visited once; a path is the dotted names of
+    the cells on the way."""
     found, seen = [], set()
 
     def visit(v, path):
@@ -127,7 +128,10 @@ def held_values(root) -> list[tuple[str, object]]:
         if isinstance(v, (Tensor, np.ndarray)):
             found.append((path, v))
         elif isinstance(v, Node):
+            if not nodes:
+                return
             visit(v.backward, f"{path}.backward")
+            visit(v.recipe, f"{path}.recipe")
             for i, p in enumerate(v.parents):
                 visit(p, f"{path}.parents[{i}]")
         elif isinstance(v, (tuple, list)):
@@ -146,6 +150,32 @@ def held_values(root) -> list[tuple[str, object]]:
 
     visit(root, "root")
     return found
+
+
+def graph_bytes(root, params=()) -> tuple[int, int]:
+    """(held, param): the bytes of the distinct base arrays that the
+    backward closures and recipes of the graph upstream of `root` (a Tensor
+    or a Node) hold, a view counting as its base and a held Tensor as its
+    value; the arrays in `params` are summed apart, as `param`, since they
+    live on without the graph. The nodes are walked with a stack and each
+    closure is scanned without entering the nodes it captures
+    (`held_values(..., nodes=False)`), so a deep graph does not recurse."""
+    param_ids = {id(p) for p in params}
+    bases, seen = {}, set()
+    stack = [root._node if isinstance(root, Tensor) else root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        for _, v in held_values((node.backward, node.recipe), nodes=False):
+            a = v.data if isinstance(v, Tensor) else v
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a
+    param = sum(a.nbytes for k, a in bases.items() if k in param_ids)
+    return sum(a.nbytes for a in bases.values()) - param, param
 
 
 def graph_arrays(*nodes) -> list[np.ndarray]:

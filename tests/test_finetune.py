@@ -7,7 +7,7 @@ import pytest
 
 from conftest import linalg_widths, random_snapshots, small_schema, traced
 from tabfusion.config import ConfigError, RunConfig
-from tabfusion.data import FeatureSchema, FeatureSpec, TaskSpec
+from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.finetune import (
     INVERSE_LEAF,
     VARIANCE_PANEL_COLS,
@@ -444,6 +444,48 @@ class TestFinetuneLoop:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * model.heads["risk"].precision.nbytes
+
+    def test_a_rerun_after_a_calibrated_answer_peaks_no_higher_than_the_first_run(self, monkeypatch):
+        """A loop empties its task heads' fits when training starts, since
+        training moves the features they were made on and the covariance
+        pass replaces them. A rerun used to keep the old precision and the
+        factor a calibrated answer made (12.7 MB at d_rf 1024) through
+        every step. Each run's peak is taken from the start of its training
+        (the Trainer's construction) and above the level before the first."""
+        _, snaps, model = separable_setup()
+        tasks, cfg = [TaskSpec("risk", 2)], replace(quick_cfg(steps=3), d_rf=1024)
+        trainer = finetune_mod.Trainer
+
+        def training_starts(*args):
+            tracemalloc.reset_peak()
+            return trainer(*args)
+
+        monkeypatch.setattr(finetune_mod, "Trainer", training_starts)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            finetune_loop(model, snaps, tasks, cfg)
+            first = tracemalloc.get_traced_memory()[1] - start
+            model.predict(snaps[:1], "risk")  # makes the factor
+            assert model.heads["risk"].factor is not None
+            finetune_loop(model, snaps, tasks, cfg)
+            second = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert second < first + 0.1 * model.heads["risk"].precision.nbytes
+
+    def test_a_loop_that_raises_leaves_its_task_heads_uncalibrated(self):
+        _, snaps, model = separable_setup()
+        finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=2))
+        calibrated = model.predict(snaps[:4], "risk")["probs"]
+        assert not np.array_equal(calibrated, model.predict(snaps[:4], "risk", calibrated=False)["probs"])
+        nan_rows = [Snapshot({**s.values, "x": float("nan")}, s.labels) for s in snaps]
+        with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
+            finetune_loop(model, nan_rows, [TaskSpec("risk", 2)], quick_cfg(steps=2))
+        head = model.heads["risk"]
+        assert head.precision is None and head.factor is None
+        assert np.array_equal(model.predict(snaps[:4], "risk")["probs"],
+                              model.predict(snaps[:4], "risk", calibrated=False)["probs"])
 
     def test_isa_is_neither_trained_nor_power_iterated(self, monkeypatch):
         import tabfusion.optim as optim

@@ -14,6 +14,7 @@ from tabfusion.nn import SPECTRAL_EPS, Linear, Mlp, Module, SpectralLinear, adva
 from tabfusion.optim import AdamW, CosineWarmupSchedule, NanGradientError, Trainer
 from tabfusion.pretrain import pretrain_loop
 from tabfusion.tensor import Tensor, no_grad, spectral_normalize
+from tabfusion.trunk import attention
 
 
 class TestPowerIteration:
@@ -138,6 +139,43 @@ class TestSpectralLinear:
             advance_power_iteration([layer])
         x = Tensor(rng.standard_normal((2, 4)))
         assert fd_gradient_check(lambda: (layer(x) ** 2.0).sum(), [layer.weight, layer.bias]) < 1e-4
+
+    @staticmethod
+    def float64_spectral(layer: SpectralLinear, rng) -> list[Tensor]:
+        """Float64 leaves in place of the layer's weight (and bias), with u
+        and v converged by 60 steps and then frozen; returns the leaves."""
+        out_dim, in_dim = layer.weight.shape
+        layer.weight = Tensor(rng.standard_normal((out_dim, in_dim)) * 0.5, requires_grad=True)
+        if layer.bias is not None:
+            layer.bias = Tensor(rng.standard_normal(out_dim), requires_grad=True)
+        for _ in range(60):
+            advance_power_iteration([layer])
+        return [layer.weight] + ([] if layer.bias is None else [layer.bias])
+
+    def test_spectral_mlp_gradient_through_ffn(self, rng):
+        """The ffn node rebuilds each W / sigma from the raw weight and
+        1/sigma in its backward; the chain through spectral_normalize still
+        gives the raw weights', the biases' and the input's gradients."""
+        mlp = Mlp(4, 6, 3, rng, spectral=True)
+        leaves = self.float64_spectral(mlp.fc1, rng) + self.float64_spectral(mlp.fc2, rng)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        c = Tensor(rng.standard_normal((2, 3, 3)))
+        assert fd_gradient_check(lambda: (mlp(x) * c).sum(), [x, *leaves]) < 1e-4
+
+    def test_spectral_attention_gradient(self, rng):
+        """trunk.attention over three SpectralLinear projections: one
+        multi_head_attention node that rebuilds the three W / sigma in its
+        backward."""
+        w_q, w_k, w_v = (SpectralLinear(4, 4, rng, bias=False) for _ in range(3))
+        leaves = [w for layer in (w_q, w_k, w_v) for w in self.float64_spectral(layer, rng)]
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        c = Tensor(rng.standard_normal((2, 3, 4)))
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+
+        def loss():
+            return (attention(x, w_q, w_k, w_v, heads=2, key_mask=mask) * c).sum()
+
+        assert fd_gradient_check(loss, [x, *leaves]) < 1e-4
 
     def test_inference_does_not_mutate_state(self, rng):
         layer = SpectralLinear(4, 4, rng)
@@ -434,6 +472,7 @@ class TestTrainer:
         trainer = Trainer([("p", None, "p", p)], schedule, 0.0, 0)
         for step in (0, 3, 9):
             assert trainer.step(step, (p * p).sum()) == schedule.lr_at(step)
+            assert p.grad is None  # AdamW has read it: the step frees it
         assert trainer.opt.step_count == 3
         assert len(set(trainer.batch(10, 4).tolist())) == 4 and sorted(trainer.batch(3, 8).tolist()) == [0, 1, 2]
 

@@ -464,7 +464,7 @@ class TestOneNodeOps:
 
 class TestFfn:
     """ffn is linear -> gelu -> linear as one node that walks axis 0 in
-    blocks of examples and keeps only its input and w1^T."""
+    blocks of examples and keeps only its input, b1 and the two weights."""
 
     @staticmethod
     def leaves(rng, d_in, hidden, d_out, dtype=np.float64, grad=True):
@@ -523,7 +523,7 @@ class TestFfn:
 
     def test_node_keeps_no_hidden_sized_array(self, rng):
         """tracemalloc sees numpy buffers: after the forward the node holds
-        its output and the contiguous w1^T, nothing hidden-sized; linear ->
+        its output, nothing hidden-sized and no copy of a weight; linear ->
         gelu -> linear held four hidden-sized arrays (fc1's output, gelu's
         output, th and x^2)."""
         x = t64(rng.standard_normal((128, 8, 16)))
@@ -534,6 +534,7 @@ class TestFfn:
         out = outs[0]
         _, peak = traced(lambda: (out * out).sum().backward())
         assert kept - out.data.nbytes < 0.1 * hidden_bytes
+        assert kept - out.data.nbytes < 0.25 * w1.data.nbytes  # nor a w1^T copy
         # the backward adds three block buffers (the recomputed pre-activation
         # shares one with gelu's output and the gradient at it) and a few
         # output-sized arrays: under four blocks in all
@@ -563,6 +564,52 @@ class TestFfn:
         xt = t64(x)
         (gelu(xt) * Tensor(g)).sum().backward()
         assert np.array_equal(xt.grad, got)
+
+
+class TestSelfProducts:
+    """_gelu, the gelu node's backward and layer_norm take x^2 with
+    np.square, which is bitwise the x * x it replaced: each is run as it is
+    and with np.square swapped for np.multiply(x, x), over values with
+    signed zeros, +-inf, NaNs with payloads, subnormals and the largest
+    finite values."""
+
+    @staticmethod
+    def values(dtype) -> np.ndarray:
+        info, bits = np.finfo(dtype), np.dtype(f"u{np.dtype(dtype).itemsize}")
+        quiet = 1 << (info.nmant - 1)
+        exponent = (1 << info.bits - 1) - (1 << info.nmant)  # all exponent bits set
+        nans = np.array([exponent | quiet, exponent | quiet | 5, exponent | 3], dtype=bits).view(dtype)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal, -info.smallest_subnormal,
+                            info.tiny / 3.0, -info.tiny * 0.75, info.tiny, info.max, -info.max, 1e-20, -3e-30],
+                           dtype=dtype)
+        rng, n = np.random.default_rng(0), 64 * 8 - 2 * nans.size - special.size
+        normal = rng.standard_normal(n) * np.exp(rng.uniform(-8.0, 8.0, n))
+        return rng.permutation(np.concatenate([nans, -nans, special, normal.astype(dtype)])).reshape(64, 8)
+
+    @staticmethod
+    def outputs(x: np.ndarray) -> list[np.ndarray]:
+        s, h, x2 = (np.empty_like(x) for _ in range(3))
+        tensor_mod._gelu(x, s, h, x2)
+        g = Tensor(np.linspace(-2.0, 2.0, x.size).reshape(x.shape).astype(x.dtype))
+        xt, xl = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out, normed = gelu(xt), layer_norm(xl)
+        (out * g).sum().backward()
+        (normed * g).sum().backward()
+        return [s, h, x2, out.data, xt.grad, normed.data, xl.grad]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_np_square_is_the_product_bitwise(self, dtype, monkeypatch):
+        x = self.values(dtype)
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        assert np.isnan(x).sum() == 6 and np.isinf(x).sum() == 2 and (np.abs(x) < np.finfo(dtype).tiny).sum() > 4
+        with np.errstate(all="ignore"):
+            got = self.outputs(x)
+            monkeypatch.setattr(np, "square", lambda a, out=None: np.multiply(a, a, out=out))
+            want = self.outputs(x)
+            monkeypatch.undo()
+        assert [a.dtype for a in got] == [dtype] * 7
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(bits), b.view(bits))
 
 
 def qkv_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask) -> Tensor:
