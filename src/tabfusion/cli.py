@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("select-features", help="backward elimination over structured features")
     data_args(sp)
     sp.add_argument("--task", required=True)
-    sp.add_argument("--tolerance", type=float, default=0.002)
-    sp.add_argument("--min-features", type=int, default=1)
+    sp.add_argument("--tolerance", type=float, default=StopRule.tolerance)
+    sp.add_argument("--min-features", type=int, default=StopRule.min_features)
     sp.add_argument("--out-schema", required=True)
     sp.add_argument("--trace")
     sp.set_defaults(func=cmd_select)

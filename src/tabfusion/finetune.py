@@ -270,7 +270,10 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     does not advance power iteration, and its record, if it evaluated, has
     no `total`. A non-finite loss raises RuntimeError naming the step.
 
-    Rows named by `val_indices` are held out of training. Every
+    Rows named by `val_indices` are held out of training: they must be
+    distinct indices into `snapshots` (ValueError), and every task must keep
+    a labeled row to train on (DataError), both refused by `check_finetune`
+    before any work. Every
     `cfg.eval_every` steps, trained or not, each task's head is scored by
     AUPRC on the embedded held-out rows labeled for its task, class 1
     against the rest, recorded as `val_auprc.<task>`. Only tasks with a held-out class-1 row
@@ -283,7 +286,7 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     """
     from .metrics import auprc
 
-    check_finetune(model.heads, snapshots, tasks, cfg.linear_probe)
+    check_finetune(model.heads, snapshots, tasks, cfg.linear_probe, val_indices)
     head_rng = np.random.default_rng(cfg.seed + 1)
     for t in tasks:
         if t.name not in model.heads:
@@ -375,23 +378,34 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     return curve
 
 
-def check_finetune(heads: dict, snapshots, tasks: list[TaskSpec], linear_probe: bool) -> None:
+def check_finetune(heads: dict, snapshots, tasks: list[TaskSpec], linear_probe: bool, val_indices=None) -> None:
     """The refusals `finetune_loop` makes before its work, for a model with
     `heads`: training the backbone under a head no task names would leave
-    it stale (ConfigError, unless `linear_probe`); every task needs a
-    labeled row, and its labels must be integers in [0, classes)
+    it stale (ConfigError, unless `linear_probe`); `val_indices` must name
+    distinct rows of `snapshots` by indices in [0, len(snapshots))
+    (ValueError naming the first bad one); every task needs a labeled row
+    outside them, and its labels must be integers in [0, classes)
     (DataError)."""
     others = [name for name in heads if name not in {t.name for t in tasks}]
     if others and not linear_probe:
         raise ConfigError(f"training the backbone would leave head '{others[0]}' stale: "
                           f"pass task '{others[0]}' too, or set linear_probe")
+    held = set()
+    for i in () if val_indices is None else np.asarray(val_indices).tolist():
+        if not isinstance(i, int) or not 0 <= i < len(snapshots) or i in held:
+            raise ValueError(f"val_indices holds {i!r}: held-out rows are distinct indices in "
+                             f"[0, {len(snapshots)})")
+        held.add(i)
     for t in tasks:
-        labels = [s.labels[t.name] for s in snapshots if s.labels.get(t.name) is not None]
-        if not labels:
+        rows = [i for i, s in enumerate(snapshots) if s.labels.get(t.name) is not None]
+        if not rows:
             raise DataError(f"no labeled examples for task '{t.name}'")
-        bad = [y for y in labels if not (isinstance(y, (int, np.integer)) and 0 <= y < t.classes)]
+        bad = [y for y in (snapshots[i].labels[t.name] for i in rows)
+               if not (isinstance(y, (int, np.integer)) and 0 <= y < t.classes)]
         if bad:
             raise DataError(f"task '{t.name}' has label {bad[0]!r}; labels are integers in [0, {t.classes})")
+        if held.issuperset(rows):
+            raise DataError(f"task '{t.name}' has no labeled row outside val_indices to train on")
 
 
 def fit_heads_covariance(model, snapshots, tasks, pooled=None) -> None:

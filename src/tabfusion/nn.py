@@ -113,7 +113,8 @@ class _Placeholders:
 
 
 class Linear(Module):
-    """Dense layer y = x W^T + b with Kaiming-uniform init."""
+    """Dense layer y = x W^T + b with Kaiming-uniform init. It serves its
+    parameter W in every mode and keeps nothing beside its parameters."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
         bound = 1.0 / np.sqrt(in_dim)
@@ -124,21 +125,11 @@ class Linear(Module):
         self.bias = (
             Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True) if bias else None
         )
-        # the weight of the last inference call and the arrays it was made
-        # from, weight.data first (SpectralLinear adds u and v); not saved
-        self._cached_weight: tuple | None = None
 
     def effective_weight(self) -> Tensor:
-        """W itself; under no_grad, W as the transpose of a C-contiguous
-        [in, out] array, the layout the row kernels read, made once per
-        `weight.data` array (see SpectralLinear.effective_weight)."""
-        w = self.weight
-        if grad_enabled():
-            return w
-        c = self._cached_weight
-        if c is None or c[0] is not w.data:
-            c = self._cached_weight = (w.data, Tensor(np.asfortranarray(w.data)))
-        return c[1]
+        """W itself, in every mode: the row kernel copies W^T into the
+        contiguous [in, out] layout it reads, so serving needs no cache."""
+        return self.weight
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.effective_weight(), self.bias)
@@ -163,6 +154,9 @@ class SpectralLinear(Linear):
         # a zero weight has sigma 0 and nothing to warm-start toward: what
         # power_iteration would return, without its matvec
         _, self.u, self.v = power_iteration(w, u, 5) if w.any() else (0.0, u, np.zeros(in_dim, w.dtype))
+        # the W / sigma of the last no_grad call and the weight.data, u and v
+        # it was made from; not saved
+        self._cached_weight: tuple | None = None
 
     def effective_weight(self) -> Tensor:
         """W / sigma, or W itself when sigma < eps, with the current u and v.
@@ -172,13 +166,13 @@ class SpectralLinear(Linear):
         rebuild W / sigma in their backward, so a training graph keeps no
         W / sigma array. A call under no_grad reuses the last such result
         while `weight.data`, `u` and `v` are the same array objects as when
-        it was made, so serving does not renormalize every layer per
-        request. Library code
-        therefore assigns new arrays and never writes into these: writing
-        into `weight.data` after a no_grad call leaves a stale W / sigma.
-        Graph-building calls never use the cache. The cached W / sigma is
-        the transpose of a C-contiguous [in, out] array, the layout the row
-        kernels read, so a request makes no copy of it.
+        it was made, so a served request neither renormalizes a layer (two
+        products for sigma and a full pass over W) nor copies W / sigma:
+        the cached array is the transpose of a C-contiguous [in, out] array,
+        the layout the row kernels read. Library code therefore assigns new
+        arrays and never writes into these: writing into `weight.data`
+        after a no_grad call leaves a stale W / sigma. Graph-building calls
+        never use the cache.
         """
         w = self.weight
         if grad_enabled():

@@ -581,7 +581,7 @@ def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> T
     return out
 
 
-def multi_head_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, heads: int = 1, key_mask=None) -> Tensor:
+def multi_head_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, heads: int, key_mask=None) -> Tensor:
     """softmax(q k^T / sqrt(dh) + mask) v over the tokens of x [B, T, d_in],
     with q, k, v = x W_q^T, x W_k^T, x W_v^T, as one graph node.
 
@@ -828,30 +828,12 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---- neural-net ops; each is a single graph node ---------------------------
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """The maximum over the last axis, keepdims; the input itself when that
-    axis has length 1.
-
-    Folds the axis in halves with np.maximum, which is exact and propagates
-    NaN, so the result equals x.max(axis=-1, keepdims=True) (a zero maximum
-    may differ in sign, which x - max and its exp do not see). Over short
-    rows it is several times faster than numpy's per-row reduction.
-    """
-    m = x
-    while m.shape[-1] > 1:
-        n = m.shape[-1]
-        h = n // 2
-        folded = np.maximum(m[..., :h], m[..., h : 2 * h])
-        if n % 2:
-            np.maximum(folded[..., :1], m[..., 2 * h :], out=folded[..., :1])
-        m = folded
-    return m
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max subtracted before exponentiation)."""
+    """Numerically stable softmax: numpy's maximum over the axis is
+    subtracted before exponentiation. Only the heads' small logits and the
+    losses come here; attention runs its own softmax in its node."""
     moved = np.moveaxis(x.data, axis, -1)
-    e = moved - _row_max(moved)
+    e = moved - moved.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     data = np.moveaxis(e, -1, axis)
@@ -866,7 +848,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     moved = np.moveaxis(x.data, axis, -1)
-    shifted = np.moveaxis(moved - _row_max(moved), -1, axis)
+    shifted = np.moveaxis(moved - moved.max(axis=-1, keepdims=True), -1, axis)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
     p = np.exp(data)

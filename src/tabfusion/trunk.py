@@ -41,7 +41,7 @@ class TrunkConfig:
             raise ValueError("d_prime must be >= 1")
 
 
-def attention(x: Tensor, w_q: Linear, w_k: Linear, w_v: Linear, heads: int = 1, key_mask=None) -> Tensor:
+def attention(x: Tensor, w_q: Linear, w_k: Linear, w_v: Linear, heads: int, key_mask=None) -> Tensor:
     """Scaled dot-product attention over the token axis of x [B, T, d].
 
     One `multi_head_attention` node over x and the effective weights of the

@@ -550,6 +550,33 @@ class TestFreshInitialisation:
             "44be50bb8e4c3ba281640e17b5170051b067d68449f99301cd64a8a53b771e62")
 
 
+def answers_digest(answers) -> str:
+    """sha256 over the probs and variance bytes of calibrated answers."""
+    digest = hashlib.sha256()
+    for answer in answers:
+        assert answer["calibrated"]
+        digest.update(answer["probs"].tobytes())
+        digest.update(answer["variance"].tobytes())
+    return digest.hexdigest()
+
+
+def test_served_answers_are_pinned(tmp_path):
+    # a loaded model's answers run every no_grad weight path: spectral trunk
+    # layers, the plain Mlp projectors of the embedding features and the
+    # head's plain beta
+    schema = small_schema()
+    snaps = random_snapshots(schema, 40, seed=8, missing_rate=0.1)
+    model = Model(schema, RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=8))
+    cfg = RunConfig(finetune_steps=4, batch_size=16, d_rf=32, seed=8).finetune_config()
+    finetune_loop(model, snaps, [TaskSpec("risk", 2)], cfg)
+    model.save(tmp_path / "m.ckpt", {})
+    served = Model.load(tmp_path / "m.ckpt")
+    assert answers_digest(served.predict([s], "risk") for s in snaps[:8]) == (
+        "8699d3dc3b77b0c80de4488a253bcc509036b302ee255094250de9199bb6811c")
+    assert answers_digest([served.predict(snaps, "risk")]) == (
+        "c617b6b69fda7cb91cb1831cefde050274c2afebd905d11b38edf3aea5402673")
+
+
 class TestRunConfig:
     def test_defaults_validate(self):
         RunConfig().validate()

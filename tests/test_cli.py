@@ -12,6 +12,7 @@ from conftest import random_snapshots, small_schema
 from tabfusion.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, build_parser, main
 from tabfusion.config import RunConfig
 from tabfusion.data import FeatureSchema, TaskSpec, load_dataset, save_dataset
+from tabfusion.feature_select import StopRule
 from tabfusion.finetune import SngpHead, predict_scores
 from tabfusion.metrics import auprc, auroc, ece
 from tabfusion.model import Model
@@ -311,6 +312,12 @@ class TestDryRun:
     def test_every_subcommand_has_a_case(self):
         commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
         assert {command[0] for _, command, _, _ in DRY_RUN_REFUSALS.values()} == set(commands)
+
+
+def test_select_features_defaults_are_the_stop_rule_defaults():
+    args = build_parser().parse_args(
+        ["select-features", "--schema", "s.json", "--data", "d.csv", "--task", "risk", "--out-schema", "r.json"])
+    assert StopRule(tolerance=args.tolerance, min_features=args.min_features) == StopRule()
 
 
 def rewrite_cell(ws, row, column, text):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import linalg_widths, random_snapshots, small_schema, traced
 from tabfusion.config import ConfigError, RunConfig
-from tabfusion.data import FeatureSchema, FeatureSpec, Snapshot, TaskSpec
+from tabfusion.data import DataError, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.finetune import (
     INVERSE_LEAF,
     VARIANCE_PANEL_COLS,
@@ -573,6 +573,28 @@ class TestFinetuneLoop:
         val = np.array([7, 0, 29])
         finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=1), val_indices=val)
         assert [id(s) for s in seen] == [id(s) for i, s in enumerate(snaps) if i not in (0, 7, 29)]
+
+    @pytest.mark.parametrize("val, bad", [([5, -1, -2], -1), ([4, 30], 30), ([3, 7, 3], 3)])
+    def test_held_out_index_outside_the_rows_or_repeated_rejected(self, val, bad):
+        # -1 and -2 used to hold out rows 29 and 28 and train on them too, 30
+        # died with a bare IndexError and a repeated 3 was scored twice
+        _, snaps, model = separable_setup(n=30)
+        with pytest.raises(ValueError, match=rf"val_indices holds {bad}:"):
+            finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=1), val_indices=val)
+        assert model.heads == {}
+
+    def test_task_with_every_labeled_row_held_out_rejected(self):
+        # such a task used to train nothing, record no loss and keep the
+        # ridge-only precision of its head, which then answered as calibrated
+        _, snaps, model = separable_setup(n=30)
+        for i, s in enumerate(snaps):
+            s.labels["churn"] = i % 2 if i < 10 else None
+        tasks = [TaskSpec("risk", 2), TaskSpec("churn", 2)]
+        with pytest.raises(DataError, match="task 'churn' has no labeled row outside val_indices"):
+            finetune_loop(model, snaps, tasks, quick_cfg(steps=2), val_indices=list(range(10)))
+        assert model.heads == {}
+        finetune_loop(model, snaps, tasks, quick_cfg(steps=2), val_indices=list(range(5, 15)))
+        assert set(model.heads) == {"risk", "churn"}
 
     def test_validation_skips_rows_without_label(self):
         _, snaps, model = separable_setup(n=40)

@@ -227,8 +227,6 @@ CONFIG_DEFAULTS_ALLOWED = {
     "data.TaskSpec.gamma": "bench/workloads.py builds the serve fixture's tasks as TaskSpec(TASK, 2)",
     "trunk.TrunkConfig.spectral_norm": "bench/tests/test_bench_harness.py builds a TrunkConfig without it",
     "config.LossWeights.tau": "criterion 7 builds LossWeights from its six weights alone",
-    "trunk.attention.heads": "an op's single-head default, which ISA's attention uses",
-    "tensor.multi_head_attention.heads": "an op's single-head default",
     "metrics.MetricsReport.folds": "a list of fold results, not the RunConfig folds count",
 }
 
@@ -274,10 +272,10 @@ def test_no_hand_written_state_plumbing():
 
 
 # the attributes whose arrays something else is made from and kept: a
-# weight's `.data` (the identity-keyed no_grad caches of W/sigma and of a
-# plain Linear's weight layout) and an SNGP head's `precision` (its
-# `factor`, made once after a fit); the head's `omega` and `factor` are
-# set whole, by a fit, a load or a re-layout, like its other arrays
+# weight's `.data` (a spectral layer's identity-keyed no_grad W/sigma) and
+# an SNGP head's `precision` (its `factor`, made once after a fit); the
+# head's `omega` and `factor` are set whole, by a fit, a load or a
+# re-layout, like its other arrays
 CACHE_KEYS = ("data", "omega", "precision", "factor")
 
 

@@ -13,7 +13,6 @@ from tabfusion.tensor import (
     Node,
     ShapeError,
     Tensor,
-    _row_max,
     concat,
     ffn,
     gelu,
@@ -411,13 +410,13 @@ class TestOneNodeOps:
     def test_attention_shape_errors(self):
         x, w = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 4)))
         with pytest.raises(ShapeError):
-            multi_head_attention(x, w, w, Tensor(np.ones((2, 4))))
+            multi_head_attention(x, w, w, Tensor(np.ones((2, 4))), heads=1)
         with pytest.raises(ShapeError):
             multi_head_attention(x, w, w, w, heads=3)
         with pytest.raises(ShapeError):
-            multi_head_attention(x, *[Tensor(np.ones((4, 3)))] * 3)
+            multi_head_attention(x, *[Tensor(np.ones((4, 3)))] * 3, heads=1)
         with pytest.raises(ShapeError):
-            multi_head_attention(Tensor(np.ones((3, 4))), w, w, w)
+            multi_head_attention(Tensor(np.ones((3, 4))), w, w, w, heads=1)
 
     def test_numeric_encoding_gradient(self, rng):
         b, n, h = 5, 3, 4
@@ -449,6 +448,8 @@ class TestOneNodeOps:
 
     @pytest.mark.parametrize("n", range(1, 34))
     def test_row_max_equals_numpy_max_bitwise(self, n):
+        # numpy's row max, which softmax and log_softmax subtract, is the
+        # fold's bit for bit, so both give the bits they gave on the fold
         rng = np.random.default_rng(n)
         x = rng.standard_normal((40, 3, n)).astype(np.float32)
         pick = rng.random(x.shape)
@@ -456,10 +457,32 @@ class TestOneNodeOps:
         x[(pick >= 0.05) & (pick < 0.15)] = -np.inf
         x[(pick >= 0.15) & (pick < 0.18)] = np.nan
         x[:2] = -np.inf  # rows with no finite value
-        got, want = _row_max(x), x.max(axis=-1, keepdims=True)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
-        assert np.array_equal(_row_max(x.astype(np.float64)), want.astype(np.float64), equal_nan=True)
+        ref, want = folded_row_max(x), x.max(axis=-1, keepdims=True)
+        assert ref.shape == want.shape
+        assert np.array_equal(ref.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(folded_row_max(x.astype(np.float64)), want.astype(np.float64), equal_nan=True)
+        with np.errstate(invalid="ignore"):
+            shifted = x - ref
+            e = np.exp(shifted)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            probs = softmax(Tensor(x)).data
+            got_log = log_softmax(Tensor(x)).data
+        assert np.array_equal(probs.view(np.uint32), (e / e.sum(axis=-1, keepdims=True)).view(np.uint32))
+        assert np.array_equal(got_log.view(np.uint32), log_probs.view(np.uint32))
+
+
+def folded_row_max(x: np.ndarray) -> np.ndarray:
+    """Reference maximum over the last axis, keepdims: the axis folded in
+    halves with np.maximum, which is exact and propagates NaN."""
+    m = x
+    while m.shape[-1] > 1:
+        n = m.shape[-1]
+        h = n // 2
+        folded = np.maximum(m[..., :h], m[..., h : 2 * h])
+        if n % 2:
+            np.maximum(folded[..., :1], m[..., 2 * h :], out=folded[..., :1])
+        m = folded
+    return m
 
 
 class TestFfn:

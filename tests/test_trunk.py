@@ -73,10 +73,10 @@ class TestAttention:
         wq, wk, wv = plain_qkv(4, rng)
         x = rng.standard_normal((1, 3, 4))
         mask = np.array([[1.0, 1.0, 0.0]])
-        base = attention(Tensor(x), wq, wk, wv, key_mask=mask).data
+        base = attention(Tensor(x), wq, wk, wv, heads=1, key_mask=mask).data
         x2 = x.copy()
         x2[0, 2] = 99.0  # only the masked token changes
-        got = attention(Tensor(x2), wq, wk, wv, key_mask=mask).data
+        got = attention(Tensor(x2), wq, wk, wv, heads=1, key_mask=mask).data
         np.testing.assert_allclose(got[0, :2], base[0, :2], rtol=1e-6)
 
 
