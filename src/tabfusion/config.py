@@ -4,6 +4,7 @@ run default, its validation, and the stage records the training loops read."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -59,11 +60,13 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the first field whose value is not of its
-        declared type or is out of range."""
+        declared type, is a non-finite float, or is out of range."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, FIELD_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):  # JSON reads Infinity and NaN
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         checks = [
             (self.d > 0 and self.d % 2 == 0, "d must be a positive even integer"),
             (self.heads > 0 and self.d % self.heads == 0, "d must be divisible by heads"),

@@ -8,6 +8,7 @@ that fitted probe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ class StopRule:
     min_features: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.tolerance):
+            raise ConfigError(f"tolerance must be finite, got {self.tolerance!r}")
         if self.min_features < 1:
             raise ConfigError(f"min_features must be at least 1, got {self.min_features}")
 

@@ -22,8 +22,6 @@ __all__ = ["TaskSpec", "SngpHead", "focal_loss", "check_finetune", "finetune_loo
 VARIANCE_BLOCK_ROWS = 4
 # Columns per panel of the upper-triangular variance factor.
 VARIANCE_PANEL_COLS = 128
-# Widest diagonal block the triangular inverse hands to a general inverse.
-INVERSE_LEAF = 64
 
 
 class SngpHead(Module):
@@ -45,7 +43,6 @@ class SngpHead(Module):
         ridge: float,
         kappa: float = math.pi / 8.0,
     ):
-        self.in_dim = in_dim
         self.classes = classes
         self.d_rf = d_rf
         self.length_scale = length_scale
@@ -175,9 +172,10 @@ def _factorise(precision: np.ndarray) -> np.ndarray:
     earlier panel; its diagonal block's inverse is M = L_pp^-1 with L_pp =
     chol(Lambda[c0:c1, c0:c1] - G G^T); and L^-1's block row is
     [-M G F[:c0, :c0]^T | M], the panel's transpose. Cholesky factorisations
-    and inverses see blocks of at most VARIANCE_PANEL_COLS; with one panel
-    (d_rf <= VARIANCE_PANEL_COLS) this is chol and `_invert_lower` of the
-    whole precision."""
+    and inverses see blocks of at most VARIANCE_PANEL_COLS: M is
+    np.linalg.inv(L_pp) with its strictly upper part zeroed. With one panel
+    (d_rf <= VARIANCE_PANEL_COLS) that is the inverse of the whole
+    precision's Cholesky factor."""
     d_rf = precision.shape[0]
     packed = np.empty(packed_size(d_rf))
     done = []  # ((q0, q1), panel) for the panels made so far
@@ -185,7 +183,7 @@ def _factorise(precision: np.ndarray) -> np.ndarray:
         g = np.empty((c1 - c0, c0))  # G, L's block row left of the diagonal
         for (q0, q1), f in done:
             np.matmul(precision[c0:c1, :q1], f, out=g[:, q0:q1])
-        m = _invert_lower(np.linalg.cholesky(precision[c0:c1, c0:c1] - g @ g.T))
+        m = np.tril(np.linalg.inv(np.linalg.cholesky(precision[c0:c1, c0:c1] - g @ g.T)))
         h = np.zeros((c1 - c0, c0))  # G F[:c0, :c0]^T
         for (q0, q1), f in done:
             h[:, :q1] += g[:, q0:q1] @ f.T
@@ -204,31 +202,6 @@ def _panel_views(packed: np.ndarray, d_rf: int) -> list:
         views.append(packed[start:end].reshape(c1, c1 - c0))
         start = end
     return views
-
-
-def _invert_lower(low: np.ndarray) -> np.ndarray:
-    """The inverse of the lower-triangular `low`, made in place in it. In
-    `_factorise`, `low` is one diagonal block of L, at most
-    VARIANCE_PANEL_COLS wide, so the inverse holds nothing near d_rf x d_rf.
-
-    With low = [[A, 0], [B, C]], the inverse is [[A^-1, 0], [-C^-1 B A^-1,
-    C^-1]]: both diagonal blocks are inverted in place, recursively, then B
-    is replaced through one B-sized temporary. Diagonal blocks of at most
-    INVERSE_LEAF columns are inverted by np.linalg.inv and their strictly
-    upper part zeroed. A and C split at a multiple of INVERSE_LEAF.
-    """
-    n = low.shape[0]
-    if n <= INVERSE_LEAF:
-        low[...] = np.tril(np.linalg.inv(low))
-        return low
-    h = -(-(n // 2) // INVERSE_LEAF) * INVERSE_LEAF
-    a, b, c = low[:h, :h], low[h:, :h], low[h:, h:]
-    _invert_lower(a)
-    _invert_lower(c)
-    ba = b @ a  # b's rows times A^-1, whose upper part is zero
-    np.matmul(c, ba, out=b)
-    np.negative(b, out=b)
-    return low
 
 
 def focal_loss(probs: Tensor, labels, gamma: float) -> Tensor:
@@ -380,13 +353,22 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
 
 def check_finetune(heads: dict, snapshots, tasks: list[TaskSpec], linear_probe: bool, val_indices=None) -> None:
     """The refusals `finetune_loop` makes before its work, for a model with
-    `heads`: training the backbone under a head no task names would leave
-    it stale (ConfigError, unless `linear_probe`); `val_indices` must name
-    distinct rows of `snapshots` by indices in [0, len(snapshots))
-    (ValueError naming the first bad one); every task needs a labeled row
-    outside them, and its labels must be integers in [0, classes)
-    (DataError)."""
-    others = [name for name in heads if name not in {t.name for t in tasks}]
+    `heads`: a task named twice, a task whose `classes` differs from its
+    head's, and training the backbone under a head no task names, which
+    would leave it stale (ConfigError, the last unless `linear_probe`);
+    `val_indices` must name distinct rows of `snapshots` by indices in
+    [0, len(snapshots)) (ValueError naming the first bad one); every task
+    needs a labeled row outside them, and its labels must be integers in
+    [0, classes) (DataError)."""
+    named = set()
+    for t in tasks:
+        if t.name in named:
+            raise ConfigError(f"task '{t.name}' is named twice; each task trains once")
+        named.add(t.name)
+        if t.name in heads and heads[t.name].classes != t.classes:
+            raise ConfigError(f"task '{t.name}' has {t.classes} classes but its head has "
+                              f"{heads[t.name].classes}")
+    others = [name for name in heads if name not in named]
     if others and not linear_probe:
         raise ConfigError(f"training the backbone would leave head '{others[0]}' stale: "
                           f"pass task '{others[0]}' too, or set linear_probe")

@@ -193,7 +193,8 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
     checkpoint is, raises ConfigError naming them; `check_pretrain` makes
     the refusals of the rows and the config.
 
-    Returns the loss curve: a list of per-step records.
+    Every LOG_EVERY steps a record is appended to `log_path`, which the
+    call starts empty. Returns the loss curve: a list of per-step records.
     """
     missing = [part for part in PRETRAINING_PARTS if part not in model.parts]
     if missing:
@@ -203,6 +204,8 @@ def pretrain_loop(model, snapshots: list[Snapshot], cfg: PretrainConfig, log_pat
     trainer = Trainer(model.named_state(), cfg.schedule, cfg.weight_decay, cfg.seed)
     aug_rng = np.random.default_rng(cfg.augment.seed)
     curve = []
+    if log_path:
+        open(log_path, "w").close()  # the log holds this run alone
     for step in range(cfg.steps):
         idx = trainer.batch(len(snapshots), cfg.batch_size)
         inputs = model.encoder.inputs([snapshots[i] for i in idx])

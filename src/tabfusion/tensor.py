@@ -458,13 +458,14 @@ def _row_product(a: np.ndarray, wt: np.ndarray, out: np.ndarray | None = None) -
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b; a 2-D b goes through the row kernel (`_row_product`), so each
-    row of a gets the same bits in any batch."""
+    """a [..., k] @ b [k, n]. b must be 2-D (ShapeError otherwise): the
+    product goes through the row kernel (`_row_product`), so each row of a
+    gets the same bits in any batch."""
     global _MAC_COUNT
-    if a.ndim < 2 or b.ndim < 2:
+    if a.ndim < 2 or b.ndim != 2:
         raise ShapeError("matmul", a.shape, b.shape)
     try:
-        data = _row_product(a.data, b.data) if b.ndim == 2 else np.matmul(a.data, b.data)
+        data = _row_product(a.data, b.data)
     except ValueError:
         raise ShapeError("matmul", a.shape, b.shape) from None
     # multiply-accumulate count: product of output extents times inner dim
@@ -475,16 +476,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if an is not None:
-            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-            an.accumulate(_unbroadcast(ga, an.shape))
+            an.accumulate(np.matmul(g, bd.T))
         if bn is not None:
-            if len(bn.shape) == 2:
-                # a shared 2-D weight: one gemm over all rows of every batch
-                k, n = bn.shape
-                bn.accumulate(ad.reshape(-1, k).T @ g.reshape(-1, n))
-            else:
-                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-                bn.accumulate(_unbroadcast(gb, bn.shape))
+            # a shared 2-D weight: one gemm over all rows of every batch
+            k, n = bn.shape
+            bn.accumulate(ad.reshape(-1, k).T @ g.reshape(-1, n))
 
     return Tensor._make(data, (a, b), bwd, "matmul")
 

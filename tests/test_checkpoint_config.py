@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema, traced
-from tabfusion import finetune, nn
+from tabfusion import nn
 from tabfusion.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -446,7 +447,7 @@ class TestServedCheckpoint:
             raise AssertionError("a load or a calibrated answer factorised")
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        monkeypatch.setattr(finetune, "_invert_lower", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
         clone = Model.load(tmp_path / "served.ckpt")
         got = predictions(clone, snaps)
         assert all(got[task]["calibrated"] for task in got)
@@ -598,6 +599,17 @@ class TestRunConfig:
         cfg = RunConfig(**{field: value})
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_fields_rejected(self, field, value, tmp_path):
+        # json.loads reads Infinity and NaN; an infinite initial_lr trained
+        # until the first non-finite loss
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            RunConfig.from_dict({field: value})
+        (tmp_path / "c.json").write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            RunConfig.load(tmp_path / "c.json")
 
     def test_json_round_trip(self, tmp_path):
         cfg = RunConfig(d=16, heads=4, seed=9)

@@ -214,6 +214,18 @@ DRY_RUN_REFUSALS = {
     "benchmark on a header naming a column twice": (
         [], ["benchmark", "--dataset", "adult", "--data", "bench2.csv", "--folds", "2"],
         EXIT_DATA, "the header names this column twice (feature 'age')"),
+    # non-finite settings: an infinite rate trained until its first
+    # non-finite loss (exit 1), and a nan tolerance eliminated down to one feature (exit 0)
+    "finetune with an infinite initial_lr": (
+        ["--config", "inflr.json"], ["finetune", *data_flags(), "--task", "risk", "--out-checkpoint", "x.ckpt"],
+        EXIT_CONFIG, "initial_lr must be finite, got inf"),
+    "select-features with a nan tolerance": (
+        [], ["select-features", *data_flags(), "--task", "risk", "--tolerance", "nan", "--out-schema", "r.json"],
+        EXIT_CONFIG, "tolerance must be finite, got nan"),
+    # trained with the loss added once per entry (exit 0)
+    "finetune with a task named twice": (
+        [], ["finetune", *data_flags(), "--task", "risk", "--task", "risk", "--out-checkpoint", "x.ckpt"],
+        EXIT_CONFIG, "task 'risk' is named twice"),
     # each output's directory: a missing one failed after the work
     "pretrain into a missing directory": (
         [], ["pretrain", *data_flags(), "--steps", "2", "--out-checkpoint", "nodir/x.ckpt"],
@@ -267,6 +279,7 @@ class TestDryRun:
         cfg = RunConfig.load("config.json")
         for name, change in (("steps0.json", {"pretrain_steps": 0}), ("batch1.json", {"batch_size": 1})):
             RunConfig.from_dict({**cfg.to_dict(), **change}).save(name)
+        Path("inflr.json").write_text(json.dumps({**cfg.to_dict(), "initial_lr": float("inf")}))
         schema = FeatureSchema.load("schema.json")
         Model(schema, cfg).save("pre.ckpt", cfg.to_dict())
         FeatureSchema([schema.get("age")], schema.tasks).save("age.json")

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import tabfusion.feature_select as feature_select
 from conftest import random_snapshots, small_schema
+from tabfusion.config import ConfigError
 from tabfusion.data import Asset, DataError, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.feature_select import (
     EliminationTrace,
@@ -152,6 +154,12 @@ class TestBackwardElimination:
         schema, snaps = label_copy_dataset(n_noise=3)
         reduced, _ = backward_eliminate(snaps, schema, "y", StopRule(tolerance=1.0, min_features=3), 0, "recency")
         assert len(reduced) == 3
+
+    @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_tolerance_is_refused(self, tolerance):
+        # nan compared false with every drop, so elimination ran down to min_features
+        with pytest.raises(ConfigError, match="tolerance must be finite"):
+            StopRule(tolerance=tolerance)
 
     def test_deterministic(self):
         schema, snaps = label_copy_dataset(n_noise=3, seed=5)

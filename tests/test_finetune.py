@@ -9,14 +9,12 @@ from conftest import linalg_widths, random_snapshots, small_schema, traced
 from tabfusion.config import ConfigError, RunConfig
 from tabfusion.data import DataError, FeatureSchema, FeatureSpec, Snapshot, TaskSpec
 from tabfusion.finetune import (
-    INVERSE_LEAF,
     VARIANCE_PANEL_COLS,
     SngpHead,
     finetune_loop,
     fit_heads_covariance,
     focal_loss,
     _factorise,
-    _invert_lower,
     _panel_views,
     packed_size,
     predict_scores,
@@ -224,14 +222,14 @@ class TestLaplaceCovariance:
         # a second copy of phi, it rose 12 MB above it
         assert peak < 0.05 * lam.nbytes
 
-    def test_first_variance_inverts_only_leaf_blocks(self, rng, monkeypatch):
+    def test_first_variance_inverts_only_panel_blocks(self, rng, monkeypatch):
         head = SngpHead(8, 2, rng, d_rf=1024, length_scale=2.0, ridge=1.0)
         phi = head.features(Tensor(rng.standard_normal((300, 8)))).data
         head.fit_covariance(phi, rng.uniform(0.05, 0.95, 300))
         widths = linalg_widths(monkeypatch, "inv")
         head.variance(phi[:1])
         monkeypatch.undo()
-        assert INVERSE_LEAF == 64 and 0 < max(widths) <= INVERSE_LEAF
+        assert VARIANCE_PANEL_COLS == 128 and 0 < max(widths) <= VARIANCE_PANEL_COLS
         dense = np.linalg.inv(np.linalg.cholesky(head.precision)).T
         for c0, panel in zip(range(0, 1024, VARIANCE_PANEL_COLS), _panel_views(head.factor, 1024)):
             want = dense[: c0 + VARIANCE_PANEL_COLS, c0 : c0 + VARIANCE_PANEL_COLS]
@@ -239,13 +237,13 @@ class TestLaplaceCovariance:
 
     @pytest.mark.parametrize("d_rf", [16, 32, 64, 128])
     def test_one_panel_factor_is_the_dense_route_bitwise(self, d_rf, rng):
-        # up to VARIANCE_PANEL_COLS the factor is the whole precision's
-        # Cholesky factor inverted in place, copied out panel by panel
+        # up to VARIANCE_PANEL_COLS the factor is the inverse of the whole
+        # precision's Cholesky factor, copied out panel by panel
         head = SngpHead(8, 2, rng, d_rf=d_rf, length_scale=2.0, ridge=1.0)
         lam = head.fit_covariance(
             head.features(Tensor(rng.standard_normal((300, 8)))).data, rng.uniform(0.05, 0.95, 300)
         )
-        l_inv = _invert_lower(np.linalg.cholesky(lam))
+        l_inv = np.tril(np.linalg.inv(np.linalg.cholesky(lam)))
         bounds = [(c0, min(c0 + VARIANCE_PANEL_COLS, d_rf)) for c0 in range(0, d_rf, VARIANCE_PANEL_COLS)]
         want = np.concatenate([l_inv[c0:c1, :c1].T.ravel() for c0, c1 in bounds])
         assert np.array_equal(_factorise(lam), want)
@@ -276,16 +274,6 @@ class TestLaplaceCovariance:
             )
         _, peak = traced(lambda: model.save(tmp_path / "m.ckpt", {}))
         assert peak < model.heads["risk"].precision.nbytes
-
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 300])
-    def test_triangular_inverse_in_place(self, n, rng):
-        a = rng.standard_normal((n, n))
-        low = np.linalg.cholesky(a @ a.T + n * np.eye(n))
-        want = np.linalg.inv(low)
-        got = low.copy()
-        assert _invert_lower(got) is got
-        assert not np.triu(got, 1).any()
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
     def test_variance_requires_fit(self, rng):
         head = SngpHead(2, 2, rng, d_rf=4, length_scale=2.0, ridge=1.0)
@@ -521,6 +509,22 @@ class TestFinetuneLoop:
         with pytest.raises(ConfigError, match="head 'risk'.*linear_probe"):
             finetune_loop(model, snaps, [TaskSpec("churn", 2)], quick_cfg(steps=1))
         assert list(model.heads) == ["risk"]
+
+    def test_a_task_named_twice_is_refused(self):
+        # it trained with the task's loss added once per entry and fitted its covariance twice
+        _, snaps, model = separable_setup(n=20)
+        with pytest.raises(ConfigError, match="task 'risk' is named twice"):
+            finetune_loop(model, snaps, [TaskSpec("risk", 2), TaskSpec("risk", 2)], quick_cfg(steps=1))
+        assert model.heads == {}
+
+    def test_a_task_whose_classes_differ_from_its_head_is_refused(self):
+        # a label reaching the class the head lacks raised a bare IndexError in focal_loss
+        _, snaps, model = separable_setup(n=20)
+        finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=1))
+        snaps[0].labels["risk"] = 2
+        with pytest.raises(ConfigError, match="task 'risk' has 3 classes but its head has 2"):
+            finetune_loop(model, snaps, [TaskSpec("risk", 3)], quick_cfg(steps=1))
+        assert model.heads["risk"].classes == 2
 
     def test_two_identical_tasks_have_equal_losses(self):
         schema = FeatureSchema(

@@ -352,6 +352,39 @@ class TestPretrainLoop:
         lines = log.read_text().strip().splitlines()
         assert lines and "total=" in lines[0]
 
+    def test_loss_log_holds_one_run(self, tmp_path):
+        # the log was opened for appending, so a second run's lines followed the first's
+        schema = small_schema()
+        snaps = random_snapshots(schema, 10, seed=6)
+        log = tmp_path / "loss.log"
+        pretrain_loop(tiny_model(schema), snaps, self.cfg(steps=12), log_path=log)
+        first = log.read_text()
+        pretrain_loop(tiny_model(schema), snaps, self.cfg(steps=12), log_path=log)
+        assert log.read_text() == first and len(first.splitlines()) == 2  # steps 0 and 10
+
+    def test_the_loss_reaches_every_parameter_but_one(self):
+        # a parameter the forward never reads is dead weight; the one known
+        # is the tag set's missing embedding, drawn for every
+        # multi-categorical feature, which `tokens` never reads because a
+        # tag set is never missing, only empty. It stays: dropping it would
+        # shift the init stream, moving every fresh-init digest and pinned
+        # curve, and would leave every file with a tag-set feature unloadable
+        schema = small_schema()
+        model = tiny_model(schema)
+        snaps = random_snapshots(schema, 12, seed=3, missing_rate=0.3)
+        inputs = model.encoder.inputs(snaps)
+        partner = np.roll(np.arange(len(snaps)), 1)
+        augmented = cutmix(inputs, partner, 0.5, np.random.default_rng(0))
+        x_orig, mask = model.encoder.tokens(inputs)
+        x_aug, mask_aug = model.encoder.tokens(augmented)
+        x_aug = mixup(x_aug, x_aug[partner.tolist()], 0.8)
+        tokens_aug, pooled_aug = model.trunk(x_aug, mask_aug, mode="pretrain")
+        _, pooled_orig = model.trunk(x_orig, mask, mode="pretrain")
+        parts = reconstruction_loss(tokens_aug, inputs, model.recon)
+        parts["con"] = info_nce(pooled_orig, pooled_aug, 0.1)
+        pretrain_total_loss(parts, LossWeights()).backward()
+        assert [name for name, p in model.parameters().items() if p.grad is None] == ["encoder.missing.tags"]
+
 
 def default_size_schema() -> FeatureSchema:
     """Every feature kind, 16 tokens per row."""

@@ -57,6 +57,11 @@ class TestForwardOps:
         with pytest.raises(ShapeError, match="matmul"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
+    def test_matmul_refuses_a_batched_right_operand(self):
+        # only a 2-D weight takes the row kernel, so a stacked b is refused
+        with pytest.raises(ShapeError, match="matmul"):
+            matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 4))))
+
     def test_add_shape_error(self):
         with pytest.raises(ShapeError, match="add"):
             Tensor(np.ones((2, 3))) + Tensor(np.ones((4,)))
