@@ -259,7 +259,8 @@ def load_dataset(data_path, schema, embeddings_path=None):
     for a task the schema declares. Malformed content, a non-finite numeric
     cell or referenced sidecar vector included, raises DataError naming the
     first bad row and its feature or `label:<task>` column; so does a header
-    that names a column twice.
+    that names a column twice. A sidecar whose length is not a multiple of
+    4 bytes raises DataError naming the file.
 
     The file is read LOAD_CHUNK_ROWS rows at a time and converted one column
     at a time; each chunk's embedding vectors are rows of one array gathered
@@ -269,6 +270,9 @@ def load_dataset(data_path, schema, embeddings_path=None):
     schema = schema.copy()  # normalization is filled in below
     sidecar = None
     if embeddings_path is not None:
+        size = Path(embeddings_path).stat().st_size
+        if size % 4:  # np.fromfile would drop the trailing bytes
+            raise DataError(f"embeddings sidecar {embeddings_path} holds {size} bytes, not whole float32 values")
         sidecar = np.fromfile(embeddings_path, dtype="<f4")
 
     with Path(data_path).open(newline="") as fh:

@@ -246,19 +246,23 @@ def finetune_loop(model, snapshots, tasks: list[TaskSpec], cfg: FinetuneConfig, 
     Rows named by `val_indices` are held out of training: they must be
     distinct indices into `snapshots` (ValueError), and every task must keep
     a labeled row to train on (DataError), both refused by `check_finetune`
-    before any work. Every
-    `cfg.eval_every` steps, trained or not, each task's head is scored by
-    AUPRC on the embedded held-out rows labeled for its task, class 1
-    against the rest, recorded as `val_auprc.<task>`. Only tasks with a held-out class-1 row
-    are scored; the mean of their AUPRCs drives early stopping with
-    `cfg.patience`. At the end the trained parameters with the best mean are
-    restored, with the power-iteration vectors u and v of their spectral
-    layers, so the model is the one that was scored. When no task has a
+    before any work, as is an `eval_every` or `patience` below 1
+    (ConfigError). Every `cfg.eval_every` steps, trained or not, each
+    task's head is scored by AUPRC on the embedded held-out rows labeled
+    for its task, class 1 against the rest, recorded as `val_auprc.<task>`.
+    Only tasks with a held-out class-1 row are scored; the mean of their
+    AUPRCs drives early stopping with `cfg.patience`. At the end the trained
+    parameters with the best mean are restored, with the power-iteration
+    vectors u and v of their spectral layers, so the model is the one that
+    was scored. When no task has a
     held-out positive there is nothing to score: the rows stay held out,
     but early stopping is skipped and no `val_auprc` enters the records.
     """
     from .metrics import auprc
 
+    for name, value in (("eval_every", cfg.eval_every), ("patience", cfg.patience)):
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
     check_finetune(model.heads, snapshots, tasks, cfg.linear_probe, val_indices)
     head_rng = np.random.default_rng(cfg.seed + 1)
     for t in tasks:

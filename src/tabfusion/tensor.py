@@ -3,10 +3,12 @@
 A small numpy-backed autodiff engine. The graph is kept apart from the
 values: every recorded op makes a `Node` in a DAG of nodes, holding the
 closure that scatters the upstream gradient to its parent nodes, and the
-`Tensor` it returns holds that node and its value. A closure captures the
-parent nodes and only the arrays its backward reads, never a Tensor, so an
-interior value is freed as soon as the caller drops its Tensor unless some
-backward reads it.
+`Tensor` it returns holds that node and its value. An op with one parent
+(the unary, shape and normalising ops) gives only its value and its
+gradient rule to `Tensor._unary`, which records the node. A closure
+captures the parent nodes and only the arrays its backward reads, never a
+Tensor, so an interior value is freed as soon as the caller drops its
+Tensor unless some backward reads it.
 Under ``no_grad`` ops record nothing, so an inference forward holds no graph.
 ``backward`` frees each interior node's gradient and closure as soon as it
 has run, so a graph can be walked back once and only leaf ``.grad`` survives.
@@ -171,6 +173,15 @@ class Tensor:
                 out._node = Node(nodes, backward, data.shape, data.dtype, op)
         return out
 
+    @staticmethod
+    def _unary(data: np.ndarray, x: "Tensor", grad, op: str) -> "Tensor":
+        """The output of an op whose one parent is x: its node's backward
+        hands grad(g), the gradient at x, to x's node. Every one-parent op
+        is recorded here, so it gives only its value and `grad`, which
+        captures the arrays it reads (and x's shape or dtype), never x."""
+        xn = x._node
+        return Tensor._make(data, (x,), lambda g: xn.accumulate(grad(g)), op)
+
     @property
     def data(self) -> np.ndarray:
         return self._data
@@ -288,37 +299,25 @@ class Tensor:
         return mul(self._coerce(other), self ** -1.0)
 
     def __neg__(self):
-        data = -self._data
-        xn = self._node
-
-        def bwd(g):
-            xn.accumulate(-g)
-
-        return Tensor._make(data, (self,), bwd, "neg")
+        return Tensor._unary(-self._data, self, lambda g: -g, "neg")
 
     def __pow__(self, exponent: float):
         e = float(exponent)
-        xd, xn = self._data, self._node
-        data = xd ** e
-
-        def bwd(g):
-            xn.accumulate(g * e * xd ** (e - 1.0))
-
-        return Tensor._make(data, (self,), bwd, "pow")
+        xd = self._data
+        return Tensor._unary(xd ** e, self, lambda g: g * e * xd ** (e - 1.0), "pow")
 
     def __matmul__(self, other):
         return matmul(self, self._coerce(other))
 
     def __getitem__(self, idx):
-        data = self._data[idx]
-        xn = self._node
+        shape, dtype = self.shape, self.dtype
 
-        def bwd(g):
-            full = np.zeros(xn.shape, dtype=xn.dtype)
+        def grad(g):
+            full = np.zeros(shape, dtype=dtype)
             np.add.at(full, idx, g)
-            xn.accumulate(full)
+            return full
 
-        return Tensor._make(data, (self,), bwd, "getitem")
+        return Tensor._unary(self._data[idx], self, grad, "getitem")
 
     def __repr__(self):
         op = None if self._node is None else self._node.op
@@ -328,58 +327,28 @@ class Tensor:
 
     def exp(self):
         data = np.exp(self._data)
-        xn = self._node
-
-        def bwd(g):
-            xn.accumulate(g * data)
-
-        return Tensor._make(data, (self,), bwd, "exp")
+        return Tensor._unary(data, self, lambda g: g * data, "exp")
 
     def log(self):
-        xd, xn = self._data, self._node
-        data = np.log(xd)
-
-        def bwd(g):
-            xn.accumulate(g / xd)
-
-        return Tensor._make(data, (self,), bwd, "log")
+        xd = self._data
+        return Tensor._unary(np.log(xd), self, lambda g: g / xd, "log")
 
     def tanh(self):
         data = np.tanh(self._data)
-        xn = self._node
-
-        def bwd(g):
-            xn.accumulate(g * (1.0 - data * data))
-
-        return Tensor._make(data, (self,), bwd, "tanh")
+        return Tensor._unary(data, self, lambda g: g * (1.0 - data * data), "tanh")
 
     def sin(self):
-        xd, xn = self._data, self._node
-        data = np.sin(xd)
-
-        def bwd(g):
-            xn.accumulate(g * np.cos(xd))
-
-        return Tensor._make(data, (self,), bwd, "sin")
+        xd = self._data
+        return Tensor._unary(np.sin(xd), self, lambda g: g * np.cos(xd), "sin")
 
     def cos(self):
-        xd, xn = self._data, self._node
-        data = np.cos(xd)
-
-        def bwd(g):
-            xn.accumulate(g * -np.sin(xd))
-
-        return Tensor._make(data, (self,), bwd, "cos")
+        xd = self._data
+        return Tensor._unary(np.cos(xd), self, lambda g: g * -np.sin(xd), "cos")
 
     def clip_min(self, floor: float):
         """Lower clamp; gradient passes only where the input is above the floor."""
-        xd, xn = self._data, self._node
-        data = np.maximum(xd, floor)
-
-        def bwd(g):
-            xn.accumulate(g * (xd > floor))
-
-        return Tensor._make(data, (self,), bwd, "clip_min")
+        xd = self._data
+        return Tensor._unary(np.maximum(xd, floor), self, lambda g: g * (xd > floor), "clip_min")
 
     # ---- shape ops -------------------------------------------------------
 
@@ -562,16 +531,15 @@ def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> T
     if sigma[0, 0] < eps:
         return w
     inv = sigma ** -1.0
-    wd, wn = w.data, w._node
-    data = wd * inv
+    wd = w.data
 
-    def bwd(g):
+    def grad(g):
         gw = g * inv
         coef = np.vdot(g, wd) * (inv[0, 0] * inv[0, 0])
         gw -= np.outer(u * coef, v)
-        wn.accumulate(gw)
+        return gw
 
-    out = Tensor._make(data, (w,), bwd, "spectral_normalize")
+    out = Tensor._unary(wd * inv, w, grad, "spectral_normalize")
     if out._node is not None:
         out._node.recipe = (wd, inv)
     return out
@@ -763,24 +731,15 @@ def reshape(x: Tensor, shape) -> Tensor:
         data = x.data.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", x.shape, shape) from None
-    xn = x._node
-
-    def bwd(g):
-        xn.accumulate(g.reshape(xn.shape))
-
-    return Tensor._make(data, (x,), bwd, "reshape")
+    back = x.shape
+    return Tensor._unary(data, x, lambda g: g.reshape(back), "reshape")
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     data = np.transpose(x.data, axes)
     inv = np.argsort(axes)
-    xn = x._node
-
-    def bwd(g):
-        xn.accumulate(np.transpose(g, inv))
-
-    return Tensor._make(data, (x,), bwd, "transpose")
+    return Tensor._unary(data, x, lambda g: np.transpose(g, inv), "transpose")
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -805,15 +764,15 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
-    xn = x._node
+    shape = x.shape
 
-    def bwd(g):
+    def grad(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        xn.accumulate(np.broadcast_to(g, xn.shape).copy())
+        return np.broadcast_to(g, shape).copy()
 
-    return Tensor._make(np.asarray(data), (x,), bwd, "reduce_sum")
+    return Tensor._unary(np.asarray(data), x, grad, "reduce_sum")
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -833,13 +792,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     data = np.moveaxis(e, -1, axis)
-    xn = x._node
 
-    def bwd(g):
+    def grad(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        xn.accumulate(data * (g - dot))
+        return data * (g - dot)
 
-    return Tensor._make(data, (x,), bwd, "softmax")
+    return Tensor._unary(data, x, grad, "softmax")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -848,12 +806,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
     p = np.exp(data)
-    xn = x._node
-
-    def bwd(g):
-        xn.accumulate(g - p * g.sum(axis=axis, keepdims=True))
-
-    return Tensor._make(data, (x,), bwd, "log_softmax")
+    return Tensor._unary(data, x, lambda g: g - p * g.sum(axis=axis, keepdims=True), "log_softmax")
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -871,17 +824,16 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     inv += eps
     inv **= -0.5
     y *= inv
-    xn = x._node
 
-    def bwd(g):
+    def grad(g):
         gy = g * y
         gx = g - g.sum(axis=-1, keepdims=True) / n
         np.multiply(y, gy.sum(axis=-1, keepdims=True) / n, out=gy)
         gx -= gy
         gx *= inv
-        xn.accumulate(gx)
+        return gx
 
-    return Tensor._make(y, (x,), bwd, "layer_norm")
+    return Tensor._unary(y, x, grad, "layer_norm")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -934,16 +886,15 @@ def gelu(x: Tensor) -> Tensor:
     s, data = np.empty_like(xd), np.empty_like(xd)
     _gelu(xd, s, data)
     data *= 0.5
-    xn = x._node
 
-    def bwd(g):
+    def grad(g):
         gx = data * 2.0
         _gelu_grad(np.square(xd), s, gx)
         gx *= g
         gx *= 0.5
-        xn.accumulate(gx)
+        return gx
 
-    return Tensor._make(data, (x,), bwd, "gelu")
+    return Tensor._unary(data, x, grad, "gelu")
 
 
 # bytes per block of examples in ffn and multi_head_attention: 256 rows of

@@ -131,8 +131,8 @@ class TestBasics:
 
 
 
-def data_flags(data="data.csv", schema="schema.json"):
-    return ["--schema", schema, "--data", data, "--embeddings", "emb.bin"]
+def data_flags(data="data.csv", schema="schema.json", embeddings="emb.bin"):
+    return ["--schema", schema, "--data", data, "--embeddings", embeddings]
 
 
 # refusals each command makes before its work: (global flags, command line,
@@ -211,6 +211,9 @@ DRY_RUN_REFUSALS = {
     "finetune on a header naming a label twice": (
         [], ["finetune", *data_flags("risk2.csv"), "--task", "risk", "--out-checkpoint", "x.ckpt"],
         EXIT_DATA, "the header names this column twice (feature 'label:risk')"),
+    "pretrain on a sidecar with stray bytes": (  # np.fromfile dropped them
+        [], ["pretrain", *data_flags(embeddings="odd.bin"), "--steps", "2", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "embeddings sidecar odd.bin holds"),
     "benchmark on a header naming a column twice": (
         [], ["benchmark", "--dataset", "adult", "--data", "bench2.csv", "--folds", "2"],
         EXIT_DATA, "the header names this column twice (feature 'age')"),
@@ -294,6 +297,7 @@ class TestDryRun:
         write_labels(workspace, "first.csv", "label:risk", ["1"] + [""] * 23)
         write_labels(workspace, "tier.csv", "label:tier", ["0", "7"] + ["1"] * 22)
         write_labels(workspace, "churn.csv", "label:churn", ["0", "1"] * 12)
+        Path("odd.bin").write_bytes(Path("emb.bin").read_bytes() + b"\0\0")
         Path("row1.csv").write_text("\n".join(Path("data.csv").read_text().splitlines()[:2]) + "\n")
         Path("two.csv").write_text("age,job,target\n0.5,a,1\n-0.5,b,0\n")
         Path("bench.csv").write_text("age,job,target\n" + "".join(f"{i - 3},{'ab'[i % 2]},{i % 2}\n" for i in range(6)))

@@ -542,6 +542,15 @@ class TestLoaderErrors:
         _, snaps = load_dataset(data, schema, emb)
         assert len(snaps) == 12
 
+    def test_a_sidecar_with_stray_bytes_is_refused(self, tmp_path):
+        # np.fromfile dropped the 2 trailing bytes and all 12 rows loaded
+        data, schema, emb = malformed_dataset(tmp_path)
+        data.write_text(data.read_text().replace("oops", "0.5"))
+        emb.write_bytes(emb.read_bytes() + b"\0\0")
+        with pytest.raises(DataError, match="holds 34 bytes, not whole float32 values") as err:
+            load_dataset(data, schema, emb)
+        assert str(emb) in str(err.value) and (err.value.row, err.value.feature) == (None, None)
+
 
 def make_assets(vals):
     """vals: list of (first_component, timestamp, engagement)."""

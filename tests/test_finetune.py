@@ -526,6 +526,17 @@ class TestFinetuneLoop:
             finetune_loop(model, snaps, [TaskSpec("risk", 3)], quick_cfg(steps=1))
         assert model.heads["risk"].classes == 2
 
+    @pytest.mark.parametrize("field", ["eval_every", "patience"])
+    def test_an_eval_interval_or_patience_below_one_is_refused(self, field):
+        # eval_every 0 with a held-out positive died with ZeroDivisionError at
+        # step 0, after its forward; patience 0 stopped at the first stale score
+        _, snaps, model = separable_setup(n=20)
+        assert any(snaps[i].labels["risk"] == 1 for i in range(10))
+        with pytest.raises(ConfigError, match=f"{field} must be at least 1, got 0"):
+            finetune_loop(model, snaps, [TaskSpec("risk", 2)], quick_cfg(steps=2, **{field: 0}),
+                          val_indices=list(range(10)))
+        assert model.heads == {}
+
     def test_two_identical_tasks_have_equal_losses(self):
         schema = FeatureSchema(
             [FeatureSpec("x", "numeric")],

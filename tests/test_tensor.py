@@ -134,6 +134,14 @@ class TestBackward:
             lambda x: log_softmax(x, axis=-1).mean(),
             lambda x: (x[1:3, :] * x[0:2, :]).sum(),
             lambda x: x.reshape(12).mean() + x.transpose(1, 0).sum(),
+            # each one-parent rule alone; the inputs are at least 0.07 from
+            # clip_min's floor 0, on both sides of it
+            lambda x: ((-x) * x).sum(),
+            lambda x: (x.clip_min(0.0) * x).sum(),
+            lambda x: (x / (x * x + 1.0)).sum(),
+            lambda x: x.tanh().sum(),
+            lambda x: (x[[0, 0, 2]] ** 2.0).sum(),
+            lambda x: (x.sum(axis=0, keepdims=True) ** 2.0).sum(),
         ],
     )
     def test_primitive_gradients(self, op, rng):
