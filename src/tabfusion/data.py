@@ -91,6 +91,14 @@ class FeatureSpec:
             isinstance(vocab, list) and all(isinstance(t, str) for t in vocab) and len(vocab) <= self.vocab_size
         ):
             raise DataError(f"vocab must be a list of at most vocab_size {self.vocab_size} strings", feature=self.name)
+        # every token must read back from its CSV cell
+        if vocab is not None and "" in vocab:
+            raise DataError("vocab holds an empty token, which a CSV cell reads back as missing", feature=self.name)
+        if vocab is not None and self.kind == FeatureKind.MULTI_CATEGORICAL:
+            bad = next((t for t in vocab if "|" in t), None)
+            if bad is not None:
+                raise DataError(f"vocab token {bad!r} holds '|', which separates a tag set's tokens",
+                                feature=self.name)
         norm = self.normalization
         if norm is not None and not (
             isinstance(norm, dict) and norm.keys() == {"mean", "std"}
@@ -497,32 +505,43 @@ def normalize_split(schema, fit, *rest):
 def save_dataset(snapshots, schema, data_path, embeddings_path=None):
     """Inverse of load_dataset for round-tripping (numerics stay normalized:
     the written schema carries identity normalization). A value
-    load_dataset would refuse, a non-finite numeric or embedding value or
-    asset timestamp or engagement, raises DataError naming the snapshot's
-    index and the feature before anything is written."""
+    load_dataset would refuse or read back as another, raises DataError
+    naming the snapshot's index and the feature (or `label:<task>`) before
+    anything is written: a non-finite numeric or embedding value or asset
+    timestamp or engagement, a categorical or tag index that is not an
+    integer in [0, vocab_size) (or [0, len(vocab)) with a vocab), an
+    embedding or asset vector that is not `dim` values, and a label that
+    is not an integer in [0, classes)."""
     emb_values = []
 
-    def sidecar_offset(vec):
-        values = _finite(np.asarray(vec, dtype="<f4").tolist())
+    def sidecar_offset(f: FeatureSpec, vec):
+        vec = np.asarray(vec, dtype="<f4")
+        if vec.shape != (f.dim,):
+            raise ValueError(f"vector of shape {vec.shape}; the feature's vectors are ({f.dim},)")
+        values = _finite(vec.tolist())
         off = len(emb_values)
         emb_values.extend(values)
         return off
+
+    def token(f: FeatureSpec, v) -> str:
+        stop = f.vocab_size if f.vocab is None else len(f.vocab)
+        if not (_is_int(v) and 0 <= v < stop):
+            raise ValueError(f"vocabulary index {v!r} outside [0, {stop})")
+        return str(v) if f.vocab is None else f.vocab[v]
 
     def cell(f: FeatureSpec, v) -> str:
         if f.kind == FeatureKind.NUMERIC:
             return "" if v is None else repr(_finite([float(v)])[0])
         if f.kind == FeatureKind.CATEGORICAL:
-            if v is None:
-                return ""
-            return f.vocab[v] if f.vocab is not None else str(v)
+            return "" if v is None else token(f, v)
         if f.kind == FeatureKind.MULTI_CATEGORICAL:
-            return "|".join(f.vocab[i] if f.vocab is not None else str(i) for i in v)
+            return "|".join(token(f, i) for i in v)
         if f.kind == FeatureKind.EMBEDDING:
-            return "" if v is None else str(sidecar_offset(v))
+            return "" if v is None else str(sidecar_offset(f, v))
         parts = []
         for a in v or []:
             _finite([float(a.timestamp), float(a.engagement)])
-            parts.append(f"{sidecar_offset(a.vector)}:{a.timestamp}:{a.engagement}")
+            parts.append(f"{sidecar_offset(f, a.vector)}:{a.timestamp}:{a.engagement}")
         return ";".join(parts)
 
     rows = []
@@ -535,6 +554,8 @@ def save_dataset(snapshots, schema, data_path, embeddings_path=None):
                 raise DataError(f"{e} in snapshot {i}", feature=f.name) from None
         for t in schema.tasks:
             lab = snap.labels.get(t.name)
+            if lab is not None and not (_is_int(lab) and 0 <= lab < t.classes):
+                raise DataError(f"label {lab!r} outside [0, {t.classes}) in snapshot {i}", feature=f"label:{t.name}")
             row.append("" if lab is None else str(lab))
         rows.append(row)
 

@@ -22,6 +22,10 @@ __all__ = ["TaskSpec", "SngpHead", "focal_loss", "check_finetune", "finetune_loo
 VARIANCE_BLOCK_ROWS = 4
 # Columns per panel of the upper-triangular variance factor.
 VARIANCE_PANEL_COLS = 128
+# Rows per inference chunk (`Model.embed`, `Model.predict`, the covariance
+# pass): rows are bitwise batch-independent, so it sets only peak memory,
+# never an output bit.
+INFERENCE_BATCH = 256
 
 
 class SngpHead(Module):
@@ -81,15 +85,13 @@ class SngpHead(Module):
         """
         # free the old precision and factor before the new ones are made
         self.precision, self.factor = None, None
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim == 2:
-            p = probs[:, 1] if probs.shape[1] == 2 else probs.max(axis=1)
-        else:
-            p = probs
-        # a^T a with a = phi sqrt(w), weighted in one float64 copy of phi:
-        # numpy's symmetric product, so lam is exactly symmetric
-        a = np.array(phi, dtype=np.float64)
-        a *= np.sqrt(p * (1.0 - p))[:, None]
+        a = np.empty(np.shape(phi))
+        _weigh_rows(phi, probs, out=a)
+        return self._set_precision(a)
+
+    def _set_precision(self, a: np.ndarray) -> np.ndarray:
+        """Lambda = a^T a + ridge*I from the weighted rows a (`_weigh_rows`):
+        numpy's symmetric product, so Lambda is exactly symmetric."""
         lam = a.T @ a
         lam[np.diag_indices(self.d_rf)] += self.ridge
         self.precision = lam
@@ -398,18 +400,45 @@ def fit_heads_covariance(model, snapshots, tasks, pooled=None) -> None:
     """Final pass accumulating the Laplace precision for every task head.
 
     The rows are embedded once, unless `pooled` holds their embeddings
-    already; each head is fitted on the rows labeled for its task. No graph
-    is recorded.
+    already; each head is fitted on the rows labeled for its task, its old
+    fit freed first. The head's weighted rows fill one float64 [labeled
+    rows, d_rf] block (`_weighted_block`), and its precision is the block's
+    a^T a. Each row's steps read that row alone, so the precision is
+    bitwise `SngpHead.fit_covariance` of all the rows at once. No graph is
+    recorded.
     """
     if pooled is None:
         pooled = model.embed(snapshots)
     for t in tasks:
         head = model.heads[t.name]
+        head.precision, head.factor = None, None
         labeled = [i for i, s in enumerate(snapshots) if s.labels.get(t.name) is not None]
-        with no_grad():
-            phi = head.features(Tensor(pooled[labeled]))
-            logits = head.beta(phi)
-        head.fit_covariance(phi.data, softmax(logits).data)
+        head._set_precision(_weighted_block(head, pooled, labeled))
+
+
+def _weighted_block(head: SngpHead, pooled: np.ndarray, rows: list) -> np.ndarray:
+    """The weighted rows (`_weigh_rows`) of `head` on pooled[rows], one float64
+    block filled INFERENCE_BATCH rows at a time under no_grad: features,
+    logits and softmax exist for one chunk at a time."""
+    a = np.empty((len(rows), head.d_rf))
+    with no_grad():
+        for lo in range(0, len(rows), INFERENCE_BATCH):
+            phi = head.features(Tensor(pooled[rows[lo : lo + INFERENCE_BATCH]]))
+            _weigh_rows(phi.data, softmax(head.beta(phi)).data, out=a[lo : lo + INFERENCE_BATCH])
+    return a
+
+
+def _weigh_rows(phi, probs, out: np.ndarray) -> None:
+    """out = phi * sqrt(p (1 - p)), row by row, in float64: the rows a of
+    the Laplace precision a^T a. p is a binary task's positive-class
+    probability and a multi-class one's max probability (or `probs` itself
+    when it is 1-D)."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim == 2:
+        p = probs[:, 1] if probs.shape[1] == 2 else probs.max(axis=1)
+    else:
+        p = probs
+    np.multiply(phi, np.sqrt(p * (1.0 - p))[:, None], out=out)
 
 
 def predict_scores(model, snapshots, task: str, calibrated: bool = True):

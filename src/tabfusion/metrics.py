@@ -71,17 +71,21 @@ def auprc(scores, labels) -> float:
 def ece(probs, labels, bins: int = 15) -> float:
     """Expected calibration error with equal-width confidence bins.
 
-    probs: [n] confidence of the predicted (binary: positive) class or
-    [n, c] class probabilities; labels: true class indices.
+    probs: [n] positive-class probabilities, with labels 0 or 1, or [n, c]
+    class probabilities, with labels integers in [0, c); other labels raise
+    ValueError.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
     if probs.ndim == 2:
+        labels = np.asarray(labels)
+        if not np.isin(labels, np.arange(probs.shape[1])).all():
+            raise ValueError(f"labels must be integers in [0, {probs.shape[1]})")
         conf = probs.max(axis=1)
         correct = probs.argmax(axis=1) == labels
     else:
+        labels = _binary(labels)
         pred = (probs >= 0.5).astype(int)
         conf = np.where(pred == 1, probs, 1.0 - probs)
         correct = pred == labels

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from itertools import zip_longest
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .data import FeatureSchema
+from .data import FeatureSchema, _is_int
 from .encoder import FeatureEncoder
-from .finetune import SngpHead, packed_size
+from .finetune import INFERENCE_BATCH, SngpHead, packed_size
 from .nn import Module, _Placeholders
 from .pretrain import PRETRAINING_PARTS, ReconstructionHeads
 from .tensor import Tensor, no_grad
@@ -23,9 +24,6 @@ HEAD_FIELDS = ("classes", "d_rf", "length_scale", "ridge", "kappa")
 # the parts of a model: the state under each top-level attribute, with
 # ISA's (`.isa.` in a trunk layer's path) a part of its own
 PARTS = ("encoder", "trunk", "isa", "recon", "heads")
-# rows per inference chunk; rows are bitwise batch-independent, so it sets
-# only the peak memory of `embed` and `predict`, never an output bit
-INFERENCE_BATCH = 256
 
 
 class Model(Module):
@@ -97,11 +95,14 @@ class Model(Module):
         The constructors that build a fresh model build the tree, but its
         slots are placeholders: the load draws no random number and runs no
         power iteration, so every array the model ends with is the file's. A
-        missing array, a shape mismatch or an array that names no attribute
-        raises CheckpointError. `schema` (normalization aside), `config_dict`
+        missing array, a shape mismatch, an array that names no attribute,
+        a head record that does not hold exactly HEAD_FIELDS of valid types
+        and a `parts` that is not a list of names from PARTS raise
+        CheckpointError. `schema` (normalization aside), `config_dict`
         and `model_kwargs` are only checked against the record: a mismatch
         raises CheckpointError naming the feature or field."""
         record, arrays = load_checkpoint(path)
+        _check_heads_and_parts(record)
         saved = FeatureSchema.from_dict(record["schema"])
         if schema is not None:
             _check_schema(schema, saved)
@@ -171,6 +172,35 @@ class Model(Module):
 def _part(path: str) -> str:
     """The part (PARTS) that the state at `path` belongs to."""
     return "isa" if ".isa." in path else path.split(".", 1)[0]
+
+
+def _check_heads_and_parts(record: dict) -> None:
+    """CheckpointError unless each head of `record` holds exactly HEAD_FIELDS,
+    integers classes >= 2 and d_rf >= 1, finite numbers length_scale > 0,
+    ridge > 0 and kappa >= 0, and its `parts` (which a version-3 record
+    lacks) is a list of names from PARTS."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+    valid = {
+        "classes": lambda v: _is_int(v) and v >= 2,
+        "d_rf": lambda v: _is_int(v) and v >= 1,
+        "length_scale": lambda v: number(v) and v > 0,
+        "ridge": lambda v: number(v) and v > 0,
+        "kappa": lambda v: number(v) and v >= 0,
+    }
+    heads = record.get("heads")
+    if not isinstance(heads, dict):
+        raise CheckpointError(f"checkpoint record's heads are {heads!r}, not an object of task heads")
+    for task, head in heads.items():
+        if not (isinstance(head, dict) and head.keys() == set(HEAD_FIELDS)):
+            raise CheckpointError(f"checkpoint head '{task}' is {head!r}; a head holds exactly {list(HEAD_FIELDS)}")
+        bad = next((k for k in HEAD_FIELDS if not valid[k](head[k])), None)
+        if bad is not None:
+            raise CheckpointError(f"checkpoint head '{task}' has {bad} {head[bad]!r}")
+    parts = record.get("parts", PARTS)
+    if not (isinstance(parts, (list, tuple)) and all(p in PARTS for p in parts)):
+        raise CheckpointError(f"checkpoint parts are {parts!r}, not a list of names from {list(PARTS)}")
 
 
 def _check_fields(what: str, given: dict, saved: dict, keys) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -311,6 +312,28 @@ class TestModelPersistence:
         data[(start + end) // 2] ^= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="array checksum mismatch"):
+            Model.load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        # each with a matching record digest: a bare TypeError
+        (lambda r: r["heads"]["risk"].update(extra=1), "checkpoint head 'risk' is {"),
+        (lambda r: r["heads"]["risk"].update(classes="2"), "checkpoint head 'risk' has classes '2'"),
+        (lambda r: r.update(parts=5), "checkpoint parts are 5, not a list of names from"),
+        # taken as pi/8
+        (lambda r: r["heads"]["risk"].pop("kappa"), "checkpoint head 'risk' is {"),
+        # ignored
+        (lambda r: r.update(parts=["encoder", "trunk", "heads", "probe"]), "checkpoint parts are ['encoder'"),
+        (lambda r: r["heads"]["risk"].update(ridge=float("nan")), "checkpoint head 'risk' has ridge nan"),
+        (lambda r: r["heads"]["risk"].update(d_rf=True), "checkpoint head 'risk' has d_rf True"),
+    ], ids=["extra-key", "string-classes", "int-parts", "no-kappa", "unknown-part", "nan-ridge", "bool-d_rf"])
+    def test_load_refuses_a_malformed_head_or_parts_record(self, tmp_path, edit, message):
+        _, _, model = self.build_trained(tmp_path)
+        path = tmp_path / "m.ckpt"
+        model.save(path, {"arch": "tiny"})
+        record, arrays = load_checkpoint(path)
+        edit(record)
+        save_checkpoint(path, arrays, record)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             Model.load(path)
 
     def test_arrays_are_named_by_attribute_path(self, tmp_path):

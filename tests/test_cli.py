@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshots, small_schema
+from tabfusion.checkpoint import load_checkpoint, save_checkpoint
 from tabfusion.cli import EXIT_CONFIG, EXIT_DATA, EXIT_MISSING_FILE, EXIT_OK, build_parser, main
 from tabfusion.config import RunConfig
 from tabfusion.data import FeatureSchema, TaskSpec, load_dataset, save_dataset
@@ -199,6 +200,9 @@ DRY_RUN_REFUSALS = {
     "pretrain with a vocab that is one string": (  # read as its characters
         [], ["pretrain", *data_flags(schema="vocabstr.json"), "--steps", "2", "--out-checkpoint", "x.ckpt"],
         EXIT_DATA, "vocab must be a list of at most vocab_size 4 strings (feature 'region')"),
+    "pretrain with an empty vocab token": (  # an empty cell read back as missing
+        [], ["pretrain", *data_flags(schema="vocabempty.json"), "--steps", "2", "--out-checkpoint", "x.ckpt"],
+        EXIT_DATA, "vocab holds an empty token, which a CSV cell reads back as missing (feature 'region')"),
     "pretrain with a normalization that lacks std": (  # error:runtime: 'std', exit 1
         [], ["pretrain", *data_flags(schema="nostd.json"), "--steps", "2", "--out-checkpoint", "x.ckpt"],
         EXIT_DATA, "normalization must be {\"mean\": m, \"std\": s}"),
@@ -306,6 +310,7 @@ class TestDryRun:
         record = json.loads(Path("schema.json").read_text())
         for name, feature, change in (("vocab5.json", "region", {"vocab": list("01234")}),
                                       ("vocabstr.json", "region", {"vocab": "0123"}),
+                                      ("vocabempty.json", "region", {"vocab": ["0", "", "2", "3"]}),
                                       ("nostd.json", "age", {"normalization": {"mean": 0}}),
                                       ("std0.json", "age", {"normalization": {"mean": 0, "std": 0}})):
             features = [{**f, **change} if f["name"] == feature else f for f in record["features"]]
@@ -486,6 +491,20 @@ class TestMalformedData:
         assert rc == EXIT_DATA, err
         assert err.startswith("error:data: ") and message in err
         assert not (workspace / "model.ckpt").exists()
+
+    def test_predict_from_a_head_record_without_kappa_exits_1(self, workspace, capsys):
+        # the digest matches the edited record; the head's kappa became pi/8
+        path = run_finetune(workspace)
+        record, arrays = load_checkpoint(path)
+        del record["heads"]["risk"]["kappa"]
+        save_checkpoint(path, arrays, record)
+        capsys.readouterr()
+        rc = main(["predict", *base_args(workspace)[2:], "--checkpoint", str(path), "--task", "risk",
+                   "--out", str(workspace / "p.jsonl")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(err) == 1, err
+        assert err[0].startswith("error:runtime: checkpoint head 'risk' is {")
+        assert not (workspace / "p.jsonl").exists()
 
     def test_finetune_without_labeled_rows_exits_4(self, workspace, capsys):
         # finetune_loop raised a plain ValueError: exit 1 with error:runtime

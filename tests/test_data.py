@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,23 @@ class TestSchema:
         with pytest.raises(DataError, match="vocab must be a list of at most vocab_size 2 strings") as err:
             FeatureSchema.load(tmp_path / "s.json")
         assert err.value.feature == "c"
+
+    @pytest.mark.parametrize("kind, vocab, message", [
+        # written as an empty cell, which read back as missing: [0, 1] -> [None, 1]
+        ("categorical", ["", "a"], "vocab holds an empty token, which a CSV cell reads back as missing"),
+        ("multi_categorical", ["a", ""], "vocab holds an empty token, which a CSV cell reads back as missing"),
+        # the tag set (2,) read back as (0, 1)
+        ("multi_categorical", ["a", "b", "a|b"], "vocab token 'a|b' holds '|', which separates a tag set's tokens"),
+    ])
+    def test_vocab_tokens_must_read_back_from_a_csv_cell(self, kind, vocab, message):
+        with pytest.raises(DataError, match=re.escape(f"{message} (feature 'c')")):
+            FeatureSpec("c", kind, vocab_size=3, vocab=vocab)
+
+    def test_a_categorical_token_may_hold_a_bar(self, tmp_path):
+        schema = FeatureSchema([FeatureSpec("c", "categorical", vocab_size=2, vocab=["a|b", "a"])])
+        save_dataset([Snapshot({"c": 0}), Snapshot({"c": 1})], schema, tmp_path / "d.csv")
+        _, snaps = load_dataset(tmp_path / "d.csv", schema)
+        assert [s.values["c"] for s in snaps] == [0, 1]
 
     def test_repeated_vocab_tokens_are_allowed(self):
         assert FeatureSpec("c", "categorical", vocab_size=3, vocab=["a", "b", "a"]).vocab == ["a", "b", "a"]
@@ -174,6 +192,37 @@ class TestIo:
             bad = [Asset(np.ones(6, np.float32), 2.0, 0.5), bad]
         snaps[4].values[feature] = bad
         with pytest.raises(DataError, match=rf"^non-finite value \S+ in snapshot 4 \(feature '{feature}'\)$"):
+            save_dataset(snaps, schema, tmp_path / "d.csv", tmp_path / "e.bin")
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "e.bin").exists()
+
+    @pytest.mark.parametrize("feature, bad, message", [
+        # written as vocab[-1], which read back as index 2
+        ("plan", -1, r"vocabulary index -1 outside \[0, 3\)"),
+        # a bare IndexError
+        ("plan", 5, r"vocabulary index 5 outside \[0, 3\)"),
+        # written, then refused by load_dataset
+        ("region", 5, r"vocabulary index 5 outside \[0, 4\)"),
+        ("tags", (1, 7), r"vocabulary index 7 outside \[0, 5\)"),
+        ("label:risk", 3, r"label 3 outside \[0, 2\)"),
+        # written as 5 floats, read back as 6, the last borrowed from the next vector
+        ("page_vec", np.ones(5, np.float32), r"vector of shape \(5,\); the feature's vectors are \(6,\)"),
+        ("creatives", [Asset(np.ones(6, np.float32)), Asset(np.ones(5, np.float32))],
+         r"vector of shape \(5,\); the feature's vectors are \(6,\)"),
+    ])
+    def test_save_refuses_what_load_would_refuse_or_misread(self, tmp_path, feature, bad, message):
+        schema = small_schema()
+        schema = FeatureSchema(
+            [*schema, FeatureSpec("plan", "categorical", vocab_size=3, vocab=["a", "b", "c"])], schema.tasks
+        )
+        snaps = random_snapshots(schema, 6, seed=1)
+        saved = save_dataset(snaps, schema, tmp_path / "ok.csv", tmp_path / "ok.bin")  # valid rows round-trip
+        _, back = load_dataset(tmp_path / "ok.csv", saved, tmp_path / "ok.bin")
+        assert [s.values["plan"] for s in back] == [s.values["plan"] for s in snaps]
+        if feature.startswith("label:"):
+            snaps[4].labels["risk"] = bad
+        else:
+            snaps[4].values[feature] = bad
+        with pytest.raises(DataError, match=rf"^{message} in snapshot 4 \(feature '{feature}'\)$"):
             save_dataset(snaps, schema, tmp_path / "d.csv", tmp_path / "e.bin")
         assert not (tmp_path / "d.csv").exists() and not (tmp_path / "e.bin").exists()
 

@@ -781,7 +781,45 @@ def two_task_setup():
     return snaps, model
 
 
+def covariance_setup(d_rf):
+    """300 rows, so the covariance pass fills a 256-row chunk and a partial
+    one: 3-class task `c` labeled on every third row, then binary task `a`
+    on every row. Each head is fitted once, by a one-step loop."""
+    tasks = [TaskSpec("c", 3), TaskSpec("a", 2)]
+    schema = FeatureSchema([FeatureSpec("x", "numeric"), FeatureSpec("noise", "numeric")], tasks)
+    snaps = random_snapshots(schema, 300, seed=5, label_rule=lambda v, rng: int(v["x"] > 0))
+    for i, s in enumerate(snaps):
+        s.labels["c"] = None if i % 3 else (i // 3) % 3
+    model = Model(schema, RunConfig(d=8, n_layers=1, heads=2, ffn_dim=16, d_prime=8, seed=5))
+    finetune_loop(model, snaps, tasks, quick_cfg(steps=1, d_rf=d_rf))
+    return snaps, model, tasks
+
+
 class TestInferencePath:
+    def test_chunked_pass_is_bitwise_fit_covariance_of_every_row_at_once(self):
+        snaps, model, tasks = covariance_setup(d_rf=64)
+        for t in tasks:
+            head = model.heads[t.name]
+            rows = [s for s in snaps if s.labels[t.name] is not None]
+            assert len(rows) == (300 if t.name == "a" else 100)
+            pooled = Tensor(model.embed(rows))
+            fitted = head.precision
+            want = head.fit_covariance(head.features(pooled).data, softmax(head.logits(pooled)).data)
+            assert np.array_equal(fitted, want)
+
+    def test_pass_holds_the_precisions_and_one_float64_block(self):
+        """At d_rf 512 the pass used to hold the last head's float32 features
+        for all 300 rows beside its float64 block through a^T a, and rose
+        0.62 MiB above this bound; now a head's features exist one 256-row
+        chunk at a time, and the chunk is gone before a^T a."""
+        snaps, model, tasks = covariance_setup(d_rf=512)
+        for t in tasks:
+            model.heads[t.name].precision = None
+        _, peak = traced(lambda: fit_heads_covariance(model, snaps, tasks))
+        kept = sum(model.heads[t.name].precision.nbytes for t in tasks)
+        last_block = len(snaps) * 512 * 8  # task `a`, labeled on every row
+        assert peak <= kept + last_block + 0.25 * 2**20
+
     def test_covariance_pass_fits_each_head_on_its_labeled_rows(self):
         snaps, model = two_task_setup()
         for task in ("a", "b"):

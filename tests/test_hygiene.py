@@ -513,6 +513,8 @@ LONE_ALLOWED = {
     "tensor.mac_count": "criterion 6 and the ISA cost tests count multiply-accumulates with it",
     "tensor.reset_mac_count": "zeroes the counter mac_count reads, before the counted call",
     "data.save_dataset": "load_dataset's inverse: tests and bench/ write their datasets with it",
+    "finetune.fit_covariance": "the Laplace fit on whole feature and probability arrays: "
+                               "the covariance pass's chunked fit is tested bitwise against it",
 }
 
 

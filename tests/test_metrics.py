@@ -168,6 +168,18 @@ class TestEce:
         with pytest.raises(ValueError):
             ece([0.5], [1], bins=0)
 
+    @pytest.mark.parametrize("labels", [[2, 0], [-1, 0], [0.5, 1]])
+    def test_binary_labels_are_0_or_1(self, labels):
+        # [2, 0] scored 0.55: a 2 counted as a wrong prediction of class 1
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            ece([0.9, 0.2], labels)
+
+    @pytest.mark.parametrize("labels", [[3, 0], [-1, 0], [1.5, 0]])
+    def test_multiclass_labels_are_class_indices(self, labels):
+        probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
+        with pytest.raises(ValueError, match=r"labels must be integers in \[0, 3\)"):
+            ece(probs, labels)
+
 
 class TestReport:
     def test_summary_mean_std(self):
