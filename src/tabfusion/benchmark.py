@@ -21,6 +21,7 @@ from .data import (
     Snapshot,
     TaskSpec,
     _check_header,
+    _first_positions,
     make_folds,
     normalize_split,
 )
@@ -124,6 +125,8 @@ def load_benchmark_csv(path, dataset_name: str):
             raise DataError(f"the cell count differs from the header's {len(reader.fieldnames)}", row=row_no)
     schema = infer_schema(rows, spec["target"], drop=spec.get("drop", ()))
     positives = set(spec["positive"])
+    # every stripped cell is in its inferred vocab, or the vocab ends in <other>
+    positions = {f.name: _first_positions(f.vocab) for f in schema if f.kind == FeatureKind.CATEGORICAL}
     snapshots = []
     for row_no, r in numbered:
         values = {}
@@ -136,12 +139,8 @@ def load_benchmark_csv(path, dataset_name: str):
                 if not math.isfinite(values[f.name]):
                     raise DataError(f"non-finite value {cell!r}", row=row_no, feature=f.name)
             else:
-                if cell in f.vocab:
-                    values[f.name] = f.vocab.index(cell)
-                elif "<other>" in f.vocab:
-                    values[f.name] = f.vocab.index("<other>")
-                else:
-                    raise DataError("unseen category", row=row_no, feature=f.name)
+                position = positions[f.name]
+                values[f.name] = position[cell] if cell in position else position["<other>"]
         label = 1 if r[spec["target"]].strip() in positives else 0
         snapshots.append(Snapshot(values, {spec["target"]: label}))
     return schema, snapshots

@@ -378,6 +378,15 @@ def _in_range(values, stop, what):
     return values
 
 
+def _first_positions(vocab: list) -> dict:
+    """Each token of `vocab` and its first position: the index a cell
+    holding that token reads back as."""
+    position = {}
+    for i, token in enumerate(vocab):
+        position.setdefault(token, i)
+    return position
+
+
 def _column_converter(f: FeatureSpec, sidecar):
     """A function from one column of `f`'s cells to their values.
 
@@ -392,9 +401,7 @@ def _column_converter(f: FeatureSpec, sidecar):
         return lambda cells: _spread(cells, _finite(list(map(float, filter(None, cells)))))
     if f.kind in (FeatureKind.CATEGORICAL, FeatureKind.MULTI_CATEGORICAL):
         if f.vocab is not None:
-            position = {}
-            for i, token in enumerate(f.vocab):
-                position.setdefault(token, i)
+            position = _first_positions(f.vocab)
 
             def index(tokens):
                 return list(map(position.__getitem__, tokens))
@@ -510,9 +517,11 @@ def save_dataset(snapshots, schema, data_path, embeddings_path=None):
     anything is written: a non-finite numeric or embedding value or asset
     timestamp or engagement, a categorical or tag index that is not an
     integer in [0, vocab_size) (or [0, len(vocab)) with a vocab), an
-    embedding or asset vector that is not `dim` values, and a label that
-    is not an integer in [0, classes)."""
+    embedding or asset vector that is not `dim` values, an index past
+    its token's first position in a vocab that repeats the token, and a
+    label that is not an integer in [0, classes)."""
     emb_values = []
+    firsts = {f.name: _first_positions(f.vocab) for f in schema if f.vocab is not None}
 
     def sidecar_offset(f: FeatureSpec, vec):
         vec = np.asarray(vec, dtype="<f4")
@@ -527,7 +536,14 @@ def save_dataset(snapshots, schema, data_path, embeddings_path=None):
         stop = f.vocab_size if f.vocab is None else len(f.vocab)
         if not (_is_int(v) and 0 <= v < stop):
             raise ValueError(f"vocabulary index {v!r} outside [0, {stop})")
-        return str(v) if f.vocab is None else f.vocab[v]
+        if f.vocab is None:
+            return str(v)
+        tok = f.vocab[v]
+        first = firsts[f.name][tok]
+        if first != v:
+            raise ValueError(f"vocabulary index {v} holds token {tok!r}, which reads back as its first "
+                             f"position {first}")
+        return tok
 
     def cell(f: FeatureSpec, v) -> str:
         if f.kind == FeatureKind.NUMERIC:

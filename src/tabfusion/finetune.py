@@ -116,14 +116,13 @@ class SngpHead(Module):
             if self.precision is None:
                 raise RuntimeError("covariance not fitted")
             self.factor = _factorise(self.precision)
-        phi = np.asarray(phi, dtype=np.float64)
-        n = phi.shape[0]
+        n = len(phi)
         blocks = np.zeros((-(-n // VARIANCE_BLOCK_ROWS), VARIANCE_BLOCK_ROWS, self.d_rf))
-        blocks.reshape(-1, self.d_rf)[:n] = phi
+        blocks.reshape(-1, self.d_rf)[:n] = phi  # cast to float64 on the way in
         y = np.empty_like(blocks)
         for panel in _panel_views(self.factor, self.d_rf):
             c1 = panel.shape[0]
-            y[:, :, c1 - panel.shape[1] : c1] = np.matmul(blocks[:, :, :c1], panel)
+            np.matmul(blocks[:, :, :c1], panel, out=y[:, :, c1 - panel.shape[1] : c1])
         y = y.reshape(-1, self.d_rf)[:n]
         return np.einsum("ij,ij->i", y, y)
 

@@ -3,10 +3,14 @@
 A small numpy-backed autodiff engine. The graph is kept apart from the
 values: every recorded op makes a `Node` in a DAG of nodes, holding the
 closure that scatters the upstream gradient to its parent nodes, and the
-`Tensor` it returns holds that node and its value. An op with one parent
-(the unary, shape and normalising ops) gives only its value and its
-gradient rule to `Tensor._unary`, which records the node. A closure
-captures the parent nodes and only the arrays its backward reads, never a
+`Tensor` it returns holds that node and its value. An op gives its value
+and one gradient rule per parent to `Tensor._record`, which records the
+node: its backward hands each parent that records a graph its rule's
+gradient, in parent order, and copies the upstream gradient for a later
+parent once an earlier one took it. Only the fused kernels (`ffn`, `multi_head_attention` and
+`numeric_encoding`), whose backward shares one recompute across their
+parents, wire their own closure through `Tensor._make`. A rule captures
+only the arrays it reads (such a closure also the parent nodes), never a
 Tensor, so an interior value is freed as soon as the caller drops its
 Tensor unless some backward reads it.
 Under ``no_grad`` ops record nothing, so an inference forward holds no graph.
@@ -135,7 +139,7 @@ class Node:
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             # own an array the backward allocated or the upstream node hands
-            # on (add passes its own gradient); copy a view, since reshape,
+            # on (add's rules return it); copy a view, since reshape,
             # transpose and concat pass on aliases of the upstream gradient
             owned = type(g) is np.ndarray and g.base is None and g.dtype == self.dtype
             self.grad = g if owned else g.astype(self.dtype, copy=True)
@@ -162,8 +166,10 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
-        """The output of an op: a node over the parents that record a graph
-        when recording is on and there is one, else a value alone."""
+        """The output of a fused kernel, whose `backward` shares one recompute
+        across its parents and accumulates into their nodes itself: a node
+        over the parents that record a graph when recording is on and there
+        is one, else a value alone."""
         out = Tensor.__new__(Tensor)
         out._data = data
         out._node = None
@@ -174,13 +180,35 @@ class Tensor:
         return out
 
     @staticmethod
-    def _unary(data: np.ndarray, x: "Tensor", grad, op: str) -> "Tensor":
-        """The output of an op whose one parent is x: its node's backward
-        hands grad(g), the gradient at x, to x's node. Every one-parent op
-        is recorded here, so it gives only its value and `grad`, which
-        captures the arrays it reads (and x's shape or dtype), never x."""
-        xn = x._node
-        return Tensor._make(data, (x,), lambda g: xn.accumulate(grad(g)), op)
+    def _record(data: np.ndarray, parents: Sequence["Tensor"], grads: Sequence, op: str) -> "Tensor":
+        """The output of an op with one gradient rule per parent: grads[i](g)
+        is the gradient at parents[i] given g at the output. Under no_grad,
+        or when no parent records a graph, a value alone. Otherwise the
+        rules of parents that record no graph are dropped, and the node's
+        backward hands each other parent its gradient, in parent order.
+
+        A rule returns a new array, a view (which `Node.accumulate`
+        copies) or g itself (add's rules), so g is the one array two
+        parents can be handed. Once a parent's node took g, a later parent
+        handed g gets a copy, so no two nodes share a gradient array."""
+        out = Tensor.__new__(Tensor)
+        out._data = data
+        out._node = None
+        if _GRAD_ENABLED:
+            pairs = [(p._node, rule) for p, rule in zip(parents, grads) if p._node is not None]
+            if pairs:
+
+                def backward(g):
+                    owned = False  # whether a parent's node took g itself
+                    for node, rule in pairs:
+                        gp = rule(g)
+                        if gp is g and owned:
+                            gp = g.copy()
+                        node.accumulate(gp)
+                        owned = owned or node.grad is g
+
+                out._node = Node(tuple([n for n, _ in pairs]), backward, data.shape, data.dtype, op)
+        return out
 
     @property
     def data(self) -> np.ndarray:
@@ -299,12 +327,12 @@ class Tensor:
         return mul(self._coerce(other), self ** -1.0)
 
     def __neg__(self):
-        return Tensor._unary(-self._data, self, lambda g: -g, "neg")
+        return Tensor._record(-self._data, (self,), (lambda g: -g,), "neg")
 
     def __pow__(self, exponent: float):
         e = float(exponent)
         xd = self._data
-        return Tensor._unary(xd ** e, self, lambda g: g * e * xd ** (e - 1.0), "pow")
+        return Tensor._record(xd ** e, (self,), (lambda g: g * e * xd ** (e - 1.0),), "pow")
 
     def __matmul__(self, other):
         return matmul(self, self._coerce(other))
@@ -317,7 +345,7 @@ class Tensor:
             np.add.at(full, idx, g)
             return full
 
-        return Tensor._unary(self._data[idx], self, grad, "getitem")
+        return Tensor._record(self._data[idx], (self,), (grad,), "getitem")
 
     def __repr__(self):
         op = None if self._node is None else self._node.op
@@ -327,28 +355,28 @@ class Tensor:
 
     def exp(self):
         data = np.exp(self._data)
-        return Tensor._unary(data, self, lambda g: g * data, "exp")
+        return Tensor._record(data, (self,), (lambda g: g * data,), "exp")
 
     def log(self):
         xd = self._data
-        return Tensor._unary(np.log(xd), self, lambda g: g / xd, "log")
+        return Tensor._record(np.log(xd), (self,), (lambda g: g / xd,), "log")
 
     def tanh(self):
         data = np.tanh(self._data)
-        return Tensor._unary(data, self, lambda g: g * (1.0 - data * data), "tanh")
+        return Tensor._record(data, (self,), (lambda g: g * (1.0 - data * data),), "tanh")
 
     def sin(self):
         xd = self._data
-        return Tensor._unary(np.sin(xd), self, lambda g: g * np.cos(xd), "sin")
+        return Tensor._record(np.sin(xd), (self,), (lambda g: g * np.cos(xd),), "sin")
 
     def cos(self):
         xd = self._data
-        return Tensor._unary(np.cos(xd), self, lambda g: g * -np.sin(xd), "cos")
+        return Tensor._record(np.cos(xd), (self,), (lambda g: g * -np.sin(xd),), "cos")
 
     def clip_min(self, floor: float):
         """Lower clamp; gradient passes only where the input is above the floor."""
         xd = self._data
-        return Tensor._unary(np.maximum(xd, floor), self, lambda g: g * (xd > floor), "clip_min")
+        return Tensor._record(np.maximum(xd, floor), (self,), (lambda g: g * (xd > floor),), "clip_min")
 
     # ---- shape ops -------------------------------------------------------
 
@@ -375,18 +403,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError("add", a.shape, b.shape) from None
-    an, bn = a._node, b._node
-
-    def bwd(g):
-        if an is not None:
-            an.accumulate(_unbroadcast(g, an.shape))
-        if bn is not None:
-            gb = _unbroadcast(g, bn.shape)
-            # a may now own g: b gets its own array, or a later accumulation
-            # into one operand's gradient would reach the other's
-            bn.accumulate(gb.copy() if gb is g and an is not None and an.grad is g else gb)
-
-    return Tensor._make(data, (a, b), bwd, "add")
+    ash, bsh = a._data.shape, b._data.shape
+    return Tensor._record(data, (a, b), (lambda g: _unbroadcast(g, ash), lambda g: _unbroadcast(g, bsh)), "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -394,18 +412,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError("mul", a.shape, b.shape) from None
-    an, bn = a._node, b._node
     # each operand's gradient reads the other's value
-    ad = None if bn is None else a.data
-    bd = None if an is None else b.data
-
-    def bwd(g):
-        if an is not None:
-            an.accumulate(_unbroadcast(g * bd, an.shape))
-        if bn is not None:
-            bn.accumulate(_unbroadcast(g * ad, bn.shape))
-
-    return Tensor._make(data, (a, b), bwd, "mul")
+    ad, bd = a._data, b._data
+    ash, bsh = ad.shape, bd.shape
+    return Tensor._record(
+        data, (a, b), (lambda g: _unbroadcast(g * bd, ash), lambda g: _unbroadcast(g * ad, bsh)), "mul"
+    )
 
 
 def _row_product(a: np.ndarray, wt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -439,19 +451,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul", a.shape, b.shape) from None
     # multiply-accumulate count: product of output extents times inner dim
     _MAC_COUNT += int(np.prod(data.shape)) * a.shape[-1]
-    an, bn = a._node, b._node
-    ad = None if bn is None else a.data
-    bd = None if an is None else b.data
-
-    def bwd(g):
-        if an is not None:
-            an.accumulate(np.matmul(g, bd.T))
-        if bn is not None:
-            # a shared 2-D weight: one gemm over all rows of every batch
-            k, n = bn.shape
-            bn.accumulate(ad.reshape(-1, k).T @ g.reshape(-1, n))
-
-    return Tensor._make(data, (a, b), bwd, "matmul")
+    ad, bd = a._data, b._data
+    k, n = bd.shape
+    # b is a shared 2-D weight: its gradient is one gemm over all rows of every batch
+    return Tensor._record(
+        data, (a, b), (lambda g: np.matmul(g, bd.T), lambda g: ad.reshape(-1, k).T @ g.reshape(-1, n)), "matmul"
+    )
 
 
 def _kept(w: Tensor):
@@ -493,20 +498,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             raise ShapeError("linear", x.shape, w.shape, b.shape)
         data += b.data  # the product is fresh: add in place
     _MAC_COUNT += math.prod(data.shape) * w.shape[1]
-    xn, wn, bn = x._node, w._node, None if b is None else b._node
-    xd = None if wn is None else x.data
-    wk = None if xn is None else _kept(w)
-
-    def bwd(g):
-        if xn is not None:
-            xn.accumulate(np.matmul(g, _value(wk)))
-        if wn is not None:
-            n, k = wn.shape
-            wn.accumulate(g.reshape(-1, n).T @ xd.reshape(-1, k))
-        if bn is not None:
-            bn.accumulate(_unbroadcast(g, bn.shape))
-
-    return Tensor._make(data, (x, w) if b is None else (x, w, b), bwd, "linear")
+    xd, wk = x._data, _kept(w)
+    n, k = w._data.shape
+    grads = (lambda g: np.matmul(g, _value(wk)), lambda g: g.reshape(-1, n).T @ xd.reshape(-1, k))
+    if b is None:
+        return Tensor._record(data, (x, w), grads, "linear")
+    bsh = b._data.shape
+    return Tensor._record(data, (x, w, b), (*grads, lambda g: _unbroadcast(g, bsh)), "linear")
 
 
 def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> Tensor:
@@ -539,7 +537,7 @@ def spectral_normalize(w: Tensor, u: np.ndarray, v: np.ndarray, eps: float) -> T
         gw -= np.outer(u * coef, v)
         return gw
 
-    out = Tensor._unary(wd * inv, w, grad, "spectral_normalize")
+    out = Tensor._record(wd * inv, (w,), (grad,), "spectral_normalize")
     if out._node is not None:
         out._node.recipe = (wd, inv)
     return out
@@ -732,14 +730,14 @@ def reshape(x: Tensor, shape) -> Tensor:
     except ValueError:
         raise ShapeError("reshape", x.shape, shape) from None
     back = x.shape
-    return Tensor._unary(data, x, lambda g: g.reshape(back), "reshape")
+    return Tensor._record(data, (x,), (lambda g: g.reshape(back),), "reshape")
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     data = np.transpose(x.data, axes)
     inv = np.argsort(axes)
-    return Tensor._unary(data, x, lambda g: np.transpose(g, inv), "transpose")
+    return Tensor._record(data, (x,), (lambda g: np.transpose(g, inv),), "transpose")
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -748,18 +746,11 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:
         raise ShapeError("concat", *[t.shape for t in tensors]) from None
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    nodes = [t._node for t in tensors]
-
-    def bwd(g):
-        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            if node is not None:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                node.accumulate(g[tuple(sl)])
-
-    return Tensor._make(data, tuple(tensors), bwd, "concat")
+    lead, grads, hi = (slice(None),) * (axis % data.ndim), [], 0
+    for t in tensors:
+        lo, hi = hi, hi + t.shape[axis]
+        grads.append(lambda g, sl=lead + (slice(lo, hi),): g[sl])
+    return Tensor._record(data, tensors, grads, "concat")
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -772,7 +763,7 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, shape).copy()
 
-    return Tensor._unary(np.asarray(data), x, grad, "reduce_sum")
+    return Tensor._record(np.asarray(data), (x,), (grad,), "reduce_sum")
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -797,7 +788,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         dot = (g * data).sum(axis=axis, keepdims=True)
         return data * (g - dot)
 
-    return Tensor._unary(data, x, grad, "softmax")
+    return Tensor._record(data, (x,), (grad,), "softmax")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -806,7 +797,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
     p = np.exp(data)
-    return Tensor._unary(data, x, lambda g: g - p * g.sum(axis=axis, keepdims=True), "log_softmax")
+    return Tensor._record(data, (x,), (lambda g: g - p * g.sum(axis=axis, keepdims=True),), "log_softmax")
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -833,7 +824,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
         gx *= inv
         return gx
 
-    return Tensor._unary(y, x, grad, "layer_norm")
+    return Tensor._record(y, (x,), (grad,), "layer_norm")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -894,7 +885,7 @@ def gelu(x: Tensor) -> Tensor:
         gx *= 0.5
         return gx
 
-    return Tensor._unary(data, x, grad, "gelu")
+    return Tensor._record(data, (x,), (grad,), "gelu")
 
 
 # bytes per block of examples in ffn and multi_head_attention: 256 rows of

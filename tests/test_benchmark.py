@@ -48,6 +48,23 @@ def test_a_malformed_row_or_header_is_a_data_error(tmp_path, line, text, where):
     assert (err.value.row, err.value.feature) == where
 
 
+def test_rare_categories_load_as_other_and_an_empty_cell_as_missing(tmp_path):
+    """A column of 210 distinct values keeps the 199 most frequent (ties by
+    name), then `<other>`; each rare value loads as `<other>`'s index."""
+    jobs = [f"common{i % 10}" for i in range(60)] + [f"rare{i:03d}" for i in range(200)] + ["", " rare000 "]
+    rows = ["job,target"] + [f"{job},{i % 2}" for i, job in enumerate(jobs)]
+    (tmp_path / "adult.csv").write_text("\n".join(rows) + "\n")
+    schema, snaps = bm.load_benchmark_csv(tmp_path / "adult.csv", "adult")
+    vocab = schema.get("job").vocab
+    assert len(vocab) == 200 and vocab[:10] == [f"common{i}" for i in range(10)] and vocab[-1] == "<other>"
+    assert vocab[10:199] == [f"rare{i:03d}" for i in range(189)]
+    got = [s.values["job"] for s in snaps]
+    assert got[:60] == [i % 10 for i in range(60)]
+    assert got[60:249] == list(range(10, 199))
+    assert got[249:260] == [199] * 11  # rare189 .. rare199
+    assert got[260:] == [None, 10]  # a cell is stripped before its lookup
+
+
 def test_training_rows_are_normalized_by_their_own_statistics(tmp_path, monkeypatch):
     """A held-out value used to shape the z-scores of the training rows."""
     seen = []

@@ -226,6 +226,19 @@ class TestIo:
             save_dataset(snaps, schema, tmp_path / "d.csv", tmp_path / "e.bin")
         assert not (tmp_path / "d.csv").exists() and not (tmp_path / "e.bin").exists()
 
+    def test_save_refuses_a_later_position_of_a_repeated_token(self, tmp_path):
+        """Index 2 under vocab ["a", "b", "a"] was written as `a` and read
+        back as 0, the token's first position."""
+        schema = FeatureSchema([FeatureSpec("plan", "categorical", vocab_size=3, vocab=["a", "b", "a"])], [])
+        snaps = [Snapshot({"plan": v}, {}) for v in (0, 1, None, 1, 2)]
+        saved = save_dataset(snaps[:4], schema, tmp_path / "ok.csv")  # the first positions round-trip
+        _, back = load_dataset(tmp_path / "ok.csv", saved)
+        assert [s.values["plan"] for s in back] == [0, 1, None, 1]
+        message = "vocabulary index 2 holds token 'a', which reads back as its first position 0"
+        with pytest.raises(DataError, match=rf"^{message} in snapshot 4 \(feature 'plan'\)$"):
+            save_dataset(snaps, schema, tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+
     def test_bad_numeric_reports_row_and_feature(self, tmp_path):
         schema = FeatureSchema([FeatureSpec("x", "numeric")], [])
         (tmp_path / "d.csv").write_text("x\nok\n")
@@ -317,6 +330,8 @@ def test_loaded_dataset_digest(tmp_path):
     snaps = random_snapshots(schema, 2500, seed=11, missing_rate=0.15)
     for i, s in enumerate(snaps):
         s.labels["tier"] = None if i % 7 == 0 else i % 3
+        if s.values["plan"] == 2:  # save refuses the repeated token's later position; 0 writes the same cell
+            s.values["plan"] = 0
     save_dataset(snaps, schema, tmp_path / "d.csv", tmp_path / "e.f32")
     fitted, rows = load_dataset(tmp_path / "d.csv", schema, tmp_path / "e.f32")
     assert load_digest(fitted, rows) == DIGEST

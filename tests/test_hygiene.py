@@ -8,7 +8,8 @@ optimizer step only in the trainer, snapshot values read only by IO,
 featurization and CutMix, no generator
 seeded with a literal, no garbage-collector switches, no function or
 class that no other library line names, no backward closure that
-holds a Tensor, and no one-parent node wired outside `Tensor._unary`."""
+holds a Tensor, and no node wired outside `Tensor._record` but by the
+fused kernels."""
 
 import ast
 from pathlib import Path
@@ -572,39 +573,40 @@ def test_no_backward_closure_holds_a_tensor():
     assert [(o._node.op, path) for o in outs for path in tensors_held(o._node)] == []
 
 
-def one_parent_makes(source: str) -> list[int]:
-    """Lines that call `_make` with a one-element parents tuple, positional
-    or `parents=`, outside `Tensor._unary`, which wires every one-parent node."""
+FUSED_KERNELS = ("ffn", "multi_head_attention", "numeric_encoding")
+
+
+def stray_makes(source: str) -> list[int]:
+    """Lines that call `_make` outside the fused kernels, whose backward
+    shares one recompute across their parents; every other op records its
+    node through `Tensor._record`."""
     tree = ast.parse(source)
-    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_unary"
-               for n in ast.walk(f)}
-    lines = []
-    for n in ast.walk(tree):
-        if not isinstance(n, ast.Call) or id(n) in inside:
-            continue
-        if (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)) != "_make":
-            continue
-        parents = n.args[1] if len(n.args) > 1 else next((k.value for k in n.keywords if k.arg == "parents"), None)
-        if isinstance(parents, ast.Tuple) and len(parents.elts) == 1 and not isinstance(parents.elts[0], ast.Starred):
-            lines.append(n.lineno)
-    return sorted(lines)
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in FUSED_KERNELS
+              for n in ast.walk(f)}
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and id(n) not in inside
+        and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)) == "_make"
+    )
 
 
-def test_one_parent_scanner_spares_only_unary():
+def test_make_scanner_spares_only_the_fused_kernels():
     source = (
         "class Tensor:\n"
-        "    def _unary(data, x, grad, op):\n        return Tensor._make(data, (x,), grad, op)\n"
-        "def neg(x):\n    return Tensor._make(-x.data, (x,), bwd, 'neg')\n"
+        "    def _record(data, parents, grads, op):\n        return Tensor._make(data, parents, bwd, op)\n"
+        "def ffn(x, w1, b1, w2, b2):\n    return Tensor._make(d, (x, w1, b1, w2, b2), bwd, 'ffn')\n"
+        "def multi_head_attention(x, *ws):\n    def out():\n        return _make(d, (x, *ws), bwd, 'a')\n"
+        "    return out()\n"
         "def add(a, b):\n    return Tensor._make(a.data + b.data, (a, b), bwd, 'add')\n"
-        "def cat(ts):\n    return _make(d, (*ts,), bwd, 'cat')\n"
-        "def sq(x):\n    return _make(d, parents=(x,), backward=bwd, op='sq')\n"
+        "def neg(x):\n    return _make(-x.data, parents=(x,), backward=bwd, op='neg')\n"
+        "make = Tensor._make\n"
     )
-    assert one_parent_makes(source) == [5, 11]
+    assert stray_makes(source) == [3, 11, 13]
 
 
-def test_every_one_parent_node_goes_through_unary():
-    """`Tensor._unary` wires a one-parent node (its closure hands the
-    gradient to the parent's node); an op that wires its own would be a
-    second path for the same four steps."""
-    found = [f"{path.name}:{line}" for path in MODULES for line in one_parent_makes(path.read_text())]
+def test_only_the_fused_kernels_wire_their_own_node():
+    """`Tensor._record` wires a node from one gradient rule per parent, and
+    keeps any two parents from sharing a gradient array; an op that called
+    `_make` would be a second path for the same steps."""
+    found = [f"{path.name}:{line}" for path in MODULES for line in stray_makes(path.read_text())]
     assert found == []

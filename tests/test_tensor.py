@@ -300,6 +300,37 @@ class TestBackwardRelease:
         assert peak / x.data.nbytes < 4.0
 
 
+class TestRecord:
+    """`Tensor._record` records every op but the fused kernels from one
+    gradient rule per parent."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x + x,
+        lambda x: x * x,
+        lambda x: concat([x, x], axis=0),
+        lambda x: concat([x, x], axis=1),
+        lambda x: matmul(x, x),
+        lambda x: linear(x, x),
+        lambda x: linear(x, x, x[1]),
+    ])
+    def test_one_tensor_as_two_parents_of_a_node(self, op, rng):
+        x = t64(rng.standard_normal((3, 3)))
+        assert fd_gradient_check(lambda: (op(x) ** 2.0).sum(), [x]) < 1e-4
+
+    def test_no_two_leaves_share_a_gradient_array(self, rng):
+        """add's rules hand the upstream gradient on as it is: the first
+        operand's node takes it and the second gets a copy."""
+        x, w = t64(rng.standard_normal((4, 3))), t64(rng.standard_normal((3, 3)))
+        a, b = t64(rng.standard_normal((4, 3))), t64(rng.standard_normal((4, 3)))
+        loss = sum((o.sum() for o in every_op(x, w)), (a + b).sum() + concat([a * b, b + a]).sum())
+        model = Model(small_schema(), RunConfig(d=8, n_layers=2, heads=2, ffn_dim=16, d_prime=8, seed=3))
+        tokens, pooled = model.trunk(Tensor(rng.standard_normal((5, model.trunk.cfg.n_tokens, 8))), mode="pretrain")
+        (loss + (pooled * pooled).sum() + tokens.mean()).backward()
+        grads = [x.grad, w.grad, a.grad, b.grad] + [p.grad for p in model.trunk.parameters().values()]
+        assert all(g is not None for g in grads)
+        assert [(i, j) for i, g in enumerate(grads) for j in range(i) if np.shares_memory(g, grads[j])] == []
+
+
 class TestFusedOps:
     """gelu and layer_norm are single graph nodes with hand-written backward
     passes; matmul against a 2-D weight takes its gradient in one gemm."""
